@@ -8,10 +8,12 @@
  * balanced point.
  */
 
+#include <array>
 #include <cmath>
+#include <memory>
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
+#include "pipeline/runner.h"
 
 using namespace sigcomp;
 using namespace sigcomp::pipeline;
@@ -97,9 +99,14 @@ main()
                   "72% of byte-serial stalls are EX structural; "
                   "balanced widths 3/2/2/1)");
 
-    // Part 1: stall attribution of the byte-serial design.
-    const auto rows = analysis::runCpiStudy({Design::ByteSerial},
-                                            analysis::suiteConfig());
+    // Part 1: stall attribution of the byte-serial design, with the
+    // baseline alongside as the reference for part 2.
+    const auto rows =
+        bench::runPlan(analysis::StudyPlan().cpi(
+                           {Design::ByteSerial, Design::Baseline32},
+                           analysis::suiteConfig()))
+            .cpi.front()
+            .rows();
     Count control = 0, hazard = 0, structural = 0, imiss = 0, dmiss = 0;
     for (const auto &row : rows) {
         const StallBreakdown &st = row.stalls.at(Design::ByteSerial);
@@ -141,24 +148,32 @@ main()
     TextTable sweep({"if width", "rf width", "alu width", "d$ width",
                      "geomean CPI", "vs baseline %"});
 
-    // Baseline for reference.
-    const auto base_rows = analysis::runCpiStudy(
-        {Design::Baseline32}, analysis::suiteConfig());
-    const double base = analysis::meanCpi(base_rows,
-                                          Design::Baseline32);
+    const double base = analysis::meanCpi(rows, Design::Baseline32);
 
-    for (const Point &pt : points) {
-        double log_sum = 0.0;
-        unsigned n = 0;
-        for (const std::string &name : workloads::Suite::names()) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            WidthSweepPipeline pipe(pt.ifw, pt.rf, pt.ex, pt.mem,
-                                    analysis::suiteConfig());
-            runPipelines(w.program, {&pipe});
-            log_sum += std::log(pipe.result().cpi());
-            ++n;
+    // Every sweep point replays each workload's trace in one call:
+    // the custom pipelines share one quanta group, so the
+    // design-independent front half runs once per trace.
+    constexpr std::size_t kPoints = std::size(points);
+    std::array<double, kPoints> log_sum = {};
+    const std::vector<std::string> &names = workloads::Suite::names();
+    for (const std::string &name : names) {
+        std::vector<std::unique_ptr<WidthSweepPipeline>> owned;
+        std::vector<InOrderPipeline *> pipes;
+        for (const Point &pt : points) {
+            owned.push_back(std::make_unique<WidthSweepPipeline>(
+                pt.ifw, pt.rf, pt.ex, pt.mem, analysis::suiteConfig()));
+            pipes.push_back(owned.back().get());
         }
-        const double cpi = std::exp(log_sum / n);
+        replayPipelines(*analysis::Session::defaultSession().trace(name),
+                        pipes);
+        for (std::size_t i = 0; i < kPoints; ++i)
+            log_sum[i] += std::log(owned[i]->result().cpi());
+    }
+
+    for (std::size_t i = 0; i < kPoints; ++i) {
+        const Point &pt = points[i];
+        const double cpi =
+            std::exp(log_sum[i] / static_cast<double>(names.size()));
         sweep.beginRow()
             .cell(static_cast<std::uint64_t>(pt.ifw))
             .cell(static_cast<std::uint64_t>(pt.rf))

@@ -9,36 +9,10 @@
  * their gap to the baseline.
  */
 
-#include <cmath>
-
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
-#include "pipeline/runner.h"
 
 using namespace sigcomp;
 using namespace sigcomp::pipeline;
-
-namespace
-{
-
-double
-geomeanCpi(Design d, PredictorKind k)
-{
-    double log_sum = 0.0;
-    unsigned n = 0;
-    for (const std::string &name : workloads::Suite::names()) {
-        const workloads::Workload w = workloads::Suite::build(name);
-        PipelineConfig cfg = analysis::suiteConfig();
-        cfg.predictor = k;
-        auto pipe = makePipeline(d, cfg);
-        runPipelines(w.program, {pipe.get()});
-        log_sum += std::log(pipe->result().cpi());
-        ++n;
-    }
-    return std::exp(log_sum / n);
-}
-
-} // namespace
 
 int
 main()
@@ -47,6 +21,23 @@ main()
                   "space",
                   "future work deferred by Canal/Gonzalez/Smith "
                   "MICRO-33 section 3");
+
+    // One CPI study per predictor, all riding one fused pass: the
+    // predictor is not part of the quanta key, so the three studies
+    // share each trace's design-independent front half.
+    const PredictorKind kinds[] = {PredictorKind::None,
+                                   PredictorKind::NotTaken,
+                                   PredictorKind::Bimodal};
+    analysis::StudyPlan plan;
+    for (PredictorKind k : kinds) {
+        PipelineConfig cfg = analysis::suiteConfig();
+        cfg.predictor = k;
+        plan.cpi(allDesigns(), cfg);
+    }
+    const analysis::SuiteReport rep = bench::runPlan(plan);
+    auto geomeanCpi = [&](Design d, PredictorKind k) {
+        return rep.cpi[static_cast<std::size_t>(k)].geomeanCpi(d);
+    };
 
     TextTable t({"design", "no prediction", "not-taken", "bimodal",
                  "bimodal gain %"});

@@ -13,11 +13,7 @@
  * the results.
  */
 
-#include <cmath>
-
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
-#include "pipeline/runner.h"
 #include "power/energy_model.h"
 
 using namespace sigcomp;
@@ -65,20 +61,15 @@ main()
     double base_time = 0.0;
     double base_energy = 0.0;
 
-    for (Design d : allDesigns()) {
-        double log_cpi = 0.0;
+    const analysis::SuiteReport suite = bench::runPlan(
+        analysis::StudyPlan().cpi(allDesigns(), analysis::suiteConfig()));
+    const analysis::CpiStudyResult &study = suite.cpi.front();
+    for (std::size_t i = 0; i < study.designs.size(); ++i) {
+        const Design d = study.designs[i];
         ActivityTotals activity;
-        unsigned n = 0;
-        for (const std::string &name : workloads::Suite::names()) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            auto pipe = makePipeline(d, analysis::suiteConfig());
-            runPipelines(w.program, {pipe.get()});
-            const PipelineResult r = pipe->result();
-            log_cpi += std::log(r.cpi());
-            activity += r.activity;
-            ++n;
-        }
-        const double cpi = std::exp(log_cpi / n);
+        for (const auto &per_design : study.results)
+            activity += per_design[i].activity;
+        const double cpi = study.geomeanCpi(d);
         const double period = clockPeriod(d);
         const double time = cpi * period;
         const power::EnergyReport rep =

@@ -6,12 +6,10 @@
  * pipeline runs with each encoding.
  */
 
-#include <cmath>
+#include <array>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
-#include "pipeline/runner.h"
 
 using namespace sigcomp;
 using namespace sigcomp::pipeline;
@@ -70,13 +68,25 @@ main()
                   "6% overhead, fewer patterns; 3-bit: 9% overhead, "
                   "+6% operands compressed)");
 
+    // One plan: a storage profiler and an activity study per
+    // encoding (the activity study runs the byte-serial pipeline, or
+    // the halfword-serial one for the halfword scheme).
+    const std::array<sig::Encoding, 3> encodings = {
+        sig::Encoding::Ext2, sig::Encoding::Ext3, sig::Encoding::Half1};
+    std::array<StorageProfiler, 3> profs = {
+        StorageProfiler(encodings[0]), StorageProfiler(encodings[1]),
+        StorageProfiler(encodings[2])};
+    analysis::StudyPlan plan;
+    plan.profile({&profs[0], &profs[1], &profs[2]});
+    for (sig::Encoding enc : encodings)
+        plan.activity(enc);
+    const analysis::SuiteReport rep = bench::runPlan(plan);
+
     TextTable t({"encoding", "ext bits", "mean data bits/word",
                  "mean stored bits/word", "compression %"});
-    for (sig::Encoding enc : {sig::Encoding::Ext2, sig::Encoding::Ext3,
-                              sig::Encoding::Half1}) {
-        StorageProfiler prof(enc);
-        analysis::profileSuite({&prof});
-        const EncStats &s = prof.stats();
+    for (std::size_t i = 0; i < encodings.size(); ++i) {
+        const sig::Encoding enc = encodings[i];
+        const EncStats &s = profs[i].stats();
         const double data =
             static_cast<double>(s.dataBits) / s.operands;
         const double stored =
@@ -91,24 +101,12 @@ main()
     }
     bench::printTable("storage cost per register operand (suite)", t);
 
-    // Activity impact: run the byte-serial pipeline under each byte
-    // encoding (halfword uses the halfword-serial design).
     TextTable a({"encoding", "RFread save %", "RFwrite save %",
                  "ALU save %", "D$data save %", "latch save %"});
-    for (sig::Encoding enc : {sig::Encoding::Ext2, sig::Encoding::Ext3,
-                              sig::Encoding::Half1}) {
-        const Design d = (enc == sig::Encoding::Half1)
-                             ? Design::HalfwordSerial
-                             : Design::ByteSerial;
-        pipeline::ActivityTotals total;
-        for (const std::string &name : workloads::Suite::names()) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            auto pipe = makePipeline(d, analysis::suiteConfig(enc));
-            runPipelines(w.program, {pipe.get()});
-            total += pipe->result().activity;
-        }
+    for (const analysis::ActivityStudyResult &study : rep.activity) {
+        const pipeline::ActivityTotals total = study.total();
         a.beginRow()
-            .cell(sig::encodingName(enc))
+            .cell(sig::encodingName(study.encoding))
             .cell(total.rfRead.saving(), 1)
             .cell(total.rfWrite.saving(), 1)
             .cell(total.alu.saving(), 1)

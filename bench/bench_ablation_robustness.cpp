@@ -8,9 +8,7 @@
  * conclusions should transfer.
  */
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
-#include "pipeline/runner.h"
 
 using namespace sigcomp;
 using namespace sigcomp::pipeline;
@@ -24,16 +22,19 @@ main()
 
     TextTable t({"benchmark", "design", "CPI", "uplift %",
                  "RFread save %", "ALU save %", "latch save %"});
-    for (const std::string &name : workloads::Suite::extraNames()) {
-        // Held-out kernels go through the TraceCache too: one
-        // capture, all seven designs replayed from the shared trace,
-        // evicted right after (each is replayed exactly once, so
-        // peak memory stays at one held-out trace).
-        const analysis::TraceCache::TracePtr trace =
-            analysis::TraceCache::global().get(name);
-        const auto results =
-            replayDesigns(*trace, allDesigns(), analysis::suiteConfig());
-        analysis::TraceCache::global().evict(name);
+    // Held-out kernels ride the same engine: one capture each, all
+    // seven designs replayed from the shared trace, evicted right
+    // after (each is replayed exactly once, so peak memory stays at
+    // one held-out trace).
+    const analysis::SuiteReport rep = bench::runPlan(
+        analysis::StudyPlan()
+            .cpi(allDesigns(), analysis::suiteConfig())
+            .workloads(workloads::Suite::extraNames())
+            .evictAfterReplay());
+    const analysis::CpiStudyResult &study = rep.cpi.front();
+    for (std::size_t w = 0; w < study.benchmarks.size(); ++w) {
+        const std::string &name = study.benchmarks[w];
+        const auto &results = study.results[w];
         const double base = results[0].cpi();
         for (const auto &r : results) {
             t.beginRow()

@@ -6,7 +6,6 @@
 #ifndef SIGCOMP_BENCH_BENCH_ACTIVITY_COMMON_H_
 #define SIGCOMP_BENCH_BENCH_ACTIVITY_COMMON_H_
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
 
 namespace sigcomp::bench

@@ -7,7 +7,6 @@
 #ifndef SIGCOMP_BENCH_BENCH_CPI_COMMON_H_
 #define SIGCOMP_BENCH_BENCH_CPI_COMMON_H_
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
 
 namespace sigcomp::bench
@@ -19,7 +18,9 @@ cpiFigure(const std::vector<pipeline::Design> &designs)
 {
     using pipeline::Design;
     const auto rows =
-        analysis::runCpiStudy(designs, analysis::suiteConfig());
+        runPlan(analysis::StudyPlan().cpi(designs, analysis::suiteConfig()))
+            .cpi.front()
+            .rows();
 
     std::vector<std::string> headers = {"benchmark"};
     for (pipeline::Design d : designs)

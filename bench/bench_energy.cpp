@@ -6,9 +6,7 @@
  * check.
  */
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
-#include "pipeline/runner.h"
 #include "power/energy_model.h"
 
 using namespace sigcomp;
@@ -28,29 +26,33 @@ main()
                 "~1.0)\n",
                 power::bankSplitEnergyRatio(tech, 32, 32, 4));
 
+    const analysis::SuiteReport suite = bench::runPlan(
+        analysis::StudyPlan().cpi(
+            {Design::ByteSerial, Design::HalfwordSerial,
+             Design::ByteSemiParallel, Design::ByteParallelSkewed,
+             Design::ByteParallelCompressed, Design::SkewedBypass},
+            analysis::suiteConfig()));
+    const analysis::CpiStudyResult &study = suite.cpi.front();
+    // Suite-total activity per design (column i of the study).
+    auto suiteActivity = [&](std::size_t i) {
+        ActivityTotals total;
+        for (const auto &per_design : study.results)
+            total += per_design[i].activity;
+        return total;
+    };
+
     TextTable t({"design", "pipeline pJ/1k-instr (sig.)",
                  "pJ/1k-instr (32-bit baseline)", "energy saving %"});
-    for (Design d : {Design::ByteSerial, Design::HalfwordSerial,
-                     Design::ByteSemiParallel,
-                     Design::ByteParallelSkewed,
-                     Design::ByteParallelCompressed,
-                     Design::SkewedBypass}) {
-        ActivityTotals total;
+    for (std::size_t i = 0; i < study.designs.size(); ++i) {
         DWord instructions = 0;
-        for (const std::string &name : workloads::Suite::names()) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            auto pipe = makePipeline(d, analysis::suiteConfig());
-            runPipelines(w.program, {pipe.get()});
-            const PipelineResult r = pipe->result();
-            total += r.activity;
-            instructions += r.instructions;
-        }
+        for (const auto &per_design : study.results)
+            instructions += per_design[i].instructions;
         const power::EnergyReport rep =
-            power::buildEnergyReport(total, tech);
+            power::buildEnergyReport(suiteActivity(i), tech);
         const double per_k =
             1000.0 / static_cast<double>(instructions);
         t.beginRow()
-            .cell(designName(d))
+            .cell(designName(study.designs[i]))
             .cell(rep.totalCompressedPj * per_k, 1)
             .cell(rep.totalBaselinePj * per_k, 1)
             .cell(rep.savingPercent(), 1)
@@ -58,16 +60,9 @@ main()
     }
     bench::printTable("pipeline dynamic energy (suite total)", t);
 
-    // Per-structure breakdown for the byte-serial design.
-    ActivityTotals total;
-    for (const std::string &name : workloads::Suite::names()) {
-        const workloads::Workload w = workloads::Suite::build(name);
-        auto pipe = makePipeline(Design::ByteSerial,
-                                 analysis::suiteConfig());
-        runPipelines(w.program, {pipe.get()});
-        total += pipe->result().activity;
-    }
-    const power::EnergyReport rep = power::buildEnergyReport(total, tech);
+    // Per-structure breakdown for the byte-serial design (column 0).
+    const power::EnergyReport rep =
+        power::buildEnergyReport(suiteActivity(0), tech);
     TextTable b({"structure", "compressed pJ", "baseline pJ",
                  "saving %"});
     for (const power::StructureEnergy &se : rep.structures) {

@@ -412,19 +412,6 @@ BM_FunctionalExecution(benchmark::State &state)
 BENCHMARK(BM_FunctionalExecution)->Unit(benchmark::kMillisecond);
 
 void
-BM_PipelineSimulation(benchmark::State &state)
-{
-    const workloads::Workload w = workloads::Suite::build("rawcaudio");
-    for (auto _ : state) {
-        auto pipe = pipeline::makePipeline(
-            pipeline::Design::ByteSerial, pipeline::PipelineConfig());
-        pipeline::runPipelines(w.program, {pipe.get()});
-        benchmark::DoNotOptimize(pipe->result().cycles);
-    }
-}
-BENCHMARK(BM_PipelineSimulation)->Unit(benchmark::kMillisecond);
-
-void
 BM_TraceCapture(benchmark::State &state)
 {
     const workloads::Workload w = workloads::Suite::build("rawcaudio");

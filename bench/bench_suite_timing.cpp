@@ -2,8 +2,8 @@
  * @file
  * Suite-level performance baseline for the trace capture/replay
  * engine and its persistent store tier: times capture vs cached
- * replay vs store replay and the full multi-study driver against the
- * pre-cache (re-simulate-per-study) engine, and writes
+ * replay vs store replay and one fused multi-study StudyPlan against
+ * the same studies run as one plan each, and writes
  * BENCH_suite.json so the perf trajectory is tracked across PRs
  * (schema documented in README "Benchmarking the engine").
  *
@@ -17,9 +17,7 @@
  *                   count (default 1: stable, comparable numbers;
  *                   0 = all cores)
  *   --max-instrs N  cap each workload's capture at N instructions
- *                   (CI smoke mode; truncated traces replay fine,
- *                   but the multi-study phases need full traces and
- *                   are skipped)
+ *                   (CI smoke mode; truncated traces replay fine)
  *   --out PATH      where to write the JSON (default
  *                   BENCH_suite.json in the working directory)
  *   --store DIR     store directory for the cold-store vs warm-store
@@ -47,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "analysis/session.h"
 #include "analysis/trace_cache.h"
@@ -66,9 +63,9 @@ namespace
 {
 
 using namespace sigcomp;
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::StudyPlan;
 using analysis::TraceCache;
-using pipeline::Design;
 
 double
 nowSeconds()
@@ -98,7 +95,6 @@ struct Run
 {
     unsigned threads = 0;
     std::vector<Phase> phases;
-    double multiSpeedup = 0.0;
     double fusedSpeedup = 0.0;
     double telemetryOverhead = 0.0;
     bool replayFaster = false;
@@ -123,7 +119,10 @@ cachedSuiteInstructions()
 {
     DWord total = 0;
     for (const std::string &name : workloads::Suite::names())
-        total += TraceCache::global().get(name)->runResult().instructions;
+        total += Session::defaultSession()
+                     .trace(name)
+                     ->runResult()
+                     .instructions;
     return total;
 }
 
@@ -243,32 +242,34 @@ measureKernels()
     return out;
 }
 
-/**
- * The acceptance driver: CPI study over the paper's full design
- * space + activity study + profiling pass, in one process. The CPI
- * study runs first so its shared-quanta record is already on the
- * traces when the activity study replays (later studies ride
- * earlier studies' records).
- */
+/** The three characterisation profilers over the whole suite. */
 void
-runMultiStudy(const StudyOptions &opt)
+runProfilers(unsigned threads)
 {
-    (void)analysis::runCpiStudy(pipeline::allDesigns(),
-                                analysis::suiteConfig(), opt);
-    (void)analysis::runActivityStudy(sig::Encoding::Ext3, opt);
     analysis::PatternProfiler pat;
     analysis::InstrMixProfiler mix;
     analysis::PcProfiler pc;
-    analysis::profileSuite({&pat, &mix, &pc}, opt);
+    Session::defaultSession().run(
+        StudyPlan().profile({&pat, &mix, &pc}).threads(threads));
 }
 
+/**
+ * The multi-study workload as one plan per study: CPI over the
+ * paper's full design space, then activity, then the profiling pass,
+ * each sweeping the suite's traces again. The CPI study runs first
+ * so its shared-quanta record is already on the traces when the
+ * activity study replays (later plans ride earlier plans' records).
+ */
 void
-runProfilers(const StudyOptions &opt)
+runSequential(unsigned threads)
 {
-    analysis::PatternProfiler pat;
-    analysis::InstrMixProfiler mix;
-    analysis::PcProfiler pc;
-    analysis::profileSuite({&pat, &mix, &pc}, opt);
+    Session &session = Session::defaultSession();
+    session.run(StudyPlan()
+                    .cpi(pipeline::allDesigns(), analysis::suiteConfig())
+                    .threads(threads));
+    session.run(
+        StudyPlan().activity(sig::Encoding::Ext3).threads(threads));
+    runProfilers(threads);
 }
 
 /** One thread-count's worth of phases. */
@@ -276,7 +277,7 @@ Run
 runAtThreads(unsigned threads, DWord max_instrs,
              const std::string &store_dir)
 {
-    TraceCache &cache = TraceCache::global();
+    TraceCache &cache = Session::defaultSession().cache();
     const std::vector<std::string> &names = workloads::Suite::names();
     ParallelExecutor exec(threads == 0 ? 0 : threads);
 
@@ -300,14 +301,14 @@ runAtThreads(unsigned threads, DWord max_instrs,
     // through the three characterisation profilers, no simulation.
     run.phases.push_back(timePhase(
         "cached_replay_profilers", suite_instrs, kReps, [] {},
-        [&] { runProfilers(StudyOptions{.threads = threads}); }));
+        [&] { runProfilers(threads); }));
 
     // Phase 3: recapture — what the same profiling pass costs when
     // the trace has to be captured again (cache cold).
     run.phases.push_back(timePhase(
         "recapture_profilers", suite_instrs, kReps,
         [&] { cache.clear(); },
-        [&] { runProfilers(StudyOptions{.threads = threads}); }));
+        [&] { runProfilers(threads); }));
 
     // Phases 4/5: the persistent store tier. Cold store = capture
     // plus significance-compressed write-through; warm store = a
@@ -315,9 +316,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
     // trace streamed back off disk, zero functional simulation).
     if (!store_dir.empty()) {
         run.hasStore = true;
-        StudyOptions store_opt;
-        store_opt.threads = threads;
-        store_opt.storeDir = store_dir;
+        cache.configureStore({store_dir});
 
         run.phases.push_back(timePhase(
             "store_cold_capture_save", suite_instrs, kReps,
@@ -327,52 +326,21 @@ runAtThreads(unsigned threads, DWord max_instrs,
                 for (const std::string &name : ts.list())
                     ts.remove(name);
             },
-            [&] { runProfilers(store_opt); }));
+            [&] { runProfilers(threads); }));
 
         run.phases.push_back(timePhase(
             "store_warm_load_replay", suite_instrs, kReps,
             [&] { cache.clear(); },
-            [&] { runProfilers(store_opt); }));
+            [&] { runProfilers(threads); }));
 
         // Detach so later phases/records measure the RAM-only tiers.
         cache.configureStore({});
     }
 
-    // Phases 6/7: the acceptance driver — activity study + CPI study
-    // + profiling pass in one process, pre-cache engine (re-simulate
-    // per study) vs trace-cache engine (capture once, replay). Both
-    // start from a cold cache every repetition. Needs full traces:
-    // skipped in capped smoke runs.
-    if (max_instrs == 0) {
-        constexpr int kStudyReps = 5;
-        const Phase precache = timePhase(
-            "multi_study_precache", 3 * suite_instrs, kStudyReps, [] {},
-            [&] {
-                runMultiStudy(
-                    StudyOptions{.threads = threads, .useCache = false});
-            });
-        run.phases.push_back(precache);
-
-        const Phase cached = timePhase(
-            "multi_study_cached", suite_instrs, kStudyReps,
-            [&] { cache.clear(); },
-            [&] {
-                runMultiStudy(
-                    StudyOptions{.threads = threads, .useCache = true});
-            });
-        run.phases.push_back(cached);
-
-        run.multiSpeedup = precache.wallMs / cached.wallMs;
-        std::printf("\n  multi-study speedup: %.2fx "
-                    "(one functional pass instead of three, "
-                    "shared-quanta batched replay)\n",
-                    run.multiSpeedup);
-    }
-
-    // Phases 8/9: the tentpole comparison — the same three studies
-    // (full-design-space CPI + activity + three-profiler pass) run
-    // sequentially through the legacy drivers vs fused through one
-    // Session::run(StudyPlan), both over a prewarmed cache. The
+    // Phases 6/7: the same three studies (full-design-space CPI +
+    // activity + three-profiler pass) run as one plan each vs fused
+    // through one Session::run(StudyPlan), both over a prewarmed
+    // cache. The
     // fused plan touches each trace once; sequential sweeps it once
     // per study. Works on capped traces (both sides are cache-fed),
     // so CI smoke runs gate it too.
@@ -380,9 +348,6 @@ runAtThreads(unsigned threads, DWord max_instrs,
         auto warm = [&] {
             cache.clear();
             cache.prewarm(names, exec);
-        };
-        auto run_sequential = [&] {
-            runMultiStudy(StudyOptions{.threads = threads});
         };
         auto run_fused = [&] {
             analysis::PatternProfiler pat;
@@ -393,7 +358,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
                 .activity(sig::Encoding::Ext3)
                 .profile({&pat, &mix, &pc})
                 .threads(threads);
-            (void)analysis::Session::defaultSession().run(plan);
+            (void)Session::defaultSession().run(plan);
         };
         // Interleaved repetitions (seq, fused, seq, fused, ...), min
         // of each: a host-noise burst then degrades both sides
@@ -410,7 +375,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
         for (int r = 0; r < 5; ++r) {
             warm();
             double t0 = nowSeconds();
-            run_sequential();
+            runSequential(threads);
             seq.wallMs =
                 std::min(seq.wallMs, (nowSeconds() - t0) * 1e3);
             warm();
@@ -428,10 +393,10 @@ runAtThreads(unsigned threads, DWord max_instrs,
         run.fusedSpeedup = seq.wallMs / fused.wallMs;
         // Evaluated (and emitted, and gated) at threads=1 only: a
         // fused plan with shared profiler sinks replays serially by
-        // design, while the sequential drivers fan their pipeline
+        // design, while the one-study pipeline plans fan their
         // studies across cores, so the comparison means nothing at
         // higher thread counts. The 5% margin absorbs shared-host
-        // noise (the sequential path rides cross-study result
+        // noise (the sequential plans ride cross-study result
         // memos, so the structural fused win — one materialised
         // pass — is only a few percent of wall clock); a real
         // regression, like a duplicate design replaying as a full
@@ -442,7 +407,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
                     fused.wallMs, seq.wallMs, run.fusedSpeedup);
     }
 
-    // Phase 10: telemetry overhead — the default mode (counter,
+    // Phase 8: telemetry overhead — the default mode (counter,
     // gauge and histogram recording all live; tracing inactive, as
     // every normal run is) vs runtime-disabled recording, over the
     // cached replay pass. Interleaved repetitions with min-of-each
@@ -464,11 +429,11 @@ runAtThreads(unsigned threads, DWord max_instrs,
         for (int r = 0; r < 5; ++r) {
             telemetry::setEnabled(true);
             double t0 = nowSeconds();
-            runProfilers(StudyOptions{.threads = threads});
+            runProfilers(threads);
             on.wallMs = std::min(on.wallMs, (nowSeconds() - t0) * 1e3);
             telemetry::setEnabled(false);
             t0 = nowSeconds();
-            runProfilers(StudyOptions{.threads = threads});
+            runProfilers(threads);
             off.wallMs = std::min(off.wallMs, (nowSeconds() - t0) * 1e3);
         }
         telemetry::setEnabled(was_enabled);
@@ -514,7 +479,7 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
         std::exit(1);
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v5\",\n");
+    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v6\",\n");
     std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                  simd::simdLevelName(simd::activeSimdLevel()));
     std::fprintf(f, "  \"max_instrs\": %llu,\n",
@@ -571,10 +536,6 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
                          i + 1 < run.phases.size() ? "," : "");
         }
         std::fprintf(f, "      ],\n");
-        if (run.multiSpeedup > 0.0) {
-            std::fprintf(f, "      \"multi_study_speedup\": %.2f,\n",
-                         run.multiSpeedup);
-        }
         if (run.fusedSpeedup > 0.0) {
             std::fprintf(f, "      \"fused_speedup\": %.2f,\n",
                          run.fusedSpeedup);
@@ -685,7 +646,7 @@ main(int argc, char **argv)
                                          : 0.0);
     }
 
-    TraceCache &cache = TraceCache::global();
+    TraceCache &cache = Session::defaultSession().cache();
     if (max_instrs != 0)
         cache.setCaptureLimit(max_instrs);
 

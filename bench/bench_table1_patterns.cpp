@@ -5,7 +5,6 @@
  * paper uses to argue the 2-bit/3-bit trade-off.
  */
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 
@@ -20,7 +19,7 @@ main()
                   "(paper: eees~61%, top-4 ~94%)");
 
     PatternProfiler pat;
-    profileSuite({&pat});
+    bench::runPlan(StudyPlan().profile({&pat}));
 
     TextTable t({"pattern", "freq %", "cumulative %", "ext2-encodable"});
     double cum = 0.0;

@@ -6,7 +6,6 @@
  * stream.
  */
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 #include "sigcomp/pc_increment.h"
@@ -23,7 +22,7 @@ main()
                   "b/(1-2^-b), 1/(1-2^-b))");
 
     PcProfiler pc;
-    profileSuite({&pc});
+    bench::runPlan(StudyPlan().profile({&pc}));
 
     TextTable t({"block bits", "analytic bits", "analytic cycles",
                  "measured bits", "measured cycles"});

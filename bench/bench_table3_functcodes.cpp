@@ -5,7 +5,6 @@
  * statistics (format mix, immediate sizes, mean fetched bytes).
  */
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 #include "isa/opcodes.h"
@@ -21,7 +20,7 @@ main()
                   "2.3 statistics (top-8 ~87%, 3.17 B/instr)");
 
     InstrMixProfiler mix{suiteCompressor()};
-    profileSuite({&mix});
+    bench::runPlan(StudyPlan().profile({&mix}));
 
     TextTable t({"rank", "funct", "freq %", "cumulative %", "recoded",
                  "f1==000"});

@@ -9,7 +9,6 @@
  * the exception path fires dynamically.
  */
 
-#include "analysis/experiments.h"
 #include "bench/bench_util.h"
 #include "cpu/functional_core.h"
 #include "sigcomp/serial_alu.h"
@@ -124,7 +123,7 @@ main()
 
     // Dynamic frequency on the suite.
     ExceptionProfiler prof;
-    analysis::profileSuite({&prof});
+    bench::runPlan(analysis::StudyPlan().profile({&prof}));
     std::printf("\ndynamic Table-4 exception rate: %.2f%% of additive "
                 "operations (%llu / %llu)\n",
                 100.0 * static_cast<double>(prof.exceptions) /

@@ -17,7 +17,10 @@ main()
                   "fetch 18.2, RFread 46.5, RFwrite 42.1, ALU 33.2, "
                   "D$data ~30, D$tag ~1, PCinc 73.3, latches 42.2)");
 
-    const auto rows = analysis::runActivityStudy(sig::Encoding::Ext3);
+    const auto rows =
+        bench::runPlan(analysis::StudyPlan().activity(sig::Encoding::Ext3))
+            .activity.front()
+            .rows;
     bench::printTable("activity savings vs 32-bit baseline (byte "
                       "granularity)",
                       bench::activityTable(rows));

@@ -17,7 +17,10 @@ main()
                   "fetch 18.2, RFread 35.9, RFwrite 30.3, ALU 22.1, "
                   "D$data 23.4, D$tag 0, PCinc 46.7, latches 34.9)");
 
-    const auto rows = analysis::runActivityStudy(sig::Encoding::Half1);
+    const auto rows =
+        bench::runPlan(analysis::StudyPlan().activity(sig::Encoding::Half1))
+            .activity.front()
+            .rows;
     bench::printTable("activity savings vs 32-bit baseline (halfword "
                       "granularity)",
                       bench::activityTable(rows));

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/session.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/types.h"
@@ -46,6 +47,16 @@ operandMix(std::size_t n, std::uint64_t seed = 42)
             v = r; // wide
     }
     return vs;
+}
+
+/**
+ * Run @p plan on the default Session — the one suiteConfig() profiled
+ * the suite on — so a reproduction binary captures each workload once.
+ */
+inline analysis::SuiteReport
+runPlan(const analysis::StudyPlan &plan)
+{
+    return analysis::Session::defaultSession().run(plan);
 }
 
 /** Print a banner naming the experiment and its paper reference. */

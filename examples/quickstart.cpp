@@ -4,8 +4,9 @@
  *
  *  1. Compress values and inspect their byte patterns.
  *  2. Model a byte-serial addition with the paper's case semantics.
- *  3. Assemble a tiny program, run it on the 32-bit baseline and the
- *     byte-serial pipeline, and compare CPI and activity.
+ *  3. Assemble a tiny program, run it through a Session on the
+ *     32-bit baseline and the byte-serial pipeline, and compare CPI
+ *     and activity.
  *  4. (with `quickstart --store DIR`) Ride the persistent trace
  *     store through a Session: the first run captures and saves a
  *     workload's trace, every later process loads it instead of
@@ -17,7 +18,6 @@
 
 #include "analysis/session.h"
 #include "isa/assembler.h"
-#include "pipeline/runner.h"
 #include "sigcomp/compressed_word.h"
 #include "sigcomp/serial_alu.h"
 #include "store/trace_store.h"
@@ -73,14 +73,18 @@ main(int argc, char **argv)
     a.exitProgram();
     const isa::Program program = a.finish("quickstart");
 
-    auto base = pipeline::makePipeline(pipeline::Design::Baseline32,
-                                       pipeline::PipelineConfig());
-    auto serial = pipeline::makePipeline(pipeline::Design::ByteSerial,
-                                         pipeline::PipelineConfig());
-    pipeline::runPipelines(program, {base.get(), serial.get()});
-
-    const auto rb = base->result();
-    const auto rs = serial->result();
+    // A Session captures the program's trace once and replays it
+    // through both designs in one pass.
+    analysis::Session session;
+    session.addWorkload("quickstart", program);
+    const analysis::SuiteReport report = session.run(
+        analysis::StudyPlan()
+            .cpi({pipeline::Design::Baseline32,
+                  pipeline::Design::ByteSerial},
+                 pipeline::PipelineConfig())
+            .workloads({"quickstart"}));
+    const auto &rb = report.cpi[0].results[0][0];
+    const auto &rs = report.cpi[0].results[0][1];
     std::printf("  %llu instructions\n",
                 static_cast<unsigned long long>(rb.instructions));
     std::printf("  baseline32  CPI %.3f\n", rb.cpi());
@@ -97,9 +101,9 @@ main(int argc, char **argv)
         // A Session is an isolated engine instance: its own trace
         // cache, bound to the store directory for this walkthrough
         // only.
-        analysis::Session session({.storeDir = store_dir});
-        const auto trace = session.trace("rawcaudio");
-        const bool from_disk = session.cache().storeLoads() > 0;
+        analysis::Session stored({.storeDir = store_dir});
+        const auto trace = stored.trace("rawcaudio");
+        const bool from_disk = stored.cache().storeLoads() > 0;
         std::printf("  rawcaudio: %llu instructions, %s\n",
                     static_cast<unsigned long long>(trace->size()),
                     from_disk

@@ -4,11 +4,9 @@
  * types, the aggregate SuiteReport, and its uniform JSON
  * serialization.
  *
- * The row types (ActivityRow, CpiRow) predate the Session API: they
- * are the currency of the legacy free-function drivers in
- * analysis/experiments.h, kept here so the fused and legacy paths
- * return the same shapes and the bit-identity tests compare them
- * directly.
+ * The per-benchmark row types (ActivityRow, CpiRow) are also what
+ * the tests' live-simulation oracle returns, so the bit-identity
+ * tests compare engine and oracle rows directly.
  */
 
 #ifndef SIGCOMP_ANALYSIS_REPORT_H_
@@ -74,7 +72,7 @@ struct CpiStudyResult
     /** results[w][d] = designs[d] run over benchmarks[w]. */
     std::vector<std::vector<pipeline::PipelineResult>> results;
 
-    /** Legacy row shape (what runCpiStudy returns). */
+    /** Per-benchmark CPI/stall rows (the CpiRow shape). */
     std::vector<CpiRow> rows() const;
 
     /** Geometric-mean CPI of @p d across the benchmarks. */

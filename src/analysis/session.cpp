@@ -56,15 +56,6 @@ Session::defaultSession()
     return session;
 }
 
-// The legacy process-global cache IS the default session's cache, so
-// the free-function shims and direct TraceCache::global() users keep
-// sharing one instance.
-TraceCache &
-TraceCache::global()
-{
-    return Session::defaultSession().cache();
-}
-
 ParallelExecutor &
 Session::executor()
 {

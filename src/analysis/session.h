@@ -4,10 +4,7 @@
  * TraceCache (RAM + optional disk tier), a capture limit, and its
  * parallelism — plus the fused StudyPlan executor.
  *
- * Before this API the engine state was a hidden process-global
- * (TraceCache::global()), so two tenants, two tests, or two store
- * bindings in one process stepped on each other, and every study
- * call swept the suite's traces once more. A Session fixes both:
+ * A Session gives two guarantees:
  *
  *  - **Isolation.** Each Session owns its cache, store binding,
  *    spill budget and capture limit; any number coexist in one
@@ -21,8 +18,9 @@
  *    per-workload replay counters assert exactly one pass; results
  *    are bit-identical to running the studies one at a time.
  *
- * The legacy free functions (analysis/experiments.h) are thin shims
- * over defaultSession(), which wraps the process-wide cache.
+ * Every table, figure and ablation runs on this one engine path;
+ * live FunctionalCore-to-pipeline simulation exists only as the
+ * tests' ground-truth oracle (tests/live_oracle.h).
  *
  * Thread-safety: a Session holds no mutable state of its own beyond
  * its TraceCache, which is internally synchronized (see
@@ -115,8 +113,9 @@ class Session
     Session &operator=(const Session &) = delete;
 
     /**
-     * The process-wide default Session: the legacy free-function
-     * drivers execute on it, and TraceCache::global() is its cache.
+     * The process-wide default Session: suiteCompressor() profiles
+     * on it, and the reproduction binaries run their plans on it so
+     * they reuse those captures.
      */
     static Session &defaultSession();
 
@@ -141,13 +140,14 @@ class Session
     /**
      * Execute @p plan: one fused batched replay per workload feeding
      * every registered study, assembled into a SuiteReport. Rows and
-     * totals are bit-identical to the legacy one-study-at-a-time
-     * drivers at any thread count. With profiler sinks registered
-     * the replays run sequentially in workload order (the sinks see
-     * the serial retirement stream); capture still fans out. After
-     * each pass the session write-backs newly derived SharedQuanta
-     * annexes to the attached store, so warm-store processes skip
-     * computeQuanta as well as capture.
+     * totals are bit-identical to running the studies one plan at a
+     * time, and to live simulation, at any thread count. With
+     * profiler sinks registered the replays run sequentially in
+     * workload order (the sinks see the serial retirement stream);
+     * capture still fans out. After each pass the session
+     * write-backs newly derived SharedQuanta annexes to the attached
+     * store, so warm-store processes skip computeQuanta as well as
+     * capture.
      *
      * The run is instrumented end to end (see common/telemetry.h):
      * the report's `telemetry` block is this run's metrics delta,

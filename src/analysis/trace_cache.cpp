@@ -10,10 +10,6 @@
 namespace sigcomp::analysis
 {
 
-// TraceCache::global() is defined in session.cpp: it is the default
-// Session's cache, so the legacy free functions and the Session API
-// share one process-wide instance.
-
 void
 TraceCache::registerProgram(const std::string &workload,
                             isa::Program program)
@@ -74,12 +70,11 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
             // a cache, not a source of truth) — ordinary misses
             // silently, damage counted and quarantined so the
             // write-through below heals the segment.
-            bool legacy = false;
             if (store != nullptr) {
                 std::string why;
                 auto failure = store::LoadFailure::None;
                 trace = store->load(workload, w.program, limit, &why,
-                                    &legacy, &failure);
+                                    &failure);
                 if (trace == nullptr &&
                     failure != store::LoadFailure::Missing &&
                     failure != store::LoadFailure::Stale)
@@ -87,13 +82,6 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
             }
             if (trace != nullptr) {
                 storeLoads_.inc();
-                // Write-through upgrade: a segment in an accepted
-                // older format replays fine, but re-saving it now
-                // (sidecar annex rebuilt during load) means every
-                // later process reads the current format.
-                if (legacy && !store->readOnly())
-                    saveThrough(*store, workload, *trace, limit,
-                                "upgrade", cancel);
             } else {
                 {
                     SIGCOMP_SPAN("cache.capture");

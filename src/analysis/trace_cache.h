@@ -81,14 +81,6 @@ class TraceCache
     TraceCache &operator=(const TraceCache &) = delete;
 
     /**
-     * The shared process-wide instance the legacy free-function
-     * drivers use — it is Session::defaultSession()'s cache (defined
-     * in session.cpp). Prefer owning a Session (and with it a
-     * private TraceCache) for isolated work.
-     */
-    static TraceCache &global();
-
-    /**
      * The workload's trace: from RAM if hot, else loaded from the
      * attached store, else captured on first touch (and written
      * through to the store). @p workload must be a name registered
@@ -133,8 +125,7 @@ class TraceCache
     /**
      * Attach/retune/detach the disk tier. Idempotent: re-configuring
      * with the same directory and mode only updates the spill
-     * budget, so every study driver can apply its StudyOptions
-     * unconditionally.
+     * budget.
      */
     void configureStore(const StoreConfig &config);
 
@@ -147,7 +138,7 @@ class TraceCache
     /**
      * Drop one workload's trace from RAM. Outstanding TracePtrs stay
      * valid (shared ownership); the next get() reloads or recaptures.
-     * This is how profileSuite's opt-in evictAfterReplay keeps peak
+     * This is how StudyPlan::evictAfterReplay keeps peak
      * memory at one workload's footprint.
      */
     void evict(const std::string &workload);
@@ -269,7 +260,7 @@ class TraceCache
      * bumps storeSaves_, on failure warns and feeds the degradation
      * policy (permanent fault, or repeated transient exhaustion,
      * disables further writes). @p what labels the save kind in the
-     * warning ("save", "upgrade", "persist annexes for"). A fired
+     * warning ("save", "persist annexes for"). A fired
      * @p cancel skips the save before it starts; a token that fires
      * *during* a failing save suppresses the degradation accounting
      * (a cancellation-truncated retry round says nothing about the

@@ -2,8 +2,8 @@
  * @file
  * Bounded thread-pool executor for the suite-experiment fan-outs.
  *
- * The experiment drivers (analysis/experiments.h) run one independent
- * simulation per workload; ParallelExecutor spreads those across
+ * A Session (analysis/session.h) runs one independent capture and
+ * fused replay per workload; ParallelExecutor spreads those across
  * cores while keeping results order-stable: parallelFor(n, f) invokes
  * f(0) .. f(n-1) exactly once each, callers write results into
  * pre-sized slot i, and the assembled output is byte-for-byte the

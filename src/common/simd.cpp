@@ -21,8 +21,6 @@ probe()
     if (__builtin_cpu_supports("ssse3"))
         return SimdLevel::Ssse3;
     return SimdLevel::Scalar;
-#elif defined(__ARM_NEON) || defined(__aarch64__)
-    return SimdLevel::Neon;
 #else
     return SimdLevel::Scalar;
 #endif
@@ -81,9 +79,8 @@ activeSimdLevel()
 void
 setSimdLevel(SimdLevel level)
 {
-    // Clamp to what this CPU can run; an unsupported or foreign-
-    // architecture level (NEON on x86, AVX2 on a non-AVX2 part)
-    // degrades to Scalar.
+    // Clamp to what this CPU can run; an unsupported level (AVX2 on a
+    // non-AVX2 part or a non-x86 build) degrades to Scalar.
     SimdLevel want = SimdLevel::Scalar;
     for (const SimdLevel l : availableSimdLevels())
         if (l == level)
@@ -96,7 +93,6 @@ simdLevelName(SimdLevel level)
 {
     switch (level) {
       case SimdLevel::Scalar: return "scalar";
-      case SimdLevel::Neon: return "neon";
       case SimdLevel::Ssse3: return "ssse3";
       case SimdLevel::Avx2: return "avx2";
     }
@@ -113,9 +109,6 @@ availableSimdLevels()
         levels.push_back(SimdLevel::Ssse3);
     if (best == SimdLevel::Avx2)
         levels.push_back(SimdLevel::Avx2);
-#else
-    if (best == SimdLevel::Neon)
-        levels.push_back(SimdLevel::Neon);
 #endif
     return levels;
 }

@@ -8,7 +8,7 @@
  * chosen at runtime from CPUID. The active level is process-wide:
  *
  *  - detectedSimdLevel() — the best level this CPU supports, probed
- *    once (AVX2 > SSSE3 > scalar on x86, NEON > scalar on aarch64).
+ *    once (AVX2 > SSSE3 > scalar on x86; scalar elsewhere).
  *  - activeSimdLevel()   — the level the kernels actually dispatch
  *    on. Defaults to the detected level; the SIGCOMP_FORCE_SCALAR
  *    environment variable (any value but "0") pins it to Scalar
@@ -33,16 +33,14 @@ namespace sigcomp::simd
 {
 
 /**
- * Dispatch levels in increasing preference order within their
- * architecture. Scalar is always available; NEON applies to aarch64
- * builds, SSSE3/AVX2 to x86-64 builds.
+ * Dispatch levels in increasing preference order. Scalar is always
+ * available; SSSE3/AVX2 apply to x86-64 builds.
  */
 enum class SimdLevel : std::uint8_t
 {
     Scalar = 0,
-    Neon = 1,
-    Ssse3 = 2,
-    Avx2 = 3,
+    Ssse3 = 1,
+    Avx2 = 2,
 };
 
 /** Best level this CPU/build supports (probed once, cached). */
@@ -57,7 +55,7 @@ SimdLevel activeSimdLevel();
 
 /**
  * Pin dispatch to @p level (clamped to detectedSimdLevel(); a level
- * from a foreign architecture falls back to Scalar). Test/benchmark
+ * this build cannot run falls back to Scalar). Test/benchmark
  * hook — prefer calling it from a single thread before fanning out
  * work. Concurrent use is data-race-free: the level is one atomic,
  * and a pin always sticks even against a racing first-dispatch
@@ -67,7 +65,7 @@ SimdLevel activeSimdLevel();
  */
 void setSimdLevel(SimdLevel level);
 
-/** Lower-case level name ("scalar", "ssse3", "avx2", "neon"). */
+/** Lower-case level name ("scalar", "ssse3", "avx2"). */
 const char *simdLevelName(SimdLevel level);
 
 /**

@@ -163,7 +163,7 @@ class TraceBuffer
     /**
      * Fill the significance sidecar columns from the recorded value
      * columns with the batch classify kernels (idempotent; called at
-     * the end of capture and after a store-tier rebuild).
+     * the end of capture).
      */
     void fillSigSidecars();
 

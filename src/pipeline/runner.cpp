@@ -6,51 +6,6 @@
 namespace sigcomp::pipeline
 {
 
-cpu::RunResult
-runPipelines(const isa::Program &program,
-             const std::vector<InOrderPipeline *> &pipes,
-             const std::vector<cpu::TraceSink *> &extra_sinks)
-{
-    mem::MainMemory memory;
-    cpu::FunctionalCore core(program, memory);
-
-    std::vector<cpu::TraceSink *> sinks;
-    for (InOrderPipeline *p : pipes) {
-        p->bind(program, memory);
-        sinks.push_back(p);
-    }
-    sinks.insert(sinks.end(), extra_sinks.begin(), extra_sinks.end());
-    FanoutSink fanout(std::move(sinks));
-
-    const cpu::RunResult r = core.run(&fanout);
-    if (r.reason == cpu::StopReason::AssertFailed) {
-        SC_FATAL("program '", program.name(), "' failed self-check: got ",
-                 r.assertActual, ", expected ", r.assertExpected);
-    }
-    if (r.reason == cpu::StopReason::InstrLimit)
-        SC_FATAL("program '", program.name(), "' hit instruction limit");
-    return r;
-}
-
-std::vector<PipelineResult>
-runDesigns(const isa::Program &program, const std::vector<Design> &designs,
-           const PipelineConfig &config)
-{
-    std::vector<std::unique_ptr<InOrderPipeline>> owned;
-    std::vector<InOrderPipeline *> raw;
-    for (Design d : designs) {
-        owned.push_back(makePipeline(d, config));
-        raw.push_back(owned.back().get());
-    }
-    runPipelines(program, raw);
-
-    std::vector<PipelineResult> out;
-    out.reserve(owned.size());
-    for (auto &p : owned)
-        out.push_back(p->result());
-    return out;
-}
-
 namespace
 {
 
@@ -302,26 +257,6 @@ replayPipelines(const cpu::TraceBuffer &trace,
     // (deliberately truncated traces excepted), so the recorded
     // result can be returned as-is.
     return trace.runResult();
-}
-
-std::vector<PipelineResult>
-replayDesigns(const cpu::TraceBuffer &trace,
-              const std::vector<Design> &designs,
-              const PipelineConfig &config)
-{
-    std::vector<std::unique_ptr<InOrderPipeline>> owned;
-    std::vector<InOrderPipeline *> raw;
-    for (Design d : designs) {
-        owned.push_back(makePipeline(d, config));
-        raw.push_back(owned.back().get());
-    }
-    replayPipelines(trace, raw);
-
-    std::vector<PipelineResult> out;
-    out.reserve(owned.size());
-    for (auto &p : owned)
-        out.push_back(p->result());
-    return out;
 }
 
 } // namespace sigcomp::pipeline

@@ -1,7 +1,7 @@
 /**
  * @file
- * Convenience driver: run one program's dynamic trace through any
- * number of pipeline models in a single functional-simulation pass.
+ * Trace replay: run one captured trace through any number of
+ * pipeline models in a single batched pass.
  */
 
 #ifndef SIGCOMP_PIPELINE_RUNNER_H_
@@ -16,59 +16,11 @@
 namespace sigcomp::pipeline
 {
 
-/** Fan one trace out to several sinks in order. */
-class FanoutSink : public cpu::TraceSink
-{
-  public:
-    explicit FanoutSink(std::vector<cpu::TraceSink *> sinks)
-        : sinks_(std::move(sinks))
-    {}
-
-    void
-    retire(const cpu::DynInstr &di) override
-    {
-        for (cpu::TraceSink *s : sinks_)
-            s->retire(di);
-    }
-
-    void
-    retireBlock(std::span<const cpu::DynInstr> block) override
-    {
-        for (cpu::TraceSink *s : sinks_)
-            s->retireBlock(block);
-    }
-
-  private:
-    std::vector<cpu::TraceSink *> sinks_;
-};
-
-/**
- * Execute @p program once, feeding every pipeline (and any extra
- * sinks such as profilers). Binds each pipeline to the program and
- * live memory image for activity sampling. Fatal if the program
- * fails its self-check.
- *
- * @return the functional run result (instruction count etc.).
- */
-cpu::RunResult
-runPipelines(const isa::Program &program,
-             const std::vector<InOrderPipeline *> &pipes,
-             const std::vector<cpu::TraceSink *> &extra_sinks = {});
-
-/**
- * Build the given designs with a shared config, run @p program, and
- * return their results in order.
- */
-std::vector<PipelineResult>
-runDesigns(const isa::Program &program, const std::vector<Design> &designs,
-           const PipelineConfig &config);
-
 /**
  * Replay a captured trace through pipelines (and any extra sinks)
- * instead of re-running functional simulation: the batched
- * equivalent of runPipelines(). Each pipeline is bound in replay
- * mode (own evolving memory image, see InOrderPipeline::bindReplay),
- * so results are bit-identical to a live run of the same program.
+ * in one batched pass. Each pipeline is bound in replay mode (own
+ * evolving memory image, see InOrderPipeline::bindReplay), so
+ * results are bit-identical to a live run of the same program.
  * The trace must outlive the pipelines' result() calls.
  *
  * @p cancel aborts cooperatively at the next replay-block boundary.
@@ -85,12 +37,6 @@ replayPipelines(const cpu::TraceBuffer &trace,
                 const std::vector<InOrderPipeline *> &pipes,
                 const std::vector<cpu::TraceSink *> &extra_sinks = {},
                 const CancelToken *cancel = nullptr);
-
-/** Replay equivalent of runDesigns(): one trace, many designs. */
-std::vector<PipelineResult>
-replayDesigns(const cpu::TraceBuffer &trace,
-              const std::vector<Design> &designs,
-              const PipelineConfig &config);
 
 } // namespace sigcomp::pipeline
 

@@ -1,5 +1,6 @@
 #include "server/daemon.h"
 
+#include <atomic>
 #include <chrono>
 
 #include "analysis/plan_json.h"
@@ -224,7 +225,12 @@ Daemon::watchLoop()
 void
 Daemon::serve(net::Listener &listener)
 {
-    std::vector<std::thread> handlers;
+    struct Handler
+    {
+        std::thread thread;
+        std::shared_ptr<std::atomic<bool>> done;
+    };
+    std::vector<Handler> handlers;
     for (;;) {
         EnvStatus status = EnvStatus::good();
         std::unique_ptr<net::Conn> accepted =
@@ -237,12 +243,24 @@ Daemon::serve(net::Listener &listener)
         }
         if (stopRequested())
             break;
+        // Reap handlers that have finished since the last accept.
+        std::erase_if(handlers, [](Handler &h) {
+            if (!h.done->load(std::memory_order_acquire))
+                return false;
+            h.thread.join();
+            return true;
+        });
         std::shared_ptr<net::Conn> conn = std::move(accepted);
-        handlers.emplace_back(
-            [this, conn] { serveConn(conn); });
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        handlers.push_back({std::thread([this, conn, done] {
+                                serveConn(conn);
+                                done->store(true,
+                                            std::memory_order_release);
+                            }),
+                            done});
     }
-    for (std::thread &t : handlers)
-        t.join();
+    for (Handler &h : handlers)
+        h.thread.join();
 }
 
 void

@@ -117,9 +117,10 @@ class Daemon
 
     /**
      * Accept-and-dispatch loop: one handler thread per connection,
-     * until requestStop() (or a hard listener fault). Joins every
-     * handler before returning, so the caller may destroy the
-     * listener afterwards.
+     * until requestStop() (or a hard listener fault). Finished
+     * handlers are joined on every accept, so live threads stay
+     * bounded by open connections; the rest are joined before
+     * returning, so the caller may destroy the listener afterwards.
      */
     void serve(net::Listener &listener);
 

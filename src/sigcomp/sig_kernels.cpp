@@ -9,10 +9,6 @@
 #include <immintrin.h>
 #define SIGCOMP_X86_KERNELS 1
 #endif
-#if defined(__ARM_NEON) || defined(__aarch64__)
-#include <arm_neon.h>
-#define SIGCOMP_NEON_KERNELS 1
-#endif
 
 namespace sigcomp::sig
 {
@@ -300,105 +296,6 @@ significantBytesAvx2(const Word *v, std::size_t n, std::uint8_t *out)
 
 #endif // SIGCOMP_X86_KERNELS
 
-#if SIGCOMP_NEON_KERNELS
-
-// ---- NEON vector paths (aarch64) -----------------------------------
-
-inline uint32x4_t
-sextNeNeon(uint32x4_t v, int bits)
-{
-    int32x4_t s = vreinterpretq_s32_u32(v);
-    switch (bits) {
-      case 8: s = vshrq_n_s32(vshlq_n_s32(s, 24), 24); break;
-      case 16: s = vshrq_n_s32(vshlq_n_s32(s, 16), 16); break;
-      default: s = vshrq_n_s32(vshlq_n_s32(s, 8), 8); break;
-    }
-    return vmvnq_u32(vceqq_u32(vreinterpretq_u32_s32(s), v));
-}
-
-inline void
-storeLaneBytesNeon(uint32x4_t lanes, std::uint8_t *out)
-{
-    const uint16x4_t h = vmovn_u32(lanes);
-    const uint8x8_t b = vmovn_u16(vcombine_u16(h, h));
-    out[0] = vget_lane_u8(b, 0);
-    out[1] = vget_lane_u8(b, 1);
-    out[2] = vget_lane_u8(b, 2);
-    out[3] = vget_lane_u8(b, 3);
-}
-
-void
-classifyExt3Neon(const Word *v, std::size_t n, ByteMask *out)
-{
-    const uint32x4_t m010101 = vdupq_n_u32(0x00010101u);
-    const uint32x4_t m7f = vdupq_n_u32(0x7F7F7F7Fu);
-    const uint32x4_t mhi = vdupq_n_u32(0x80808080u);
-    const uint32x4_t mff00 = vdupq_n_u32(0xFFFFFF00u);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t x = vld1q_u32(v + i);
-        const uint32x4_t t = vandq_u32(vshrq_n_u32(x, 7), m010101);
-        const uint32x4_t fill =
-            vsubq_u32(vshlq_n_u32(t, 16), vshlq_n_u32(t, 8));
-        const uint32x4_t diff = vandq_u32(veorq_u32(x, fill), mff00);
-        const uint32x4_t nz = vandq_u32(
-            vorrq_u32(vaddq_u32(vandq_u32(diff, m7f), m7f), diff), mhi);
-        // mask = 1 | (nz>>14 & 2) | (nz>>21 & 4) | (nz>>28 & 8)
-        uint32x4_t m = vdupq_n_u32(1);
-        m = vorrq_u32(m, vandq_u32(vshrq_n_u32(nz, 14), vdupq_n_u32(2)));
-        m = vorrq_u32(m, vandq_u32(vshrq_n_u32(nz, 21), vdupq_n_u32(4)));
-        m = vorrq_u32(m, vandq_u32(vshrq_n_u32(nz, 28), vdupq_n_u32(8)));
-        storeLaneBytesNeon(m, out + i);
-    }
-    classifyExt3Scalar(v + i, n - i, out + i);
-}
-
-void
-classifyExt2Neon(const Word *v, std::size_t n, ByteMask *out)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t x = vld1q_u32(v + i);
-        uint32x4_t m = vdupq_n_u32(1);
-        m = vorrq_u32(m, vandq_u32(sextNeNeon(x, 8), vdupq_n_u32(2)));
-        m = vorrq_u32(m, vandq_u32(sextNeNeon(x, 16), vdupq_n_u32(4)));
-        m = vorrq_u32(m, vandq_u32(sextNeNeon(x, 24), vdupq_n_u32(8)));
-        storeLaneBytesNeon(m, out + i);
-    }
-    classifyExt2Scalar(v + i, n - i, out + i);
-}
-
-void
-classifyHalfNeon(const Word *v, std::size_t n, HalfMask *out)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t x = vld1q_u32(v + i);
-        const uint32x4_t m = vorrq_u32(
-            vdupq_n_u32(1),
-            vandq_u32(sextNeNeon(x, 16), vdupq_n_u32(2)));
-        storeLaneBytesNeon(m, out + i);
-    }
-    classifyHalfScalar(v + i, n - i, out + i);
-}
-
-void
-significantBytesNeon(const Word *v, std::size_t n, std::uint8_t *out)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t x = vld1q_u32(v + i);
-        uint32x4_t k = vdupq_n_u32(1);
-        k = vsubq_u32(k, sextNeNeon(x, 8)); // fk is 0 or ~0 (== -1)
-        k = vsubq_u32(k, sextNeNeon(x, 16));
-        k = vsubq_u32(k, sextNeNeon(x, 24));
-        storeLaneBytesNeon(k, out + i);
-    }
-    significantBytesScalar(v + i, n - i, out + i);
-}
-
-#endif // SIGCOMP_NEON_KERNELS
-
 } // namespace
 
 void
@@ -408,9 +305,6 @@ classifyExt3Block(const Word *v, std::size_t n, ByteMask *out)
 #if SIGCOMP_X86_KERNELS
       case SimdLevel::Avx2: classifyExt3Avx2(v, n, out); return;
       case SimdLevel::Ssse3: classifyExt3Ssse3(v, n, out); return;
-#endif
-#if SIGCOMP_NEON_KERNELS
-      case SimdLevel::Neon: classifyExt3Neon(v, n, out); return;
 #endif
       default: classifyExt3Scalar(v, n, out); return;
     }
@@ -424,9 +318,6 @@ classifyExt2Block(const Word *v, std::size_t n, ByteMask *out)
       case SimdLevel::Avx2: classifyExt2Avx2(v, n, out); return;
       case SimdLevel::Ssse3: classifyExt2Ssse3(v, n, out); return;
 #endif
-#if SIGCOMP_NEON_KERNELS
-      case SimdLevel::Neon: classifyExt2Neon(v, n, out); return;
-#endif
       default: classifyExt2Scalar(v, n, out); return;
     }
 }
@@ -439,9 +330,6 @@ classifyHalfBlock(const Word *v, std::size_t n, HalfMask *out)
       case SimdLevel::Avx2: classifyHalfAvx2(v, n, out); return;
       case SimdLevel::Ssse3: classifyHalfSsse3(v, n, out); return;
 #endif
-#if SIGCOMP_NEON_KERNELS
-      case SimdLevel::Neon: classifyHalfNeon(v, n, out); return;
-#endif
       default: classifyHalfScalar(v, n, out); return;
     }
 }
@@ -453,9 +341,6 @@ significantBytesBlock(const Word *v, std::size_t n, std::uint8_t *out)
 #if SIGCOMP_X86_KERNELS
       case SimdLevel::Avx2: significantBytesAvx2(v, n, out); return;
       case SimdLevel::Ssse3: significantBytesSsse3(v, n, out); return;
-#endif
-#if SIGCOMP_NEON_KERNELS
-      case SimdLevel::Neon: significantBytesNeon(v, n, out); return;
 #endif
       default: significantBytesScalar(v, n, out); return;
     }

@@ -12,8 +12,8 @@
  * iteration.
  *
  * Dispatch: every kernel picks its implementation from
- * simd::activeSimdLevel() per call (AVX2 / SSSE3 on x86-64, NEON on
- * aarch64, scalar everywhere). The scalar path applies the per-word
+ * simd::activeSimdLevel() per call (AVX2 / SSSE3 on x86-64, scalar
+ * everywhere). The scalar path applies the per-word
  * functions of sigcomp/byte_pattern.h verbatim — it *is* the
  * specification — and every vector level is pinned bit-identical to
  * it by the exhaustive and randomized sweeps in test_simd.cpp, so

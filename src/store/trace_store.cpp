@@ -38,11 +38,10 @@ constexpr std::uint32_t kFlagTruncated = 1u << 0;
  * decoding two more significance-packed columns and shrinks the
  * segments by ~40%.
  *
- * Version 2 appends the significance sidecar column (packed 4-bit
- * Ext3 tags of the result and memData values, the capture-time
- * sidecars of cpu/trace_buffer.h) and re-encodes the taken column as
- * control-instruction-only bits; version-1 segments carry neither
- * and are rebuilt at load.
+ * The significance sidecar column holds the packed 4-bit Ext3 tags
+ * of the result and memData values (the capture-time sidecars of
+ * cpu/trace_buffer.h); the taken column holds control-instruction-only
+ * bits.
  */
 enum ColumnId : std::uint32_t
 {
@@ -53,12 +52,7 @@ enum ColumnId : std::uint32_t
     ColMemData = 4,
     ColSigTags = 5,
     NumColumns = 6,
-    NumColumnsV1 = 5,
 };
-
-/** Taken-column submodes (first payload byte, version >= 2). */
-constexpr std::uint8_t kTakenFullPlane = 0;
-constexpr std::uint8_t kTakenControlOnly = 1;
 // sigcomp-lint: format-layout-end
 
 const char *
@@ -115,7 +109,6 @@ sanitize(const std::string &name)
 /** Parsed header + directory, offsets into the raw file bytes. */
 struct Segment
 {
-    std::uint32_t version = formatVersion;
     std::uint64_t instructions = 0;
     std::uint64_t memOps = 0;
     std::uint64_t captureLimit = 0;
@@ -136,7 +129,7 @@ struct Segment
     };
     std::vector<Column> columns;
 
-    /** Derived-record annexes (version >= 3). */
+    /** Derived-record annexes (the annex section). */
     struct Annex
     {
         std::string key;
@@ -170,15 +163,13 @@ parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
     if (getU32(h) != kMagic)
         return fail(why, "bad magic");
     const std::uint32_t version = getU32(h + 4);
-    if (version < formatVersionLegacy || version > formatVersion)
+    if (version != formatVersion)
         return fail(why, "format version " + std::to_string(version) +
-                             " not in [" +
-                             std::to_string(formatVersionLegacy) + ", " +
-                             std::to_string(formatVersion) + "]");
+                             ", expected " +
+                             std::to_string(formatVersion));
     if (crc32(0, h, 60) != getU32(h + 60))
         return fail(why, "header CRC mismatch");
 
-    seg.version = version;
     seg.instructions = getU64(h + 8);
     seg.memOps = getU64(h + 16);
     seg.captureLimit = getU64(h + 24);
@@ -188,9 +179,7 @@ parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
     seg.stopReason = getU32(h + 44);
     seg.lastNextPc = getU32(h + 48);
     const std::uint32_t column_count = getU32(h + 52);
-    const std::uint32_t want_columns =
-        version >= 2 ? NumColumns : NumColumnsV1;
-    if (column_count != want_columns)
+    if (column_count != NumColumns)
         return fail(why, "unexpected column count");
 
     const std::size_t dir_bytes = column_count * kDirEntryBytes;
@@ -217,9 +206,9 @@ parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
         offset += col.encBytes;
     }
 
-    // Annex section (version >= 3): count, variable-length entries,
-    // directory CRC, then the annex payloads.
-    if (version >= 3) {
+    // Annex section: count, variable-length entries, directory CRC,
+    // then the annex payloads.
+    {
         const std::size_t dir_start = offset;
         if (size - offset < 8)
             return fail(why, "annex directory truncated");
@@ -284,26 +273,6 @@ decodeCol32(const std::uint8_t *bytes, const Segment::Column &col,
     return true;
 }
 
-bool
-decodeCol64(const std::uint8_t *bytes, const Segment::Column &col,
-            std::size_t n, std::vector<std::uint64_t> &out,
-            std::string *why)
-{
-    SIGCOMP_SPAN("codec.decode_column");
-    const std::uint8_t *p = bytes + col.payloadOffset;
-    const std::size_t len = static_cast<std::size_t>(col.encBytes);
-    if (col.rawBytes != 8 * static_cast<std::uint64_t>(n))
-        return fail(why, std::string(columnName(col.id)) +
-                             ": raw size mismatch");
-    if (crc32(0, p, len) != col.payloadCrc)
-        return fail(why,
-                    std::string(columnName(col.id)) + ": payload CRC");
-    if (!decodeColumn64Raw(p, len, n, out))
-        return fail(why, std::string(columnName(col.id)) +
-                             ": malformed raw stream");
-    return true;
-}
-
 /** CRC-check a column and return its payload view. */
 bool
 columnPayload(const std::uint8_t *bytes, const Segment::Column &col,
@@ -318,31 +287,20 @@ columnPayload(const std::uint8_t *bytes, const Segment::Column &col,
 }
 
 /**
- * Structural check of a v2 taken payload without expanding it (used
- * by program-less verify). @return the consistency of the submode
- * framing against the payload length.
+ * Structural check of a taken payload (u32 control-bit count, then
+ * the bit plane) without expanding it (used by program-less verify).
  */
 bool
 checkTakenPayload(const std::uint8_t *p, std::size_t len,
                   std::uint64_t instructions, std::string *why)
 {
-    if (len < 1)
-        return fail(why, "taken: empty payload");
-    if (p[0] == kTakenFullPlane) {
-        const std::uint64_t words = (instructions + 63) / 64;
-        if (len != 1 + 8 * words)
-            return fail(why, "taken: full-plane length mismatch");
-        return true;
-    }
-    if (p[0] != kTakenControlOnly)
-        return fail(why, "taken: unknown submode");
-    if (len < 5)
+    if (len < 4)
         return fail(why, "taken: truncated header");
-    const std::uint32_t nbits = getU32(p + 1);
+    const std::uint32_t nbits = getU32(p);
     if (nbits > instructions)
         return fail(why, "taken: more bits than instructions");
-    if (len != 5 + 8 * ((static_cast<std::size_t>(nbits) + 63) / 64))
-        return fail(why, "taken: control-only length mismatch");
+    if (len != 4 + 8 * ((static_cast<std::size_t>(nbits) + 63) / 64))
+        return fail(why, "taken: length mismatch");
     return true;
 }
 
@@ -352,8 +310,8 @@ checkTakenPayload(const std::uint8_t *p, std::size_t len,
 // design-independent per-instruction replay records, see
 // pipeline/pipeline.h) are pure derived data, expensive to recompute
 // (computeQuanta is the heaviest half of a replay), and canonical
-// per (trace, encoding, memory geometry, compressor), so version-3
-// segments persist them. Layout of one annex payload:
+// per (trace, encoding, memory geometry, compressor), so segments
+// persist them. Layout of one annex payload:
 //
 //   u64 instruction count (must match the segment header)
 //   u64 block-delta count (must be ceil(n / TraceView block size))
@@ -656,8 +614,7 @@ class TraceSerializer
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
         // processes skip computeQuanta. A buffer that has none (the
-        // capture-time write-through) serializes as the annex-less
-        // version-2 layout, byte-identical to the previous format.
+        // capture-time write-through) writes an empty annex section.
         struct AnnexPayload
         {
             std::string key;
@@ -672,8 +629,6 @@ class TraceSerializer
                 continue; // raced away; next save picks it up
             annexes.push_back({key, rec->bytes(), encodeQuanta(*rec)});
         }
-        const std::uint32_t version =
-            annexes.empty() ? formatVersionNoAnnex : formatVersion;
 
         std::vector<std::uint8_t> out;
         std::size_t total_payload = 0;
@@ -685,7 +640,7 @@ class TraceSerializer
         // -- header ---------------------------------------------------
         // sigcomp-lint: format-layout-begin
         putU32(out, kMagic);
-        putU32(out, version);
+        putU32(out, formatVersion);
         putU64(out, n);
         putU64(out, b.memAddr_.size());
         putU64(out, capture_limit);
@@ -715,8 +670,8 @@ class TraceSerializer
         for (const auto &payload : payloads)
             out.insert(out.end(), payload.begin(), payload.end());
 
-        // -- annex section (version 3 only) ----------------------------
-        if (!annexes.empty()) {
+        // -- annex section ---------------------------------------------
+        {
             const std::size_t dir_start = out.size();
             putU32(out, static_cast<std::uint32_t>(annexes.size()));
             for (const AnnexPayload &ax : annexes) {
@@ -805,17 +760,14 @@ class TraceSerializer
                     (d.isControl ? 2u : 0u))};
         }
 
-        // Taken bits: a version-2 control-only plane re-scatters
-        // inside the fused pass below (its decode indexes are
-        // bounds-checked there first); other forms expand up front.
+        // Taken bits: the control-only plane re-scatters inside the
+        // fused pass below (its decode indexes are bounds-checked
+        // there first).
         std::vector<std::uint64_t> ctl_bits;
         std::uint32_t ctl_nbits = 0;
-        bool scatter_taken = false;
-        if (!prepareTaken(bytes, seg, *buf, ctl_bits, ctl_nbits,
-                          scatter_taken, why))
+        if (!prepareTaken(bytes, seg, ctl_bits, ctl_nbits, why))
             return nullptr;
-        if (scatter_taken)
-            buf->taken_.assign((n + 63) / 64, 0);
+        buf->taken_.assign((n + 63) / 64, 0);
 
         buf->srcRs_.resize(n);
         buf->srcRt_.resize(n);
@@ -835,7 +787,7 @@ class TraceSerializer
             buf->srcRs_[i] = regs[f.rs];
             buf->srcRt_[i] = regs[f.rt];
             seen_mem_ops += f.flags & 1u;
-            if (scatter_taken && (f.flags & 2u)) {
+            if (f.flags & 2u) {
                 if (ctl_cursor >= ctl_nbits) {
                     fail(why, "taken: fewer bits than control "
                               "instructions");
@@ -853,17 +805,16 @@ class TraceSerializer
             fail(why, "memory-op count inconsistent with program");
             return nullptr;
         }
-        if (scatter_taken && ctl_cursor != ctl_nbits) {
+        if (ctl_cursor != ctl_nbits) {
             fail(why, "taken: control-instruction count mismatch");
             return nullptr;
         }
 
-        // Significance sidecars: version 2 persists the result and
-        // memData tag planes (trusted: CRC-guarded and written
-        // straight from the capture-time sidecars); the rs/rt tags
-        // always rebuild from the replayed operand columns with the
-        // batch kernels. Version-1 segments rebuild everything.
-        if (seg.version >= 2) {
+        // Significance sidecars: the result and memData tag planes
+        // are persisted (trusted: CRC-guarded and written straight
+        // from the capture-time sidecars); the rs/rt tags rebuild
+        // from the replayed operand columns with the batch kernels.
+        {
             const Segment::Column &col = seg.columns[ColSigTags];
             const std::uint8_t *p;
             std::size_t len;
@@ -891,8 +842,6 @@ class TraceSerializer
                 sig::packSigTagsBlock(rs, rt, res_tags.data() + base, k,
                                       buf->sigRegs_.data() + base);
             }
-        } else {
-            buf->fillSigSidecars();
         }
 
         buf->lastNextPc_ = seg.lastNextPc;
@@ -906,12 +855,12 @@ class TraceSerializer
             return nullptr;
         }
 
-        // Persisted SharedQuanta records (version >= 3): validated
-        // like any column — CRC plus full structural decode — and
-        // attached under their annex keys, so the first replay of a
-        // matching configuration runs every pipeline as a
-        // shared-quanta consumer instead of recomputing the front
-        // half. Damage fails the whole load softly (recapture).
+        // Persisted SharedQuanta records: validated like any column —
+        // CRC plus full structural decode — and attached under their
+        // annex keys, so the first replay of a matching configuration
+        // runs every pipeline as a shared-quanta consumer instead of
+        // recomputing the front half. Damage fails the whole load
+        // softly (recapture).
         for (const Segment::Annex &ax : seg.annexes) {
             const std::uint8_t *p = bytes + ax.payloadOffset;
             const std::size_t len =
@@ -973,28 +922,19 @@ class TraceSerializer
     }
 
     /**
-     * Decode the taken column as far as possible without walking the
-     * stream. Version 1 and the version-2 full-plane submode expand
-     * straight into @p buf.taken_; the control-only submode hands
-     * its filtered bits back in @p ctl_bits/@p ctl_nbits with
-     * @p scatter set — the caller re-scatters them inside its fused
-     * (bounds-checked) decode-index pass.
+     * Decode the taken column's control-only bits into
+     * @p ctl_bits/@p ctl_nbits without walking the stream; the caller
+     * re-scatters them inside its fused (bounds-checked) decode-index
+     * pass.
      */
     static bool
     prepareTaken(const std::uint8_t *bytes, const Segment &seg,
-                 cpu::TraceBuffer &buf,
                  std::vector<std::uint64_t> &ctl_bits,
-                 std::uint32_t &ctl_nbits, bool &scatter,
-                 std::string *why)
+                 std::uint32_t &ctl_nbits, std::string *why)
     {
         const std::size_t n = static_cast<std::size_t>(seg.instructions);
-        const std::size_t words = (n + 63) / 64;
         const Segment::Column &col = seg.columns[ColTaken];
-        scatter = false;
-        if (seg.version < 2)
-            return decodeCol64(bytes, col, words, buf.taken_, why);
-
-        if (col.rawBytes != 8 * static_cast<std::uint64_t>(words))
+        if (col.rawBytes != 8 * static_cast<std::uint64_t>((n + 63) / 64))
             return fail(why, "taken: raw size mismatch");
         const std::uint8_t *p;
         std::size_t len;
@@ -1002,17 +942,11 @@ class TraceSerializer
             return false;
         if (!checkTakenPayload(p, len, seg.instructions, why))
             return false;
-        if (p[0] == kTakenFullPlane) {
-            if (!decodeColumn64Raw(p + 1, len - 1, words, buf.taken_))
-                return fail(why, "taken: malformed full plane");
-            return true;
-        }
-        ctl_nbits = getU32(p + 1);
-        if (!decodeColumn64Raw(p + 5, len - 5, (ctl_nbits + 63) / 64,
+        ctl_nbits = getU32(p);
+        if (!decodeColumn64Raw(p + 4, len - 4, (ctl_nbits + 63) / 64,
                                ctl_bits)) {
             return fail(why, "taken: malformed bit plane");
         }
-        scatter = true;
         return true;
     }
 
@@ -1032,13 +966,12 @@ class TraceSerializer
     }
 
     /**
-     * Taken column, version-2 encoding: branch/jump outcome bits
-     * exist only at control instructions, so store one bit per
-     * *control* instruction (~6.7x smaller than the already-packed
-     * full plane) and let the loader re-scatter them along the
-     * decode-index stream. Verified while packing: if any non-control
-     * position unexpectedly carries a set bit, fall back to the raw
-     * full plane rather than lose it.
+     * Taken column: branch/jump outcome bits exist only at control
+     * instructions, so store one bit per *control* instruction
+     * (~6.7x smaller than the already-packed full plane) and let the
+     * loader re-scatter them along the decode-index stream. The
+     * functional core never sets a non-control taken bit; a trace
+     * that does is a capture bug, caught here.
      */
     static void
     encodeTaken(const cpu::TraceBuffer &b, std::vector<std::uint8_t> &out)
@@ -1046,23 +979,17 @@ class TraceSerializer
         const std::size_t n = b.decIdx_.size();
         std::vector<std::uint64_t> bits((n + 63) / 64 + 1, 0);
         std::size_t nbits = 0;
-        bool fallback = false;
-        for (std::size_t i = 0; i < n && !fallback; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             const bool taken = (b.taken_[i / 64] >> (i % 64)) & 1;
             if (b.decoded_[b.decIdx_[i]].isControl) {
                 if (taken)
                     bits[nbits / 64] |= std::uint64_t{1} << (nbits % 64);
                 ++nbits;
             } else {
-                fallback = taken;
+                SC_ASSERT(!taken, "taken bit set on non-control "
+                                  "instruction ", i);
             }
         }
-        if (fallback) {
-            out.push_back(kTakenFullPlane);
-            encodeColumn64Raw(b.taken_.data(), b.taken_.size(), out);
-            return;
-        }
-        out.push_back(kTakenControlOnly);
         putU32(out, static_cast<std::uint32_t>(nbits));
         encodeColumn64Raw(bits.data(), (nbits + 63) / 64, out);
     }
@@ -1186,7 +1113,7 @@ TraceStore::programFingerprint(const isa::Program &program)
 
 std::shared_ptr<cpu::TraceBuffer>
 TraceStore::load(const std::string &workload, const isa::Program &program,
-                 DWord capture_limit, std::string *why, bool *legacy,
+                 DWord capture_limit, std::string *why,
                  LoadFailure *failure) const
 {
     SIGCOMP_SPAN("store.load");
@@ -1195,8 +1122,6 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
             *failure = f;
     };
     classify(LoadFailure::None);
-    if (legacy != nullptr)
-        *legacy = false;
     EnvStatus st;
     const auto file = mapSegment(segmentPath(workload), &st);
     if (file == nullptr) {
@@ -1210,6 +1135,17 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
         return nullptr;
     }
     loadBytes_.record(file->size());
+    // A well-formed header from an older format version is stale,
+    // not damage: recapture overwrites it.
+    if (file->size() >= kHeaderBytes && getU32(file->data()) == kMagic &&
+        getU32(file->data() + 4) < formatVersion &&
+        crc32(0, file->data(), 60) == getU32(file->data() + 60)) {
+        classify(LoadFailure::Stale);
+        fail(why, "format version " +
+                      std::to_string(getU32(file->data() + 4)) +
+                      " is older than " + std::to_string(formatVersion));
+        return nullptr;
+    }
     classify(LoadFailure::Corrupt); // until proven otherwise below
     Segment seg;
     if (!parseSegment(file->data(), file->size(), seg, why))
@@ -1226,15 +1162,8 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
     }
     auto buf = TraceSerializer::deserialize(file->data(), seg, program,
                                             why);
-    // Only version 1 needs the write-through upgrade re-save: a
-    // version-2 segment IS the current annex-less layout (annexes
-    // are added separately by TraceCache::persistAnnexes when a
-    // study first derives them).
-    if (buf != nullptr) {
+    if (buf != nullptr)
         classify(LoadFailure::None);
-        if (legacy != nullptr)
-            *legacy = seg.version < formatVersionNoAnnex;
-    }
     return buf;
 }
 
@@ -1505,10 +1434,6 @@ TraceStore::verify(const std::string &workload,
                      why) ||
         !decodeCol32(bytes, seg.columns[ColMemData], mem_ops, v32, why))
         return false;
-    if (seg.version < 2) {
-        return decodeCol64(bytes, seg.columns[ColTaken], (n + 63) / 64,
-                           v64, why);
-    }
     const std::uint8_t *p;
     std::size_t len;
     if (!columnPayload(bytes, seg.columns[ColTaken], p, len, why) ||

@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (versions 2/3, all integers little-endian) —
+ * Segment file format (version 4, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -21,7 +21,7 @@
  *   column directory (one 32-byte entry per column + CRC):
  *     column id, raw (decoded) bytes, encoded bytes, payload CRC;
  *   column payloads, in directory order;
- *   annex section (version 3 only, CRC-guarded directory): the
+ *   annex section (CRC-guarded directory, possibly empty): the
  *     trace's derived SharedQuanta records keyed by quanta key, so
  *     warm loads skip computeQuanta (see formatVersion below).
  *
@@ -29,12 +29,12 @@
  * address/data, significance sidecar): the operand columns are
  * rebuilt at load time by replaying the result stream through an
  * architectural register file, which is cheaper than decoding them
- * and shrinks segments by another ~40%. Version 2 packs the taken
- * column as one bit per *control* instruction (re-scattered along
- * the decode-index stream at load) and persists the capture-time
- * Ext3 tag planes of the result/memData columns as the sigTags
- * sidecar annex, so warm loads rebuild TraceBuffer's significance
- * sidecars without re-classifying stored values.
+ * and shrinks segments by another ~40%. The taken column holds one
+ * bit per *control* instruction (re-scattered along the decode-index
+ * stream at load), and the capture-time Ext3 tag planes of the
+ * result/memData columns are persisted as the sigTags sidecar
+ * column, so warm loads rebuild TraceBuffer's significance sidecars
+ * without re-classifying stored values.
  *
  * Integrity and versioning rules:
  *  - load() is *fail-soft*: any mismatch — bad magic, unacceptable
@@ -43,11 +43,10 @@
  *    malformed codec stream — returns nullptr with a reason string;
  *    callers recapture. A segment can never crash the process or
  *    yield a trace that differs from live capture.
- *  - version-1 segments (no sidecar annex, raw taken plane) still
- *    load, with the sidecars rebuilt by the batch kernels; load()
- *    reports them via its `legacy` out-parameter so the cache's
- *    write-through re-saves them in the current format (upgrade in
- *    place). Anything else fails soft as above.
+ *  - exactly one format version is accepted. A segment written by
+ *    an older version loads as stale: the store is a rebuildable
+ *    cache, so recapture (and the write-through save) is the
+ *    upgrade.
  *  - save() writes to a temp file, fsyncs it and the directory
  *    (StoreOptions::durableSaves) and renames into place, so readers
  *    racing a writer only ever observe complete segments and a
@@ -90,36 +89,23 @@ namespace sigcomp::store
 {
 
 /**
- * Newest segment format load() accepts. Version 2 added the
- * capture-time significance sidecar column and the control-only
- * taken bit plane; version 3 appends an **annex section** after the
- * column payloads carrying the trace's derived SharedQuanta records
- * ("quanta:<key>" annexes, see pipeline/pipeline.h), so a warm-store
- * process skips computeQuanta as well as functional capture.
+ * The one segment format load() accepts. Every segment ends in an
+ * **annex section** after the column payloads carrying the trace's
+ * derived SharedQuanta records ("quanta:<key>" annexes, see
+ * pipeline/pipeline.h), so a warm-store process skips computeQuanta
+ * as well as functional capture. The capture-time write-through
+ * saves an empty annex section; Session::run re-saves the segment
+ * the first time it derives quanta for it
+ * (TraceCache::persistAnnexes).
  *
- * The version written reflects the content: a segment with no
- * annexes to persist is written as version 2 (byte-identical to the
- * previous format), one with annexes as version 3 — so
- * annex-oblivious consumers of existing stores see no change, and
- * Session::run upgrades segments in place the first time it derives
- * quanta for them (TraceCache::persistAnnexes).
- *
- * Version-1 segments (no sidecar column, raw taken plane) still
- * load — the sidecar is rebuilt with the batch kernels — and are
- * transparently re-saved in the current format by the cache's
- * write-through upgrade (see TraceCache). Anything else fails soft.
+ * Segments of any other version fail soft: older ones load as
+ * LoadFailure::Stale and are recaptured and overwritten.
  */
 // sigcomp-lint: format-layout-begin
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 3;
-
-/** Format written for segments with no annex section. */
-constexpr std::uint32_t formatVersionNoAnnex = 2;
-
-/** Oldest format load() still accepts (sidecar-less segments). */
-constexpr std::uint32_t formatVersionLegacy = 1;
+constexpr std::uint32_t formatVersion = 4;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */
@@ -253,10 +239,7 @@ class TraceStore
      * with the reason in @p why when non-null.
      *
      * Segments are decoded straight out of a read-only mapping of
-     * the file (no read-then-decode copy); @p legacy, when non-null,
-     * is set when the segment was an accepted older format — the
-     * caller should re-save the returned buffer to upgrade it in
-     * place (TraceCache's write-through does).
+     * the file (no read-then-decode copy).
      *
      * @p failure, when non-null, classifies a nullptr return for the
      * caller's recovery policy (see LoadFailure).
@@ -264,7 +247,7 @@ class TraceStore
     std::shared_ptr<cpu::TraceBuffer>
     load(const std::string &workload, const isa::Program &program,
          DWord capture_limit, std::string *why = nullptr,
-         bool *legacy = nullptr, LoadFailure *failure = nullptr) const;
+         LoadFailure *failure = nullptr) const;
 
     /**
      * Persist @p trace as @p workload's segment (atomic

@@ -75,7 +75,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     std::string why;
     auto failure = sigcomp::store::LoadFailure::None;
     const auto trace = h.store->load("rawcaudio", h.workload->program,
-                                     2000, &why, nullptr, &failure);
+                                     2000, &why, &failure);
     if (trace == nullptr &&
         failure == sigcomp::store::LoadFailure::None)
         __builtin_trap(); // every refusal must be classified

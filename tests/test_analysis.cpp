@@ -1,10 +1,10 @@
 /**
  * @file
  * Analysis-layer tests: profilers reproduce the paper's
- * characterisation shapes on our suite, and the experiment drivers
- * produce consistent studies. These are the integration tests for
- * the whole stack (workloads -> functional core -> profilers ->
- * pipelines).
+ * characterisation shapes on our suite, and Session studies are
+ * consistent and bit-identical to the live-simulation oracle. These
+ * are the integration tests for the whole stack (workloads ->
+ * functional core -> profilers -> pipelines).
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,10 @@
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "common/parallel.h"
-#include "cpu/functional_core.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp::analysis
 {
@@ -23,6 +23,36 @@ namespace
 {
 
 using pipeline::Design;
+
+/** Run @p plan on the default session (shared suite captures). */
+SuiteReport
+runPlan(const StudyPlan &plan)
+{
+    return Session::defaultSession().run(plan);
+}
+
+void
+profileSuite(std::vector<cpu::TraceSink *> sinks)
+{
+    runPlan(StudyPlan().profile(std::move(sinks)));
+}
+
+std::vector<ActivityRow>
+runActivityStudy(sig::Encoding enc, unsigned threads = 0)
+{
+    return runPlan(StudyPlan().activity(enc).threads(threads))
+        .activity.front()
+        .rows;
+}
+
+std::vector<CpiRow>
+runCpiStudy(const std::vector<Design> &designs,
+            const pipeline::PipelineConfig &cfg, unsigned threads = 0)
+{
+    return runPlan(StudyPlan().cpi(designs, cfg).threads(threads))
+        .cpi.front()
+        .rows();
+}
 
 TEST(PatternProfiler, SuiteShapeMatchesTable1)
 {
@@ -188,11 +218,11 @@ TEST(CpiStudy, PaperOrderingAcrossSuite)
     EXPECT_LT(byp_up, 0.15);
 }
 
-// ---- parallel experiment engine vs. serial reference ----------------
+// ---- parallel Session studies vs. the live oracle ------------------
 //
-// The drivers fan workloads across a thread pool; these tests pin
-// the guarantee that the parallel path is *bit-identical* to the
-// serial implementation (threads == 1), and log the wall-clock
+// Sessions fan workloads across a thread pool and replay captured
+// traces; these tests pin the guarantee that the result is
+// *bit-identical* to live serial simulation, and log the wall-clock
 // ratio. A fixed thread count > 1 is used so the pool and the
 // trace-buffer replay path are exercised even on single-core hosts.
 
@@ -206,36 +236,12 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-void
-expectSameBits(const pipeline::BitPair &a, const pipeline::BitPair &b,
-               const char *what)
-{
-    EXPECT_EQ(a.compressed, b.compressed) << what;
-    EXPECT_EQ(a.baseline, b.baseline) << what;
-}
-
-void
-expectSameActivity(const pipeline::ActivityTotals &a,
-                   const pipeline::ActivityTotals &b)
-{
-    expectSameBits(a.fetch, b.fetch, "fetch");
-    expectSameBits(a.rfRead, b.rfRead, "rfRead");
-    expectSameBits(a.rfWrite, b.rfWrite, "rfWrite");
-    expectSameBits(a.alu, b.alu, "alu");
-    expectSameBits(a.dcData, b.dcData, "dcData");
-    expectSameBits(a.dcTag, b.dcTag, "dcTag");
-    expectSameBits(a.pcInc, b.pcInc, "pcInc");
-    expectSameBits(a.latch, b.latch, "latch");
-}
-
 TEST(ParallelStudies, ActivityStudyBitIdenticalToSerial)
 {
     suiteCompressor(); // exclude the one-time profiling pass from timing
 
     const auto t0 = std::chrono::steady_clock::now();
-    const auto serial = runActivityStudy(
-        sig::Encoding::Ext3,
-        StudyOptions{.threads = 1, .useCache = false});
+    const auto serial = live::activityStudy(sig::Encoding::Ext3);
     const double serial_s = secondsSince(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
@@ -243,17 +249,13 @@ TEST(ParallelStudies, ActivityStudyBitIdenticalToSerial)
         runActivityStudy(sig::Encoding::Ext3, kParallelThreads);
     const double parallel_s = secondsSince(t1);
 
-    std::printf("[ timing   ] activity study: serial %.3fs, "
-                "parallel(%u) %.3fs, speedup %.2fx on %u hw threads\n",
+    std::printf("[ timing   ] activity study: live serial %.3fs, "
+                "session(%u) %.3fs, speedup %.2fx on %u hw threads\n",
                 serial_s, kParallelThreads, parallel_s,
                 serial_s / parallel_s,
                 ParallelExecutor::defaultThreadCount());
 
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(parallel[i].benchmark, serial[i].benchmark);
-        expectSameActivity(parallel[i].activity, serial[i].activity);
-    }
+    live::expectSameRows(parallel, serial);
 }
 
 TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
@@ -262,38 +264,22 @@ TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
     const auto cfg = suiteConfig();
 
     const auto t0 = std::chrono::steady_clock::now();
-    const auto serial = runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 1, .useCache = false});
+    const auto serial = live::cpiStudy(designs, cfg);
     const double serial_s = secondsSince(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
     const auto parallel = runCpiStudy(designs, cfg, kParallelThreads);
     const double parallel_s = secondsSince(t1);
 
-    std::printf("[ timing   ] CPI study: serial %.3fs, parallel(%u) "
-                "%.3fs, speedup %.2fx on %u hw threads\n",
+    std::printf("[ timing   ] CPI study: live serial %.3fs, "
+                "session(%u) %.3fs, speedup %.2fx on %u hw threads\n",
                 serial_s, kParallelThreads, parallel_s,
                 serial_s / parallel_s,
                 ParallelExecutor::defaultThreadCount());
 
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(parallel[i].benchmark, serial[i].benchmark);
-        // Exact double equality: identical inputs through identical
-        // per-workload arithmetic must produce identical bits.
-        EXPECT_EQ(parallel[i].cpi, serial[i].cpi);
-        ASSERT_EQ(parallel[i].stalls.size(), serial[i].stalls.size());
-        for (Design design : designs) {
-            ASSERT_TRUE(serial[i].stalls.contains(design));
-            const auto &st = serial[i].stalls.at(design);
-            const auto &pst = parallel[i].stalls.at(design);
-            EXPECT_EQ(pst.controlCycles, st.controlCycles);
-            EXPECT_EQ(pst.dataHazardCycles, st.dataHazardCycles);
-            EXPECT_EQ(pst.structuralCycles, st.structuralCycles);
-            EXPECT_EQ(pst.icacheMissCycles, st.icacheMissCycles);
-            EXPECT_EQ(pst.dcacheMissCycles, st.dcacheMissCycles);
-        }
-    }
+    // Exact double equality: identical inputs through identical
+    // per-workload arithmetic must produce identical bits.
+    live::expectSameRows(parallel, serial);
 }
 
 TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
@@ -302,12 +288,13 @@ TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
     // in exactly the state the direct serial stream produces.
     InstrMixProfiler serial_mix;
     PatternProfiler serial_pat;
-    profileSuite({&serial_mix, &serial_pat},
-                 StudyOptions{.threads = 1, .useCache = false});
+    live::profileSuite({&serial_mix, &serial_pat});
 
     InstrMixProfiler par_mix;
     PatternProfiler par_pat;
-    profileSuite({&par_mix, &par_pat}, kParallelThreads);
+    runPlan(StudyPlan()
+                .profile({&par_mix, &par_pat})
+                .threads(kParallelThreads));
 
     EXPECT_EQ(par_mix.iFormatFraction(), serial_mix.iFormatFraction());
     EXPECT_EQ(par_mix.rFormatFraction(), serial_mix.rFormatFraction());

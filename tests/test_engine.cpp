@@ -13,7 +13,7 @@
 
 #include "isa/assembler.h"
 #include "pipeline/pipeline.h"
-#include "pipeline/runner.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp::pipeline
 {
@@ -106,7 +106,7 @@ runMock(const Program &prog, const MockPipeline::PlanFn &fn,
         PipelineResult *out = nullptr)
 {
     MockPipeline pipe(fn, zeroLatency());
-    runPipelines(prog, {&pipe});
+    live::runPipelines(prog, {&pipe});
     const PipelineResult r = pipe.result();
     if (out)
         *out = r;
@@ -328,7 +328,7 @@ TEST(Engine, ObserverReportsExactSchedules)
             const std::array<Cycle, maxStages> &end) {
             scheds.push_back({start, end});
         });
-    runPipelines(p, {&pipe});
+    live::runPipelines(p, {&pipe});
 
     ASSERT_EQ(scheds.size(), 4u);
     for (std::size_t i = 0; i < scheds.size(); ++i) {
@@ -367,7 +367,7 @@ TEST(Engine, ObserverSeesStallGaps)
             else if (di.dec->name == "addu")
                 use_ex_start = start[2];
         });
-    runPipelines(p, {&pipe});
+    live::runPipelines(p, {&pipe});
     EXPECT_EQ(use_ex_start, load_mem_end);
 }
 

@@ -12,8 +12,8 @@
 #include "isa/text_assembler.h"
 #include "mem/cache.h"
 #include "mem/main_memory.h"
-#include "pipeline/runner.h"
 #include "workloads/workload.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp
 {
@@ -153,7 +153,7 @@ TEST(FailureDeathTest, SelfCheckFailurePropagates)
     const isa::Program p = a.finish("bad-check");
     auto pipe = pipeline::makePipeline(pipeline::Design::Baseline32,
                                        pipeline::PipelineConfig());
-    EXPECT_EXIT(pipeline::runPipelines(p, {pipe.get()}),
+    EXPECT_EXIT(live::runPipelines(p, {pipe.get()}),
                 ::testing::ExitedWithCode(1), "failed self-check");
 }
 

@@ -360,8 +360,7 @@ TEST_F(FaultTest, ExhaustedTransientRetriesFailSoftAsIo)
     failOps(env, env.opCount(), 8, FaultKind::Eio);
     std::string why;
     auto failure = LoadFailure::None;
-    EXPECT_EQ(ts.load("rawcaudio", w.program, 2000, &why, nullptr,
-                      &failure),
+    EXPECT_EQ(ts.load("rawcaudio", w.program, 2000, &why, &failure),
               nullptr);
     EXPECT_EQ(failure, LoadFailure::Io) << why;
     EXPECT_GE(ts.retries(), 1u);
@@ -435,8 +434,7 @@ TEST_F(FaultTest, ShortReadFailsSoftAndRecaptures)
     env.addFault({env.opCount(), FaultKind::ShortRead, 0});
     std::string why;
     auto failure = LoadFailure::None;
-    EXPECT_EQ(ts.load("rawcaudio", w.program, 2000, &why, nullptr,
-                      &failure),
+    EXPECT_EQ(ts.load("rawcaudio", w.program, 2000, &why, &failure),
               nullptr)
         << "a truncated view must never produce a trace";
     EXPECT_EQ(failure, LoadFailure::Corrupt) << why;

@@ -11,8 +11,8 @@
 #include <functional>
 
 #include "isa/assembler.h"
-#include "pipeline/runner.h"
 #include "workloads/workload.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp::pipeline
 {
@@ -50,7 +50,7 @@ runOne(const Program &p, Design d,
        PipelineConfig cfg = zeroLatencyConfig())
 {
     auto pipe = makePipeline(d, cfg);
-    runPipelines(p, {pipe.get()});
+    live::runPipelines(p, {pipe.get()});
     return pipe->result();
 }
 
@@ -390,7 +390,7 @@ TEST(CrossDesign, WorkloadInvariants)
     PipelineConfig cfg; // paper memory parameters
     const std::vector<Design> designs = allDesigns();
     const std::vector<PipelineResult> rs =
-        runDesigns(w.program, designs, cfg);
+        live::runDesigns(w.program, designs, cfg);
 
     // Same committed instruction stream everywhere.
     for (const PipelineResult &r : rs)
@@ -422,7 +422,7 @@ TEST(CrossDesign, ActivityInvariants)
 {
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
     auto pipe = makePipeline(Design::ByteSerial, PipelineConfig());
-    runPipelines(w.program, {pipe.get()});
+    live::runPipelines(w.program, {pipe.get()});
     const ActivityTotals &a = pipe->result().activity;
 
     for (const BitPair *bp :
@@ -441,7 +441,7 @@ TEST(CrossDesign, ActivitySavingsInPaperBands)
 {
     const workloads::Workload w = workloads::Suite::build("rawcaudio");
     auto pipe = makePipeline(Design::ByteSerial, PipelineConfig());
-    runPipelines(w.program, {pipe.get()});
+    live::runPipelines(w.program, {pipe.get()});
     const ActivityTotals &a = pipe->result().activity;
 
     EXPECT_GT(a.fetch.saving(), 5.0);
@@ -462,7 +462,7 @@ TEST(CrossDesign, HalfwordSavingsAreSmallerThanByte)
     auto byte_pipe = makePipeline(Design::ByteSerial, PipelineConfig());
     auto half_pipe =
         makePipeline(Design::HalfwordSerial, PipelineConfig());
-    runPipelines(w.program, {byte_pipe.get(), half_pipe.get()});
+    live::runPipelines(w.program, {byte_pipe.get(), half_pipe.get()});
     const ActivityTotals &ab = byte_pipe->result().activity;
     const ActivityTotals &ah = half_pipe->result().activity;
     EXPECT_GT(ab.rfRead.saving(), ah.rfRead.saving());
@@ -470,7 +470,7 @@ TEST(CrossDesign, HalfwordSavingsAreSmallerThanByte)
     EXPECT_GT(ab.pcInc.saving(), ah.pcInc.saving());
 }
 
-TEST(Runner, FanoutDeliversToAllSinks)
+TEST(LiveOracle, FeedsPipelinesAndExtraSinks)
 {
     struct CountSink : cpu::TraceSink
     {
@@ -480,7 +480,7 @@ TEST(Runner, FanoutDeliversToAllSinks)
     const Program p = asmProgram([](Assembler &a) { a.nop(); });
     CountSink s1, s2;
     auto pipe = makePipeline(Design::Baseline32, zeroLatencyConfig());
-    const cpu::RunResult r = runPipelines(p, {pipe.get()}, {&s1, &s2});
+    const cpu::RunResult r = live::runPipelines(p, {pipe.get()}, {&s1, &s2});
     EXPECT_EQ(s1.n, r.instructions);
     EXPECT_EQ(s2.n, r.instructions);
     EXPECT_EQ(pipe->result().instructions, r.instructions);

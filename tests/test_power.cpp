@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "pipeline/runner.h"
 #include "power/energy_model.h"
 #include "workloads/workload.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp::power
 {
@@ -76,7 +76,7 @@ TEST(EnergyModel, WorkloadEnergySavingInPlausibleBand)
     const workloads::Workload w = workloads::Suite::build("rawcaudio");
     auto pipe = pipeline::makePipeline(pipeline::Design::ByteSerial,
                                        pipeline::PipelineConfig());
-    pipeline::runPipelines(w.program, {pipe.get()});
+    live::runPipelines(w.program, {pipe.get()});
     const EnergyReport rep =
         buildEnergyReport(pipe->result().activity);
     // The paper's activity savings are 30-40%; total pipeline energy

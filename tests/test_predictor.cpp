@@ -11,8 +11,8 @@
 
 #include "isa/assembler.h"
 #include "pipeline/predictor.h"
-#include "pipeline/runner.h"
 #include "workloads/workload.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp::pipeline
 {
@@ -138,7 +138,7 @@ TEST(PredictedPipeline, BimodalRemovesLoopBubbles)
                              zeroLatency(PredictorKind::None));
     auto bim = makePipeline(Design::Baseline32,
                             zeroLatency(PredictorKind::Bimodal));
-    runPipelines(p, {none.get(), bim.get()});
+    live::runPipelines(p, {none.get(), bim.get()});
     const PipelineResult rn = none->result();
     const PipelineResult rb = bim->result();
     EXPECT_EQ(rn.instructions, rb.instructions);
@@ -161,7 +161,7 @@ TEST(PredictedPipeline, PredictionHelpsSkewedMoreThanBaseline)
     auto base_on = makePipeline(Design::Baseline32, on);
     auto skew_off = makePipeline(Design::ByteParallelSkewed, off);
     auto skew_on = makePipeline(Design::ByteParallelSkewed, on);
-    runPipelines(w.program, {base_off.get(), base_on.get(),
+    live::runPipelines(w.program, {base_off.get(), base_on.get(),
                              skew_off.get(), skew_on.get()});
 
     const double base_gain =
@@ -182,7 +182,7 @@ TEST(PredictedPipeline, NotTakenBetweenNoneAndBimodal)
         cfg.predictor = k;
         pipes.push_back(makePipeline(Design::Baseline32, cfg));
     }
-    runPipelines(w.program,
+    live::runPipelines(w.program,
                  {pipes[0].get(), pipes[1].get(), pipes[2].get()});
     const double none = pipes[0]->result().cpi();
     const double nt = pipes[1]->result().cpi();
@@ -201,7 +201,7 @@ TEST(PredictedPipeline, ActivityUnchangedByPrediction)
     on.predictor = PredictorKind::Bimodal;
     auto a = makePipeline(Design::ByteSerial, off);
     auto b = makePipeline(Design::ByteSerial, on);
-    runPipelines(w.program, {a.get(), b.get()});
+    live::runPipelines(w.program, {a.get(), b.get()});
     EXPECT_EQ(a->result().activity.rfRead.compressed,
               b->result().activity.rfRead.compressed);
     EXPECT_EQ(a->result().activity.alu.compressed,

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 
 #include "common/rng.h"
@@ -17,6 +18,8 @@
 #include "sigcomp/compressed_word.h"
 #include "sigcomp/instr_compress.h"
 #include "sigcomp/serial_alu.h"
+#include "store/trace_store.h"
+#include "tests/live_oracle.h"
 
 namespace sigcomp
 {
@@ -302,7 +305,7 @@ TEST_P(ProgramFuzz, CrossDesignInvariantsHold)
     const Program p = randomProgram(GetParam(), 250);
     const auto designs = pipeline::allDesigns();
     const auto results =
-        pipeline::runDesigns(p, designs, pipeline::PipelineConfig());
+        live::runDesigns(p, designs, pipeline::PipelineConfig());
 
     const auto &base = results[0];
     EXPECT_GT(base.instructions, 250u);
@@ -334,8 +337,47 @@ TEST_P(ProgramFuzz, PredictionNeverHurts)
     on.predictor = pipeline::PredictorKind::Bimodal;
     auto a = pipeline::makePipeline(pipeline::Design::Baseline32, off);
     auto b = pipeline::makePipeline(pipeline::Design::Baseline32, on);
-    pipeline::runPipelines(p, {a.get(), b.get()});
+    live::runPipelines(p, {a.get(), b.get()});
     EXPECT_LE(b->result().cycles, a->result().cycles);
+}
+
+TEST_P(ProgramFuzz, StoreReplayMatchesLiveForEveryDesignAndEncoding)
+{
+    // Differential oracle: the live FunctionalCore-to-pipeline run vs
+    // capture -> store segment -> load -> batched replay, for every
+    // design under every encoding.
+    const Program p = randomProgram(GetParam() ^ 0x5eed, 250);
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("sigcomp-property-" + std::to_string(GetParam()));
+    std::filesystem::remove_all(dir);
+    const store::TraceStore ts(dir.string());
+    ASSERT_TRUE(ts.save(p.name(), cpu::TraceBuffer::capture(p),
+                        cpu::TraceBuffer::defaultMaxInstrs));
+    std::string why;
+    const auto loaded =
+        ts.load(p.name(), p, cpu::TraceBuffer::defaultMaxInstrs, &why);
+    ASSERT_NE(loaded, nullptr) << why;
+
+    const auto designs = pipeline::allDesigns();
+    for (sig::Encoding enc : {sig::Encoding::Ext2, sig::Encoding::Ext3,
+                              sig::Encoding::Half1}) {
+        pipeline::PipelineConfig cfg;
+        cfg.encoding = enc;
+        const auto expected = live::runDesigns(p, designs, cfg);
+        std::vector<std::unique_ptr<pipeline::InOrderPipeline>> owned;
+        std::vector<pipeline::InOrderPipeline *> pipes;
+        for (pipeline::Design d : designs) {
+            owned.push_back(pipeline::makePipeline(d, cfg));
+            pipes.push_back(owned.back().get());
+        }
+        pipeline::replayPipelines(*loaded, pipes);
+        for (std::size_t d = 0; d < expected.size(); ++d) {
+            SCOPED_TRACE(sig::encodingName(enc));
+            live::expectSameResult(owned[d]->result(), expected[d]);
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,

@@ -7,13 +7,16 @@
  * content-addressed cache (two identical POSTs: second is a byte-
  * identical cache hit costing zero engine work), in-flight dedupe
  * under concurrent clients (TSan shard), disconnect cancellation
- * freeing the admission slot, and thread-count bit-identity of the
- * served report rows.
+ * freeing the admission slot, thread-count bit-identity of the
+ * served report rows, and the accept loop reaping finished handler
+ * threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -721,6 +724,84 @@ TEST(DaemonDisconnect, CancelledWriterLeavesStoreDoctorClean)
     for (const std::string &name : ts.list())
         EXPECT_TRUE(ts.verify(name, nullptr)) << name;
     fs::remove_all(dir);
+}
+
+/**
+ * Lines of /proc/self/maps: every unjoined thread keeps its stack
+ * (and guard page) mapped, so this counts leaked handlers even after
+ * their tasks have exited.
+ */
+std::size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
+}
+
+/** Live tasks of this process ("Threads:" in /proc/self/status). */
+std::size_t
+threadCount()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoul(line.substr(8));
+    }
+    return 0;
+}
+
+/**
+ * Hands out @p n memory connections whose client end has already
+ * hung up, then reports an orderly shutdown; samples the process's
+ * threads and mappings at every accept.
+ */
+class HangupListener : public net::Listener
+{
+  public:
+    explicit HangupListener(unsigned n) : left_(n) {}
+
+    std::unique_ptr<net::Conn>
+    acceptConn(EnvStatus *) override
+    {
+        peakThreads = std::max(peakThreads, threadCount());
+        peakMappings = std::max(peakMappings, mappingCount());
+        if (left_ == 0)
+            return nullptr;
+        --left_;
+        auto [server_end, client_end] = net::memoryConnPair();
+        client_end->closeConn();
+        return std::move(server_end);
+    }
+
+    void stopListening() override {}
+    std::uint16_t port() const override { return 0; }
+
+    std::size_t peakThreads = 0;
+    std::size_t peakMappings = 0;
+
+  private:
+    unsigned left_;
+};
+
+TEST(DaemonServe, FinishedHandlersAreJoinedWhileServing)
+{
+    // Thousands of connections that close at once: without reaping,
+    // every finished handler's stack stays mapped until shutdown
+    // (~32k connections exhaust the map limit and thread creation
+    // fails with EAGAIN).
+    constexpr unsigned kConns = 3000;
+    Daemon daemon(testConfig());
+    const std::size_t base_threads = threadCount();
+    const std::size_t base_mappings = mappingCount();
+    HangupListener listener(kConns);
+    daemon.serve(listener);
+
+    EXPECT_LT(listener.peakThreads, base_threads + 256);
+    EXPECT_LT(listener.peakMappings, base_mappings + 512)
+        << "finished handler threads were not joined";
 }
 
 // The full EnvFault taxonomy is pinned by test_fault.cpp; the server

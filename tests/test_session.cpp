@@ -1,11 +1,10 @@
 /**
  * @file
  * Session + StudyPlan API tests: the fused plan executes exactly one
- * replay pass per workload trace while staying bit-identical to the
- * legacy one-study-at-a-time drivers at every thread count, isolated
- * Sessions don't cross-talk, ad-hoc workloads work, the
- * StudyOptions/SessionConfig edge cases are well-defined, and the
- * SuiteReport serializes.
+ * replay pass per workload trace while staying bit-identical to
+ * running each study as its own plan at every thread count, isolated
+ * Sessions don't cross-talk, ad-hoc workloads work, the SessionConfig
+ * edge cases are well-defined, and the SuiteReport serializes.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "analysis/session.h"
 #include "isa/assembler.h"
 #include "store/trace_store.h"
+#include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -35,7 +34,6 @@ namespace fs = std::filesystem;
 
 using analysis::Session;
 using analysis::SessionConfig;
-using analysis::StudyOptions;
 using analysis::StudyPlan;
 using analysis::SuiteReport;
 using pipeline::Design;
@@ -71,25 +69,6 @@ class SessionStoreTest : public ::testing::Test
     fs::path dir_;
 };
 
-void
-expectSameActivity(const pipeline::ActivityTotals &a,
-                   const pipeline::ActivityTotals &b)
-{
-    const auto pair = [](const pipeline::BitPair &x,
-                         const pipeline::BitPair &y, const char *what) {
-        EXPECT_EQ(x.compressed, y.compressed) << what;
-        EXPECT_EQ(x.baseline, y.baseline) << what;
-    };
-    pair(a.fetch, b.fetch, "fetch");
-    pair(a.rfRead, b.rfRead, "rfRead");
-    pair(a.rfWrite, b.rfWrite, "rfWrite");
-    pair(a.alu, b.alu, "alu");
-    pair(a.dcData, b.dcData, "dcData");
-    pair(a.dcTag, b.dcTag, "dcTag");
-    pair(a.pcInc, b.pcInc, "pcInc");
-    pair(a.latch, b.latch, "latch");
-}
-
 // ---- the fused-pass acceptance property ------------------------------
 
 TEST(SessionFused, OneReplayPassFeedsEveryStudy)
@@ -115,38 +94,23 @@ TEST(SessionFused, OneReplayPassFeedsEveryStudy)
         EXPECT_EQ(session.trace(name)->replayCount(), 1u) << name;
     }
 
-    // Rows and totals must be bit-identical to the three legacy
-    // driver calls (serial reference runs on the default session).
-    const auto legacy_act = analysis::runActivityStudy(
-        sig::Encoding::Ext3, StudyOptions{.threads = 1});
-    const auto legacy_cpi =
-        analysis::runCpiStudy(pipeline::allDesigns(),
-                              analysis::suiteConfig(),
-                              StudyOptions{.threads = 1});
+    // Rows and totals must be bit-identical to the same three
+    // studies run as one serial plan each on a separate session.
+    Session ref({.threads = 1});
+    const auto one_act =
+        ref.run(StudyPlan().activity(sig::Encoding::Ext3)).activity;
+    const auto one_cpi = ref.run(StudyPlan().cpi(pipeline::allDesigns(),
+                                                 analysis::suiteConfig()))
+                             .cpi;
     analysis::PatternProfiler lpat;
     analysis::InstrMixProfiler lmix;
     analysis::PcProfiler lpc;
-    analysis::profileSuite({&lpat, &lmix, &lpc},
-                           StudyOptions{.threads = 1});
+    ref.run(StudyPlan().profile({&lpat, &lmix, &lpc}));
 
     ASSERT_EQ(rep.activity.size(), 1u);
-    ASSERT_EQ(rep.activity[0].rows.size(), legacy_act.size());
-    for (std::size_t i = 0; i < legacy_act.size(); ++i) {
-        EXPECT_EQ(rep.activity[0].rows[i].benchmark,
-                  legacy_act[i].benchmark);
-        expectSameActivity(rep.activity[0].rows[i].activity,
-                           legacy_act[i].activity);
-    }
+    live::expectSameRows(rep.activity[0].rows, one_act.front().rows);
     ASSERT_EQ(rep.cpi.size(), 1u);
-    const auto fused_rows = rep.cpi[0].rows();
-    ASSERT_EQ(fused_rows.size(), legacy_cpi.size());
-    for (std::size_t i = 0; i < legacy_cpi.size(); ++i) {
-        EXPECT_EQ(fused_rows[i].benchmark, legacy_cpi[i].benchmark);
-        EXPECT_TRUE(fused_rows[i].cpi == legacy_cpi[i].cpi)
-            << legacy_cpi[i].benchmark;
-        EXPECT_TRUE(fused_rows[i].stalls == legacy_cpi[i].stalls)
-            << legacy_cpi[i].benchmark;
-    }
+    live::expectSameRows(rep.cpi[0].rows(), one_cpi.front().rows());
     EXPECT_EQ(pat.patterns().raw(), lpat.patterns().raw());
     EXPECT_EQ(mix.functFreq().raw(), lmix.functFreq().raw());
     EXPECT_EQ(mix.meanFetchBytes(), lmix.meanFetchBytes());
@@ -192,19 +156,9 @@ TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
     const SuiteReport rep = session.run(plan);
 
     EXPECT_EQ(rep.replayPasses, rep.workloads.size());
-    const auto ref_rows = reference.cpi[0].rows();
-    const auto got_rows = rep.cpi[0].rows();
-    ASSERT_EQ(got_rows.size(), ref_rows.size());
-    for (std::size_t i = 0; i < ref_rows.size(); ++i) {
-        EXPECT_TRUE(got_rows[i].cpi == ref_rows[i].cpi)
-            << ref_rows[i].benchmark << " threads=" << threads;
-        EXPECT_TRUE(got_rows[i].stalls == ref_rows[i].stalls)
-            << ref_rows[i].benchmark << " threads=" << threads;
-    }
-    for (std::size_t i = 0; i < ref_rows.size(); ++i) {
-        expectSameActivity(rep.activity[0].rows[i].activity,
-                           reference.activity[0].rows[i].activity);
-    }
+    SCOPED_TRACE(threads);
+    live::expectSameRows(rep.cpi[0].rows(), reference.cpi[0].rows());
+    live::expectSameRows(rep.activity[0].rows, reference.activity[0].rows);
     EXPECT_GT(pat.patterns().total(), 0u);
 }
 
@@ -291,7 +245,7 @@ TEST_F(SessionStoreTest, WarmStoreSessionSkipsCaptureAndComputeQuanta)
         << "warm load must restore the persisted quanta records";
 }
 
-// ---- edge cases (satellite: StudyOptions/SessionConfig) --------------
+// ---- edge cases (SessionConfig) --------------------------------------
 
 using SessionDeathTest = SessionStoreTest;
 
@@ -300,15 +254,6 @@ TEST_F(SessionDeathTest, ReadOnlyWithoutStoreDirIsFatal)
     SessionConfig cfg;
     cfg.readOnly = true;
     EXPECT_DEATH({ Session session(cfg); },
-                 "readOnly requires storeDir");
-}
-
-TEST_F(SessionDeathTest, StudyOptionsReadOnlyWithoutStoreDirIsFatal)
-{
-    analysis::InstrMixProfiler mix;
-    StudyOptions opt;
-    opt.readOnly = true;
-    EXPECT_DEATH(analysis::profileSuite({&mix}, opt),
                  "readOnly requires storeDir");
 }
 

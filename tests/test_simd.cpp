@@ -85,11 +85,7 @@ TEST_F(SimdTest, LevelPlumbing)
         EXPECT_NE(std::string(simd::simdLevelName(l)), "?");
     }
     // Unsupported levels clamp to scalar rather than misdispatch.
-#if defined(__x86_64__) || defined(__i386__)
-    simd::setSimdLevel(SimdLevel::Neon);
-#else
-    simd::setSimdLevel(SimdLevel::Avx2);
-#endif
+    simd::setSimdLevel(static_cast<SimdLevel>(0x7f));
     EXPECT_EQ(simd::activeSimdLevel(), SimdLevel::Scalar);
 }
 

@@ -18,12 +18,14 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
+#include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "analysis/trace_cache.h"
 #include "common/crc32.h"
 #include "pipeline/runner.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
+#include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -33,7 +35,9 @@ namespace
 
 namespace fs = std::filesystem;
 
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::StudyPlan;
+using analysis::SuiteReport;
 using analysis::TraceCache;
 using pipeline::Design;
 using store::TraceStore;
@@ -571,32 +575,12 @@ TEST_F(StoreTest, ConcurrentReadWhileSpillFailsSoft)
 
 // ---- acceptance: store-replay bit identity ---------------------------
 
-bool
-sameBits(const pipeline::BitPair &a, const pipeline::BitPair &b)
-{
-    return a.compressed == b.compressed && a.baseline == b.baseline;
-}
-
-bool
-sameActivity(const pipeline::ActivityTotals &a,
-             const pipeline::ActivityTotals &b)
-{
-    return sameBits(a.fetch, b.fetch) && sameBits(a.rfRead, b.rfRead) &&
-           sameBits(a.rfWrite, b.rfWrite) && sameBits(a.alu, b.alu) &&
-           sameBits(a.dcData, b.dcData) && sameBits(a.dcTag, b.dcTag) &&
-           sameBits(a.pcInc, b.pcInc) && sameBits(a.latch, b.latch);
-}
-
 class StoreBitIdentity : public ::testing::TestWithParam<sig::Encoding>
 {
   protected:
     void
     TearDown() override
     {
-        // Detach the store from the global cache so later tests (and
-        // other fixtures) see the plain two-tier-less behaviour.
-        TraceCache::global().configureStore({});
-        TraceCache::global().clear();
         fs::remove_all(dir_);
     }
 
@@ -609,55 +593,36 @@ TEST_P(StoreBitIdentity, ActivityCpiAndProfilersMatchLiveCapture)
     const sig::Encoding enc = GetParam();
     const std::string sdir = dir_.string();
 
-    StudyOptions direct_opt;
-    direct_opt.threads = 1;
-    direct_opt.useCache = false;
-
-    StudyOptions store_opt;
-    store_opt.storeDir = sdir;
-
-    // Live-capture reference.
-    const auto activity_live = analysis::runActivityStudy(enc, direct_opt);
-    const auto cpi_live = analysis::runCpiStudy(
-        pipeline::allDesigns(), analysis::suiteConfig(enc), direct_opt);
+    // Live-simulation reference.
+    const auto activity_live = live::activityStudy(enc);
+    const auto cpi_live =
+        live::cpiStudy(pipeline::allDesigns(), analysis::suiteConfig(enc));
     analysis::PatternProfiler pat_live;
     analysis::InstrMixProfiler mix_live;
-    analysis::profileSuite({&pat_live, &mix_live}, direct_opt);
+    live::profileSuite({&pat_live, &mix_live});
 
-    // Populate the store, then force every trace to come back off
-    // disk (cold RAM tier) for the replayed run.
-    TraceCache::global().clear();
-    (void)analysis::runActivityStudy(enc, store_opt);
-    const std::uint64_t captures = TraceCache::global().captures();
-    TraceCache::global().clear();
-
-    const auto activity_store =
-        analysis::runActivityStudy(enc, store_opt);
-    const auto cpi_store = analysis::runCpiStudy(
-        pipeline::allDesigns(), analysis::suiteConfig(enc), store_opt);
+    // Populate the store, then replay from a fresh session so every
+    // trace comes back off disk (cold RAM tier).
+    {
+        Session writer({.storeDir = sdir});
+        writer.run(StudyPlan().activity(enc));
+    }
+    Session reader({.storeDir = sdir});
+    const SuiteReport rep =
+        reader.run(StudyPlan()
+                       .activity(enc)
+                       .cpi(pipeline::allDesigns(),
+                            analysis::suiteConfig(enc)));
     analysis::PatternProfiler pat_store;
     analysis::InstrMixProfiler mix_store;
-    analysis::profileSuite({&pat_store, &mix_store}, store_opt);
+    reader.run(StudyPlan().profile({&pat_store, &mix_store}));
 
-    EXPECT_EQ(TraceCache::global().captures(), captures)
+    EXPECT_EQ(reader.cache().captures(), 0u)
         << "the replayed run must not have recaptured anything";
-    EXPECT_GT(TraceCache::global().storeLoads(), 0u);
+    EXPECT_GT(reader.cache().storeLoads(), 0u);
 
-    ASSERT_EQ(activity_store.size(), activity_live.size());
-    for (std::size_t i = 0; i < activity_live.size(); ++i) {
-        EXPECT_EQ(activity_store[i].benchmark,
-                  activity_live[i].benchmark);
-        EXPECT_TRUE(sameActivity(activity_store[i].activity,
-                                 activity_live[i].activity))
-            << activity_live[i].benchmark;
-    }
-    ASSERT_EQ(cpi_store.size(), cpi_live.size());
-    for (std::size_t i = 0; i < cpi_live.size(); ++i) {
-        EXPECT_TRUE(cpi_store[i].cpi == cpi_live[i].cpi)
-            << cpi_live[i].benchmark;
-        EXPECT_TRUE(cpi_store[i].stalls == cpi_live[i].stalls)
-            << cpi_live[i].benchmark;
-    }
+    live::expectSameRows(rep.activity.front().rows, activity_live);
+    live::expectSameRows(rep.cpi.front().rows(), cpi_live);
     EXPECT_EQ(pat_store.patterns().raw(), pat_live.patterns().raw());
     EXPECT_EQ(mix_store.functFreq().raw(), mix_live.functFreq().raw());
     EXPECT_EQ(mix_store.meanFetchBytes(), mix_live.meanFetchBytes());
@@ -671,204 +636,41 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, StoreBitIdentity,
                              return sig::encodingName(info.param);
                          });
 
-// ---- legacy (version-1) segments -------------------------------------
+// ---- older format versions ------------------------------------------
 
-/**
- * Rebuild a structurally valid version-1 segment (no sidecar column,
- * raw taken plane) from a current segment file, using only the
- * public codec/CRC helpers: the regression pin for the format
- * version bump. Mirrors what a PR-3-era writer produced.
- */
-std::vector<std::uint8_t>
-buildLegacyV1Segment(const std::vector<std::uint8_t> &v2,
-                     const isa::Program &program)
+TEST_F(StoreTest, OlderFormatVersionLoadsAsStaleAndIsRecaptured)
 {
-    using store::decodeColumn32;
-    using store::decodeColumn64Raw;
-    using store::encodeColumn32;
-    using store::encodeColumn64Raw;
-    using store::getU32;
-    using store::getU64;
-    using store::putU32;
-    using store::putU64;
-
-    const std::uint8_t *h = v2.data();
-    // A save with no derived annexes writes the annex-less layout.
-    EXPECT_EQ(getU32(h + 4), store::formatVersionNoAnnex);
-    const std::size_t n = static_cast<std::size_t>(getU64(h + 8));
-    const std::size_t mem_ops = static_cast<std::size_t>(getU64(h + 16));
-
-    // Column directory (6 entries of 32 bytes at offset 64).
-    struct Col
-    {
-        std::uint64_t enc;
-        std::size_t off;
-    };
-    std::array<Col, 6> cols{};
-    std::size_t off = 64 + 6 * 32 + 4;
-    for (unsigned c = 0; c < 6; ++c) {
-        cols[c].enc = getU64(h + 64 + 32 * c + 16);
-        cols[c].off = off;
-        off += static_cast<std::size_t>(cols[c].enc);
-    }
-    EXPECT_EQ(off, v2.size());
-
-    std::vector<std::uint32_t> dec_idx, result, mem_addr, mem_data;
-    EXPECT_TRUE(decodeColumn32(h + cols[0].off, cols[0].enc, n, dec_idx));
-    EXPECT_TRUE(decodeColumn32(h + cols[1].off, cols[1].enc, n, result));
-    EXPECT_TRUE(decodeColumn32(h + cols[3].off, cols[3].enc, mem_ops,
-                               mem_addr));
-    EXPECT_TRUE(decodeColumn32(h + cols[4].off, cols[4].enc, mem_ops,
-                               mem_data));
-
-    // Re-expand the control-only taken bits to the full plane the v1
-    // format stored raw.
-    std::vector<std::uint64_t> taken((n + 63) / 64, 0);
-    const std::uint8_t *tp = h + cols[2].off;
-    if (tp[0] == 1) {
-        const std::uint32_t nbits = getU32(tp + 1);
-        std::vector<std::uint64_t> bits;
-        EXPECT_TRUE(decodeColumn64Raw(tp + 5, cols[2].enc - 5,
-                                      (nbits + 63) / 64, bits));
-        std::vector<isa::DecodedInstr> decoded;
-        decoded.reserve(program.text().size());
-        for (const isa::Instruction &inst : program.text())
-            decoded.push_back(isa::decode(inst));
-        std::size_t c = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!decoded[dec_idx[i]].isControl)
-                continue;
-            if ((bits[c / 64] >> (c % 64)) & 1)
-                taken[i / 64] |= std::uint64_t{1} << (i % 64);
-            ++c;
-        }
-        EXPECT_EQ(c, nbits);
-    } else {
-        EXPECT_TRUE(decodeColumn64Raw(tp + 1, cols[2].enc - 1,
-                                      taken.size(), taken));
-    }
-
-    std::vector<std::uint8_t> pay[5];
-    std::uint64_t raw[5];
-    encodeColumn32(dec_idx.data(), n, pay[0]);
-    raw[0] = 4 * static_cast<std::uint64_t>(n);
-    encodeColumn32(result.data(), n, pay[1]);
-    raw[1] = raw[0];
-    encodeColumn64Raw(taken.data(), taken.size(), pay[2]);
-    raw[2] = 8 * static_cast<std::uint64_t>(taken.size());
-    encodeColumn32(mem_addr.data(), mem_ops, pay[3]);
-    raw[3] = 4 * static_cast<std::uint64_t>(mem_ops);
-    encodeColumn32(mem_data.data(), mem_ops, pay[4]);
-    raw[4] = raw[3];
-
-    std::vector<std::uint8_t> out;
-    putU32(out, getU32(h)); // magic
-    putU32(out, store::formatVersionLegacy);
-    putU64(out, n);
-    putU64(out, mem_ops);
-    putU64(out, getU64(h + 24)); // capture limit
-    putU32(out, getU32(h + 32)); // program fingerprint
-    putU32(out, getU32(h + 36)); // flags
-    putU32(out, getU32(h + 40)); // exit code
-    putU32(out, getU32(h + 44)); // stop reason
-    putU32(out, getU32(h + 48)); // lastNextPc
-    putU32(out, 5);              // column count
-    putU32(out, 0);              // reserved
-    putU32(out, crc32(0, out.data(), 60));
-    const std::size_t dir_start = out.size();
-    for (std::uint32_t c = 0; c < 5; ++c) {
-        putU32(out, c);
-        putU32(out, 0);
-        putU64(out, raw[c]);
-        putU64(out, pay[c].size());
-        putU32(out, crc32(0, pay[c].data(), pay[c].size()));
-        putU32(out, 0);
-    }
-    putU32(out, crc32(0, out.data() + dir_start, 5 * 32));
-    for (const auto &p : pay)
-        out.insert(out.end(), p.begin(), p.end());
-    return out;
-}
-
-/** Field-for-field digest of a replayed stream (order-sensitive). */
-std::uint32_t
-replayDigest(const cpu::TraceBuffer &trace)
-{
-    struct DigestSink : cpu::TraceSink
-    {
-        std::uint32_t crc = 0;
-
-        void
-        retire(const cpu::DynInstr &di) override
-        {
-            const std::uint32_t fields[8] = {
-                di.pc,           di.srcRs,
-                di.srcRt,        di.result,
-                di.memAddr,      di.memData,
-                di.taken ? 1u : 0u, di.nextPc};
-            crc = crc32(crc, fields, sizeof(fields));
-        }
-    } sink;
-    cpu::TraceView(trace).replay(sink);
-    return sink.crc;
-}
-
-TEST_F(StoreTest, LegacyV1SegmentLoadsReplaysAndUpgrades)
-{
-    const workloads::Workload w = workloads::Suite::build("rawdaudio");
-    const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
-    const TraceStore ts(dir());
-    ASSERT_TRUE(
-        ts.save("rawdaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
-    const std::string path = ts.segmentPath("rawdaudio");
-    const std::vector<std::uint8_t> v2 = readAll(path);
-    const std::uint32_t reference = replayDigest(t);
-
-    // Replace the segment with its version-1 form.
-    writeAll(path, buildLegacyV1Segment(v2, w.program));
-
-    // It must still verify, load, and replay bit-identically — the
-    // sidecar annex is rebuilt during the load.
-    EXPECT_TRUE(ts.verify("rawdaudio", &w.program));
-    std::string why;
-    bool legacy = false;
-    const auto loaded =
-        ts.load("rawdaudio", w.program,
-                cpu::TraceBuffer::defaultMaxInstrs, &why, &legacy);
-    ASSERT_NE(loaded, nullptr) << why;
-    EXPECT_TRUE(legacy);
-    EXPECT_EQ(replayDigest(*loaded), reference);
-
-    // A cache load upgrades the segment in place (write-through
-    // re-save in the current format), and the upgraded segment loads
-    // as current from then on.
-    TraceCache &cache = TraceCache::global();
-    cache.setCaptureLimit(cpu::TraceBuffer::defaultMaxInstrs);
+    TraceCache cache;
     cache.configureStore({dir(), 0, false});
-    cache.clear();
-    const std::uint64_t captures = cache.captures();
-    const std::uint64_t saves = cache.storeSaves();
-    const auto via_cache = cache.get("rawdaudio");
-    EXPECT_EQ(cache.captures(), captures) << "must load, not recapture";
-    EXPECT_EQ(cache.storeSaves(), saves + 1) << "must upgrade-save";
-    EXPECT_EQ(replayDigest(*via_cache), reference);
+    cache.get("rawdaudio");
+    const TraceStore ts(dir());
+    const std::string path = ts.segmentPath("rawdaudio");
 
-    const std::vector<std::uint8_t> upgraded = readAll(path);
-    ASSERT_GT(upgraded.size(), 64u);
-    // The upgrade re-save carries no derived annexes, so it lands on
-    // the annex-less current layout.
-    EXPECT_EQ(store::getU32(upgraded.data() + 4),
-              store::formatVersionNoAnnex);
+    // Re-stamp the segment as the previous version, header CRC intact.
+    std::vector<std::uint8_t> bytes = readAll(path);
+    bytes[4] = static_cast<std::uint8_t>(store::formatVersion - 1);
+    const std::uint32_t crc = crc32(0, bytes.data(), 60);
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[60 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    writeAll(path, bytes);
 
-    // Second cold load: current format, no further upgrade saves.
-    cache.clear();
-    const std::uint64_t saves2 = cache.storeSaves();
-    const auto again = cache.get("rawdaudio");
-    EXPECT_EQ(cache.storeSaves(), saves2);
-    EXPECT_EQ(replayDigest(*again), reference);
+    const workloads::Workload w = workloads::Suite::build("rawdaudio");
+    std::string why;
+    auto failure = store::LoadFailure::None;
+    EXPECT_EQ(ts.load("rawdaudio", w.program,
+                      cpu::TraceBuffer::defaultMaxInstrs, &why, &failure),
+              nullptr);
+    EXPECT_EQ(failure, store::LoadFailure::Stale) << why;
 
-    cache.configureStore({});
+    // A cold get() recaptures and overwrites it in the current
+    // format; nothing is quarantined.
     cache.clear();
+    cache.get("rawdaudio");
+    EXPECT_EQ(cache.captures(), 2u);
+    EXPECT_EQ(cache.storeSaves(), 2u);
+    EXPECT_EQ(cache.storeLoadFailures(), 0u);
+    EXPECT_EQ(store::getU32(readAll(path).data() + 4),
+              store::formatVersion);
 }
 
 TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
@@ -897,7 +699,7 @@ TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
               info.columns[5].rawBytes + 2);
 }
 
-// ---- SharedQuanta annexes (format version 3) -------------------------
+// ---- SharedQuanta annexes -------------------------------------------
 
 /**
  * Replay a pipeline over @p trace so a "quanta:<key>" SharedQuanta
@@ -1043,10 +845,6 @@ TEST_F(StoreTest, PersistAnnexesUpgradesSegmentOnce)
     cache.configureStore({dir(), 0, false});
     const auto trace = cache.get("rawdaudio");
     // Write-through at capture has nothing derived yet.
-    EXPECT_EQ(store::getU32(readAll(ts.segmentPath("rawdaudio"))
-                                .data() +
-                            4),
-              store::formatVersionNoAnnex);
     EXPECT_TRUE(ts.annexKeys("rawdaudio").empty());
 
     const std::string key = publishQuanta(*trace);

@@ -11,12 +11,13 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "analysis/trace_cache.h"
 #include "cpu/functional_core.h"
 #include "cpu/trace_buffer.h"
 #include "pipeline/runner.h"
+#include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -24,7 +25,8 @@ namespace sigcomp
 namespace
 {
 
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::StudyPlan;
 using analysis::TraceCache;
 using pipeline::Design;
 
@@ -129,9 +131,9 @@ TEST(TraceBuffer, ReplayedPipelineMatchesLiveRun)
     const workloads::Workload w = workloads::Suite::build("cjpeg");
     const auto cfg = analysis::suiteConfig();
 
-    auto live = pipeline::makePipeline(Design::ByteSerial, cfg);
-    pipeline::runPipelines(w.program, {live.get()});
-    const pipeline::PipelineResult lr = live->result();
+    auto direct = pipeline::makePipeline(Design::ByteSerial, cfg);
+    live::runPipelines(w.program, {direct.get()});
+    const pipeline::PipelineResult lr = direct->result();
 
     const cpu::TraceBuffer trace = cpu::TraceBuffer::capture(w.program);
     auto replay = pipeline::makePipeline(Design::ByteSerial, cfg);
@@ -222,74 +224,49 @@ TEST(TraceCache, MemoryBytesTracksCachedTraces)
 
 TEST(SimulateOnce, ThreeStudiesShareOneFunctionalPassPerWorkload)
 {
-    // The acceptance property: a process running an activity study,
-    // a CPI study, and a profiling pass performs exactly one
-    // functional simulation per workload.
-    analysis::suiteCompressor(); // profiling pass (captures on miss)
-    TraceCache &cache = TraceCache::global();
-    cache.clear();
-    const std::uint64_t before = cache.captures();
-
-    const auto activity = analysis::runActivityStudy(sig::Encoding::Ext3);
-    const auto cpi = analysis::runCpiStudy(
-        {Design::Baseline32, Design::ByteSerial}, analysis::suiteConfig());
+    // The acceptance property: a session running an activity study,
+    // a CPI study, and a profiling pass as three separate plans
+    // performs exactly one functional simulation per workload.
+    Session session;
+    const auto activity =
+        session.run(StudyPlan().activity(sig::Encoding::Ext3)).activity;
+    const auto cpi = session
+                         .run(StudyPlan().cpi(
+                             {Design::Baseline32, Design::ByteSerial},
+                             analysis::suiteConfig()))
+                         .cpi;
     analysis::PatternProfiler pat;
-    analysis::profileSuite({&pat});
+    session.run(StudyPlan().profile({&pat}));
 
-    EXPECT_EQ(cache.captures() - before,
+    EXPECT_EQ(session.cache().captures(), workloads::Suite::names().size());
+    EXPECT_EQ(activity.front().rows.size(),
               workloads::Suite::names().size());
-    EXPECT_EQ(activity.size(), workloads::Suite::names().size());
-    EXPECT_EQ(cpi.size(), workloads::Suite::names().size());
+    EXPECT_EQ(cpi.front().benchmarks.size(),
+              workloads::Suite::names().size());
     EXPECT_GT(pat.patterns().total(), 0u);
 }
 
 TEST(SimulateOnce, EvictAfterReplayRestoresTailOffBehaviour)
 {
-    TraceCache &cache = TraceCache::global();
-    cache.clear();
-    const std::uint64_t before = cache.captures();
+    Session session;
+    TraceCache &cache = session.cache();
 
     analysis::InstrMixProfiler mix;
-    analysis::profileSuite({&mix},
-                           StudyOptions{.evictAfterReplay = true});
+    session.run(StudyPlan().profile({&mix}).evictAfterReplay());
     // One capture each, nothing retained afterwards.
-    EXPECT_EQ(cache.captures() - before,
-              workloads::Suite::names().size());
+    EXPECT_EQ(cache.captures(), workloads::Suite::names().size());
     for (const std::string &name : workloads::Suite::names())
         EXPECT_FALSE(cache.contains(name)) << name;
     EXPECT_EQ(cache.memoryBytes(), 0u);
 
     // A later study recaptures from scratch.
     analysis::InstrMixProfiler mix2;
-    analysis::profileSuite({&mix2});
-    EXPECT_EQ(cache.captures() - before,
-              2 * workloads::Suite::names().size());
+    session.run(StudyPlan().profile({&mix2}));
+    EXPECT_EQ(cache.captures(), 2 * workloads::Suite::names().size());
     EXPECT_EQ(mix2.meanFetchBytes(), mix.meanFetchBytes());
 }
 
-// ---- bit-identity: cached replay vs direct execution -----------------
-
-void
-expectSameBits(const pipeline::BitPair &a, const pipeline::BitPair &b,
-               const char *what)
-{
-    EXPECT_EQ(a.compressed, b.compressed) << what;
-    EXPECT_EQ(a.baseline, b.baseline) << what;
-}
-
-void
-expectSameActivity(const pipeline::ActivityTotals &a,
-                   const pipeline::ActivityTotals &b)
-{
-    expectSameBits(a.fetch, b.fetch, "fetch");
-    expectSameBits(a.rfRead, b.rfRead, "rfRead");
-    expectSameBits(a.rfWrite, b.rfWrite, "rfWrite");
-    expectSameBits(a.alu, b.alu, "alu");
-    expectSameBits(a.dcData, b.dcData, "dcData");
-    expectSameBits(a.dcTag, b.dcTag, "dcTag");
-    expectSameBits(a.pcInc, b.pcInc, "pcInc");
-    expectSameBits(a.latch, b.latch, "latch");
-}
+// ---- bit-identity: cached replay vs the live oracle ------------------
 
 class BitIdentityAcrossEncodings
     : public ::testing::TestWithParam<sig::Encoding>
@@ -299,20 +276,15 @@ class BitIdentityAcrossEncodings
 TEST_P(BitIdentityAcrossEncodings, ActivityStudy)
 {
     const sig::Encoding enc = GetParam();
-    const auto direct = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 1, .useCache = false});
-    const auto cached_serial = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 1, .useCache = true});
-    const auto cached_parallel = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 4, .useCache = true});
-
-    ASSERT_EQ(cached_serial.size(), direct.size());
-    ASSERT_EQ(cached_parallel.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_EQ(cached_serial[i].benchmark, direct[i].benchmark);
-        expectSameActivity(cached_serial[i].activity, direct[i].activity);
-        expectSameActivity(cached_parallel[i].activity,
-                           direct[i].activity);
+    const auto direct = live::activityStudy(enc);
+    Session session;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        live::expectSameRows(
+            session.run(StudyPlan().activity(enc).threads(threads))
+                .activity.front()
+                .rows,
+            direct);
     }
 }
 
@@ -322,18 +294,13 @@ TEST_P(BitIdentityAcrossEncodings, CpiStudy)
     const auto designs = pipeline::allDesigns();
     const auto cfg = analysis::suiteConfig(enc);
 
-    const auto direct = analysis::runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 1, .useCache = false});
-    const auto cached = analysis::runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 4, .useCache = true});
-
-    ASSERT_EQ(cached.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_EQ(cached[i].benchmark, direct[i].benchmark);
-        EXPECT_TRUE(cached[i].cpi == direct[i].cpi) << direct[i].benchmark;
-        EXPECT_TRUE(cached[i].stalls == direct[i].stalls)
-            << direct[i].benchmark;
-    }
+    const auto direct = live::cpiStudy(designs, cfg);
+    Session session;
+    live::expectSameRows(
+        session.run(StudyPlan().cpi(designs, cfg).threads(4))
+            .cpi.front()
+            .rows(),
+        direct);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, BitIdentityAcrossEncodings,
@@ -349,14 +316,13 @@ TEST(BitIdentity, ProfilersMatchDirectExecution)
     analysis::PatternProfiler d_pat;
     analysis::InstrMixProfiler d_mix;
     analysis::PcProfiler d_pc;
-    analysis::profileSuite({&d_pat, &d_mix, &d_pc},
-                           StudyOptions{.threads = 1, .useCache = false});
+    live::profileSuite({&d_pat, &d_mix, &d_pc});
 
     analysis::PatternProfiler c_pat;
     analysis::InstrMixProfiler c_mix;
     analysis::PcProfiler c_pc;
-    analysis::profileSuite({&c_pat, &c_mix, &c_pc});
-
+    Session session;
+    session.run(StudyPlan().profile({&c_pat, &c_mix, &c_pc}));
     EXPECT_EQ(c_pat.patterns().raw(), d_pat.patterns().raw());
     EXPECT_EQ(c_pat.meanSignificantBytes(), d_pat.meanSignificantBytes());
     EXPECT_EQ(c_mix.functFreq().raw(), d_mix.functFreq().raw());
