@@ -126,6 +126,14 @@ cachedSuiteInstructions()
     return total;
 }
 
+/** Print one phase's line of the console report. */
+void
+printPhase(const Phase &p, int reps)
+{
+    std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of %d)\n",
+                p.name.c_str(), p.wallMs, p.mips(), reps);
+}
+
 /**
  * Wall-clock of @p fn: minimum over @p reps repetitions (noise
  * rejection on shared hosts), with @p setup re-run untimed before
@@ -148,8 +156,7 @@ timePhase(const std::string &name, DWord instructions, int reps,
     p.name = name;
     p.wallMs = best;
     p.instructions = instructions;
-    std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of %d)\n",
-                name.c_str(), p.wallMs, p.mips(), reps);
+    printPhase(p, reps);
     return p;
 }
 
@@ -274,7 +281,7 @@ runSequential(unsigned threads)
 
 /** One thread-count's worth of phases. */
 Run
-runAtThreads(unsigned threads, DWord max_instrs,
+runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
              const std::string &store_dir)
 {
     TraceCache &cache = Session::defaultSession().cache();
@@ -290,12 +297,9 @@ runAtThreads(unsigned threads, DWord max_instrs,
 
     // Phase 1: cold capture — one functional pass per workload,
     // fanned out across the executor.
-    Phase capture = timePhase(
-        "capture", 0, kReps, [&] { cache.clear(); },
-        [&] { cache.prewarm(names, exec); });
-    const DWord suite_instrs = cachedSuiteInstructions();
-    capture.instructions = suite_instrs;
-    run.phases.push_back(capture);
+    run.phases.push_back(timePhase(
+        "capture", suite_instrs, kReps, [&] { cache.clear(); },
+        [&] { cache.prewarm(names, exec); }));
 
     // Phase 2: cached replay — the suite's whole retirement stream
     // through the three characterisation profilers, no simulation.
@@ -366,7 +370,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
         // this pair is a CI gate, not just a report.
         Phase seq;
         seq.name = "multi_study_sequential";
-        seq.instructions = 3 * suite_instrs;
+        seq.instructions = suite_instrs;
         seq.wallMs = 1e300;
         Phase fused;
         fused.name = "multi_study_fused";
@@ -384,10 +388,8 @@ runAtThreads(unsigned threads, DWord max_instrs,
             fused.wallMs =
                 std::min(fused.wallMs, (nowSeconds() - t0) * 1e3);
         }
-        std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of 5)\n",
-                    seq.name.c_str(), seq.wallMs, seq.mips());
-        std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of 5)\n",
-                    fused.name.c_str(), fused.wallMs, fused.mips());
+        printPhase(seq, 5);
+        printPhase(fused, 5);
         run.phases.push_back(seq);
         run.phases.push_back(fused);
         run.fusedSpeedup = seq.wallMs / fused.wallMs;
@@ -437,10 +439,8 @@ runAtThreads(unsigned threads, DWord max_instrs,
             off.wallMs = std::min(off.wallMs, (nowSeconds() - t0) * 1e3);
         }
         telemetry::setEnabled(was_enabled);
-        std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of 5)\n",
-                    on.name.c_str(), on.wallMs, on.mips());
-        std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of 5)\n",
-                    off.name.c_str(), off.wallMs, off.mips());
+        printPhase(on, 5);
+        printPhase(off, 5);
         run.phases.push_back(on);
         run.phases.push_back(off);
         run.telemetryOverhead = on.wallMs / off.wallMs;
@@ -479,7 +479,7 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
         std::exit(1);
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v6\",\n");
+    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v7\",\n");
     std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                  simd::simdLevelName(simd::activeSimdLevel()));
     std::fprintf(f, "  \"max_instrs\": %llu,\n",
@@ -630,9 +630,9 @@ main(int argc, char **argv)
         }
     }
 
-    bench::banner("suite timing: capture vs cached replay vs trace store",
-                  "engine baseline (no paper figure); "
-                  "simulate-once architecture + persistent store tier");
+    std::printf("suite timing: capture vs cached replay vs trace store "
+                "(engine baseline; simulate-once architecture + "
+                "persistent store tier)\n");
     std::printf("simd dispatch: %s (detected %s)\n",
                 simd::simdLevelName(simd::activeSimdLevel()),
                 simd::simdLevelName(simd::detectedSimdLevel()));
@@ -651,15 +651,18 @@ main(int argc, char **argv)
         cache.setCaptureLimit(max_instrs);
 
     // Build the suite-profiled compressor up front from throwaway
-    // captures so no phase below times its one-off construction.
+    // captures so no phase below times its one-off construction, and
+    // count the suite's trace instructions: every phase's
+    // `instructions` (and so its Minstr/s) is this one number.
     analysis::suiteCompressor();
+    const DWord suite_instrs = cachedSuiteInstructions();
     cache.clear();
 
     std::vector<Run> runs;
     for (const unsigned threads : thread_list)
-        runs.push_back(runAtThreads(threads, max_instrs, store_dir));
+        runs.push_back(
+            runAtThreads(threads, max_instrs, suite_instrs, store_dir));
 
-    const DWord suite_instrs = runs.front().phases.front().instructions;
     writeJson(out, max_instrs, suite_instrs, store_dir, runs, kernels);
 
     if (check) {

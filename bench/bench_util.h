@@ -1,19 +1,15 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction harnesses.
+ * Shared benchmark inputs.
  */
 
 #ifndef SIGCOMP_BENCH_BENCH_UTIL_H_
 #define SIGCOMP_BENCH_BENCH_UTIL_H_
 
-#include <cstdio>
-#include <iostream>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "analysis/session.h"
 #include "common/rng.h"
-#include "common/table.h"
 #include "common/types.h"
 
 namespace sigcomp::bench
@@ -47,43 +43,6 @@ operandMix(std::size_t n, std::uint64_t seed = 42)
             v = r; // wide
     }
     return vs;
-}
-
-/**
- * Run @p plan on the default Session — the one suiteConfig() profiled
- * the suite on — so a reproduction binary captures each workload once.
- */
-inline analysis::SuiteReport
-runPlan(const analysis::StudyPlan &plan)
-{
-    return analysis::Session::defaultSession().run(plan);
-}
-
-/** Print a banner naming the experiment and its paper reference. */
-inline void
-banner(const std::string &title, const std::string &paper_ref)
-{
-    std::printf("================================================="
-                "=============================\n");
-    std::printf("%s\n", title.c_str());
-    std::printf("reproduces: %s\n", paper_ref.c_str());
-    std::printf("================================================="
-                "=============================\n");
-}
-
-/** Print one table with a caption. */
-inline void
-printTable(const std::string &caption, const TextTable &t)
-{
-    std::printf("\n-- %s --\n", caption.c_str());
-    std::cout << t.toString();
-}
-
-/** Print a paper-vs-measured note line. */
-inline void
-note(const std::string &text)
-{
-    std::printf("note: %s\n", text.c_str());
 }
 
 } // namespace sigcomp::bench

@@ -90,6 +90,6 @@ main(int argc, char **argv)
     std::printf("\nreading: 'CPI x energy' < 1.0 means the design "
                 "beats the 32-bit baseline on the energy-delay "
                 "trade-off even before clock scaling (see "
-                "bench_ablation_clock).\n");
+                "the clock-scaling ablation in bench_paper).\n");
     return 0;
 }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/sha256.h"
 #include "mem/hierarchy.h"
@@ -893,19 +894,6 @@ parsePlanJson(std::string_view json, StudyPlan *out, PlanError *error)
 namespace
 {
 
-void
-writeJsonStringTo(std::FILE *f, const std::string &s)
-{
-    std::fputc('"', f);
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            std::fprintf(f, "\\%c", c);
-        else
-            std::fputc(c, f);
-    }
-    std::fputc('"', f);
-}
-
 /** %.17g round-trips every finite IEEE-754 double through strtod. */
 void
 writeDouble(std::FILE *f, double v)
@@ -1011,7 +999,7 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
     std::fprintf(f, "  \"workloads\": [");
     for (std::size_t i = 0; i < plan.workloads_.size(); ++i) {
         std::fprintf(f, "%s", i ? ", " : "");
-        writeJsonStringTo(f, plan.workloads_[i]);
+        json::writeString(f, plan.workloads_[i]);
     }
     std::fprintf(f, "],\n");
     if (plan.hasThreads_)

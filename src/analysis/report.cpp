@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace sigcomp::analysis
@@ -83,22 +84,6 @@ writeActivityTotalsJson(std::FILE *f, const pipeline::ActivityTotals &a,
     std::fprintf(f, "\n%s}", indent);
 }
 
-/** Minimal JSON string escape (quotes, backslash, control bytes). */
-void
-writeJsonString(std::FILE *f, const std::string &s)
-{
-    std::fputc('"', f);
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            std::fprintf(f, "\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            std::fprintf(f, "\\u%04x", c);
-        else
-            std::fputc(c, f);
-    }
-    std::fputc('"', f);
-}
-
 /**
  * The run's metrics delta, on ONE line: the fault tests strip the
  * telemetry block line-wise to compare study bytes across runs whose
@@ -119,7 +104,7 @@ writeTelemetryJson(std::FILE *f, const telemetry::Snapshot &snap)
             m.unit == telemetry::Unit::Nanos)
             continue;
         std::fprintf(f, "%s", first ? "" : ", ");
-        writeJsonString(f, m.name);
+        json::writeString(f, m.name);
         std::fprintf(f, ": %llu",
                      static_cast<unsigned long long>(m.value));
         first = false;
@@ -131,7 +116,7 @@ writeTelemetryJson(std::FILE *f, const telemetry::Snapshot &snap)
             m.unit == telemetry::Unit::Nanos)
             continue;
         std::fprintf(f, "%s{\"name\": ", first ? "" : ", ");
-        writeJsonString(f, m.name);
+        json::writeString(f, m.name);
         std::fprintf(f,
                      ", \"unit\": \"%s\", \"count\": %llu, "
                      "\"sum\": %llu, \"buckets\": [",
@@ -188,11 +173,11 @@ SuiteReport::writeJson(std::FILE *f) const
                  cancelled ? "true" : "false",
                  deadlineExceeded ? "true" : "false",
                  rejected ? "true" : "false");
-    writeJsonString(f, rejectReason);
+    json::writeString(f, rejectReason);
     std::fprintf(f, ", \"degradations\": [");
     for (std::size_t i = 0; i < degradations.size(); ++i) {
         std::fprintf(f, "%s", i ? ", " : "");
-        writeJsonString(f, degradations[i]);
+        json::writeString(f, degradations[i]);
     }
     std::fprintf(f, "]},\n");
     writeTelemetryJson(f, telemetry);

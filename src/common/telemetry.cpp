@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace sigcomp
@@ -267,16 +268,6 @@ tlsBuffer()
     return slot.buf.get();
 }
 
-void
-appendEscaped(std::FILE *f, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            std::fputc('\\', f);
-        std::fputc(c, f);
-    }
-}
-
 } // namespace
 
 namespace detail
@@ -360,10 +351,10 @@ writeTrace(std::FILE *f)
         if (!buf->name.empty()) {
             std::fprintf(f,
                          "%s{\"ph\": \"M\", \"pid\": 1, \"tid\": %llu, "
-                         "\"name\": \"thread_name\", \"args\": {\"name\": \"",
+                         "\"name\": \"thread_name\", \"args\": {\"name\": ",
                          first ? "" : ",\n", tid);
-            appendEscaped(f, buf->name);
-            std::fputs("\"}}", f);
+            json::writeString(f, buf->name);
+            std::fputs("}}", f);
             first = false;
         }
         const std::uint32_t n = buf->count.load(std::memory_order_acquire);

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "analysis/plan_json.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/sha256.h"
 #include "store/trace_store.h"
@@ -32,25 +33,6 @@ validTenant(std::string_view tenant)
             return false;
     }
     return true;
-}
-
-/** JSON string escape for the error/stats writers (ASCII payloads). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -505,9 +487,9 @@ Daemon::respondError(const std::shared_ptr<net::Conn> &conn,
     body += "\",\n  \"status\": ";
     body += std::to_string(status);
     body += ",\n  \"kind\": \"";
-    body += jsonEscape(kind);
+    json::appendEscaped(body, kind);
     body += "\",\n  \"message\": \"";
-    body += jsonEscape(message);
+    json::appendEscaped(body, message);
     body += "\"\n}\n";
     respond(conn, status, "application/json", body);
 }
@@ -519,7 +501,7 @@ Daemon::statszJson() const
     out += "{\n  \"schema\": \"";
     out += kStatsSchemaId;
     out += "\",\n  \"store_fingerprint\": \"";
-    out += jsonEscape(storeFingerprint_);
+    json::appendEscaped(out, storeFingerprint_);
     out += "\",\n  \"tenants\": ";
     {
         MutexLock lock(tenantsMu_);
@@ -534,7 +516,7 @@ Daemon::statszJson() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"";
-        out += jsonEscape(m.name);
+        json::appendEscaped(out, m.name);
         out += "\": ";
         out += m.kind == telemetry::Kind::Counter
                    ? std::to_string(m.value)

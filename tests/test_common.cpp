@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the common library: bit utilities, stats, RNG,
- * table writer.
+ * table writer, JSON string escaper.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitutil.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -205,6 +206,33 @@ TEST(Table, FormatFixed)
     EXPECT_EQ(formatFixed(1.005, 2), "1.00"); // printf rounding
     EXPECT_EQ(formatFixed(2.0, 0), "2");
     EXPECT_EQ(formatFixed(-1.5, 1), "-1.5");
+}
+
+TEST(Json, EscapesQuoteBackslashAndControlBytes)
+{
+    std::string out = "prefix:";
+    json::appendEscaped(out, std::string_view("a\"b\\c\n\t\x1f\0d", 10));
+    EXPECT_EQ(out, "prefix:a\\\"b\\\\c\\u000a\\u0009\\u001f\\u0000d");
+}
+
+TEST(Json, PassesPrintableAndHighBytesThrough)
+{
+    std::string out;
+    json::appendEscaped(out, "plain /text\x7f\xc3\xa9");
+    EXPECT_EQ(out, "plain /text\x7f\xc3\xa9");
+}
+
+TEST(Json, WriteStringQuotes)
+{
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    json::writeString(f, "say \"hi\"\r");
+    json::writeString(f, "");
+    std::rewind(f);
+    char buf[64] = {};
+    const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+    std::fclose(f);
+    EXPECT_EQ(std::string(buf, n), "\"say \\\"hi\\\"\\u000d\"\"\"");
 }
 
 } // namespace

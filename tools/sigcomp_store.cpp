@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "analysis/session.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/simd.h"
 #include "common/table.h"
@@ -317,22 +318,6 @@ cmdGc(const Options &opt)
     return 0;
 }
 
-/** Minimal JSON string escape (quotes, backslash, control bytes). */
-void
-printJsonString(std::FILE *f, const std::string &s)
-{
-    std::fputc('"', f);
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            std::fprintf(f, "\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            std::fprintf(f, "\\u%04x", c);
-        else
-            std::fputc(c, f);
-    }
-    std::fputc('"', f);
-}
-
 int
 cmdDoctor(const Options &opt)
 {
@@ -397,17 +382,17 @@ cmdDoctor(const Options &opt)
     }
     std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-doctor-v1\",\n");
     std::fprintf(f, "  \"dir\": ");
-    printJsonString(f, opt.dir);
+    json::writeString(f, opt.dir);
     std::fprintf(f, ",\n  \"segments\": %zu,\n", names.size());
     std::fprintf(f, "  \"healthy\": %zu,\n", healthy);
     std::fprintf(f, "  \"quarantined\": [");
     for (std::size_t i = 0; i < findings.size(); ++i) {
         std::fprintf(f, "%s\n    {\"workload\": ", i ? "," : "");
-        printJsonString(f, findings[i].workload);
+        json::writeString(f, findings[i].workload);
         std::fprintf(f, ", \"why\": ");
-        printJsonString(f, findings[i].why);
+        json::writeString(f, findings[i].why);
         std::fprintf(f, ", \"quarantined_as\": ");
-        printJsonString(f, findings[i].quarantinedAs);
+        json::writeString(f, findings[i].quarantinedAs);
         std::fprintf(f, ", \"ok\": %s}",
                      findings[i].quarantinedAs.empty() ? "false" : "true");
     }
