@@ -64,6 +64,7 @@ namespace
 
 using namespace sigcomp;
 using analysis::Session;
+using analysis::SessionConfig;
 using analysis::StudyPlan;
 using analysis::TraceCache;
 
@@ -113,16 +114,15 @@ struct Run
     }
 };
 
-/** Total instructions currently cached (one full suite pass). */
+/** Total instructions of one full suite pass under @p config. */
 DWord
-cachedSuiteInstructions()
+suiteInstructions(const SessionConfig &config)
 {
+    Session session(config);
+    session.prewarm(workloads::Suite::names());
     DWord total = 0;
     for (const std::string &name : workloads::Suite::names())
-        total += Session::defaultSession()
-                     .trace(name)
-                     ->runResult()
-                     .instructions;
+        total += session.trace(name)->runResult().instructions;
     return total;
 }
 
@@ -251,13 +251,12 @@ measureKernels()
 
 /** The three characterisation profilers over the whole suite. */
 void
-runProfilers(unsigned threads)
+runProfilers(Session &session)
 {
     analysis::PatternProfiler pat;
     analysis::InstrMixProfiler mix;
     analysis::PcProfiler pc;
-    Session::defaultSession().run(
-        StudyPlan().profile({&pat, &mix, &pc}).threads(threads));
+    session.run(StudyPlan().profile({&pat, &mix, &pc}));
 }
 
 /**
@@ -268,30 +267,34 @@ runProfilers(unsigned threads)
  * activity study replays (later plans ride earlier plans' records).
  */
 void
-runSequential(unsigned threads)
+runSequential(Session &session)
 {
-    Session &session = Session::defaultSession();
-    session.run(StudyPlan()
-                    .cpi(pipeline::allDesigns(), analysis::suiteConfig())
-                    .threads(threads));
-    session.run(
-        StudyPlan().activity(sig::Encoding::Ext3).threads(threads));
-    runProfilers(threads);
+    session.run(StudyPlan().cpi(pipeline::allDesigns(),
+                                analysis::suiteConfig()));
+    session.run(StudyPlan().activity(sig::Encoding::Ext3));
+    runProfilers(session);
 }
 
-/** One thread-count's worth of phases. */
+/**
+ * One thread-count's worth of phases, on a Session built for
+ * @p config (and, for the store phases, a second one that adds
+ * @p store_dir).
+ */
 Run
-runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
+runAtThreads(const SessionConfig &config, DWord suite_instrs,
              const std::string &store_dir)
 {
-    TraceCache &cache = Session::defaultSession().cache();
+    Session session(config);
+    TraceCache &cache = session.cache();
+    ParallelExecutor &exec = session.executor();
     const std::vector<std::string> &names = workloads::Suite::names();
-    ParallelExecutor exec(threads == 0 ? 0 : threads);
 
     Run run;
     run.threads = exec.threadCount();
     std::printf("\nthreads=%u%s\n\n", exec.threadCount(),
-                max_instrs ? " (capped capture)" : "");
+                config.captureLimit != cpu::TraceBuffer::defaultMaxInstrs
+                    ? " (capped capture)"
+                    : "");
 
     constexpr int kReps = 3;
 
@@ -305,14 +308,14 @@ runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
     // through the three characterisation profilers, no simulation.
     run.phases.push_back(timePhase(
         "cached_replay_profilers", suite_instrs, kReps, [] {},
-        [&] { runProfilers(threads); }));
+        [&] { runProfilers(session); }));
 
     // Phase 3: recapture — what the same profiling pass costs when
     // the trace has to be captured again (cache cold).
     run.phases.push_back(timePhase(
         "recapture_profilers", suite_instrs, kReps,
         [&] { cache.clear(); },
-        [&] { runProfilers(threads); }));
+        [&] { runProfilers(session); }));
 
     // Phases 4/5: the persistent store tier. Cold store = capture
     // plus significance-compressed write-through; warm store = a
@@ -320,25 +323,24 @@ runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
     // trace streamed back off disk, zero functional simulation).
     if (!store_dir.empty()) {
         run.hasStore = true;
-        cache.configureStore({store_dir});
+        SessionConfig stored = config;
+        stored.storeDir = store_dir;
+        Session store_session(stored);
 
         run.phases.push_back(timePhase(
             "store_cold_capture_save", suite_instrs, kReps,
             [&] {
-                cache.clear();
+                store_session.cache().clear();
                 const store::TraceStore ts(store_dir);
                 for (const std::string &name : ts.list())
                     ts.remove(name);
             },
-            [&] { runProfilers(threads); }));
+            [&] { runProfilers(store_session); }));
 
         run.phases.push_back(timePhase(
             "store_warm_load_replay", suite_instrs, kReps,
-            [&] { cache.clear(); },
-            [&] { runProfilers(threads); }));
-
-        // Detach so later phases/records measure the RAM-only tiers.
-        cache.configureStore({});
+            [&] { store_session.cache().clear(); },
+            [&] { runProfilers(store_session); }));
     }
 
     // Phases 6/7: the same three studies (full-design-space CPI +
@@ -360,9 +362,8 @@ runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
             analysis::StudyPlan plan;
             plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
                 .activity(sig::Encoding::Ext3)
-                .profile({&pat, &mix, &pc})
-                .threads(threads);
-            (void)Session::defaultSession().run(plan);
+                .profile({&pat, &mix, &pc});
+            (void)session.run(plan);
         };
         // Interleaved repetitions (seq, fused, seq, fused, ...), min
         // of each: a host-noise burst then degrades both sides
@@ -379,7 +380,7 @@ runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
         for (int r = 0; r < 5; ++r) {
             warm();
             double t0 = nowSeconds();
-            runSequential(threads);
+            runSequential(session);
             seq.wallMs =
                 std::min(seq.wallMs, (nowSeconds() - t0) * 1e3);
             warm();
@@ -431,11 +432,11 @@ runAtThreads(unsigned threads, DWord max_instrs, DWord suite_instrs,
         for (int r = 0; r < 5; ++r) {
             telemetry::setEnabled(true);
             double t0 = nowSeconds();
-            runProfilers(threads);
+            runProfilers(session);
             on.wallMs = std::min(on.wallMs, (nowSeconds() - t0) * 1e3);
             telemetry::setEnabled(false);
             t0 = nowSeconds();
-            runProfilers(threads);
+            runProfilers(session);
             off.wallMs = std::min(off.wallMs, (nowSeconds() - t0) * 1e3);
         }
         telemetry::setEnabled(was_enabled);
@@ -646,22 +647,24 @@ main(int argc, char **argv)
                                          : 0.0);
     }
 
-    TraceCache &cache = Session::defaultSession().cache();
+    SessionConfig config;
     if (max_instrs != 0)
-        cache.setCaptureLimit(max_instrs);
+        config.captureLimit = max_instrs;
 
-    // Build the suite-profiled compressor up front from throwaway
-    // captures so no phase below times its one-off construction, and
-    // count the suite's trace instructions: every phase's
-    // `instructions` (and so its Minstr/s) is this one number.
+    // Build the suite-profiled compressor up front (on the default
+    // session, then drop its traces) so no phase below times its
+    // one-off construction, and count the suite's trace instructions:
+    // every phase's `instructions` (and so its Minstr/s) is this one
+    // number.
     analysis::suiteCompressor();
-    const DWord suite_instrs = cachedSuiteInstructions();
-    cache.clear();
+    Session::defaultSession().cache().clear();
+    const DWord suite_instrs = suiteInstructions(config);
 
     std::vector<Run> runs;
-    for (const unsigned threads : thread_list)
-        runs.push_back(
-            runAtThreads(threads, max_instrs, suite_instrs, store_dir));
+    for (const unsigned threads : thread_list) {
+        config.threads = threads;
+        runs.push_back(runAtThreads(config, suite_instrs, store_dir));
+    }
 
     writeJson(out, max_instrs, suite_instrs, store_dir, runs, kernels);
 

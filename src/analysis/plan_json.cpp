@@ -19,7 +19,7 @@ namespace sigcomp::analysis
 namespace
 {
 
-constexpr char kSchemaId[] = "sigcomp-study-plan-v1";
+constexpr char kSchemaId[] = "sigcomp-study-plan-v2";
 
 // ---- enum name lookups (inverses of the *Name() helpers) ------------
 
@@ -839,13 +839,6 @@ parsePlanJson(std::string_view json, StudyPlan *out, PlanError *error)
                 plan.workloads(std::move(names));
             return true;
         }
-        if (key == "threads") {
-            std::uint64_t v = 0;
-            if (!r.parseU64(&v, kMaxPlanThreads, "threads"))
-                return false;
-            plan.threads(static_cast<unsigned>(v));
-            return true;
-        }
         if (key == "evict_after_replay") {
             bool v = false;
             if (!r.parseBool(&v))
@@ -915,17 +908,12 @@ bool
 writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
 {
     SC_ASSERT(out != nullptr, "writePlanJson needs an output string");
-    // Process-local state the v1 wire cannot express. Refusing here
+    // Process-local state the wire cannot express. Refusing here
     // is what makes the round-trip guarantee unconditional.
     if (!plan.sinks_.empty()) {
         return serializeFail(error, PlanErrorKind::Unsupported,
                              "profiler sinks are process-local "
                              "pointers and cannot be serialized");
-    }
-    if (!plan.traceFile_.empty()) {
-        return serializeFail(error, PlanErrorKind::Unsupported,
-                             "trace-file paths are process-local and "
-                             "cannot be serialized");
     }
     if (plan.cancel_.canStop()) {
         return serializeFail(error, PlanErrorKind::Unsupported,
@@ -981,10 +969,6 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
                                  "wire caps");
         }
     }
-    if (plan.hasThreads_ && plan.threads_ > kMaxPlanThreads) {
-        return serializeFail(error, PlanErrorKind::OutOfRange,
-                             "threads exceeds the wire cap");
-    }
     if (plan.hasDeadline_ && plan.deadlineMs_ > kMaxPlanDeadlineMs) {
         return serializeFail(error, PlanErrorKind::OutOfRange,
                              "deadline_ms exceeds the wire cap");
@@ -1002,8 +986,6 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
         json::writeString(f, plan.workloads_[i]);
     }
     std::fprintf(f, "],\n");
-    if (plan.hasThreads_)
-        std::fprintf(f, "  \"threads\": %u,\n", plan.threads_);
     std::fprintf(f, "  \"evict_after_replay\": %s,\n",
                  plan.evictAfterReplay_ ? "true" : "false");
     if (plan.hasDeadline_) {
@@ -1117,8 +1099,6 @@ planEquals(const StudyPlan &a, const StudyPlan &b)
     // The cancel token is deliberately NOT compared: it is a runtime
     // handle to live process state, not plan data.
     return a.sinks_ == b.sinks_ && a.workloads_ == b.workloads_ &&
-           a.traceFile_ == b.traceFile_ && a.threads_ == b.threads_ &&
-           a.hasThreads_ == b.hasThreads_ &&
            a.evictAfterReplay_ == b.evictAfterReplay_ &&
            a.deadlineMs_ == b.deadlineMs_ &&
            a.hasDeadline_ == b.hasDeadline_;

@@ -4,7 +4,7 @@
  *
  * A SuiteReport travels OUT of the engine as JSON (analysis/report.h);
  * this is the inverse direction — a StudyPlan travelling IN, schema
- * "sigcomp-study-plan-v1". Unlike the report serializer, the parser
+ * "sigcomp-study-plan-v2". Unlike the report serializer, the parser
  * faces UNTRUSTED input: it is strict (exact schema, no unknown
  * fields, no duplicate keys, hard caps on every count, string length
  * and nesting depth), classifies every failure into the PlanErrorKind
@@ -16,17 +16,20 @@
  * fuzz harness): for any plan P that writePlanJson accepts,
  * parsePlanJson(writePlanJson(P)) succeeds and the result satisfies
  * planEquals with P. Plans carrying process-local state — profiler
- * sink pointers, a trace-file path, a live cancellation token, or a
- * non-default memory hierarchy (not wire-expressible in v1) — are
- * refused by the SERIALIZER with Unsupported, so nothing that parses
- * was lossy to write.
+ * sink pointers, a live cancellation token, or a non-default memory
+ * hierarchy (not wire-expressible) — are refused by the SERIALIZER
+ * with Unsupported, so nothing that parses was lossy to write.
+ *
+ * A plan says WHICH studies to run, never HOW: thread count, tracing
+ * and the trace store belong to the executing Session (SessionConfig),
+ * so the wire has no execution keys. v2 dropped v1's "threads"
+ * override; a document carrying it fails with UnknownField.
  *
  * Wire shape (stable key order as emitted):
  *
  *   {
- *     "schema": "sigcomp-study-plan-v1",
+ *     "schema": "sigcomp-study-plan-v2",
  *     "workloads": ["rawcaudio", ...],        // [] = full suite
- *     "threads": 4,                           // only when overridden
  *     "evict_after_replay": false,
  *     "deadline_ms": 5000,                    // only when set
  *     "activity": [{"encoding": "ext3"}, ...],
@@ -75,7 +78,7 @@ enum class PlanErrorKind : std::uint8_t
     /**
      * Valid but not expressible: unknown schema version, non-ASCII
      * text, or (on serialize) process-local plan state — profiler
-     * sinks, trace files, live cancel tokens, custom hierarchies.
+     * sinks, live cancel tokens, custom hierarchies.
      */
     Unsupported,
 };
@@ -99,7 +102,7 @@ struct PlanError
 // ---- hard caps (all enforced with OutOfRange) -----------------------
 /** Whole-document size cap. */
 constexpr std::size_t kMaxPlanJsonBytes = 1 << 20;
-/** Bracket/brace nesting cap (the v1 grammar needs only 5). */
+/** Bracket/brace nesting cap (the grammar needs only 5). */
 constexpr std::size_t kMaxPlanJsonDepth = 12;
 /** Cap on any single string value. */
 constexpr std::size_t kMaxPlanStringBytes = 128;
@@ -111,8 +114,6 @@ constexpr std::size_t kMaxPlanStudies = 32;
 constexpr std::size_t kMaxPlanDesigns = 32;
 /** Cap on compressor_ranking entries (funct values are 6-bit). */
 constexpr std::size_t kMaxPlanRankingEntries = 64;
-/** Cap on the threads override. */
-constexpr std::uint64_t kMaxPlanThreads = 1024;
 /** Cap on deadline_ms (~11.5 days; anything longer is a typo). */
 constexpr std::uint64_t kMaxPlanDeadlineMs = 1000000000;
 /** Cap on mult_cycles/div_cycles. */
@@ -133,17 +134,17 @@ bool parsePlanJson(std::string_view json, StudyPlan *out,
 
 /**
  * Serialize @p plan. Returns false with Unsupported when the plan
- * carries state the v1 wire cannot express (profiler sinks, a trace
- * file, a live cancel token, a non-default memory hierarchy); @p out
- * is untouched on failure.
+ * carries state the wire cannot express (profiler sinks, a live
+ * cancel token, a non-default memory hierarchy); @p out is untouched
+ * on failure.
  */
 bool writePlanJson(const StudyPlan &plan, std::string *out,
                    PlanError *error);
 
 /**
  * Semantic plan equality — the round-trip oracle. Compares every
- * plan field including builder-tracking flags (hasThreads, deadline)
- * and the compressor ranking, EXCEPT the cancellation token, which
+ * plan field including the deadline builder-tracking flag and the
+ * compressor ranking, EXCEPT the cancellation token, which
  * is a process-local runtime handle, not plan data.
  */
 bool planEquals(const StudyPlan &a, const StudyPlan &b);
@@ -156,8 +157,8 @@ bool planEquals(const StudyPlan &a, const StudyPlan &b);
  * wire-expressible; the daemon keys its in-flight dedupe and report
  * cache on this. Like planEquals, the cancellation token is ignored
  * (a runtime handle, not plan content). Returns false with @p error
- * set when the plan is not wire-expressible (sinks, trace file,
- * custom hierarchy); @p hex is untouched on failure.
+ * set when the plan is not wire-expressible (sinks, custom
+ * hierarchy); @p hex is untouched on failure.
  */
 bool planFingerprint(const StudyPlan &plan, std::string *hex,
                      PlanError *error);

@@ -30,23 +30,20 @@ nowMs()
 
 } // namespace
 
-Session::Session(SessionConfig config) : config_(std::move(config))
+Session::Session(SessionConfig config)
+    : config_(std::move(config)),
+      cache_({.storeDir = config_.storeDir,
+              .spillBudgetBytes = config_.spillBudgetBytes,
+              .readOnly = config_.readOnly,
+              .durableSaves = config_.durableSaves,
+              .env = config_.env,
+              .captureLimit = config_.captureLimit})
 {
     SC_ASSERT(!(config_.readOnly && config_.storeDir.empty()),
               "SessionConfig.readOnly requires storeDir: a read-only "
               "session needs a store to read from");
     if (config_.threads != 0)
         exec_ = std::make_unique<ParallelExecutor>(config_.threads);
-    if (!config_.storeDir.empty()) {
-        cache_.configureStore({config_.storeDir,
-                               config_.spillBudgetBytes,
-                               config_.readOnly, config_.durableSaves,
-                               config_.env});
-    } else if (config_.spillBudgetBytes != 0) {
-        cache_.setSpillBudget(config_.spillBudgetBytes);
-    }
-    if (config_.captureLimit != cpu::TraceBuffer::defaultMaxInstrs)
-        cache_.setCaptureLimit(config_.captureLimit);
 }
 
 Session &
@@ -201,14 +198,6 @@ Session::run(const StudyPlan &plan)
         return rep;
     }
 
-    // A plan-level trace file opens its own tracing window unless the
-    // process is already tracing (SIGCOMP_TRACE), in which case this
-    // run just contributes spans to the ambient session.
-    const bool started_tracing =
-        !plan.traceFile_.empty() && !telemetry::tracingActive();
-    if (started_tracing)
-        telemetry::startTracing();
-
     SuiteReport rep;
     try {
         SIGCOMP_SPAN("session.run");
@@ -224,17 +213,6 @@ Session::run(const StudyPlan &plan)
     }
     if (verdict == Admission::Admitted)
         releaseSlot();
-    // The root span must close before the buffers are serialised,
-    // or the trace would miss its own enclosing interval.
-    if (!plan.traceFile_.empty()) {
-        if (started_tracing)
-            telemetry::stopTracing();
-        std::string why;
-        if (!telemetry::writeTrace(plan.traceFile_, &why)) {
-            SC_WARN("failed to write trace file '", plan.traceFile_,
-                    "': ", why);
-        }
-    }
     return rep;
 }
 
@@ -267,16 +245,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     rep.workloads = names;
     rep.profileSinks = plan.sinks_.size();
 
-    // Executor for this run: the plan's override or the session's.
-    std::unique_ptr<ParallelExecutor> scoped;
-    ParallelExecutor *exec = &executor();
-    if (plan.hasThreads_ && plan.threads_ != 0) {
-        scoped = std::make_unique<ParallelExecutor>(plan.threads_);
-        exec = scoped.get();
-    } else if (plan.hasThreads_) {
-        exec = &ParallelExecutor::global();
-    }
-    rep.threads = exec->threadCount();
+    ParallelExecutor &exec = executor();
+    rep.threads = exec.threadCount();
 
     if (!plan.hasStudies() || names.empty()) {
         stampOutcome(rep);
@@ -401,11 +371,11 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // sequentially (capture still fans out via prewarm); plans with
     // pipelines only fan whole workloads across the executor.
     const bool parallel_replay =
-        plan.sinks_.empty() && exec->threadCount() > 1;
-    if (exec->threadCount() > 1 && !cancelRequested(cancel))
-        cache_.prewarm(names, *exec, cancel);
+        plan.sinks_.empty() && exec.threadCount() > 1;
+    if (exec.threadCount() > 1 && !cancelRequested(cancel))
+        cache_.prewarm(names, exec, cancel);
     if (parallel_replay) {
-        exec->parallelFor(names.size(), runOne, cancel);
+        exec.parallelFor(names.size(), runOne, cancel);
     } else {
         for (std::size_t i = 0; i < names.size(); ++i) {
             if (cancelRequested(cancel))

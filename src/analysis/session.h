@@ -7,8 +7,10 @@
  * A Session gives two guarantees:
  *
  *  - **Isolation.** Each Session owns its cache, store binding,
- *    spill budget and capture limit; any number coexist in one
+ *    spill budget, capture limit and thread count, all fixed by its
+ *    SessionConfig at construction; any number coexist in one
  *    process without cross-talk (per-tenant, per-test, per-store).
+ *    A StudyPlan only says which studies to run, never how.
  *  - **One fused replay pass.** Session::run(StudyPlan) executes
  *    every registered study — activity, CPI, profiling, energy —
  *    off a single batched replay of each workload trace (the
@@ -52,7 +54,11 @@
 namespace sigcomp::analysis
 {
 
-/** Construction-time configuration of a Session. */
+/**
+ * Construction-time configuration of a Session: the one place an
+ * execution setting is chosen. Nothing here changes after
+ * construction; a different setting means a different Session.
+ */
 struct SessionConfig
 {
     /**
@@ -70,7 +76,7 @@ struct SessionConfig
      * it without one is a configuration error and fatal.
      */
     bool readOnly = false;
-    /** Per-workload capture cap (see TraceCache::setCaptureLimit). */
+    /** Per-workload capture cap (see TraceCacheConfig::captureLimit). */
     DWord captureLimit = cpu::TraceBuffer::defaultMaxInstrs;
     /** fsync-guard published segments (store::StoreOptions). */
     bool durableSaves = true;
@@ -151,8 +157,9 @@ class Session
      *
      * The run is instrumented end to end (see common/telemetry.h):
      * the report's `telemetry` block is this run's metrics delta,
-     * and plan.traceFile() additionally writes a Chrome trace-event
-     * profile. Telemetry is a pure side channel — study rows are
+     * and while tracing is on (SIGCOMP_TRACE or
+     * telemetry::startTracing) its spans join the process trace.
+     * Telemetry is a pure side channel — study rows are
      * bit-identical with it on, off, or compiled out.
      *
      * Request lifecycle (serving mode): a plan carrying a deadline
@@ -187,7 +194,7 @@ class Session
         Stopped,  ///< plan's token fired while queued; no slot
     };
 
-    /** run() minus the tracing window/export wrapper. */
+    /** run() minus admission: the fused study executor. */
     SuiteReport runStudies(const StudyPlan &plan,
                            const CancelToken &token);
 

@@ -43,21 +43,6 @@ StudyPlan::workloads(std::vector<std::string> names)
 }
 
 StudyPlan &
-StudyPlan::threads(unsigned n)
-{
-    threads_ = n;
-    hasThreads_ = true;
-    return *this;
-}
-
-StudyPlan &
-StudyPlan::traceFile(std::string path)
-{
-    traceFile_ = std::move(path);
-    return *this;
-}
-
-StudyPlan &
 StudyPlan::deadlineMs(std::uint64_t ms)
 {
     deadlineMs_ = ms;

@@ -1,11 +1,14 @@
 /**
  * @file
  * Declarative description of a suite experiment: which studies to
- * run, over which workloads, at what parallelism. A StudyPlan is
- * inert data — Session::run(plan) executes it with **one fused
- * replay pass per workload trace** feeding every registered study
- * (see analysis/session.h), so "N studies over M designs/encodings"
- * costs one trace traversal, not N.
+ * run, over which workloads. A StudyPlan is inert data —
+ * Session::run(plan) executes it with **one fused replay pass per
+ * workload trace** feeding every registered study (see
+ * analysis/session.h), so "N studies over M designs/encodings" costs
+ * one trace traversal, not N. HOW a plan runs is not plan data: the
+ * thread count, trace store and capture limit are the executing
+ * Session's SessionConfig, and tracing is SIGCOMP_TRACE /
+ * telemetry::startTracing.
  *
  *   StudyPlan plan;
  *   plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
@@ -86,26 +89,10 @@ class StudyPlan
     StudyPlan &workloads(std::vector<std::string> names);
 
     /**
-     * Override the executing session's thread count for this run
-     * (0 = shared pool, 1 = serial). Replay-pass results are
-     * independent of the value; with profilers registered the replay
-     * itself is always sequential (capture still fans out).
-     */
-    StudyPlan &threads(unsigned n);
-
-    /**
      * Drop each workload's cached trace right after its fused pass,
      * so peak memory tails off at one workload's footprint.
      */
     StudyPlan &evictAfterReplay(bool on = true);
-
-    /**
-     * Write a Chrome trace-event JSON profile of this run to @p path
-     * (chrome://tracing / Perfetto loadable; same format as the
-     * SIGCOMP_TRACE env var). Telemetry is a pure side channel:
-     * study results are bit-identical with and without it.
-     */
-    StudyPlan &traceFile(std::string path);
 
     /**
      * Give the run at most @p ms milliseconds of wall clock. An
@@ -162,9 +149,6 @@ class StudyPlan
     std::vector<EnergySpec> energy_;
     std::vector<cpu::TraceSink *> sinks_;
     std::vector<std::string> workloads_;
-    std::string traceFile_;
-    unsigned threads_ = 0;
-    bool hasThreads_ = false;
     bool evictAfterReplay_ = false;
     std::uint64_t deadlineMs_ = 0;
     bool hasDeadline_ = false;

@@ -10,6 +10,23 @@
 namespace sigcomp::analysis
 {
 
+TraceCache::TraceCache(TraceCacheConfig config)
+    : store_(config.storeDir.empty()
+                 ? nullptr
+                 : std::make_shared<store::TraceStore>(
+                       config.storeDir,
+                       store::StoreOptions{
+                           .readOnly = config.readOnly,
+                           .durableSaves = config.durableSaves,
+                           .env = config.env,
+                           // Store retry/byte metrics land in this
+                           // cache's namespace, so the per-run
+                           // report delta sees them.
+                           .registry = &metrics_})),
+      spillBudget_(config.spillBudgetBytes), limit_(config.captureLimit)
+{
+}
+
 void
 TraceCache::registerProgram(const std::string &workload,
                             isa::Program program)
@@ -27,7 +44,6 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
     std::shared_future<TracePtr> future;
     std::promise<TracePtr> promise;
     bool capture_here = false;
-    std::shared_ptr<store::TraceStore> store;
     std::optional<workloads::Workload> registered;
 
     {
@@ -37,18 +53,9 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
             future = promise.get_future().share();
             entries_.emplace(workload, Entry{future, ++useTick_});
             capture_here = true;
-            // Registered ad-hoc programs are strictly session-local:
-            // they never touch the disk tier, so a custom program
-            // shadowing a suite workload's name cannot clobber (or
-            // be satisfied by) that workload's shared segment. The
-            // program is resolved in the SAME critical section as
-            // the store decision, so a concurrent registerProgram()
-            // can never pair the ad-hoc program with the store.
             auto pit = programs_.find(workload);
             if (pit != programs_.end())
                 registered = workloads::Workload{workload, pit->second};
-            else
-                store = store_;
         } else {
             it->second.lastUse = ++useTick_;
             future = it->second.future;
@@ -56,9 +63,14 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
     }
 
     if (capture_here) {
+        // Registered ad-hoc programs are strictly session-local: they
+        // never touch the disk tier, so a custom program shadowing a
+        // suite workload's name cannot clobber (or be satisfied by)
+        // that workload's shared segment.
+        const store::TraceStore *store = registered ? nullptr : store_.get();
         TracePtr trace;
         try {
-            const DWord limit = limit_.load();
+            const DWord limit = limit_;
             const bool capped =
                 limit != cpu::TraceBuffer::defaultMaxInstrs;
             const workloads::Workload w =
@@ -143,51 +155,6 @@ TraceCache::contains(const std::string &workload) const
 }
 
 void
-TraceCache::configureStore(const StoreConfig &config)
-{
-    MutexLock lock(mu_);
-    spillBudget_ = config.spillBudgetBytes;
-    if (config.dir.empty()) {
-        store_.reset();
-        return;
-    }
-    Env &want_env =
-        config.env != nullptr ? *config.env : Env::posix();
-    if (store_ != nullptr && store_->dir() == config.dir &&
-        store_->readOnly() == config.readOnly &&
-        &store_->env() == &want_env)
-        return;
-    store_ = std::make_shared<store::TraceStore>(
-        config.dir,
-        store::StoreOptions{.readOnly = config.readOnly,
-                            .durableSaves = config.durableSaves,
-                            .env = config.env,
-                            // Store retry/byte metrics land in this
-                            // cache's namespace, so the per-run
-                            // report delta sees them.
-                            .registry = &metrics_});
-    // A fresh store binding starts with a clean write-degradation
-    // slate: the fault history of the old directory says nothing
-    // about the new one.
-    writesDegraded_.store(false);
-    transientSaveFailures_.store(0);
-}
-
-void
-TraceCache::setSpillBudget(std::size_t bytes)
-{
-    MutexLock lock(mu_);
-    spillBudget_ = bytes;
-}
-
-std::shared_ptr<const store::TraceStore>
-TraceCache::store() const
-{
-    MutexLock lock(mu_);
-    return store_;
-}
-
-void
 TraceCache::evict(const std::string &workload)
 {
     SIGCOMP_SPAN("cache.evict");
@@ -226,7 +193,6 @@ TraceCache::memoryBytes() const
 void
 TraceCache::enforceBudget(const std::string &keep)
 {
-    MutexLock lock(mu_);
     if (spillBudget_ == 0)
         return;
     // A store that turned unwritable mid-run can no longer back the
@@ -238,6 +204,7 @@ TraceCache::enforceBudget(const std::string &keep)
     // contract, not a degradation.
     if (writesDegraded_.load() && store_ != nullptr)
         return;
+    MutexLock lock(mu_);
     // Spill = drop from RAM. Everything that reaches the RAM tier
     // was already written through to (or loaded from) the store, so
     // no data is lost; without a store the next get() recaptures.
@@ -285,18 +252,15 @@ TraceCache::persistAnnexes(const std::string &workload,
                            const cpu::TraceBuffer &trace,
                            const CancelToken *cancel)
 {
-    if (cancelRequested(cancel))
+    if (cancelRequested(cancel) || store_ == nullptr ||
+        store_->readOnly())
         return;
-    std::shared_ptr<store::TraceStore> store;
     {
         MutexLock lock(mu_);
         // Session-local registered programs never persist (see get()).
         if (programs_.find(workload) != programs_.end())
             return;
-        store = store_;
     }
-    if (store == nullptr || store->readOnly())
-        return;
     // Compare exactly what a save would persist (canonical records,
     // capped), so an ineligible record can't force no-op re-saves.
     const std::vector<std::string> keys =
@@ -305,7 +269,7 @@ TraceCache::persistAnnexes(const std::string &workload,
         return;
     // Only rewrite the segment when it is actually missing a record;
     // repeated runs of the same plan must not keep re-encoding it.
-    const std::vector<std::string> disk = store->annexKeys(workload);
+    const std::vector<std::string> disk = store_->annexKeys(workload);
     bool missing = false;
     for (const std::string &key : keys) {
         if (std::find(disk.begin(), disk.end(), key) == disk.end()) {
@@ -315,14 +279,13 @@ TraceCache::persistAnnexes(const std::string &workload,
     }
     if (!missing)
         return;
-    saveThrough(*store, workload, trace, limit_.load(),
-                "persist annexes for", cancel);
+    saveThrough(*store_, workload, trace, limit_, "persist annexes for",
+                cancel);
 }
 
 std::uint64_t
 TraceCache::storeRetries() const
 {
-    MutexLock lock(mu_);
     return store_ != nullptr ? store_->retries() : 0;
 }
 
@@ -409,20 +372,6 @@ TraceCache::saveThrough(const store::TraceStore &store,
                           envFaultName(fault) + "): " + why);
     }
     return false;
-}
-
-void
-TraceCache::setCaptureLimit(DWord max_instrs)
-{
-    const DWord previous = limit_.exchange(max_instrs);
-    if (previous != max_instrs) {
-        // RAM entries are keyed by workload only, so traces captured
-        // under the old limit must not satisfy gets under the new
-        // one (the store tier already rejects them by its header's
-        // capture-limit field).
-        MutexLock lock(mu_);
-        entries_.clear();
-    }
 }
 
 } // namespace sigcomp::analysis

@@ -11,15 +11,17 @@
  * any design, any encoding — replays the shared immutable buffer.
  *
  * Two tiers: the RAM map is the hot tier; an optional
- * store::TraceStore directory (configureStore()) is the persistent
- * cold tier. With a store attached, a miss first tries to load the
- * workload's significance-compressed segment from disk — a cold
- * *process* then skips functional capture entirely — and fresh
+ * store::TraceStore directory (TraceCacheConfig::storeDir) is the
+ * persistent cold tier. With a store attached, a miss first tries to
+ * load the workload's significance-compressed segment from disk — a
+ * cold *process* then skips functional capture entirely — and fresh
  * captures are written through so the next process benefits. A spill
  * budget turns the RAM tier into an LRU cache over the store: when
  * cached traces exceed the budget, the least recently used ready
  * entries are dropped from RAM (they remain on disk), so suites much
- * larger than memory still run.
+ * larger than memory still run. The store binding, spill budget and
+ * capture limit are fixed at construction (Session maps its
+ * SessionConfig onto them); a different setting is a different cache.
  *
  * Thread-safety: get() performs exactly one capture per workload no
  * matter how many threads race on the first touch (later callers
@@ -50,11 +52,11 @@
 namespace sigcomp::analysis
 {
 
-/** Disk-tier configuration (see TraceCache::configureStore()). */
-struct StoreConfig
+/** Construction-time configuration of a TraceCache. */
+struct TraceCacheConfig
 {
-    /** Store directory; empty detaches the disk tier. */
-    std::string dir;
+    /** Store directory; empty = RAM tier only. */
+    std::string storeDir = {};
     /**
      * Soft cap on the RAM tier in bytes; 0 = unlimited. When cached
      * traces exceed it, least-recently-used ready entries spill (are
@@ -69,6 +71,14 @@ struct StoreConfig
     bool durableSaves = true;
     /** I/O seam handed to the store; nullptr = real filesystem. */
     Env *env = nullptr;
+    /**
+     * Per-workload capture cap. The default (TraceBuffer's
+     * defaultMaxInstrs) treats hitting the limit as fatal; any other
+     * value allows truncated captures — the benchmark smoke mode.
+     * Store segments are keyed by this value: a segment captured
+     * under a different cap never replays.
+     */
+    DWord captureLimit = cpu::TraceBuffer::defaultMaxInstrs;
 };
 
 class TraceCache
@@ -76,7 +86,7 @@ class TraceCache
   public:
     using TracePtr = std::shared_ptr<const cpu::TraceBuffer>;
 
-    TraceCache() = default;
+    explicit TraceCache(TraceCacheConfig config = {});
     TraceCache(const TraceCache &) = delete;
     TraceCache &operator=(const TraceCache &) = delete;
 
@@ -122,18 +132,11 @@ class TraceCache
     /** True when the workload's trace is cached (or being captured). */
     bool contains(const std::string &workload) const;
 
-    /**
-     * Attach/retune/detach the disk tier. Idempotent: re-configuring
-     * with the same directory and mode only updates the spill
-     * budget.
-     */
-    void configureStore(const StoreConfig &config);
-
-    /** Adjust the RAM budget without touching the store binding. */
-    void setSpillBudget(std::size_t bytes);
-
     /** The attached disk tier, or nullptr. */
-    std::shared_ptr<const store::TraceStore> store() const;
+    std::shared_ptr<const store::TraceStore> store() const
+    {
+        return store_;
+    }
 
     /**
      * Drop one workload's trace from RAM. Outstanding TracePtrs stay
@@ -231,16 +234,8 @@ class TraceCache
     /** Total heap footprint of the cached traces, in bytes. */
     std::size_t memoryBytes() const;
 
-    /**
-     * Per-workload capture cap. The default (TraceBuffer's
-     * defaultMaxInstrs) treats hitting the limit as fatal; any other
-     * value allows truncated captures — the benchmark smoke mode.
-     * Store segments are keyed by this value: a segment captured
-     * under a different cap never replays. Changing the limit drops
-     * all RAM entries, so stale-limit traces never satisfy a get().
-     */
-    void setCaptureLimit(DWord max_instrs);
-    DWord captureLimit() const { return limit_.load(); }
+    /** Per-workload capture cap (TraceCacheConfig::captureLimit). */
+    DWord captureLimit() const { return limit_; }
 
   private:
     struct Entry
@@ -295,8 +290,6 @@ class TraceCache
     mutable Mutex mu_;
     std::map<std::string, Entry> entries_ SIGCOMP_GUARDED_BY(mu_);
     std::map<std::string, isa::Program> programs_ SIGCOMP_GUARDED_BY(mu_);
-    std::shared_ptr<store::TraceStore> store_ SIGCOMP_GUARDED_BY(mu_);
-    std::size_t spillBudget_ SIGCOMP_GUARDED_BY(mu_) = 0;
     std::uint64_t useTick_ SIGCOMP_GUARDED_BY(mu_) = 0;
     bool budgetWarned_ SIGCOMP_GUARDED_BY(mu_) = false;
     /**
@@ -324,7 +317,13 @@ class TraceCache
     /** Retired-instruction count of each functional capture. */
     telemetry::Histogram &captureInstrs_ =
         metrics_.histogram("cache.capture_instructions");
-    std::atomic<DWord> limit_{cpu::TraceBuffer::defaultMaxInstrs};
+    /**
+     * Fixed at construction, so read without mu_. The store is
+     * declared after metrics_: its retry/byte metrics bind there.
+     */
+    const std::shared_ptr<store::TraceStore> store_;
+    const std::size_t spillBudget_;
+    const DWord limit_;
     /** Consecutive transient-exhausted save failures. */
     std::atomic<unsigned> transientSaveFailures_{0};
     std::atomic<bool> writesDegraded_{false};

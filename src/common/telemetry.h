@@ -25,7 +25,8 @@
  *
  * Tracing activates via SIGCOMP_TRACE=out.json (any binary linking
  * the library: started at static-init, flushed at exit) or
- * programmatically via StudyPlan::traceFile() / startTracing().
+ * programmatically via startTracing() / stopTracing() / writeTrace().
+ * Tracing is a process setting: a StudyPlan carries no trace file.
  *
  * Compile-time kill switch: configuring with -DSIGCOMP_TELEMETRY=OFF
  * defines SIGCOMP_TELEMETRY_DISABLED, which compiles SIGCOMP_SPAN to

@@ -109,26 +109,6 @@ InOrderPipeline::retire(const DynInstr &di)
 }
 
 void
-InOrderPipeline::retireBlock(std::span<const cpu::DynInstr> block)
-{
-    SC_ASSERT(program_ != nullptr,
-              "pipeline '", name_, "' not bound to a program");
-    const bool apply_stores = replayMemory_ != nullptr;
-    for (const DynInstr &di : block) {
-        if (apply_stores && di.dec->isStore)
-            applyStore(di);
-        InstrQuanta q = computeQuanta(di);
-        const unsigned res_chunks = q.resChunks;
-        q.resChunks = 0;
-        addLatch(curLatchBase_, latchBoundaries(q));
-        q.resChunks = res_chunks;
-        const TimingPlan p = plan(di, q);
-        checkPlan(p);
-        schedule(di, q, p);
-    }
-}
-
-void
 InOrderPipeline::panicBadTimingPlan()
 {
     SC_PANIC("bad timing plan: stage count outside [2, ", maxStages,

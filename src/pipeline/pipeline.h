@@ -307,14 +307,6 @@ class InOrderPipeline : public cpu::TraceSink
 
     void retire(const cpu::DynInstr &di) override;
 
-    /**
-     * Batched retirement: one virtual call per block instead of one
-     * per instruction, with the scheduling loop kept monomorphic.
-     * State after any block split is identical to per-instruction
-     * retire() calls.
-     */
-    void retireBlock(std::span<const cpu::DynInstr> block) override;
-
     // ---- shared-quanta replay plumbing (used by replayPipelines) --
 
     /**
@@ -325,10 +317,10 @@ class InOrderPipeline : public cpu::TraceSink
     std::string quantaKey() const;
 
     /**
-     * Full retirement of @p block (identical to retireBlock()) that
-     * additionally appends the design-independent front half to
-     * @p rec: one Packed entry per instruction plus one shared
-     * activity delta for the block. Virtual for the same reason as
+     * Full retirement of @p block (identical to retire() per
+     * instruction) that additionally appends the design-independent
+     * front half to @p rec: one Packed entry per instruction plus one
+     * shared activity delta for the block. Virtual for the same reason as
      * retireBlockShared(): SharedReplayModel overrides it so plan()
      * and latchBoundaries() bind statically inside the loop.
      */

@@ -91,13 +91,14 @@ Daemon::computeStoreFingerprint(const DaemonConfig &config)
         store::SegmentInfo info;
         if (!store.info(workload, info))
             continue; // unreadable segments don't identify content
+        // The header CRC covers every header field (instruction
+        // count, capture limit, exit state, ...), so segments that
+        // merely agree in size still fingerprint apart.
         h.update(workload);
         h.update(":");
-        h.update(std::to_string(info.fileBytes));
+        h.update(std::to_string(info.headerCrc));
         h.update(":");
-        h.update(std::to_string(info.instructions));
-        h.update(":");
-        h.update(std::to_string(info.captureLimit));
+        h.update(std::to_string(info.programFingerprint));
         h.update("\n");
     }
     return h.hexDigest();

@@ -24,7 +24,7 @@
  *
  * Protocol (HTTP/1.1, one request per connection, see server/http.h):
  *
- *   POST /v1/run    body: sigcomp-study-plan-v1 JSON
+ *   POST /v1/run    body: sigcomp-study-plan-v2 JSON
  *                   reply: sigcomp-suite-report-v4 JSON (200; 503
  *                   with the same report shape when admission
  *                   rejected), errors: sigcomp-daemon-error-v1
@@ -141,8 +141,8 @@ class Daemon
 
     /**
      * SHA-256 hex over the store's segment inventory (workload name,
-     * file bytes, instruction count, capture limit per segment) —
-     * "none" without a store. Half of every cache/dedupe key: a
+     * header CRC and program fingerprint per segment) — "none"
+     * without a store. Half of every cache/dedupe key: a
      * re-captured store invalidates all cached reports.
      */
     const std::string &storeFingerprint() const

@@ -112,6 +112,7 @@ struct Segment
     std::uint64_t instructions = 0;
     std::uint64_t memOps = 0;
     std::uint64_t captureLimit = 0;
+    std::uint32_t headerCrc = 0;
     std::uint32_t programCrc = 0;
     std::uint32_t flags = 0;
     std::uint32_t exitCode = 0;
@@ -167,7 +168,8 @@ parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
         return fail(why, "format version " + std::to_string(version) +
                              ", expected " +
                              std::to_string(formatVersion));
-    if (crc32(0, h, 60) != getU32(h + 60))
+    seg.headerCrc = getU32(h + 60);
+    if (crc32(0, h, 60) != seg.headerCrc)
         return fail(why, "header CRC mismatch");
 
     seg.instructions = getU64(h + 8);
@@ -1373,6 +1375,8 @@ TraceStore::info(const std::string &workload, SegmentInfo &out,
     out.fileBytes = file->size();
     out.captureLimit = seg.captureLimit;
     out.truncated = (seg.flags & kFlagTruncated) != 0;
+    out.headerCrc = seg.headerCrc;
+    out.programFingerprint = seg.programCrc;
     for (const Segment::Column &col : seg.columns) {
         out.columns.push_back(
             {columnName(col.id), col.rawBytes, col.encBytes});

@@ -1,7 +1,7 @@
 /**
  * @file
  * libFuzzer harness for the plan-ingestion parser — the untrusted
- * half of the "sigcomp-study-plan-v1" wire contract (built only
+ * half of the "sigcomp-study-plan-v2" wire contract (built only
  * under -DSIGCOMP_FUZZ=ON, which requires Clang).
  *
  * Properties enforced per input (the same ones the in-tree

@@ -24,11 +24,27 @@ namespace
 
 using pipeline::Design;
 
-/** Run @p plan on the default session (shared suite captures). */
-SuiteReport
-runPlan(const StudyPlan &plan)
+/**
+ * Workers of the parallel-study session. A fixed thread count > 1 is
+ * used so the pool and the trace-buffer replay path are exercised
+ * even on single-core hosts.
+ */
+constexpr unsigned kParallelThreads = 4;
+
+/** One kParallelThreads-worker session shared by the tests below. */
+Session &
+parallelSession()
 {
-    return Session::defaultSession().run(plan);
+    static Session session(SessionConfig{.threads = kParallelThreads});
+    return session;
+}
+
+/** Run @p plan on @p session (default: the shared suite captures). */
+SuiteReport
+runPlan(const StudyPlan &plan,
+        Session &session = Session::defaultSession())
+{
+    return session.run(plan);
 }
 
 void
@@ -38,18 +54,20 @@ profileSuite(std::vector<cpu::TraceSink *> sinks)
 }
 
 std::vector<ActivityRow>
-runActivityStudy(sig::Encoding enc, unsigned threads = 0)
+runActivityStudy(sig::Encoding enc,
+                 Session &session = Session::defaultSession())
 {
-    return runPlan(StudyPlan().activity(enc).threads(threads))
+    return runPlan(StudyPlan().activity(enc), session)
         .activity.front()
         .rows;
 }
 
 std::vector<CpiRow>
 runCpiStudy(const std::vector<Design> &designs,
-            const pipeline::PipelineConfig &cfg, unsigned threads = 0)
+            const pipeline::PipelineConfig &cfg,
+            Session &session = Session::defaultSession())
 {
-    return runPlan(StudyPlan().cpi(designs, cfg).threads(threads))
+    return runPlan(StudyPlan().cpi(designs, cfg), session)
         .cpi.front()
         .rows();
 }
@@ -223,10 +241,7 @@ TEST(CpiStudy, PaperOrderingAcrossSuite)
 // Sessions fan workloads across a thread pool and replay captured
 // traces; these tests pin the guarantee that the result is
 // *bit-identical* to live serial simulation, and log the wall-clock
-// ratio. A fixed thread count > 1 is used so the pool and the
-// trace-buffer replay path are exercised even on single-core hosts.
-
-constexpr unsigned kParallelThreads = 4;
+// ratio on parallelSession().
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -246,7 +261,7 @@ TEST(ParallelStudies, ActivityStudyBitIdenticalToSerial)
 
     const auto t1 = std::chrono::steady_clock::now();
     const auto parallel =
-        runActivityStudy(sig::Encoding::Ext3, kParallelThreads);
+        runActivityStudy(sig::Encoding::Ext3, parallelSession());
     const double parallel_s = secondsSince(t1);
 
     std::printf("[ timing   ] activity study: live serial %.3fs, "
@@ -268,7 +283,7 @@ TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
     const double serial_s = secondsSince(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
-    const auto parallel = runCpiStudy(designs, cfg, kParallelThreads);
+    const auto parallel = runCpiStudy(designs, cfg, parallelSession());
     const double parallel_s = secondsSince(t1);
 
     std::printf("[ timing   ] CPI study: live serial %.3fs, "
@@ -292,9 +307,7 @@ TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
 
     InstrMixProfiler par_mix;
     PatternProfiler par_pat;
-    runPlan(StudyPlan()
-                .profile({&par_mix, &par_pat})
-                .threads(kParallelThreads));
+    runPlan(StudyPlan().profile({&par_mix, &par_pat}), parallelSession());
 
     EXPECT_EQ(par_mix.iFormatFraction(), serial_mix.iFormatFraction());
     EXPECT_EQ(par_mix.rFormatFraction(), serial_mix.rFormatFraction());

@@ -391,9 +391,7 @@ TEST_F(FaultTest, TornWriteIsDetectedQuarantinedAndHealed)
 
     // The damage is caught at load, classified Corrupt, quarantined
     // by the cache, and healed by recapture + write-through.
-    TraceCache cache;
-    cache.setCaptureLimit(2000);
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir(), .captureLimit = 2000});
     const TraceCache::TracePtr trace = cache.get("rawcaudio");
     ASSERT_NE(trace, nullptr);
     EXPECT_EQ(cache.captures(), 1u);
@@ -451,12 +449,8 @@ TEST_F(FaultTest, UnreadableStoreDirectoryFallsBackToCapture)
     FaultInjectingEnv env(Env::posix());
     // The store directory cannot even be created (EROFS).
     failOps(env, 0, 4, FaultKind::Erofs);
-    TraceCache cache;
-    cache.setCaptureLimit(2000);
-    analysis::StoreConfig cfg;
-    cfg.dir = dir();
-    cfg.env = &env;
-    cache.configureStore(cfg);
+    TraceCache cache(
+        {.storeDir = dir(), .env = &env, .captureLimit = 2000});
 
     const TraceCache::TracePtr trace = cache.get("rawcaudio");
     ASSERT_NE(trace, nullptr) << "capture fallback must still work";
@@ -469,13 +463,10 @@ TEST_F(FaultTest, UnreadableStoreDirectoryFallsBackToCapture)
 TEST_F(FaultTest, MidRunEnospcDisablesWritesAndSpill)
 {
     FaultInjectingEnv env(Env::posix());
-    TraceCache cache;
-    cache.setCaptureLimit(2000);
-    analysis::StoreConfig cfg;
-    cfg.dir = dir();
-    cfg.spillBudgetBytes = 1; // hostile: spill after every get
-    cfg.env = &env;
-    cache.configureStore(cfg);
+    TraceCache cache({.storeDir = dir(),
+                      .spillBudgetBytes = 1, // hostile: spill every get
+                      .env = &env,
+                      .captureLimit = 2000});
 
     // First workload saves fine.
     cache.get("rawcaudio");
@@ -509,12 +500,8 @@ TEST_F(FaultTest, MidRunEnospcDisablesWritesAndSpill)
 TEST_F(FaultTest, PersistAnnexesFailureLeavesSegmentBitIdentical)
 {
     FaultInjectingEnv env(Env::posix());
-    TraceCache cache;
-    cache.setCaptureLimit(20'000);
-    analysis::StoreConfig cfg;
-    cfg.dir = dir();
-    cfg.env = &env;
-    cache.configureStore(cfg);
+    TraceCache cache(
+        {.storeDir = dir(), .env = &env, .captureLimit = 20'000});
 
     // Warm path: capture + write-through.
     const TraceCache::TracePtr trace = cache.get("rawcaudio");
@@ -550,10 +537,8 @@ TEST_F(FaultTest, PersistAnnexesFailureLeavesSegmentBitIdentical)
     // fresh cache: identical contract.
     fs::remove_all(dir());
     FaultInjectingEnv env2(Env::posix());
-    TraceCache cache2;
-    cache2.setCaptureLimit(20'000);
-    cfg.env = &env2;
-    cache2.configureStore(cfg);
+    TraceCache cache2(
+        {.storeDir = dir(), .env = &env2, .captureLimit = 20'000});
     const TraceCache::TracePtr trace2 = cache2.get("rawcaudio");
     ASSERT_EQ(cache2.storeSaves(), 1u);
     const std::vector<std::uint8_t> before2 = readAll(path);
@@ -607,7 +592,6 @@ runPlan(const std::string &store_dir, Env *env)
     // process-global suite-profiled compressor.
     pipeline::PipelineConfig pcfg;
     plan.workloads({"rawcaudio", "rawdaudio"})
-        .threads(1)
         .cpi({Design::Baseline32, Design::ByteSerial}, pcfg);
     return session.run(plan);
 }
@@ -937,7 +921,6 @@ runCancellable(const std::string &store_dir, Env *env,
     pipeline::PipelineConfig pcfg;
     StudyPlan plan;
     plan.workloads({"rawcaudio", "rawdaudio"})
-        .threads(1)
         .cancel(std::move(token))
         .cpi({Design::Baseline32, Design::ByteSerial}, pcfg);
     return session.run(plan);
@@ -952,11 +935,7 @@ TEST_F(FaultTest, CancelMidSaveUnderTransientFaultsLeavesSegmentsBitIdentical)
     std::map<std::string, std::vector<std::uint8_t>> base_bytes;
     {
         const std::string d = dir() + "/base";
-        TraceCache cache;
-        cache.setCaptureLimit(20'000);
-        analysis::StoreConfig scfg;
-        scfg.dir = d;
-        cache.configureStore(scfg);
+        TraceCache cache({.storeDir = d, .captureLimit = 20'000});
         for (const char *name : {"rawcaudio", "rawdaudio"}) {
             ASSERT_NE(cache.get(name), nullptr);
             base_bytes[name] =

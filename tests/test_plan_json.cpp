@@ -1,6 +1,6 @@
 /**
  * @file
- * Plan ingestion tests: the "sigcomp-study-plan-v1" wire contract.
+ * Plan ingestion tests: the "sigcomp-study-plan-v2" wire contract.
  *
  * Three layers:
  *  - round-trip: parse(serialize(p)) satisfies planEquals for
@@ -106,7 +106,6 @@ fullPlan()
     cfg.compressor = sig::InstrCompressor({33, 35, 42, 0, 9});
     StudyPlan plan;
     plan.workloads({"rawcaudio", "epic"})
-        .threads(4)
         .evictAfterReplay()
         .deadlineMs(2500)
         .activity(sig::Encoding::Ext2)
@@ -126,11 +125,6 @@ TEST(PlanJsonRoundTrip, BuilderPlansSurviveTheWire)
     {
         StudyPlan p; // defaults everywhere, one study
         p.cpi({Design::ByteSerial}, pipeline::PipelineConfig{});
-        plans.push_back(std::move(p));
-    }
-    {
-        StudyPlan p; // threads(0) is distinct from "no override"
-        p.threads(0).activity();
         plans.push_back(std::move(p));
     }
     {
@@ -180,7 +174,7 @@ TEST(PlanJsonRoundTrip, WhitespaceAndEscapesAreTolerated)
     // The parser accepts any JSON spelling of the same plan: spacing
     // is free, strings may use escapes.
     const StudyPlan parsed = mustParse(
-        "\n{\r\n\t\"schema\" : \"sigcomp-study-plan-v1\" ,"
+        "\n{\r\n\t\"schema\" : \"sigcomp-study-plan-v2\" ,"
         "\"workloads\":[\"raw\\u0063audio\"],\t"
         "\"evict_after_replay\" :\n false }");
     StudyPlan want;
@@ -210,16 +204,14 @@ TEST(PlanJsonErrors, SyntaxBranch)
     expectParseError("", PlanErrorKind::Syntax);
     expectParseError("{", PlanErrorKind::Syntax);
     expectParseError("nonsense", PlanErrorKind::Syntax);
-    expectParseError("{\"schema\": \"sigcomp-study-plan-v1\"} trailing",
+    expectParseError("{\"schema\": \"sigcomp-study-plan-v2\"} trailing",
                      PlanErrorKind::Syntax);
-    expectParseError("{\"schema\": \"sigcomp-study-plan-v1\" "
-                     "\"threads\": 1}",
+    expectParseError("{\"schema\": \"sigcomp-study-plan-v2\" "
+                     "\"deadline_ms\": 1}",
                      PlanErrorKind::Syntax); // missing comma
-    expectParseError("{\"schema\": \"sigcomp-study-plan-v1\", "
+    expectParseError("{\"schema\": \"sigcomp-study-plan-v2\", "
                      "\"workloads\": [\"a\" \"b\"]}",
                      PlanErrorKind::Syntax); // missing comma in array
-    expectParseError("{\"threads\": 1, \"threads\": 2}",
-                     PlanErrorKind::Syntax); // duplicate key
     expectParseError("{\"workloads\": [\"unterminated]}",
                      PlanErrorKind::Syntax);
     expectParseError("{\"workloads\": [\"bad \\q escape\"]}",
@@ -242,9 +234,15 @@ TEST(PlanJsonErrors, SyntaxBranch)
 TEST(PlanJsonErrors, UnknownFieldBranch)
 {
     const PlanError top = expectParseError(
-        "{\"schema\": \"sigcomp-study-plan-v1\", \"bogus\": 1}",
+        "{\"schema\": \"sigcomp-study-plan-v2\", \"bogus\": 1}",
         PlanErrorKind::UnknownField);
     EXPECT_NE(top.message.find("bogus"), std::string::npos);
+    // Execution settings are not plan data: v2 has no "threads" key,
+    // so a v1-style thread override is refused, not clamped.
+    const PlanError threads = expectParseError(
+        "{\"schema\": \"sigcomp-study-plan-v2\", \"threads\": 4}",
+        PlanErrorKind::UnknownField);
+    EXPECT_NE(threads.message.find("threads"), std::string::npos);
     expectParseError("{\"activity\": [{\"enc\": \"ext3\"}]}",
                      PlanErrorKind::UnknownField);
     expectParseError("{\"cpi\": [{\"designz\": []}]}",
@@ -258,7 +256,6 @@ TEST(PlanJsonErrors, UnknownFieldBranch)
 
 TEST(PlanJsonErrors, BadTypeBranch)
 {
-    expectParseError("{\"threads\": \"four\"}", PlanErrorKind::BadType);
     expectParseError("{\"workloads\": 5}", PlanErrorKind::BadType);
     expectParseError("{\"evict_after_replay\": 1}",
                      PlanErrorKind::BadType);
@@ -276,12 +273,11 @@ TEST(PlanJsonErrors, OutOfRangeBranch)
     // Numeric caps: the cap value itself passes, one past fails.
     {
         StudyPlan ok = mustParse(
-            "{\"schema\": \"sigcomp-study-plan-v1\", "
-            "\"threads\": 1024}");
+            "{\"schema\": \"sigcomp-study-plan-v2\", "
+            "\"deadline_ms\": 1000000000}");
         EXPECT_TRUE(ok.hasStudies() == false);
     }
-    expectParseError("{\"threads\": 1025}", PlanErrorKind::OutOfRange);
-    expectParseError("{\"threads\": -1}", PlanErrorKind::OutOfRange);
+    expectParseError("{\"deadline_ms\": -1}", PlanErrorKind::OutOfRange);
     expectParseError("{\"deadline_ms\": 1000000001}",
                      PlanErrorKind::OutOfRange);
     expectParseError(
@@ -330,7 +326,10 @@ TEST(PlanJsonErrors, OutOfRangeBranch)
 
 TEST(PlanJsonErrors, UnsupportedBranch)
 {
-    expectParseError("{\"schema\": \"sigcomp-study-plan-v2\"}",
+    // The retired v1 schema (it carried a "threads" override).
+    expectParseError("{\"schema\": \"sigcomp-study-plan-v1\"}",
+                     PlanErrorKind::Unsupported);
+    expectParseError("{\"schema\": \"sigcomp-study-plan-v3\"}",
                      PlanErrorKind::Unsupported);
     const PlanError missing = expectParseError(
         "{\"workloads\": []}", PlanErrorKind::Unsupported);
@@ -361,11 +360,6 @@ TEST(PlanJsonErrors, UnsupportedBranch)
         expectWriteUnsupported(plan);
     }
     {
-        StudyPlan plan;
-        plan.traceFile("/tmp/run.json");
-        expectWriteUnsupported(plan);
-    }
-    {
         CancelSource source;
         StudyPlan plan;
         plan.cancel(source.token());
@@ -383,10 +377,11 @@ TEST(PlanJsonErrors, UnsupportedBranch)
 TEST(PlanJsonErrors, OffsetsPointIntoTheInput)
 {
     const std::string doc =
-        "{\"schema\": \"sigcomp-study-plan-v1\", \"threads\": 9999}";
+        "{\"schema\": \"sigcomp-study-plan-v2\", "
+        "\"deadline_ms\": 9999999999}";
     const PlanError err =
         expectParseError(doc, PlanErrorKind::OutOfRange);
-    EXPECT_EQ(err.offset, doc.find("9999"));
+    EXPECT_EQ(err.offset, doc.find("9999999999"));
     EXPECT_EQ(err.render(),
               "out-of-range at byte " + std::to_string(err.offset) +
                   ": " + err.message);

@@ -246,7 +246,6 @@ TEST(SuiteReportGolden, RealRunMatchesByteForByte)
     pipeline::PipelineConfig cfg;
     StudyPlan plan;
     plan.workloads({"rawcaudio", "rawdaudio"})
-        .threads(1)
         .cpi({Design::Baseline32, Design::ByteSerial}, cfg)
         .activity(sig::Encoding::Ext3)
         .energy(power::TechParams{}, Design::ByteSerial,

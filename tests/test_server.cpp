@@ -24,13 +24,16 @@
 
 #include "analysis/plan_json.h"
 #include "analysis/session.h"
+#include "common/crc32.h"
 #include "common/net.h"
 #include "common/sha256.h"
+#include "cpu/trace_buffer.h"
 #include "isa/assembler.h"
 #include "server/daemon.h"
 #include "server/http.h"
 #include "server/report_cache.h"
 #include "store/trace_store.h"
+#include "workloads/workload.h"
 
 namespace sigcomp
 {
@@ -350,8 +353,10 @@ TEST(PlanFingerprint, ContentAddressedAndTokenBlind)
 
 TEST(PlanFingerprint, RefusesUnserializablePlans)
 {
-    StudyPlan plan = cpiPlan({"rawcaudio"});
-    plan.traceFile("/tmp/trace.json");
+    pipeline::PipelineConfig config;
+    config.memory.l1d.sizeBytes *= 2; // no wire form
+    StudyPlan plan;
+    plan.workloads({"rawcaudio"}).cpi({Design::Baseline32}, config);
     std::string fp;
     analysis::PlanError error;
     EXPECT_FALSE(analysis::planFingerprint(plan, &fp, &error));
@@ -466,6 +471,31 @@ TEST(DaemonRoutes, HealthStatsAndErrors)
     EXPECT_NE(body.find("bad-tenant"), std::string::npos);
 }
 
+TEST(DaemonRoutes, PlanCannotChooseTheThreadCount)
+{
+    // The thread count is the daemon's (--threads), never the
+    // client's: a plan carrying a "threads" key is refused before any
+    // engine work, so an untrusted request cannot size a thread pool.
+    Daemon daemon(testConfig());
+    std::string json;
+    analysis::PlanError error;
+    ASSERT_TRUE(
+        analysis::writePlanJson(cpiPlan({"rawcaudio"}), &json, &error));
+    const std::size_t at = json.find("  \"workloads\"");
+    ASSERT_NE(at, std::string::npos);
+    json.insert(at, "  \"threads\": 512,\n");
+    const std::string request = "POST /v1/run HTTP/1.1\r\n"
+                                "Content-Length: " +
+                                std::to_string(json.size()) +
+                                "\r\n\r\n" + json;
+    std::string body;
+    EXPECT_EQ(exchange(daemon, request, &body), 400);
+    EXPECT_NE(body.find("unknown-field"), std::string::npos) << body;
+    EXPECT_NE(body.find("threads"), std::string::npos) << body;
+    EXPECT_EQ(metricValue(daemon.metrics(), "daemon.plan_errors"), 1u);
+    EXPECT_EQ(metricValue(daemon.metrics(), "daemon.runs"), 0u);
+}
+
 TEST(DaemonCache, SecondIdenticalPostIsAByteIdenticalFreeHit)
 {
     Daemon daemon(testConfig());
@@ -547,18 +577,21 @@ servedRowBytes(const std::string &body)
 
 TEST(DaemonDeterminism, ServedRowsAreThreadCountInvariant)
 {
-    Daemon daemon(testConfig());
-    StudyPlan serial = cpiPlan({"rawcaudio", "rawdaudio"});
-    serial.threads(1);
-    StudyPlan wide = cpiPlan({"rawcaudio", "rawdaudio"});
-    wide.threads(4);
+    DaemonConfig serialConfig = testConfig();
+    serialConfig.threads = 1;
+    DaemonConfig wideConfig = testConfig();
+    wideConfig.threads = 4;
+    Daemon serial(serialConfig);
+    Daemon wide(wideConfig);
+    const std::string request =
+        postPlanRequest(cpiPlan({"rawcaudio", "rawdaudio"}));
 
     std::string bodySerial;
     std::string bodyWide;
-    ASSERT_EQ(exchange(daemon, postPlanRequest(serial), &bodySerial),
-              200);
-    ASSERT_EQ(exchange(daemon, postPlanRequest(wide), &bodyWide), 200);
-    EXPECT_NE(bodySerial, bodyWide) << "distinct plans, distinct keys";
+    ASSERT_EQ(exchange(serial, request, &bodySerial), 200);
+    ASSERT_EQ(exchange(wide, request, &bodyWide), 200);
+    EXPECT_NE(bodySerial.find("\"threads\": 1,"), std::string::npos);
+    EXPECT_NE(bodyWide.find("\"threads\": 4,"), std::string::npos);
     EXPECT_EQ(servedRowBytes(bodySerial), servedRowBytes(bodyWide))
         << "study rows served by the daemon must not depend on the "
            "thread count";
@@ -724,6 +757,56 @@ TEST(DaemonDisconnect, CancelledWriterLeavesStoreDoctorClean)
     for (const std::string &name : ts.list())
         EXPECT_TRUE(ts.verify(name, nullptr)) << name;
     fs::remove_all(dir);
+}
+
+TEST(DaemonStore, FingerprintTellsApartSegmentsOfEqualShape)
+{
+    // Two stores whose one segment agrees on name, file size,
+    // instruction count and capture limit, but not on content (the
+    // recorded exit code differs): a re-captured store must never
+    // serve the other's cached reports.
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "sigcomp-daemon-fingerprint";
+    fs::remove_all(root);
+    const store::TraceStore a((root / "a").string());
+    const store::TraceStore b((root / "b").string());
+    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    ASSERT_TRUE(a.save("rawcaudio",
+                       cpu::TraceBuffer::capture(w.program, 2000, true),
+                       2000));
+
+    std::vector<char> bytes;
+    {
+        std::ifstream in(a.segmentPath("rawcaudio"), std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), 64u);
+    bytes[40] ^= 1; // exit code (header bytes 40..43)
+    const std::uint32_t crc = crc32(0, bytes.data(), 60);
+    for (int k = 0; k < 4; ++k)
+        bytes[60 + k] = static_cast<char>(crc >> (8 * k));
+    {
+        std::ofstream out(b.segmentPath("rawcaudio"), std::ios::binary);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    store::SegmentInfo ia, ib;
+    ASSERT_TRUE(a.info("rawcaudio", ia));
+    ASSERT_TRUE(b.info("rawcaudio", ib));
+    EXPECT_EQ(ia.fileBytes, ib.fileBytes);
+    EXPECT_EQ(ia.instructions, ib.instructions);
+    EXPECT_EQ(ia.captureLimit, ib.captureLimit);
+    EXPECT_EQ(ia.programFingerprint, ib.programFingerprint);
+    EXPECT_EQ(ia.programFingerprint,
+              store::TraceStore::programFingerprint(w.program));
+    EXPECT_NE(ia.headerCrc, ib.headerCrc);
+
+    DaemonConfig ca = testConfig();
+    ca.storeDir = (root / "a").string();
+    DaemonConfig cb = testConfig();
+    cb.storeDir = (root / "b").string();
+    EXPECT_NE(Daemon(ca).storeFingerprint(), Daemon(cb).storeFingerprint());
+    fs::remove_all(root);
 }
 
 /**

@@ -134,25 +134,23 @@ TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
     // to the serial reference.
     const unsigned threads = GetParam();
     static const SuiteReport reference = [] {
-        Session s;
+        Session s(SessionConfig{.threads = 1});
         StudyPlan plan;
         plan.cpi({Design::Baseline32, Design::ByteSerial,
                   Design::SkewedBypass},
                  analysis::suiteConfig())
-            .activity(sig::Encoding::Ext2)
-            .threads(1);
+            .activity(sig::Encoding::Ext2);
         return s.run(plan);
     }();
 
-    Session session;
+    Session session(SessionConfig{.threads = threads});
     analysis::PatternProfiler pat;
     StudyPlan plan;
     plan.cpi({Design::Baseline32, Design::ByteSerial,
               Design::SkewedBypass},
              analysis::suiteConfig())
         .activity(sig::Encoding::Ext2)
-        .profile({&pat})
-        .threads(threads);
+        .profile({&pat});
     const SuiteReport rep = session.run(plan);
 
     EXPECT_EQ(rep.replayPasses, rep.workloads.size());
@@ -177,9 +175,11 @@ TEST_F(SessionStoreTest, ConcurrentSessionsDontCrossTalk)
     // Two sessions with different stores, budgets and capture
     // limits, run concurrently: each sees only its own state.
     SessionConfig c1;
+    c1.threads = 2;
     c1.storeDir = dir("/a");
     c1.captureLimit = 2000;
     SessionConfig c2;
+    c2.threads = 2;
     c2.storeDir = dir("/b");
     c2.captureLimit = 3000;
     Session s1(c1), s2(c2);
@@ -188,13 +188,13 @@ TEST_F(SessionStoreTest, ConcurrentSessionsDontCrossTalk)
     std::thread t1([&] {
         analysis::InstrMixProfiler mix;
         StudyPlan plan;
-        plan.profile({&mix}).workloads(names).threads(2);
+        plan.profile({&mix}).workloads(names);
         s1.run(plan);
     });
     std::thread t2([&] {
         analysis::InstrMixProfiler mix;
         StudyPlan plan;
-        plan.profile({&mix}).workloads(names).threads(2);
+        plan.profile({&mix}).workloads(names);
         s2.run(plan);
     });
     t1.join();
@@ -264,6 +264,7 @@ TEST_F(SessionStoreTest, TinySpillBudgetDegradesToMruResident)
     // most recent trace resident, and studies still complete with
     // correct results.
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.storeDir = dir();
     cfg.spillBudgetBytes = 1;
     Session session(cfg);
@@ -272,7 +273,7 @@ TEST_F(SessionStoreTest, TinySpillBudgetDegradesToMruResident)
                                             "epic"};
     analysis::InstrMixProfiler mix;
     StudyPlan plan;
-    plan.profile({&mix}).workloads(names).threads(1);
+    plan.profile({&mix}).workloads(names);
     session.run(plan);
 
     EXPECT_GT(session.cache().spills(), 0u);
@@ -282,10 +283,10 @@ TEST_F(SessionStoreTest, TinySpillBudgetDegradesToMruResident)
 
     // Pin correctness under spilling: the same plan on a fresh
     // session with no budget gives identical tallies.
-    Session unbudgeted;
+    Session unbudgeted(SessionConfig{.threads = 1});
     analysis::InstrMixProfiler mix2;
     StudyPlan plan2;
-    plan2.profile({&mix2}).workloads(names).threads(1);
+    plan2.profile({&mix2}).workloads(names);
     unbudgeted.run(plan2);
     EXPECT_EQ(mix.functFreq().raw(), mix2.functFreq().raw());
     EXPECT_EQ(mix.meanFetchBytes(), mix2.meanFetchBytes());
@@ -486,14 +487,13 @@ lifecycleBytes(const SuiteReport &rep)
 
 /** One representative plan for the stopped-run tests. */
 StudyPlan
-lifecyclePlan(unsigned threads)
+lifecyclePlan()
 {
     StudyPlan plan;
     plan.workloads({"rawcaudio", "rawdaudio"})
         .cpi({Design::Baseline32, Design::ByteSerial},
              analysis::suiteConfig())
-        .activity(sig::Encoding::Ext3)
-        .threads(threads);
+        .activity(sig::Encoding::Ext3);
     return plan;
 }
 
@@ -508,15 +508,13 @@ TEST_P(SessionDeadline, PreExpiredDeadlineIsDeterministicAtAnyWidth)
     // every thread count — the deterministic floor of the
     // partial-result contract.
     static const std::string reference = [] {
-        Session s;
-        const SuiteReport rep =
-            s.run(lifecyclePlan(1).deadlineMs(0));
+        Session s(SessionConfig{.threads = 1});
+        const SuiteReport rep = s.run(lifecyclePlan().deadlineMs(0));
         return lifecycleBytes(rep);
     }();
 
-    Session session;
-    const SuiteReport rep =
-        session.run(lifecyclePlan(GetParam()).deadlineMs(0));
+    Session session(SessionConfig{.threads = GetParam()});
+    const SuiteReport rep = session.run(lifecyclePlan().deadlineMs(0));
 
     EXPECT_TRUE(rep.deadlineExceeded);
     EXPECT_FALSE(rep.cancelled);
@@ -546,9 +544,9 @@ TEST(SessionLifecycle, PreFiredTokenYieldsCancelledEmptyPartial)
 {
     CancelSource source;
     source.cancel();
-    Session session;
+    Session session(SessionConfig{.threads = 1});
     const SuiteReport rep =
-        session.run(lifecyclePlan(1).cancel(source.token()));
+        session.run(lifecyclePlan().cancel(source.token()));
     EXPECT_TRUE(rep.cancelled);
     EXPECT_FALSE(rep.deadlineExceeded)
         << "an explicit cancel wins over any deadline";
@@ -602,16 +600,15 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
     // vanish entirely (no partial numbers), the third must never
     // start, and the replay must stop within one block.
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.captureLimit = 3000;
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic"};
 
     Session reference_session(cfg);
     StudyPlan reference;
-    reference.workloads(names)
-        .cpi({Design::Baseline32, Design::ByteSerial},
-             analysis::suiteConfig())
-        .threads(1);
+    reference.workloads(names).cpi({Design::Baseline32, Design::ByteSerial},
+                                   analysis::suiteConfig());
     const SuiteReport full = reference_session.run(reference);
     ASSERT_EQ(full.cpi[0].benchmarks.size(), 3u);
 
@@ -623,8 +620,7 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
         .cpi({Design::Baseline32, Design::ByteSerial},
              analysis::suiteConfig())
         .profile({&sink})
-        .cancel(source.token())
-        .threads(1);
+        .cancel(source.token());
     const SuiteReport rep = session.run(plan);
 
     EXPECT_TRUE(rep.cancelled);
@@ -653,6 +649,7 @@ TEST_F(SessionStoreTest, CancelledRunLeavesStoreClean)
     // segment bit-valid: the durable-save discipline means a cancel
     // can only stop saves from HAPPENING, never truncate one.
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.storeDir = dir();
     cfg.captureLimit = 3000;
     Session session(cfg);
@@ -662,8 +659,7 @@ TEST_F(SessionStoreTest, CancelledRunLeavesStoreClean)
     plan.workloads({"rawcaudio", "rawdaudio", "epic"})
         .cpi({Design::ByteSerial}, analysis::suiteConfig())
         .profile({&sink})
-        .cancel(source.token())
-        .threads(1);
+        .cancel(source.token());
     const SuiteReport rep = session.run(plan);
     EXPECT_TRUE(rep.cancelled);
 
@@ -679,14 +675,10 @@ TEST_F(SessionStoreTest, CancelledRunLeavesStoreClean)
         << "a cancelled run must not leave temp files";
 
     // And a fresh session loads them without repair work.
-    SessionConfig cfg2;
-    cfg2.storeDir = dir();
-    cfg2.captureLimit = 3000;
-    Session warm(cfg2);
+    Session warm(cfg);
     StudyPlan replayed;
     replayed.workloads({"rawcaudio"})
-        .cpi({Design::ByteSerial}, analysis::suiteConfig())
-        .threads(1);
+        .cpi({Design::ByteSerial}, analysis::suiteConfig());
     const SuiteReport again = warm.run(replayed);
     EXPECT_EQ(again.captures, 0u);
     EXPECT_EQ(again.storeLoads, 1u);
@@ -699,12 +691,12 @@ TEST_F(SessionStoreTest, MidRunDeadlineLeavesStoreClean)
     // ANY phase (capture, save, replay): wherever it strikes, the
     // store must come out consistent.
     SessionConfig cfg;
+    cfg.threads = 2;
     cfg.storeDir = dir();
     Session session(cfg);
     StudyPlan plan;
     plan.cpi({Design::ByteSerial}, analysis::suiteConfig())
-        .deadlineMs(25)
-        .threads(2);
+        .deadlineMs(25);
     const SuiteReport rep = session.run(plan);
     EXPECT_TRUE(rep.deadlineExceeded || rep.cpi[0].benchmarks.size() ==
                                             rep.workloads.size());
@@ -791,6 +783,7 @@ TEST(SessionAdmission, MemoryBudgetRejectsOversizedPlanUpFront)
 TEST(SessionAdmission, AtCapacityRejectsWhenQueueIsFull)
 {
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.captureLimit = 2000;
     cfg.maxConcurrentPlans = 1;
     cfg.maxQueuedPlans = 0;
@@ -799,7 +792,7 @@ TEST(SessionAdmission, AtCapacityRejectsWhenQueueIsFull)
     BlockingSink blocker;
     std::thread holder([&] {
         StudyPlan plan;
-        plan.workloads({"rawcaudio"}).profile({&blocker}).threads(1);
+        plan.workloads({"rawcaudio"}).profile({&blocker});
         const SuiteReport rep = session.run(plan);
         EXPECT_FALSE(rep.rejected);
     });
@@ -807,8 +800,7 @@ TEST(SessionAdmission, AtCapacityRejectsWhenQueueIsFull)
 
     StudyPlan plan;
     plan.workloads({"rawdaudio"})
-        .cpi({Design::ByteSerial}, analysis::suiteConfig())
-        .threads(1);
+        .cpi({Design::ByteSerial}, analysis::suiteConfig());
     const SuiteReport rep = session.run(plan);
     EXPECT_TRUE(rep.rejected);
     EXPECT_NE(rep.rejectReason.find("capacity"), std::string::npos)
@@ -835,6 +827,7 @@ TEST(SessionAdmission, QueuedPlanDeadlineExpiresIntoEmptyPartial)
     // caller, not a rejection: they asked for time, not for a place
     // in line.
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.captureLimit = 2000;
     cfg.maxConcurrentPlans = 1;
     cfg.maxQueuedPlans = 4;
@@ -843,7 +836,7 @@ TEST(SessionAdmission, QueuedPlanDeadlineExpiresIntoEmptyPartial)
     BlockingSink blocker;
     std::thread holder([&] {
         StudyPlan plan;
-        plan.workloads({"rawcaudio"}).profile({&blocker}).threads(1);
+        plan.workloads({"rawcaudio"}).profile({&blocker});
         session.run(plan);
     });
     blocker.waitUntilRunning();
@@ -851,8 +844,7 @@ TEST(SessionAdmission, QueuedPlanDeadlineExpiresIntoEmptyPartial)
     StudyPlan plan;
     plan.workloads({"rawdaudio"})
         .cpi({Design::ByteSerial}, analysis::suiteConfig())
-        .deadlineMs(30)
-        .threads(1);
+        .deadlineMs(30);
     const SuiteReport rep = session.run(plan);
     EXPECT_FALSE(rep.rejected);
     EXPECT_TRUE(rep.deadlineExceeded);
@@ -866,6 +858,7 @@ TEST(SessionAdmission, QueuedPlanDeadlineExpiresIntoEmptyPartial)
 TEST(SessionAdmission, QueuedPlanRunsWhenTheSlotFrees)
 {
     SessionConfig cfg;
+    cfg.threads = 1;
     cfg.captureLimit = 2000;
     cfg.maxConcurrentPlans = 1;
     cfg.maxQueuedPlans = 4;
@@ -874,7 +867,7 @@ TEST(SessionAdmission, QueuedPlanRunsWhenTheSlotFrees)
     BlockingSink blocker;
     std::thread holder([&] {
         StudyPlan plan;
-        plan.workloads({"rawcaudio"}).profile({&blocker}).threads(1);
+        plan.workloads({"rawcaudio"}).profile({&blocker});
         session.run(plan);
     });
     blocker.waitUntilRunning();
@@ -882,8 +875,7 @@ TEST(SessionAdmission, QueuedPlanRunsWhenTheSlotFrees)
     std::thread queued([&] {
         StudyPlan plan;
         plan.workloads({"rawdaudio"})
-            .cpi({Design::ByteSerial}, analysis::suiteConfig())
-            .threads(1);
+            .cpi({Design::ByteSerial}, analysis::suiteConfig());
         const SuiteReport rep = session.run(plan);
         EXPECT_FALSE(rep.rejected);
         ASSERT_EQ(rep.cpi.size(), 1u);

@@ -426,8 +426,7 @@ TEST_F(StoreTest, ListInfoRemoveManageSegments)
 
 TEST_F(StoreTest, CacheLoadsFromStoreInsteadOfRecapturing)
 {
-    TraceCache cache;
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir()});
 
     const TraceCache::TracePtr first = cache.get("rawcaudio");
     EXPECT_EQ(cache.captures(), 1u);
@@ -446,8 +445,7 @@ TEST_F(StoreTest, CacheLoadsFromStoreInsteadOfRecapturing)
 
     // A genuinely cold cache object (new process) rides the same
     // segments.
-    TraceCache fresh;
-    fresh.configureStore({dir(), 0, true}); // read-only is enough
+    TraceCache fresh({.storeDir = dir(), .readOnly = true}); // enough
     const TraceCache::TracePtr third = fresh.get("rawcaudio");
     EXPECT_EQ(fresh.captures(), 0u);
     EXPECT_EQ(fresh.storeLoads(), 1u);
@@ -456,8 +454,7 @@ TEST_F(StoreTest, CacheLoadsFromStoreInsteadOfRecapturing)
 
 TEST_F(StoreTest, CacheRecapturesOverCorruptOrStaleSegments)
 {
-    TraceCache cache;
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir()});
     cache.get("rawcaudio");
     ASSERT_EQ(cache.storeSaves(), 1u);
 
@@ -485,8 +482,7 @@ TEST_F(StoreTest, CacheRecapturesOverCorruptOrStaleSegments)
 
 TEST_F(StoreTest, ReadOnlyStoreNeverWrites)
 {
-    TraceCache cache;
-    cache.configureStore({dir(), 0, true});
+    TraceCache cache({.storeDir = dir(), .readOnly = true});
     cache.get("rawcaudio");
     EXPECT_EQ(cache.captures(), 1u);
     EXPECT_EQ(cache.storeSaves(), 0u);
@@ -495,21 +491,19 @@ TEST_F(StoreTest, ReadOnlyStoreNeverWrites)
 
 TEST_F(StoreTest, SpillBudgetBoundsRamAndReloadsFromDisk)
 {
-    TraceCache cache;
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic"};
     // Find one workload's footprint to size the budget.
-    cache.configureStore({dir(), 0, false});
     const std::size_t one = [&] {
-        cache.get(names[0]);
-        const std::size_t bytes = cache.memoryBytes();
-        return bytes;
+        TraceCache probe;
+        probe.get(names[0]);
+        return probe.memoryBytes();
     }();
     ASSERT_GT(one, 0u);
 
     // Budget of ~1.5 workloads: after touching three, at most one
     // spare can stay resident next to the most recent one.
-    cache.configureStore({dir(), one + one / 2, false});
+    TraceCache cache({.storeDir = dir(), .spillBudgetBytes = one + one / 2});
     for (const std::string &n : names)
         cache.get(n);
     EXPECT_LE(cache.memoryBytes(), one + one / 2);
@@ -536,17 +530,16 @@ TEST_F(StoreTest, ConcurrentReadWhileSpillFailsSoft)
     // Reference sizes from a plain cache.
     std::map<std::string, std::size_t> want;
     {
-        TraceCache ref;
-        ref.setCaptureLimit(20'000);
+        TraceCache ref({.captureLimit = 20'000});
         for (const std::string &n : names)
             want[n] = ref.get(n)->size();
     }
 
-    TraceCache cache;
-    cache.setCaptureLimit(20'000);
     // A 1-byte budget forces a spill after every single get(): the
     // most hostile read-while-spill interleaving possible.
-    cache.configureStore({dir(), 1, false});
+    TraceCache cache({.storeDir = dir(),
+                      .spillBudgetBytes = 1,
+                      .captureLimit = 20'000});
 
     constexpr unsigned kThreads = 8;
     constexpr unsigned kRounds = 25;
@@ -640,8 +633,7 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, StoreBitIdentity,
 
 TEST_F(StoreTest, OlderFormatVersionLoadsAsStaleAndIsRecaptured)
 {
-    TraceCache cache;
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir()});
     cache.get("rawdaudio");
     const TraceStore ts(dir());
     const std::string path = ts.segmentPath("rawdaudio");
@@ -794,8 +786,7 @@ TEST_F(StoreTest, CorruptQuantaAnnexFailsSoft)
                       cpu::TraceBuffer::defaultMaxInstrs, &why),
               nullptr);
     // The two-tier cache treats it like any other damage: recapture.
-    TraceCache cache;
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir()});
     const auto trace = cache.get("rawcaudio");
     EXPECT_EQ(cache.captures(), 1u);
     EXPECT_EQ(trace->size(), t.size());
@@ -841,8 +832,7 @@ TEST_F(StoreTest, PersistAnnexesUpgradesSegmentOnce)
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
     const TraceStore ts(dir());
 
-    TraceCache cache;
-    cache.configureStore({dir(), 0, false});
+    TraceCache cache({.storeDir = dir()});
     const auto trace = cache.get("rawdaudio");
     // Write-through at capture has nothing derived yet.
     EXPECT_TRUE(ts.annexKeys("rawdaudio").empty());

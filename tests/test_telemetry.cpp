@@ -3,7 +3,7 @@
  * Telemetry layer tests (common/telemetry.h): registry/handle
  * semantics, deterministic snapshots and deltas, histogram bucket
  * placement, span nesting and cross-thread track integrity in the
- * emitted Chrome trace JSON, StudyPlan::traceFile() end to end, the
+ * emitted Chrome trace JSON, a traced Session::run end to end, the
  * side-channel guarantee (study bytes identical with tracing on,
  * off, and recording disabled), SIGCOMP_LOG level gating, and a
  * concurrent emit/drain hammer that the CI TSan job runs under
@@ -285,9 +285,24 @@ smallPlan()
     StudyPlan plan;
     pipeline::PipelineConfig cfg;
     plan.workloads({"rawcaudio", "rawdaudio"})
-        .threads(1)
         .cpi({Design::Baseline32, Design::ByteSerial}, cfg);
     return plan;
+}
+
+/**
+ * Run @p plan on @p session inside a tracing window and write the
+ * process trace to @p file: what SIGCOMP_TRACE does for a whole
+ * process, scoped to one run.
+ */
+SuiteReport
+runTraced(Session &session, const StudyPlan &plan, const std::string &file)
+{
+    tele::startTracing();
+    SuiteReport rep = session.run(plan);
+    tele::stopTracing();
+    std::string why;
+    EXPECT_TRUE(tele::writeTrace(file, &why)) << why;
+    return rep;
 }
 
 std::string
@@ -316,9 +331,8 @@ TEST_F(TelemetryFileTest, StudyResultsAreBitIdenticalWithTracingOnOrOff)
     const std::string want = reportBytes(plain.run(smallPlan()));
 
     Session traced(cfg);
-    StudyPlan plan = smallPlan();
-    plan.traceFile(path("run.json"));
-    const std::string got = reportBytes(traced.run(plan));
+    const std::string got =
+        reportBytes(runTraced(traced, smallPlan(), path("run.json")));
 
     // Tracing is a pure side channel: every byte of the report —
     // including the telemetry block — is identical.
@@ -366,15 +380,11 @@ TEST_F(TelemetryFileTest, ParallelStoreRunEmitsWorkerAndStoreSpans)
     // second session reads it back (load/decode spans).
     {
         Session cold(cfg);
-        StudyPlan plan = smallPlan();
-        plan.threads(2).traceFile(path("cold.json"));
-        cold.run(plan);
+        runTraced(cold, smallPlan(), path("cold.json"));
     }
     {
         Session warm(cfg);
-        StudyPlan plan = smallPlan();
-        plan.threads(2).traceFile(path("warm.json"));
-        warm.run(plan);
+        runTraced(warm, smallPlan(), path("warm.json"));
     }
 
     const std::string cold = readFile(path("cold.json"));

@@ -200,8 +200,7 @@ TEST(TraceCache, EvictForcesRecaptureButKeepsSharedBuffersAlive)
 
 TEST(TraceCache, CaptureLimitProducesTruncatedTraces)
 {
-    TraceCache cache;
-    cache.setCaptureLimit(500);
+    TraceCache cache({.captureLimit = 500});
     const TraceCache::TracePtr t = cache.get("rawcaudio");
     EXPECT_TRUE(t->truncated());
     EXPECT_EQ(t->size(), 500u);
@@ -277,13 +276,11 @@ TEST_P(BitIdentityAcrossEncodings, ActivityStudy)
 {
     const sig::Encoding enc = GetParam();
     const auto direct = live::activityStudy(enc);
-    Session session;
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
+        Session session(analysis::SessionConfig{.threads = threads});
         live::expectSameRows(
-            session.run(StudyPlan().activity(enc).threads(threads))
-                .activity.front()
-                .rows,
+            session.run(StudyPlan().activity(enc)).activity.front().rows,
             direct);
     }
 }
@@ -295,9 +292,9 @@ TEST_P(BitIdentityAcrossEncodings, CpiStudy)
     const auto cfg = analysis::suiteConfig(enc);
 
     const auto direct = live::cpiStudy(designs, cfg);
-    Session session;
+    Session session(analysis::SessionConfig{.threads = 4});
     live::expectSameRows(
-        session.run(StudyPlan().cpi(designs, cfg).threads(4))
+        session.run(StudyPlan().cpi(designs, cfg))
             .cpi.front()
             .rows(),
         direct);

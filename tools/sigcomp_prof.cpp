@@ -2,7 +2,7 @@
  * @file
  * Offline summariser for the Chrome trace-event JSON profiles the
  * telemetry layer writes (common/telemetry.h, SIGCOMP_TRACE /
- * StudyPlan::traceFile). chrome://tracing and Perfetto render the
+ * telemetry::writeTrace). chrome://tracing and Perfetto render the
  * file; this tool answers the terminal-side questions — where did
  * the time go, per phase and per worker — and gives CI a structural
  * validator so a malformed trace fails the build, not the viewer.
