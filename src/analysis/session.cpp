@@ -291,17 +291,47 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     };
     std::vector<Harvest> harvest(names.size());
 
-    auto runOne = [&](std::size_t i) {
+    /** One workload's pipelines, in the canonical harvest order. */
+    struct Fused
+    {
+        std::vector<std::unique_ptr<InOrderPipeline>> owned;
+        std::vector<InOrderPipeline *> raw;
+    };
+    // Every study's pipelines over one trace. One replayPipelines
+    // call replays the trace exactly once: same-key pipelines share
+    // a quanta group, every group and every profiler sink is fed
+    // from the same materialised blocks.
+    auto buildPipelines = [&plan] {
+        Fused f;
+        auto add = [&](Design d, const PipelineConfig &cfg) {
+            f.owned.push_back(pipeline::makePipeline(d, cfg));
+            f.raw.push_back(f.owned.back().get());
+        };
+        for (const StudyPlan::CpiSpec &s : plan.cpi_)
+            for (Design d : s.designs)
+                add(d, s.config);
+        for (sig::Encoding enc : plan.activity_) {
+            add(enc == sig::Encoding::Half1 ? Design::HalfwordSerial
+                                            : Design::ByteSerial,
+                suiteConfig(enc));
+        }
+        for (const StudyPlan::EnergySpec &e : plan.energy_)
+            add(e.design, suiteConfig(e.enc));
+        return f;
+    };
+
+    // Workload i's fused pass over @p trace, fetched here (loaded or
+    // captured) when null.
+    auto runOne = [&](std::size_t i, TraceCache::TracePtr trace,
+                      Fused pipes) {
         // One span per workload's fused pass; on a parallel plan
         // these land on the per-worker tracks.
         SIGCOMP_SPAN("session.replay");
         if (cancelRequested(cancel))
             return;
-        TraceCache::TracePtr trace;
-        for (;;) {
+        while (trace == nullptr) {
             try {
                 trace = cache_.get(names[i], cancel);
-                break;
             } catch (const CancelledError &) {
                 // Ours, or a concurrent plan's: a cancelled capture
                 // unblocks every waiter on that workload with
@@ -314,30 +344,9 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         }
         const std::uint64_t replays0 = trace->replayCount();
 
-        // Build every study's pipelines over this trace. One
-        // replayPipelines call replays the trace exactly once:
-        // same-key pipelines share a quanta group, every group and
-        // every profiler sink is fed from the same materialised
-        // blocks.
-        std::vector<std::unique_ptr<InOrderPipeline>> owned;
-        std::vector<InOrderPipeline *> raw;
-        auto add = [&](Design d, const PipelineConfig &cfg) {
-            owned.push_back(pipeline::makePipeline(d, cfg));
-            raw.push_back(owned.back().get());
-        };
-        for (const StudyPlan::CpiSpec &s : plan.cpi_)
-            for (Design d : s.designs)
-                add(d, s.config);
-        for (sig::Encoding enc : plan.activity_) {
-            add(enc == sig::Encoding::Half1 ? Design::HalfwordSerial
-                                            : Design::ByteSerial,
-                suiteConfig(enc));
-        }
-        for (const StudyPlan::EnergySpec &e : plan.energy_)
-            add(e.design, suiteConfig(e.enc));
-
         try {
-            pipeline::replayPipelines(*trace, raw, plan.sinks_, cancel);
+            pipeline::replayPipelines(*trace, pipes.raw, plan.sinks_,
+                                      cancel);
         } catch (const CancelledError &) {
             // Aborted mid-replay: nothing was published on the trace
             // and nothing is harvested for this workload. The partial
@@ -350,11 +359,11 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         h.cpi.resize(plan.cpi_.size());
         for (std::size_t s = 0; s < plan.cpi_.size(); ++s)
             for (std::size_t d = 0; d < plan.cpi_[s].designs.size(); ++d)
-                h.cpi[s].push_back(owned[cursor++]->result());
+                h.cpi[s].push_back(pipes.owned[cursor++]->result());
         for (std::size_t s = 0; s < plan.activity_.size(); ++s)
-            h.activity.push_back(owned[cursor++]->result());
+            h.activity.push_back(pipes.owned[cursor++]->result());
         for (std::size_t s = 0; s < plan.energy_.size(); ++s)
-            h.energy.push_back(owned[cursor++]->result());
+            h.energy.push_back(pipes.owned[cursor++]->result());
         h.instructions = trace->runResult().instructions;
         h.replayDelta = trace->replayCount() - replays0;
         h.completed = true;
@@ -366,21 +375,50 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
             cache_.evict(names[i]);
     };
 
+    // A workload whose trace is resident and whose every pipeline
+    // would adopt a `result:` memo needs no load and no replay, so it
+    // runs here on the calling thread: waking the executor for it
+    // would cost more than the answer. Profiler sinks always replay,
+    // so a plan with sinks never qualifies. Only the rest go to
+    // prewarm and the fan-out below.
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (plan.sinks_.empty() && !cancelRequested(cancel)) {
+            if (TraceCache::TracePtr trace = cache_.resident(names[i])) {
+                Fused pipes = buildPipelines();
+                if (pipeline::resultsMemoised(*trace, pipes.raw)) {
+                    runOne(i, std::move(trace), std::move(pipes));
+                    continue;
+                }
+            }
+        }
+        pending.push_back(i);
+    }
+    auto runPending = [&](std::size_t k) {
+        runOne(pending[k], nullptr, buildPipelines());
+    };
+
     // Shared profiler sinks must observe the serial retirement
     // stream in workload order, so plans with profilers replay
     // sequentially (capture still fans out via prewarm); plans with
     // pipelines only fan whole workloads across the executor.
     const bool parallel_replay =
         plan.sinks_.empty() && exec.threadCount() > 1;
-    if (exec.threadCount() > 1 && !cancelRequested(cancel))
-        cache_.prewarm(names, exec, cancel);
+    if (exec.threadCount() > 1 && !pending.empty() &&
+        !cancelRequested(cancel)) {
+        std::vector<std::string> pendingNames;
+        pendingNames.reserve(pending.size());
+        for (std::size_t i : pending)
+            pendingNames.push_back(names[i]);
+        cache_.prewarm(pendingNames, exec, cancel);
+    }
     if (parallel_replay) {
-        exec.parallelFor(names.size(), runOne, cancel);
+        exec.parallelFor(pending.size(), runPending, cancel);
     } else {
-        for (std::size_t i = 0; i < names.size(); ++i) {
+        for (std::size_t k = 0; k < pending.size(); ++k) {
             if (cancelRequested(cancel))
                 break;
-            runOne(i);
+            runPending(k);
         }
     }
 

@@ -154,6 +154,19 @@ TraceCache::contains(const std::string &workload) const
     return entries_.find(workload) != entries_.end();
 }
 
+TraceCache::TracePtr
+TraceCache::resident(const std::string &workload)
+{
+    MutexLock lock(mu_);
+    const auto it = entries_.find(workload);
+    if (it == entries_.end() ||
+        it->second.future.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready)
+        return nullptr;
+    it->second.lastUse = ++useTick_;
+    return it->second.future.get();
+}
+
 void
 TraceCache::evict(const std::string &workload)
 {

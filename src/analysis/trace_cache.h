@@ -132,6 +132,13 @@ class TraceCache
     /** True when the workload's trace is cached (or being captured). */
     bool contains(const std::string &workload) const;
 
+    /**
+     * The workload's trace when it is in RAM and ready, else nullptr
+     * (absent, or a capture/load still in flight). Never captures or
+     * loads; a hit counts as a use for LRU recency, like get().
+     */
+    TracePtr resident(const std::string &workload);
+
     /** The attached disk tier, or nullptr. */
     std::shared_ptr<const store::TraceStore> store() const
     {

@@ -1,5 +1,7 @@
 #include "pipeline/runner.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/telemetry.h"
 
@@ -129,7 +131,25 @@ class GroupReplaySink : public cpu::TraceSink
     bool canonical_ = true;
 };
 
+/** A pipeline whose full-trace result may come from a memo. */
+bool
+memoEligible(const InOrderPipeline &p)
+{
+    return p.planIsPure() && p.pristine() && !p.observed();
+}
+
 } // namespace
+
+bool
+resultsMemoised(const cpu::TraceBuffer &trace,
+                const std::vector<InOrderPipeline *> &pipes)
+{
+    return std::all_of(pipes.begin(), pipes.end(),
+                       [&](const InOrderPipeline *p) {
+                           return memoEligible(*p) &&
+                                  trace.annexGet(resultKey(*p)) != nullptr;
+                       });
+}
 
 cpu::RunResult
 replayPipelines(const cpu::TraceBuffer &trace,
@@ -156,7 +176,7 @@ replayPipelines(const cpu::TraceBuffer &trace,
         followers; // (duplicate, its running leader)
     std::vector<std::pair<std::string, InOrderPipeline *>> leaders;
     for (InOrderPipeline *p : pipes) {
-        if (p->planIsPure() && p->pristine() && !p->observed()) {
+        if (memoEligible(*p)) {
             const std::string key = resultKey(*p);
             if (auto memo = std::static_pointer_cast<const PipelineResult>(
                     trace.annexGet(key))) {
@@ -187,8 +207,7 @@ replayPipelines(const cpu::TraceBuffer &trace,
     std::vector<std::vector<InOrderPipeline *>> groups;
     std::vector<bool> was_pristine;
     for (InOrderPipeline *p : running) {
-        const bool pristine =
-            p->planIsPure() && p->pristine() && !p->observed();
+        const bool pristine = memoEligible(*p);
         p->bindReplay(trace.program());
         const std::string key = p->quantaKey();
         bool placed = false;

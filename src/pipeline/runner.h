@@ -38,6 +38,17 @@ replayPipelines(const cpu::TraceBuffer &trace,
                 const std::vector<cpu::TraceSink *> &extra_sinks = {},
                 const CancelToken *cancel = nullptr);
 
+/**
+ * True when replayPipelines(@p trace, @p pipes) with no extra sinks
+ * would replay nothing: every pipeline is fresh, unobserved and
+ * pure, and its full-trace result is already memoised on the trace.
+ * Such a call only adopts results, so it is cheap enough to run on
+ * the calling thread.
+ */
+bool
+resultsMemoised(const cpu::TraceBuffer &trace,
+                const std::vector<InOrderPipeline *> &pipes);
+
 } // namespace sigcomp::pipeline
 
 #endif // SIGCOMP_PIPELINE_RUNNER_H_

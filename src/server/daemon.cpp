@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 
 #include "analysis/plan_json.h"
 #include "common/json.h"
@@ -20,6 +21,9 @@ constexpr const char *kErrorSchemaId = "sigcomp-daemon-error-v1";
 
 /** How many times a follower retries after its leader died bodiless. */
 constexpr int kMaxJoinAttempts = 100;
+
+/** Parked handler threads beyond this many exit instead. */
+constexpr unsigned kMaxIdleHandlers = 8;
 
 bool
 validTenant(std::string_view tenant)
@@ -50,7 +54,9 @@ Daemon::Daemon(DaemonConfig config)
       disconnectCancels_(
           registry_.counter("daemon.disconnect_cancels")),
       activeConns_(registry_.gauge("daemon.active_connections")),
-      tenantsGauge_(registry_.gauge("daemon.tenants"))
+      tenantsGauge_(registry_.gauge("daemon.tenants")),
+      handlerThreads_(registry_.gauge("daemon.handler_threads")),
+      handlerSpawns_(registry_.counter("daemon.handler_spawns"))
 {
     watcher_ = std::thread([this] { watchLoop(); });
 }
@@ -205,15 +211,135 @@ Daemon::watchLoop()
 // Serving
 // ------------------------------------------------------------------
 
-void
-Daemon::serve(net::Listener &listener)
+/**
+ * serve()'s handler threads. A handler answers its connection, counts
+ * itself idle, closes the connection and parks until dispatch() hands
+ * it the next one; dispatch() spawns a thread only when no handler is
+ * idle, so a connection never waits for a busy handler. A handler
+ * that would park as the (kMaxIdleHandlers+1)-th exits instead, and
+ * exited handlers are joined on the next dispatch.
+ */
+class Daemon::HandlerPool
 {
+  public:
+    explicit HandlerPool(Daemon &daemon) : daemon_(daemon) {}
+
+    /** Wakes every parked handler and joins all of them. */
+    ~HandlerPool()
+    {
+        {
+            MutexLock lock(mu_);
+            closing_ = true;
+        }
+        ready_.notify_all();
+        for (Handler &h : handlers_)
+            h.thread.join();
+    }
+
+    HandlerPool(const HandlerPool &) = delete;
+    HandlerPool &operator=(const HandlerPool &) = delete;
+
+    /** Serve @p conn on a parked handler, else on a new thread. */
+    void
+    dispatch(std::shared_ptr<net::Conn> conn)
+    {
+        std::erase_if(handlers_, [](Handler &h) {
+            if (!h.done->load(std::memory_order_acquire))
+                return false;
+            h.thread.join();
+            return true;
+        });
+        {
+            MutexLock lock(mu_);
+            if (idle_ > 0) {
+                // Reserve one parked handler for this connection.
+                --idle_;
+                pending_.push_back(std::move(conn));
+                ready_.notify_one();
+                return;
+            }
+        }
+        daemon_.handlerSpawns_.inc();
+        addLive(1);
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        handlers_.push_back(
+            {std::thread([this, conn = std::move(conn), done]() mutable {
+                 run(std::move(conn));
+                 addLive(-1);
+                 done->store(true, std::memory_order_release);
+             }),
+             done});
+    }
+
+  private:
     struct Handler
     {
         std::thread thread;
         std::shared_ptr<std::atomic<bool>> done;
     };
-    std::vector<Handler> handlers;
+
+    /** Live handler count, mirrored into daemon.handler_threads. */
+    void
+    addLive(int delta)
+    {
+        daemon_.handlerThreads_.set(
+            liveCount_.fetch_add(delta, std::memory_order_relaxed) +
+            delta);
+    }
+
+    /** Handler body: serve, park, repeat until told to exit. */
+    void
+    run(std::shared_ptr<net::Conn> conn)
+    {
+        for (;;) {
+            daemon_.answerConn(conn);
+            // Count as idle BEFORE the close the client waits for, so
+            // its next connection finds this handler available.
+            bool park = false;
+            {
+                MutexLock lock(mu_);
+                park = !closing_ && idle_ < kMaxIdleHandlers;
+                if (park)
+                    ++idle_;
+            }
+            conn->closeConn();
+            conn.reset();
+            if (!park)
+                return;
+            UniqueLock lock(mu_);
+            while (pending_.empty() && !closing_)
+                ready_.wait(lock.native());
+            if (pending_.empty()) {
+                --idle_; // closing, and no connection reserved us
+                return;
+            }
+            // dispatch() already took this handler off idle_.
+            conn = std::move(pending_.front());
+            pending_.pop_front();
+        }
+    }
+
+    Daemon &daemon_;
+    std::atomic<int> liveCount_{0};
+
+    Mutex mu_;
+    std::condition_variable ready_;
+    /**
+     * Parked handlers not yet reserved; parked handlers in all are
+     * idle_ + pending_.size().
+     */
+    unsigned idle_ SIGCOMP_GUARDED_BY(mu_) = 0;
+    std::deque<std::shared_ptr<net::Conn>> pending_
+        SIGCOMP_GUARDED_BY(mu_);
+    bool closing_ SIGCOMP_GUARDED_BY(mu_) = false;
+    /** Touched only by the serve() thread. */
+    std::vector<Handler> handlers_;
+};
+
+void
+Daemon::serve(net::Listener &listener)
+{
+    HandlerPool pool(*this);
     for (;;) {
         EnvStatus status = EnvStatus::good();
         std::unique_ptr<net::Conn> accepted =
@@ -226,28 +352,20 @@ Daemon::serve(net::Listener &listener)
         }
         if (stopRequested())
             break;
-        // Reap handlers that have finished since the last accept.
-        std::erase_if(handlers, [](Handler &h) {
-            if (!h.done->load(std::memory_order_acquire))
-                return false;
-            h.thread.join();
-            return true;
-        });
-        std::shared_ptr<net::Conn> conn = std::move(accepted);
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        handlers.push_back({std::thread([this, conn, done] {
-                                serveConn(conn);
-                                done->store(true,
-                                            std::memory_order_release);
-                            }),
-                            done});
+        pool.dispatch(std::move(accepted));
     }
-    for (Handler &h : handlers)
-        h.thread.join();
+    // ~HandlerPool joins every handler, parked or still serving.
 }
 
 void
 Daemon::serveConn(std::shared_ptr<net::Conn> conn)
+{
+    answerConn(conn);
+    conn->closeConn();
+}
+
+void
+Daemon::answerConn(const std::shared_ptr<net::Conn> &conn)
 {
     activeConns_.set(
         activeConnCount_.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -265,7 +383,6 @@ Daemon::serveConn(std::shared_ptr<net::Conn> conn)
             // nobody is listening for a reply.
             status = HttpRequestParser::Status::Error;
             httpErrors_.inc();
-            conn->closeConn();
             activeConns_.set(activeConnCount_.fetch_sub(
                                  1, std::memory_order_relaxed) -
                              1);
@@ -282,7 +399,6 @@ Daemon::serveConn(std::shared_ptr<net::Conn> conn)
     } else {
         handleRequest(conn, parser.request());
     }
-    conn->closeConn();
     activeConns_.set(
         activeConnCount_.fetch_sub(1, std::memory_order_relaxed) - 1);
 }

@@ -35,11 +35,14 @@
  * The optional X-Sigcomp-Tenant header ([a-z0-9_-], <= 64 bytes,
  * default "default") selects the tenant session.
  *
- * Thread model: serve() accepts and hands each connection to its own
- * handler thread; serveConn() is also directly callable (the tests
- * drive it over memoryConnPair with no sockets involved). All shared
- * state is mutex-guarded and annotated; the TSan concurrency test
- * hammers one Daemon from many client threads.
+ * Thread model: serve() accepts and hands each connection to a
+ * handler thread that serves it, then parks for the next one; a new
+ * thread is spawned only when no handler is idle, so concurrency is
+ * unbounded while steady-state serving creates no threads.
+ * serveConn() is also directly callable (the tests drive it over
+ * memoryConnPair with no sockets involved). All shared state is
+ * mutex-guarded and annotated; the TSan concurrency test hammers one
+ * Daemon from many client threads.
  */
 
 #ifndef SIGCOMP_SERVER_DAEMON_H_
@@ -116,11 +119,15 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     /**
-     * Accept-and-dispatch loop: one handler thread per connection,
-     * until requestStop() (or a hard listener fault). Finished
-     * handlers are joined on every accept, so live threads stay
-     * bounded by open connections; the rest are joined before
-     * returning, so the caller may destroy the listener afterwards.
+     * Accept-and-dispatch loop, until requestStop() (or a hard
+     * listener fault). Each accepted connection goes to a parked
+     * handler thread, or to a new one when none is idle. A handler
+     * that finishes parks for the next connection unless enough
+     * others are parked already, in which case it exits and is
+     * joined on a later accept; live threads therefore stay bounded
+     * by open connections plus a few parked ones. Every handler is
+     * joined before returning, so the caller may destroy the
+     * listener afterwards.
      */
     void serve(net::Listener &listener);
 
@@ -185,6 +192,14 @@ class Daemon
         std::shared_ptr<InflightRun> run;
     };
 
+    class HandlerPool;
+
+    /**
+     * serveConn() minus the close: read one request, route it and
+     * reply. serve()'s handlers park before closing, so a client that
+     * connects again as soon as it sees the close finds one idle.
+     */
+    void answerConn(const std::shared_ptr<net::Conn> &conn);
     /** Dispatch one parsed request to its route. */
     void handleRequest(const std::shared_ptr<net::Conn> &conn,
                        const HttpRequest &request);
@@ -243,6 +258,9 @@ class Daemon
     telemetry::Counter &disconnectCancels_;
     telemetry::Gauge &activeConns_;
     telemetry::Gauge &tenantsGauge_;
+    /** serve()'s live handler threads, parked ones included. */
+    telemetry::Gauge &handlerThreads_;
+    telemetry::Counter &handlerSpawns_;
 };
 
 } // namespace sigcomp::server

@@ -8,13 +8,14 @@
  * identical cache hit costing zero engine work), in-flight dedupe
  * under concurrent clients (TSan shard), disconnect cancellation
  * freeing the admission slot, thread-count bit-identity of the
- * served report rows, and the accept loop reaping finished handler
- * threads.
+ * served report rows, the accept loop reaping finished handler
+ * threads, and sequential connections reusing one parked handler.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -885,6 +886,76 @@ TEST(DaemonServe, FinishedHandlersAreJoinedWhileServing)
     EXPECT_LT(listener.peakThreads, base_threads + 256);
     EXPECT_LT(listener.peakMappings, base_mappings + 512)
         << "finished handler threads were not joined";
+}
+
+/**
+ * Hands out @p n memory connections, each carrying a GET /healthz,
+ * and hands out the next only after the daemon has answered the
+ * previous one and closed it.
+ */
+class SequentialListener : public net::Listener
+{
+  public:
+    explicit SequentialListener(unsigned n) : left_(n) {}
+
+    std::unique_ptr<net::Conn>
+    acceptConn(EnvStatus *) override
+    {
+        if (client_ != nullptr) {
+            std::string response;
+            char buf[256];
+            std::size_t got = 0;
+            while (client_->read(buf, sizeof(buf), &got).ok() && got != 0)
+                response.append(buf, got);
+            if (response.find("\r\n\r\nok\n") != std::string::npos)
+                ++answered;
+            client_.reset();
+        }
+        if (left_ == 0)
+            return nullptr;
+        --left_;
+        auto [server_end, client_end] = net::memoryConnPair();
+        const std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+        EXPECT_TRUE(
+            client_end->writeAll(request.data(), request.size()).ok());
+        client_ = std::move(client_end);
+        return std::move(server_end);
+    }
+
+    void stopListening() override {}
+    std::uint16_t port() const override { return 0; }
+
+    unsigned answered = 0;
+
+  private:
+    unsigned left_;
+    std::unique_ptr<net::Conn> client_;
+};
+
+TEST(DaemonServe, SequentialConnectionsReuseAParkedHandler)
+{
+    // One connection at a time: the handler that served the last
+    // one is parked (or about to park) when the next arrives, so
+    // serving 200 of them spawns at most two threads.
+    constexpr unsigned kConns = 200;
+    Daemon daemon(testConfig());
+    const std::size_t base_threads = threadCount();
+    SequentialListener listener(kConns);
+    daemon.serve(listener);
+
+    EXPECT_EQ(listener.answered, kConns);
+    const telemetry::Snapshot snap = daemon.metrics().snapshot();
+    EXPECT_GE(snap.value("daemon.handler_spawns"), 1u);
+    EXPECT_LE(snap.value("daemon.handler_spawns"), 2u);
+    EXPECT_EQ(snap.value("daemon.requests"), kConns);
+
+    // serve() joins its parked handlers before returning. A joined
+    // thread can still be counted for a moment while the kernel
+    // tears it down, so wait (boundedly) for the count to settle.
+    for (int i = 0; i < 200 && threadCount() > base_threads; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(threadCount(), base_threads)
+        << "parked handler threads outlived serve()";
 }
 
 // The full EnvFault taxonomy is pinned by test_fault.cpp; the server

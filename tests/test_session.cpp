@@ -20,6 +20,7 @@
 
 #include "analysis/profilers.h"
 #include "analysis/session.h"
+#include "common/telemetry.h"
 #include "isa/assembler.h"
 #include "store/trace_store.h"
 #include "tests/live_oracle.h"
@@ -888,6 +889,107 @@ TEST(SessionAdmission, QueuedPlanRunsWhenTheSlotFrees)
     holder.join();
     queued.join();
 }
+
+// ---- memo-answered workloads run on the calling thread ---------------
+
+/**
+ * Report bytes with wall_ms and replay_passes zeroed: a plan's first
+ * run replays, its repeat adopts every result memo instead, and
+ * nothing else in the report may tell the two apart.
+ */
+std::string
+memoBytes(SuiteReport rep)
+{
+    rep.wallMs = 0.0;
+    rep.replayPasses = 0;
+    return rep.toJson();
+}
+
+/** executor.task_nanos samples so far: one per executor task run. */
+std::uint64_t
+executorTasks()
+{
+    return telemetry::Registry::process().snapshot().value(
+        "executor.task_nanos");
+}
+
+class SessionMemo : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(SessionMemo, MemoAnsweredPlanMatchesTheReplayingRun)
+{
+    Session session(SessionConfig{.threads = GetParam()});
+    session.prewarm({"rawcaudio", "rawdaudio"});
+
+    const std::uint64_t tasks0 = executorTasks();
+    const SuiteReport first = session.run(lifecyclePlan());
+    const std::uint64_t tasks1 = executorTasks();
+    const SuiteReport memo = session.run(lifecyclePlan());
+    const std::uint64_t tasks2 = executorTasks();
+
+    EXPECT_EQ(first.replayPasses, 2u);
+    EXPECT_EQ(memo.replayPasses, 0u);
+    EXPECT_EQ(memo.captures + memo.storeLoads, 0u);
+    EXPECT_EQ(memoBytes(memo), memoBytes(first));
+    EXPECT_EQ(tasks2, tasks1)
+        << "a fully memo-answered plan must not wake the executor";
+    if (telemetry::enabled() && GetParam() > 1) {
+        EXPECT_GT(tasks1, tasks0) << "the probe missed a replay fan-out";
+    }
+}
+
+TEST_P(SessionMemo, MixedPlanReplaysOnlyTheUnmemoisedWorkload)
+{
+    Session session(SessionConfig{.threads = GetParam()});
+    session.run(lifecyclePlan().workloads({"rawcaudio"}));
+    const SuiteReport mixed = session.run(lifecyclePlan());
+
+    EXPECT_EQ(mixed.replayPasses, 1u) << "rawcaudio is memo-answered";
+    EXPECT_EQ(mixed.captures, 1u);
+    Session reference(SessionConfig{.threads = 1});
+    EXPECT_EQ(lifecycleBytes(mixed),
+              lifecycleBytes(reference.run(lifecyclePlan())));
+}
+
+TEST_P(SessionMemo, EvictAfterReplayEvictsMemoAnsweredWorkloads)
+{
+    Session session(SessionConfig{.threads = GetParam()});
+    const SuiteReport first = session.run(lifecyclePlan());
+    const SuiteReport memo =
+        session.run(lifecyclePlan().evictAfterReplay());
+
+    EXPECT_EQ(memo.replayPasses, 0u);
+    EXPECT_EQ(memo.captures, 0u);
+    EXPECT_EQ(memo.telemetry.value("cache.evictions"), 2u);
+    EXPECT_FALSE(session.cache().contains("rawcaudio"));
+    EXPECT_FALSE(session.cache().contains("rawdaudio"));
+    EXPECT_EQ(lifecycleBytes(memo), lifecycleBytes(first));
+}
+
+TEST_P(SessionMemo, PreExpiredDeadlineIgnoresResidentMemos)
+{
+    Session session(SessionConfig{.threads = GetParam()});
+    session.run(lifecyclePlan());
+    Session fresh(SessionConfig{.threads = 1});
+    const SuiteReport reference = fresh.run(lifecyclePlan().deadlineMs(0));
+    const SuiteReport rep = session.run(lifecyclePlan().deadlineMs(0));
+
+    EXPECT_TRUE(rep.deadlineExceeded);
+    EXPECT_EQ(rep.replayPasses, 0u);
+    ASSERT_EQ(rep.cpi.size(), 1u);
+    EXPECT_TRUE(rep.cpi[0].benchmarks.empty())
+        << "an expired plan answers nothing, memoised or not";
+    EXPECT_EQ(lifecycleBytes(rep), lifecycleBytes(reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionMemo,
+                         ::testing::Values(1u, 2u, 4u),
+                         [](const auto &info) {
+                             std::string name = "t";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
 
 } // namespace
 } // namespace sigcomp

@@ -23,7 +23,10 @@
  *
  * Prints "sigcompd: serving on <addr>:<port>" once accepting (the CI
  * smoke job waits for it), then serves until SIGTERM/SIGINT, shuts
- * down cleanly (drains handler threads) and exits 0.
+ * down cleanly (drains and joins every handler thread) and exits 0.
+ * Handler threads are reused: one that has answered its connection
+ * parks for the next, and a new thread starts only when none is idle
+ * (/statsz: daemon.handler_threads, daemon.handler_spawns).
  */
 
 #include <csignal>
