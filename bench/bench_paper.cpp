@@ -7,19 +7,16 @@
  * branch-prediction and robustness ablations).
  *
  * The paper gets every result from one execution of each benchmark,
- * and so does this program: all suite studies and profiler sinks ride
- * one StudyPlan, so each suite trace gets one fused replay. The only
- * other engine work is the held-out plan (robustness) and the balance
- * width sweep's custom pipelines, replayed from the same cached
- * traces. Takes no arguments; SIGCOMP_THREADS sets the thread count
- * and never changes the output.
+ * and so does this program: all suite studies, the section-5 width
+ * sweep and the profiler sinks ride one StudyPlan, so each suite
+ * trace gets one fused replay. The only other engine work is the
+ * held-out plan (robustness). Takes no arguments; SIGCOMP_THREADS
+ * sets the thread count and never changes the output.
  */
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +24,6 @@
 #include "analysis/session.h"
 #include "common/table.h"
 #include "isa/opcodes.h"
-#include "pipeline/runner.h"
 #include "power/energy_model.h"
 #include "sigcomp/pc_increment.h"
 #include "sigcomp/serial_alu.h"
@@ -168,8 +164,8 @@ struct SuiteSinks
 /**
  * The suite plan: one all-design CPI study per predictor (cpi[0] is
  * the paper's no-prediction machine, which every CPI, energy and
- * clock section reads), one activity study per encoding, and every
- * sink in @p sinks.
+ * clock section reads), the width sweep (cpi[kPredictors.size()]),
+ * one activity study per encoding, and every sink in @p sinks.
  */
 StudyPlan
 suitePlan(SuiteSinks &sinks)
@@ -180,6 +176,16 @@ suitePlan(SuiteSinks &sinks)
         cfg.predictor = k;
         plan.cpi(allDesigns(), cfg);
     }
+    // Section 5's bandwidth sweep around the balanced 3/2/2/1. The
+    // first two points show why even the "byte-serial" design fetches
+    // 3 bytes: a 1- or 2-byte I-fetch stalls every instruction.
+    plan.cpi(std::vector<StageWidths>{{1, 1, 1, 1}, {2, 1, 1, 1},
+                                      {3, 1, 1, 1}, {3, 1, 2, 1},
+                                      {3, 2, 1, 1}, {3, 2, 2, 1},
+                                      {3, 2, 2, 2}, {3, 4, 2, 1},
+                                      {3, 2, 4, 1}, {3, 4, 4, 2},
+                                      {3, 4, 4, 4}},
+             suiteConfig());
     for (sig::Encoding enc : kEncodings)
         plan.activity(enc);
     plan.profile({&sinks.patterns, &sinks.pc, &sinks.mix,
@@ -521,81 +527,14 @@ energy(const CpiStudyResult &study)
 // ------------------------------------------------- balance ablation --
 
 /**
- * Semi-parallel pipeline generalised over per-stage byte widths
- * (the design space the paper's balance analysis explores),
- * including the I-fetch width ("Using a three byte wide instruction
- * cache stage is a departure from the strictly byte serial
- * implementation ... otherwise, every instruction would incur at
- * least two stall cycles", section 4).
- */
-class WidthSweepPipeline : public InOrderPipeline
-{
-  public:
-    WidthSweepPipeline(unsigned if_w, unsigned rf_w, unsigned ex_w,
-                       unsigned mem_w, PipelineConfig cfg)
-        : InOrderPipeline("sweep-" + std::to_string(if_w) +
-                              std::to_string(rf_w) +
-                              std::to_string(ex_w) +
-                              std::to_string(mem_w),
-                          std::move(cfg)),
-          ifW_(if_w), rfW_(rf_w), exW_(ex_w), memW_(mem_w)
-    {
-    }
-
-  protected:
-    TimingPlan
-    plan(const cpu::DynInstr &di, const InstrQuanta &q) override
-    {
-        (void)di;
-        TimingPlan p;
-        p.numStages = 5;
-        p.dur[0] = (ifW_ >= 3 ? 1 + (q.fetchBytes > 3 ? 1 : 0)
-                              : divCeil(q.fetchBytes, ifW_)) +
-                   q.pcRippleExtra + static_cast<unsigned>(q.ifExtra);
-        p.lead[0] = p.dur[0];
-        p.dur[1] = divCeil(std::max(1u, q.srcChunks), rfW_);
-        p.lead[1] = 1;
-        if (q.isMult) {
-            p.dur[2] = config().multCycles;
-            p.lead[2] = p.dur[2];
-        } else if (q.isDiv) {
-            p.dur[2] = config().divCycles;
-            p.lead[2] = p.dur[2];
-        } else {
-            p.dur[2] = divCeil(std::max(1u, q.exChunks), exW_);
-            p.lead[2] = 1;
-        }
-        p.dur[3] = static_cast<unsigned>(q.memExtra) +
-                   divCeil(std::max(1u, q.memChunks), memW_);
-        p.lead[3] = static_cast<unsigned>(q.memExtra) +
-                    (q.memChunks > memW_ ? 2 : 1);
-        p.dur[4] = divCeil(std::max(1u, q.resChunks), rfW_);
-        p.lead[4] = 1;
-        p.consumeStage = 2;
-        p.resolveStage = 2;
-        p.readyStage = 2;
-        p.loadReadyStage = 3;
-        p.streamForward = true;
-        p.latchBoundaries = 4;
-        return p;
-    }
-
-  private:
-    unsigned ifW_;
-    unsigned rfW_;
-    unsigned exW_;
-    unsigned memW_;
-};
-
-/**
  * Section 5: the bottleneck study behind the semi-parallel design.
  * First the stall attribution of the byte-serial pipeline (the paper
- * found 72% of stalls were EX structural hazards), then a bandwidth
- * sweep over RF/ALU/D$ widths showing why 3-byte fetch / 2-byte
- * RF+ALU / 1-byte D$ is the balanced point.
+ * found 72% of stalls were EX structural hazards), then the
+ * bandwidth @p sweep over RF/ALU/D$ widths showing why 3-byte fetch /
+ * 2-byte RF+ALU / 1-byte D$ is the balanced point.
  */
 void
-balance(const std::vector<CpiRow> &rows)
+balance(const std::vector<CpiRow> &rows, const CpiStudyResult &sweep)
 {
     banner("Section 5 ablation: byte-serial bottlenecks and "
            "bandwidth balance",
@@ -634,54 +573,25 @@ balance(const std::vector<CpiRow> &rows)
          "in the EX stage'. Our structural share counts all "
          "stages, with EX dominating it.");
 
-    // Part 2: width sweep around the balanced point (the first two
-    // rows show why even the "byte-serial" design fetches 3 bytes:
-    // a 1- or 2-byte I-fetch stalls every instruction).
-    struct Point { unsigned ifw, rf, ex, mem; };
-    const Point points[] = {{1, 1, 1, 1}, {2, 1, 1, 1}, {3, 1, 1, 1},
-                            {3, 1, 2, 1}, {3, 2, 1, 1}, {3, 2, 2, 1},
-                            {3, 2, 2, 2}, {3, 4, 2, 1}, {3, 2, 4, 1},
-                            {3, 4, 4, 2}, {3, 4, 4, 4}};
-    TextTable sweep({"if width", "rf width", "alu width", "d$ width",
-                     "geomean CPI", "vs baseline %"});
-
+    // Part 2: width sweep around the balanced point.
+    TextTable bandwidth({"if width", "rf width", "alu width", "d$ width",
+                  "geomean CPI", "vs baseline %"});
     const double base = meanCpi(rows, Design::Baseline32);
-
-    // Every sweep point replays each workload's trace in one call:
-    // the custom pipelines share one quanta group, so the
-    // design-independent front half runs once per trace.
-    constexpr std::size_t kPoints = std::size(points);
-    std::array<double, kPoints> log_sum = {};
-    const std::vector<std::string> &names = workloads::Suite::names();
-    for (const std::string &name : names) {
-        std::vector<std::unique_ptr<WidthSweepPipeline>> owned;
-        std::vector<InOrderPipeline *> pipes;
-        for (const Point &pt : points) {
-            owned.push_back(std::make_unique<WidthSweepPipeline>(
-                pt.ifw, pt.rf, pt.ex, pt.mem, suiteConfig()));
-            pipes.push_back(owned.back().get());
-        }
-        replayPipelines(*Session::defaultSession().trace(name), pipes);
-        for (std::size_t i = 0; i < kPoints; ++i)
-            log_sum[i] += std::log(owned[i]->result().cpi());
-    }
-
-    for (std::size_t i = 0; i < kPoints; ++i) {
-        const Point &pt = points[i];
-        const double cpi =
-            std::exp(log_sum[i] / static_cast<double>(names.size()));
-        sweep.beginRow()
-            .cell(static_cast<std::uint64_t>(pt.ifw))
-            .cell(static_cast<std::uint64_t>(pt.rf))
-            .cell(static_cast<std::uint64_t>(pt.ex))
-            .cell(static_cast<std::uint64_t>(pt.mem))
+    for (std::size_t i = 0; i < sweep.widths.size(); ++i) {
+        const StageWidths &w = sweep.widths[i];
+        const double cpi = sweep.columnGeomeanCpi(i);
+        bandwidth.beginRow()
+            .cell(static_cast<std::uint64_t>(w.fetch))
+            .cell(static_cast<std::uint64_t>(w.rf))
+            .cell(static_cast<std::uint64_t>(w.alu))
+            .cell(static_cast<std::uint64_t>(w.dcache))
             .cell(cpi, 3)
             .cell(100.0 * (cpi / base - 1.0), 1)
             .endRow();
     }
     printTable("bandwidth sweep (baseline32 geomean " +
                    formatFixed(base, 3) + ")",
-               sweep);
+               bandwidth);
     note("expected shape: a sub-3-byte I-fetch cripples every "
          "design (the paper's section-4 rationale); widening "
          "the ALU path buys the most (it is the bottleneck); "
@@ -888,7 +798,7 @@ branchpred(const std::vector<CpiStudyResult> &cpi)
  * the original suite. The paper's conclusions should transfer.
  */
 void
-robustness()
+robustness(Session &session)
 {
     banner("Ablation: held-out workloads (mesa, huff)",
            "robustness check of all headline results on "
@@ -899,7 +809,7 @@ robustness()
     // One capture per held-out kernel, all seven designs replayed
     // from it, evicted right after (each is replayed exactly once,
     // so peak memory stays at one held-out trace).
-    const SuiteReport rep = Session::defaultSession().run(
+    const SuiteReport rep = session.run(
         StudyPlan()
             .cpi(allDesigns(), suiteConfig())
             .workloads(workloads::Suite::extraNames())
@@ -934,9 +844,9 @@ robustness()
 int
 main()
 {
+    Session session;
     SuiteSinks sinks;
-    const SuiteReport suite =
-        Session::defaultSession().run(suitePlan(sinks));
+    const SuiteReport suite = session.run(suitePlan(sinks));
     const CpiStudyResult &designs = suite.cpi.front();
     const std::vector<CpiRow> rows = designs.rows();
 
@@ -1008,10 +918,10 @@ main()
               "compressed design; the compressed 5-stage pipe "
               "trades a small throughput loss for minimal length.");
     energy(designs);
-    balance(rows);
+    balance(rows, suite.cpi[kPredictors.size()]);
     encoding(sinks.storage, suite.activity);
     clockScaling(designs);
     branchpred(suite.cpi);
-    robustness();
+    robustness(session);
     return 0;
 }

@@ -922,6 +922,12 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
                              "deadline_ms for a portable budget)");
     }
     for (const StudyPlan::CpiSpec &s : plan.cpi_) {
+        if (!s.widths.empty()) {
+            return serializeFail(error, PlanErrorKind::Unsupported,
+                                 "cpi width points are library-only: " +
+                                     std::string(kSchemaId) +
+                                     " carries named designs");
+        }
         if (!hierarchyEqual(s.config.memory, mem::HierarchyParams{})) {
             return serializeFail(error, PlanErrorKind::Unsupported,
                                  "custom memory hierarchies are not "
@@ -1077,6 +1083,7 @@ planEquals(const StudyPlan &a, const StudyPlan &b)
         return false;
     for (std::size_t i = 0; i < a.cpi_.size(); ++i) {
         if (a.cpi_[i].designs != b.cpi_[i].designs ||
+            a.cpi_[i].widths != b.cpi_[i].widths ||
             !configEqual(a.cpi_[i].config, b.cpi_[i].config))
             return false;
     }

@@ -16,9 +16,10 @@
  * fuzz harness): for any plan P that writePlanJson accepts,
  * parsePlanJson(writePlanJson(P)) succeeds and the result satisfies
  * planEquals with P. Plans carrying process-local state — profiler
- * sink pointers, a live cancellation token, or a non-default memory
- * hierarchy (not wire-expressible) — are refused by the SERIALIZER
- * with Unsupported, so nothing that parses was lossy to write.
+ * sink pointers, a live cancellation token — or what the schema does
+ * not express — a non-default memory hierarchy, CPI width points —
+ * are refused by the SERIALIZER with Unsupported, so nothing that
+ * parses was lossy to write.
  *
  * A plan says WHICH studies to run, never HOW: thread count, tracing
  * and the trace store belong to the executing Session (SessionConfig),
@@ -135,8 +136,8 @@ bool parsePlanJson(std::string_view json, StudyPlan *out,
 /**
  * Serialize @p plan. Returns false with Unsupported when the plan
  * carries state the wire cannot express (profiler sinks, a live
- * cancel token, a non-default memory hierarchy); @p out is untouched
- * on failure.
+ * cancel token, a non-default memory hierarchy, CPI width points);
+ * @p out is untouched on failure.
  */
 bool writePlanJson(const StudyPlan &plan, std::string *out,
                    PlanError *error);
@@ -158,7 +159,7 @@ bool planEquals(const StudyPlan &a, const StudyPlan &b);
  * cache on this. Like planEquals, the cancellation token is ignored
  * (a runtime handle, not plan content). Returns false with @p error
  * set when the plan is not wire-expressible (sinks, custom
- * hierarchy); @p hex is untouched on failure.
+ * hierarchy, width points); @p hex is untouched on failure.
  */
 bool planFingerprint(const StudyPlan &plan, std::string *hex,
                      PlanError *error);

@@ -53,6 +53,27 @@ CpiStudyResult::geomeanCpi(Design d) const
     return meanCpi(rows(), d);
 }
 
+double
+CpiStudyResult::columnGeomeanCpi(std::size_t c) const
+{
+    if (results.empty())
+        return 0.0;
+    // Same accumulation order as meanCpi(), so a design column's
+    // value is bit-identical to geomeanCpi(design).
+    double log_sum = 0.0;
+    for (const std::vector<pipeline::PipelineResult> &row : results)
+        log_sum += std::log(row[c].cpi());
+    return std::exp(log_sum / static_cast<double>(results.size()));
+}
+
+std::string
+CpiStudyResult::columnName(std::size_t c) const
+{
+    return c < designs.size()
+               ? pipeline::designName(designs[c])
+               : pipeline::widthsName(widths[c - designs.size()]);
+}
+
 namespace
 {
 
@@ -204,23 +225,21 @@ SuiteReport::writeJson(std::FILE *f) const
     std::fprintf(f, "  \"cpi\": [");
     for (std::size_t s = 0; s < cpi.size(); ++s) {
         const CpiStudyResult &st = cpi[s];
+        // Width-point columns list under "designs" by their names.
         std::fprintf(f, "%s\n    {\"designs\": [", s ? "," : "");
-        for (std::size_t d = 0; d < st.designs.size(); ++d)
+        for (std::size_t d = 0; d < st.columns(); ++d)
             std::fprintf(f, "%s\"%s\"", d ? ", " : "",
-                         pipeline::designName(st.designs[d]).c_str());
+                         st.columnName(d).c_str());
         std::fprintf(f, "],\n     \"rows\": [");
-        // One row-table conversion serves every geomean below.
-        const std::vector<CpiRow> legacy_rows = st.rows();
         for (std::size_t w = 0; w < st.benchmarks.size(); ++w) {
             std::fprintf(f, "%s\n      {\"benchmark\": \"%s\"",
                          w ? "," : "", st.benchmarks[w].c_str());
-            for (std::size_t d = 0; d < st.designs.size(); ++d) {
+            for (std::size_t d = 0; d < st.columns(); ++d) {
                 const pipeline::PipelineResult &r = st.results[w][d];
                 std::fprintf(f,
                              ", \"%s\": {\"cpi\": %.6f, \"cycles\": "
                              "%llu, \"stall_cycles\": %llu}",
-                             pipeline::designName(st.designs[d]).c_str(),
-                             r.cpi(),
+                             st.columnName(d).c_str(), r.cpi(),
                              static_cast<unsigned long long>(r.cycles),
                              static_cast<unsigned long long>(
                                  r.stalls.total()));
@@ -228,10 +247,10 @@ SuiteReport::writeJson(std::FILE *f) const
             std::fprintf(f, "}");
         }
         std::fprintf(f, "\n     ],\n     \"geomean\": {");
-        for (std::size_t d = 0; d < st.designs.size(); ++d)
+        for (std::size_t d = 0; d < st.columns(); ++d)
             std::fprintf(f, "%s\"%s\": %.6f", d ? ", " : "",
-                         pipeline::designName(st.designs[d]).c_str(),
-                         meanCpi(legacy_rows, st.designs[d]));
+                         st.columnName(d).c_str(),
+                         st.columnGeomeanCpi(d));
         std::fprintf(f, "}}");
     }
     std::fprintf(f, "\n  ],\n");

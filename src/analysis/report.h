@@ -67,16 +67,29 @@ struct ActivityStudyResult
  */
 struct CpiStudyResult
 {
+    /** The study's columns: these designs, then these width points. */
     std::vector<pipeline::Design> designs;
+    std::vector<pipeline::StageWidths> widths;
     std::vector<std::string> benchmarks;
-    /** results[w][d] = designs[d] run over benchmarks[w]. */
+    /**
+     * results[w][c] = column c run over benchmarks[w]: designs[c]
+     * for c < designs.size(), else widths[c - designs.size()].
+     */
     std::vector<std::vector<pipeline::PipelineResult>> results;
 
-    /** Per-benchmark CPI/stall rows (the CpiRow shape). */
+    /** Per-benchmark CPI/stall rows of the design columns. */
     std::vector<CpiRow> rows() const;
 
     /** Geometric-mean CPI of @p d across the benchmarks. */
     double geomeanCpi(pipeline::Design d) const;
+
+    /** Geometric-mean CPI of column @p c across the benchmarks. */
+    double columnGeomeanCpi(std::size_t c) const;
+
+    /** designName() or widthsName() of column @p c. */
+    std::string columnName(std::size_t c) const;
+
+    std::size_t columns() const { return designs.size() + widths.size(); }
 };
 
 /** One per-benchmark row of an energy study. */

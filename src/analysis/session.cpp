@@ -4,9 +4,9 @@
 #include <chrono>
 #include <utility>
 
-#include "analysis/profilers.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "isa/opcodes.h"
 #include "pipeline/runner.h"
 #include "workloads/workload.h"
 
@@ -254,15 +254,6 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         return rep;
     }
 
-    // Force the one-time suite profiling pass before fanning out so
-    // the compressor's function-local static never constructs inside
-    // (or serialised by) the parallel region. A plan that arrives
-    // already stopped (deadlineMs(0), a pre-fired token) skips it:
-    // the deterministic empty partial report must cost no engine
-    // work at any thread count.
-    if (plan.needsSuiteConfig() && !cancelRequested(cancel))
-        suiteCompressor();
-
     // One metrics system: the baseline snapshot of the cache's
     // registry (engine accounting, health counters, store I/O) is
     // diffed against the post-run state to yield this run's deltas.
@@ -272,8 +263,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     /**
      * Per-workload results of the fused pass, harvested in the same
      * canonical order the pipelines are built in: every CPI study's
-     * designs, then one pipeline per activity study, then one per
-     * energy study.
+     * columns (designs, then width points), then one pipeline per
+     * activity study, then one per energy study.
      */
     struct Harvest
     {
@@ -303,13 +294,16 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // from the same materialised blocks.
     auto buildPipelines = [&plan] {
         Fused f;
-        auto add = [&](Design d, const PipelineConfig &cfg) {
-            f.owned.push_back(pipeline::makePipeline(d, cfg));
+        auto add = [&](const auto &column, const PipelineConfig &cfg) {
+            f.owned.push_back(pipeline::makePipeline(column, cfg));
             f.raw.push_back(f.owned.back().get());
         };
-        for (const StudyPlan::CpiSpec &s : plan.cpi_)
+        for (const StudyPlan::CpiSpec &s : plan.cpi_) {
             for (Design d : s.designs)
                 add(d, s.config);
+            for (const pipeline::StageWidths &w : s.widths)
+                add(w, s.config);
+        }
         for (sig::Encoding enc : plan.activity_) {
             add(enc == sig::Encoding::Half1 ? Design::HalfwordSerial
                                             : Design::ByteSerial,
@@ -358,7 +352,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         std::size_t cursor = 0;
         h.cpi.resize(plan.cpi_.size());
         for (std::size_t s = 0; s < plan.cpi_.size(); ++s)
-            for (std::size_t d = 0; d < plan.cpi_[s].designs.size(); ++d)
+            for (std::size_t c = 0; c < plan.cpi_[s].columns(); ++c)
                 h.cpi[s].push_back(pipes.owned[cursor++]->result());
         for (std::size_t s = 0; s < plan.activity_.size(); ++s)
             h.activity.push_back(pipes.owned[cursor++]->result());
@@ -441,6 +435,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     for (std::size_t s = 0; s < plan.cpi_.size(); ++s) {
         CpiStudyResult &st = rep.cpi[s];
         st.designs = plan.cpi_[s].designs;
+        st.widths = plan.cpi_[s].widths;
         st.benchmarks = done_names;
         st.results.resize(done.size());
         for (std::size_t r = 0; r < done.size(); ++r)
@@ -504,12 +499,16 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
 const sig::InstrCompressor &
 suiteCompressor()
 {
+    // The suite's R-format funct ranking, most frequent first (paper
+    // Table 3; tests/golden/paper.txt pins it). test_analysis checks
+    // that profiling the suite still reproduces it exactly.
+    using isa::Funct;
     static const sig::InstrCompressor compressor = [] {
-        InstrMixProfiler mix;
-        StudyPlan plan;
-        plan.profile({&mix});
-        Session::defaultSession().run(plan);
-        return mix.buildCompressor();
+        std::vector<std::uint8_t> ranking;
+        for (Funct f : {Funct::Addu, Funct::Sll, Funct::Mflo, Funct::Mult,
+                        Funct::Slt, Funct::Srl, Funct::Xor, Funct::Or})
+            ranking.push_back(static_cast<std::uint8_t>(f));
+        return sig::InstrCompressor(ranking);
     }();
     return compressor;
 }

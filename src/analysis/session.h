@@ -119,9 +119,11 @@ class Session
     Session &operator=(const Session &) = delete;
 
     /**
-     * The process-wide default Session: suiteCompressor() profiles
-     * on it, and the reproduction binaries run their plans on it so
-     * they reuse those captures.
+     * A process-wide Session. Nothing in the library, tools, benches
+     * or tests uses it any more: its one remaining caller is
+     * perfbench's warmCompressor(), which clears its cache. perfbench
+     * belongs to the benchmark and is changed only with it, so
+     * deleting this waits for the next benchmark change.
      */
     static Session &defaultSession();
 
@@ -233,9 +235,10 @@ class Session
 };
 
 /**
- * Profile the whole suite once (on the default session) and build
- * the funct-ranked instruction compressor (the paper's Table 3
- * step). Process-wide and cached after the first call.
+ * The funct-ranked instruction compressor of the paper's Table 3
+ * step, built from the suite's committed funct ranking: no Session
+ * work, no captures. Profiling the suite with InstrMixProfiler
+ * reproduces the ranking exactly (test_analysis pins this).
  */
 const sig::InstrCompressor &suiteCompressor();
 

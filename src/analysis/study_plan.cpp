@@ -16,7 +16,15 @@ StudyPlan &
 StudyPlan::cpi(std::vector<pipeline::Design> designs,
                pipeline::PipelineConfig config)
 {
-    cpi_.push_back({std::move(designs), std::move(config)});
+    cpi_.push_back({std::move(designs), {}, std::move(config)});
+    return *this;
+}
+
+StudyPlan &
+StudyPlan::cpi(std::vector<pipeline::StageWidths> points,
+               pipeline::PipelineConfig config)
+{
+    cpi_.push_back({{}, std::move(points), std::move(config)});
     return *this;
 }
 

@@ -62,6 +62,19 @@ class StudyPlan
                    pipeline::PipelineConfig config);
 
     /**
+     * Register a CPI study over section-5 width points: every
+     * workload through the streamed serial pipeline at each of
+     * @p points (pipeline::makePipeline(StageWidths, ...)) built with
+     * @p config. The result's columns are the points, named by
+     * pipeline::widthsName(). Width points share the fused pass,
+     * quanta group and result memos of the named designs; the wire
+     * schema carries named designs only, so writePlanJson() refuses
+     * a plan with width points.
+     */
+    StudyPlan &cpi(std::vector<pipeline::StageWidths> points,
+                   pipeline::PipelineConfig config);
+
+    /**
      * Register caller-owned profiler sinks (paper Tables 1-3). The
      * sinks are shared and need not be thread-safe: a plan with
      * profilers replays workloads sequentially in suite order, so
@@ -115,12 +128,6 @@ class StudyPlan
     /** True when any study (or profiler sink) is registered. */
     bool hasStudies() const;
 
-    /** True when any study needs the suite-profiled compressor. */
-    bool needsSuiteConfig() const
-    {
-        return !activity_.empty() || !energy_.empty();
-    }
-
   private:
     friend class Session;
     // The wire codec (analysis/plan_json.h) reads private state to
@@ -132,10 +139,17 @@ class StudyPlan
     friend bool planFingerprint(const StudyPlan &plan, std::string *hex,
                                 PlanError *error);
 
+    /** A CPI study's columns: its designs, then its width points. */
     struct CpiSpec
     {
         std::vector<pipeline::Design> designs;
+        std::vector<pipeline::StageWidths> widths;
         pipeline::PipelineConfig config;
+
+        std::size_t columns() const
+        {
+            return designs.size() + widths.size();
+        }
     };
     struct EnergySpec
     {

@@ -1,5 +1,7 @@
 #include "pipeline/models.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace sigcomp::pipeline
@@ -76,11 +78,15 @@ makePipeline(Design d, PipelineConfig config)
       case Design::Baseline32:
         return std::make_unique<Baseline32>(std::move(config));
       case Design::ByteSerial:
-        return std::make_unique<ByteSerial>(std::move(config));
+        return std::make_unique<StreamedSerial>(
+            designName(d), kSerialWidths, std::move(config));
       case Design::HalfwordSerial:
-        return std::make_unique<HalfwordSerial>(std::move(config));
+        config.encoding = sig::Encoding::Half1;
+        return std::make_unique<StreamedSerial>(
+            designName(d), kSerialWidths, std::move(config));
       case Design::ByteSemiParallel:
-        return std::make_unique<ByteSemiParallel>(std::move(config));
+        return std::make_unique<StreamedSerial>(
+            designName(d), kSemiParallelWidths, std::move(config));
       case Design::ByteParallelSkewed:
         return std::make_unique<ByteParallelSkewed>(std::move(config));
       case Design::ByteParallelCompressed:
@@ -90,6 +96,21 @@ makePipeline(Design d, PipelineConfig config)
         return std::make_unique<SkewedBypass>(std::move(config));
     }
     SC_PANIC("unknown design");
+}
+
+std::string
+widthsName(const StageWidths &w)
+{
+    return "serial-" + std::to_string(w.fetch) + "/" +
+           std::to_string(w.rf) + "/" + std::to_string(w.alu) + "/" +
+           std::to_string(w.dcache);
+}
+
+std::unique_ptr<InOrderPipeline>
+makePipeline(const StageWidths &w, PipelineConfig config)
+{
+    return std::make_unique<StreamedSerial>(widthsName(w), w,
+                                            std::move(config));
 }
 
 // --------------------------------------------------------------- Baseline32
@@ -119,110 +140,53 @@ Baseline32::plan(const cpu::DynInstr &di, const InstrQuanta &q)
     return p;
 }
 
-// --------------------------------------------------------------- ByteSerial
+// ----------------------------------------------------------- StreamedSerial
 
-ByteSerial::ByteSerial(PipelineConfig config)
-    : SharedReplayModel("byte-serial", std::move(config))
+StreamedSerial::StreamedSerial(std::string name, StageWidths w,
+                               PipelineConfig config)
+    : SharedReplayModel(std::move(name), std::move(config))
 {
+    SC_ASSERT(w.fetch > 0 && w.rf > 0 && w.alu > 0 && w.dcache > 0,
+              "stage widths must be at least one chunk");
+    for (unsigned n = 0; n <= kMaxChunks; ++n) {
+        // Every stage moves at least one chunk.
+        const unsigned chunks = std::max(1u, n);
+        // Three I-cache banks fetch 3 bytes + extension bit per cycle
+        // and a fourth byte costs one more; a narrower fetch port
+        // streams the instruction ("otherwise, every instruction
+        // would incur at least two stall cycles", section 4).
+        fetch_[n] = w.fetch >= 3 ? 1 + (n > 3 ? 1 : 0)
+                                 : divCeil(n, w.fetch);
+        // RF, ALU, D$ and WB: n chunks through a w-chunk port.
+        rf_[n] = divCeil(chunks, w.rf);
+        alu_[n] = divCeil(chunks, w.alu);
+        dcache_[n] = divCeil(chunks, w.dcache);
+        // The D$ feeds an ALU-wide consumer: its first usable group
+        // needs min(chunks, alu) chunks from the cache port (two
+        // cycles for a multi-byte load into the semi-parallel ALU).
+        dcacheLead_[n] = divCeil(std::min(chunks, w.alu), w.dcache);
+    }
 }
 
 TimingPlan
-ByteSerial::plan(const cpu::DynInstr &di, const InstrQuanta &q)
+StreamedSerial::plan(const cpu::DynInstr &di, const InstrQuanta &q)
 {
     (void)di;
     TimingPlan p;
     p.numStages = 5;
-    // Three I-cache banks fetch 3 bytes + extension bit per cycle;
-    // a fourth byte (or a rippling PC) costs extra cycles.
-    atomicStage(p, 0, 1 + (q.fetchBytes > 3 ? 1 : 0) + q.pcRippleExtra +
+    // A rippling PC costs fetch cycles at any width.
+    atomicStage(p, 0, cycles(fetch_, q.fetchBytes) + q.pcRippleExtra +
                           static_cast<unsigned>(q.ifExtra));
-    // Byte-wide register file: one cycle per significant chunk.
-    streamedStage(p, 1, 0, std::max(1u, q.srcChunks));
-    // Byte-serial ALU; iterative mult/div occupies the stage whole.
-    if (q.isMult || q.isDiv) {
+    streamedStage(p, 1, 0, cycles(rf_, q.srcChunks));
+    // Iterative mult/div occupies the stage whole.
+    if (q.isMult || q.isDiv)
         atomicStage(p, 2, exCyclesParallel(q, config()));
-    } else {
-        streamedStage(p, 2, 0, std::max(1u, q.exChunks));
-    }
-    // Byte-wide data cache bank.
-    streamedStage(p, 3, q.memExtra, std::max(1u, q.memChunks));
-    // Byte-wide write-back port.
-    streamedStage(p, 4, 0, std::max(1u, q.resChunks));
-    p.consumeStage = 2;
-    p.resolveStage = 2;
-    p.readyStage = 2;
-    p.loadReadyStage = 3;
-    p.streamForward = true;
-    p.latchBoundaries = 4;
-    return p;
-}
-
-// ----------------------------------------------------------- HalfwordSerial
-
-HalfwordSerial::HalfwordSerial(PipelineConfig config)
-    : SharedReplayModel("halfword-serial",
-                      [](PipelineConfig c) {
-                          c.encoding = sig::Encoding::Half1;
-                          return c;
-                      }(std::move(config)))
-{
-}
-
-TimingPlan
-HalfwordSerial::plan(const cpu::DynInstr &di, const InstrQuanta &q)
-{
-    // Identical structure to the byte-serial design; all chunk
-    // quantities are already halfword-granular via the encoding.
-    (void)di;
-    TimingPlan p;
-    p.numStages = 5;
-    atomicStage(p, 0, 1 + (q.fetchBytes > 3 ? 1 : 0) + q.pcRippleExtra +
-                          static_cast<unsigned>(q.ifExtra));
-    streamedStage(p, 1, 0, std::max(1u, q.srcChunks));
-    if (q.isMult || q.isDiv) {
-        atomicStage(p, 2, exCyclesParallel(q, config()));
-    } else {
-        streamedStage(p, 2, 0, std::max(1u, q.exChunks));
-    }
-    streamedStage(p, 3, q.memExtra, std::max(1u, q.memChunks));
-    streamedStage(p, 4, 0, std::max(1u, q.resChunks));
-    p.consumeStage = 2;
-    p.resolveStage = 2;
-    p.readyStage = 2;
-    p.loadReadyStage = 3;
-    p.streamForward = true;
-    p.latchBoundaries = 4;
-    return p;
-}
-
-// --------------------------------------------------------- ByteSemiParallel
-
-ByteSemiParallel::ByteSemiParallel(PipelineConfig config)
-    : SharedReplayModel("byte-semi-parallel", std::move(config))
-{
-}
-
-TimingPlan
-ByteSemiParallel::plan(const cpu::DynInstr &di, const InstrQuanta &q)
-{
-    (void)di;
-    TimingPlan p;
-    p.numStages = 5;
-    atomicStage(p, 0, 1 + (q.fetchBytes > 3 ? 1 : 0) + q.pcRippleExtra +
-                          static_cast<unsigned>(q.ifExtra));
-    // Two-byte register file and ALU, one-byte data cache (the
-    // balanced 3/2/2/1 bandwidth allocation of section 5).
-    streamedStage(p, 1, 0, divCeil(std::max(1u, q.srcChunks), 2));
-    if (q.isMult || q.isDiv) {
-        atomicStage(p, 2, exCyclesParallel(q, config()));
-    } else {
-        streamedStage(p, 2, 0, divCeil(std::max(1u, q.exChunks), 2));
-    }
-    // The byte-wide D-cache feeds two-byte consumers: the first
-    // usable pair needs two cycles when more than one byte moves.
-    streamedStage(p, 3, q.memExtra, std::max(1u, q.memChunks),
-                  q.memChunks > 1 ? 2 : 1);
-    streamedStage(p, 4, 0, divCeil(std::max(1u, q.resChunks), 2));
+    else
+        streamedStage(p, 2, 0, cycles(alu_, q.exChunks));
+    streamedStage(p, 3, q.memExtra, cycles(dcache_, q.memChunks),
+                  cycles(dcacheLead_, q.memChunks));
+    // Write-back through the register file's port.
+    streamedStage(p, 4, 0, cycles(rf_, q.resChunks));
     p.consumeStage = 2;
     p.resolveStage = 2;
     p.readyStage = 2;

@@ -11,10 +11,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "analysis/profilers.h"
 #include "analysis/session.h"
 #include "common/parallel.h"
+#include "common/telemetry.h"
 #include "tests/live_oracle.h"
 
 namespace sigcomp::analysis
@@ -39,10 +42,17 @@ parallelSession()
     return session;
 }
 
+/** The session whose suite captures the tests below share. */
+Session &
+suiteSession()
+{
+    static Session session;
+    return session;
+}
+
 /** Run @p plan on @p session (default: the shared suite captures). */
 SuiteReport
-runPlan(const StudyPlan &plan,
-        Session &session = Session::defaultSession())
+runPlan(const StudyPlan &plan, Session &session = suiteSession())
 {
     return session.run(plan);
 }
@@ -54,8 +64,7 @@ profileSuite(std::vector<cpu::TraceSink *> sinks)
 }
 
 std::vector<ActivityRow>
-runActivityStudy(sig::Encoding enc,
-                 Session &session = Session::defaultSession())
+runActivityStudy(sig::Encoding enc, Session &session = suiteSession())
 {
     return runPlan(StudyPlan().activity(enc), session)
         .activity.front()
@@ -65,11 +74,68 @@ runActivityStudy(sig::Encoding enc,
 std::vector<CpiRow>
 runCpiStudy(const std::vector<Design> &designs,
             const pipeline::PipelineConfig &cfg,
-            Session &session = Session::defaultSession())
+            Session &session = suiteSession())
 {
     return runPlan(StudyPlan().cpi(designs, cfg), session)
         .cpi.front()
         .rows();
+}
+
+/** "cache.capture" spans in the process trace so far. */
+std::size_t
+captureSpans()
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *f = open_memstream(&buf, &len);
+    telemetry::writeTrace(f);
+    std::fclose(f);
+    const std::string trace(buf, len);
+    std::free(buf);
+    const std::string needle = "\"name\": \"cache.capture\"";
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+// First in this file on purpose: the first suiteConfig() call in the
+// process is the one that used to profile the whole suite.
+TEST(SuiteCompressor, SuiteConfigPerformsNoCaptures)
+{
+#if defined(SIGCOMP_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "capture spans are compiled out";
+#endif
+    const bool was_tracing = telemetry::tracingActive();
+    telemetry::startTracing();
+    const std::size_t before = captureSpans();
+    (void)suiteConfig();
+    (void)suiteConfig(sig::Encoding::Half1);
+    const std::size_t after_config = captureSpans();
+    // Positive control: one capture shows up as one span.
+    Session probe;
+    (void)probe.trace("rawcaudio");
+    const std::size_t after_capture = captureSpans();
+    if (!was_tracing)
+        telemetry::stopTracing();
+
+    EXPECT_EQ(after_config, before);
+    EXPECT_EQ(after_capture, before + 1);
+}
+
+TEST(SuiteCompressor, CommittedRankingMatchesSuiteProfile)
+{
+    // The Table 3 profile step: the whole suite through
+    // InstrMixProfiler on a fresh Session at the default capture
+    // limit must rank the funct codes exactly as the committed
+    // ranking behind suiteCompressor() does.
+    Session session;
+    ASSERT_EQ(session.config().captureLimit,
+              cpu::TraceBuffer::defaultMaxInstrs);
+    InstrMixProfiler mix;
+    session.run(StudyPlan().profile({&mix}));
+    EXPECT_EQ(mix.buildCompressor().ranking(), suiteCompressor().ranking());
 }
 
 TEST(PatternProfiler, SuiteShapeMatchesTable1)
@@ -253,8 +319,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 TEST(ParallelStudies, ActivityStudyBitIdenticalToSerial)
 {
-    suiteCompressor(); // exclude the one-time profiling pass from timing
-
     const auto t0 = std::chrono::steady_clock::now();
     const auto serial = live::activityStudy(sig::Encoding::Ext3);
     const double serial_s = secondsSince(t0);

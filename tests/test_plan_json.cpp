@@ -374,6 +374,42 @@ TEST(PlanJsonErrors, UnsupportedBranch)
     }
 }
 
+TEST(PlanJsonErrors, WidthPointsAreLibraryOnly)
+{
+    // The wire carries named designs only: a CPI study over width
+    // points is refused by the serializer, and so by the fingerprint
+    // the daemon keys on, with a reason that names them.
+    StudyPlan plan;
+    plan.cpi(std::vector<pipeline::StageWidths>{
+                 pipeline::kSemiParallelWidths},
+             pipeline::PipelineConfig{});
+    std::string out = "sentinel";
+    PlanError err;
+    EXPECT_FALSE(writePlanJson(plan, &out, &err));
+    EXPECT_EQ(static_cast<int>(err.kind),
+              static_cast<int>(PlanErrorKind::Unsupported));
+    EXPECT_NE(err.message.find("width points"), std::string::npos)
+        << err.render();
+    EXPECT_EQ(out, "sentinel");
+
+    std::string hex = "sentinel";
+    PlanError fp_err;
+    EXPECT_FALSE(analysis::planFingerprint(plan, &hex, &fp_err));
+    EXPECT_EQ(fp_err.message, err.message);
+    EXPECT_EQ(hex, "sentinel");
+
+    // planEquals compares the points.
+    StudyPlan same;
+    same.cpi(std::vector<pipeline::StageWidths>{
+                 pipeline::kSemiParallelWidths},
+             pipeline::PipelineConfig{});
+    StudyPlan other;
+    other.cpi(std::vector<pipeline::StageWidths>{pipeline::kSerialWidths},
+              pipeline::PipelineConfig{});
+    EXPECT_TRUE(analysis::planEquals(plan, same));
+    EXPECT_FALSE(analysis::planEquals(plan, other));
+}
+
 TEST(PlanJsonErrors, OffsetsPointIntoTheInput)
 {
     const std::string doc =

@@ -169,6 +169,99 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionThreads,
                              return name;
                          });
 
+// ---- section-5 width points ------------------------------------------
+
+/** A CPI study's width-point list (the StageWidths cpi() overload). */
+std::vector<pipeline::StageWidths>
+points(std::initializer_list<pipeline::StageWidths> w)
+{
+    return w;
+}
+
+class SessionWidths : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(SessionWidths, NamedSerialDesignsAreWidthPoints)
+{
+    // Byte-serial is the 3/1/1/1 point and semi-parallel the 3/2/2/1
+    // point of one model: in one plan, on every suite workload, the
+    // width points reproduce the named designs' full results (only
+    // the name differs), riding the same single fused pass.
+    Session session(SessionConfig{.threads = GetParam()});
+    StudyPlan plan;
+    plan.cpi({Design::ByteSerial, Design::ByteSemiParallel},
+             analysis::suiteConfig())
+        .cpi(points({pipeline::kSerialWidths,
+                     pipeline::kSemiParallelWidths}),
+             analysis::suiteConfig());
+    const SuiteReport rep = session.run(plan);
+
+    EXPECT_EQ(rep.replayPasses, rep.workloads.size());
+    ASSERT_EQ(rep.cpi.size(), 2u);
+    const analysis::CpiStudyResult &named = rep.cpi[0];
+    const analysis::CpiStudyResult &widths = rep.cpi[1];
+    ASSERT_EQ(widths.benchmarks, workloads::Suite::names());
+    ASSERT_EQ(widths.columns(), 2u);
+    EXPECT_EQ(widths.columnName(0), "serial-3/1/1/1");
+    EXPECT_EQ(widths.columnName(1), "serial-3/2/2/1");
+    for (std::size_t w = 0; w < widths.benchmarks.size(); ++w) {
+        SCOPED_TRACE(widths.benchmarks[w]);
+        for (std::size_t c = 0; c < 2; ++c) {
+            pipeline::PipelineResult r = widths.results[w][c];
+            EXPECT_EQ(r.name, widths.columnName(c));
+            r.name = named.results[w][c].name;
+            live::expectSameResult(r, named.results[w][c]);
+        }
+    }
+    EXPECT_EQ(widths.columnGeomeanCpi(0),
+              named.geomeanCpi(Design::ByteSerial));
+    EXPECT_EQ(widths.columnGeomeanCpi(1),
+              named.geomeanCpi(Design::ByteSemiParallel));
+}
+
+TEST_P(SessionWidths, WidthPointsKeepTheirOwnResultMemos)
+{
+    // Two width points with one config share a quanta key but not a
+    // `result:` memo key (their names differ): a later plan over the
+    // second point must replay, not adopt the first point's result.
+    const std::vector<std::string> one = {"rawcaudio"};
+    const pipeline::PipelineConfig cfg = analysis::suiteConfig();
+    Session session(SessionConfig{.threads = GetParam()});
+    const SuiteReport serial = session.run(
+        StudyPlan().cpi(points({pipeline::kSerialWidths}), cfg).workloads(one));
+    const SuiteReport semi = session.run(
+        StudyPlan()
+            .cpi(points({pipeline::kSemiParallelWidths}), cfg)
+            .workloads(one));
+    EXPECT_EQ(semi.replayPasses, 1u) << "adopted another point's memo";
+    EXPECT_NE(semi.cpi[0].results[0][0].cycles,
+              serial.cpi[0].results[0][0].cycles);
+
+    Session fresh(SessionConfig{.threads = 1});
+    const SuiteReport reference = fresh.run(
+        StudyPlan()
+            .cpi(points({pipeline::kSemiParallelWidths}), cfg)
+            .workloads(one));
+    live::expectSameResult(semi.cpi[0].results[0][0],
+                           reference.cpi[0].results[0][0]);
+
+    // A repeat of a point is answered from its own memo.
+    const SuiteReport again = session.run(
+        StudyPlan().cpi(points({pipeline::kSerialWidths}), cfg).workloads(one));
+    EXPECT_EQ(again.replayPasses, 0u);
+    live::expectSameResult(again.cpi[0].results[0][0],
+                           serial.cpi[0].results[0][0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionWidths,
+                         ::testing::Values(1u, 4u),
+                         [](const auto &info) {
+                             std::string name = "t";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
+
 // ---- isolation -------------------------------------------------------
 
 TEST_F(SessionStoreTest, ConcurrentSessionsDontCrossTalk)

@@ -18,8 +18,6 @@
  *   --cache-entries N       report cache entry cap (default 64)
  *   --cache-bytes N         report cache byte cap (default 64 MiB)
  *   --default-deadline-ms N deadline applied to every plan (0 = off)
- *   --no-warm               skip the suite-compressor warmup (plans
- *                           needing it then pay it on first use)
  *
  * Prints "sigcompd: serving on <addr>:<port>" once accepting (the CI
  * smoke job waits for it), then serves until SIGTERM/SIGINT, shuts
@@ -36,7 +34,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "analysis/session.h"
 #include "common/net.h"
 #include "server/daemon.h"
 
@@ -54,7 +51,7 @@ usage()
         "                [--threads N] [--max-instrs N]\n"
         "                [--max-concurrent N] [--max-queued N]\n"
         "                [--cache-entries N] [--cache-bytes N]\n"
-        "                [--default-deadline-ms N] [--no-warm]\n");
+        "                [--default-deadline-ms N]\n");
     return 2;
 }
 
@@ -67,7 +64,6 @@ main(int argc, char **argv)
     config.storeDir = "trace-store";
     std::string addr = "127.0.0.1";
     unsigned port = 8642;
-    bool warm = true;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -104,8 +100,6 @@ main(int argc, char **argv)
         else if (arg == "--default-deadline-ms")
             config.defaultDeadlineMs =
                 static_cast<std::uint64_t>(std::atoll(next()));
-        else if (arg == "--no-warm")
-            warm = false;
         else
             return usage();
     }
@@ -120,15 +114,6 @@ main(int argc, char **argv)
     sigaddset(&sigs, SIGTERM);
     sigaddset(&sigs, SIGINT);
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
-    if (warm) {
-        // The one-time full-suite profile behind plans that need the
-        // funct-ranked compressor (activity/energy studies). Paying
-        // it here keeps it out of every request's deadline budget.
-        std::printf("sigcompd: warming suite compressor...\n");
-        std::fflush(stdout);
-        (void)analysis::suiteCompressor();
-    }
 
     server::Daemon daemon(config);
 
