@@ -363,7 +363,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         h.completed = true;
 
         // Newly recorded SharedQuanta become part of the workload's
-        // segment so warm-store *processes* skip computeQuanta too.
+        // segment so warm-store *processes* skip the quanta front
+        // half too.
         cache_.persistAnnexes(names[i], *trace, cancel);
         if (plan.evictAfterReplay_)
             cache_.evict(names[i]);

@@ -154,8 +154,8 @@ class Session
      * workload order (the sinks see the serial retirement stream);
      * capture still fans out. After each pass the session
      * write-backs newly derived SharedQuanta annexes to the attached
-     * store, so warm-store processes skip computeQuanta as well as
-     * capture.
+     * store, so warm-store processes skip the quanta front half as
+     * well as capture.
      *
      * The run is instrumented end to end (see common/telemetry.h):
      * the report's `telemetry` block is this run's metrics delta,

@@ -228,7 +228,7 @@ class TraceCache
      * Persist @p workload's derived "quanta:" annexes (the
      * SharedQuanta records replays published on @p trace) to the
      * attached store by re-saving its segment in the annex-bearing
-     * format, so later *processes* skip computeQuanta too. No-op
+     * format, so later *processes* skip the quanta front half. No-op
      * without a writable store or when the segment already carries
      * every record. Session::run calls this after each fused pass.
      * A fired @p cancel skips the save entirely (a cancelled plan

@@ -15,8 +15,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <type_traits>
-#include <vector>
 
 #include "common/cancel.h"
 
@@ -90,22 +88,6 @@ class ParallelExecutor
     {
         std::function<void(std::size_t)> body(std::ref(fn));
         run(n, body, cancel);
-    }
-
-    /**
-     * Order-stable map: out[i] = fn(items[i]). The result type must
-     * be default-constructible (slots are pre-sized).
-     */
-    template <typename T, typename Fn>
-    auto
-    parallelMap(const std::vector<T> &items, Fn &&fn)
-        -> std::vector<std::invoke_result_t<Fn &, const T &>>
-    {
-        std::vector<std::invoke_result_t<Fn &, const T &>> out(
-            items.size());
-        parallelFor(items.size(),
-                    [&](std::size_t i) { out[i] = fn(items[i]); });
-        return out;
     }
 
   private:

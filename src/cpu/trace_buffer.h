@@ -21,9 +21,9 @@
  *
  * Replay is bit-exact: the DynInstr records a TraceView materialises
  * are field-for-field identical to the ones the functional core
- * produced during capture (asserted in test_trace.cpp). Sinks that
- * sample the memory image (the pipeline activity models) re-apply
- * the trace's stores themselves — see InOrderPipeline::bindReplay().
+ * produced during capture (asserted in test_trace.cpp). Consumers
+ * that sample the memory image (pipeline::QuantaRecorder) re-apply
+ * the trace's stores themselves.
  */
 
 #ifndef SIGCOMP_CPU_TRACE_BUFFER_H_

@@ -232,13 +232,6 @@ ByteParallelSkewed::plan(const cpu::DynInstr &di, const InstrQuanta &q)
     return p;
 }
 
-unsigned
-ByteParallelSkewed::latchBoundaries(const InstrQuanta &q) const
-{
-    (void)q;
-    return 6;
-}
-
 // --------------------------------------------------- ByteParallelCompressed
 
 ByteParallelCompressed::ByteParallelCompressed(PipelineConfig config)
@@ -315,18 +308,12 @@ SkewedBypass::plan(const cpu::DynInstr &di, const InstrQuanta &q)
     p.readyStage = (q.isMult || q.isDiv) ? 3 : 2;
     p.loadReadyStage = 4;
     p.streamForward = false;
-    p.latchBoundaries = latchBoundaries(q);
-    return p;
-}
-
-unsigned
-SkewedBypass::latchBoundaries(const InstrQuanta &q) const
-{
     // Narrow instructions skip the wide half-stages entirely,
     // latching like the five-stage designs.
-    return (q.srcChunks <= 1 && q.resChunks <= 1 && q.memChunks <= 1)
-               ? 4
-               : 6;
+    // Unlike `narrow`, this leaves resChunks out: the pinned latch
+    // activity was always computed that way.
+    p.latchBoundaries = (q.srcChunks <= 1 && q.memChunks <= 1) ? 4 : 6;
+    return p;
 }
 
 } // namespace sigcomp::pipeline

@@ -244,7 +244,6 @@ class ByteParallelSkewed : public SharedReplayModel<ByteParallelSkewed>
   protected:
     TimingPlan plan(const cpu::DynInstr &di,
                     const InstrQuanta &q) override;
-    unsigned latchBoundaries(const InstrQuanta &q) const override;
 };
 
 /** Fig 9: full-width five-stage pipeline, compressed occupancy. */
@@ -275,7 +274,6 @@ class SkewedBypass : public SharedReplayModel<SkewedBypass>
   protected:
     TimingPlan plan(const cpu::DynInstr &di,
                     const InstrQuanta &q) override;
-    unsigned latchBoundaries(const InstrQuanta &q) const override;
 };
 
 } // namespace sigcomp::pipeline

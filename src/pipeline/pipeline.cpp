@@ -3,31 +3,45 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/telemetry.h"
 
 namespace sigcomp::pipeline
 {
 
 using cpu::DynInstr;
-using isa::Funct;
-using isa::InstrClass;
-using isa::Opcode;
 
-InOrderPipeline::InOrderPipeline(std::string name, PipelineConfig config)
-    : name_(std::move(name)), config_(std::move(config)),
-      alu_(config_.encoding), hierarchy_(config_.memory),
-      predictor_(config_.predictor, config_.phtEntries,
-                 config_.btbEntries)
+// ---- QuantaRecorder ----------------------------------------------------
+
+QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
+                               const isa::Program &program,
+                               const mem::MainMemory *memory)
+    : encoding_(config.encoding), alu_(config.encoding),
+      hierarchy_(config.memory), program_(program), memory_(memory)
 {
-    // Per-Ext3-tag significance counts under this pipeline's
-    // encoding. The Ext3 pattern of a word determines every
-    // encoding's count exactly: Ext3 keeps the tagged bytes
-    // (popcount), Ext2 keeps the low-order run up to the highest
-    // tagged byte (bit_width), and Half1 keeps the upper halfword
-    // exactly when either of its bytes is tagged. Entry 0 (no tag)
-    // is never consulted — untagged operands classify on the spot.
+    static telemetry::Counter &recorders =
+        telemetry::Registry::process().counter("pipeline.quanta_recorders");
+    recorders.inc();
+
+    if (memory_ == nullptr) {
+        ownMemory_ = std::make_unique<mem::MainMemory>();
+        const isa::DataSegment &data = program.data();
+        if (!data.bytes.empty()) {
+            ownMemory_->writeBlock(data.base, data.bytes.data(),
+                                   data.bytes.size());
+        }
+        memory_ = ownMemory_.get();
+    }
+
+    // Per-Ext3-tag significance counts under this encoding. The Ext3
+    // pattern of a word determines every encoding's count exactly:
+    // Ext3 keeps the tagged bytes (popcount), Ext2 keeps the
+    // low-order run up to the highest tagged byte (bit_width), and
+    // Half1 keeps the upper halfword exactly when either of its bytes
+    // is tagged. Entry 0 (no tag) is never consulted — untagged
+    // operands classify on the spot.
     for (unsigned m = 1; m < 16; ++m) {
         unsigned bytes = 0;
-        switch (config_.encoding) {
+        switch (encoding_) {
           case sig::Encoding::Ext3:
             bytes = static_cast<unsigned>(std::popcount(m));
             break;
@@ -40,72 +54,75 @@ InOrderPipeline::InOrderPipeline(std::string name, PipelineConfig config)
         }
         tagBytes_[m] = static_cast<std::uint8_t>(bytes);
     }
+
+    // Memoise the compressed fetch width of every static
+    // instruction: it is a pure function of the word under the
+    // compressor, and the hot path needs it for every dynamic
+    // instance and every I-cache fill word.
+    fetchWidth_.resize(program.text().size());
+    for (std::size_t i = 0; i < fetchWidth_.size(); ++i) {
+        fetchWidth_[i] = static_cast<std::uint8_t>(
+            config.compressor.fetchBytes(program.text()[i]));
+    }
+}
+
+void
+QuantaRecorder::recordBlock(std::span<const DynInstr> block,
+                            SharedQuanta &rec)
+{
+    // The block's shared activity is what accumulates from zero.
+    activity_ = ActivityTotals{};
+    // Pre-size the record for the block so the hot loop writes
+    // through a bare pointer (capacity was reserved up front).
+    const std::size_t rec_base = rec.q.size();
+    rec.q.resize(rec_base + block.size());
+    SharedQuanta::Packed *out = rec.q.data() + rec_base;
+    for (const DynInstr &di : block) {
+        Count latch_base;
+        const InstrQuanta q = compute(di, latch_base);
+        *out++ = SharedQuanta::pack(q, latch_base);
+    }
+    rec.blockDelta.push_back(activity_);
+}
+
+void
+QuantaRecorder::finish(SharedQuanta &rec) const
+{
+    rec.l1i = hierarchy_.l1i().stats();
+    rec.l1d = hierarchy_.l1d().stats();
+    rec.l2 = hierarchy_.l2().stats();
+}
+
+void
+QuantaRecorder::applyStore(const DynInstr &di)
+{
+    switch (di.dec->memBytes) {
+      case 1:
+        ownMemory_->writeByte(di.memAddr, static_cast<Byte>(di.memData));
+        break;
+      case 2:
+        ownMemory_->writeHalf(di.memAddr, static_cast<Half>(di.memData));
+        break;
+      default:
+        ownMemory_->writeWord(di.memAddr, di.memData);
+        break;
+    }
+}
+
+// ---- InOrderPipeline ---------------------------------------------------
+
+InOrderPipeline::InOrderPipeline(std::string name, PipelineConfig config)
+    : name_(std::move(name)), config_(std::move(config)),
+      predictor_(config_.predictor, config_.phtEntries,
+                 config_.btbEntries)
+{
 }
 
 void
 InOrderPipeline::bind(const isa::Program &program,
                       const mem::MainMemory &memory)
 {
-    program_ = &program;
-    memory_ = &memory;
-
-    // Memoise the compressed fetch width of every static
-    // instruction: it is a pure function of the word under this
-    // pipeline's compressor, and the hot path needs it for every
-    // dynamic instance and every I-cache fill word.
-    fetchWidth_.resize(program.text().size());
-    for (std::size_t i = 0; i < fetchWidth_.size(); ++i) {
-        fetchWidth_[i] = static_cast<std::uint8_t>(
-            config_.compressor.fetchBytes(program.text()[i]));
-    }
-}
-
-void
-InOrderPipeline::bindReplay(const isa::Program &program)
-{
-    replayMemory_ = std::make_unique<mem::MainMemory>();
-    const isa::DataSegment &data = program.data();
-    if (!data.bytes.empty()) {
-        replayMemory_->writeBlock(data.base, data.bytes.data(),
-                                  data.bytes.size());
-    }
-    bind(program, *replayMemory_);
-}
-
-void
-InOrderPipeline::applyStore(const cpu::DynInstr &di)
-{
-    switch (di.dec->memBytes) {
-      case 1:
-        replayMemory_->writeByte(di.memAddr,
-                                 static_cast<Byte>(di.memData));
-        break;
-      case 2:
-        replayMemory_->writeHalf(di.memAddr,
-                                 static_cast<Half>(di.memData));
-        break;
-      default:
-        replayMemory_->writeWord(di.memAddr, di.memData);
-        break;
-    }
-}
-
-
-void
-InOrderPipeline::retire(const DynInstr &di)
-{
-    SC_ASSERT(program_ != nullptr,
-              "pipeline '", name_, "' not bound to a program");
-    if (replayMemory_ && di.dec->isStore)
-        applyStore(di);
-    InstrQuanta q = computeQuanta(di);
-    const unsigned res_chunks = q.resChunks;
-    q.resChunks = 0;
-    addLatch(curLatchBase_, latchBoundaries(q));
-    q.resChunks = res_chunks;
-    const TimingPlan p = plan(di, q);
-    checkPlan(p);
-    schedule(di, q, p);
+    live_ = std::make_unique<QuantaRecorder>(config_, program, &memory);
 }
 
 void
@@ -130,14 +147,15 @@ InOrderPipeline::result()
     r.stalls = stalls_;
     r.activity = activity_;
     r.predictor = predictor_.stats();
-    if (adoptedStats_.valid) {
-        r.l1i = adoptedStats_.l1i;
-        r.l1d = adoptedStats_.l1d;
-        r.l2 = adoptedStats_.l2;
+    if (live_) {
+        r.activity += live_->activity();
+        r.l1i = live_->hierarchy().l1i().stats();
+        r.l1d = live_->hierarchy().l1d().stats();
+        r.l2 = live_->hierarchy().l2().stats();
     } else {
-        r.l1i = hierarchy_.l1i().stats();
-        r.l1d = hierarchy_.l1d().stats();
-        r.l2 = hierarchy_.l2().stats();
+        r.l1i = l1i_;
+        r.l1d = l1d_;
+        r.l2 = l2_;
     }
     return r;
 }
@@ -173,66 +191,12 @@ InOrderPipeline::quantaKey() const
     return key;
 }
 
-/** a - b per category (activity accumulates monotonically). */
-ActivityTotals
-InOrderPipeline::activityDelta(const ActivityTotals &a,
-                               const ActivityTotals &b)
-{
-    auto sub = [](const BitPair &x, const BitPair &y) {
-        BitPair d;
-        d.compressed = x.compressed - y.compressed;
-        d.baseline = x.baseline - y.baseline;
-        return d;
-    };
-    ActivityTotals d;
-    d.fetch = sub(a.fetch, b.fetch);
-    d.rfRead = sub(a.rfRead, b.rfRead);
-    d.rfWrite = sub(a.rfWrite, b.rfWrite);
-    d.alu = sub(a.alu, b.alu);
-    d.dcData = sub(a.dcData, b.dcData);
-    d.dcTag = sub(a.dcTag, b.dcTag);
-    d.pcInc = sub(a.pcInc, b.pcInc);
-    d.latch = BitPair{}; // design-dependent: consumers compute it
-    return d;
-}
-
-void
-InOrderPipeline::retireBlockRecord(std::span<const cpu::DynInstr> block,
-                                   SharedQuanta &rec)
-{
-    // Generic fallback: same body as the designs' devirtualised
-    // overrides, with the hooks dispatched virtually.
-    retireBlockRecordWith(
-        block, rec,
-        [this](const cpu::DynInstr &di, const InstrQuanta &q) {
-            return plan(di, q);
-        },
-        [this](const InstrQuanta &q) { return latchBoundaries(q); });
-}
-
-void
-InOrderPipeline::retireBlockShared(std::span<const cpu::DynInstr> block,
-                                   const SharedQuanta &rec,
-                                   std::size_t base,
-                                   std::size_t block_index)
-{
-    // Generic fallback: same body as the designs' devirtualised
-    // overrides, with the hooks dispatched virtually.
-    retireBlockSharedWith(
-        block, rec, base, block_index,
-        [this](const cpu::DynInstr &di, const InstrQuanta &q) {
-            return plan(di, q);
-        },
-        [this](const InstrQuanta &q) { return latchBoundaries(q); });
-}
-
 void
 InOrderPipeline::adoptSharedStats(const SharedQuanta &rec)
 {
-    adoptedStats_.valid = true;
-    adoptedStats_.l1i = rec.l1i;
-    adoptedStats_.l1d = rec.l1d;
-    adoptedStats_.l2 = rec.l2;
+    l1i_ = rec.l1i;
+    l1d_ = rec.l1d;
+    l2_ = rec.l2;
 }
 
 void

@@ -20,6 +20,14 @@
  * Concrete designs override plan() to supply per-instruction stage
  * occupancies and the stage roles (where operands are consumed,
  * where branches resolve, where results become forwardable).
+ *
+ * The engine has two halves. A QuantaRecorder runs the
+ * design-independent front half — memory hierarchy, serial ALU,
+ * significance classification, non-latch activity — once per quanta
+ * group and writes a SharedQuanta record. Every design's
+ * InOrderPipeline runs the back half from that record through one
+ * consume body (SharedReplayModel): plan(), latch scaling and the
+ * recurrence.
  */
 
 #ifndef SIGCOMP_PIPELINE_PIPELINE_H_
@@ -170,18 +178,17 @@ struct InstrQuanta
 /**
  * Design-independent per-instruction replay record.
  *
- * Everything computeQuanta() produces — hierarchy outcomes, ALU
+ * Everything a QuantaRecorder produces — hierarchy outcomes, ALU
  * occupancy, significance classification, the non-latch activity
  * accounting, and the pre-scaling latch bit count — depends only on
  * the trace, the encoding, the memory geometry, and the instruction
- * compressor, not on the concrete design. During trace replay the
- * first pipeline with a given configuration records this front half
- * once (retireBlockRecord), and every other same-configuration
- * pipeline — in this study or any later one, the record is cached
- * on the TraceBuffer — replays as a consumer (retireBlockShared)
- * that only runs the per-design back half: latch scaling, plan(),
- * and schedule(). A seven-design CPI study does the quanta work
- * once, not seven times.
+ * compressor, not on the concrete design. During trace replay one
+ * recorder per quanta key writes this front half once, unless the
+ * TraceBuffer already caches the record, and every pipeline of that
+ * key — in this study or any later one — consumes it
+ * (retireBlockShared): latch scaling, plan() and schedule() only.
+ * A seven-design CPI study does the quanta work once, not seven
+ * times.
  */
 class SharedQuanta
 {
@@ -274,12 +281,122 @@ class SharedQuanta
 };
 
 /**
- * Base class: drives the recurrence, the memory hierarchy, and the
- * activity accounting; concrete designs provide plan().
+ * The design-independent front half of retirement: drives the memory
+ * hierarchy and the serial ALU, classifies significance, and
+ * accounts every activity category except latches. Its output per
+ * instruction is an InstrQuanta plus the pre-scaling latch bit
+ * count; every design's scheduler consumes that.
  *
- * Feed it a dynamic trace through the TraceSink interface (one
- * functional-simulation pass can fan out to many models), then call
- * result().
+ * Trace replay builds one recorder per quanta group, and only when
+ * the trace caches no record for the group's key; it writes the
+ * SharedQuanta record every pipeline of the group consumes. The live
+ * path (InOrderPipeline::bind) gives each pipeline its own recorder
+ * and feeds the unpacked quanta straight to the scheduler. The
+ * process registry's `pipeline.quanta_recorders` counter counts the
+ * recorders built.
+ */
+class QuantaRecorder
+{
+  public:
+    /**
+     * Bind to @p program. Cache-fill contents for the activity
+     * accounting are sampled from @p memory, which must be the image
+     * the functional core mutates. Without @p memory the recorder
+     * owns an image initialised from the program's data segment and
+     * applies the replayed trace's stores itself (capture applied
+     * them while executing), so it sees exactly the bytes the live
+     * run saw at that point in the stream.
+     */
+    QuantaRecorder(const PipelineConfig &config,
+                   const isa::Program &program,
+                   const mem::MainMemory *memory = nullptr);
+
+    /**
+     * Front half of one instruction: its quanta, with @p latch_base
+     * set to its latch bit count before the design's boundary
+     * scaling.
+     */
+    InstrQuanta compute(const cpu::DynInstr &di, Count &latch_base);
+
+    /**
+     * Append @p block to @p rec: one Packed entry per instruction and
+     * one shared activity delta for the block.
+     */
+    void recordBlock(std::span<const cpu::DynInstr> block,
+                     SharedQuanta &rec);
+
+    /** Store the hierarchy's final statistics in @p rec. */
+    void finish(SharedQuanta &rec) const;
+
+    /**
+     * Non-latch activity: of the last recordBlock(), or since
+     * construction on the live path (compute() only).
+     */
+    const ActivityTotals &activity() const { return activity_; }
+
+    const mem::MemoryHierarchy &hierarchy() const { return hierarchy_; }
+
+  private:
+    /**
+     * Account every activity category except latches; returns the
+     * instruction's latch bit count before control/boundary scaling
+     * (the design-independent part of the latch formula).
+     * @p rs_bytes/@p rt_bytes/@p res_bytes are the operand values'
+     * significance counts under the encoding, computed once by
+     * compute() (from the sidecar tags when available).
+     */
+    Count accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
+                          const sig::AluReport &alu,
+                          const mem::MemOutcome &ifetch,
+                          const mem::MemOutcome &daccess, bool has_mem,
+                          unsigned rs_bytes, unsigned rt_bytes,
+                          unsigned res_bytes);
+
+    /** Re-apply one trace store to the owned memory image. */
+    void applyStore(const cpu::DynInstr &di);
+
+    /** Compressed fetch width of the text word at @p addr (memo). */
+    unsigned
+    fetchWidthAt(Addr addr) const
+    {
+        return fetchWidth_[(addr - program_.textStart()) / wordBytes];
+    }
+
+    sig::Encoding encoding_;
+    sig::SerialAlu alu_;
+    mem::MemoryHierarchy hierarchy_;
+    const isa::Program &program_;
+    /** Owned evolving memory image in replay mode. */
+    std::unique_ptr<mem::MainMemory> ownMemory_;
+    const mem::MainMemory *memory_;
+
+    /**
+     * Significant bytes under the encoding per Ext3 sidecar tag
+     * (DynInstr::sigTags nibbles): every encoding's significance
+     * count is a pure function of the Ext3 pattern, so tagged
+     * replays look the count up instead of re-classifying the
+     * operand word (bit-identical either way; see compute()).
+     */
+    std::array<std::uint8_t, 16> tagBytes_{};
+    /**
+     * Per-static-instruction compressed fetch width, memoised at
+     * construction (fetchBytes() permutes/recodes the whole word,
+     * far too much work to redo for every dynamic instance).
+     */
+    std::vector<std::uint8_t> fetchWidth_;
+
+    ActivityTotals activity_;
+};
+
+/**
+ * Base class of every design: the reservation-recurrence scheduler
+ * and its stall, latch-activity and predictor state; concrete
+ * designs provide plan() and derive through SharedReplayModel, which
+ * supplies the one per-instruction consume body.
+ *
+ * Replay feeds it SharedQuanta records (replayPipelines); the live
+ * path feeds it a retirement stream through the TraceSink interface
+ * after bind(). Either way, call result() at the end.
  */
 class InOrderPipeline : public cpu::TraceSink
 {
@@ -287,25 +404,12 @@ class InOrderPipeline : public cpu::TraceSink
     InOrderPipeline(std::string name, PipelineConfig config);
 
     /**
-     * Bind the program/memory image used to sample cache-fill
-     * contents for activity accounting. Must be called before the
-     * first retire(); the memory must be the one the functional core
-     * mutates.
+     * Bind for live retirement: the pipeline gets its own
+     * QuantaRecorder over @p program, sampling cache fills from
+     * @p memory (the image the functional core mutates). Must be
+     * called before the first retire().
      */
     void bind(const isa::Program &program, const mem::MainMemory &memory);
-
-    /**
-     * Bind for trace replay: the pipeline owns a private memory
-     * image initialised from the program's data segment and applies
-     * the trace's stores itself (capture applied them while
-     * executing), so activity sampling on cache fills/writebacks
-     * sees exactly the bytes the live run saw at that point in the
-     * stream. Every replaying pipeline has its own image, so several
-     * models can consume one shared trace concurrently.
-     */
-    void bindReplay(const isa::Program &program);
-
-    void retire(const cpu::DynInstr &di) override;
 
     // ---- shared-quanta replay plumbing (used by replayPipelines) --
 
@@ -317,35 +421,20 @@ class InOrderPipeline : public cpu::TraceSink
     std::string quantaKey() const;
 
     /**
-     * Full retirement of @p block (identical to retire() per
-     * instruction) that additionally appends the design-independent
-     * front half to @p rec: one Packed entry per instruction plus one
-     * shared activity delta for the block. Virtual for the same reason as
-     * retireBlockShared(): SharedReplayModel overrides it so plan()
-     * and latchBoundaries() bind statically inside the loop.
-     */
-    virtual void retireBlockRecord(std::span<const cpu::DynInstr> block,
-                                   SharedQuanta &rec);
-
-    /**
-     * Consumer retirement from a SharedQuanta record produced by a
-     * same-key pipeline over the same block structure: skips
-     * hierarchy/ALU/classification entirely and runs only latch
-     * scaling, plan() and schedule(). @p base is the record index of
-     * block[0], @p block_index the block's delta index. Final state
-     * is bit-identical to the full path. Concrete designs override
-     * this with the devirtualised retireBlockSharedAs() so plan()
-     * inlines into the consumer loop.
+     * Retire @p block from a SharedQuanta record of this pipeline's
+     * quanta key over the same block structure. @p base is the
+     * record index of block[0], @p block_index the block's delta
+     * index. Final state is bit-identical to live retirement.
      */
     virtual void retireBlockShared(std::span<const cpu::DynInstr> block,
                                    const SharedQuanta &rec,
                                    std::size_t base,
-                                   std::size_t block_index);
+                                   std::size_t block_index) = 0;
 
     /**
      * Adopt the recording pass's hierarchy statistics so result()
-     * reports real cache behaviour for shared-quanta consumers
-     * (their own hierarchy was never driven).
+     * reports real cache behaviour (a replaying pipeline drives no
+     * hierarchy of its own).
      */
     void adoptSharedStats(const SharedQuanta &rec);
 
@@ -370,19 +459,16 @@ class InOrderPipeline : public cpu::TraceSink
     bool observed() const { return observer_ != nullptr; }
 
     /**
-     * True when this pipeline's plan()/latchBoundaries() depend only
-     * on the constructor configuration and the per-instruction
-     * quanta — the precondition for memoising a full-trace replay
-     * result on the trace (replayPipelines). Defaults to false so a
-     * custom subclass with per-instance runtime state (a mock with a
+     * True when this pipeline's plan() depends only on the
+     * constructor configuration and the per-instruction quanta — the
+     * precondition for memoising a full-trace replay result on the
+     * trace (replayPipelines). Defaults to false so a custom
+     * subclass with per-instance runtime state (a mock with a
      * std::function plan, an adaptive design) can never adopt
      * another instance's memoised result; the library's fixed
      * designs override it to true.
      */
     virtual bool planIsPure() const { return false; }
-
-    /** This pipeline's hierarchy (recording side of shared stats). */
-    const mem::MemoryHierarchy &hierarchy() const { return hierarchy_; }
 
     /** Finalize and fetch results (idempotent). */
     PipelineResult result();
@@ -407,124 +493,36 @@ class InOrderPipeline : public cpu::TraceSink
     }
 
   protected:
-    /** Per-instruction schedule for this design. */
+    /**
+     * Per-instruction schedule for this design; its latchBoundaries
+     * field scales the instruction's latch activity.
+     */
     virtual TimingPlan plan(const cpu::DynInstr &di,
                             const InstrQuanta &q) = 0;
 
-    /** Latch boundaries this instruction traverses in this design. */
-    virtual unsigned
-    latchBoundaries(const InstrQuanta &q) const
+    /** The live path's recorder; fatal before bind(). */
+    QuantaRecorder &
+    liveRecorder()
     {
-        (void)q;
-        return 4;
+        SC_ASSERT(live_ != nullptr,
+                  "pipeline '", name_, "' not bound to a program");
+        return *live_;
     }
 
     /**
-     * The one shared-quanta consumer body, parameterised over how
-     * plan()/latchBoundaries() are invoked: the virtual default
-     * passes virtual-dispatch callables, SharedReplayModel passes
-     * statically-bound ones so the hooks inline into the loop. Keeps
-     * the load-bearing subtlety below in exactly one place.
+     * Check that @p rec covers the @p size instructions from @p base
+     * and block @p block_index, and account the block's shared
+     * activity.
      */
-    template <typename PlanFn, typename LatchFn>
     void
-    retireBlockSharedWith(std::span<const cpu::DynInstr> block,
-                          const SharedQuanta &rec, std::size_t base,
-                          std::size_t block_index, PlanFn &&plan_fn,
-                          LatchFn &&latch_fn)
+    beginSharedBlock(const SharedQuanta &rec, std::size_t base,
+                     std::size_t size, std::size_t block_index)
     {
-        SC_ASSERT(program_ != nullptr,
-                  "pipeline '", name_, "' not bound to a program");
-        SC_ASSERT(base + block.size() <= rec.q.size() &&
+        SC_ASSERT(base + size <= rec.q.size() &&
                       block_index < rec.blockDelta.size(),
                   "shared quanta record does not cover this block");
         activity_ += rec.blockDelta[block_index];
-        for (std::size_t j = 0; j < block.size(); ++j) {
-            const cpu::DynInstr &di = block[j];
-            const SharedQuanta::Packed &p = rec.q[base + j];
-            InstrQuanta q = SharedQuanta::unpack(p);
-
-            // Match the canonical path: latchBoundaries() runs
-            // before resChunks is filled in (see computeQuanta).
-            const unsigned res_chunks = q.resChunks;
-            q.resChunks = 0;
-            addLatch(p.latchBase, latch_fn(q));
-            q.resChunks = res_chunks;
-
-            const TimingPlan tp = plan_fn(di, q);
-            checkPlan(tp);
-            schedule(di, q, tp);
-        }
     }
-
-    /**
-     * The recording-pass body, parameterised like
-     * retireBlockSharedWith() so the design hooks inline into the
-     * loop (this is the heaviest pass of a CPI study: it runs the
-     * quanta front half AND schedules).
-     */
-    template <typename PlanFn, typename LatchFn>
-    void
-    retireBlockRecordWith(std::span<const cpu::DynInstr> block,
-                          SharedQuanta &rec, PlanFn &&plan_fn,
-                          LatchFn &&latch_fn)
-    {
-        SC_ASSERT(program_ != nullptr,
-                  "pipeline '", name_, "' not bound to a program");
-        const ActivityTotals before = activity_;
-        const bool apply_stores = replayMemory_ != nullptr;
-        // Pre-size the record for the block so the hot loop writes
-        // through a bare pointer (capacity was reserved up front).
-        const std::size_t rec_base = rec.q.size();
-        rec.q.resize(rec_base + block.size());
-        SharedQuanta::Packed *rq = rec.q.data() + rec_base;
-        for (const cpu::DynInstr &di : block) {
-            if (apply_stores && di.dec->isStore)
-                applyStore(di);
-            InstrQuanta q = computeQuanta(di);
-
-            // Latch accounting matches the consumer path exactly:
-            // latchBoundaries() runs before resChunks is filled in.
-            const unsigned res_chunks = q.resChunks;
-            q.resChunks = 0;
-            addLatch(curLatchBase_, latch_fn(q));
-            q.resChunks = res_chunks;
-
-            *rq++ = SharedQuanta::pack(q, curLatchBase_);
-            const TimingPlan p = plan_fn(di, q);
-            checkPlan(p);
-            schedule(di, q, p);
-        }
-        rec.blockDelta.push_back(activityDelta(activity_, before));
-    }
-
-    /** a - b per category (activity accumulates monotonically). */
-    static ActivityTotals activityDelta(const ActivityTotals &a,
-                                        const ActivityTotals &b);
-
-  private:
-    /**
-     * The design-independent front half of one instruction's
-     * retirement. Does NOT account latches: every caller scales and
-     * adds them itself (addLatch) so the design hook can be bound
-     * statically in the devirtualised paths.
-     */
-    InstrQuanta computeQuanta(const cpu::DynInstr &di);
-
-    /**
-     * Account every activity category except latches; returns the
-     * instruction's latch bit count before control/boundary scaling
-     * (the design-independent part of the latch formula).
-     * @p rs_bytes/@p rt_bytes/@p res_bytes are the operand values'
-     * significance counts under config_.encoding, computed once by
-     * computeQuanta() (from the sidecar tags when available).
-     */
-    Count accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
-                          const sig::AluReport &alu,
-                          const mem::MemOutcome &ifetch,
-                          const mem::MemOutcome &daccess, bool has_mem,
-                          unsigned rs_bytes, unsigned rt_bytes,
-                          unsigned res_bytes);
 
     /** Scale and account the latch activity of one instruction. */
     void
@@ -535,18 +533,15 @@ class InOrderPipeline : public cpu::TraceSink
         activity_.latch.add(latch_c, baselineLatchBits);
     }
 
-    /** Cold out-of-line panic for the timing-plan validation. */
-    [[noreturn, gnu::cold, gnu::noinline]] static void
-    panicBadTimingPlan();
-
     /**
      * Validate a plan before scheduling it: stage count within
      * bounds and every stage-role index inside the plan's depth
      * (schedule()'s start/end arrays are only written up to
      * numStages, so an out-of-range readyStage would read
-     * indeterminate cycles). Checked at every call site that feeds
-     * schedule() — kept out of schedule() itself so the scheduler
-     * stays within the inliner's budget in the replay loops.
+     * indeterminate cycles), so a custom design's bad plan dies
+     * loudly instead of publishing garbage cycles. Kept out of
+     * schedule() itself so the scheduler stays within the inliner's
+     * budget in the replay loops; the panic is out of line.
      */
     static void
     checkPlan(const TimingPlan &p)
@@ -562,24 +557,15 @@ class InOrderPipeline : public cpu::TraceSink
 
     /**
      * The reservation-recurrence scheduler. Defined inline: it runs
-     * once per instruction per design on every replay path, and
-     * inlining it into the (CRTP-devirtualised) block loops keeps
-     * the scheduler state in registers across the loop instead of
+     * once per instruction per design on every path, and inlining it
+     * into the (CRTP-devirtualised) consume body keeps the scheduler
+     * state in registers across the block loop instead of
      * round-tripping through memory on an out-of-line call.
      */
     void
     schedule(const cpu::DynInstr &di, const InstrQuanta &q,
              const TimingPlan &plan)
     {
-        // Validate the plan here, on every path that can reach the
-        // scheduler: the stage-role indexes must stay inside the
-        // plan's depth because start[]/end[] are only written up to
-        // numStages (deliberately uninitialised beyond it, see
-        // below), and a custom design's out-of-range readyStage must
-        // die loudly instead of publishing garbage cycles. The panic
-        // itself is out of line (cold, noinline) so the check stays
-        // a handful of fused compares and schedule() keeps inlining
-        // into the replay loops.
         const isa::DecodedInstr &dec = *di.dec;
         // Uninitialised on purpose (this runs once per instruction per
         // design): only stages [0, numStages) are ever read below. The
@@ -658,49 +644,22 @@ class InOrderPipeline : public cpu::TraceSink
 
         lastCycle_ = std::max(lastCycle_, end[plan.numStages - 1]);
         ++instructions_;
-        lastPc_ = di.pc;
 
         if (observer_)
             observer_(di, plan, start, end);
     }
 
-
-    /** Re-apply one trace store to the replay memory image. */
-    void applyStore(const cpu::DynInstr &di);
-
-    /** Compressed fetch width of the text word at @p addr (memo). */
-    unsigned
-    fetchWidthAt(Addr addr) const
-    {
-        return fetchWidth_[(addr - program_->textStart()) / wordBytes];
-    }
+  private:
+    /** Cold out-of-line panic for the timing-plan validation. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    panicBadTimingPlan();
 
     std::string name_;
     PipelineConfig config_;
-    sig::SerialAlu alu_;
-    mem::MemoryHierarchy hierarchy_;
     BranchPredictor predictor_;
     ScheduleObserver observer_;
-
-    /**
-     * Significant bytes under config_.encoding per Ext3 sidecar tag
-     * (DynInstr::sigTags nibbles): every encoding's significance
-     * count is a pure function of the Ext3 pattern, so tagged
-     * replays look the count up instead of re-classifying the
-     * operand word (bit-identical either way; see computeQuanta()).
-     */
-    std::array<std::uint8_t, 16> tagBytes_{};
-
-    const isa::Program *program_ = nullptr;
-    const mem::MainMemory *memory_ = nullptr;
-    /** Owned evolving memory image when bound via bindReplay(). */
-    std::unique_ptr<mem::MainMemory> replayMemory_;
-    /**
-     * Per-static-instruction compressed fetch width, memoised at
-     * bind time (fetchBytes() permutes/recodes the whole word, far
-     * too much work to redo for every dynamic instance).
-     */
-    std::vector<std::uint8_t> fetchWidth_;
+    /** Front half of the live path (bind()); null on replay. */
+    std::unique_ptr<QuantaRecorder> live_;
 
     // Scheduler state.
     std::array<Cycle, maxStages> prevEnd_{};
@@ -710,38 +669,25 @@ class InOrderPipeline : public cpu::TraceSink
     Cycle hiloReady_ = 0;
     Cycle redirectReady_ = 0;
     Cycle lastCycle_ = 0;
-    Addr lastPc_ = 0;
-    bool lastWasRedirect_ = false;
 
     DWord instructions_ = 0;
     StallBreakdown stalls_;
+    /** Latch activity, plus the shared deltas of consumed blocks. */
     ActivityTotals activity_;
 
-    // Scratch for plan(): AluReport of the current instruction.
-    sig::AluReport curAlu_;
-    // Scratch: latch base bits of the current instruction.
-    Count curLatchBase_ = 0;
-    // Hierarchy stats adopted from a SharedQuanta record, if any.
-    struct AdoptedStats
-    {
-        bool valid = false;
-        mem::CacheStats l1i, l1d, l2;
-    };
-    AdoptedStats adoptedStats_;
+    // Hierarchy stats adopted from a SharedQuanta record.
+    mem::CacheStats l1i_, l1d_, l2_;
     // Complete result adopted from a replay memo, if any.
     std::unique_ptr<PipelineResult> adoptedResult_;
-
-    friend struct PipelineTestPeek;
 };
 
 /**
  * CRTP intermediary between InOrderPipeline and the concrete
- * designs: supplies the devirtualised shared-quanta consumer
- * override exactly once. D's plan()/latchBoundaries() bind
- * statically inside retireBlockSharedWith(), so they inline into the
- * consumer loop; designs stay `class X : public SharedReplayModel<X>`
- * with a `friend SharedReplayModel<X>` so the hooks remain
- * protected.
+ * designs: holds the one per-instruction consume body, which both
+ * the shared block loop and the live retire() run. D::plan() binds
+ * statically inside it, so it inlines into the block loop; designs
+ * stay `class X : public SharedReplayModel<X>` with a
+ * `friend SharedReplayModel<X>` so plan() remains protected.
  */
 template <typename D>
 class SharedReplayModel : public InOrderPipeline
@@ -750,44 +696,43 @@ class SharedReplayModel : public InOrderPipeline
     using InOrderPipeline::InOrderPipeline;
 
     void
+    retire(const cpu::DynInstr &di) override
+    {
+        Count latch_base;
+        const InstrQuanta q = liveRecorder().compute(di, latch_base);
+        consume(di, q, latch_base);
+    }
+
+    void
     retireBlockShared(std::span<const cpu::DynInstr> block,
                       const SharedQuanta &rec, std::size_t base,
                       std::size_t block_index) override
     {
-        D *self = static_cast<D *>(this);
-        retireBlockSharedWith(
-            block, rec, base, block_index,
-            [self](const cpu::DynInstr &di, const InstrQuanta &q) {
-                return self->D::plan(di, q);
-            },
-            [self](const InstrQuanta &q) {
-                return self->D::latchBoundaries(q);
-            });
+        beginSharedBlock(rec, base, block.size(), block_index);
+        for (std::size_t j = 0; j < block.size(); ++j) {
+            const SharedQuanta::Packed &p = rec.q[base + j];
+            consume(block[j], SharedQuanta::unpack(p), p.latchBase);
+        }
     }
 
+  private:
+    /** Back half of one instruction: plan, latch scaling, schedule. */
     void
-    retireBlockRecord(std::span<const cpu::DynInstr> block,
-                      SharedQuanta &rec) override
+    consume(const cpu::DynInstr &di, const InstrQuanta &q,
+            Count latch_base)
     {
-        D *self = static_cast<D *>(this);
-        retireBlockRecordWith(
-            block, rec,
-            [self](const cpu::DynInstr &di, const InstrQuanta &q) {
-                return self->D::plan(di, q);
-            },
-            [self](const InstrQuanta &q) {
-                return self->D::latchBoundaries(q);
-            });
+        const TimingPlan tp = static_cast<D *>(this)->D::plan(di, q);
+        checkPlan(tp);
+        addLatch(latch_base, tp.latchBoundaries);
+        schedule(di, q, tp);
     }
 };
 
 // ---- inline implementations of the per-instruction front half ----
 //
-// computeQuanta()/accountActivity() run once per instruction on
-// every full replay path; defining them here lets them inline into
-// the devirtualised record loops (retireBlockRecordWith) so the
-// whole front half fuses with scheduling instead of shuttling an
-// InstrQuanta through an out-of-line call per instruction.
+// compute()/accountActivity() run once per instruction of every
+// recorded block; defining them here lets them inline into the
+// record loop and the live retire().
 
 namespace quanta_detail
 {
@@ -818,10 +763,12 @@ memChunksOf(Word v, unsigned bytes, sig::Encoding enc)
 } // namespace quanta_detail
 
 inline InstrQuanta
-InOrderPipeline::computeQuanta(const cpu::DynInstr &di)
+QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
 {
-    const sig::Encoding enc = config_.encoding;
+    const sig::Encoding enc = encoding_;
     const isa::DecodedInstr &dec = *di.dec;
+    if (ownMemory_ && dec.isStore)
+        applyStore(di);
     InstrQuanta q;
 
     // Significance counts of the three register-file values, via the
@@ -873,92 +820,92 @@ InOrderPipeline::computeQuanta(const cpu::DynInstr &di)
     // class/format/funct/opcode cascade (same cases, same order of
     // evaluation — aluOpOf() in isa/instruction.cpp is the mapping).
     q.usesAlu = true;
+    sig::AluReport alu;
     switch (dec.aluOp) {
       case isa::AluOp::AddRR:
-        curAlu_ = alu_.add(di.srcRs, di.srcRt);
+        alu = alu_.add(di.srcRs, di.srcRt);
         break;
       case isa::AluOp::SubRR:
-        curAlu_ = alu_.sub(di.srcRs, di.srcRt);
+        alu = alu_.sub(di.srcRs, di.srcRt);
         break;
       case isa::AluOp::AndRR:
-        curAlu_ = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::And);
+        alu = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::And);
         break;
       case isa::AluOp::OrRR:
-        curAlu_ = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Or);
+        alu = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Or);
         break;
       case isa::AluOp::XorRR:
-        curAlu_ = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Xor);
+        alu = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Xor);
         break;
       case isa::AluOp::NorRR:
-        curAlu_ = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Nor);
+        alu = alu_.logic(di.srcRs, di.srcRt, sig::LogicOp::Nor);
         break;
       case isa::AluOp::SltRR:
-        curAlu_ = alu_.slt(di.srcRs, di.srcRt, false);
+        alu = alu_.slt(di.srcRs, di.srcRt, false);
         break;
       case isa::AluOp::SltuRR:
-        curAlu_ = alu_.slt(di.srcRs, di.srcRt, true);
+        alu = alu_.slt(di.srcRs, di.srcRt, true);
         break;
       case isa::AluOp::MoveHiLo:
-        curAlu_ = alu_.passThrough(dec.writesDest ? di.result
-                                                  : di.srcRs);
+        alu = alu_.passThrough(dec.writesDest ? di.result
+                                              : di.srcRs);
         break;
       case isa::AluOp::AddImm:
-        curAlu_ = alu_.add(di.srcRs,
-                           static_cast<Word>(di.inst().simm16()));
+        alu = alu_.add(di.srcRs,
+                       static_cast<Word>(di.inst().simm16()));
         break;
       case isa::AluOp::SltImm:
-        curAlu_ = alu_.slt(di.srcRs,
-                           static_cast<Word>(di.inst().simm16()), false);
+        alu = alu_.slt(di.srcRs,
+                       static_cast<Word>(di.inst().simm16()), false);
         break;
       case isa::AluOp::SltuImm:
-        curAlu_ = alu_.slt(di.srcRs,
-                           static_cast<Word>(di.inst().simm16()), true);
+        alu = alu_.slt(di.srcRs,
+                       static_cast<Word>(di.inst().simm16()), true);
         break;
       case isa::AluOp::AndImm:
-        curAlu_ = alu_.logic(di.srcRs, di.inst().imm16(),
-                             sig::LogicOp::And);
+        alu = alu_.logic(di.srcRs, di.inst().imm16(),
+                         sig::LogicOp::And);
         break;
       case isa::AluOp::OrImm:
-        curAlu_ = alu_.logic(di.srcRs, di.inst().imm16(),
-                             sig::LogicOp::Or);
+        alu = alu_.logic(di.srcRs, di.inst().imm16(),
+                         sig::LogicOp::Or);
         break;
       case isa::AluOp::XorImm:
-        curAlu_ = alu_.logic(di.srcRs, di.inst().imm16(),
-                             sig::LogicOp::Xor);
+        alu = alu_.logic(di.srcRs, di.inst().imm16(),
+                         sig::LogicOp::Xor);
         break;
       case isa::AluOp::Lui:
-        curAlu_ = alu_.passThrough(di.result);
+        alu = alu_.passThrough(di.result);
         break;
       case isa::AluOp::Shift:
-        curAlu_ = alu_.shift(di.srcRt, di.result);
+        alu = alu_.shift(di.srcRt, di.result);
         break;
       case isa::AluOp::Mult:
-        curAlu_ = alu_.multDiv(di.srcRs, di.srcRt, 0);
+        alu = alu_.multDiv(di.srcRs, di.srcRt, 0);
         q.isMult = true;
         break;
       case isa::AluOp::Div:
-        curAlu_ = alu_.multDiv(di.srcRs, di.srcRt, 0);
+        alu = alu_.multDiv(di.srcRs, di.srcRt, 0);
         q.isDiv = true;
         break;
       case isa::AluOp::MemAdd: // address generation
-        curAlu_ = alu_.add(di.srcRs,
-                           static_cast<Word>(di.inst().simm16()));
+        alu = alu_.add(di.srcRs,
+                       static_cast<Word>(di.inst().simm16()));
         break;
       case isa::AluOp::CmpRR:
-        curAlu_ = alu_.sub(di.srcRs, di.srcRt);
+        alu = alu_.sub(di.srcRs, di.srcRt);
         break;
       case isa::AluOp::CmpRZero:
-        curAlu_ = alu_.sub(di.srcRs, 0);
+        alu = alu_.sub(di.srcRs, 0);
         break;
       case isa::AluOp::None:
-        curAlu_ = sig::AluReport{};
-        curAlu_.workMask = 0;
-        curAlu_.workBytes = 0;
+        alu.workMask = 0;
+        alu.workBytes = 0;
         q.usesAlu = false;
         break;
     }
-    q.exChunks = q.usesAlu ? std::max(1u, curAlu_.workChunks()) : 0;
-    q.exWorkBytes = curAlu_.workBytes;
+    q.exChunks = q.usesAlu ? std::max(1u, alu.workChunks()) : 0;
+    q.exWorkBytes = alu.workBytes;
 
     // ---- memory ------------------------------------------------------------
     if (dec.isLoad || dec.isStore) {
@@ -966,19 +913,15 @@ InOrderPipeline::computeQuanta(const cpu::DynInstr &di)
             hierarchy_.dataAccess(di.memAddr, dec.isStore);
         q.memExtra = dout.extraLatency;
         q.memAccessBytes = dec.memBytes;
-        q.memChunks = quanta_detail::memChunksOf(di.memData, dec.memBytes,
-                                  config_.encoding);
-        curLatchBase_ = accountActivity(di, q, curAlu_, ifo, dout, true,
-                                        rs_bytes, rt_bytes, res_bytes);
+        q.memChunks =
+            quanta_detail::memChunksOf(di.memData, dec.memBytes, enc);
+        latch_base = accountActivity(di, q, alu, ifo, dout, true,
+                                     rs_bytes, rt_bytes, res_bytes);
     } else {
-        curLatchBase_ =
-            accountActivity(di, q, curAlu_, ifo, mem::MemOutcome{},
-                            false, rs_bytes, rt_bytes, res_bytes);
+        latch_base = accountActivity(di, q, alu, ifo, mem::MemOutcome{},
+                                     false, rs_bytes, rt_bytes, res_bytes);
     }
     // ---- result ------------------------------------------------------------
-    // (Latch accounting moved to the callers: they scale with the
-    // design's latchBoundaries() hook — statically bound in the
-    // devirtualised paths — against q with resChunks still zero.)
     if (dec.writesDest && dec.dest != isa::reg::zero)
         q.resChunks = res_bytes / chunk_bytes;
 
@@ -986,28 +929,28 @@ InOrderPipeline::computeQuanta(const cpu::DynInstr &di)
 }
 
 inline Count
-InOrderPipeline::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
-                                 const sig::AluReport &alu,
-                                 const mem::MemOutcome &ifetch,
-                                 const mem::MemOutcome &daccess,
-                                 bool has_mem, unsigned rs_bytes,
-                                 unsigned rt_bytes, unsigned res_bytes)
+QuantaRecorder::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
+                                const sig::AluReport &alu,
+                                const mem::MemOutcome &ifetch,
+                                const mem::MemOutcome &daccess,
+                                bool has_mem, unsigned rs_bytes,
+                                unsigned rt_bytes, unsigned res_bytes)
 {
-    const sig::Encoding enc = config_.encoding;
+    const sig::Encoding enc = encoding_;
     const unsigned eb = sig::extensionBits(enc);
     const unsigned cb = sig::chunkBytes(enc);
     const isa::DecodedInstr &dec = *di.dec;
 
     // Fetch: 3-4 bytes plus the fetch extension bit vs a full word.
     activity_.fetch.add(8 * q.fetchBytes + 1, 32);
-    if (ifetch.l1Fill && program_) {
+    if (ifetch.l1Fill) {
         const unsigned line_words =
             hierarchy_.l1i().params().lineBytes / wordBytes;
         for (unsigned w = 0; w < line_words; ++w) {
             const Addr a =
                 ifetch.fillLine + static_cast<Addr>(w * wordBytes);
             unsigned fb = 4;
-            if (a >= program_->textStart() && a < program_->textEnd())
+            if (a >= program_.textStart() && a < program_.textEnd())
                 fb = fetchWidthAt(a);
             activity_.fetch.add(8 * fb + 1 + ifillPermuteBits, 32);
         }
@@ -1038,9 +981,7 @@ InOrderPipeline::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
             const unsigned line_words =
                 hierarchy_.l1d().params().lineBytes / wordBytes;
             for (unsigned w = 0; w < line_words; ++w) {
-                const Word v = memory_ ? memory_->readWord(
-                                             line + w * wordBytes)
-                                       : 0;
+                const Word v = memory_->readWord(line + w * wordBytes);
                 activity_.dcData.add(
                     8 * sig::significantBytesUnder(v, enc) + eb, 32);
             }

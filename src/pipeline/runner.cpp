@@ -32,25 +32,30 @@ resultKey(const InOrderPipeline &p)
 }
 
 /**
- * Orchestrates one same-key group of pipelines over a replay: the
- * first pipeline records the design-independent quanta (or, when a
- * previous replay of this trace already recorded them, everyone
- * consumes the cached record) and the rest run as shared-quanta
- * consumers. See SharedQuanta in pipeline.h.
+ * Feeds one same-quanta-key group of pipelines over a replay. When
+ * the trace caches no SharedQuanta record for the key, a
+ * QuantaRecorder writes one block by block ahead of the pipelines
+ * and publishes it afterwards; otherwise the pipelines consume the
+ * cached record. Either way every pipeline runs the same consume
+ * body. See SharedQuanta in pipeline.h.
  */
 class GroupReplaySink : public cpu::TraceSink
 {
   public:
-    GroupReplaySink(std::vector<InOrderPipeline *> pipes,
-                    std::shared_ptr<const SharedQuanta> cached,
-                    std::size_t trace_size)
-        : pipes_(std::move(pipes)), cached_(std::move(cached))
+    GroupReplaySink(std::vector<InOrderPipeline *> pipes, std::string key,
+                    const cpu::TraceBuffer &trace)
+        : pipes_(std::move(pipes)), key_(std::move(key)),
+          rec_(std::static_pointer_cast<const SharedQuanta>(
+              trace.annexGet(key_)))
     {
-        if (!cached_) {
+        if (!rec_) {
+            recorder_ = std::make_unique<QuantaRecorder>(
+                pipes_.front()->config(), trace.program());
             recording_ = std::make_shared<SharedQuanta>();
-            recording_->q.reserve(trace_size);
+            recording_->q.reserve(trace.size());
             recording_->blockDelta.reserve(
-                trace_size / cpu::TraceView::defaultBlockSize + 2);
+                trace.size() / cpu::TraceView::defaultBlockSize + 2);
+            rec_ = recording_;
         }
     }
 
@@ -71,59 +76,43 @@ class GroupReplaySink : public cpu::TraceSink
         if (block.size() != cpu::TraceView::defaultBlockSize)
             saw_partial_ = true;
 
-        if (cached_) {
-            for (InOrderPipeline *p : pipes_)
-                p->retireBlockShared(block, *cached_, base_, blockIndex_);
-        } else {
-            {
-                // The design-independent front half: computed once
-                // per group by the recording leader, shared by the
-                // rest.
-                SIGCOMP_SPAN("quanta.compute");
-                pipes_.front()->retireBlockRecord(block, *recording_);
-            }
-            for (std::size_t i = 1; i < pipes_.size(); ++i) {
-                pipes_[i]->retireBlockShared(block, *recording_, base_,
-                                             blockIndex_);
-            }
+        if (recorder_) {
+            SIGCOMP_SPAN("quanta.compute");
+            recorder_->recordBlock(block, *recording_);
         }
+        for (InOrderPipeline *p : pipes_)
+            p->retireBlockShared(block, *rec_, base_, blockIndex_);
         base_ += block.size();
         ++blockIndex_;
     }
 
     /**
-     * After the replay: fill in the record's final hierarchy stats,
-     * publish it on the trace (first writer wins), and hand every
-     * consumer its cache statistics.
+     * After the replay: complete a fresh record with the final
+     * hierarchy stats and publish it on the trace (first writer
+     * wins), then hand every pipeline its cache statistics.
      */
     void
     finish(const cpu::TraceBuffer &trace)
     {
-        std::shared_ptr<const SharedQuanta> rec = cached_;
-        if (recording_) {
-            recording_->l1i =
-                pipes_.front()->hierarchy().l1i().stats();
-            recording_->l1d =
-                pipes_.front()->hierarchy().l1d().stats();
-            recording_->l2 = pipes_.front()->hierarchy().l2().stats();
-            // Publish for future replays of this trace (first writer
-            // wins; a racing recording is identical by determinism).
+        if (recorder_) {
+            recorder_->finish(*recording_);
+            // A racing recording is identical by determinism.
             if (canonical_) {
                 trace.annexStoreIfAbsent(
-                    pipes_.front()->quantaKey(),
-                    std::static_pointer_cast<void>(recording_),
+                    key_, std::static_pointer_cast<void>(recording_),
                     recording_->bytes());
             }
-            rec = recording_; // this replay's consumers used ours
         }
-        const std::size_t first_consumer = recording_ ? 1 : 0;
-        for (std::size_t i = first_consumer; i < pipes_.size(); ++i)
-            pipes_[i]->adoptSharedStats(*rec);
+        for (InOrderPipeline *p : pipes_)
+            p->adoptSharedStats(*rec_);
     }
 
   private:
     std::vector<InOrderPipeline *> pipes_;
-    std::shared_ptr<const SharedQuanta> cached_;
+    std::string key_;
+    /** The record the pipelines consume: cached, or recording_. */
+    std::shared_ptr<const SharedQuanta> rec_;
+    std::unique_ptr<QuantaRecorder> recorder_;
     std::shared_ptr<SharedQuanta> recording_;
     std::size_t base_ = 0;
     std::size_t blockIndex_ = 0;
@@ -208,7 +197,6 @@ replayPipelines(const cpu::TraceBuffer &trace,
     std::vector<bool> was_pristine;
     for (InOrderPipeline *p : running) {
         const bool pristine = memoEligible(*p);
-        p->bindReplay(trace.program());
         const std::string key = p->quantaKey();
         bool placed = false;
         for (std::size_t g = 0; g < group_keys.size(); ++g) {
@@ -229,10 +217,8 @@ replayPipelines(const cpu::TraceBuffer &trace,
     std::vector<cpu::TraceSink *> sinks;
     sinks.reserve(groups.size() + extra_sinks.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        auto cached = std::static_pointer_cast<const SharedQuanta>(
-            trace.annexGet(group_keys[g]));
         group_sinks.push_back(std::make_unique<GroupReplaySink>(
-            std::move(groups[g]), std::move(cached), trace.size()));
+            std::move(groups[g]), std::move(group_keys[g]), trace));
         sinks.push_back(group_sinks.back().get());
     }
     sinks.insert(sinks.end(), extra_sinks.begin(), extra_sinks.end());

@@ -1,7 +1,10 @@
 /**
  * @file
  * Trace replay: run one captured trace through any number of
- * pipeline models in a single batched pass.
+ * pipeline models in a single batched pass. Pipelines are grouped by
+ * quanta key; each group's design-independent front half is recorded
+ * once by a QuantaRecorder (or taken from the trace's cached
+ * SharedQuanta record) and every pipeline consumes it.
  */
 
 #ifndef SIGCOMP_PIPELINE_RUNNER_H_
@@ -18,10 +21,9 @@ namespace sigcomp::pipeline
 
 /**
  * Replay a captured trace through pipelines (and any extra sinks)
- * in one batched pass. Each pipeline is bound in replay mode (own
- * evolving memory image, see InOrderPipeline::bindReplay), so
- * results are bit-identical to a live run of the same program.
- * The trace must outlive the pipelines' result() calls.
+ * in one batched pass. Each group's recorder keeps its own evolving
+ * memory image (see QuantaRecorder), so results are bit-identical to
+ * a live run of the same program.
  *
  * @p cancel aborts cooperatively at the next replay-block boundary.
  * An aborted replay throws CancelledError after suppressing every

@@ -86,12 +86,12 @@ Daemon::stopRequested() const
 std::string
 Daemon::computeStoreFingerprint(const DaemonConfig &config)
 {
-    if (config.storeDir.empty())
+    if (config.session.storeDir.empty())
         return "none";
     store::StoreOptions options;
     options.readOnly = true;
-    options.env = config.env;
-    const store::TraceStore store(config.storeDir, options);
+    options.env = config.session.env;
+    const store::TraceStore store(config.session.storeDir, options);
     Sha256 h;
     for (const std::string &workload : store.list()) {
         store::SegmentInfo info;
@@ -116,19 +116,10 @@ Daemon::tenantSession(const std::string &tenant)
     MutexLock lock(tenantsMu_);
     auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
-        analysis::SessionConfig sc;
-        sc.threads = config_.threads;
-        sc.storeDir = config_.storeDir;
-        sc.spillBudgetBytes = config_.spillBudgetBytes;
+        analysis::SessionConfig sc = config_.session;
         // readOnly without a storeDir is a Session configuration
         // error; a store-less daemon serves RAM-only sessions.
-        sc.readOnly = config_.readOnly && !config_.storeDir.empty();
-        sc.captureLimit = config_.captureLimit;
-        sc.env = config_.env;
-        sc.maxConcurrentPlans = config_.maxConcurrentPlans;
-        sc.maxQueuedPlans = config_.maxQueuedPlans;
-        sc.admissionMemoryBudgetBytes =
-            config_.admissionMemoryBudgetBytes;
+        sc.readOnly = sc.readOnly && !sc.storeDir.empty();
         it = tenants_
                  .emplace(tenant, std::make_unique<analysis::Session>(
                                       std::move(sc)))

@@ -73,27 +73,16 @@ namespace sigcomp::server
 struct DaemonConfig
 {
     /**
-     * Shared trace store directory, opened read-only by every tenant
-     * session (prewarm it with sigcomp_store first). Empty = RAM-only
-     * sessions (unit tests; capture happens on demand).
+     * Every tenant session's configuration. Serving defaults: the
+     * store opens read-only (tenants share segments, nobody mutates
+     * them; tests flip it to exercise the cancelled-writer path), and
+     * each tenant runs 2 plans at once with 8 queued. An empty
+     * storeDir serves RAM-only sessions (unit tests; capture happens
+     * on demand) and then readOnly is ignored. Prewarm the store with
+     * sigcomp_store first; captureLimit must match its segments'.
      */
-    std::string storeDir;
-    /**
-     * Open the store read-only (the serving default: tenants share
-     * segments, nobody mutates them). Tests flip it to exercise the
-     * cancelled-writer path. Ignored without a storeDir.
-     */
-    bool readOnly = true;
-    /** Per-tenant session parallelism (0 = shared process pool). */
-    unsigned threads = 0;
-    /** Per-tenant RAM-tier spill budget (0 = unlimited). */
-    std::size_t spillBudgetBytes = 0;
-    /** Per-tenant capture cap (must match the prewarmed store's). */
-    DWord captureLimit = cpu::TraceBuffer::defaultMaxInstrs;
-    /** Per-tenant admission limits (see SessionConfig). */
-    unsigned maxConcurrentPlans = 2;
-    unsigned maxQueuedPlans = 8;
-    std::size_t admissionMemoryBudgetBytes = 0;
+    analysis::SessionConfig session{
+        .readOnly = true, .maxConcurrentPlans = 2, .maxQueuedPlans = 8};
     /** Report-cache bounds. */
     std::size_t cacheMaxEntries = 64;
     std::size_t cacheMaxBytes = std::size_t{64} << 20;
@@ -105,8 +94,6 @@ struct DaemonConfig
     std::uint64_t defaultDeadlineMs = 0;
     /** Disconnect-watcher poll interval. */
     unsigned watchIntervalMs = 20;
-    /** I/O seam handed to every tenant store (nullptr = real fs). */
-    Env *env = nullptr;
 };
 
 class Daemon

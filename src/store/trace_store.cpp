@@ -311,7 +311,7 @@ checkTakenPayload(const std::uint8_t *p, std::size_t len,
 // A trace's "quanta:<key>" annexes (pipeline::SharedQuanta — the
 // design-independent per-instruction replay records, see
 // pipeline/pipeline.h) are pure derived data, expensive to recompute
-// (computeQuanta is the heaviest half of a replay), and canonical
+// (the quanta front half is the heaviest part of a replay), and canonical
 // per (trace, encoding, memory geometry, compressor), so segments
 // persist them. Layout of one annex payload:
 //
@@ -615,7 +615,7 @@ class TraceSerializer
 
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
-        // processes skip computeQuanta. A buffer that has none (the
+        // processes skip the quanta front half. A buffer with none (the
         // capture-time write-through) writes an empty annex section.
         struct AnnexPayload
         {

@@ -23,7 +23,8 @@
  *   column payloads, in directory order;
  *   annex section (CRC-guarded directory, possibly empty): the
  *     trace's derived SharedQuanta records keyed by quanta key, so
- *     warm loads skip computeQuanta (see formatVersion below).
+ *     warm loads skip the quanta front half (see formatVersion
+ *     below).
  *
  * Six columns are stored (decode index, result, taken bits, memory
  * address/data, significance sidecar): the operand columns are
@@ -92,8 +93,8 @@ namespace sigcomp::store
  * The one segment format load() accepts. Every segment ends in an
  * **annex section** after the column payloads carrying the trace's
  * derived SharedQuanta records ("quanta:<key>" annexes, see
- * pipeline/pipeline.h), so a warm-store process skips computeQuanta
- * as well as functional capture. The capture-time write-through
+ * pipeline/pipeline.h), so a warm-store process skips the quanta
+ * front half as well as functional capture. The capture-time write-through
  * saves an empty annex section; Session::run re-saves the segment
  * the first time it derives quanta for it
  * (TraceCache::persistAnnexes).

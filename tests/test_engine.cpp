@@ -25,15 +25,17 @@ using isa::Program;
 namespace reg = isa::reg;
 
 /** Pipeline whose plan() is a test-supplied function. */
-class MockPipeline : public InOrderPipeline
+class MockPipeline : public SharedReplayModel<MockPipeline>
 {
+    friend SharedReplayModel<MockPipeline>;
+
   public:
     using PlanFn =
         std::function<TimingPlan(const cpu::DynInstr &,
                                  const InstrQuanta &)>;
 
     MockPipeline(PlanFn fn, PipelineConfig cfg)
-        : InOrderPipeline("mock", std::move(cfg)), fn_(std::move(fn))
+        : SharedReplayModel("mock", std::move(cfg)), fn_(std::move(fn))
     {
     }
 

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -60,18 +59,6 @@ TEST(ParallelExecutor, ResultsAreOrderStable)
     exec.parallelFor(n, [&](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelExecutor, ParallelMapPreservesInputOrder)
-{
-    std::vector<int> items(257);
-    std::iota(items.begin(), items.end(), 0);
-    ParallelExecutor exec(4);
-    const std::vector<int> out =
-        exec.parallelMap(items, [](const int &v) { return 3 * v + 1; });
-    ASSERT_EQ(out.size(), items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
 }
 
 TEST(ParallelExecutor, SingleThreadRunsInIndexOrderOnCaller)

@@ -418,8 +418,8 @@ DaemonConfig
 testConfig()
 {
     DaemonConfig config;
-    config.storeDir.clear();
-    config.captureLimit = 20000;
+    config.session.storeDir.clear();
+    config.session.captureLimit = 20000;
     config.watchIntervalMs = 5;
     return config;
 }
@@ -579,9 +579,9 @@ servedRowBytes(const std::string &body)
 TEST(DaemonDeterminism, ServedRowsAreThreadCountInvariant)
 {
     DaemonConfig serialConfig = testConfig();
-    serialConfig.threads = 1;
+    serialConfig.session.threads = 1;
     DaemonConfig wideConfig = testConfig();
-    wideConfig.threads = 4;
+    wideConfig.session.threads = 4;
     Daemon serial(serialConfig);
     Daemon wide(wideConfig);
     const std::string request =
@@ -682,9 +682,9 @@ TEST(DaemonDisconnect, HangupCancelsTheRunAndFreesTheSlot)
     DaemonConfig config = testConfig();
     // The spin workload runs to the capture cap; make that far
     // longer than the watcher needs to notice the hangup.
-    config.captureLimit = 200u * 1000u * 1000u;
-    config.maxConcurrentPlans = 1;
-    config.maxQueuedPlans = 0; // reject (not queue) at capacity
+    config.session.captureLimit = 200u * 1000u * 1000u;
+    config.session.maxConcurrentPlans = 1;
+    config.session.maxQueuedPlans = 0; // reject (not queue) at capacity
     Daemon daemon(config);
     daemon.tenantSession("default").addWorkload("spin", spinProgram());
     daemon.tenantSession("default").addWorkload("tiny", tinyProgram());
@@ -730,12 +730,12 @@ TEST(DaemonDisconnect, CancelledWriterLeavesStoreDoctorClean)
     fs::remove_all(dir);
 
     DaemonConfig config = testConfig();
-    config.storeDir = dir.string();
-    config.readOnly = false; // exercise the cancelled-writer path
+    config.session.storeDir = dir.string();
+    config.session.readOnly = false; // the cancelled-writer path
     // Long enough that the hangup usually lands mid-capture (ad-hoc
     // programs never persist, so a REAL suite workload is the only
     // way to put a writer in the cancel's path).
-    config.captureLimit = 5u * 1000u * 1000u;
+    config.session.captureLimit = 5u * 1000u * 1000u;
     Daemon daemon(config);
 
     const std::string request =
@@ -803,9 +803,9 @@ TEST(DaemonStore, FingerprintTellsApartSegmentsOfEqualShape)
     EXPECT_NE(ia.headerCrc, ib.headerCrc);
 
     DaemonConfig ca = testConfig();
-    ca.storeDir = (root / "a").string();
+    ca.session.storeDir = (root / "a").string();
     DaemonConfig cb = testConfig();
-    cb.storeDir = (root / "b").string();
+    cb.session.storeDir = (root / "b").string();
     EXPECT_NE(Daemon(ca).storeFingerprint(), Daemon(cb).storeFingerprint());
     fs::remove_all(root);
 }

@@ -693,6 +693,14 @@ TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
 
 // ---- SharedQuanta annexes -------------------------------------------
 
+/** Quanta front halves recorded in this process so far. */
+std::uint64_t
+quantaRecorders()
+{
+    return telemetry::Registry::process().snapshot().value(
+        "pipeline.quanta_recorders");
+}
+
 /**
  * Replay a pipeline over @p trace so a "quanta:<key>" SharedQuanta
  * record is published on it; returns that key.
@@ -706,7 +714,7 @@ publishQuanta(const cpu::TraceBuffer &trace)
     return pipe->quantaKey();
 }
 
-TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsComputeQuanta)
+TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
 {
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
     const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
@@ -736,9 +744,9 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsComputeQuanta)
     EXPECT_GT(info.annexes[0].encodedBytes, 0u);
 
     // A warm load restores the record, and a same-key pipeline then
-    // replays as a pure consumer: its own memory hierarchy is never
-    // driven (computeQuanta skipped wholesale), yet every result
-    // field — including the adopted cache stats — is bit-identical.
+    // replays as a pure consumer: no front half is recorded, yet
+    // every result field — including the adopted cache stats — is
+    // bit-identical.
     std::string why;
     const auto loaded = ts.load("rawdaudio", w.program,
                                 cpu::TraceBuffer::defaultMaxInstrs,
@@ -749,8 +757,9 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsComputeQuanta)
 
     auto warm_pipe = pipeline::makePipeline(Design::ByteSerial,
                                             analysis::suiteConfig());
+    const std::uint64_t recorders0 = quantaRecorders();
     pipeline::replayPipelines(*loaded, {warm_pipe.get()});
-    EXPECT_EQ(warm_pipe->hierarchy().l1i().stats().accesses(), 0u)
+    EXPECT_EQ(quantaRecorders(), recorders0)
         << "consumer replay must not recompute the quanta front half";
     const pipeline::PipelineResult warm = warm_pipe->result();
     EXPECT_EQ(warm.cycles, ref.cycles);
@@ -763,6 +772,41 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsComputeQuanta)
     EXPECT_EQ(warm.l1i.misses(), ref.l1i.misses());
     EXPECT_EQ(warm.l1d.misses(), ref.l1d.misses());
     EXPECT_EQ(warm.l2.misses(), ref.l2.misses());
+}
+
+TEST_F(StoreTest, QuantaFrontHalfIsRecordedOncePerKey)
+{
+    // A fresh all-design CPI study over one trace records one front
+    // half per quanta key: Ext3 for six designs, Half1 for the
+    // halfword-serial one.
+    const StudyPlan plan =
+        StudyPlan()
+            .cpi(pipeline::allDesigns(), analysis::suiteConfig())
+            .workloads({"rawcaudio"});
+    Session cold({.threads = 1, .storeDir = dir()});
+    const std::uint64_t r0 = quantaRecorders();
+    const SuiteReport first = cold.run(plan);
+    EXPECT_EQ(first.replayPasses, 1u);
+    EXPECT_EQ(quantaRecorders(), r0 + 2);
+
+    // Rerunning on the same session adopts every memoised result.
+    const SuiteReport memo = cold.run(plan);
+    EXPECT_EQ(memo.replayPasses, 0u);
+    EXPECT_EQ(quantaRecorders(), r0 + 2);
+
+    // A new process over the store replays, consuming the persisted
+    // quanta records instead of recording them again.
+    Session warm({.threads = 1, .storeDir = dir(), .readOnly = true});
+    const SuiteReport again = warm.run(plan);
+    EXPECT_EQ(again.storeLoads, 1u);
+    EXPECT_EQ(again.replayPasses, 1u);
+    EXPECT_EQ(quantaRecorders(), r0 + 2);
+    ASSERT_EQ(again.cpi.size(), 1u);
+    const auto &got = again.cpi[0].results.at(0);
+    const auto &want = first.cpi[0].results.at(0);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c)
+        live::expectSameResult(got[c], want[c]);
 }
 
 TEST_F(StoreTest, CorruptQuantaAnnexFailsSoft)

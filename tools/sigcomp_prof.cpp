@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace
 {
 
@@ -532,6 +534,12 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
 
     const double wall_us = end_us - begin_us;
     if (as_json) {
+        // Span and thread names are arbitrary strings: escape them.
+        const auto quoted = [](const std::string &s) {
+            std::string out = "\"";
+            sigcomp::json::appendEscaped(out, s);
+            return out + '"';
+        };
         std::printf("{\n  \"schema\": \"sigcomp-prof-summary-v1\",\n");
         std::printf("  \"events\": %zu,\n", t.spans.size());
         std::printf("  \"tracks\": %zu,\n", tracks.size());
@@ -539,9 +547,9 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
         std::printf("  \"labels\": [");
         bool first = true;
         for (const auto &[name, ls] : labels) {
-            std::printf("%s\n    {\"name\": \"%s\", \"count\": %llu, "
+            std::printf("%s\n    {\"name\": %s, \"count\": %llu, "
                         "\"total_us\": %.3f, \"self_us\": %.3f}",
-                        first ? "" : ",", name.c_str(),
+                        first ? "" : ",", quoted(name).c_str(),
                         static_cast<unsigned long long>(ls.count),
                         ls.totalUs, ls.selfUs);
             first = false;
@@ -551,11 +559,12 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
         for (const auto &[tid, ts] : tracks) {
             const auto it = t.threadNames.find(tid);
             std::printf(
-                "%s\n    {\"tid\": %llu, \"name\": \"%s\", "
+                "%s\n    {\"tid\": %llu, \"name\": %s, "
                 "\"spans\": %llu, \"busy_us\": %.3f, "
                 "\"utilization\": %.4f}",
                 first ? "" : ",", static_cast<unsigned long long>(tid),
-                it == t.threadNames.end() ? "" : it->second.c_str(),
+                quoted(it == t.threadNames.end() ? "" : it->second)
+                    .c_str(),
                 static_cast<unsigned long long>(ts.spans), ts.busyUs,
                 wall_us > 0 ? ts.busyUs / wall_us : 0.0);
             first = false;
@@ -563,9 +572,9 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
         std::printf("\n  ],\n  \"top_spans\": [");
         first = true;
         for (const std::size_t i : by_dur) {
-            std::printf("%s\n    {\"name\": \"%s\", \"tid\": %llu, "
+            std::printf("%s\n    {\"name\": %s, \"tid\": %llu, "
                         "\"ts_us\": %.3f, \"dur_us\": %.3f}",
-                        first ? "" : ",", t.spans[i].name.c_str(),
+                        first ? "" : ",", quoted(t.spans[i].name).c_str(),
                         static_cast<unsigned long long>(t.spans[i].tid),
                         t.spans[i].tsUs, t.spans[i].durUs);
             first = false;
@@ -573,8 +582,8 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
         std::printf("\n  ],\n  \"critical_path\": [");
         first = true;
         for (const std::size_t i : critical) {
-            std::printf("%s\n    {\"name\": \"%s\", \"dur_us\": %.3f}",
-                        first ? "" : ",", t.spans[i].name.c_str(),
+            std::printf("%s\n    {\"name\": %s, \"dur_us\": %.3f}",
+                        first ? "" : ",", quoted(t.spans[i].name).c_str(),
                         t.spans[i].durUs);
             first = false;
         }

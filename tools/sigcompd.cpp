@@ -61,7 +61,7 @@ int
 main(int argc, char **argv)
 {
     server::DaemonConfig config;
-    config.storeDir = "trace-store";
+    config.session.storeDir = "trace-store";
     std::string addr = "127.0.0.1";
     unsigned port = 8642;
 
@@ -76,20 +76,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--dir")
-            config.storeDir = next();
+            config.session.storeDir = next();
         else if (arg == "--addr")
             addr = next();
         else if (arg == "--port")
             port = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--threads")
-            config.threads = static_cast<unsigned>(std::atoi(next()));
+            config.session.threads =
+                static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--max-instrs")
-            config.captureLimit = static_cast<DWord>(std::atoll(next()));
+            config.session.captureLimit =
+                static_cast<DWord>(std::atoll(next()));
         else if (arg == "--max-concurrent")
-            config.maxConcurrentPlans =
+            config.session.maxConcurrentPlans =
                 static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--max-queued")
-            config.maxQueuedPlans =
+            config.session.maxQueuedPlans =
                 static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--cache-entries")
             config.cacheMaxEntries =
@@ -137,7 +139,7 @@ main(int argc, char **argv)
 
     std::printf("sigcompd: store %s (fingerprint %.12s), serving on "
                 "%s:%u\n",
-                config.storeDir.c_str(),
+                config.session.storeDir.c_str(),
                 daemon.storeFingerprint().c_str(), addr.c_str(),
                 static_cast<unsigned>(listener->port()));
     std::fflush(stdout);
