@@ -98,42 +98,6 @@ class ExceptionProfiler : public cpu::TraceSink
     Count exceptions = 0;
 };
 
-/** Stored vs data bits per register operand under one encoding. */
-class StorageProfiler : public cpu::TraceSink
-{
-  public:
-    explicit StorageProfiler(sig::Encoding enc) : enc_(enc) {}
-
-    void
-    retire(const cpu::DynInstr &di) override
-    {
-        if (di.dec->readsRs)
-            record(di.srcRs);
-        if (di.dec->readsRt)
-            record(di.srcRt);
-        if (di.dec->writesDest && di.dec->dest != isa::reg::zero)
-            record(di.result);
-    }
-
-    sig::Encoding encoding() const { return enc_; }
-
-    Count operands = 0;
-    Count dataBits = 0;
-    Count storageBits = 0;
-
-  private:
-    void
-    record(Word v)
-    {
-        const auto cw = sig::CompressedWord::compress(v, enc_);
-        ++operands;
-        dataBits += cw.dataBits();
-        storageBits += cw.storageBits();
-    }
-
-    sig::Encoding enc_;
-};
-
 /**
  * The encodings the encoding ablation compares, in print order. The
  * suite plan registers one activity study per entry in this order,
@@ -156,9 +120,6 @@ struct SuiteSinks
     PcProfiler pc;
     InstrMixProfiler mix{suiteCompressor()};
     ExceptionProfiler exceptions;
-    std::array<StorageProfiler, 3> storage = {
-        StorageProfiler(kEncodings[0]), StorageProfiler(kEncodings[1]),
-        StorageProfiler(kEncodings[2])};
 };
 
 /**
@@ -188,9 +149,8 @@ suitePlan(SuiteSinks &sinks)
              suiteConfig());
     for (sig::Encoding enc : kEncodings)
         plan.activity(enc);
-    plan.profile({&sinks.patterns, &sinks.pc, &sinks.mix,
-                  &sinks.exceptions, &sinks.storage[0],
-                  &sinks.storage[1], &sinks.storage[2]});
+    plan.profile(
+        {&sinks.patterns, &sinks.pc, &sinks.mix, &sinks.exceptions});
     return plan;
 }
 
@@ -605,11 +565,13 @@ balance(const std::vector<CpiRow> &rows, const CpiStudyResult &sweep)
 /**
  * Section 2.1's 2-bit vs 3-bit discussion, plus the halfword scheme:
  * storage overhead, compression achieved, and the per-stage activity
- * savings of the serial pipeline under each encoding.
+ * savings of the serial pipeline under each encoding. The storage
+ * table reads the activity studies' register-file counters: each
+ * register operand adds 32 baseline bits and its significant data
+ * bits plus the extension bits as compressed bits.
  */
 void
-encoding(const std::array<StorageProfiler, 3> &storage,
-         const std::vector<ActivityStudyResult> &activity)
+encoding(const std::vector<ActivityStudyResult> &activity)
 {
     banner("Ablation: 2-bit vs 3-bit vs halfword significance "
            "encodings",
@@ -619,14 +581,20 @@ encoding(const std::array<StorageProfiler, 3> &storage,
 
     TextTable t({"encoding", "ext bits", "mean data bits/word",
                  "mean stored bits/word", "compression %"});
-    for (const StorageProfiler &s : storage) {
-        const double data = static_cast<double>(s.dataBits) / s.operands;
+    for (const ActivityStudyResult &study : activity) {
+        const ActivityTotals total = study.total();
+        const Count eb = sig::extensionBits(study.encoding);
+        const Count operands =
+            (total.rfRead.baseline + total.rfWrite.baseline) / 32;
+        const Count storage_bits =
+            total.rfRead.compressed + total.rfWrite.compressed;
         const double stored =
-            static_cast<double>(s.storageBits) / s.operands;
+            static_cast<double>(storage_bits) / operands;
+        const double data =
+            static_cast<double>(storage_bits - eb * operands) / operands;
         t.beginRow()
-            .cell(sig::encodingName(s.encoding()))
-            .cell(static_cast<std::uint64_t>(
-                sig::extensionBits(s.encoding())))
+            .cell(sig::encodingName(study.encoding))
+            .cell(static_cast<std::uint64_t>(eb))
             .cell(data, 2)
             .cell(stored, 2)
             .cell(100.0 * (1.0 - stored / 32.0), 1)
@@ -919,7 +887,7 @@ main()
               "trades a small throughput loss for minimal length.");
     energy(designs);
     balance(rows, suite.cpi[kPredictors.size()]);
-    encoding(sinks.storage, suite.activity);
+    encoding(suite.activity);
     clockScaling(designs);
     branchpred(suite.cpi);
     robustness(session);

@@ -33,7 +33,6 @@ nowMs()
 Session::Session(SessionConfig config)
     : config_(std::move(config)),
       cache_({.storeDir = config_.storeDir,
-              .spillBudgetBytes = config_.spillBudgetBytes,
               .readOnly = config_.readOnly,
               .durableSaves = config_.durableSaves,
               .env = config_.env,
@@ -54,7 +53,7 @@ Session::defaultSession()
 }
 
 ParallelExecutor &
-Session::executor()
+Session::executor() const
 {
     return exec_ ? *exec_ : ParallelExecutor::global();
 }
@@ -88,15 +87,15 @@ Session::estimatePlanMemory(const StudyPlan &plan) const
     const std::size_t n = plan.workloads_.empty()
                               ? workloads::Suite::names().size()
                               : plan.workloads_.size();
-    const std::size_t resident = plan.evictAfterReplay_ ? 1 : n;
+    // An evicting plan holds at most one trace per worker: each
+    // fetches its own trace and drops it after its replay.
+    const std::size_t resident =
+        plan.evictAfterReplay_
+            ? std::min<std::size_t>(n, executor().threadCount())
+            : n;
     const std::size_t per_trace =
         static_cast<std::size_t>(cache_.captureLimit()) * kBytesPerInstr;
-    std::size_t total = resident * per_trace;
-    // A spill budget caps the steady-state RAM tier at budget + the
-    // one trace currently being captured/replayed.
-    if (config_.spillBudgetBytes != 0)
-        total = std::min(total, config_.spillBudgetBytes + per_trace);
-    return total;
+    return resident * per_trace;
 }
 
 Session::Admission
@@ -396,11 +395,13 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // Shared profiler sinks must observe the serial retirement
     // stream in workload order, so plans with profilers replay
     // sequentially (capture still fans out via prewarm); plans with
-    // pipelines only fan whole workloads across the executor.
+    // pipelines only fan whole workloads across the executor. An
+    // evicting plan skips the prewarm: it would hold every pending
+    // trace at once, and runOne fetches its own.
     const bool parallel_replay =
         plan.sinks_.empty() && exec.threadCount() > 1;
-    if (exec.threadCount() > 1 && !pending.empty() &&
-        !cancelRequested(cancel)) {
+    if (exec.threadCount() > 1 && !plan.evictAfterReplay_ &&
+        !pending.empty() && !cancelRequested(cancel)) {
         std::vector<std::string> pendingNames;
         pendingNames.reserve(pending.size());
         for (std::size_t i : pending)

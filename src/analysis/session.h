@@ -7,9 +7,9 @@
  * A Session gives two guarantees:
  *
  *  - **Isolation.** Each Session owns its cache, store binding,
- *    spill budget, capture limit and thread count, all fixed by its
- *    SessionConfig at construction; any number coexist in one
- *    process without cross-talk (per-tenant, per-test, per-store).
+ *    capture limit and thread count, all fixed by its SessionConfig
+ *    at construction; any number coexist in one process without
+ *    cross-talk (per-tenant, per-test, per-store).
  *    A StudyPlan only says which studies to run, never how.
  *  - **One fused replay pass.** Session::run(StudyPlan) executes
  *    every registered study — activity, CPI, profiling, energy —
@@ -32,7 +32,7 @@
  * are safe but serialise on the shared executor's job queue.
  * config() is immutable after construction. The TSan stress test
  * (test_tsan_stress.cpp) exercises many Sessions over one shared
- * read-only store while a budgeted session spills concurrently.
+ * read-only store while another session evicts concurrently.
  */
 
 #ifndef SIGCOMP_ANALYSIS_SESSION_H_
@@ -69,8 +69,6 @@ struct SessionConfig
     unsigned threads = 0;
     /** Persistent trace store directory; empty = RAM tiers only. */
     std::string storeDir = {};
-    /** Soft RAM-tier cap in bytes (0 = unlimited); see TraceCache. */
-    std::size_t spillBudgetBytes = 0;
     /**
      * Never write segments. Only meaningful with storeDir — setting
      * it without one is a configuration error and fatal.
@@ -131,7 +129,7 @@ class Session
     const SessionConfig &config() const { return config_; }
 
     /** This session's executor (owned, or the shared pool). */
-    ParallelExecutor &executor();
+    ParallelExecutor &executor() const;
 
     /** The workload's trace via this session's two-tier cache. */
     TraceCache::TracePtr trace(const std::string &workload);
@@ -179,9 +177,9 @@ class Session
 
     /**
      * Worst-case peak trace memory of @p plan under this session's
-     * capture limit: resident-trace count (1 with evictAfterReplay,
-     * else the workload count) x the capture limit's per-trace
-     * footprint, clamped by the spill budget when one is set. An
+     * capture limit: resident-trace count (with evictAfterReplay, one
+     * per executor thread up to the workload count, else the
+     * workload count) x the capture limit's per-trace footprint. An
      * upper bound for admission — real traces are usually much
      * smaller than the cap.
      */

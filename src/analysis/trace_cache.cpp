@@ -23,7 +23,7 @@ TraceCache::TraceCache(TraceCacheConfig config)
                            // cache's namespace, so the per-run
                            // report delta sees them.
                            .registry = &metrics_})),
-      spillBudget_(config.spillBudgetBytes), limit_(config.captureLimit)
+      limit_(config.captureLimit)
 {
 }
 
@@ -51,14 +51,13 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
         auto it = entries_.find(workload);
         if (it == entries_.end()) {
             future = promise.get_future().share();
-            entries_.emplace(workload, Entry{future, ++useTick_});
+            entries_.emplace(workload, future);
             capture_here = true;
             auto pit = programs_.find(workload);
             if (pit != programs_.end())
                 registered = workloads::Workload{workload, pit->second};
         } else {
-            it->second.lastUse = ++useTick_;
-            future = it->second.future;
+            future = it->second;
         }
     }
 
@@ -122,7 +121,6 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
             throw;
         }
         promise.set_value(trace);
-        enforceBudget(workload);
         return trace;
     }
     return future.get();
@@ -160,11 +158,10 @@ TraceCache::resident(const std::string &workload)
     MutexLock lock(mu_);
     const auto it = entries_.find(workload);
     if (it == entries_.end() ||
-        it->second.future.wait_for(std::chrono::seconds(0)) !=
+        it->second.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready)
         return nullptr;
-    it->second.lastUse = ++useTick_;
-    return it->second.future.get();
+    return it->second.get();
 }
 
 void
@@ -184,80 +181,17 @@ TraceCache::clear()
 }
 
 std::size_t
-TraceCache::memoryBytesLocked() const
-{
-    std::size_t total = 0;
-    for (const auto &[name, entry] : entries_) {
-        if (entry.future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            total += entry.future.get()->memoryBytes();
-        }
-    }
-    return total;
-}
-
-std::size_t
 TraceCache::memoryBytes() const
 {
     MutexLock lock(mu_);
-    return memoryBytesLocked();
-}
-
-void
-TraceCache::enforceBudget(const std::string &keep)
-{
-    if (spillBudget_ == 0)
-        return;
-    // A store that turned unwritable mid-run can no longer back the
-    // RAM tier: entries captured after the degradation have no disk
-    // copy, so spilling them would cost a recapture per re-touch.
-    // Keep everything resident instead (graceful degradation trades
-    // memory for forward progress). Spill-without-store is different
-    // and stays enabled: there recapture-on-touch is the documented
-    // contract, not a degradation.
-    if (writesDegraded_.load() && store_ != nullptr)
-        return;
-    MutexLock lock(mu_);
-    // Spill = drop from RAM. Everything that reaches the RAM tier
-    // was already written through to (or loaded from) the store, so
-    // no data is lost; without a store the next get() recaptures.
-    // Size the tier once and subtract per victim: rescanning every
-    // entry (future.get() + annex mutex each) per eviction would
-    // make a k-entry spill O(k*n) while holding mu_.
-    std::size_t total = memoryBytesLocked();
-    while (total > spillBudget_) {
-        auto victim = entries_.end();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->first == keep)
-                continue; // never spill the entry just touched
-            if (it->second.future.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready)
-                continue; // capture in flight: holders are waiting
-            if (victim == entries_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
+    std::size_t total = 0;
+    for (const auto &[name, future] : entries_) {
+        if (future.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready) {
+            total += future.get()->memoryBytes();
         }
-        if (victim == entries_.end()) {
-            // Nothing spillable left, yet still over budget: the
-            // budget is smaller than the one trace just touched. The
-            // defined degradation is most-recent-resident — say so
-            // once instead of silently thrashing.
-            if (!budgetWarned_ && total > spillBudget_) {
-                budgetWarned_ = true;
-                SC_WARN("trace cache: spill budget (", spillBudget_,
-                        " bytes) is smaller than a single trace (",
-                        total, " bytes resident); degrading to one "
-                        "most-recently-used workload in RAM");
-            }
-            return;
-        }
-        SIGCOMP_SPAN("cache.spill");
-        const std::size_t bytes =
-            victim->second.future.get()->memoryBytes();
-        total -= std::min(bytes, total);
-        entries_.erase(victim);
-        spills_.inc();
     }
+    return total;
 }
 
 void
@@ -294,12 +228,6 @@ TraceCache::persistAnnexes(const std::string &workload,
         return;
     saveThrough(*store_, workload, trace, limit_, "persist annexes for",
                 cancel);
-}
-
-std::uint64_t
-TraceCache::storeRetries() const
-{
-    return store_ != nullptr ? store_->retries() : 0;
 }
 
 std::vector<std::string>
@@ -380,7 +308,7 @@ TraceCache::saveThrough(const store::TraceStore &store,
     if (degrade && !writesDegraded_.exchange(true)) {
         SC_WARN("trace store: writes disabled for this session (",
                 envFaultName(fault),
-                "); traces stay RAM-resident, spill-to-store off");
+                "); traces stay RAM-resident");
         recordDegradation(std::string("store writes disabled (") +
                           envFaultName(fault) + "): " + why);
     }

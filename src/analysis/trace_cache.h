@@ -15,13 +15,11 @@
  * persistent cold tier. With a store attached, a miss first tries to
  * load the workload's significance-compressed segment from disk — a
  * cold *process* then skips functional capture entirely — and fresh
- * captures are written through so the next process benefits. A spill
- * budget turns the RAM tier into an LRU cache over the store: when
- * cached traces exceed the budget, the least recently used ready
- * entries are dropped from RAM (they remain on disk), so suites much
- * larger than memory still run. The store binding, spill budget and
- * capture limit are fixed at construction (Session maps its
- * SessionConfig onto them); a different setting is a different cache.
+ * captures are written through so the next process benefits. A trace
+ * stays in RAM until evict() or clear() drops it; the plan decides
+ * that (StudyPlan::evictAfterReplay). The store binding and capture
+ * limit are fixed at construction (Session maps its SessionConfig
+ * onto them); a different setting is a different cache.
  *
  * Thread-safety: get() performs exactly one capture per workload no
  * matter how many threads race on the first touch (later callers
@@ -57,14 +55,6 @@ struct TraceCacheConfig
 {
     /** Store directory; empty = RAM tier only. */
     std::string storeDir = {};
-    /**
-     * Soft cap on the RAM tier in bytes; 0 = unlimited. When cached
-     * traces exceed it, least-recently-used ready entries spill (are
-     * dropped from RAM; with a writable store attached they stay
-     * loadable from disk). The most recently touched trace is never
-     * spilled, so the budget degrades to one-workload-resident.
-     */
-    std::size_t spillBudgetBytes = 0;
     /** Never write segments (CI replay of a shared/cached store). */
     bool readOnly = false;
     /** fsync-guard published segments (store::StoreOptions). */
@@ -135,7 +125,7 @@ class TraceCache
     /**
      * The workload's trace when it is in RAM and ready, else nullptr
      * (absent, or a capture/load still in flight). Never captures or
-     * loads; a hit counts as a use for LRU recency, like get().
+     * loads.
      */
     TracePtr resident(const std::string &workload);
 
@@ -175,15 +165,6 @@ class TraceCache
     /** Segments written through to the disk tier. */
     std::uint64_t storeSaves() const { return storeSaves_.value(); }
 
-    /**
-     * RAM-tier entries dropped by the spill budget. A budget smaller
-     * than a single trace is well-defined: it degrades to keeping
-     * only the most recently touched trace resident (warned once per
-     * cache), and every other get() reloads from the store — or,
-     * with no store attached, recaptures.
-     */
-    std::uint64_t spills() const { return spills_.value(); }
-
     // ---- health counters (SuiteReport v2 "health" block) -------------
 
     /**
@@ -203,15 +184,11 @@ class TraceCache
         return quarantined_.value();
     }
 
-    /** Transient-fault retries performed by the attached store. */
-    std::uint64_t storeRetries() const;
-
     /**
      * True once store writes were disabled mid-run: a permanent
      * fault class (ENOSPC/EROFS-class) or repeated transient
-     * exhaustion on save. The session keeps running — captures stay
-     * RAM-resident and spill-to-store stops — it just loses the
-     * cross-process warm-start benefit.
+     * exhaustion on save. The session keeps running on RAM-resident
+     * captures; it just loses the cross-process warm-start benefit.
      */
     bool storeWritesDegraded() const { return writesDegraded_.load(); }
 
@@ -245,18 +222,6 @@ class TraceCache
     DWord captureLimit() const { return limit_; }
 
   private:
-    struct Entry
-    {
-        std::shared_future<TracePtr> future;
-        /** LRU recency (monotone ticks from useTick_). */
-        std::uint64_t lastUse = 0;
-    };
-
-    /** Drop LRU ready entries until the RAM tier fits the budget. */
-    void enforceBudget(const std::string &keep) SIGCOMP_EXCLUDES(mu_);
-
-    std::size_t memoryBytesLocked() const SIGCOMP_REQUIRES(mu_);
-
     /**
      * Write-through save with failure classification: on success
      * bumps storeSaves_, on failure warns and feeds the degradation
@@ -292,13 +257,12 @@ class TraceCache
      * never across capture, store I/O, or future.get() on a pending
      * entry — so a slow capture can't stall unrelated workloads.
      * Lock order: mu_ before TraceBuffer's annex mutex
-     * (memoryBytesLocked -> memoryBytes); never the reverse.
+     * (memoryBytes -> TraceBuffer::memoryBytes); never the reverse.
      */
     mutable Mutex mu_;
-    std::map<std::string, Entry> entries_ SIGCOMP_GUARDED_BY(mu_);
+    std::map<std::string, std::shared_future<TracePtr>> entries_
+        SIGCOMP_GUARDED_BY(mu_);
     std::map<std::string, isa::Program> programs_ SIGCOMP_GUARDED_BY(mu_);
-    std::uint64_t useTick_ SIGCOMP_GUARDED_BY(mu_) = 0;
-    bool budgetWarned_ SIGCOMP_GUARDED_BY(mu_) = false;
     /**
      * The cache's metric namespace. Declared before the handle
      * references below (they bind to slots inside it). Accounting
@@ -315,7 +279,6 @@ class TraceCache
     telemetry::Counter &captures_ = metrics_.counter("cache.captures");
     telemetry::Counter &storeLoads_ = metrics_.counter("cache.store_loads");
     telemetry::Counter &storeSaves_ = metrics_.counter("cache.store_saves");
-    telemetry::Counter &spills_ = metrics_.counter("cache.spills");
     telemetry::Counter &evictions_ = metrics_.counter("cache.evictions");
     telemetry::Counter &storeLoadFailures_ =
         metrics_.counter("cache.store_load_failures");
@@ -329,7 +292,6 @@ class TraceCache
      * declared after metrics_: its retry/byte metrics bind there.
      */
     const std::shared_ptr<store::TraceStore> store_;
-    const std::size_t spillBudget_;
     const DWord limit_;
     /** Consecutive transient-exhausted save failures. */
     std::atomic<unsigned> transientSaveFailures_{0};

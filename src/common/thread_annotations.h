@@ -4,7 +4,7 @@
  *
  * The engine is deeply concurrent — ParallelExecutor fans suite
  * replays across cores, several Sessions coexist over one shared
- * store, TraceCache spills under budget while other threads read —
+ * store, TraceCache evicts while other threads read —
  * so every lock contract in the tree is machine-checked, not
  * comment-documented: each guarded member names its mutex
  * (SIGCOMP_GUARDED_BY) and each locking function declares what it

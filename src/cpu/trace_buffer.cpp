@@ -18,7 +18,7 @@ struct TraceBuffer::AnnexStore
 {
     /**
      * Guards the annex map only. Acquired after TraceCache::mu_
-     * (via memoryBytes() from the spill scan) — annex code must
+     * (via TraceCache::memoryBytes()) — annex code must
      * never call back into the cache while holding it.
      */
     Mutex mu;

@@ -68,14 +68,6 @@ class GroupReplaySink : public cpu::TraceSink
     void
     retireBlock(std::span<const cpu::DynInstr> block) override
     {
-        // A record is only reusable by future replays if its block
-        // deltas line up with TraceView's canonical block structure
-        // (every block full-sized except possibly the last).
-        if (saw_partial_)
-            canonical_ = false;
-        if (block.size() != cpu::TraceView::defaultBlockSize)
-            saw_partial_ = true;
-
         if (recorder_) {
             SIGCOMP_SPAN("quanta.compute");
             recorder_->recordBlock(block, *recording_);
@@ -96,12 +88,12 @@ class GroupReplaySink : public cpu::TraceSink
     {
         if (recorder_) {
             recorder_->finish(*recording_);
-            // A racing recording is identical by determinism.
-            if (canonical_) {
-                trace.annexStoreIfAbsent(
-                    key_, std::static_pointer_cast<void>(recording_),
-                    recording_->bytes());
-            }
+            // A racing recording is identical by determinism. Every
+            // replay runs in TraceView::defaultBlockSize blocks, so
+            // the block deltas line up with any later replay's.
+            trace.annexStoreIfAbsent(
+                key_, std::static_pointer_cast<void>(recording_),
+                recording_->bytes());
         }
         for (InOrderPipeline *p : pipes_)
             p->adoptSharedStats(*rec_);
@@ -116,8 +108,6 @@ class GroupReplaySink : public cpu::TraceSink
     std::shared_ptr<SharedQuanta> recording_;
     std::size_t base_ = 0;
     std::size_t blockIndex_ = 0;
-    bool saw_partial_ = false;
-    bool canonical_ = true;
 };
 
 /** A pipeline whose full-trace result may come from a memo. */

@@ -25,6 +25,9 @@ constexpr int kMaxJoinAttempts = 100;
 /** Parked handler threads beyond this many exit instead. */
 constexpr unsigned kMaxIdleHandlers = 8;
 
+/** Disconnect-watcher poll interval. */
+constexpr std::chrono::milliseconds kWatchInterval{20};
+
 bool
 validTenant(std::string_view tenant)
 {
@@ -164,9 +167,7 @@ Daemon::watchLoop()
             UniqueLock lock(watchMu_);
             if (stop_)
                 return;
-            watchCv_.wait_for(
-                lock.native(),
-                std::chrono::milliseconds(config_.watchIntervalMs));
+            watchCv_.wait_for(lock.native(), kWatchInterval);
             if (stop_)
                 return;
             snapshot.assign(watches_.begin(), watches_.end());
@@ -561,7 +562,6 @@ Daemon::runPlan(const std::shared_ptr<net::Conn> &conn,
         {
             MutexLock lock(run->mu);
             run->done = true;
-            run->cacheable = complete;
             run->status = status;
             run->body = json;
             run->cv.notify_all();

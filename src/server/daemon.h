@@ -92,8 +92,6 @@ struct DaemonConfig
      * fires first. 0 = none.
      */
     std::uint64_t defaultDeadlineMs = 0;
-    /** Disconnect-watcher poll interval. */
-    unsigned watchIntervalMs = 20;
 };
 
 class Daemon
@@ -164,7 +162,6 @@ class Daemon
         Mutex mu;
         std::condition_variable cv;
         bool done SIGCOMP_GUARDED_BY(mu) = false;
-        bool cacheable SIGCOMP_GUARDED_BY(mu) = false;
         int status SIGCOMP_GUARDED_BY(mu) = 0;
         std::string body SIGCOMP_GUARDED_BY(mu);
         unsigned interest SIGCOMP_GUARDED_BY(mu) = 0;

@@ -57,7 +57,7 @@ enum class BlockMode : std::uint8_t
     DeltaVarint = 2,
 };
 
-/** Values per codec block (the spill/decode streaming granularity). */
+/** Values per codec block (the encode/decode streaming granularity). */
 constexpr std::size_t codecBlockValues = 4096;
 
 // ---- little-endian scalar helpers (shared with the segment files) --

@@ -23,6 +23,11 @@ namespace sigcomp::store
 namespace
 {
 
+/** Whole-operation retries for Transient-class faults. */
+constexpr unsigned kTransientRetries = 2;
+/** Sleep before the first transient retry (doubles per attempt). */
+constexpr unsigned kRetryBackoffMs = 1;
+
 // sigcomp-lint: format-layout-begin
 constexpr std::uint32_t kMagic = 0x52544353u; // 'SCTR' little-endian
 constexpr std::size_t kHeaderBytes = 64;
@@ -555,23 +560,15 @@ class TraceSerializer
 
         // Capture-time sidecar tags of the stored value columns: the
         // SigPack encoder consumes them directly (no classify pass)
-        // and they persist as the sigTags column. Every buffer that
-        // reaches save() has them (capture and deserialize both
-        // fill), but compute them on the spot if one ever doesn't.
+        // and they persist as the sigTags column.
+        SC_ASSERT(b.sigRegs_.size() == n &&
+                      b.sigMem_.size() == b.memData_.size(),
+                  "every saved trace carries its significance sidecars "
+                  "(capture and deserialize both fill them)");
         std::vector<std::uint8_t> res_tags(n);
-        std::vector<std::uint8_t> mem_tags;
-        if (b.sigRegs_.size() == n && b.sigMem_.size() == b.memData_.size()) {
-            for (std::size_t i = 0; i < n; ++i)
-                res_tags[i] =
-                    static_cast<std::uint8_t>((b.sigRegs_[i] >> 8) & 0xF);
-            mem_tags = b.sigMem_;
-        } else {
-            sig::classifyExt3Block(b.result_v_.data(), n,
-                                   res_tags.data());
-            mem_tags.resize(b.memData_.size());
-            sig::classifyExt3Block(b.memData_.data(), b.memData_.size(),
-                                   mem_tags.data());
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            res_tags[i] =
+                static_cast<std::uint8_t>((b.sigRegs_[i] >> 8) & 0xF);
 
         // Encode every payload first so the directory can record
         // exact sizes and CRCs. srcRs_/srcRt_ are not written: the
@@ -602,16 +599,16 @@ class TraceSerializer
         {
             SIGCOMP_SPAN("codec.encode_column");
             encodeColumn32(b.memData_.data(), b.memData_.size(),
-                           payloads[ColMemData], mem_tags.data());
+                           payloads[ColMemData], b.sigMem_.data());
         }
         raw_bytes[ColMemData] =
             4 * static_cast<std::uint64_t>(b.memData_.size());
         {
             SIGCOMP_SPAN("codec.encode_column");
             packNibbles(res_tags, payloads[ColSigTags]);
-            packNibbles(mem_tags, payloads[ColSigTags]);
+            packNibbles(b.sigMem_, payloads[ColSigTags]);
         }
-        raw_bytes[ColSigTags] = n + mem_tags.size();
+        raw_bytes[ColSigTags] = n + b.sigMem_.size();
 
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
@@ -1018,8 +1015,6 @@ SegmentInfo::encodedBytes() const
 TraceStore::TraceStore(std::string dir, const StoreOptions &options)
     : dir_(std::move(dir)), readOnly_(options.readOnly),
       durableSaves_(options.durableSaves),
-      transientRetries_(options.transientRetries),
-      retryBackoffMs_(options.retryBackoffMs),
       env_(options.env != nullptr ? options.env : &Env::posix()),
       metrics_(options.registry != nullptr
                    ? *options.registry
@@ -1035,7 +1030,7 @@ TraceStore::TraceStore(std::string dir, const StoreOptions &options)
     EnvStatus st;
     for (unsigned attempt = 0;; ++attempt) {
         st = env_->createDirs(dir_);
-        if (st.ok() || !st.transient() || attempt == transientRetries_)
+        if (st.ok() || !st.transient() || attempt == kTransientRetries)
             break;
         retries_.fetch_add(1, std::memory_order_relaxed);
         retriesMetric_.inc();
@@ -1053,13 +1048,11 @@ TraceStore::TraceStore(std::string dir, const StoreOptions &options)
 void
 TraceStore::backoff(unsigned attempt) const
 {
-    if (retryBackoffMs_ == 0)
-        return;
     // Waiting out a transient fault is invisible to a wall-clock
     // profile without this span — retry storms look like slow I/O.
     SIGCOMP_SPAN("store.retry_wait");
     std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::uint64_t{retryBackoffMs_}
+        std::chrono::milliseconds(std::uint64_t{kRetryBackoffMs}
                                   << std::min(attempt, 10u)));
 }
 
@@ -1074,7 +1067,7 @@ TraceStore::mapSegment(const std::string &path, EnvStatus *status) const
                 *status = EnvStatus::good();
             return view;
         }
-        if (!st.transient() || attempt == transientRetries_)
+        if (!st.transient() || attempt == kTransientRetries)
             break;
         retries_.fetch_add(1, std::memory_order_relaxed);
         retriesMetric_.inc();
@@ -1252,7 +1245,7 @@ TraceStore::save(const std::string &workload,
         f = saveOnce(path, bytes, &reason);
         if (f == EnvFault::None)
             return true;
-        if (f != EnvFault::Transient || attempt == transientRetries_)
+        if (f != EnvFault::Transient || attempt == kTransientRetries)
             break;
         // A cancel arriving while a transient fault is being retried
         // abandons the save: each attempt was atomic (complete
@@ -1290,7 +1283,7 @@ TraceStore::quarantine(const std::string &workload,
     EnvStatus st;
     for (unsigned attempt = 0;; ++attempt) {
         st = env_->renameFile(path, dest);
-        if (st.ok() || !st.transient() || attempt == transientRetries_)
+        if (st.ok() || !st.transient() || attempt == kTransientRetries)
             break;
         retries_.fetch_add(1, std::memory_order_relaxed);
         retriesMetric_.inc();

@@ -58,8 +58,8 @@
  * Fault handling (see README "Failure model"): every byte of store
  * I/O goes through a sigcomp::Env (common/env.h), so the same code
  * path runs over the real filesystem and under the fault-injecting
- * test Env. Transient faults (EINTR/EIO-class) are retried a bounded
- * number of times with backoff; permanent faults (ENOSPC, EROFS)
+ * test Env. Transient faults (EINTR/EIO-class) are retried twice,
+ * after 1 ms and then 2 ms; permanent faults (ENOSPC, EROFS)
  * fail the one operation softly and are classified for the caller
  * (save's EnvFault out-param, load's LoadFailure out-param) so the
  * cache can degrade instead of abort. Corrupt segments can be
@@ -155,7 +155,7 @@ struct SegmentInfo
     std::uint64_t encodedBytes() const;
 };
 
-/** Open-time and fault-policy knobs for a TraceStore. */
+/** Open-time options of a TraceStore. */
 struct StoreOptions
 {
     bool readOnly = false;
@@ -167,12 +167,6 @@ struct StoreOptions
      * and keep only the atomic-replace guarantee.
      */
     bool durableSaves = true;
-
-    /** Whole-operation retries for Transient-class faults. */
-    unsigned transientRetries = 2;
-
-    /** Sleep between transient retries (doubles per attempt). */
-    unsigned retryBackoffMs = 1;
 
     /** I/O seam; nullptr means the real filesystem (Env::posix()). */
     Env *env = nullptr;
@@ -261,9 +255,9 @@ class TraceStore
     /**
      * Persist @p trace as @p workload's segment (atomic
      * replace-on-rename, fsync-guarded under durableSaves, transient
-     * faults retried per StoreOptions). @return false (reason in
-     * @p why, fault class in @p fault) on I/O failure or when the
-     * store is read-only; never throws — a failed save only costs a
+     * faults retried). @return false (reason in @p why, fault class
+     * in @p fault) on I/O failure or when the store is read-only;
+     * never throws — a failed save only costs a
      * later recapture. @p fault lets the caller tell a retryable
      * hiccup from a permanently unwritable store.
      *
@@ -368,8 +362,6 @@ class TraceStore
     std::string dir_;
     bool readOnly_;
     bool durableSaves_;
-    unsigned transientRetries_;
-    unsigned retryBackoffMs_;
     Env *env_;
     /** Set when the writable store's directory could not be created. */
     bool dirFailed_ = false;

@@ -19,7 +19,7 @@
  *    is renamed aside, and recapture heals the store in place.
  *  - Graceful degradation: an unreadable store directory falls back
  *    to capture; a store that turns unwritable mid-run disables
- *    writes (and spill-to-store) instead of aborting.
+ *    writes instead of aborting.
  *  - The acceptance property: a whole StudyPlan run over a hostile
  *    Env — every fault class, scripted and seeded — produces study
  *    results byte-identical to a fault-free run; only the health
@@ -61,7 +61,6 @@ using analysis::SuiteReport;
 using analysis::TraceCache;
 using pipeline::Design;
 using store::LoadFailure;
-using store::StoreOptions;
 using store::TraceStore;
 
 /** Fresh per-test directory under the gtest temp root. */
@@ -100,18 +99,6 @@ readAll(const std::string &path)
     return std::vector<std::uint8_t>(
         std::istreambuf_iterator<char>(in),
         std::istreambuf_iterator<char>());
-}
-
-/** Store options that never sleep in tests: transient retries with
- *  zero backoff. */
-StoreOptions
-fastOptions(Env *env, unsigned retries = 2)
-{
-    StoreOptions opt;
-    opt.transientRetries = retries;
-    opt.retryBackoffMs = 0;
-    opt.env = env;
-    return opt;
 }
 
 /** Script @p kind at every op index in [from, from+count). */
@@ -189,7 +176,7 @@ TEST_F(FaultTest, DurableSaveSyncsBeforeRenameAndDirAfter)
         cpu::TraceBuffer::capture(w.program, 2000, true);
 
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), fastOptions(&env));
+    const TraceStore ts(dir(), {.env = &env});
     ASSERT_TRUE(ts.save("rawcaudio", t, 2000));
 
     const std::vector<std::string> ops = env.opLog();
@@ -223,9 +210,7 @@ TEST_F(FaultTest, NonDurableSaveSkipsSyncsButKeepsAtomicReplace)
         cpu::TraceBuffer::capture(w.program, 2000, true);
 
     FaultInjectingEnv env(Env::posix());
-    StoreOptions opt = fastOptions(&env);
-    opt.durableSaves = false;
-    const TraceStore ts(dir(), opt);
+    const TraceStore ts(dir(), {.durableSaves = false, .env = &env});
     ASSERT_TRUE(ts.save("rawcaudio", t, 2000));
 
     bool saw_rename = false;
@@ -265,7 +250,7 @@ TEST_F(FaultTest, CrashMatrixEveryStepReopensConsistently)
         const TraceStore seed(d);
         ASSERT_TRUE(seed.save("rawcaudio", oldt, 1000));
         FaultInjectingEnv env(Env::posix());
-        const TraceStore ts(d, fastOptions(&env, /*retries=*/0));
+        const TraceStore ts(d, {.env = &env});
         const std::uint64_t before = env.opCount();
         ASSERT_TRUE(ts.save("rawcaudio", newt, 2000));
         save_ops = env.opCount() - before;
@@ -283,7 +268,7 @@ TEST_F(FaultTest, CrashMatrixEveryStepReopensConsistently)
         ASSERT_FALSE(old_bytes.empty());
 
         FaultInjectingEnv env(Env::posix());
-        const TraceStore ts(d, fastOptions(&env, /*retries=*/0));
+        const TraceStore ts(d, {.env = &env});
         const std::uint64_t before = env.opCount();
         env.addFault({before + k, FaultKind::Crash, 0});
         const bool saved = ts.save("rawcaudio", newt, 2000);
@@ -331,7 +316,7 @@ TEST_F(FaultTest, TransientFaultsAreRetriedAndCounted)
         cpu::TraceBuffer::capture(w.program, 2000, true);
 
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), fastOptions(&env));
+    const TraceStore ts(dir(), {.env = &env});
     // The first attempt faults EIO mid-write; the whole-save retry
     // succeeds.
     env.addFault({env.opCount() + 1, FaultKind::Eio, 0});
@@ -356,7 +341,7 @@ TEST_F(FaultTest, ExhaustedTransientRetriesFailSoftAsIo)
         ASSERT_TRUE(seed.save("rawcaudio", t, 2000));
     }
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), fastOptions(&env, /*retries=*/1));
+    const TraceStore ts(dir(), {.env = &env});
     failOps(env, env.opCount(), 8, FaultKind::Eio);
     std::string why;
     auto failure = LoadFailure::None;
@@ -378,7 +363,7 @@ TEST_F(FaultTest, TornWriteIsDetectedQuarantinedAndHealed)
     // fsync-less power-loss model: the save REPORTS success).
     {
         FaultInjectingEnv env(Env::posix());
-        const TraceStore ts(dir(), fastOptions(&env));
+        const TraceStore ts(dir(), {.env = &env});
         // Ops after the ctor's mkdirs: create, append, sync, ... —
         // tear the append, keeping only the first 200 bytes.
         env.addFault({env.opCount() + 1, FaultKind::TornWrite, 200});
@@ -427,7 +412,7 @@ TEST_F(FaultTest, ShortReadFailsSoftAndRecaptures)
         ASSERT_TRUE(seed.save("rawcaudio", t, 2000));
     }
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), fastOptions(&env, /*retries=*/0));
+    const TraceStore ts(dir(), {.env = &env});
     // The segment read comes back silently truncated (torn read).
     env.addFault({env.opCount(), FaultKind::ShortRead, 0});
     std::string why;
@@ -460,13 +445,11 @@ TEST_F(FaultTest, UnreadableStoreDirectoryFallsBackToCapture)
     EXPECT_FALSE(cache.degradations().empty());
 }
 
-TEST_F(FaultTest, MidRunEnospcDisablesWritesAndSpill)
+TEST_F(FaultTest, MidRunEnospcDisablesWrites)
 {
     FaultInjectingEnv env(Env::posix());
-    TraceCache cache({.storeDir = dir(),
-                      .spillBudgetBytes = 1, // hostile: spill every get
-                      .env = &env,
-                      .captureLimit = 2000});
+    TraceCache cache(
+        {.storeDir = dir(), .env = &env, .captureLimit = 2000});
 
     // First workload saves fine.
     cache.get("rawcaudio");
@@ -479,14 +462,8 @@ TEST_F(FaultTest, MidRunEnospcDisablesWritesAndSpill)
     EXPECT_EQ(cache.storeSaves(), 1u);
     EXPECT_TRUE(cache.storeWritesDegraded());
 
-    // Degraded means spill-to-store is off: both traces stay
-    // resident despite the 1-byte budget, and no spills happen from
-    // now on (a spilled capture would be lost — no disk copy).
-    const std::uint64_t spills = cache.spills();
     cache.get("epic");
-    EXPECT_EQ(cache.spills(), spills);
-    EXPECT_TRUE(cache.contains("rawdaudio"));
-    EXPECT_TRUE(cache.contains("epic"));
+    EXPECT_EQ(cache.captures(), 3u);
     // saveThrough short-circuits once degraded: the third get must
     // not even have attempted a save (no new create op after the
     // degradation's failed one).
@@ -753,7 +730,7 @@ TEST_F(FaultTest, ListDirFaultFailsSoftAcrossStoreSurfaces)
         ASSERT_TRUE(seed.save("rawcaudio", t, 2000));
     }
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), fastOptions(&env, /*retries=*/0));
+    const TraceStore ts(dir(), {.env = &env});
 
     // Every directory-scan surface fails soft — empty, not thrown —
     // and recovers on the next (unfaulted) call.
@@ -784,7 +761,7 @@ TEST_F(FaultTest, SyncDirFaultWeakensDurabilityButNeverTheSave)
     std::uint64_t syncdir_at = 0;
     {
         FaultInjectingEnv env(Env::posix());
-        const TraceStore ts(dir() + "/dry", fastOptions(&env));
+        const TraceStore ts(dir() + "/dry", {.env = &env});
         ASSERT_TRUE(ts.save("rawcaudio", t, 2000));
         const std::vector<std::string> ops = env.opLog();
         for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -803,7 +780,7 @@ TEST_F(FaultTest, SyncDirFaultWeakensDurabilityButNeverTheSave)
             dir() + "/" + faultKindName(kind);
         FaultInjectingEnv env(Env::posix());
         env.addFault({syncdir_at, kind, 0});
-        const TraceStore ts(d, fastOptions(&env));
+        const TraceStore ts(d, {.env = &env});
         EXPECT_TRUE(ts.save("rawcaudio", t, 2000));
         EXPECT_EQ(env.faultsInjected(), 1u);
         EXPECT_NE(env.script().find("syncdir"), std::string::npos)

@@ -178,7 +178,7 @@ makeSyntheticReport()
         h.sum = 3000;
         h.buckets = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1};
     }
-    metric("cache.spills", telemetry::Kind::Counter,
+    metric("cache.evictions", telemetry::Kind::Counter,
            telemetry::Unit::Count)
         .value = 0; // elided: zero-valued
     metric("executor.queue_depth", telemetry::Kind::Gauge,

@@ -420,7 +420,6 @@ testConfig()
     DaemonConfig config;
     config.session.storeDir.clear();
     config.session.captureLimit = 20000;
-    config.watchIntervalMs = 5;
     return config;
 }
 

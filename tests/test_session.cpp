@@ -351,57 +351,6 @@ TEST_F(SessionDeathTest, ReadOnlyWithoutStoreDirIsFatal)
                  "readOnly requires storeDir");
 }
 
-TEST_F(SessionStoreTest, TinySpillBudgetDegradesToMruResident)
-{
-    // A budget smaller than any single trace: every get() spills the
-    // previous workload, the cache warns (once) and keeps only the
-    // most recent trace resident, and studies still complete with
-    // correct results.
-    SessionConfig cfg;
-    cfg.threads = 1;
-    cfg.storeDir = dir();
-    cfg.spillBudgetBytes = 1;
-    Session session(cfg);
-
-    const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
-                                            "epic"};
-    analysis::InstrMixProfiler mix;
-    StudyPlan plan;
-    plan.profile({&mix}).workloads(names);
-    session.run(plan);
-
-    EXPECT_GT(session.cache().spills(), 0u);
-    // At most the final workload's trace remains in RAM.
-    const std::size_t resident = session.cache().memoryBytes();
-    EXPECT_LE(resident, session.trace("epic")->memoryBytes());
-
-    // Pin correctness under spilling: the same plan on a fresh
-    // session with no budget gives identical tallies.
-    Session unbudgeted(SessionConfig{.threads = 1});
-    analysis::InstrMixProfiler mix2;
-    StudyPlan plan2;
-    plan2.profile({&mix2}).workloads(names);
-    unbudgeted.run(plan2);
-    EXPECT_EQ(mix.functFreq().raw(), mix2.functFreq().raw());
-    EXPECT_EQ(mix.meanFetchBytes(), mix2.meanFetchBytes());
-}
-
-TEST(SessionEdge, SpillWithoutStoreRecaptures)
-{
-    // A spill budget with no disk tier is well-defined: spilled
-    // traces are simply recaptured on the next touch.
-    SessionConfig cfg;
-    cfg.spillBudgetBytes = 1;
-    Session session(cfg);
-    session.trace("rawcaudio");
-    EXPECT_EQ(session.cache().captures(), 1u);
-    session.trace("rawdaudio"); // spills rawcaudio
-    EXPECT_EQ(session.cache().captures(), 2u);
-    session.trace("rawcaudio"); // gone from RAM, no store: recapture
-    EXPECT_EQ(session.cache().captures(), 3u);
-    EXPECT_GT(session.cache().spills(), 0u);
-}
-
 // ---- ad-hoc workloads, energy, report ---------------------------------
 
 TEST(SessionAdHoc, RegisteredProgramRunsLikeASuiteWorkload)
@@ -855,10 +804,12 @@ TEST(SessionAdmission, MemoryBudgetRejectsOversizedPlanUpFront)
     const std::string json = rep.toJson();
     EXPECT_NE(json.find("\"rejected\": true"), std::string::npos);
 
-    // evictAfterReplay caps the resident estimate at one trace, and
-    // a small capture limit shrinks it below the budget: the SAME
-    // plan shape becomes admissible — the reject message's advice.
+    // On a serial session evictAfterReplay caps the resident
+    // estimate at one trace, and a small capture limit shrinks it
+    // below the budget: the SAME plan shape becomes admissible — the
+    // reject message's advice.
     SessionConfig small;
+    small.threads = 1;
     small.captureLimit = 3000;
     small.admissionMemoryBudgetBytes = 64u << 20;
     Session admits(small);
@@ -872,6 +823,73 @@ TEST(SessionAdmission, MemoryBudgetRejectsOversizedPlanUpFront)
     EXPECT_FALSE(ok.rejected);
     ASSERT_EQ(ok.cpi.size(), 1u);
     EXPECT_EQ(ok.cpi[0].benchmarks.size(), 2u);
+}
+
+TEST(SessionAdmission, EvictingPlanCountsOneResidentTracePerThread)
+{
+    // Each worker of an evicting plan holds the trace it is
+    // replaying, so the estimate covers one trace per thread.
+    Session session(SessionConfig{.threads = 4});
+    const std::vector<std::string> &suite = workloads::Suite::names();
+    ASSERT_GE(suite.size(), 6u);
+    StudyPlan evicting;
+    evicting.workloads({suite.begin(), suite.begin() + 6})
+        .cpi({Design::ByteSerial}, analysis::suiteConfig())
+        .evictAfterReplay();
+    StudyPlan one;
+    one.workloads({suite.front()})
+        .cpi({Design::ByteSerial}, analysis::suiteConfig());
+    EXPECT_GE(session.estimatePlanMemory(evicting),
+              4 * session.estimatePlanMemory(one));
+}
+
+/** Records, at its first block, whether @p workload is cached. */
+class ResidencyProbe : public cpu::TraceSink
+{
+  public:
+    ResidencyProbe(const analysis::TraceCache &cache, std::string workload)
+        : cache_(cache), workload_(std::move(workload))
+    {}
+
+    void
+    retire(const cpu::DynInstr &) override
+    {}
+
+    void
+    retireBlock(std::span<const cpu::DynInstr>) override
+    {
+        if (!probed_) {
+            probed_ = true;
+            cachedAtFirstBlock_ = cache_.contains(workload_);
+        }
+    }
+
+    bool probed() const { return probed_; }
+    bool cachedAtFirstBlock() const { return cachedAtFirstBlock_; }
+
+  private:
+    const analysis::TraceCache &cache_;
+    std::string workload_;
+    bool probed_ = false;
+    bool cachedAtFirstBlock_ = false;
+};
+
+TEST(SessionEvict, EvictingPlanFetchesEachTraceOnlyWhenItReplays)
+{
+    // With a profiler sink the plan replays serially in workload
+    // order, so while the first workload replays an evicting plan
+    // must not have loaded the last one yet.
+    Session session(SessionConfig{.threads = 2, .captureLimit = 3000});
+    const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
+                                            "epic"};
+    ResidencyProbe probe(session.cache(), names.back());
+    StudyPlan plan;
+    plan.profile({&probe}).workloads(names).evictAfterReplay();
+    session.run(plan);
+    ASSERT_TRUE(probe.probed());
+    EXPECT_FALSE(probe.cachedAtFirstBlock())
+        << "an evicting plan must not prewarm every trace";
+    EXPECT_EQ(session.cache().memoryBytes(), 0u);
 }
 
 TEST(SessionAdmission, AtCapacityRejectsWhenQueueIsFull)

@@ -3,8 +3,8 @@
  * Persistent trace store tests: codec round trips, segment
  * save/load field-exactness, fail-soft behaviour on every corruption
  * mode (truncation, bit flips, version and fingerprint mismatches),
- * the two-tier TraceCache (load-instead-of-capture, LRU spill,
- * concurrent read-while-spill), and the acceptance property that
+ * the two-tier TraceCache (load-instead-of-capture, concurrent
+ * read-while-evict), and the acceptance property that
  * store-replayed activity/CPI/profiler outputs are bit-identical to
  * live capture across all three encodings.
  */
@@ -489,41 +489,7 @@ TEST_F(StoreTest, ReadOnlyStoreNeverWrites)
     EXPECT_TRUE(TraceStore(dir(), true).list().empty());
 }
 
-TEST_F(StoreTest, SpillBudgetBoundsRamAndReloadsFromDisk)
-{
-    const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
-                                            "epic"};
-    // Find one workload's footprint to size the budget.
-    const std::size_t one = [&] {
-        TraceCache probe;
-        probe.get(names[0]);
-        return probe.memoryBytes();
-    }();
-    ASSERT_GT(one, 0u);
-
-    // Budget of ~1.5 workloads: after touching three, at most one
-    // spare can stay resident next to the most recent one.
-    TraceCache cache({.storeDir = dir(), .spillBudgetBytes = one + one / 2});
-    for (const std::string &n : names)
-        cache.get(n);
-    EXPECT_LE(cache.memoryBytes(), one + one / 2);
-    EXPECT_LT(cache.memoryBytes(), 3 * one);
-
-    // A spilled workload comes back from disk, not capture.
-    const std::uint64_t captures = cache.captures();
-    std::size_t spilled = 0;
-    for (const std::string &n : names)
-        if (!cache.contains(n))
-            ++spilled;
-    EXPECT_GT(spilled, 0u);
-    for (const std::string &n : names)
-        EXPECT_GT(cache.get(n)->size(), 0u);
-    EXPECT_EQ(cache.captures(), captures)
-        << "reloads must come from the store";
-    EXPECT_GT(cache.storeLoads(), 0u);
-}
-
-TEST_F(StoreTest, ConcurrentReadWhileSpillFailsSoft)
+TEST_F(StoreTest, ConcurrentReadWhileEvictFailsSoft)
 {
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic", "unepic"};
@@ -535,11 +501,9 @@ TEST_F(StoreTest, ConcurrentReadWhileSpillFailsSoft)
             want[n] = ref.get(n)->size();
     }
 
-    // A 1-byte budget forces a spill after every single get(): the
-    // most hostile read-while-spill interleaving possible.
-    TraceCache cache({.storeDir = dir(),
-                      .spillBudgetBytes = 1,
-                      .captureLimit = 20'000});
+    // Every get() is followed by an evict() of the same workload:
+    // the most hostile read-while-evict interleaving possible.
+    TraceCache cache({.storeDir = dir(), .captureLimit = 20'000});
 
     constexpr unsigned kThreads = 8;
     constexpr unsigned kRounds = 25;
@@ -553,13 +517,14 @@ TEST_F(StoreTest, ConcurrentReadWhileSpillFailsSoft)
                 const TraceCache::TracePtr p = cache.get(n);
                 if (p == nullptr || p->size() != want[n])
                     ok = false;
+                cache.evict(n);
             }
         });
     }
     for (std::thread &t : threads)
         t.join();
     EXPECT_TRUE(ok.load())
-        << "a spilled-and-reloaded trace returned wrong data";
+        << "an evicted-and-reloaded trace returned wrong data";
     // Disk served the reloads; capture ran at most once per workload
     // per miss burst (sanity: not once per get()).
     EXPECT_GT(cache.storeLoads(), 0u);

@@ -7,13 +7,13 @@
  * TSan turns any unsynchronized access they provoke into a failure:
  *
  *  - many concurrent Sessions replaying out of ONE shared read-only
- *    store directory while a budgeted writer session forces
- *    spill/evict churn over the same segments (the sigcompd
- *    multi-tenant shape from ROADMAP item 1);
+ *    store directory while a writer session forces evict/reload
+ *    churn over the same segments (the sigcompd multi-tenant
+ *    shape);
  *  - setSimdLevel() repinned concurrently with kernel dispatch
  *    (regression for the lazy-resolution race fixed in
  *    common/simd.cpp: a pin racing the first dispatch must stick);
- *  - the TraceCache accounting counters read while gets, spills and
+ *  - the TraceCache accounting counters read while gets and
  *    evictions run (they are documented lock-free atomics;
  *    trace_cache.h).
  */
@@ -49,6 +49,13 @@ using pipeline::Design;
 /** Small but non-trivial traces: capture stays sub-second. */
 constexpr DWord kLimit = 5000;
 
+/** Entries the cache's evict() dropped so far. */
+std::uint64_t
+evictions(analysis::TraceCache &cache)
+{
+    return cache.metrics().counter("cache.evictions").value();
+}
+
 class TsanStressTest : public ::testing::Test
 {
   protected:
@@ -72,7 +79,7 @@ class TsanStressTest : public ::testing::Test
     std::string dir_;
 };
 
-TEST_F(TsanStressTest, ConcurrentSessionsOverSharedStoreWithSpillChurn)
+TEST_F(TsanStressTest, ConcurrentSessionsOverSharedStoreWithEvictChurn)
 {
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic", "unepic"};
@@ -90,10 +97,9 @@ TEST_F(TsanStressTest, ConcurrentSessionsOverSharedStoreWithSpillChurn)
     }
 
     // N tenant sessions replay out of the shared read-only store
-    // while one budgeted writer session churns the RAM tier: every
-    // get() it serves spills another entry, so disk loads, LRU
-    // bookkeeping and eviction constantly interleave with the
-    // readers' loads of the same segment files.
+    // while one writer session churns the RAM tier: it evicts every
+    // trace it gets, so disk loads and eviction constantly
+    // interleave with the readers' loads of the same segment files.
     constexpr int kReaders = 4;
     constexpr int kChurnRounds = 24;
     std::atomic<int> failures{0};
@@ -115,23 +121,17 @@ TEST_F(TsanStressTest, ConcurrentSessionsOverSharedStoreWithSpillChurn)
         });
     }
     std::thread churn([&] {
-        // A budget far below one trace: the documented degradation
-        // keeps only the most recently used workload resident, so
-        // every round spills what the previous get loaded.
         Session writer(SessionConfig{.storeDir = dir_,
-                                     .spillBudgetBytes = 4096,
                                      .captureLimit = kLimit});
         for (int round = 0; round < kChurnRounds; ++round) {
             const std::string &name = names[round % names.size()];
             if (writer.trace(name) == nullptr)
                 failures.fetch_add(1);
-            if (round % 3 == 0)
-                writer.cache().evict(name);
+            writer.cache().evict(name);
         }
-        // Four workloads cycling through a sub-trace budget must
-        // have spilled; a zero here means the churn never happened
-        // and the test lost its point.
-        if (writer.cache().spills() == 0)
+        // A zero here means the churn never happened and the test
+        // lost its point.
+        if (evictions(writer.cache()) == 0)
             failures.fetch_add(1);
     });
     for (std::thread &t : readers)
@@ -189,7 +189,6 @@ TEST_F(TsanStressTest, SetSimdLevelSticksAgainstConcurrentDispatch)
 TEST_F(TsanStressTest, AccountingCountersAreReadableDuringChurn)
 {
     Session session(SessionConfig{.storeDir = dir_,
-                                  .spillBudgetBytes = 4096,
                                   .captureLimit = kLimit});
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic"};
@@ -197,16 +196,16 @@ TEST_F(TsanStressTest, AccountingCountersAreReadableDuringChurn)
     std::atomic<bool> stop{false};
     std::thread poller([&] {
         // The counters are documented lock-free: reading them while
-        // gets/spills/evictions run must be race-free and monotone.
-        std::uint64_t last_captures = 0, last_spills = 0;
+        // gets and evictions run must be race-free and monotone.
+        std::uint64_t last_captures = 0, last_evictions = 0;
         while (!stop.load(std::memory_order_relaxed)) {
             analysis::TraceCache &c = session.cache();
             const std::uint64_t cap = c.captures();
-            const std::uint64_t sp = c.spills();
+            const std::uint64_t ev = evictions(c);
             EXPECT_GE(cap, last_captures);
-            EXPECT_GE(sp, last_spills);
+            EXPECT_GE(ev, last_evictions);
             last_captures = cap;
-            last_spills = sp;
+            last_evictions = ev;
             c.memoryBytes(); // locked scan racing the mutators
             (void)c.storeLoads();
             (void)c.storeSaves();
@@ -219,7 +218,7 @@ TEST_F(TsanStressTest, AccountingCountersAreReadableDuringChurn)
                 const std::string &name =
                     names[(t + round) % names.size()];
                 ASSERT_NE(session.trace(name), nullptr);
-                if (round % 4 == 3)
+                if (round % 2 == 1)
                     session.cache().evict(name);
             }
         });
@@ -228,6 +227,8 @@ TEST_F(TsanStressTest, AccountingCountersAreReadableDuringChurn)
         t.join();
     stop.store(true);
     poller.join();
+    EXPECT_GT(evictions(session.cache()), 0u)
+        << "the churn never happened";
 }
 
 } // namespace
