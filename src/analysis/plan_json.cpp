@@ -1,11 +1,9 @@
 #include "analysis/plan_json.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "common/json.h"
@@ -72,7 +70,7 @@ asciiClean(const std::string &s)
 {
     for (const char c : s) {
         const auto u = static_cast<unsigned char>(c);
-        if (u < 0x20 || u >= 0x80)
+        if (u < 0x20 || u >= json::kAsciiLimit)
             return false;
     }
     return true;
@@ -148,371 +146,7 @@ hierarchyEqual(const mem::HierarchyParams &a,
            tlbParamsEqual(a.dtlb, b.dtlb);
 }
 
-// ---- the reader -----------------------------------------------------
-
-/**
- * Character-level cursor with first-failure capture. Every parse_*
- * method returns false once failed; callers bail out on false, so
- * the recorded error is always the FIRST one in input order.
- */
-class Reader
-{
-  public:
-    Reader(std::string_view s, PlanError *error)
-        : s_(s), error_(error)
-    {}
-
-    bool failed() const { return failed_; }
-
-    bool
-    fail(PlanErrorKind kind, std::size_t offset, std::string message)
-    {
-        if (!failed_) {
-            failed_ = true;
-            if (error_ != nullptr)
-                *error_ = {kind, offset, std::move(message)};
-        }
-        return false;
-    }
-
-    std::size_t pos() const { return pos_; }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    /** Next non-ws char without consuming; '\0' at end. */
-    char
-    peek()
-    {
-        skipWs();
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    bool
-    consume(char c, const char *what)
-    {
-        skipWs();
-        if (pos_ >= s_.size()) {
-            return fail(PlanErrorKind::Syntax, pos_,
-                        std::string("unexpected end of input, "
-                                    "expected '") +
-                            c + "' " + what);
-        }
-        if (s_[pos_] != c) {
-            return fail(PlanErrorKind::Syntax, pos_,
-                        std::string("expected '") + c + "' " + what +
-                            ", got '" + s_[pos_] + "'");
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    atEnd()
-    {
-        skipWs();
-        return pos_ >= s_.size();
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        skipWs();
-        const std::size_t start = pos_;
-        if (pos_ >= s_.size() || s_[pos_] != '"') {
-            return fail(PlanErrorKind::BadType, pos_,
-                        "expected a string");
-        }
-        ++pos_;
-        std::string v;
-        for (;;) {
-            if (pos_ >= s_.size()) {
-                return fail(PlanErrorKind::Syntax, pos_,
-                            "unterminated string");
-            }
-            const char c = s_[pos_];
-            const auto u = static_cast<unsigned char>(c);
-            if (c == '"') {
-                ++pos_;
-                break;
-            }
-            if (u < 0x20) {
-                return fail(PlanErrorKind::Syntax, pos_,
-                            "unescaped control byte in string");
-            }
-            if (u >= 0x80) {
-                return fail(PlanErrorKind::Unsupported, pos_,
-                            "non-ASCII bytes are not supported");
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) {
-                    return fail(PlanErrorKind::Syntax, pos_,
-                                "unterminated escape");
-                }
-                const char e = s_[pos_++];
-                switch (e) {
-                case '"': v.push_back('"'); break;
-                case '\\': v.push_back('\\'); break;
-                case '/': v.push_back('/'); break;
-                case 'b': v.push_back('\b'); break;
-                case 'f': v.push_back('\f'); break;
-                case 'n': v.push_back('\n'); break;
-                case 'r': v.push_back('\r'); break;
-                case 't': v.push_back('\t'); break;
-                case 'u': {
-                    if (pos_ + 4 > s_.size()) {
-                        return fail(PlanErrorKind::Syntax, pos_,
-                                    "truncated \\u escape");
-                    }
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = s_[pos_ + static_cast<
-                                                std::size_t>(i)];
-                        unsigned d;
-                        if (h >= '0' && h <= '9')
-                            d = static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            d = static_cast<unsigned>(h - 'a') + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            d = static_cast<unsigned>(h - 'A') + 10;
-                        else
-                            return fail(PlanErrorKind::Syntax,
-                                        pos_ + static_cast<
-                                                  std::size_t>(i),
-                                        "bad \\u escape digit");
-                        code = code * 16 + d;
-                    }
-                    if (code >= 0x80) {
-                        return fail(PlanErrorKind::Unsupported, pos_,
-                                    "non-ASCII \\u escape is not "
-                                    "supported");
-                    }
-                    pos_ += 4;
-                    v.push_back(static_cast<char>(code));
-                    break;
-                }
-                default:
-                    return fail(PlanErrorKind::Syntax, pos_ - 1,
-                                "unknown escape");
-                }
-                continue;
-            }
-            v.push_back(c);
-            ++pos_;
-        }
-        if (v.size() > kMaxPlanStringBytes) {
-            return fail(PlanErrorKind::OutOfRange, start,
-                        "string longer than " +
-                            std::to_string(kMaxPlanStringBytes) +
-                            " bytes");
-        }
-        *out = std::move(v);
-        return true;
-    }
-
-    bool
-    parseBool(bool *out)
-    {
-        skipWs();
-        if (s_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            *out = true;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            *out = false;
-            return true;
-        }
-        return fail(PlanErrorKind::BadType, pos_,
-                    "expected true or false");
-    }
-
-    /** The raw characters of one number token (JSON grammar-ish). */
-    bool
-    numberToken(std::string *token, std::size_t *start)
-    {
-        skipWs();
-        *start = pos_;
-        std::size_t p = pos_;
-        auto isNumChar = [&](char c) {
-            return (c >= '0' && c <= '9') || c == '-' || c == '+' ||
-                   c == '.' || c == 'e' || c == 'E';
-        };
-        while (p < s_.size() && isNumChar(s_[p]))
-            ++p;
-        if (p == pos_) {
-            return fail(PlanErrorKind::BadType, pos_,
-                        "expected a number");
-        }
-        token->assign(s_.substr(pos_, p - pos_));
-        pos_ = p;
-        return true;
-    }
-
-    /** Non-negative integer with an inclusive cap. */
-    bool
-    parseU64(std::uint64_t *out, std::uint64_t max, const char *what)
-    {
-        std::string tok;
-        std::size_t start = 0;
-        if (!numberToken(&tok, &start))
-            return false;
-        if (tok.find_first_of(".eE") != std::string::npos) {
-            return fail(PlanErrorKind::BadType, start,
-                        std::string(what) + " must be an integer");
-        }
-        if (tok[0] == '-' || tok[0] == '+') {
-            return fail(PlanErrorKind::OutOfRange, start,
-                        std::string(what) +
-                            " must be a non-negative integer");
-        }
-        std::uint64_t v = 0;
-        for (const char c : tok) {
-            if (c < '0' || c > '9') {
-                return fail(PlanErrorKind::Syntax, start,
-                            "malformed integer");
-            }
-            const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-            if (v > (max - d) / 10) {
-                return fail(PlanErrorKind::OutOfRange, start,
-                            std::string(what) + " exceeds its cap (" +
-                                std::to_string(max) + ")");
-            }
-            v = v * 10 + d;
-        }
-        *out = v;
-        return true;
-    }
-
-    bool
-    parseDouble(double *out, const char *what)
-    {
-        std::string tok;
-        std::size_t start = 0;
-        if (!numberToken(&tok, &start))
-            return false;
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size() || end == tok.c_str()) {
-            return fail(PlanErrorKind::Syntax, start,
-                        "malformed number");
-        }
-        // Underflow to a subnormal is fine (strtod returns the
-        // nearest value); only non-finite results are refused, so
-        // everything the %.17g writer emits parses back.
-        if (!std::isfinite(v)) {
-            return fail(PlanErrorKind::OutOfRange, start,
-                        std::string(what) + " is out of range");
-        }
-        *out = v;
-        return true;
-    }
-
-    /**
-     * Drive one object: "{" key:value... "}" with duplicate-key
-     * rejection. @p field consumes the value of each key (offset =
-     * where the key token started) and returns false on failure.
-     */
-    template <typename FieldFn>
-    bool
-    parseObject(FieldFn &&field)
-    {
-        if (!consume('{', "to open an object"))
-            return false;
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        std::vector<std::string> seen;
-        for (;;) {
-            skipWs();
-            const std::size_t key_off = pos_;
-            std::string key;
-            if (!parseString(&key)) {
-                // A non-string key is a syntax problem, not a type
-                // problem with a known field's value.
-                if (error_ != nullptr &&
-                    error_->kind == PlanErrorKind::BadType)
-                    error_->kind = PlanErrorKind::Syntax;
-                return false;
-            }
-            if (std::find(seen.begin(), seen.end(), key) !=
-                seen.end()) {
-                return fail(PlanErrorKind::Syntax, key_off,
-                            "duplicate key \"" + key + "\"");
-            }
-            seen.push_back(key);
-            if (!consume(':', "after an object key"))
-                return false;
-            if (!field(key, key_off))
-                return false;
-            const char c = peek();
-            if (c == ',') {
-                ++pos_;
-                continue;
-            }
-            if (c == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail(PlanErrorKind::Syntax, pos_,
-                        "expected ',' or '}' in object");
-        }
-    }
-
-    /** Drive one array with an element cap. */
-    template <typename ElemFn>
-    bool
-    parseArray(std::size_t max, const char *what, ElemFn &&elem)
-    {
-        skipWs();
-        const std::size_t start = pos_;
-        if (pos_ >= s_.size() || s_[pos_] != '[') {
-            return fail(PlanErrorKind::BadType, pos_,
-                        std::string("expected an array ") + what);
-        }
-        ++pos_;
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        std::size_t count = 0;
-        for (;;) {
-            if (++count > max) {
-                return fail(PlanErrorKind::OutOfRange, start,
-                            std::string(what) + " has more than " +
-                                std::to_string(max) + " entries");
-            }
-            if (!elem())
-                return false;
-            const char c = peek();
-            if (c == ',') {
-                ++pos_;
-                continue;
-            }
-            if (c == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail(PlanErrorKind::Syntax, pos_,
-                        "expected ',' or ']' in array");
-        }
-    }
-
-  private:
-    std::string_view s_;
-    PlanError *error_;
-    std::size_t pos_ = 0;
-    bool failed_ = false;
-};
+using json::Reader;
 
 // ---- schema-specific parsers ----------------------------------------
 
@@ -734,58 +368,7 @@ parseEnergyStudy(Reader &r, StudyPlan *plan)
     return true;
 }
 
-/** Bracket-depth pre-scan: the cheap whole-document nesting cap. */
-bool
-depthWithinCap(std::string_view json)
-{
-    std::size_t depth = 0;
-    bool in_string = false;
-    bool escaped = false;
-    for (const char c : json) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{' || c == '[') {
-            if (++depth > kMaxPlanJsonDepth)
-                return false;
-        } else if (c == '}' || c == ']') {
-            if (depth > 0)
-                --depth;
-        }
-    }
-    return true;
-}
-
 } // namespace
-
-std::string
-planErrorKindName(PlanErrorKind k)
-{
-    switch (k) {
-    case PlanErrorKind::None: return "none";
-    case PlanErrorKind::Syntax: return "syntax";
-    case PlanErrorKind::UnknownField: return "unknown-field";
-    case PlanErrorKind::BadType: return "bad-type";
-    case PlanErrorKind::OutOfRange: return "out-of-range";
-    case PlanErrorKind::Unsupported: return "unsupported";
-    }
-    return "?";
-}
-
-std::string
-PlanError::render() const
-{
-    return planErrorKindName(kind) + " at byte " +
-           std::to_string(offset) + ": " + message;
-}
 
 bool
 parsePlanJson(std::string_view json, StudyPlan *out, PlanError *error)
@@ -798,7 +381,7 @@ parsePlanJson(std::string_view json, StudyPlan *out, PlanError *error)
                           std::to_string(kMaxPlanJsonBytes) +
                           " bytes");
     }
-    if (!depthWithinCap(json)) {
+    if (!json::depthWithinCap(json)) {
         return r.fail(PlanErrorKind::OutOfRange, 0,
                       "nesting deeper than " +
                           std::to_string(kMaxPlanJsonDepth) +

@@ -10,7 +10,8 @@
  * and nesting depth), classifies every failure into the PlanErrorKind
  * taxonomy with the byte offset where it was detected, and never
  * aborts the process — SC_ASSERT is for internal invariants, not for
- * other people's bytes.
+ * other people's bytes. The JSON grammar, its string/depth caps and
+ * the taxonomy are common/json.h's Reader; this file adds the schema.
  *
  * Round-trip guarantee (pinned by tests/test_plan_json.cpp and the
  * fuzz harness): for any plan P that writePlanJson accepts,
@@ -56,57 +57,33 @@
 #include <string_view>
 
 #include "analysis/study_plan.h"
+#include "common/json.h"
 
 namespace sigcomp::analysis
 {
 
 /**
- * Failure taxonomy of plan ingestion. Every enum value is exercised
- * by tests/test_plan_json.cpp (enforced by sigcomp_lint's
- * error-taxonomy check).
+ * Failure taxonomy of plan ingestion: the JSON reader's own
+ * (common/json.h), under the names the daemon, perfbench and the
+ * tests use.
  */
-enum class PlanErrorKind : std::uint8_t
-{
-    None = 0,
-    /** Malformed JSON: bad token, truncation, duplicate key, NaN. */
-    Syntax,
-    /** Well-formed JSON carrying a key the schema does not define. */
-    UnknownField,
-    /** A known key holding the wrong JSON type. */
-    BadType,
-    /** A value outside its documented cap (counts, lengths, ranges). */
-    OutOfRange,
-    /**
-     * Valid but not expressible: unknown schema version, non-ASCII
-     * text, or (on serialize) process-local plan state — profiler
-     * sinks, live cancel tokens, custom hierarchies.
-     */
-    Unsupported,
-};
+using PlanErrorKind = json::ErrorKind;
+using PlanError = json::Error;
 
 /** Canonical lower-case name ("syntax", "unknown-field", ...). */
-std::string planErrorKindName(PlanErrorKind k);
-
-/** One classified ingestion failure with its location. */
-struct PlanError
+inline std::string
+planErrorKindName(PlanErrorKind k)
 {
-    PlanErrorKind kind = PlanErrorKind::None;
-    /** Byte offset into the input where the failure was detected
-     * (0 for serialize-side and whole-input failures). */
-    std::size_t offset = 0;
-    std::string message;
-
-    /** "\<kind\> at byte \<offset\>: \<message\>" for logs. */
-    std::string render() const;
-};
+    return json::errorKindName(k);
+}
 
 // ---- hard caps (all enforced with OutOfRange) -----------------------
 /** Whole-document size cap. */
 constexpr std::size_t kMaxPlanJsonBytes = 1 << 20;
 /** Bracket/brace nesting cap (the grammar needs only 5). */
-constexpr std::size_t kMaxPlanJsonDepth = 12;
+constexpr std::size_t kMaxPlanJsonDepth = json::kMaxDepth;
 /** Cap on any single string value. */
-constexpr std::size_t kMaxPlanStringBytes = 128;
+constexpr std::size_t kMaxPlanStringBytes = json::kMaxStringBytes;
 /** Cap on the workloads array. */
 constexpr std::size_t kMaxPlanWorkloads = 256;
 /** Cap on each study array (activity/cpi/energy). */

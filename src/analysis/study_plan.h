@@ -33,11 +33,15 @@
 #include "power/energy_model.h"
 #include "sigcomp/compressed_word.h"
 
+namespace sigcomp::json
+{
+struct Error;
+} // namespace sigcomp::json
+
 namespace sigcomp::analysis
 {
 
 class Session;
-struct PlanError;
 
 class StudyPlan
 {
@@ -134,10 +138,10 @@ class StudyPlan
     // serialize and to compare round-trip results; it builds parsed
     // plans through the public API only.
     friend bool writePlanJson(const StudyPlan &plan, std::string *out,
-                              PlanError *error);
+                              json::Error *error);
     friend bool planEquals(const StudyPlan &a, const StudyPlan &b);
     friend bool planFingerprint(const StudyPlan &plan, std::string *hex,
-                                PlanError *error);
+                                json::Error *error);
 
     /** A CPI study's columns: its designs, then its width points. */
     struct CpiSpec

@@ -1,18 +1,39 @@
 /**
  * @file
- * The one JSON string escaper every JSON writer uses (reports, plan
- * documents, Chrome traces, daemon replies, store tool output):
- * quote and backslash are backslash-escaped, control bytes below 0x20
- * become `\u00XX` (lowercase hex), every other byte passes through.
+ * The repo's one JSON writer helper and its one JSON reader.
+ *
+ * Writing: every JSON writer (reports, plan documents, Chrome traces,
+ * daemon replies, store tool output) escapes strings with
+ * appendEscaped/writeString: quote and backslash are
+ * backslash-escaped, control bytes below 0x20 become `\u00XX`
+ * (lowercase hex), every other byte passes through.
+ *
+ * Reading: Reader is a strict streaming cursor for UNTRUSTED input
+ * (plan documents, Chrome trace files). It builds no DOM: callers
+ * drive parseObject/parseArray with callbacks and pull typed values,
+ * skipping keys they ignore with skipValue. Duplicate keys,
+ * non-ASCII text, strings over kMaxStringBytes and non-finite or
+ * non-JSON numbers are refused; run depthWithinCap first to bound
+ * nesting (and with it skipValue's recursion). Every failure is
+ * classified into the ErrorKind taxonomy with the byte offset where
+ * it was detected, and only the FIRST failure in input order is
+ * kept. tests/fuzz_plan_json.cpp fuzzes the reader through the plan
+ * codec, and skipValue (which the plan codec never calls) directly.
  * Header-only.
  */
 
 #ifndef SIGCOMP_COMMON_JSON_H_
 #define SIGCOMP_COMMON_JSON_H_
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace sigcomp::json
 {
@@ -46,6 +67,498 @@ writeString(std::FILE *f, std::string_view s)
     out.push_back('"');
     std::fwrite(out.data(), 1, out.size(), f);
 }
+
+/**
+ * Failure taxonomy of the reader (and of plan ingestion, which
+ * reports through it as analysis::PlanErrorKind). Every enum value is
+ * exercised by tests/test_plan_json.cpp (enforced by sigcomp_lint's
+ * error-taxonomy check).
+ */
+enum class ErrorKind : std::uint8_t
+{
+    None = 0,
+    /** Malformed JSON: bad token, truncation, duplicate key, NaN. */
+    Syntax,
+    /** Well-formed JSON carrying a key the schema does not define. */
+    UnknownField,
+    /** A known key holding the wrong JSON type. */
+    BadType,
+    /** A value outside its documented cap (counts, lengths, ranges). */
+    OutOfRange,
+    /**
+     * Valid but not expressible: unknown schema version, non-ASCII
+     * text, or (on serialize) process-local plan state — profiler
+     * sinks, live cancel tokens, custom hierarchies.
+     */
+    Unsupported,
+};
+
+/** Canonical lower-case name ("syntax", "unknown-field", ...). */
+inline std::string
+errorKindName(ErrorKind k)
+{
+    switch (k) {
+    case ErrorKind::None: return "none";
+    case ErrorKind::Syntax: return "syntax";
+    case ErrorKind::UnknownField: return "unknown-field";
+    case ErrorKind::BadType: return "bad-type";
+    case ErrorKind::OutOfRange: return "out-of-range";
+    case ErrorKind::Unsupported: return "unsupported";
+    }
+    return "?";
+}
+
+/** One classified failure with its location. */
+struct Error
+{
+    ErrorKind kind = ErrorKind::None;
+    /** Byte offset into the input where the failure was detected
+     * (0 for serialize-side and whole-input failures). */
+    std::size_t offset = 0;
+    std::string message;
+
+    /** "\<kind\> at byte \<offset\>: \<message\>" for logs. */
+    std::string
+    render() const
+    {
+        return errorKindName(kind) + " at byte " +
+               std::to_string(offset) + ": " + message;
+    }
+};
+
+/** Bracket/brace nesting cap (a plan needs 5, a trace 3). */
+constexpr std::size_t kMaxDepth = 12;
+/** Cap on any single decoded string (OutOfRange beyond it). */
+constexpr std::size_t kMaxStringBytes = 128;
+/** Text is ASCII only: a byte or escaped code point at or above this
+ * is Unsupported. */
+constexpr unsigned kAsciiLimit = 0x80;
+
+/** Bracket-depth pre-scan: the cheap whole-document nesting cap. */
+inline bool
+depthWithinCap(std::string_view json)
+{
+    std::size_t depth = 0;
+    bool in_string = false;
+    bool escaped = false;
+    for (const char c : json) {
+        if (in_string) {
+            if (escaped)
+                escaped = false;
+            else if (c == '\\')
+                escaped = true;
+            else if (c == '"')
+                in_string = false;
+            continue;
+        }
+        if (c == '"')
+            in_string = true;
+        else if (c == '{' || c == '[') {
+            if (++depth > kMaxDepth)
+                return false;
+        } else if (c == '}' || c == ']') {
+            if (depth > 0)
+                --depth;
+        }
+    }
+    return true;
+}
+
+/**
+ * Character-level cursor with first-failure capture. Every parse_*
+ * method returns false once failed; callers bail out on false, so
+ * the recorded error is always the FIRST one in input order.
+ */
+class Reader
+{
+  public:
+    Reader(std::string_view s, Error *error)
+        : s_(s), error_(error)
+    {}
+
+    bool failed() const { return failed_; }
+
+    bool
+    fail(ErrorKind kind, std::size_t offset, std::string message)
+    {
+        if (!failed_) {
+            failed_ = true;
+            if (error_ != nullptr)
+                *error_ = {kind, offset, std::move(message)};
+        }
+        return false;
+    }
+
+    std::size_t pos() const { return pos_; }
+
+    void
+    skipWs()
+    {
+        while (pos_ < s_.size() &&
+               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                s_[pos_] == '\n' || s_[pos_] == '\r'))
+            ++pos_;
+    }
+
+    /** Next non-ws char without consuming; '\0' at end. */
+    char
+    peek()
+    {
+        skipWs();
+        return pos_ < s_.size() ? s_[pos_] : '\0';
+    }
+
+    bool
+    consume(char c, const char *what)
+    {
+        skipWs();
+        if (pos_ >= s_.size()) {
+            return fail(ErrorKind::Syntax, pos_,
+                        std::string("unexpected end of input, "
+                                    "expected '") +
+                            c + "' " + what);
+        }
+        if (s_[pos_] != c) {
+            return fail(ErrorKind::Syntax, pos_,
+                        std::string("expected '") + c + "' " + what +
+                            ", got '" + s_[pos_] + "'");
+        }
+        ++pos_;
+        return true;
+    }
+
+    bool
+    atEnd()
+    {
+        skipWs();
+        return pos_ >= s_.size();
+    }
+
+    bool
+    parseString(std::string *out)
+    {
+        skipWs();
+        const std::size_t start = pos_;
+        if (pos_ >= s_.size() || s_[pos_] != '"') {
+            return fail(ErrorKind::BadType, pos_, "expected a string");
+        }
+        ++pos_;
+        std::string v;
+        for (;;) {
+            if (pos_ >= s_.size()) {
+                return fail(ErrorKind::Syntax, pos_,
+                            "unterminated string");
+            }
+            const char c = s_[pos_];
+            const auto u = static_cast<unsigned char>(c);
+            if (c == '"') {
+                ++pos_;
+                break;
+            }
+            if (u < 0x20) {
+                return fail(ErrorKind::Syntax, pos_,
+                            "unescaped control byte in string");
+            }
+            if (u >= kAsciiLimit) {
+                return fail(ErrorKind::Unsupported, pos_,
+                            "non-ASCII bytes are not supported");
+            }
+            if (c == '\\') {
+                ++pos_;
+                if (pos_ >= s_.size()) {
+                    return fail(ErrorKind::Syntax, pos_,
+                                "unterminated escape");
+                }
+                const char e = s_[pos_++];
+                switch (e) {
+                case '"': v.push_back('"'); break;
+                case '\\': v.push_back('\\'); break;
+                case '/': v.push_back('/'); break;
+                case 'b': v.push_back('\b'); break;
+                case 'f': v.push_back('\f'); break;
+                case 'n': v.push_back('\n'); break;
+                case 'r': v.push_back('\r'); break;
+                case 't': v.push_back('\t'); break;
+                case 'u': {
+                    if (pos_ + 4 > s_.size()) {
+                        return fail(ErrorKind::Syntax, pos_,
+                                    "truncated \\u escape");
+                    }
+                    unsigned code = 0;
+                    for (int i = 0; i < 4; ++i) {
+                        const char h = s_[pos_ + static_cast<
+                                                std::size_t>(i)];
+                        unsigned d;
+                        if (h >= '0' && h <= '9')
+                            d = static_cast<unsigned>(h - '0');
+                        else if (h >= 'a' && h <= 'f')
+                            d = static_cast<unsigned>(h - 'a') + 10;
+                        else if (h >= 'A' && h <= 'F')
+                            d = static_cast<unsigned>(h - 'A') + 10;
+                        else
+                            return fail(ErrorKind::Syntax,
+                                        pos_ + static_cast<
+                                                  std::size_t>(i),
+                                        "bad \\u escape digit");
+                        code = code * 16 + d;
+                    }
+                    if (code >= kAsciiLimit) {
+                        return fail(ErrorKind::Unsupported, pos_,
+                                    "non-ASCII \\u escape is not "
+                                    "supported");
+                    }
+                    pos_ += 4;
+                    v.push_back(static_cast<char>(code));
+                    break;
+                }
+                default:
+                    return fail(ErrorKind::Syntax, pos_ - 1,
+                                "unknown escape");
+                }
+                continue;
+            }
+            v.push_back(c);
+            ++pos_;
+        }
+        if (v.size() > kMaxStringBytes) {
+            return fail(ErrorKind::OutOfRange, start,
+                        "string longer than " +
+                            std::to_string(kMaxStringBytes) +
+                            " bytes");
+        }
+        *out = std::move(v);
+        return true;
+    }
+
+    bool
+    parseBool(bool *out)
+    {
+        skipWs();
+        if (s_.compare(pos_, 4, "true") == 0) {
+            pos_ += 4;
+            *out = true;
+            return true;
+        }
+        if (s_.compare(pos_, 5, "false") == 0) {
+            pos_ += 5;
+            *out = false;
+            return true;
+        }
+        return fail(ErrorKind::BadType, pos_, "expected true or false");
+    }
+
+    /** The raw characters of one number token (JSON grammar-ish). */
+    bool
+    numberToken(std::string *token, std::size_t *start)
+    {
+        skipWs();
+        *start = pos_;
+        std::size_t p = pos_;
+        auto isNumChar = [&](char c) {
+            return (c >= '0' && c <= '9') || c == '-' || c == '+' ||
+                   c == '.' || c == 'e' || c == 'E';
+        };
+        while (p < s_.size() && isNumChar(s_[p]))
+            ++p;
+        if (p == pos_) {
+            return fail(ErrorKind::BadType, pos_, "expected a number");
+        }
+        token->assign(s_.substr(pos_, p - pos_));
+        pos_ = p;
+        return true;
+    }
+
+    /** Non-negative integer with an inclusive cap. */
+    bool
+    parseU64(std::uint64_t *out, std::uint64_t max, const char *what)
+    {
+        std::string tok;
+        std::size_t start = 0;
+        if (!numberToken(&tok, &start))
+            return false;
+        if (tok.find_first_of(".eE") != std::string::npos) {
+            return fail(ErrorKind::BadType, start,
+                        std::string(what) + " must be an integer");
+        }
+        if (tok[0] == '-' || tok[0] == '+') {
+            return fail(ErrorKind::OutOfRange, start,
+                        std::string(what) +
+                            " must be a non-negative integer");
+        }
+        std::uint64_t v = 0;
+        for (const char c : tok) {
+            if (c < '0' || c > '9') {
+                return fail(ErrorKind::Syntax, start,
+                            "malformed integer");
+            }
+            const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+            if (v > (max - d) / 10) {
+                return fail(ErrorKind::OutOfRange, start,
+                            std::string(what) + " exceeds its cap (" +
+                                std::to_string(max) + ")");
+            }
+            v = v * 10 + d;
+        }
+        *out = v;
+        return true;
+    }
+
+    bool
+    parseDouble(double *out, const char *what)
+    {
+        std::string tok;
+        std::size_t start = 0;
+        if (!numberToken(&tok, &start))
+            return false;
+        char *end = nullptr;
+        const double v = std::strtod(tok.c_str(), &end);
+        if (end != tok.c_str() + tok.size() || end == tok.c_str()) {
+            return fail(ErrorKind::Syntax, start, "malformed number");
+        }
+        // Underflow to a subnormal is fine (strtod returns the
+        // nearest value); only non-finite results are refused, so
+        // everything the %.17g writer emits parses back.
+        if (!std::isfinite(v)) {
+            return fail(ErrorKind::OutOfRange, start,
+                        std::string(what) + " is out of range");
+        }
+        *out = v;
+        return true;
+    }
+
+    /**
+     * Drive one object: "{" key:value... "}" with duplicate-key
+     * rejection. @p field consumes the value of each key (offset =
+     * where the key token started) and returns false on failure.
+     */
+    template <typename FieldFn>
+    bool
+    parseObject(FieldFn &&field)
+    {
+        if (!consume('{', "to open an object"))
+            return false;
+        if (peek() == '}') {
+            ++pos_;
+            return true;
+        }
+        std::vector<std::string> seen;
+        for (;;) {
+            skipWs();
+            const std::size_t key_off = pos_;
+            std::string key;
+            if (!parseString(&key)) {
+                // A non-string key is a syntax problem, not a type
+                // problem with a known field's value.
+                if (error_ != nullptr &&
+                    error_->kind == ErrorKind::BadType)
+                    error_->kind = ErrorKind::Syntax;
+                return false;
+            }
+            if (std::find(seen.begin(), seen.end(), key) !=
+                seen.end()) {
+                return fail(ErrorKind::Syntax, key_off,
+                            "duplicate key \"" + key + "\"");
+            }
+            seen.push_back(key);
+            if (!consume(':', "after an object key"))
+                return false;
+            if (!field(key, key_off))
+                return false;
+            const char c = peek();
+            if (c == ',') {
+                ++pos_;
+                continue;
+            }
+            if (c == '}') {
+                ++pos_;
+                return true;
+            }
+            return fail(ErrorKind::Syntax, pos_,
+                        "expected ',' or '}' in object");
+        }
+    }
+
+    /** Drive one array with an element cap. */
+    template <typename ElemFn>
+    bool
+    parseArray(std::size_t max, const char *what, ElemFn &&elem)
+    {
+        skipWs();
+        const std::size_t start = pos_;
+        if (pos_ >= s_.size() || s_[pos_] != '[') {
+            return fail(ErrorKind::BadType, pos_,
+                        std::string("expected an array ") + what);
+        }
+        ++pos_;
+        if (peek() == ']') {
+            ++pos_;
+            return true;
+        }
+        std::size_t count = 0;
+        for (;;) {
+            if (++count > max) {
+                return fail(ErrorKind::OutOfRange, start,
+                            std::string(what) + " has more than " +
+                                std::to_string(max) + " entries");
+            }
+            if (!elem())
+                return false;
+            const char c = peek();
+            if (c == ',') {
+                ++pos_;
+                continue;
+            }
+            if (c == ']') {
+                ++pos_;
+                return true;
+            }
+            return fail(ErrorKind::Syntax, pos_,
+                        "expected ',' or ']' in array");
+        }
+    }
+
+    /**
+     * Consume one value of any type, for keys a caller ignores.
+     * Containers are read with the same rules (duplicate keys are
+     * still refused), so recursion is bounded by depthWithinCap.
+     */
+    bool
+    skipValue()
+    {
+        const char c = peek();
+        if (c == '{') {
+            return parseObject([this](const std::string &, std::size_t) {
+                return skipValue();
+            });
+        }
+        if (c == '[') {
+            return parseArray(std::numeric_limits<std::size_t>::max(),
+                              "", [this] { return skipValue(); });
+        }
+        if (c == '"') {
+            std::string ignored;
+            return parseString(&ignored);
+        }
+        if (c == 't' || c == 'f') {
+            bool ignored = false;
+            return parseBool(&ignored);
+        }
+        if (s_.compare(pos_, 4, "null") == 0) {
+            pos_ += 4;
+            return true;
+        }
+        if (c != '-' && (c < '0' || c > '9'))
+            return fail(ErrorKind::Syntax, pos_, "expected a value");
+        double ignored = 0.0;
+        return parseDouble(&ignored, "number");
+    }
+
+  private:
+    std::string_view s_;
+    Error *error_;
+    std::size_t pos_ = 0;
+    bool failed_ = false;
+};
 
 } // namespace sigcomp::json
 

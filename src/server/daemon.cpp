@@ -28,6 +28,10 @@ constexpr unsigned kMaxIdleHandlers = 8;
 /** Disconnect-watcher poll interval. */
 constexpr std::chrono::milliseconds kWatchInterval{20};
 
+/** Report-cache bounds: entries, and bytes of cached bodies. */
+constexpr std::size_t kReportCacheMaxEntries = 64;
+constexpr std::size_t kReportCacheMaxBytes = std::size_t{64} << 20;
+
 bool
 validTenant(std::string_view tenant)
 {
@@ -46,8 +50,7 @@ validTenant(std::string_view tenant)
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
-      cache_(config_.cacheMaxEntries, config_.cacheMaxBytes,
-             &registry_),
+      cache_(kReportCacheMaxEntries, kReportCacheMaxBytes, &registry_),
       storeFingerprint_(computeStoreFingerprint(config_)),
       requests_(registry_.counter("daemon.requests")),
       httpErrors_(registry_.counter("daemon.http_errors")),

@@ -13,7 +13,8 @@
  *    whose (plan fingerprint, store fingerprint) key matches a run
  *    already executing JOIN it and receive the leader's exact bytes
  *    instead of re-running the engine,
- *  - a bounded LRU ReportCache over the same key, so repeating an
+ *  - an LRU ReportCache over the same key (64 entries, 64 MiB of
+ *    bodies; fixed in daemon.cpp), so repeating an
  *    experiment against unchanged data is a lookup, not a replay
  *    (the engine is deterministic: the cached bytes are what a
  *    fresh run would produce, wall time aside),
@@ -69,7 +70,11 @@
 namespace sigcomp::server
 {
 
-/** Construction-time configuration of a Daemon. */
+/**
+ * Construction-time configuration of a Daemon: the tenant sessions'
+ * settings and a default deadline. The report cache's bounds are
+ * constants, not settings.
+ */
 struct DaemonConfig
 {
     /**
@@ -83,9 +88,6 @@ struct DaemonConfig
      */
     analysis::SessionConfig session{
         .readOnly = true, .maxConcurrentPlans = 2, .maxQueuedPlans = 8};
-    /** Report-cache bounds. */
-    std::size_t cacheMaxEntries = 64;
-    std::size_t cacheMaxBytes = std::size_t{64} << 20;
     /**
      * Deadline applied to every accepted plan on top of its own
      * deadline_ms — deadlines min-combine, so whichever is tighter

@@ -14,7 +14,10 @@
  *  - anything accepted re-serializes (or is refused with a
  *    classified error — escape sequences can decode to control
  *    bytes the ascii-clean serializer refuses), and an accepted
- *    re-serialization reparses into an equal plan.
+ *    re-serialization reparses into an equal plan;
+ *  - json::Reader::skipValue, which plan ingestion never calls (it
+ *    refuses unknown keys) but sigcomp_prof's trace reader does,
+ *    ends every input in a classified, located verdict.
  *
  * Seed corpus: tests/golden/study_plan.json (the canonical document)
  * plus whatever the CI corpus cache has accumulated. Run locally:
@@ -33,6 +36,7 @@
 
 #include "analysis/plan_json.h"
 #include "analysis/study_plan.h"
+#include "common/json.h"
 
 using sigcomp::analysis::parsePlanJson;
 using sigcomp::analysis::PlanError;
@@ -46,6 +50,13 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 {
     const std::string_view doc(reinterpret_cast<const char *>(data),
                                size);
+    if (sigcomp::json::depthWithinCap(doc)) {
+        sigcomp::json::Error skip_err;
+        sigcomp::json::Reader r(doc, &skip_err);
+        if (!r.skipValue() &&
+            (skip_err.kind == PlanErrorKind::None || skip_err.offset > size))
+            __builtin_trap();
+    }
     StudyPlan plan;
     PlanError err;
     if (!parsePlanJson(doc, &plan, &err)) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common library: bit utilities, stats, RNG,
- * table writer, JSON string escaper.
+ * table writer, JSON string escaper and reader.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +233,66 @@ TEST(Json, WriteStringQuotes)
     const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
     std::fclose(f);
     EXPECT_EQ(std::string(buf, n), "\"say \\\"hi\\\"\\u000d\"\"\"");
+}
+
+/** Skip one value of @p doc; the failure (if any) lands in @p error. */
+bool
+skipOne(std::string_view doc, json::Error *error)
+{
+    json::Reader r(doc, error);
+    return r.skipValue() && r.atEnd();
+}
+
+TEST(JsonReader, SkipValueConsumesAnyValue)
+{
+    for (const char *doc :
+         {"null", "true", "false", "-12", "-1.5e-3", "2E+8", "\"A\\u0041\"",
+          "[]", "{}", "[1, [null, [[]]], {\"a\": [-2, {}]}, \"x\"]",
+          " {\"a\": {\"b\": [true, null]}, \"c\": -0.5} "}) {
+        json::Error error;
+        EXPECT_TRUE(skipOne(doc, &error)) << doc << ": " << error.render();
+    }
+}
+
+TEST(JsonReader, SkipValueRefusesTruncatedAndNonJsonValues)
+{
+    struct Case
+    {
+        std::string doc;
+        json::ErrorKind kind;
+        std::size_t offset;
+    };
+    const Case cases[] = {
+        {"[1, {\"a\": ", json::ErrorKind::Syntax, 10},
+        {"{\"a\": [null", json::ErrorKind::Syntax, 11},
+        {"nan", json::ErrorKind::Syntax, 0},
+        {"[0x10]", json::ErrorKind::Syntax, 2},
+        {"-", json::ErrorKind::Syntax, 0},
+        {"1e999", json::ErrorKind::OutOfRange, 0},
+        {"{\"k\": {\"a\": 1, \"a\": 2}}", json::ErrorKind::Syntax, 15},
+        {"[\"\\u00e9\"]", json::ErrorKind::Unsupported, 4},
+    };
+    for (const Case &c : cases) {
+        json::Error error;
+        EXPECT_FALSE(skipOne(c.doc, &error)) << c.doc;
+        EXPECT_EQ(error.kind, c.kind) << c.doc << ": " << error.render();
+        EXPECT_EQ(error.offset, c.offset) << c.doc << ": " << error.render();
+    }
+}
+
+TEST(JsonReader, SkipValueReportsTheFirstFailureInInputOrder)
+{
+    // A bad token, then a non-ASCII escape, then a duplicate key:
+    // only the first is reported.
+    const std::string doc =
+        "{\"a\": [1, x], \"b\": \"\\u00ff\", \"a\": 2}";
+    json::Error error;
+    EXPECT_FALSE(skipOne(doc, &error));
+    EXPECT_EQ(error.kind, json::ErrorKind::Syntax);
+    EXPECT_EQ(error.offset, doc.find('x'));
+    EXPECT_EQ(error.render(), "syntax at byte " +
+                                  std::to_string(doc.find('x')) +
+                                  ": expected a value");
 }
 
 } // namespace

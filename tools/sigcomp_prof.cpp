@@ -9,6 +9,9 @@
  *
  * Usage: sigcomp_prof <command> <trace.json> [options]
  *
+ * <trace.json> must be a regular file (it is mapped, not streamed):
+ * decompress a .gz trace to a file first; a pipe is refused.
+ *
  *   validate   Parse the file and check the trace-event contract:
  *              top-level object with a traceEvents array, every
  *              event an object with ph/pid/tid, every "X" (complete)
@@ -24,251 +27,31 @@
  *                --json       machine-readable output
  *                             (schema "sigcomp-prof-summary-v1")
  *
- * The parser is a minimal recursive-descent JSON reader (objects,
- * arrays, strings, numbers, bools, null) — enough for any valid
- * trace-event file, with no dependency beyond the standard library.
+ * The file is read with the repo's one strict JSON reader
+ * (common/json.h): besides malformed JSON it refuses duplicate keys,
+ * non-ASCII text, strings over 128 bytes, nesting over 12 levels and
+ * non-finite or non-JSON numbers, which no trace writer emits. Keys
+ * the summary does not use are skipped, not stored.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
+#include <limits>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/env.h"
 #include "common/json.h"
 
 namespace
 {
 
-// ------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser.
-// ------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum class Type { Null, Bool, Number, String, Array, Object };
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    // Vector of pairs, not a map: duplicate keys stay visible and
-    // event objects are tiny.
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    find(const char *key) const
-    {
-        for (const auto &[k, v] : object) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const char *text, std::size_t size)
-        : cur_(text), end_(text + size)
-    {
-    }
-
-    /** Parse one document; false (with error()) on malformed input. */
-    bool
-    parse(JsonValue &out)
-    {
-        if (!value(out))
-            return false;
-        skipWs();
-        if (cur_ != end_)
-            return fail("trailing bytes after the JSON document");
-        return true;
-    }
-
-    const std::string &error() const { return error_; }
-
-    /** 1-based line of the first error, for human-sized messages. */
-    std::size_t errorLine() const { return errorLine_; }
-
-  private:
-    bool
-    fail(const std::string &what)
-    {
-        if (error_.empty()) {
-            error_ = what;
-            errorLine_ = line_;
-        }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (cur_ != end_ && (*cur_ == ' ' || *cur_ == '\t' ||
-                                *cur_ == '\n' || *cur_ == '\r')) {
-            if (*cur_ == '\n')
-                ++line_;
-            ++cur_;
-        }
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (static_cast<std::size_t>(end_ - cur_) < n ||
-            std::strncmp(cur_, word, n) != 0)
-            return fail(std::string("expected '") + word + "'");
-        cur_ += n;
-        return true;
-    }
-
-    bool
-    stringBody(std::string &out)
-    {
-        ++cur_; // opening quote
-        while (cur_ != end_ && *cur_ != '"') {
-            char c = *cur_++;
-            if (c == '\\') {
-                if (cur_ == end_)
-                    return fail("unterminated escape");
-                const char esc = *cur_++;
-                switch (esc) {
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                case 'b': c = '\b'; break;
-                case 'f': c = '\f'; break;
-                case 'n': c = '\n'; break;
-                case 'r': c = '\r'; break;
-                case 't': c = '\t'; break;
-                case 'u': {
-                    if (end_ - cur_ < 4)
-                        return fail("truncated \\u escape");
-                    // Pass the unit through as '?' — the summary
-                    // never needs non-ASCII fidelity.
-                    cur_ += 4;
-                    c = '?';
-                    break;
-                }
-                default:
-                    return fail("unknown escape");
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return fail("raw control byte inside string");
-            }
-            out.push_back(c);
-        }
-        if (cur_ == end_)
-            return fail("unterminated string");
-        ++cur_; // closing quote
-        return true;
-    }
-
-    bool
-    value(JsonValue &out)
-    {
-        skipWs();
-        if (cur_ == end_)
-            return fail("unexpected end of input");
-        switch (*cur_) {
-        case '{': {
-            out.type = JsonValue::Type::Object;
-            ++cur_;
-            skipWs();
-            if (cur_ != end_ && *cur_ == '}') {
-                ++cur_;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                if (cur_ == end_ || *cur_ != '"')
-                    return fail("expected object key");
-                std::string key;
-                if (!stringBody(key))
-                    return false;
-                skipWs();
-                if (cur_ == end_ || *cur_ != ':')
-                    return fail("expected ':' after key");
-                ++cur_;
-                JsonValue v;
-                if (!value(v))
-                    return false;
-                out.object.emplace_back(std::move(key), std::move(v));
-                skipWs();
-                if (cur_ != end_ && *cur_ == ',') {
-                    ++cur_;
-                    continue;
-                }
-                if (cur_ != end_ && *cur_ == '}') {
-                    ++cur_;
-                    return true;
-                }
-                return fail("expected ',' or '}' in object");
-            }
-        }
-        case '[': {
-            out.type = JsonValue::Type::Array;
-            ++cur_;
-            skipWs();
-            if (cur_ != end_ && *cur_ == ']') {
-                ++cur_;
-                return true;
-            }
-            for (;;) {
-                JsonValue v;
-                if (!value(v))
-                    return false;
-                out.array.push_back(std::move(v));
-                skipWs();
-                if (cur_ != end_ && *cur_ == ',') {
-                    ++cur_;
-                    continue;
-                }
-                if (cur_ != end_ && *cur_ == ']') {
-                    ++cur_;
-                    return true;
-                }
-                return fail("expected ',' or ']' in array");
-            }
-        }
-        case '"':
-            out.type = JsonValue::Type::String;
-            return stringBody(out.string);
-        case 't':
-            out.type = JsonValue::Type::Bool;
-            out.boolean = true;
-            return literal("true");
-        case 'f':
-            out.type = JsonValue::Type::Bool;
-            out.boolean = false;
-            return literal("false");
-        case 'n':
-            out.type = JsonValue::Type::Null;
-            return literal("null");
-        default: {
-            out.type = JsonValue::Type::Number;
-            char *num_end = nullptr;
-            out.number = std::strtod(cur_, &num_end);
-            if (num_end == cur_ || num_end > end_)
-                return fail("malformed number");
-            cur_ = num_end;
-            return true;
-        }
-        }
-    }
-
-    const char *cur_;
-    const char *end_;
-    std::size_t line_ = 1;
-    std::string error_;
-    std::size_t errorLine_ = 0;
-};
+namespace json = sigcomp::json;
 
 // ------------------------------------------------------------------
 // Trace model: the "X" (complete) events plus thread-name metadata.
@@ -299,85 +82,163 @@ failValidation(const std::string &why)
     return 1;
 }
 
+/** The fields of one trace event the summary reads. */
+struct Event
+{
+    std::optional<std::string> ph;
+    std::optional<std::string> name;
+    /** args.name: a thread name on "M" thread_name events. */
+    std::optional<std::string> argsName;
+    std::optional<std::uint64_t> tid;
+    std::optional<double> ts;
+    std::optional<double> dur;
+};
+
+/**
+ * Read one event object into @p e. A known key holding a value of
+ * another type is skipped and left unset, for addEvent to report.
+ */
+bool
+readEvent(json::Reader &r, Event &e)
+{
+    constexpr std::uint64_t kAnyId = std::numeric_limits<std::uint64_t>::max();
+    return r.parseObject([&](const std::string &key, std::size_t) {
+        const char c = r.peek();
+        const bool is_string = c == '"';
+        const bool is_number = c == '-' || (c >= '0' && c <= '9');
+        if (key == "ph" && is_string)
+            return r.parseString(&e.ph.emplace());
+        if (key == "name" && is_string)
+            return r.parseString(&e.name.emplace());
+        if (key == "pid" && is_number) {
+            std::uint64_t pid = 0;
+            return r.parseU64(&pid, kAnyId, "pid");
+        }
+        if (key == "tid" && is_number)
+            return r.parseU64(&e.tid.emplace(), kAnyId, "tid");
+        if (key == "ts" && is_number)
+            return r.parseDouble(&e.ts.emplace(), "ts");
+        if (key == "dur" && is_number)
+            return r.parseDouble(&e.dur.emplace(), "dur");
+        if (key == "args" && c == '{') {
+            return r.parseObject([&](const std::string &arg, std::size_t) {
+                if (arg == "name" && r.peek() == '"')
+                    return r.parseString(&e.argsName.emplace());
+                return r.skipValue();
+            });
+        }
+        return r.skipValue();
+    });
+}
+
+/**
+ * Check event @p i against the trace-event contract and add it to
+ * @p out. Returns an empty string, or the reason it is invalid.
+ */
+std::string
+addEvent(const Event &e, std::size_t i, Trace &out)
+{
+    const std::string at = "traceEvents[" + std::to_string(i) + "]";
+    if (!e.ph)
+        return at + " has no string 'ph'";
+    if (!e.tid)
+        return at + " has no numeric 'tid'";
+    if (*e.ph == "M") {
+        ++out.metaEvents;
+        if (e.name == "thread_name" && e.argsName)
+            out.threadNames[*e.tid] = *e.argsName;
+        return "";
+    }
+    if (*e.ph != "X")
+        return at + " has unsupported ph '" + *e.ph + "'";
+    if (!e.name || e.name->empty())
+        return at + " (complete event) has no span name";
+    if (!e.ts || !e.dur)
+        return at + " (complete event) has no numeric ts/dur";
+    if (*e.ts < 0 || *e.dur < 0)
+        return at + " has negative ts or dur";
+    out.spans.push_back({*e.name, *e.tid, *e.ts, *e.dur});
+    return "";
+}
+
 /**
  * Load and structurally validate @p path into @p out. Returns an
  * empty string on success, else the reason the file is not a valid
- * trace-event profile.
+ * trace-event profile. The whole file is parsed first, so a JSON
+ * error anywhere outranks a structural one; of the structural
+ * violations the first in input order is reported.
  */
 std::string
 loadTrace(const std::string &path, Trace &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
+    // The file is mapped, so a pipe or device (size 0 to fstat) would
+    // read as an empty document; name the cause instead.
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec) &&
+        !std::filesystem::is_regular_file(path, ec))
+        return "'" + path + "' is not a regular file";
+    const auto file = sigcomp::Env::posix().loadFile(path);
+    if (file == nullptr)
         return "cannot open '" + path + "'";
-    std::string text;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        return "read error on '" + path + "'";
+    const std::string_view text(
+        reinterpret_cast<const char *>(file->data()), file->size());
 
-    JsonValue root;
-    JsonParser parser(text.data(), text.size());
-    if (!parser.parse(root)) {
-        return "JSON parse error near line " +
-               std::to_string(parser.errorLine()) + ": " +
-               parser.error();
-    }
-    if (root.type != JsonValue::Type::Object)
-        return "top level is not an object";
-    const JsonValue *events = root.find("traceEvents");
-    if (events == nullptr || events->type != JsonValue::Type::Array)
-        return "missing 'traceEvents' array";
-
-    for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const JsonValue &e = events->array[i];
-        const std::string at = "traceEvents[" + std::to_string(i) + "]";
-        if (e.type != JsonValue::Type::Object)
-            return at + " is not an object";
-        const JsonValue *ph = e.find("ph");
-        if (ph == nullptr || ph->type != JsonValue::Type::String)
-            return at + " has no string 'ph'";
-        const JsonValue *tid = e.find("tid");
-        if (tid == nullptr || tid->type != JsonValue::Type::Number)
-            return at + " has no numeric 'tid'";
-        if (ph->string == "M") {
-            ++out.metaEvents;
-            const JsonValue *name = e.find("name");
-            const JsonValue *args = e.find("args");
-            if (name != nullptr && name->string == "thread_name" &&
-                args != nullptr) {
-                if (const JsonValue *tn = args->find("name")) {
-                    out.threadNames[static_cast<std::uint64_t>(
-                        tid->number)] = tn->string;
-                }
+    json::Error error;
+    json::Reader r(text, &error);
+    std::string why;
+    bool saw_events = false;
+    bool ok = false;
+    if (!json::depthWithinCap(text)) {
+        ok = r.fail(json::ErrorKind::OutOfRange, 0,
+                    "nesting deeper than " +
+                        std::to_string(json::kMaxDepth) + " levels");
+    } else if (r.peek() != '{') {
+        why = "top level is not an object";
+        ok = r.skipValue();
+    } else {
+        ok = r.parseObject([&](const std::string &key, std::size_t) {
+            if (key != "traceEvents")
+                return r.skipValue();
+            if (r.peek() != '[') {
+                why = "missing 'traceEvents' array";
+                return r.skipValue();
             }
-            continue;
-        }
-        if (ph->string != "X")
-            return at + " has unsupported ph '" + ph->string + "'";
-        const JsonValue *name = e.find("name");
-        const JsonValue *ts = e.find("ts");
-        const JsonValue *dur = e.find("dur");
-        if (name == nullptr || name->type != JsonValue::Type::String ||
-            name->string.empty())
-            return at + " (complete event) has no span name";
-        if (ts == nullptr || ts->type != JsonValue::Type::Number ||
-            dur == nullptr || dur->type != JsonValue::Type::Number)
-            return at + " (complete event) has no numeric ts/dur";
-        if (ts->number < 0 || dur->number < 0)
-            return at + " has negative ts or dur";
-        Span s;
-        s.name = name->string;
-        s.tid = static_cast<std::uint64_t>(tid->number);
-        s.tsUs = ts->number;
-        s.durUs = dur->number;
-        out.spans.push_back(std::move(s));
+            saw_events = true;
+            std::size_t i = 0;
+            return r.parseArray(
+                std::numeric_limits<std::size_t>::max(), "traceEvents",
+                [&] {
+                    const std::size_t index = i++;
+                    if (r.peek() != '{') {
+                        if (why.empty()) {
+                            why = "traceEvents[" + std::to_string(index) +
+                                  "] is not an object";
+                        }
+                        return r.skipValue();
+                    }
+                    Event e;
+                    if (!readEvent(r, e))
+                        return false;
+                    if (why.empty())
+                        why = addEvent(e, index, out);
+                    return true;
+                });
+        });
     }
-    return "";
+    if (ok && !r.atEnd()) {
+        ok = r.fail(json::ErrorKind::Syntax, r.pos(),
+                    "trailing bytes after the JSON document");
+    }
+    if (!ok) {
+        const auto line =
+            1 + std::count(text.begin(), text.begin() + error.offset, '\n');
+        return "JSON " + json::errorKindName(error.kind) + " at byte " +
+               std::to_string(error.offset) + " (line " +
+               std::to_string(line) + "): " + error.message;
+    }
+    if (why.empty() && !saw_events)
+        why = "missing 'traceEvents' array";
+    return why;
 }
 
 constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
@@ -537,7 +398,7 @@ summarize(Trace &t, std::size_t top_n, bool as_json)
         // Span and thread names are arbitrary strings: escape them.
         const auto quoted = [](const std::string &s) {
             std::string out = "\"";
-            sigcomp::json::appendEscaped(out, s);
+            json::appendEscaped(out, s);
             return out + '"';
         };
         std::printf("{\n  \"schema\": \"sigcomp-prof-summary-v1\",\n");
@@ -639,7 +500,8 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: sigcomp_prof <validate|summarize> <trace.json>"
-                 " [--top N] [--json]\n");
+                 " [--top N] [--json]\n"
+                 "  <trace.json> must be a regular file, not a pipe\n");
     return 2;
 }
 

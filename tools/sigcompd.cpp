@@ -15,8 +15,6 @@
  *   --max-instrs N          capture limit (must match the prewarm)
  *   --max-concurrent N      per-tenant concurrent plans (default 2)
  *   --max-queued N          per-tenant admission queue (default 8)
- *   --cache-entries N       report cache entry cap (default 64)
- *   --cache-bytes N         report cache byte cap (default 64 MiB)
  *   --default-deadline-ms N deadline applied to every plan (0 = off)
  *
  * Prints "sigcompd: serving on <addr>:<port>" once accepting (the CI
@@ -50,7 +48,6 @@ usage()
         "usage: sigcompd [--dir DIR] [--addr A] [--port P]\n"
         "                [--threads N] [--max-instrs N]\n"
         "                [--max-concurrent N] [--max-queued N]\n"
-        "                [--cache-entries N] [--cache-bytes N]\n"
         "                [--default-deadline-ms N]\n");
     return 2;
 }
@@ -93,12 +90,6 @@ main(int argc, char **argv)
         else if (arg == "--max-queued")
             config.session.maxQueuedPlans =
                 static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--cache-entries")
-            config.cacheMaxEntries =
-                static_cast<std::size_t>(std::atoll(next()));
-        else if (arg == "--cache-bytes")
-            config.cacheMaxBytes =
-                static_cast<std::size_t>(std::atoll(next()));
         else if (arg == "--default-deadline-ms")
             config.defaultDeadlineMs =
                 static_cast<std::uint64_t>(std::atoll(next()));
