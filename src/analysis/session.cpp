@@ -30,17 +30,35 @@ nowMs()
 
 } // namespace
 
+TraceCacheConfig
+traceCacheConfig(const SessionConfig &config)
+{
+    return {.storeDir = config.storeDir,
+            .readOnly = config.readOnly,
+            .durableSaves = config.durableSaves,
+            .env = config.env,
+            .captureLimit = config.captureLimit};
+}
+
 Session::Session(SessionConfig config)
-    : config_(std::move(config)),
-      cache_({.storeDir = config_.storeDir,
-              .readOnly = config_.readOnly,
-              .durableSaves = config_.durableSaves,
-              .env = config_.env,
-              .captureLimit = config_.captureLimit})
+    : Session(config, std::make_shared<TraceCache>(traceCacheConfig(config)))
+{
+}
+
+Session::Session(SessionConfig config, std::shared_ptr<TraceCache> cache)
+    : config_(std::move(config)), cache_(std::move(cache))
 {
     SC_ASSERT(!(config_.readOnly && config_.storeDir.empty()),
               "SessionConfig.readOnly requires storeDir: a read-only "
               "session needs a store to read from");
+    const std::shared_ptr<const store::TraceStore> store = cache_->store();
+    SC_ASSERT(cache_->captureLimit() == config_.captureLimit &&
+                  (store == nullptr
+                       ? config_.storeDir.empty()
+                       : store->dir() == config_.storeDir &&
+                             store->readOnly() == config_.readOnly),
+              "Session: the shared TraceCache's store binding and "
+              "capture limit must match the SessionConfig");
     if (config_.threads != 0)
         exec_ = std::make_unique<ParallelExecutor>(config_.threads);
 }
@@ -61,19 +79,19 @@ Session::executor() const
 TraceCache::TracePtr
 Session::trace(const std::string &workload)
 {
-    return cache_.get(workload);
+    return cache_->get(workload);
 }
 
 void
 Session::prewarm(const std::vector<std::string> &names)
 {
-    cache_.prewarm(names, executor());
+    cache_->prewarm(names, executor());
 }
 
 void
 Session::addWorkload(const std::string &name, isa::Program program)
 {
-    cache_.registerProgram(name, std::move(program));
+    cache_->registerProgram(name, std::move(program));
 }
 
 std::size_t
@@ -94,7 +112,7 @@ Session::estimatePlanMemory(const StudyPlan &plan) const
             ? std::min<std::size_t>(n, executor().threadCount())
             : n;
     const std::size_t per_trace =
-        static_cast<std::size_t>(cache_.captureLimit()) * kBytesPerInstr;
+        static_cast<std::size_t>(cache_->captureLimit()) * kBytesPerInstr;
     return resident * per_trace;
 }
 
@@ -138,7 +156,7 @@ Session::admitPlan(const StudyPlan &plan, const CancelToken &token,
         return Admission::Rejected;
     }
     ++queuedPlans_;
-    queueDepth_.set(static_cast<std::int64_t>(queuedPlans_));
+    queueDepth_.add(1);
     // Bounded wait for a slot, polling the plan's own token: a
     // deadline that expires in the queue turns into a partial
     // (empty) report, not a rejection — the caller asked for time,
@@ -146,14 +164,14 @@ Session::admitPlan(const StudyPlan &plan, const CancelToken &token,
     while (runningPlans_ >= config_.maxConcurrentPlans) {
         if (token.stopRequested()) {
             --queuedPlans_;
-            queueDepth_.set(static_cast<std::int64_t>(queuedPlans_));
+            queueDepth_.add(-1);
             return Admission::Stopped;
         }
         admissionCv_.wait_for(lock.native(),
                               std::chrono::milliseconds(2));
     }
     --queuedPlans_;
-    queueDepth_.set(static_cast<std::int64_t>(queuedPlans_));
+    queueDepth_.add(-1);
     ++runningPlans_;
     admitted_.inc();
     return Admission::Admitted;
@@ -256,8 +274,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // One metrics system: the baseline snapshot of the cache's
     // registry (engine accounting, health counters, store I/O) is
     // diffed against the post-run state to yield this run's deltas.
-    const telemetry::Snapshot tele0 = cache_.metrics().snapshot();
-    const std::size_t degradations0 = cache_.degradations().size();
+    const telemetry::Snapshot tele0 = cache_->metrics().snapshot();
+    const std::size_t degradations0 = cache_->degradations().size();
 
     /**
      * Per-workload results of the fused pass, harvested in the same
@@ -324,7 +342,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
             return;
         while (trace == nullptr) {
             try {
-                trace = cache_.get(names[i], cancel);
+                trace = cache_->get(names[i], cancel);
             } catch (const CancelledError &) {
                 // Ours, or a concurrent plan's: a cancelled capture
                 // unblocks every waiter on that workload with
@@ -364,9 +382,9 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         // Newly recorded SharedQuanta become part of the workload's
         // segment so warm-store *processes* skip the quanta front
         // half too.
-        cache_.persistAnnexes(names[i], *trace, cancel);
+        cache_->persistAnnexes(names[i], *trace, cancel);
         if (plan.evictAfterReplay_)
-            cache_.evict(names[i]);
+            cache_->evict(names[i]);
     };
 
     // A workload whose trace is resident and whose every pipeline
@@ -378,7 +396,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (plan.sinks_.empty() && !cancelRequested(cancel)) {
-            if (TraceCache::TracePtr trace = cache_.resident(names[i])) {
+            if (TraceCache::TracePtr trace = cache_->resident(names[i])) {
                 Fused pipes = buildPipelines();
                 if (pipeline::resultsMemoised(*trace, pipes.raw)) {
                     runOne(i, std::move(trace), std::move(pipes));
@@ -406,7 +424,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         pendingNames.reserve(pending.size());
         for (std::size_t i : pending)
             pendingNames.push_back(names[i]);
-        cache_.prewarm(pendingNames, exec, cancel);
+        cache_->prewarm(pendingNames, exec, cancel);
     }
     if (parallel_replay) {
         exec.parallelFor(pending.size(), runPending, cancel);
@@ -480,7 +498,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // results above are already assembled — the metrics can only
     // describe engine/recovery work, never change a row.
     rep.telemetry =
-        telemetry::Snapshot::delta(tele0, cache_.metrics().snapshot());
+        telemetry::Snapshot::delta(tele0, cache_->metrics().snapshot());
     rep.captures = rep.telemetry.value("cache.captures");
     rep.storeLoads = rep.telemetry.value("cache.store_loads");
     rep.storeLoadFailures =
@@ -488,7 +506,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     rep.quarantinedSegments =
         rep.telemetry.value("cache.quarantined_segments");
     rep.retries = rep.telemetry.value("store.retries");
-    const std::vector<std::string> events = cache_.degradations();
+    const std::vector<std::string> events = cache_->degradations();
     rep.degradations.assign(
         events.begin() +
             static_cast<std::ptrdiff_t>(

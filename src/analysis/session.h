@@ -1,15 +1,21 @@
 /**
  * @file
- * Session: an isolated experiment-engine instance — it owns a
- * TraceCache (RAM + optional disk tier), a capture limit, and its
- * parallelism — plus the fused StudyPlan executor.
+ * Session: an isolated experiment-engine instance — it holds a
+ * TraceCache (RAM + optional disk tier, its own or shared with other
+ * Sessions), a capture limit, its parallelism and its admission
+ * limits — plus the fused StudyPlan executor.
  *
  * A Session gives two guarantees:
  *
- *  - **Isolation.** Each Session owns its cache, store binding,
- *    capture limit and thread count, all fixed by its SessionConfig
- *    at construction; any number coexist in one process without
- *    cross-talk (per-tenant, per-test, per-store).
+ *  - **Isolation.** Each Session owns its executor, admission
+ *    limits and, unless built over a shared TraceCache, its cache
+ *    with that cache's store binding and capture limit, all fixed by
+ *    its SessionConfig at construction; any number coexist in one
+ *    process without cross-talk (per-test, per-store). Sessions on a
+ *    shared cache (sigcompd's tenants) share its resident traces,
+ *    quanta and result memos (pure functions of the store, so no row
+ *    changes), its metrics and its registered programs: a tenant's
+ *    addWorkload() is daemon-wide, and no wire path reaches it.
  *    A StudyPlan only says which studies to run, never how.
  *  - **One fused replay pass.** Session::run(StudyPlan) executes
  *    every registered study — activity, CPI, profiling, energy —
@@ -25,14 +31,17 @@
  * tests' ground-truth oracle (tests/live_oracle.h).
  *
  * Thread-safety: a Session holds no mutable state of its own beyond
- * its TraceCache, which is internally synchronized (see
+ * its admission counts and its TraceCache, which is internally
+ * synchronized (see
  * trace_cache.h — every guarded member is thread-annotation-checked
  * under Clang). trace()/prewarm()/addWorkload()/run() may be called
  * from any number of threads on one Session; concurrent run() calls
  * are safe but serialise on the shared executor's job queue.
  * config() is immutable after construction. The TSan stress test
  * (test_tsan_stress.cpp) exercises many Sessions over one shared
- * read-only store while another session evicts concurrently.
+ * read-only store while another session evicts concurrently, and
+ * Sessions over one shared TraceCache whose plans overlap while one
+ * of them evicts.
  */
 
 #ifndef SIGCOMP_ANALYSIS_SESSION_H_
@@ -107,11 +116,25 @@ struct SessionConfig
     std::size_t admissionMemoryBudgetBytes = 0;
 };
 
+/**
+ * The TraceCache a Session over @p config builds: its store binding
+ * (storeDir, readOnly, durableSaves, env) and capture limit. The one
+ * place a SessionConfig maps onto a TraceCacheConfig.
+ */
+TraceCacheConfig traceCacheConfig(const SessionConfig &config);
+
 class Session
 {
   public:
     Session() : Session(SessionConfig{}) {}
+    /** A Session over its own cache, built from traceCacheConfig(). */
     explicit Session(SessionConfig config);
+    /**
+     * A Session serving from @p cache, which other Sessions may
+     * share (see Isolation above). The cache's store binding and
+     * capture limit must be what traceCacheConfig(config) asks for.
+     */
+    Session(SessionConfig config, std::shared_ptr<TraceCache> cache);
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
@@ -125,7 +148,7 @@ class Session
      */
     static Session &defaultSession();
 
-    TraceCache &cache() { return cache_; }
+    TraceCache &cache() { return *cache_; }
     const SessionConfig &config() const { return config_; }
 
     /** This session's executor (owned, or the shared pool). */
@@ -138,8 +161,9 @@ class Session
     void prewarm(const std::vector<std::string> &names);
 
     /**
-     * Register an ad-hoc program as a workload of this session
-     * (plan.workloads({name}) then runs studies over it).
+     * Register an ad-hoc program as a workload of this session's
+     * cache (plan.workloads({name}) then runs studies over it), and
+     * so of every Session sharing that cache.
      */
     void addWorkload(const std::string &name, isa::Program program);
 
@@ -209,7 +233,7 @@ class Session
     void releaseSlot() SIGCOMP_EXCLUDES(admissionMu_);
 
     SessionConfig config_;
-    TraceCache cache_;
+    std::shared_ptr<TraceCache> cache_;
     /** Only when config_.threads != 0 (else the shared pool). */
     std::unique_ptr<ParallelExecutor> exec_;
 
@@ -219,17 +243,19 @@ class Session
     unsigned runningPlans_ SIGCOMP_GUARDED_BY(admissionMu_) = 0;
     unsigned queuedPlans_ SIGCOMP_GUARDED_BY(admissionMu_) = 0;
     /**
-     * Admission telemetry in the session's (= cache's) namespace.
+     * Admission telemetry in the cache's namespace, so summed over
+     * every Session on the cache: the gauge counts the plans queued
+     * in any of them, the counters every admission and rejection.
      * The counters move before the run's baseline snapshot is taken,
      * and the gauge is excluded from report serialization, so the
      * report telemetry block of an admitted plan is unchanged.
      */
     telemetry::Gauge &queueDepth_ =
-        cache_.metrics().gauge("session.admission_queue_depth");
+        cache_->metrics().gauge("session.admission_queue_depth");
     telemetry::Counter &admitted_ =
-        cache_.metrics().counter("session.plans_admitted");
+        cache_->metrics().counter("session.plans_admitted");
     telemetry::Counter &rejected_ =
-        cache_.metrics().counter("session.plans_rejected");
+        cache_->metrics().counter("session.plans_rejected");
 };
 
 /**

@@ -194,6 +194,17 @@ TraceCache::memoryBytes() const
     return total;
 }
 
+std::size_t
+TraceCache::residentTraces() const
+{
+    MutexLock lock(mu_);
+    return static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(), [](const auto &entry) {
+            return entry.second.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
+        }));
+}
+
 void
 TraceCache::persistAnnexes(const std::string &workload,
                            const cpu::TraceBuffer &trace,

@@ -9,6 +9,10 @@
  * to touch a workload captures its retirement stream into a
  * TraceBuffer, and every later study — activity, CPI, profiling,
  * any design, any encoding — replays the shared immutable buffer.
+ * Derived data (SharedQuanta records, `result:` memos) stays with
+ * the trace as annexes. Several Sessions may serve from one cache
+ * (sigcompd's tenants do), so a process that shares its cache holds
+ * each trace and its annexes once, however many Sessions use it.
  *
  * Two tiers: the RAM map is the hot tier; an optional
  * store::TraceStore directory (TraceCacheConfig::storeDir) is the
@@ -98,8 +102,8 @@ class TraceCache
 
     /**
      * Register an ad-hoc program under @p workload, shadowing any
-     * suite workload of that name for this cache only (per-session
-     * custom kernels). Drops a cached trace of the same name so the
+     * suite workload of that name for this cache only (custom
+     * kernels of every Session on this cache). Drops a cached trace of the same name so the
      * next get() captures the new program. Registered programs are
      * strictly RAM-resident: the disk tier is never read for them
      * nor written with them, so shadowing a suite name cannot
@@ -147,8 +151,8 @@ class TraceCache
     void clear();
 
     /**
-     * This cache's private metric namespace (one registry per
-     * cache = per Session): the accounting and health counters
+     * This cache's metric namespace (one registry per cache,
+     * shared by every Session on it): the accounting and health counters
      * below, the capture-size histogram, and — through the store
      * binding — the attached TraceStore's retry/byte metrics.
      * Session::run snapshots it around a plan to build the
@@ -217,6 +221,9 @@ class TraceCache
 
     /** Total heap footprint of the cached traces, in bytes. */
     std::size_t memoryBytes() const;
+
+    /** Traces in RAM and ready (those memoryBytes() counts). */
+    std::size_t residentTraces() const;
 
     /** Per-workload capture cap (TraceCacheConfig::captureLimit). */
     DWord captureLimit() const { return limit_; }

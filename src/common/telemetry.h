@@ -111,7 +111,11 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Instantaneous level (e.g. executor queue depth).  Gated by enabled(). */
+/**
+ * Instantaneous level (e.g. executor queue depth).  set() is gated by
+ * enabled(); add() is not: a level kept as a running sum of deltas
+ * from several owners must see every delta, or it drifts.
+ */
 class Gauge
 {
   public:
@@ -120,6 +124,12 @@ class Gauge
     {
         if (enabled())
             value_.store(v, std::memory_order_relaxed);
+    }
+
+    void
+    add(std::int64_t delta)
+    {
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     std::int64_t

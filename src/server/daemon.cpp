@@ -46,10 +46,26 @@ validTenant(std::string_view tenant)
     return true;
 }
 
+/**
+ * Every tenant session's configuration: DaemonConfig::session, with
+ * readOnly dropped when there is no store (readOnly without a
+ * storeDir is a Session configuration error; a store-less daemon
+ * serves RAM-only sessions).
+ */
+analysis::SessionConfig
+tenantConfig(const DaemonConfig &config)
+{
+    analysis::SessionConfig sc = config.session;
+    sc.readOnly = sc.readOnly && !sc.storeDir.empty();
+    return sc;
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
+      traces_(std::make_shared<analysis::TraceCache>(
+          analysis::traceCacheConfig(tenantConfig(config_)))),
       cache_(kReportCacheMaxEntries, kReportCacheMaxBytes, &registry_),
       storeFingerprint_(computeStoreFingerprint(config_)),
       requests_(registry_.counter("daemon.requests")),
@@ -62,7 +78,10 @@ Daemon::Daemon(DaemonConfig config)
       activeConns_(registry_.gauge("daemon.active_connections")),
       tenantsGauge_(registry_.gauge("daemon.tenants")),
       handlerThreads_(registry_.gauge("daemon.handler_threads")),
-      handlerSpawns_(registry_.counter("daemon.handler_spawns"))
+      handlerSpawns_(registry_.counter("daemon.handler_spawns")),
+      residentTraces_(registry_.gauge("daemon.resident_traces")),
+      residentTraceBytes_(registry_.gauge("daemon.resident_trace_bytes",
+                                          telemetry::Unit::Bytes))
 {
     watcher_ = std::thread([this] { watchLoop(); });
 }
@@ -122,13 +141,9 @@ Daemon::tenantSession(const std::string &tenant)
     MutexLock lock(tenantsMu_);
     auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
-        analysis::SessionConfig sc = config_.session;
-        // readOnly without a storeDir is a Session configuration
-        // error; a store-less daemon serves RAM-only sessions.
-        sc.readOnly = sc.readOnly && !sc.storeDir.empty();
         it = tenants_
                  .emplace(tenant, std::make_unique<analysis::Session>(
-                                      std::move(sc)))
+                                      tenantConfig(config_), traces_))
                  .first;
         tenantsGauge_.set(static_cast<std::int64_t>(tenants_.size()));
     }
@@ -619,6 +634,10 @@ Daemon::statszJson() const
         out += std::to_string(tenants_.size());
     }
     out += ",\n  \"metrics\": {";
+    residentTraces_.set(
+        static_cast<std::int64_t>(traces_->residentTraces()));
+    residentTraceBytes_.set(
+        static_cast<std::int64_t>(traces_->memoryBytes()));
     const telemetry::Snapshot snap = registry_.snapshot();
     bool first = true;
     for (const telemetry::SnapshotMetric &m : snap.metrics) {

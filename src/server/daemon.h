@@ -5,10 +5,13 @@
  *
  * One Daemon owns:
  *
- *  - a per-tenant map of analysis::Session instances, all bound to
- *    ONE shared read-only trace store directory — tenants share the
- *    captured data (it is immutable) while keeping their own RAM
- *    tier, executor, telemetry namespace and admission limits,
+ *  - ONE analysis::TraceCache over the read-only trace store
+ *    directory — the daemon's RAM tier: each resident trace, with
+ *    its quanta records and result memos, exists once per daemon,
+ *    not once per tenant (all are pure functions of the immutable
+ *    store, so sharing them changes no row),
+ *  - a per-tenant map of analysis::Session instances over that
+ *    cache, each with its own executor and admission limits,
  *  - an in-flight run table deduplicating identical work: requests
  *    whose (plan fingerprint, store fingerprint) key matches a run
  *    already executing JOIN it and receive the leader's exact bytes
@@ -31,7 +34,9 @@
  *                   rejected), errors: sigcomp-daemon-error-v1
  *   GET  /healthz   "ok" once serving
  *   GET  /statsz    sigcomp-daemon-stats-v1 JSON: store fingerprint,
- *                   tenant count, and every daemon.* metric
+ *                   tenant count, and every daemon.* metric (the
+ *                   resident-trace gauges are read from the shared
+ *                   cache when the body is rendered)
  *
  * The optional X-Sigcomp-Tenant header ([a-z0-9_-], <= 64 bytes,
  * default "default") selects the tenant session.
@@ -78,13 +83,16 @@ namespace sigcomp::server
 struct DaemonConfig
 {
     /**
-     * Every tenant session's configuration. Serving defaults: the
-     * store opens read-only (tenants share segments, nobody mutates
-     * them; tests flip it to exercise the cancelled-writer path), and
-     * each tenant runs 2 plans at once with 8 queued. An empty
-     * storeDir serves RAM-only sessions (unit tests; capture happens
-     * on demand) and then readOnly is ignored. Prewarm the store with
-     * sigcomp_store first; captureLimit must match its segments'.
+     * Every tenant session's configuration, and the daemon's one
+     * shared TraceCache's (analysis::traceCacheConfig): the store
+     * binding and capture limit are daemon-wide, the executor and
+     * admission limits are per tenant. Serving defaults: the store
+     * opens read-only (nobody mutates segments; tests flip it to
+     * exercise the cancelled-writer path), and each tenant runs 2
+     * plans at once with 8 queued. An empty storeDir serves RAM-only
+     * sessions (unit tests; capture happens on demand) and then
+     * readOnly is ignored. Prewarm the store with sigcomp_store
+     * first; captureLimit must match its segments'.
      */
     analysis::SessionConfig session{
         .readOnly = true, .maxConcurrentPlans = 2, .maxQueuedPlans = 8};
@@ -144,7 +152,10 @@ class Daemon
         return storeFingerprint_;
     }
 
-    /** The tenant's session, created on first use. */
+    /**
+     * The tenant's session, created on first use over the daemon's
+     * shared TraceCache (so every tenant's cache() is the same one).
+     */
     analysis::Session &tenantSession(const std::string &tenant)
         SIGCOMP_EXCLUDES(tenantsMu_);
 
@@ -214,6 +225,8 @@ class Daemon
         const DaemonConfig &config);
 
     const DaemonConfig config_;
+    /** The RAM tier every tenant session serves from. */
+    const std::shared_ptr<analysis::TraceCache> traces_;
     telemetry::Registry registry_;
     ReportCache cache_;
     std::string storeFingerprint_;
@@ -247,6 +260,12 @@ class Daemon
     /** serve()'s live handler threads, parked ones included. */
     telemetry::Gauge &handlerThreads_;
     telemetry::Counter &handlerSpawns_;
+    /**
+     * The shared cache's ready traces and their bytes, annexes
+     * included; set when /statsz is rendered.
+     */
+    telemetry::Gauge &residentTraces_;
+    telemetry::Gauge &residentTraceBytes_;
 };
 
 } // namespace sigcomp::server

@@ -8,14 +8,17 @@
  * identical cache hit costing zero engine work), in-flight dedupe
  * under concurrent clients (TSan shard), disconnect cancellation
  * freeing the admission slot, thread-count bit-identity of the
- * served report rows, the accept loop reaping finished handler
- * threads, and sequential connections reusing one parked handler.
+ * served report rows, tenants serving from one shared RAM tier (and
+ * one tenant's eviction dropping the trace for all), the accept loop
+ * reaping finished handler threads, and sequential connections
+ * reusing one parked handler.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -540,8 +543,9 @@ TEST(DaemonCache, DistinctPlansAndTenantsShareTheCache)
     EXPECT_EQ(bodyA, bodyB);
     EXPECT_EQ(
         metricValue(daemon.metrics(), "daemon.report_cache_hits"), 1u);
-    // bob's session never ran the engine.
-    EXPECT_EQ(daemon.tenantSession("bob").cache().captures(), 0u);
+    // bob's POST never reached the engine. (Tenants share one trace
+    // cache, so its capture counter holds alice's capture.)
+    EXPECT_EQ(metricValue(daemon.metrics(), "daemon.runs"), 1u);
 
     // A different plan misses.
     ASSERT_EQ(exchange(daemon,
@@ -573,6 +577,148 @@ servedRowBytes(const std::string &body)
         start = end + 1;
     }
     return kept;
+}
+
+// ---- the shared RAM tier: one resident copy per daemon ---------------
+
+/** The unsigned integer after `"key": ` in a reply body. */
+std::uint64_t
+bodyField(const std::string &body, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = body.find(needle);
+    EXPECT_NE(at, std::string::npos) << key << " not in " << body;
+    if (at == std::string::npos)
+        return 0;
+    return std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
+}
+
+/**
+ * A fresh store under TempDir()/@p name holding @p workloads'
+ * segments at testConfig()'s capture limit, and a read-only daemon
+ * config serving it.
+ */
+DaemonConfig
+prewarmedStoreConfig(const std::string &name,
+                     const std::vector<std::string> &workloads)
+{
+    DaemonConfig config = testConfig();
+    const fs::path dir = fs::path(::testing::TempDir()) / name;
+    fs::remove_all(dir);
+    config.session.storeDir = dir.string();
+    analysis::Session seeder(analysis::SessionConfig{
+        .storeDir = config.session.storeDir,
+        .captureLimit = config.session.captureLimit});
+    seeder.prewarm(workloads);
+    return config;
+}
+
+/** POST cpiPlan(@p workloads) as @p tenant with its own deadline. */
+std::string
+postWithDeadline(Daemon &daemon, const std::vector<std::string> &workloads,
+                 const std::string &tenant, std::uint64_t deadlineMs,
+                 bool evict = false)
+{
+    // The deadline changes no row, but it is part of the plan's
+    // fingerprint: every POST misses the report cache and reaches
+    // the engine.
+    StudyPlan plan = cpiPlan(workloads);
+    plan.deadlineMs(deadlineMs).evictAfterReplay(evict);
+    std::string body;
+    EXPECT_EQ(exchange(daemon, postPlanRequest(plan, tenant), &body), 200)
+        << body;
+    return body;
+}
+
+/** Render /statsz and return the named daemon gauge. */
+std::int64_t
+statszGauge(Daemon &daemon, const std::string &name)
+{
+    std::string body;
+    EXPECT_EQ(exchange(daemon, "GET /statsz HTTP/1.1\r\n\r\n", &body),
+              200);
+    EXPECT_NE(body.find("\"" + name + "\""), std::string::npos) << body;
+    return daemon.metrics().gauge(name).value();
+}
+
+TEST(DaemonSharedTier, TenantsServeFromOneResidentCopy)
+{
+    const std::vector<std::string> names = {"rawcaudio", "rawdaudio"};
+    const DaemonConfig config =
+        prewarmedStoreConfig("sigcomp-daemon-shared-tier", names);
+    Daemon daemon(config);
+
+    std::vector<std::string> bodies;
+    std::size_t bytesAfterOne = 0;
+    std::int64_t statszBytesAfterOne = 0;
+    for (const char *tenant : {"a", "b", "c"}) {
+        bodies.push_back(
+            postWithDeadline(daemon, names, tenant, 600000 + bodies.size()));
+        if (bodies.size() == 1) {
+            bytesAfterOne = daemon.tenantSession("a").cache().memoryBytes();
+            statszBytesAfterOne =
+                statszGauge(daemon, "daemon.resident_trace_bytes");
+        }
+    }
+    EXPECT_EQ(metricValue(daemon.metrics(), "daemon.runs"), 3u);
+
+    // The first tenant loads every trace; the others find them, with
+    // their result memos, already resident.
+    EXPECT_EQ(bodyField(bodies[0], "store_loads"), names.size());
+    for (std::size_t k = 1; k < bodies.size(); ++k) {
+        EXPECT_EQ(bodyField(bodies[k], "captures"), 0u) << k;
+        EXPECT_EQ(bodyField(bodies[k], "store_loads"), 0u) << k;
+        EXPECT_EQ(servedRowBytes(bodies[k]), servedRowBytes(bodies[0]))
+            << k;
+    }
+
+    analysis::TraceCache &cache = daemon.tenantSession("a").cache();
+    EXPECT_EQ(&cache, &daemon.tenantSession("b").cache());
+    EXPECT_EQ(&cache, &daemon.tenantSession("c").cache());
+    EXPECT_GT(bytesAfterOne, 0u);
+    EXPECT_EQ(cache.memoryBytes(), bytesAfterOne)
+        << "tenants must not hold private copies of the traces";
+
+    // /statsz reads the same shared tier, annexes included.
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_traces"),
+              static_cast<std::int64_t>(names.size()));
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_trace_bytes"),
+              static_cast<std::int64_t>(bytesAfterOne));
+    EXPECT_EQ(statszBytesAfterOne,
+              static_cast<std::int64_t>(bytesAfterOne));
+    fs::remove_all(config.session.storeDir);
+}
+
+TEST(DaemonSharedTier, OneTenantsEvictionDropsTheTraceForEveryTenant)
+{
+    // evict_after_replay bounds the daemon's trace memory, not one
+    // tenant's: the trace it drops is the one every tenant shares.
+    const std::vector<std::string> names = {"rawcaudio"};
+    const DaemonConfig config =
+        prewarmedStoreConfig("sigcomp-daemon-shared-evict", names);
+    Daemon daemon(config);
+
+    const std::string first = postWithDeadline(daemon, names, "a", 600001);
+    EXPECT_EQ(bodyField(first, "store_loads"), 1u);
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_traces"), 1);
+
+    // Another tenant's evicting plan is answered from a's memos, then
+    // drops the shared trace.
+    const std::string evicting =
+        postWithDeadline(daemon, names, "b", 600002, /*evict=*/true);
+    EXPECT_EQ(bodyField(evicting, "store_loads"), 0u);
+    EXPECT_EQ(servedRowBytes(evicting), servedRowBytes(first));
+    EXPECT_FALSE(daemon.tenantSession("a").cache().contains("rawcaudio"));
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_traces"), 0);
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_trace_bytes"), 0);
+
+    // A third tenant's next miss reloads it and gets the same rows.
+    const std::string reloaded =
+        postWithDeadline(daemon, names, "c", 600003);
+    EXPECT_EQ(bodyField(reloaded, "captures"), 0u);
+    EXPECT_EQ(bodyField(reloaded, "store_loads"), 1u);
+    EXPECT_EQ(servedRowBytes(reloaded), servedRowBytes(first));
+    fs::remove_all(config.session.storeDir);
 }
 
 TEST(DaemonDeterminism, ServedRowsAreThreadCountInvariant)

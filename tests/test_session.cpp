@@ -1001,6 +1001,58 @@ TEST(SessionAdmission, QueuedPlanRunsWhenTheSlotFrees)
     queued.join();
 }
 
+TEST(SessionAdmission, SessionsOnOneCacheSumTheirAdmissionTelemetry)
+{
+    // Admission limits stay per Session, but the telemetry lives in
+    // the shared cache's namespace: the gauge counts the plans queued
+    // in every Session on it, the counters every admission.
+    SessionConfig cfg;
+    cfg.threads = 1;
+    cfg.captureLimit = 2000;
+    cfg.maxConcurrentPlans = 1;
+    cfg.maxQueuedPlans = 4;
+    auto cache = std::make_shared<analysis::TraceCache>(
+        analysis::traceCacheConfig(cfg));
+    Session first(cfg, cache);
+    Session second(cfg, cache);
+    ASSERT_EQ(&first.cache(), &second.cache());
+    telemetry::Gauge &depth =
+        cache->metrics().gauge("session.admission_queue_depth");
+
+    BlockingSink blockers[2];
+    std::vector<std::thread> threads;
+    Session *sessions[] = {&first, &second};
+    for (int s = 0; s < 2; ++s) {
+        threads.emplace_back([&, s] {
+            StudyPlan plan;
+            plan.workloads({"rawcaudio"}).profile({&blockers[s]});
+            EXPECT_FALSE(sessions[s]->run(plan).rejected);
+        });
+        blockers[s].waitUntilRunning(); // s's slot is held
+    }
+    for (int s = 0; s < 2; ++s) {
+        threads.emplace_back([&, s] {
+            StudyPlan plan;
+            plan.workloads({"rawdaudio"})
+                .cpi({Design::ByteSerial}, analysis::suiteConfig());
+            EXPECT_FALSE(sessions[s]->run(plan).rejected);
+        });
+    }
+    for (int i = 0; i < 5000 && depth.value() != 2; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(depth.value(), 2) << "one plan queued in each session";
+
+    for (BlockingSink &b : blockers)
+        b.release();
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(depth.value(), 0);
+    EXPECT_EQ(cache->metrics().counter("session.plans_admitted").value(),
+              4u);
+    EXPECT_EQ(cache->metrics().counter("session.plans_rejected").value(),
+              0u);
+}
+
 // ---- memo-answered workloads run on the calling thread ---------------
 
 /**

@@ -8,8 +8,11 @@
  *
  *  - many concurrent Sessions replaying out of ONE shared read-only
  *    store directory while a writer session forces evict/reload
- *    churn over the same segments (the sigcompd multi-tenant
- *    shape);
+ *    churn over the same segments;
+ *  - Sessions over ONE shared TraceCache (the sigcompd multi-tenant
+ *    shape) running overlapping plans while one of them evicts, so
+ *    loads, quanta and result-memo publication and eviction of the
+ *    same resident traces interleave;
  *  - setSimdLevel() repinned concurrently with kernel dispatch
  *    (regression for the lazy-resolution race fixed in
  *    common/simd.cpp: a pin racing the first dispatch must stick);
@@ -31,6 +34,7 @@
 #include "analysis/trace_cache.h"
 #include "common/simd.h"
 #include "sigcomp/sig_kernels.h"
+#include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -138,6 +142,65 @@ TEST_F(TsanStressTest, ConcurrentSessionsOverSharedStoreWithEvictChurn)
         t.join();
     churn.join();
     EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(TsanStressTest, SessionsSharingOneCacheOverlapWhileOneEvicts)
+{
+    const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
+                                            "epic"};
+    {
+        Session seeder(SessionConfig{.storeDir = dir_,
+                                     .captureLimit = kLimit});
+        seeder.prewarm(names);
+    }
+    const SessionConfig tenantConfig{.threads = 2,
+                                     .storeDir = dir_,
+                                     .readOnly = true,
+                                     .captureLimit = kLimit};
+    // Tenant t's plan covers workloads t and t+1, so every workload
+    // is in two tenants' plans; tenant 0's plan evicts.
+    constexpr int kTenants = 3;
+    auto planFor = [&](int t) {
+        StudyPlan plan;
+        plan.workloads({names[t], names[(t + 1) % kTenants]})
+            .cpi({Design::Baseline32, Design::ByteSerial},
+                 pipeline::PipelineConfig{})
+            .evictAfterReplay(t == 0);
+        return plan;
+    };
+    std::vector<SuiteReport> reference;
+    for (int t = 0; t < kTenants; ++t) {
+        SessionConfig serial = tenantConfig;
+        serial.threads = 1;
+        reference.push_back(Session(serial).run(planFor(t)));
+    }
+
+    auto cache = std::make_shared<analysis::TraceCache>(
+        analysis::traceCacheConfig(tenantConfig));
+    constexpr int kRounds = 4;
+    std::vector<std::vector<SuiteReport>> served(kTenants);
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kTenants; ++t) {
+        tenants.emplace_back([&, t] {
+            Session tenant(tenantConfig, cache);
+            for (int round = 0; round < kRounds; ++round)
+                served[t].push_back(tenant.run(planFor(t)));
+        });
+    }
+    for (std::thread &t : tenants)
+        t.join();
+
+    for (int t = 0; t < kTenants; ++t) {
+        for (const SuiteReport &rep : served[t]) {
+            SCOPED_TRACE(t);
+            EXPECT_EQ(rep.captures, 0u);
+            ASSERT_EQ(rep.cpi.size(), 1u);
+            live::expectSameRows(rep.cpi[0].rows(),
+                                 reference[t].cpi[0].rows());
+        }
+    }
+    EXPECT_GE(evictions(*cache), 2u * kRounds)
+        << "the evicting tenant never evicted";
 }
 
 TEST_F(TsanStressTest, SetSimdLevelSticksAgainstConcurrentDispatch)
