@@ -15,7 +15,7 @@
  *   --threads N[,N...] workload-level parallelism; a comma list
  *                   sweeps thread counts, emitting one record per
  *                   count (default 1: stable, comparable numbers;
- *                   0 = all cores)
+ *                   0 = all cores; at most 1024)
  *   --max-instrs N  cap each workload's capture at N instructions
  *                   (CI smoke mode; truncated traces replay fine)
  *   --out PATH      where to write the JSON (default
@@ -44,6 +44,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/profilers.h"
@@ -568,25 +569,27 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
     std::printf("\nwrote %s\n", path.c_str());
 }
 
+/** --threads N[,N...]; exits 2 on any count parseThreadCount refuses. */
 std::vector<unsigned>
-parseThreadList(const char *arg)
+parseThreadList(std::string_view arg)
 {
     std::vector<unsigned> out;
-    std::string cur;
-    for (const char *p = arg;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!cur.empty())
-                out.push_back(
-                    static_cast<unsigned>(std::atoi(cur.c_str())));
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur.push_back(*p);
+    for (std::size_t start = 0; start <= arg.size();) {
+        std::size_t end = arg.find(',', start);
+        if (end == std::string_view::npos)
+            end = arg.size();
+        unsigned threads = 0;
+        if (!ParallelExecutor::parseThreadCount(
+                arg.substr(start, end - start), &threads)) {
+            std::fprintf(stderr,
+                         "--threads wants counts in [0, %u], got '%.*s'\n",
+                         ParallelExecutor::kMaxThreads,
+                         static_cast<int>(arg.size()), arg.data());
+            std::exit(2);
         }
+        out.push_back(threads);
+        start = end + 1;
     }
-    if (out.empty())
-        out.push_back(1);
     return out;
 }
 

@@ -132,11 +132,11 @@ bool planEquals(const StudyPlan &a, const StudyPlan &b);
  * its canonical wire form (writePlanJson's exact bytes). Because the
  * wire form is canonical — stable key order, %.17g doubles — two
  * plans fingerprint equal iff they are planEquals-equal and
- * wire-expressible; the daemon keys its in-flight dedupe and report
- * cache on this. Like planEquals, the cancellation token is ignored
- * (a runtime handle, not plan content). Returns false with @p error
- * set when the plan is not wire-expressible (sinks, custom
- * hierarchy, width points); @p hex is untouched on failure.
+ * wire-expressible; the daemon keys its report cache on this. Like
+ * planEquals, the cancellation token is ignored (a runtime handle,
+ * not plan content). Returns false with @p error set when the plan
+ * is not wire-expressible (sinks, custom hierarchy, width points);
+ * @p hex is untouched on failure.
  */
 bool planFingerprint(const StudyPlan &plan, std::string *hex,
                      PlanError *error);

@@ -94,47 +94,9 @@ Session::addWorkload(const std::string &name, isa::Program program)
     cache_->registerProgram(name, std::move(program));
 }
 
-std::size_t
-Session::estimatePlanMemory(const StudyPlan &plan) const
-{
-    // Upper-bound bytes one retired instruction costs in the SoA
-    // trace columns (decode index, operand/result values, taken bit,
-    // significance sidecars, memory address/data). Deliberately
-    // generous: admission must never under-estimate.
-    constexpr std::size_t kBytesPerInstr = 48;
-    const std::size_t n = plan.workloads_.empty()
-                              ? workloads::Suite::names().size()
-                              : plan.workloads_.size();
-    // An evicting plan holds at most one trace per worker: each
-    // fetches its own trace and drops it after its replay.
-    const std::size_t resident =
-        plan.evictAfterReplay_
-            ? std::min<std::size_t>(n, executor().threadCount())
-            : n;
-    const std::size_t per_trace =
-        static_cast<std::size_t>(cache_->captureLimit()) * kBytesPerInstr;
-    return resident * per_trace;
-}
-
 Session::Admission
-Session::admitPlan(const StudyPlan &plan, const CancelToken &token,
-                   std::string *why)
+Session::admitPlan(const CancelToken &token, std::string *why)
 {
-    // Memory gate first: a plan over the budget would never fit, so
-    // queueing it only delays the refusal.
-    if (config_.admissionMemoryBudgetBytes != 0) {
-        const std::size_t need = estimatePlanMemory(plan);
-        if (need > config_.admissionMemoryBudgetBytes) {
-            *why = "estimated trace memory " + std::to_string(need) +
-                   " bytes exceeds the session's admission budget (" +
-                   std::to_string(config_.admissionMemoryBudgetBytes) +
-                   " bytes); shrink the plan (fewer workloads, "
-                   "evictAfterReplay, lower capture limit) or raise "
-                   "the budget";
-            rejected_.inc();
-            return Admission::Rejected;
-        }
-    }
     if (config_.maxConcurrentPlans == 0) {
         admitted_.inc();
         return Admission::Admitted;
@@ -202,7 +164,7 @@ Session::run(const StudyPlan &plan)
     }
 
     std::string why;
-    const Admission verdict = admitPlan(plan, token, &why);
+    const Admission verdict = admitPlan(token, &why);
     if (verdict == Admission::Rejected) {
         SuiteReport rep;
         rep.workloads = plan.workloads_.empty()

@@ -94,11 +94,12 @@ struct SessionConfig
      */
     Env *env = nullptr;
 
-    // ---- admission control (serving mode; 0 disables each limit) ----
+    // ---- admission control (serving mode; two limits) ---------------
     /**
      * Plans executing concurrently on this Session. A plan arriving
      * at capacity waits in the bounded queue below (or is rejected
-     * when the queue is full too). 0 = unlimited (library mode).
+     * when the queue is full too). 0 = unlimited (library mode), and
+     * then nothing is ever queued or rejected.
      */
     unsigned maxConcurrentPlans = 0;
     /**
@@ -107,13 +108,6 @@ struct SessionConfig
      * with maxConcurrentPlans set. 0 = no queue (reject at capacity).
      */
     unsigned maxQueuedPlans = 0;
-    /**
-     * Upper bound on a single plan's estimated peak trace memory
-     * (see Session::estimatePlanMemory). A plan estimating above it
-     * is rejected-with-reason up front instead of OOMing mid-run.
-     * 0 = unlimited.
-     */
-    std::size_t admissionMemoryBudgetBytes = 0;
 };
 
 /**
@@ -193,28 +187,19 @@ class Session
      * whose fused pass completed, cancelled/deadlineExceeded set —
      * with the trace store left consistent (saves are atomic and a
      * cancelled plan stops writing rather than writing less). With
-     * admission limits configured (SessionConfig) a plan may instead
-     * be refused up front: rejected + rejectReason set, no rows, no
+     * admission limits configured (SessionConfig) a plan arriving
+     * when the running plans and the queue are both full is instead
+     * refused up front: rejected + rejectReason set, no rows, no
      * engine work performed.
      */
     SuiteReport run(const StudyPlan &plan);
-
-    /**
-     * Worst-case peak trace memory of @p plan under this session's
-     * capture limit: resident-trace count (with evictAfterReplay, one
-     * per executor thread up to the workload count, else the
-     * workload count) x the capture limit's per-trace footprint. An
-     * upper bound for admission — real traces are usually much
-     * smaller than the cap.
-     */
-    std::size_t estimatePlanMemory(const StudyPlan &plan) const;
 
   private:
     /** Admission verdict for one arriving plan. */
     enum class Admission
     {
         Admitted, ///< slot held; caller must releaseSlot()
-        Rejected, ///< over a limit; reject-with-reason, no slot
+        Rejected, ///< running and queue full; reject-with-reason
         Stopped,  ///< plan's token fired while queued; no slot
     };
 
@@ -226,8 +211,8 @@ class Session
      * Gate one plan through the admission limits; blocks in the
      * bounded queue while at capacity (polling @p token).
      */
-    Admission admitPlan(const StudyPlan &plan, const CancelToken &token,
-                        std::string *why) SIGCOMP_EXCLUDES(admissionMu_);
+    Admission admitPlan(const CancelToken &token, std::string *why)
+        SIGCOMP_EXCLUDES(admissionMu_);
 
     /** Release an Admitted plan's slot and wake one queued waiter. */
     void releaseSlot() SIGCOMP_EXCLUDES(admissionMu_);

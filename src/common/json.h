@@ -19,6 +19,10 @@
  * it was detected, and only the FIRST failure in input order is
  * kept. tests/fuzz_plan_json.cpp fuzzes the reader through the plan
  * codec, and skipValue (which the plan codec never calls) directly.
+ *
+ * Whole numbers: parseWholeNumber is the one strict digits-only parse
+ * with an inclusive cap, behind Reader::parseU64 and every tool's
+ * numeric flag (via ParallelExecutor::parseThreadCount for --threads).
  * Header-only.
  */
 
@@ -66,6 +70,30 @@ writeString(std::FILE *f, std::string_view s)
     appendEscaped(out, s);
     out.push_back('"');
     std::fwrite(out.data(), 1, out.size(), f);
+}
+
+/**
+ * Parse @p text as a whole decimal number in [0, @p max]: one or more
+ * digits and nothing else (no sign, space or suffix). @p out is
+ * written only on success.
+ */
+inline bool
+parseWholeNumber(std::string_view text, std::uint64_t max,
+                 std::uint64_t *out)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (digit > max || v > (max - digit) / 10)
+            return false; // past max (and so never past 2^64 - 1)
+        v = v * 10 + digit;
+    }
+    *out = v;
+    return true;
 }
 
 /**
@@ -385,21 +413,13 @@ class Reader
                         std::string(what) +
                             " must be a non-negative integer");
         }
-        std::uint64_t v = 0;
-        for (const char c : tok) {
-            if (c < '0' || c > '9') {
-                return fail(ErrorKind::Syntax, start,
-                            "malformed integer");
-            }
-            const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-            if (v > (max - d) / 10) {
-                return fail(ErrorKind::OutOfRange, start,
-                            std::string(what) + " exceeds its cap (" +
-                                std::to_string(max) + ")");
-            }
-            v = v * 10 + d;
+        if (tok.find_first_not_of("0123456789") != std::string::npos)
+            return fail(ErrorKind::Syntax, start, "malformed integer");
+        if (!parseWholeNumber(tok, max, out)) {
+            return fail(ErrorKind::OutOfRange, start,
+                        std::string(what) + " exceeds its cap (" +
+                            std::to_string(max) + ")");
         }
-        *out = v;
         return true;
     }
 

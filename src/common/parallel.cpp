@@ -1,14 +1,15 @@
 #include "common/parallel.h"
 
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <thread>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/telemetry.h"
@@ -185,21 +186,24 @@ unsigned
 ParallelExecutor::defaultThreadCount()
 {
     if (const char *env = std::getenv("SIGCOMP_THREADS")) {
-        // Cap well above any real machine: a mistyped huge value
-        // must not translate into billions of std::thread spawns.
-        constexpr long max_threads = 1024;
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(env, &end, 10);
-        if (errno == 0 && end != env && *end == '\0' && v > 0 &&
-            v <= max_threads) {
-            return static_cast<unsigned>(v);
-        }
+        unsigned v = 0;
+        if (parseThreadCount(env, &v) && v != 0)
+            return v;
         SC_WARN("ignoring SIGCOMP_THREADS='", env,
-                "' (want an integer in [1, ", max_threads, "])");
+                "' (want an integer in [1, ", kMaxThreads, "])");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
+}
+
+bool
+ParallelExecutor::parseThreadCount(std::string_view text, unsigned *out)
+{
+    std::uint64_t v = 0;
+    if (!json::parseWholeNumber(text, kMaxThreads, &v))
+        return false;
+    *out = static_cast<unsigned>(v);
+    return true;
 }
 
 void

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
 #include "common/cancel.h"
 
@@ -66,10 +67,25 @@ class ParallelExecutor
 
     /**
      * Resolution of threads == 0: the SIGCOMP_THREADS environment
-     * variable when set to a positive integer, otherwise
-     * std::thread::hardware_concurrency(), never less than 1.
+     * variable when parseThreadCount() accepts it and it is not 0,
+     * otherwise std::thread::hardware_concurrency(), never less
+     * than 1.
      */
     static unsigned defaultThreadCount();
+
+    /**
+     * The largest thread count a user may ask for: well above any
+     * real machine, so a mistyped huge value (or "-1") is refused
+     * instead of turning into billions of std::thread spawns.
+     */
+    static constexpr unsigned kMaxThreads = 1024;
+
+    /**
+     * The one thread-count parse, for SIGCOMP_THREADS and every
+     * --threads flag: a whole number in [0, kMaxThreads] (0 = the
+     * default wherever a thread count is taken).
+     */
+    static bool parseThreadCount(std::string_view text, unsigned *out);
 
     /**
      * Invoke fn(i) for i in [0, n), blocking until all complete.

@@ -19,9 +19,6 @@ namespace
 constexpr const char *kStatsSchemaId = "sigcomp-daemon-stats-v1";
 constexpr const char *kErrorSchemaId = "sigcomp-daemon-error-v1";
 
-/** How many times a follower retries after its leader died bodiless. */
-constexpr int kMaxJoinAttempts = 100;
-
 /** Parked handler threads beyond this many exit instead. */
 constexpr unsigned kMaxIdleHandlers = 8;
 
@@ -72,7 +69,6 @@ Daemon::Daemon(DaemonConfig config)
       httpErrors_(registry_.counter("daemon.http_errors")),
       planErrors_(registry_.counter("daemon.plan_errors")),
       runs_(registry_.counter("daemon.runs")),
-      dedupeJoins_(registry_.counter("daemon.dedupe_joins")),
       disconnectCancels_(
           registry_.counter("daemon.disconnect_cancels")),
       activeConns_(registry_.gauge("daemon.active_connections")),
@@ -156,11 +152,11 @@ Daemon::tenantSession(const std::string &tenant)
 
 std::uint64_t
 Daemon::watchConn(const std::shared_ptr<net::Conn> &conn,
-                  std::shared_ptr<InflightRun> run)
+                  const CancelSource &cancel)
 {
     MutexLock lock(watchMu_);
     const std::uint64_t id = nextWatchId_++;
-    watches_.push_back(WatchEntry{id, conn, std::move(run)});
+    watches_.push_back(WatchEntry{id, conn, cancel});
     return id;
 }
 
@@ -168,51 +164,30 @@ void
 Daemon::unwatchConn(std::uint64_t id)
 {
     MutexLock lock(watchMu_);
-    for (auto it = watches_.begin(); it != watches_.end(); ++it) {
-        if (it->id == id) {
-            watches_.erase(it);
-            return;
-        }
-    }
+    std::erase_if(watches_,
+                  [id](const WatchEntry &entry) { return entry.id == id; });
 }
 
 void
 Daemon::watchLoop()
 {
-    for (;;) {
-        std::vector<WatchEntry> snapshot;
-        {
-            UniqueLock lock(watchMu_);
-            if (stop_)
-                return;
-            watchCv_.wait_for(lock.native(), kWatchInterval);
-            if (stop_)
-                return;
-            snapshot.assign(watches_.begin(), watches_.end());
-        }
-        for (WatchEntry &entry : snapshot) {
-            const std::shared_ptr<net::Conn> conn = entry.conn.lock();
-            const bool gone =
-                conn == nullptr || conn->peerClosed();
-            if (!gone)
+    UniqueLock lock(watchMu_);
+    while (!stop_) {
+        watchCv_.wait_for(lock.native(), kWatchInterval);
+        if (stop_)
+            return;
+        // Cancel under the lock (peerClosed never blocks): once
+        // unwatchConn() has returned, a request's cancel can no
+        // longer fire, so a hang-up after its reply counts nothing.
+        for (auto it = watches_.begin(); it != watches_.end();) {
+            const std::shared_ptr<net::Conn> conn = it->conn.lock();
+            if (conn != nullptr && !conn->peerClosed()) {
+                ++it;
                 continue;
-            // This client no longer wants the result. Cancel the
-            // run only once NOBODY wants it: a joined follower must
-            // not lose its answer to the leader's dead socket.
-            bool fireCancel = false;
-            {
-                MutexLock lock(entry.run->mu);
-                if (!entry.run->done) {
-                    if (entry.run->interest > 0)
-                        --entry.run->interest;
-                    fireCancel = entry.run->interest == 0;
-                }
             }
-            if (fireCancel) {
-                entry.run->cancel.cancel();
-                disconnectCancels_.inc();
-            }
-            unwatchConn(entry.id);
+            it->cancel.cancel();
+            disconnectCancels_.inc();
+            it = watches_.erase(it);
         }
     }
 }
@@ -480,115 +455,22 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
                      planError.render());
         return;
     }
-    const std::string cacheKey = fingerprint + ":" + storeFingerprint_;
-
-    std::string body;
-    const int status = runPlan(conn, tenant, plan, cacheKey, &body);
-    if (status == 0) {
-        respondError(conn, 503, "busy",
-                     "in-flight dedupe retry limit exceeded");
+    if (std::string body; cache_.lookup(fingerprint, &body)) {
+        respond(conn, 200, "application/json", body);
         return;
     }
-    respond(conn, status, "application/json", body);
-}
 
-int
-Daemon::runPlan(const std::shared_ptr<net::Conn> &conn,
-                const std::string &tenant,
-                const analysis::StudyPlan &plan,
-                const std::string &cacheKey, std::string *body)
-{
-    if (cache_.lookup(cacheKey, body))
-        return 200;
+    CancelSource cancel;
+    plan.cancel(cancel.token());
+    const std::uint64_t watchId = watchConn(conn, cancel);
+    runs_.inc();
+    const analysis::SuiteReport report = tenantSession(tenant).run(plan);
+    unwatchConn(watchId);
 
-    for (int attempt = 0; attempt < kMaxJoinAttempts; ++attempt) {
-        std::shared_ptr<InflightRun> run;
-        bool leader = false;
-        {
-            MutexLock lock(inflightMu_);
-            const auto it = inflight_.find(cacheKey);
-            if (it != inflight_.end()) {
-                run = it->second;
-            } else {
-                run = std::make_shared<InflightRun>();
-                inflight_.emplace(cacheKey, run);
-                leader = true;
-            }
-        }
-
-        if (!leader) {
-            dedupeJoins_.inc();
-            {
-                MutexLock lock(run->mu);
-                if (!run->done)
-                    ++run->interest;
-            }
-            const std::uint64_t watchId = watchConn(conn, run);
-            int status = 0;
-            bool got = false;
-            {
-                UniqueLock lock(run->mu);
-                while (!run->done)
-                    run->cv.wait(lock.native());
-                if (!run->body.empty()) {
-                    *body = run->body;
-                    status = run->status;
-                    got = true;
-                }
-            }
-            unwatchConn(watchId);
-            if (got)
-                return status;
-            // The leader finished without producing bytes (its
-            // client vanished and the run was cancelled before this
-            // join registered interest). Try again — the cache or a
-            // fresh leadership will answer.
-            continue;
-        }
-
-        {
-            MutexLock lock(run->mu);
-            run->interest = 1;
-        }
-        const std::uint64_t watchId = watchConn(conn, run);
-        runs_.inc();
-
-        analysis::StudyPlan execPlan = plan;
-        CancelToken token = run->cancel.token();
-        if (config_.defaultDeadlineMs != 0) {
-            token = token.withDeadlineAfter(std::chrono::milliseconds(
-                config_.defaultDeadlineMs));
-        }
-        execPlan.cancel(token);
-
-        const analysis::SuiteReport report =
-            tenantSession(tenant).run(execPlan);
-        const std::string json = report.toJson();
-        const bool complete =
-            !(report.cancelled || report.deadlineExceeded ||
-              report.rejected);
-        const int status = report.rejected ? 503 : 200;
-
-        if (complete)
-            cache_.insert(cacheKey, json);
-        {
-            // Unpublish BEFORE waking followers: a request arriving
-            // after this point starts fresh (and hits the cache).
-            MutexLock lock(inflightMu_);
-            inflight_.erase(cacheKey);
-        }
-        {
-            MutexLock lock(run->mu);
-            run->done = true;
-            run->status = status;
-            run->body = json;
-            run->cv.notify_all();
-        }
-        unwatchConn(watchId);
-        *body = json;
-        return status;
-    }
-    return 0;
+    const std::string body = report.toJson();
+    if (!(report.cancelled || report.deadlineExceeded || report.rejected))
+        cache_.insert(fingerprint, body);
+    respond(conn, report.rejected ? 503 : 200, "application/json", body);
 }
 
 void

@@ -12,19 +12,21 @@
  *    store, so sharing them changes no row),
  *  - a per-tenant map of analysis::Session instances over that
  *    cache, each with its own executor and admission limits,
- *  - an in-flight run table deduplicating identical work: requests
- *    whose (plan fingerprint, store fingerprint) key matches a run
- *    already executing JOIN it and receive the leader's exact bytes
- *    instead of re-running the engine,
- *  - an LRU ReportCache over the same key (64 entries, 64 MiB of
- *    bodies; fixed in daemon.cpp), so repeating an
- *    experiment against unchanged data is a lookup, not a replay
+ *  - an LRU ReportCache keyed by the plan fingerprint (64 entries,
+ *    64 MiB of bodies; fixed in daemon.cpp), so repeating an
+ *    experiment is a lookup, not a replay
  *    (the engine is deterministic: the cached bytes are what a
  *    fresh run would produce, wall time aside),
- *  - a disconnect watcher thread cancelling a run's CancelSource
- *    once every client interested in it has hung up — a dead
- *    client's plan stops at the next block boundary and frees its
- *    admission slot instead of burning the engine for nobody.
+ *  - a disconnect watcher thread cancelling a request's own
+ *    CancelSource once its client hangs up — a dead client's plan
+ *    stops at the next block boundary and frees its admission slot
+ *    instead of burning the engine for nobody.
+ *
+ * A /v1/run request is parse, fingerprint, report-cache lookup,
+ * Session::run, insert: each request owns its run and its cancel.
+ * Identical plans racing each other each run the engine, but the
+ * costly half of a cold plan (capture or store load) still happens
+ * once, in the shared cache.
  *
  * Protocol (HTTP/1.1, one request per connection, see server/http.h):
  *
@@ -77,8 +79,8 @@ namespace sigcomp::server
 
 /**
  * Construction-time configuration of a Daemon: the tenant sessions'
- * settings and a default deadline. The report cache's bounds are
- * constants, not settings.
+ * settings. The report cache's bounds are constants, not settings,
+ * and a plan carries its own deadline (deadline_ms).
  */
 struct DaemonConfig
 {
@@ -96,12 +98,6 @@ struct DaemonConfig
      */
     analysis::SessionConfig session{
         .readOnly = true, .maxConcurrentPlans = 2, .maxQueuedPlans = 8};
-    /**
-     * Deadline applied to every accepted plan on top of its own
-     * deadline_ms — deadlines min-combine, so whichever is tighter
-     * fires first. 0 = none.
-     */
-    std::uint64_t defaultDeadlineMs = 0;
 };
 
 class Daemon
@@ -144,8 +140,10 @@ class Daemon
     /**
      * SHA-256 hex over the store's segment inventory (workload name,
      * header CRC and program fingerprint per segment) — "none"
-     * without a store. Half of every cache/dedupe key: a
-     * re-captured store invalidates all cached reports.
+     * without a store. Taken once at construction and shown in
+     * /statsz and the startup log; a live daemon keeps serving its
+     * resident traces and cached reports, so restart it after
+     * re-prewarming the store.
      */
     const std::string &storeFingerprint() const
     {
@@ -164,29 +162,14 @@ class Daemon
 
   private:
     /**
-     * One deduplicated plan execution. The leader runs the engine;
-     * followers wait on cv. `interest` counts clients that still
-     * want the bytes — the watcher fires `cancel` only when it
-     * reaches zero, so one client hanging up never cancels a run
-     * another client is waiting for.
+     * A connection the watcher polls while its request's run is in
+     * flight, and that request's own cancel.
      */
-    struct InflightRun
-    {
-        Mutex mu;
-        std::condition_variable cv;
-        bool done SIGCOMP_GUARDED_BY(mu) = false;
-        int status SIGCOMP_GUARDED_BY(mu) = 0;
-        std::string body SIGCOMP_GUARDED_BY(mu);
-        unsigned interest SIGCOMP_GUARDED_BY(mu) = 0;
-        CancelSource cancel;
-    };
-
-    /** A connection the watcher polls while its run is in flight. */
     struct WatchEntry
     {
         std::uint64_t id = 0;
         std::weak_ptr<net::Conn> conn;
-        std::shared_ptr<InflightRun> run;
+        CancelSource cancel;
     };
 
     class HandlerPool;
@@ -200,13 +183,12 @@ class Daemon
     /** Dispatch one parsed request to its route. */
     void handleRequest(const std::shared_ptr<net::Conn> &conn,
                        const HttpRequest &request);
+    /**
+     * Parse, fingerprint, report-cache lookup, Session::run, insert:
+     * the request runs the plan itself unless the cache answers.
+     */
     void handleRun(const std::shared_ptr<net::Conn> &conn,
                    const HttpRequest &request);
-    /** Execute (or join/cache-hit) the plan; returns status+body. */
-    int runPlan(const std::shared_ptr<net::Conn> &conn,
-                const std::string &tenant,
-                const analysis::StudyPlan &plan,
-                const std::string &cacheKey, std::string *body);
     void respond(const std::shared_ptr<net::Conn> &conn, int status,
                  std::string_view contentType, std::string_view body);
     /** sigcomp-daemon-error-v1 reply. */
@@ -215,8 +197,12 @@ class Daemon
                       std::string_view message);
 
     std::uint64_t watchConn(const std::shared_ptr<net::Conn> &conn,
-                            std::shared_ptr<InflightRun> run)
+                            const CancelSource &cancel)
         SIGCOMP_EXCLUDES(watchMu_);
+    /**
+     * Stop watching; once this returns, the request's cancel can no
+     * longer fire, so a hang-up after the reply counts nothing.
+     */
     void unwatchConn(std::uint64_t id) SIGCOMP_EXCLUDES(watchMu_);
     /** Watcher thread body: poll peerClosed, cancel orphaned runs. */
     void watchLoop();
@@ -235,10 +221,6 @@ class Daemon
     std::map<std::string, std::unique_ptr<analysis::Session>>
         tenants_ SIGCOMP_GUARDED_BY(tenantsMu_);
 
-    mutable Mutex inflightMu_;
-    std::map<std::string, std::shared_ptr<InflightRun>>
-        inflight_ SIGCOMP_GUARDED_BY(inflightMu_);
-
     mutable Mutex watchMu_;
     std::condition_variable watchCv_;
     std::list<WatchEntry> watches_ SIGCOMP_GUARDED_BY(watchMu_);
@@ -253,7 +235,6 @@ class Daemon
     telemetry::Counter &httpErrors_;
     telemetry::Counter &planErrors_;
     telemetry::Counter &runs_;
-    telemetry::Counter &dedupeJoins_;
     telemetry::Counter &disconnectCancels_;
     telemetry::Gauge &activeConns_;
     telemetry::Gauge &tenantsGauge_;

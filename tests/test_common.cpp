@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the common library: bit utilities, stats, RNG,
- * table writer, JSON string escaper and reader.
+ * table writer, JSON string escaper, whole-number parse and reader.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "common/bitutil.h"
 #include "common/json.h"
@@ -220,6 +222,23 @@ TEST(Json, PassesPrintableAndHighBytesThrough)
     std::string out;
     json::appendEscaped(out, "plain /text\x7f\xc3\xa9");
     EXPECT_EQ(out, "plain /text\x7f\xc3\xa9");
+}
+
+TEST(Json, ParseWholeNumberTakesDigitsOnlyUpToMax)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(json::parseWholeNumber("65535", 65535, &v));
+    EXPECT_EQ(v, 65535u);
+    EXPECT_FALSE(json::parseWholeNumber("65536", 65535, &v));
+    EXPECT_TRUE(
+        json::parseWholeNumber("18446744073709551615", UINT64_MAX, &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    EXPECT_FALSE(
+        json::parseWholeNumber("18446744073709551616", UINT64_MAX, &v));
+    EXPECT_FALSE(json::parseWholeNumber("5", 3, &v));
+    EXPECT_TRUE(json::parseWholeNumber("0", 0, &v));
+    for (const char *bad : {"x", "", "-0", "1e3", "0x10", "12 "})
+        EXPECT_FALSE(json::parseWholeNumber(bad, UINT64_MAX, &v)) << bad;
 }
 
 TEST(Json, WriteStringQuotes)

@@ -3,7 +3,8 @@
  * ParallelExecutor unit tests: every index runs exactly once,
  * results are order-stable, exceptions propagate like a serial
  * loop's, the 1-thread executor degenerates to plain serial
- * execution, and nested fan-outs do not deadlock.
+ * execution, nested fan-outs do not deadlock, and the thread-count
+ * parser refuses anything but digits in [0, 1024].
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +33,23 @@ TEST(ParallelExecutor, ZeroResolvesToDefault)
 {
     ParallelExecutor exec(0);
     EXPECT_EQ(exec.threadCount(), ParallelExecutor::defaultThreadCount());
+}
+
+TEST(ParallelExecutor, ParseThreadCountIsStrict)
+{
+    // Only the parser: no executor is ever built from these values.
+    for (const char *bad :
+         {"-1", "4294967295", "1025", "abc", "4x", "", " 4", "+4"}) {
+        unsigned v = 7;
+        EXPECT_FALSE(ParallelExecutor::parseThreadCount(bad, &v)) << bad;
+        EXPECT_EQ(v, 7u) << "untouched on failure: " << bad;
+    }
+    for (unsigned good : {0u, 1u, 1024u}) {
+        unsigned v = 7;
+        EXPECT_TRUE(ParallelExecutor::parseThreadCount(
+            std::to_string(good), &v));
+        EXPECT_EQ(v, good);
+    }
 }
 
 TEST(ParallelExecutor, EveryIndexRunsExactlyOnce)

@@ -8,7 +8,8 @@
  *   prewarm   Capture and persist every suite workload (or only the
  *             named ones) whose segment is missing or stale, so the
  *             next simulator/bench/CI process starts warm.
- *               --threads N     capture parallelism (0 = all cores)
+ *               --threads N     capture parallelism (0 = all cores,
+ *                               at most 1024)
  *               --max-instrs N  capped captures (CI smoke segments)
  *               --force         recapture even over valid segments
  *   ls        One line per segment: instructions, file size,
@@ -429,9 +430,10 @@ main(int argc, char **argv)
         };
         if (arg == "--dir")
             opt.dir = next();
-        else if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--max-instrs")
+        else if (arg == "--threads") {
+            if (!ParallelExecutor::parseThreadCount(next(), &opt.threads))
+                return usage();
+        } else if (arg == "--max-instrs")
             opt.maxInstrs = static_cast<DWord>(std::atoll(next()));
         else if (arg == "--json")
             opt.jsonPath = next();

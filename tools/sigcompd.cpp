@@ -11,11 +11,16 @@
  *   --addr A                bind address (default 127.0.0.1)
  *   --port P                bind port (default 8642; 0 = ephemeral,
  *                           the chosen port is printed)
- *   --threads N             per-tenant session parallelism
+ *   --threads N             per-tenant session parallelism, at
+ *                           most 1024 (default 0 = every tenant on
+ *                           the shared process pool)
  *   --max-instrs N          capture limit (must match the prewarm)
  *   --max-concurrent N      per-tenant concurrent plans (default 2)
  *   --max-queued N          per-tenant admission queue (default 8)
- *   --default-deadline-ms N deadline applied to every plan (0 = off)
+ *
+ * Every N is a whole unsigned decimal number; anything else prints
+ * the usage text and exits 2. A plan carries its own deadline
+ * (deadline_ms); the daemon adds none.
  *
  * Prints "sigcompd: serving on <addr>:<port>" once accepting (the CI
  * smoke job waits for it), then serves until SIGTERM/SIGINT, shuts
@@ -25,14 +30,18 @@
  * (/statsz: daemon.handler_threads, daemon.handler_spawns).
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/net.h"
+#include "common/parallel.h"
 #include "server/daemon.h"
 
 namespace
@@ -47,8 +56,7 @@ usage()
         stderr,
         "usage: sigcompd [--dir DIR] [--addr A] [--port P]\n"
         "                [--threads N] [--max-instrs N]\n"
-        "                [--max-concurrent N] [--max-queued N]\n"
-        "                [--default-deadline-ms N]\n");
+        "                [--max-concurrent N] [--max-queued N]\n");
     return 2;
 }
 
@@ -60,7 +68,7 @@ main(int argc, char **argv)
     server::DaemonConfig config;
     config.session.storeDir = "trace-store";
     std::string addr = "127.0.0.1";
-    unsigned port = 8642;
+    std::uint16_t port = 8642;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -72,32 +80,34 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A whole number in [0, max], else the usage text and exit 2.
+        auto number = [&](std::uint64_t max) {
+            std::uint64_t v = 0;
+            if (!json::parseWholeNumber(next(), max, &v))
+                std::exit(usage());
+            return v;
+        };
         if (arg == "--dir")
             config.session.storeDir = next();
         else if (arg == "--addr")
             addr = next();
         else if (arg == "--port")
-            port = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--threads")
-            config.session.threads =
-                static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--max-instrs")
-            config.session.captureLimit =
-                static_cast<DWord>(std::atoll(next()));
+            port = static_cast<std::uint16_t>(number(65535));
+        else if (arg == "--threads") {
+            if (!ParallelExecutor::parseThreadCount(
+                    next(), &config.session.threads))
+                return usage();
+        } else if (arg == "--max-instrs")
+            config.session.captureLimit = number(UINT64_MAX);
         else if (arg == "--max-concurrent")
             config.session.maxConcurrentPlans =
-                static_cast<unsigned>(std::atoi(next()));
+                static_cast<unsigned>(number(UINT_MAX));
         else if (arg == "--max-queued")
             config.session.maxQueuedPlans =
-                static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--default-deadline-ms")
-            config.defaultDeadlineMs =
-                static_cast<std::uint64_t>(std::atoll(next()));
+                static_cast<unsigned>(number(UINT_MAX));
         else
             return usage();
     }
-    if (port > 65535)
-        return usage();
 
     // Block the shutdown signals BEFORE any thread exists so every
     // thread inherits the mask and only the dedicated sigwait thread
@@ -112,7 +122,7 @@ main(int argc, char **argv)
 
     std::string why;
     std::unique_ptr<net::Listener> listener =
-        net::listenTcp(addr, static_cast<std::uint16_t>(port), &why);
+        net::listenTcp(addr, port, &why);
     if (listener == nullptr) {
         std::fprintf(stderr, "sigcompd: %s\n", why.c_str());
         return 1;
