@@ -65,6 +65,8 @@ struct CacheStats
                                 static_cast<double>(accesses())
                           : 0.0;
     }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /**

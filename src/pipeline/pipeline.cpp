@@ -15,7 +15,7 @@ using cpu::DynInstr;
 QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
                                const isa::Program &program,
                                const mem::MainMemory *memory)
-    : encoding_(config.encoding), alu_(config.encoding),
+    : params_(config.encoding), alu_(config.encoding),
       hierarchy_(config.memory), program_(program), memory_(memory)
 {
     static telemetry::Counter &recorders =
@@ -32,29 +32,6 @@ QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
         memory_ = ownMemory_.get();
     }
 
-    // Per-Ext3-tag significance counts under this encoding. The Ext3
-    // pattern of a word determines every encoding's count exactly:
-    // Ext3 keeps the tagged bytes (popcount), Ext2 keeps the
-    // low-order run up to the highest tagged byte (bit_width), and
-    // Half1 keeps the upper halfword exactly when either of its bytes
-    // is tagged. Entry 0 (no tag) is never consulted — untagged
-    // operands classify on the spot.
-    for (unsigned m = 1; m < 16; ++m) {
-        unsigned bytes = 0;
-        switch (encoding_) {
-          case sig::Encoding::Ext3:
-            bytes = static_cast<unsigned>(std::popcount(m));
-            break;
-          case sig::Encoding::Ext2:
-            bytes = static_cast<unsigned>(std::bit_width(m));
-            break;
-          case sig::Encoding::Half1:
-            bytes = (m & 0b1100u) ? 4 : 2;
-            break;
-        }
-        tagBytes_[m] = static_cast<std::uint8_t>(bytes);
-    }
-
     // Memoise the compressed fetch width of every static
     // instruction: it is a pure function of the word under the
     // compressor, and the hot path needs it for every dynamic
@@ -68,19 +45,32 @@ QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
 
 void
 QuantaRecorder::recordBlock(std::span<const DynInstr> block,
-                            SharedQuanta &rec)
+                            SharedQuanta &rec, std::vector<Count> &latch_base)
 {
     // The block's shared activity is what accumulates from zero.
     activity_ = ActivityTotals{};
+    rec.blockMissStart.push_back(
+        static_cast<std::uint32_t>(rec.misses.size()));
     // Pre-size the record for the block so the hot loop writes
     // through a bare pointer (capacity was reserved up front).
-    const std::size_t rec_base = rec.q.size();
-    rec.q.resize(rec_base + block.size());
-    SharedQuanta::Packed *out = rec.q.data() + rec_base;
+    std::size_t index = rec.q.size();
+    SC_ASSERT(index + block.size() <= UINT32_MAX,
+              "quanta record indices are 32-bit");
+    rec.q.resize(index + block.size());
+    latch_base.resize(block.size());
+    SharedQuanta::Entry *out = rec.q.data() + index;
+    Count *latch = latch_base.data();
     for (const DynInstr &di : block) {
-        Count latch_base;
-        const InstrQuanta q = compute(di, latch_base);
-        *out++ = SharedQuanta::pack(q, latch_base);
+        const InstrQuanta q = compute(di, *latch++);
+        *out++ = SharedQuanta::pack(q);
+        if ((q.ifExtra | q.memExtra) != 0) [[unlikely]] {
+            SC_ASSERT(q.ifExtra <= UINT32_MAX && q.memExtra <= UINT32_MAX,
+                      "hierarchy latency does not fit 32 bits");
+            rec.misses.push_back({static_cast<std::uint32_t>(index),
+                                  static_cast<std::uint32_t>(q.ifExtra),
+                                  static_cast<std::uint32_t>(q.memExtra)});
+        }
+        ++index;
     }
     rec.blockDelta.push_back(activity_);
 }
@@ -91,6 +81,7 @@ QuantaRecorder::finish(SharedQuanta &rec) const
     rec.l1i = hierarchy_.l1i().stats();
     rec.l1d = hierarchy_.l1d().stats();
     rec.l2 = hierarchy_.l2().stats();
+    rec.misses.shrink_to_fit();
 }
 
 void
@@ -106,6 +97,32 @@ QuantaRecorder::applyStore(const DynInstr &di)
       default:
         ownMemory_->writeWord(di.memAddr, di.memData);
         break;
+    }
+}
+
+// ---- SharedQuanta ------------------------------------------------------
+
+void
+SharedQuanta::panicFieldRange(unsigned f, unsigned v)
+{
+    SC_PANIC("quanta field ", fieldNames[f], " = ", v, " does not fit its ",
+             fieldBits[f], " bits");
+}
+
+void
+SharedQuanta::latchBases(std::span<const DynInstr> block, std::size_t base,
+                         sig::Encoding enc, std::vector<Count> &out) const
+{
+    SC_ASSERT(base + block.size() <= q.size(),
+              "shared quanta record does not cover this block");
+    out.resize(block.size());
+    const quanta_detail::EncodingParams ep(enc);
+    for (std::size_t j = 0; j < block.size(); ++j) {
+        const Entry e = q[base + j];
+        out[j] = quanta_detail::latchBaseBits(
+            *block[j].dec, field(e, FetchBytes), field(e, PcChangedBlocks),
+            field(e, MemChunks), quanta_detail::operandBytes(block[j], ep),
+            ep);
     }
 }
 

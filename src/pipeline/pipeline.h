@@ -34,6 +34,7 @@
 #define SIGCOMP_PIPELINE_PIPELINE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -173,95 +174,294 @@ struct InstrQuanta
     unsigned pcChangedBlocks = 1;
     unsigned pcRippleExtra = 0; ///< serial PC increment overflow cycles
     bool redirect = false;      ///< control transfer
+
+    bool operator==(const InstrQuanta &) const = default;
 };
+
+/**
+ * Per-instruction helpers of the quanta front half, shared by the
+ * recorder (QuantaRecorder::compute) and the consumers of a cached
+ * record (SharedQuanta::latchBases), so each formula exists once.
+ */
+namespace quanta_detail
+{
+
+/** Chunks of a value under an encoding. */
+inline unsigned
+chunksOf(Word v, sig::Encoding enc)
+{
+    return sig::significantBytesUnder(v, enc) / sig::chunkBytes(enc);
+}
+
+/** Chunks moved by a memory access of @p bytes with datum @p v. */
+inline unsigned
+memChunksOf(Word v, unsigned bytes, sig::Encoding enc)
+{
+    const unsigned cb = sig::chunkBytes(enc);
+    if (bytes <= cb)
+        return 1;
+    // Sub-word accesses compress within their own width: a halfword
+    // whose upper byte is a sign fill moves one byte.
+    Word extended = v;
+    if (bytes == 2)
+        extended = signExtend(v, 16);
+    const unsigned full = divCeil(bytes, cb);
+    return std::min(full, chunksOf(extended, enc));
+}
+
+/**
+ * Significant bytes under @p enc per Ext3 sidecar tag
+ * (DynInstr::sigTags nibbles). The Ext3 pattern of a word determines
+ * every encoding's count exactly: Ext3 keeps the tagged bytes
+ * (popcount), Ext2 keeps the low-order run up to the highest tagged
+ * byte (bit_width), and Half1 keeps the upper halfword exactly when
+ * either of its bytes is tagged. Entry 0 (no tag) is never consulted
+ * — untagged operands classify on the spot.
+ */
+constexpr std::array<std::uint8_t, 16>
+tagBytesTable(sig::Encoding enc)
+{
+    std::array<std::uint8_t, 16> t{};
+    for (unsigned m = 1; m < 16; ++m) {
+        unsigned bytes = 0;
+        switch (enc) {
+          case sig::Encoding::Ext3:
+            bytes = static_cast<unsigned>(std::popcount(m));
+            break;
+          case sig::Encoding::Ext2:
+            bytes = static_cast<unsigned>(std::bit_width(m));
+            break;
+          case sig::Encoding::Half1:
+            bytes = (m & 0b1100u) ? 4 : 2;
+            break;
+        }
+        t[m] = static_cast<std::uint8_t>(bytes);
+    }
+    return t;
+}
+
+/**
+ * The encoding-dependent constants of the per-instruction formulas,
+ * resolved once per recorder or per replay block instead of once per
+ * instruction.
+ */
+struct EncodingParams
+{
+    explicit constexpr EncodingParams(sig::Encoding e)
+        : enc(e), extBits(sig::extensionBits(e)),
+          chunkBytes(sig::chunkBytes(e)), tagBytes(tagBytesTable(e))
+    {
+    }
+
+    sig::Encoding enc;
+    unsigned extBits;
+    unsigned chunkBytes;
+    std::array<std::uint8_t, 16> tagBytes;
+};
+
+/** Significant bytes of the three register-file values. */
+struct OperandBytes
+{
+    unsigned rs, rt, res;
+};
+
+/**
+ * Significance counts of @p di's register-file values under the
+ * encoding: via the capture-time sidecar tags when the replay carries
+ * them (the tag table is exact) and per-word classification when it
+ * doesn't (live simulation) — bit-identical either way.
+ */
+inline OperandBytes
+operandBytes(const cpu::DynInstr &di, const EncodingParams &ep)
+{
+    const unsigned tags = di.sigTags;
+    if (tags != 0) {
+        return {ep.tagBytes[tags & 0xFu], ep.tagBytes[(tags >> 4) & 0xFu],
+                ep.tagBytes[(tags >> 8) & 0xFu]};
+    }
+    return {sig::significantBytesUnder(di.srcRs, ep.enc),
+            sig::significantBytesUnder(di.srcRt, ep.enc),
+            sig::significantBytesUnder(di.result, ep.enc)};
+}
+
+/**
+ * Latch bits of one instruction before the design's boundary scaling
+ * (addLatch, the only design-dependent piece of the activity
+ * accounting): instruction + PC, operands, result/store data, and
+ * the write-back value. Of the quanta it reads only fetchBytes,
+ * pcChangedBlocks and memChunks.
+ */
+inline Count
+latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
+              unsigned pc_changed_blocks, unsigned mem_chunks,
+              const OperandBytes &ob, const EncodingParams &ep)
+{
+    const unsigned eb = ep.extBits;
+    const unsigned cb = ep.chunkBytes;
+    Count latch_c = 8 * fetch_bytes + 1 + pc_changed_blocks * 8 * cb;
+    if (dec.readsRs)
+        latch_c += 8 * ob.rs + eb;
+    if (dec.readsRt)
+        latch_c += 8 * ob.rt + eb;
+    if (dec.writesDest && dec.dest != isa::reg::zero)
+        latch_c += 2 * (8 * ob.res + (ob.res ? eb : 0));
+    if (dec.isStore)
+        latch_c += 8 * mem_chunks * cb + eb;
+    return latch_c;
+}
+
+} // namespace quanta_detail
 
 /**
  * Design-independent per-instruction replay record.
  *
  * Everything a QuantaRecorder produces — hierarchy outcomes, ALU
- * occupancy, significance classification, the non-latch activity
- * accounting, and the pre-scaling latch bit count — depends only on
- * the trace, the encoding, the memory geometry, and the instruction
- * compressor, not on the concrete design. During trace replay one
- * recorder per quanta key writes this front half once, unless the
- * TraceBuffer already caches the record, and every pipeline of that
- * key — in this study or any later one — consumes it
- * (retireBlockShared): latch scaling, plan() and schedule() only.
- * A seven-design CPI study does the quanta work once, not seven
- * times.
+ * occupancy, significance classification and the non-latch activity
+ * accounting — depends only on the trace, the encoding, the memory
+ * geometry, and the instruction compressor, not on the concrete
+ * design. During trace replay one recorder per quanta key writes this
+ * front half once, unless the TraceBuffer already caches the record,
+ * and every pipeline of that key — in this study or any later one —
+ * consumes it (retireBlockShared): latch scaling, plan() and
+ * schedule() only. A seven-design CPI study does the quanta work
+ * once, not seven times.
+ *
+ * The record holds no insignificant bytes (the paper's rule applied
+ * to the simulator's own state), four bytes per instruction:
+ *  - the dense Entry bit-packs the dynamic fields (layout: Field);
+ *  - what the decoded instruction determines (numSrcRegs,
+ *    memAccessBytes, usesAlu, isMult, isDiv) is not stored — the
+ *    Cursor reads it from DynInstr::dec;
+ *  - hierarchy latencies, almost always zero, live in the sparse
+ *    index-sorted miss list, each block remembering where its misses
+ *    start;
+ *  - the pre-scaling latch bit count is not stored — latchBases()
+ *    recomputes it with the recorder's own formula
+ *    (quanta_detail::latchBaseBits) from the operand significance,
+ *    once per block for every pipeline of the quanta group.
  */
 class SharedQuanta
 {
   public:
-    /** Packed InstrQuanta + latch base; 24 bytes per instruction. */
-    struct Packed
+    /** Dense per-instruction entry: the dynamic quanta, bit-packed. */
+    using Entry = std::uint32_t;
+
+    /** Fields of an Entry, packed low bit first in this order. */
+    enum Field : unsigned
     {
-        std::uint8_t fetchBytes;
-        std::uint8_t srcChunks;
-        std::uint8_t numSrcRegs;
-        std::uint8_t exChunks;
-        std::uint8_t exWorkBytes;
-        std::uint8_t memChunks;
-        std::uint8_t memAccessBytes;
-        std::uint8_t resChunks;
-        /** usesAlu | isMult<<1 | isDiv<<2 | redirect<<3. */
-        std::uint8_t flags;
-        std::uint8_t pcChangedBlocks;
-        std::uint8_t pcRippleExtra;
-        std::uint8_t pad = 0;
-        std::uint32_t ifExtra;
-        std::uint32_t memExtra;
-        std::uint32_t latchBase;
+        FetchBytes,
+        SrcChunks,
+        ExChunks,
+        ExWorkBytes,
+        MemChunks,
+        ResChunks,
+        PcChangedBlocks,
+        PcRippleExtra,
+        Redirect,
+        NumFields,
     };
 
-    static Packed
-    pack(const InstrQuanta &q, Count latch_base)
+    /**
+     * Bit width of each Field: chunk counts reach 4, ALU work bytes 8
+     * (multiply/divide), the PC ripple 3.
+     */
+    static constexpr std::array<unsigned, NumFields> fieldBits = {
+        3, 3, 3, 4, 3, 3, 3, 2, 1};
+    static constexpr std::array<const char *, NumFields> fieldNames = {
+        "fetchBytes",  "srcChunks",       "exChunks",
+        "exWorkBytes", "memChunks",       "resChunks",
+        "pcChangedBlocks", "pcRippleExtra", "redirect"};
+
+    /** Bit offset of each Field within an Entry. */
+    static constexpr std::array<unsigned, NumFields> fieldShift = [] {
+        std::array<unsigned, NumFields> shift{};
+        for (unsigned f = 1; f < NumFields; ++f)
+            shift[f] = shift[f - 1] + fieldBits[f - 1];
+        return shift;
+    }();
+
+    /** Bits of an Entry in use; the rest are zero. */
+    static constexpr unsigned entryBits =
+        fieldShift[NumFields - 1] + fieldBits[NumFields - 1];
+    static_assert(entryBits <= 8 * sizeof(Entry));
+    static_assert(sizeof(Entry) <= 4, "the dense entry is four bytes");
+
+    static constexpr unsigned
+    field(Entry e, Field f)
     {
-        Packed p;
-        p.fetchBytes = static_cast<std::uint8_t>(q.fetchBytes);
-        p.srcChunks = static_cast<std::uint8_t>(q.srcChunks);
-        p.numSrcRegs = static_cast<std::uint8_t>(q.numSrcRegs);
-        p.exChunks = static_cast<std::uint8_t>(q.exChunks);
-        p.exWorkBytes = static_cast<std::uint8_t>(q.exWorkBytes);
-        p.memChunks = static_cast<std::uint8_t>(q.memChunks);
-        p.memAccessBytes = static_cast<std::uint8_t>(q.memAccessBytes);
-        p.resChunks = static_cast<std::uint8_t>(q.resChunks);
-        p.flags = static_cast<std::uint8_t>(
-            (q.usesAlu ? 1u : 0u) | (q.isMult ? 2u : 0u) |
-            (q.isDiv ? 4u : 0u) | (q.redirect ? 8u : 0u));
-        p.pcChangedBlocks = static_cast<std::uint8_t>(q.pcChangedBlocks);
-        p.pcRippleExtra = static_cast<std::uint8_t>(q.pcRippleExtra);
-        p.ifExtra = static_cast<std::uint32_t>(q.ifExtra);
-        p.memExtra = static_cast<std::uint32_t>(q.memExtra);
-        p.latchBase = static_cast<std::uint32_t>(latch_base);
-        return p;
+        return (e >> fieldShift[f]) & ((1u << fieldBits[f]) - 1);
     }
 
-    static InstrQuanta
-    unpack(const Packed &p)
-    {
-        InstrQuanta q;
-        q.fetchBytes = p.fetchBytes;
-        q.srcChunks = p.srcChunks;
-        q.numSrcRegs = p.numSrcRegs;
-        q.exChunks = p.exChunks;
-        q.exWorkBytes = p.exWorkBytes;
-        q.memChunks = p.memChunks;
-        q.memAccessBytes = p.memAccessBytes;
-        q.resChunks = p.resChunks;
-        q.usesAlu = (p.flags & 1u) != 0;
-        q.isMult = (p.flags & 2u) != 0;
-        q.isDiv = (p.flags & 4u) != 0;
-        q.redirect = (p.flags & 8u) != 0;
-        q.pcChangedBlocks = p.pcChangedBlocks;
-        q.pcRippleExtra = p.pcRippleExtra;
-        q.ifExtra = p.ifExtra;
-        q.memExtra = p.memExtra;
-        return q;
-    }
+    /**
+     * Pack the dynamic fields of @p q. Fatal when a field does not fit
+     * its width (never truncates); the latencies go to the miss list.
+     */
+    static Entry pack(const InstrQuanta &q);
 
-    /** Per-instruction packed quanta, in stream order. */
-    std::vector<Packed> q;
+    /** One instruction with a non-zero hierarchy latency. */
+    struct Miss
+    {
+        std::uint32_t index; ///< record index of the instruction
+        std::uint32_t ifExtra;
+        std::uint32_t memExtra;
+
+        bool operator==(const Miss &) const = default;
+    };
+
+    /**
+     * Rebuilds the InstrQuanta of one block's instructions, in stream
+     * order: the dense entry, the decoded instruction's static fields,
+     * and the miss list under a cursor.
+     */
+    class Cursor
+    {
+      public:
+        /** Block @p block_index of @p rec, from record index @p base. */
+        Cursor(const SharedQuanta &rec, std::size_t base,
+               std::size_t block_index)
+            : q_(rec.q.data()), entry_(q_ + base),
+              miss_(rec.misses.data() + rec.blockMissStart[block_index]),
+              missEnd_(rec.misses.data() + rec.misses.size()),
+              missAt_(nextMissAt())
+        {
+        }
+
+        /** Quanta of @p di, the next instruction of the block. */
+        InstrQuanta next(const cpu::DynInstr &di);
+
+      private:
+        /** Entry of the next miss; null once the list is exhausted. */
+        const Entry *
+        nextMissAt() const
+        {
+            return miss_ != missEnd_ ? q_ + miss_->index : nullptr;
+        }
+
+        const Entry *q_;
+        const Entry *entry_;
+        const Miss *miss_;
+        const Miss *missEnd_;
+        /** nextMissAt(), kept so each instruction costs one compare. */
+        const Entry *missAt_;
+    };
+
+    /**
+     * Pre-scaling latch bit count of each instruction of @p block,
+     * which starts at record index @p base, under the record's
+     * encoding @p enc, into @p out. A replay of a cached record runs
+     * this once per block per quanta group (a recording replay takes
+     * the recorder's values instead); every pipeline of the group then
+     * consumes the result (retireBlockShared).
+     */
+    void latchBases(std::span<const cpu::DynInstr> block, std::size_t base,
+                    sig::Encoding enc, std::vector<Count> &out) const;
+
+    /** Per-instruction dense entries, in stream order. */
+    std::vector<Entry> q;
+    /** Instructions with a non-zero ifExtra or memExtra, by index. */
+    std::vector<Miss> misses;
+    /** Per replay block: index into misses of its first miss. */
+    std::vector<std::uint32_t> blockMissStart;
     /**
      * Shared (non-latch) activity delta per replay block; the latch
      * category stays zero — it is design-dependent and consumers
@@ -275,9 +475,16 @@ class SharedQuanta
     std::size_t
     bytes() const
     {
-        return q.capacity() * sizeof(Packed) +
+        return q.capacity() * sizeof(Entry) +
+               misses.capacity() * sizeof(Miss) +
+               blockMissStart.capacity() * sizeof(std::uint32_t) +
                blockDelta.capacity() * sizeof(ActivityTotals);
     }
+
+  private:
+    /** Cold out-of-line panic of pack(): field @p f holds @p v. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    panicFieldRange(unsigned f, unsigned v);
 };
 
 /**
@@ -285,11 +492,15 @@ class SharedQuanta
  * hierarchy and the serial ALU, classifies significance, and
  * accounts every activity category except latches. Its output per
  * instruction is an InstrQuanta plus the pre-scaling latch bit
- * count; every design's scheduler consumes that.
+ * count (quanta_detail::latchBaseBits); every design's scheduler
+ * consumes that.
  *
  * Trace replay builds one recorder per quanta group, and only when
  * the trace caches no record for the group's key; it writes the
- * SharedQuanta record every pipeline of the group consumes. The live
+ * SharedQuanta record every pipeline of the group consumes — the
+ * dense entries and the miss list, not the latch base, which it hands
+ * to the group's pipelines per block and SharedQuanta::latchBases()
+ * recomputes for a cached record. The live
  * path (InOrderPipeline::bind) gives each pipeline its own recorder
  * and feeds the unpacked quanta straight to the scheduler. The
  * process registry's `pipeline.quanta_recorders` counter counts the
@@ -319,13 +530,20 @@ class QuantaRecorder
     InstrQuanta compute(const cpu::DynInstr &di, Count &latch_base);
 
     /**
-     * Append @p block to @p rec: one Packed entry per instruction and
-     * one shared activity delta for the block.
+     * Append @p block to @p rec: one dense entry per instruction, a
+     * miss-list entry per instruction with a hierarchy latency, and
+     * the block's miss-list start and shared activity delta. Each
+     * instruction's latch base goes to @p latch_base for the group's
+     * pipelines (the record keeps none; SharedQuanta::latchBases()
+     * recomputes the same values from it).
      */
     void recordBlock(std::span<const cpu::DynInstr> block,
-                     SharedQuanta &rec);
+                     SharedQuanta &rec, std::vector<Count> &latch_base);
 
-    /** Store the hierarchy's final statistics in @p rec. */
+    /**
+     * Store the hierarchy's final statistics in @p rec and trim its
+     * miss list to size.
+     */
     void finish(SharedQuanta &rec) const;
 
     /**
@@ -338,19 +556,16 @@ class QuantaRecorder
 
   private:
     /**
-     * Account every activity category except latches; returns the
-     * instruction's latch bit count before control/boundary scaling
-     * (the design-independent part of the latch formula).
-     * @p rs_bytes/@p rt_bytes/@p res_bytes are the operand values'
-     * significance counts under the encoding, computed once by
-     * compute() (from the sidecar tags when available).
+     * Account every activity category except latches. @p ob holds
+     * the operand values' significance counts under the encoding,
+     * computed once by compute() (from the sidecar tags when
+     * available).
      */
-    Count accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
-                          const sig::AluReport &alu,
-                          const mem::MemOutcome &ifetch,
-                          const mem::MemOutcome &daccess, bool has_mem,
-                          unsigned rs_bytes, unsigned rt_bytes,
-                          unsigned res_bytes);
+    void accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
+                         const sig::AluReport &alu,
+                         const mem::MemOutcome &ifetch,
+                         const mem::MemOutcome &daccess, bool has_mem,
+                         const quanta_detail::OperandBytes &ob);
 
     /** Re-apply one trace store to the owned memory image. */
     void applyStore(const cpu::DynInstr &di);
@@ -362,7 +577,8 @@ class QuantaRecorder
         return fetchWidth_[(addr - program_.textStart()) / wordBytes];
     }
 
-    sig::Encoding encoding_;
+    /** The encoding and its constants. */
+    quanta_detail::EncodingParams params_;
     sig::SerialAlu alu_;
     mem::MemoryHierarchy hierarchy_;
     const isa::Program &program_;
@@ -370,14 +586,6 @@ class QuantaRecorder
     std::unique_ptr<mem::MainMemory> ownMemory_;
     const mem::MainMemory *memory_;
 
-    /**
-     * Significant bytes under the encoding per Ext3 sidecar tag
-     * (DynInstr::sigTags nibbles): every encoding's significance
-     * count is a pure function of the Ext3 pattern, so tagged
-     * replays look the count up instead of re-classifying the
-     * operand word (bit-identical either way; see compute()).
-     */
-    std::array<std::uint8_t, 16> tagBytes_{};
     /**
      * Per-static-instruction compressed fetch width, memoised at
      * construction (fetchBytes() permutes/recodes the whole word,
@@ -424,12 +632,14 @@ class InOrderPipeline : public cpu::TraceSink
      * Retire @p block from a SharedQuanta record of this pipeline's
      * quanta key over the same block structure. @p base is the
      * record index of block[0], @p block_index the block's delta
-     * index. Final state is bit-identical to live retirement.
+     * index, @p latch_base the block's SharedQuanta::latchBases().
+     * Final state is bit-identical to live retirement.
      */
     virtual void retireBlockShared(std::span<const cpu::DynInstr> block,
                                    const SharedQuanta &rec,
                                    std::size_t base,
-                                   std::size_t block_index) = 0;
+                                   std::size_t block_index,
+                                   std::span<const Count> latch_base) = 0;
 
     /**
      * Adopt the recording pass's hierarchy statistics so result()
@@ -510,16 +720,19 @@ class InOrderPipeline : public cpu::TraceSink
     }
 
     /**
-     * Check that @p rec covers the @p size instructions from @p base
-     * and block @p block_index, and account the block's shared
-     * activity.
+     * Check that @p rec and @p latch_base cover the @p size
+     * instructions from @p base and block @p block_index, and account
+     * the block's shared activity.
      */
     void
     beginSharedBlock(const SharedQuanta &rec, std::size_t base,
-                     std::size_t size, std::size_t block_index)
+                     std::size_t size, std::size_t block_index,
+                     std::span<const Count> latch_base)
     {
         SC_ASSERT(base + size <= rec.q.size() &&
-                      block_index < rec.blockDelta.size(),
+                      block_index < rec.blockDelta.size() &&
+                      block_index < rec.blockMissStart.size() &&
+                      latch_base.size() == size,
                   "shared quanta record does not cover this block");
         activity_ += rec.blockDelta[block_index];
     }
@@ -706,13 +919,13 @@ class SharedReplayModel : public InOrderPipeline
     void
     retireBlockShared(std::span<const cpu::DynInstr> block,
                       const SharedQuanta &rec, std::size_t base,
-                      std::size_t block_index) override
+                      std::size_t block_index,
+                      std::span<const Count> latch_base) override
     {
-        beginSharedBlock(rec, base, block.size(), block_index);
-        for (std::size_t j = 0; j < block.size(); ++j) {
-            const SharedQuanta::Packed &p = rec.q[base + j];
-            consume(block[j], SharedQuanta::unpack(p), p.latchBase);
-        }
+        beginSharedBlock(rec, base, block.size(), block_index, latch_base);
+        SharedQuanta::Cursor cursor(rec, base, block_index);
+        for (std::size_t j = 0; j < block.size(); ++j)
+            consume(block[j], cursor.next(block[j]), latch_base[j]);
     }
 
   private:
@@ -734,60 +947,19 @@ class SharedReplayModel : public InOrderPipeline
 // recorded block; defining them here lets them inline into the
 // record loop and the live retire().
 
-namespace quanta_detail
-{
-
-/** Chunks of a value under an encoding. */
-inline unsigned
-chunksOf(Word v, sig::Encoding enc)
-{
-    return sig::significantBytesUnder(v, enc) / sig::chunkBytes(enc);
-}
-
-/** Chunks moved by a memory access of @p bytes with datum @p v. */
-inline unsigned
-memChunksOf(Word v, unsigned bytes, sig::Encoding enc)
-{
-    const unsigned cb = sig::chunkBytes(enc);
-    if (bytes <= cb)
-        return 1;
-    // Sub-word accesses compress within their own width: a halfword
-    // whose upper byte is a sign fill moves one byte.
-    Word extended = v;
-    if (bytes == 2)
-        extended = signExtend(v, 16);
-    const unsigned full = divCeil(bytes, cb);
-    return std::min(full, chunksOf(extended, enc));
-}
-
-} // namespace quanta_detail
-
 inline InstrQuanta
 QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
 {
-    const sig::Encoding enc = encoding_;
+    const sig::Encoding enc = params_.enc;
     const isa::DecodedInstr &dec = *di.dec;
     if (ownMemory_ && dec.isStore)
         applyStore(di);
     InstrQuanta q;
 
-    // Significance counts of the three register-file values, via the
-    // capture-time sidecar tags when the replay carries them (the
-    // per-tag tables are exact, see the constructor) and per-word
-    // classification when it doesn't (live simulation). Computed once
-    // here and shared with the activity accounting below, which used
-    // to classify the same words a second time.
-    const unsigned tags = di.sigTags;
-    unsigned rs_bytes, rt_bytes, res_bytes;
-    if (tags != 0) {
-        rs_bytes = tagBytes_[tags & 0xFu];
-        rt_bytes = tagBytes_[(tags >> 4) & 0xFu];
-        res_bytes = tagBytes_[(tags >> 8) & 0xFu];
-    } else {
-        rs_bytes = sig::significantBytesUnder(di.srcRs, enc);
-        rt_bytes = sig::significantBytesUnder(di.srcRt, enc);
-        res_bytes = sig::significantBytesUnder(di.result, enc);
-    }
+    // Significance counts of the three register-file values, computed
+    // once here and shared with the activity accounting below.
+    const quanta_detail::OperandBytes ob =
+        quanta_detail::operandBytes(di, params_);
     const unsigned chunk_bytes = sig::chunkBytes(enc);
 
     // ---- fetch side -----------------------------------------------------
@@ -808,11 +980,11 @@ QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
     // ---- register sources -----------------------------------------------
     if (dec.readsRs) {
         ++q.numSrcRegs;
-        q.srcChunks = std::max(q.srcChunks, rs_bytes / chunk_bytes);
+        q.srcChunks = std::max(q.srcChunks, ob.rs / chunk_bytes);
     }
     if (dec.readsRt) {
         ++q.numSrcRegs;
-        q.srcChunks = std::max(q.srcChunks, rt_bytes / chunk_bytes);
+        q.srcChunks = std::max(q.srcChunks, ob.rt / chunk_bytes);
     }
 
     // ---- ALU work ---------------------------------------------------------
@@ -915,30 +1087,30 @@ QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
         q.memAccessBytes = dec.memBytes;
         q.memChunks =
             quanta_detail::memChunksOf(di.memData, dec.memBytes, enc);
-        latch_base = accountActivity(di, q, alu, ifo, dout, true,
-                                     rs_bytes, rt_bytes, res_bytes);
+        accountActivity(di, q, alu, ifo, dout, true, ob);
     } else {
-        latch_base = accountActivity(di, q, alu, ifo, mem::MemOutcome{},
-                                     false, rs_bytes, rt_bytes, res_bytes);
+        accountActivity(di, q, alu, ifo, mem::MemOutcome{}, false, ob);
     }
     // ---- result ------------------------------------------------------------
     if (dec.writesDest && dec.dest != isa::reg::zero)
-        q.resChunks = res_bytes / chunk_bytes;
+        q.resChunks = ob.res / chunk_bytes;
 
+    latch_base = quanta_detail::latchBaseBits(
+        dec, q.fetchBytes, q.pcChangedBlocks, q.memChunks, ob, params_);
     return q;
 }
 
-inline Count
+inline void
 QuantaRecorder::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
                                 const sig::AluReport &alu,
                                 const mem::MemOutcome &ifetch,
                                 const mem::MemOutcome &daccess,
-                                bool has_mem, unsigned rs_bytes,
-                                unsigned rt_bytes, unsigned res_bytes)
+                                bool has_mem,
+                                const quanta_detail::OperandBytes &ob)
 {
-    const sig::Encoding enc = encoding_;
-    const unsigned eb = sig::extensionBits(enc);
-    const unsigned cb = sig::chunkBytes(enc);
+    const sig::Encoding enc = params_.enc;
+    const unsigned eb = params_.extBits;
+    const unsigned cb = params_.chunkBytes;
     const isa::DecodedInstr &dec = *di.dec;
 
     // Fetch: 3-4 bytes plus the fetch extension bit vs a full word.
@@ -958,15 +1130,13 @@ QuantaRecorder::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
 
     // Register file reads.
     if (dec.readsRs)
-        activity_.rfRead.add(8 * rs_bytes + eb, 32);
+        activity_.rfRead.add(8 * ob.rs + eb, 32);
     if (dec.readsRt)
-        activity_.rfRead.add(8 * rt_bytes + eb, 32);
+        activity_.rfRead.add(8 * ob.rt + eb, 32);
 
     // Register file write-back.
     if (dec.writesDest && dec.dest != isa::reg::zero)
-        activity_.rfWrite.add(8 * res_bytes + eb, 32);
-    else
-        res_bytes = 0;
+        activity_.rfWrite.add(8 * ob.res + eb, 32);
 
     // ALU datapath.
     if (q.usesAlu)
@@ -995,23 +1165,54 @@ QuantaRecorder::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
     }
 
     // PC increment.
-    const unsigned block_bits = 8 * cb;
-    activity_.pcInc.add(q.pcChangedBlocks * block_bits, 32);
+    activity_.pcInc.add(q.pcChangedBlocks * 8 * cb, 32);
+}
 
-    // Latches: instruction + PC, operands, result/store data, and
-    // write-back value; returned unscaled — the caller applies the
-    // design-specific boundary scaling (addLatch), which is the only
-    // design-dependent piece of the whole accounting.
-    Count latch_c = 8 * q.fetchBytes + 1 +
-                    q.pcChangedBlocks * block_bits;
-    if (dec.readsRs)
-        latch_c += 8 * rs_bytes + eb;
-    if (dec.readsRt)
-        latch_c += 8 * rt_bytes + eb;
-    latch_c += 2 * (8 * res_bytes + eb * (res_bytes ? 1 : 0));
-    if (dec.isStore)
-        latch_c += 8 * q.memChunks * cb + eb;
-    return latch_c;
+inline SharedQuanta::Entry
+SharedQuanta::pack(const InstrQuanta &q)
+{
+    const std::array<unsigned, NumFields> v = {
+        q.fetchBytes,      q.srcChunks,     q.exChunks,
+        q.exWorkBytes,     q.memChunks,     q.resChunks,
+        q.pcChangedBlocks, q.pcRippleExtra, q.redirect ? 1u : 0u};
+    Entry e = 0;
+    for (unsigned f = 0; f < NumFields; ++f) {
+        if (v[f] >> fieldBits[f] != 0) [[unlikely]]
+            panicFieldRange(f, v[f]);
+        e |= v[f] << fieldShift[f];
+    }
+    return e;
+}
+
+inline InstrQuanta
+SharedQuanta::Cursor::next(const cpu::DynInstr &di)
+{
+    const isa::DecodedInstr &dec = *di.dec;
+    const Entry *at = entry_++;
+    const Entry e = *at;
+    InstrQuanta q;
+    q.fetchBytes = field(e, FetchBytes);
+    q.srcChunks = field(e, SrcChunks);
+    q.exChunks = field(e, ExChunks);
+    q.exWorkBytes = field(e, ExWorkBytes);
+    q.memChunks = field(e, MemChunks);
+    q.resChunks = field(e, ResChunks);
+    q.pcChangedBlocks = field(e, PcChangedBlocks);
+    q.pcRippleExtra = field(e, PcRippleExtra);
+    q.redirect = field(e, Redirect) != 0;
+    // What compute() derives from the decoded instruction alone.
+    q.numSrcRegs = (dec.readsRs ? 1u : 0u) + (dec.readsRt ? 1u : 0u);
+    q.memAccessBytes = (dec.isLoad || dec.isStore) ? dec.memBytes : 0;
+    q.usesAlu = dec.aluOp != isa::AluOp::None;
+    q.isMult = dec.aluOp == isa::AluOp::Mult;
+    q.isDiv = dec.aluOp == isa::AluOp::Div;
+    if (at == missAt_) [[unlikely]] {
+        q.ifExtra = miss_->ifExtra;
+        q.memExtra = miss_->memExtra;
+        ++miss_;
+        missAt_ = nextMissAt();
+    }
+    return q;
 }
 
 

@@ -37,7 +37,9 @@ resultKey(const InOrderPipeline &p)
  * QuantaRecorder writes one block by block ahead of the pipelines
  * and publishes it afterwards; otherwise the pipelines consume the
  * cached record. Either way every pipeline runs the same consume
- * body. See SharedQuanta in pipeline.h.
+ * body, over latch bases computed once per block for the group (by
+ * the recorder, or from the cached record). See SharedQuanta in
+ * pipeline.h.
  */
 class GroupReplaySink : public cpu::TraceSink
 {
@@ -53,8 +55,10 @@ class GroupReplaySink : public cpu::TraceSink
                 pipes_.front()->config(), trace.program());
             recording_ = std::make_shared<SharedQuanta>();
             recording_->q.reserve(trace.size());
-            recording_->blockDelta.reserve(
-                trace.size() / cpu::TraceView::defaultBlockSize + 2);
+            const std::size_t blocks =
+                trace.size() / cpu::TraceView::defaultBlockSize + 2;
+            recording_->blockMissStart.reserve(blocks);
+            recording_->blockDelta.reserve(blocks);
             rec_ = recording_;
         }
     }
@@ -70,10 +74,14 @@ class GroupReplaySink : public cpu::TraceSink
     {
         if (recorder_) {
             SIGCOMP_SPAN("quanta.compute");
-            recorder_->recordBlock(block, *recording_);
+            recorder_->recordBlock(block, *recording_, latchBase_);
+        } else {
+            rec_->latchBases(block, base_,
+                             pipes_.front()->config().encoding, latchBase_);
         }
         for (InOrderPipeline *p : pipes_)
-            p->retireBlockShared(block, *rec_, base_, blockIndex_);
+            p->retireBlockShared(block, *rec_, base_, blockIndex_,
+                                 latchBase_);
         base_ += block.size();
         ++blockIndex_;
     }
@@ -106,6 +114,8 @@ class GroupReplaySink : public cpu::TraceSink
     std::shared_ptr<const SharedQuanta> rec_;
     std::unique_ptr<QuantaRecorder> recorder_;
     std::shared_ptr<SharedQuanta> recording_;
+    /** The current block's latch bases, for every pipeline. */
+    std::vector<Count> latchBase_;
     std::size_t base_ = 0;
     std::size_t blockIndex_ = 0;
 };

@@ -318,24 +318,8 @@ checkTakenPayload(const std::uint8_t *p, std::size_t len,
 // pipeline/pipeline.h) are pure derived data, expensive to recompute
 // (the quanta front half is the heaviest part of a replay), and canonical
 // per (trace, encoding, memory geometry, compressor), so segments
-// persist them. Layout of one annex payload:
-//
-//   u64 instruction count (must match the segment header)
-//   u64 block-delta count (must be ceil(n / TraceView block size))
-//   six planes of n u32 values, each framed as u64 encoded length +
-//     encodeColumn32 stream — the 24-byte Packed record split into
-//     words so the significance codec sees its natural skew:
-//       w0 fetchBytes|srcChunks<<8|numSrcRegs<<16|exChunks<<24
-//       w1 exWorkBytes|memChunks<<8|memAccessBytes<<16|resChunks<<24
-//       w2 flags|pcChangedBlocks<<8|pcRippleExtra<<16
-//       w3 ifExtra   w4 memExtra   w5 latchBase
-//   per block delta: 16 raw u64 (8 activity stages x {compressed,
-//     baseline}; the latch pair is zero by construction)
-//   three CacheStats (l1i, l1d, l2): 6 raw u64 each
-//
-// Decoding validates every count against the segment header, so a
-// damaged annex fails the load softly like any other column damage.
-
+// persist them. The layout (encodeQuanta/decodeQuanta below) is part
+// of the pinned segment format.
 namespace
 {
 
@@ -389,7 +373,8 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
         const auto rec = std::static_pointer_cast<const SharedQuanta>(
             b.annexGet(key));
         if (rec == nullptr || rec->q.size() != n ||
-            rec->blockDelta.size() != canonicalBlocks(n))
+            rec->blockDelta.size() != canonicalBlocks(n) ||
+            rec->blockMissStart.size() != rec->blockDelta.size())
             continue;
         keys.push_back(key);
         if (keys.size() == kMaxAnnexes)
@@ -397,6 +382,44 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
     }
     return keys;
 }
+
+// sigcomp-lint: format-layout-begin
+// Layout of one "quanta:<key>" annex payload:
+//
+//   u64 instruction count n (must match the segment header)
+//   u64 block-delta count (must be ceil(n / TraceView block size))
+//   u64 encoded length + encodeColumn32 stream of the n dense
+//     SharedQuanta::Entry words (fields above entryBits must be zero)
+//   u64 miss count, then per miss three raw u32: index, ifExtra,
+//     memExtra (indices strictly increasing and < n, latencies not
+//     both zero); the per-block miss starts are derived on load
+//   per block delta: 16 raw u64 (8 activity stages x {compressed,
+//     baseline}; the latch pair is zero by construction)
+//   three CacheStats (l1i, l1d, l2): 6 raw u64 each
+//
+// Decoding validates every count and index against the segment
+// header, so a damaged annex fails the load softly like any other
+// column damage.
+constexpr std::size_t kMissBytes = 12;
+constexpr std::size_t kBlockDeltaBytes = 16 * 8;
+constexpr std::size_t kStatsBytes = 3 * 6 * 8;
+
+// The entry plane persists SharedQuanta::Entry words as they are, so
+// the entry layout (pipeline/pipeline.h) is part of this format: its
+// field offsets are pinned here, inside the format-pinned region.
+static_assert(SharedQuanta::fieldShift[SharedQuanta::FetchBytes] == 0 &&
+                  SharedQuanta::fieldShift[SharedQuanta::SrcChunks] == 3 &&
+                  SharedQuanta::fieldShift[SharedQuanta::ExChunks] == 6 &&
+                  SharedQuanta::fieldShift[SharedQuanta::ExWorkBytes] == 9 &&
+                  SharedQuanta::fieldShift[SharedQuanta::MemChunks] == 13 &&
+                  SharedQuanta::fieldShift[SharedQuanta::ResChunks] == 16 &&
+                  SharedQuanta::fieldShift[SharedQuanta::PcChangedBlocks] ==
+                      19 &&
+                  SharedQuanta::fieldShift[SharedQuanta::PcRippleExtra] ==
+                      22 &&
+                  SharedQuanta::fieldShift[SharedQuanta::Redirect] == 24 &&
+                  SharedQuanta::entryBits == 25,
+              "SharedQuanta::Entry layout changed: bump formatVersion");
 
 std::vector<std::uint8_t>
 encodeQuanta(const SharedQuanta &rec)
@@ -406,41 +429,16 @@ encodeQuanta(const SharedQuanta &rec)
     putU64(out, n);
     putU64(out, rec.blockDelta.size());
 
-    std::vector<std::uint32_t> plane(n);
     std::vector<std::uint8_t> enc;
-    for (unsigned w = 0; w < 6; ++w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const SharedQuanta::Packed &p = rec.q[i];
-            switch (w) {
-            case 0:
-                plane[i] = static_cast<std::uint32_t>(p.fetchBytes) |
-                           (static_cast<std::uint32_t>(p.srcChunks) << 8) |
-                           (static_cast<std::uint32_t>(p.numSrcRegs)
-                            << 16) |
-                           (static_cast<std::uint32_t>(p.exChunks) << 24);
-                break;
-            case 1:
-                plane[i] =
-                    static_cast<std::uint32_t>(p.exWorkBytes) |
-                    (static_cast<std::uint32_t>(p.memChunks) << 8) |
-                    (static_cast<std::uint32_t>(p.memAccessBytes) << 16) |
-                    (static_cast<std::uint32_t>(p.resChunks) << 24);
-                break;
-            case 2:
-                plane[i] =
-                    static_cast<std::uint32_t>(p.flags) |
-                    (static_cast<std::uint32_t>(p.pcChangedBlocks) << 8) |
-                    (static_cast<std::uint32_t>(p.pcRippleExtra) << 16);
-                break;
-            case 3: plane[i] = p.ifExtra; break;
-            case 4: plane[i] = p.memExtra; break;
-            default: plane[i] = p.latchBase; break;
-            }
-        }
-        enc.clear();
-        encodeColumn32(plane.data(), n, enc);
-        putU64(out, enc.size());
-        out.insert(out.end(), enc.begin(), enc.end());
+    encodeColumn32(rec.q.data(), n, enc);
+    putU64(out, enc.size());
+    out.insert(out.end(), enc.begin(), enc.end());
+
+    putU64(out, rec.misses.size());
+    for (const SharedQuanta::Miss &m : rec.misses) {
+        putU32(out, m.index);
+        putU32(out, m.ifExtra);
+        putU32(out, m.memExtra);
     }
 
     for (const pipeline::ActivityTotals &a : rec.blockDelta) {
@@ -465,61 +463,56 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
 {
     std::size_t off = 0;
     auto need = [&](std::size_t k) { return len - off >= k; };
-    if (!need(16))
+    if (!need(24))
         return fail(why, "quanta annex: truncated header");
     if (getU64(bytes) != n)
         return fail(why, "quanta annex: instruction count mismatch");
     const std::uint64_t blocks = getU64(bytes + 8);
     if (blocks != canonicalBlocks(n))
         return fail(why, "quanta annex: non-canonical block count");
-    off = 16;
+    const std::uint64_t enc_len = getU64(bytes + 16);
+    off = 24;
 
     auto rec = std::make_shared<SharedQuanta>();
-    rec->q.resize(n);
-    std::vector<std::uint32_t> plane;
-    for (unsigned w = 0; w < 6; ++w) {
-        if (!need(8))
-            return fail(why, "quanta annex: truncated plane");
-        const std::uint64_t enc_len = getU64(bytes + off);
-        off += 8;
-        if (!need(enc_len))
-            return fail(why, "quanta annex: plane overruns payload");
-        if (!decodeColumn32(bytes + off, enc_len, n, plane))
-            return fail(why, "quanta annex: malformed plane stream");
-        off += enc_len;
-        for (std::size_t i = 0; i < n; ++i) {
-            SharedQuanta::Packed &p = rec->q[i];
-            const std::uint32_t v = plane[i];
-            switch (w) {
-            case 0:
-                p.fetchBytes = static_cast<std::uint8_t>(v);
-                p.srcChunks = static_cast<std::uint8_t>(v >> 8);
-                p.numSrcRegs = static_cast<std::uint8_t>(v >> 16);
-                p.exChunks = static_cast<std::uint8_t>(v >> 24);
-                break;
-            case 1:
-                p.exWorkBytes = static_cast<std::uint8_t>(v);
-                p.memChunks = static_cast<std::uint8_t>(v >> 8);
-                p.memAccessBytes = static_cast<std::uint8_t>(v >> 16);
-                p.resChunks = static_cast<std::uint8_t>(v >> 24);
-                break;
-            case 2:
-                if ((v >> 24) != 0)
-                    return fail(why, "quanta annex: flag plane garbage");
-                p.flags = static_cast<std::uint8_t>(v);
-                p.pcChangedBlocks = static_cast<std::uint8_t>(v >> 8);
-                p.pcRippleExtra = static_cast<std::uint8_t>(v >> 16);
-                p.pad = 0;
-                break;
-            case 3: p.ifExtra = v; break;
-            case 4: p.memExtra = v; break;
-            default: p.latchBase = v; break;
-            }
-        }
+    if (!need(enc_len))
+        return fail(why, "quanta annex: entry plane overruns payload");
+    if (!decodeColumn32(bytes + off, enc_len, n, rec->q))
+        return fail(why, "quanta annex: malformed entry plane");
+    off += enc_len;
+    for (const SharedQuanta::Entry e : rec->q) {
+        if ((e >> SharedQuanta::entryBits) != 0)
+            return fail(why, "quanta annex: entry plane garbage");
     }
 
-    const std::size_t tail = blocks * 16 * 8 + 3 * 6 * 8;
-    if (len - off != tail)
+    if (!need(8))
+        return fail(why, "quanta annex: truncated miss list");
+    const std::uint64_t misses = getU64(bytes + off);
+    off += 8;
+    if (misses > n || !need(misses * kMissBytes))
+        return fail(why, "quanta annex: miss list overruns payload");
+    rec->misses.resize(misses);
+    for (std::uint64_t i = 0; i < misses; ++i) {
+        SharedQuanta::Miss &m = rec->misses[i];
+        m.index = getU32(bytes + off);
+        m.ifExtra = getU32(bytes + off + 4);
+        m.memExtra = getU32(bytes + off + 8);
+        off += kMissBytes;
+        if (m.index >= n ||
+            (i > 0 && m.index <= rec->misses[i - 1].index))
+            return fail(why, "quanta annex: miss index out of order");
+        if ((m.ifExtra | m.memExtra) == 0)
+            return fail(why, "quanta annex: miss without latency");
+    }
+    rec->blockMissStart.resize(blocks);
+    std::size_t first = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        while (first < misses && rec->misses[first].index <
+                                     b * cpu::TraceView::defaultBlockSize)
+            ++first;
+        rec->blockMissStart[b] = static_cast<std::uint32_t>(first);
+    }
+
+    if (len - off != blocks * kBlockDeltaBytes + kStatsBytes)
         return fail(why, "quanta annex: size mismatch");
     rec->blockDelta.resize(blocks);
     for (std::uint64_t b = 0; b < blocks; ++b) {
@@ -539,6 +532,7 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
     out = std::move(rec);
     return true;
 }
+// sigcomp-lint: format-layout-end
 
 } // namespace
 

@@ -106,7 +106,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 4;
+constexpr std::uint32_t formatVersion = 5;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */

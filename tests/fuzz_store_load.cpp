@@ -10,9 +10,10 @@
  * verifier must classify it — load to a sound trace, or fail soft
  * with a reason — and never crash, leak, or trip ASan.
  *
- * Seed corpus: a real segment saved by the harness itself on first
- * call (plus the CI corpus cache), so coverage starts from the valid
- * format and mutates inward past the CRCs. Run locally:
+ * Seed corpus: a real segment, with one SharedQuanta annex, saved by
+ * the harness itself on first call (plus the CI corpus cache), so
+ * coverage starts from the valid format and mutates inward past the
+ * CRCs. Run locally:
  *
  *   cmake -B build-fuzz -S . -DCMAKE_CXX_COMPILER=clang++ \
  *         -DSIGCOMP_FUZZ=ON
@@ -28,6 +29,8 @@
 #include <string>
 
 #include "cpu/trace_buffer.h"
+#include "pipeline/models.h"
+#include "pipeline/runner.h"
 #include "store/trace_store.h"
 #include "workloads/workload.h"
 
@@ -47,10 +50,16 @@ struct Harness
         store = new sigcomp::store::TraceStore(dir);
         // Save one real segment so `corpus` dirs pick up a valid
         // seed via -seed_inputs or a manual copy; it is immediately
-        // overwritten by the first fuzz input.
+        // overwritten by the first fuzz input. A replay first
+        // publishes a SharedQuanta record, so the seed carries a
+        // "quanta:" annex and mutations reach the annex codec too.
         const sigcomp::cpu::TraceBuffer t =
             sigcomp::cpu::TraceBuffer::capture(workload->program, 2000,
                                                true);
+        auto pipe = sigcomp::pipeline::makePipeline(
+            sigcomp::pipeline::Design::ByteSerial,
+            sigcomp::pipeline::PipelineConfig{});
+        sigcomp::pipeline::replayPipelines(t, {pipe.get()});
         (void)store->save("rawcaudio", t, 2000);
     }
 

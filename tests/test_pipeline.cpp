@@ -2,15 +2,18 @@
  * @file
  * Pipeline timing and activity tests: hand-computed schedules on the
  * baseline, occupancy/streaming behaviour of the serial designs,
- * branch/load-use penalties, cache-miss latency plumbing, and
- * cross-design invariants on a real workload.
+ * branch/load-use penalties, cache-miss latency plumbing,
+ * cross-design invariants on a real workload, and the SharedQuanta
+ * replay records of the whole suite.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "cpu/trace_buffer.h"
 #include "isa/assembler.h"
+#include "pipeline/runner.h"
 #include "workloads/workload.h"
 #include "tests/live_oracle.h"
 
@@ -493,6 +496,198 @@ TEST(Result, EmptyPipelineIsSane)
     EXPECT_EQ(r.instructions, 0u);
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_DOUBLE_EQ(r.cpi(), 0.0);
+}
+
+// ------------------------------------------------------ shared quanta records
+
+/** The three quanta groups of the suite's activity studies. */
+const std::array<sig::Encoding, 3> kRecordEncodings = {
+    sig::Encoding::Ext3, sig::Encoding::Ext2, sig::Encoding::Half1};
+
+/** One suite workload's trace and its SharedQuanta record per encoding. */
+struct SuiteRecords
+{
+    std::string name;
+    std::shared_ptr<cpu::TraceBuffer> trace;
+    std::array<std::shared_ptr<const SharedQuanta>, 3> rec;
+};
+
+/**
+ * Every suite workload captured once and replayed through one
+ * activity-study pipeline per encoding, which records and publishes
+ * the group's SharedQuanta (built on first use, shared by the tests
+ * below).
+ */
+const std::vector<SuiteRecords> &
+suiteRecords()
+{
+    static const std::vector<SuiteRecords> all = [] {
+        std::vector<SuiteRecords> out;
+        for (const std::string &name : workloads::Suite::names()) {
+            SuiteRecords r;
+            r.name = name;
+            r.trace = std::make_shared<cpu::TraceBuffer>(
+                cpu::TraceBuffer::capture(
+                    workloads::Suite::build(name).program));
+            for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
+                const sig::Encoding enc = kRecordEncodings[e];
+                auto pipe = makePipeline(enc == sig::Encoding::Half1
+                                             ? Design::HalfwordSerial
+                                             : Design::ByteSerial,
+                                         analysis::suiteConfig(enc));
+                replayPipelines(*r.trace, {pipe.get()});
+                r.rec[e] = std::static_pointer_cast<const SharedQuanta>(
+                    r.trace->annexGet(pipe->quantaKey()));
+            }
+            out.push_back(std::move(r));
+        }
+        return out;
+    }();
+    return all;
+}
+
+TEST(SharedQuantaRecord, HierarchyOutcomesAreEqualAcrossEncodings)
+{
+    // The hierarchy sees addresses only, so every quanta group of a
+    // workload holds the same miss list and cache statistics (the
+    // precondition for sharing one miss list across groups).
+    for (const SuiteRecords &r : suiteRecords()) {
+        SCOPED_TRACE(r.name);
+        for (const auto &rec : r.rec)
+            ASSERT_NE(rec, nullptr);
+        const SharedQuanta &ext3 = *r.rec[0];
+        EXPECT_FALSE(ext3.misses.empty());
+        for (std::size_t e = 1; e < r.rec.size(); ++e) {
+            SCOPED_TRACE(sig::encodingName(kRecordEncodings[e]));
+            const SharedQuanta &other = *r.rec[e];
+            EXPECT_TRUE(other.misses == ext3.misses);
+            EXPECT_TRUE(other.blockMissStart == ext3.blockMissStart);
+            EXPECT_TRUE(other.l1i == ext3.l1i);
+            EXPECT_TRUE(other.l1d == ext3.l1d);
+            EXPECT_TRUE(other.l2 == ext3.l2);
+        }
+    }
+}
+
+TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
+{
+    // Replays each record through the consumers' Cursor and
+    // latchBases() next to a fresh recorder: every instruction's
+    // quanta and latch base must match field for field.
+    struct CompareSink : cpu::TraceSink
+    {
+        CompareSink(const SharedQuanta &rec, const PipelineConfig &cfg,
+                    const isa::Program &program)
+            : rec(rec), enc(cfg.encoding), recorder(cfg, program)
+        {
+        }
+
+        void
+        retire(const cpu::DynInstr &di) override
+        {
+            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+        }
+
+        void
+        retireBlock(std::span<const cpu::DynInstr> block) override
+        {
+            SharedQuanta::Cursor cursor(rec, base, blockIndex);
+            std::vector<Count> latch;
+            rec.latchBases(block, base, enc, latch);
+            for (std::size_t j = 0; j < block.size(); ++j) {
+                Count want_latch = 0;
+                const InstrQuanta want =
+                    recorder.compute(block[j], want_latch);
+                const InstrQuanta got = cursor.next(block[j]);
+                if (!(got == want) || latch[j] != want_latch) {
+                    if (mismatches++ == 0)
+                        firstMismatch = base;
+                }
+                ++base;
+            }
+            ++blockIndex;
+        }
+
+        const SharedQuanta &rec;
+        sig::Encoding enc;
+        QuantaRecorder recorder;
+        std::size_t base = 0;
+        std::size_t blockIndex = 0;
+        std::size_t mismatches = 0;
+        std::size_t firstMismatch = 0;
+    };
+
+    for (const SuiteRecords &r : suiteRecords()) {
+        for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
+            SCOPED_TRACE(r.name + " " +
+                         sig::encodingName(kRecordEncodings[e]));
+            ASSERT_NE(r.rec[e], nullptr);
+            PipelineConfig cfg = analysis::suiteConfig(kRecordEncodings[e]);
+            CompareSink sink(*r.rec[e], cfg, r.trace->program());
+            cpu::TraceView(*r.trace).replay(sink);
+            EXPECT_EQ(sink.base, r.trace->size());
+            EXPECT_EQ(sink.mismatches, 0u)
+                << "first at record index " << sink.firstMismatch;
+        }
+    }
+}
+
+TEST(SharedQuantaRecord, FitsFourAndAQuarterBytesPerInstruction)
+{
+    for (const SuiteRecords &r : suiteRecords()) {
+        for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
+            SCOPED_TRACE(r.name + " " +
+                         sig::encodingName(kRecordEncodings[e]));
+            ASSERT_NE(r.rec[e], nullptr);
+            EXPECT_EQ(r.rec[e]->q.size(), r.trace->size());
+            EXPECT_LE(static_cast<double>(r.rec[e]->bytes()),
+                      4.25 * static_cast<double>(r.trace->size()));
+        }
+    }
+}
+
+TEST(SharedQuantaRecordDeathTest, PackRefusesAFieldOutOfRange)
+{
+    // In range: every field at its widest legal value round-trips.
+    InstrQuanta q;
+    q.fetchBytes = 4;
+    q.srcChunks = 4;
+    q.exChunks = 4;
+    q.exWorkBytes = 8;
+    q.memChunks = 4;
+    q.resChunks = 4;
+    q.pcChangedBlocks = 4;
+    q.pcRippleExtra = 3;
+    q.redirect = true;
+    const SharedQuanta::Entry e = SharedQuanta::pack(q);
+    EXPECT_EQ(SharedQuanta::field(e, SharedQuanta::ExWorkBytes), 8u);
+    EXPECT_EQ(SharedQuanta::field(e, SharedQuanta::PcRippleExtra), 3u);
+    EXPECT_EQ(SharedQuanta::field(e, SharedQuanta::Redirect), 1u);
+    EXPECT_EQ(e >> SharedQuanta::entryBits, 0u);
+
+    // One past each field's width dies instead of truncating.
+    const auto with = [](unsigned InstrQuanta::*f, unsigned v) {
+        InstrQuanta bad;
+        bad.*f = v;
+        return bad;
+    };
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::fetchBytes, 8)),
+                 "fetchBytes");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::srcChunks, 8)),
+                 "srcChunks");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::exChunks, 8)),
+                 "exChunks");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::exWorkBytes, 16)),
+                 "exWorkBytes");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::memChunks, 8)),
+                 "memChunks");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::resChunks, 8)),
+                 "resChunks");
+    EXPECT_DEATH(
+        SharedQuanta::pack(with(&InstrQuanta::pcChangedBlocks, 8)),
+        "pcChangedBlocks");
+    EXPECT_DEATH(SharedQuanta::pack(with(&InstrQuanta::pcRippleExtra, 4)),
+                 "pcRippleExtra");
 }
 
 } // namespace

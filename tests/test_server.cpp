@@ -1067,6 +1067,25 @@ threadCount()
 }
 
 /**
+ * threadCount() once it has stopped moving: a thread joined by an
+ * earlier test can still be counted for a moment while the kernel
+ * tears it down, so poll (boundedly) until two reads 5 ms apart agree.
+ */
+std::size_t
+settledThreadCount()
+{
+    std::size_t last = threadCount();
+    for (int i = 0; i < 200; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const std::size_t now = threadCount();
+        if (now == last)
+            return now;
+        last = now;
+    }
+    return last;
+}
+
+/**
  * Hands out @p n memory connections whose client end has already
  * hung up, then reports an orderly shutdown; samples the process's
  * threads and mappings at every accept.
@@ -1168,7 +1187,7 @@ TEST(DaemonServe, SequentialConnectionsReuseAParkedHandler)
     // serving 200 of them spawns at most two threads.
     constexpr unsigned kConns = 200;
     Daemon daemon(testConfig());
-    const std::size_t base_threads = threadCount();
+    const std::size_t base_threads = settledThreadCount();
     SequentialListener listener(kConns);
     daemon.serve(listener);
 

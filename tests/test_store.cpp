@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -720,6 +721,31 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
     EXPECT_EQ(loaded->annexKeys("quanta:"),
               std::vector<std::string>{key});
 
+    // The decoded record is the saved one: dense entries, miss list,
+    // the per-block miss starts derived on load, block deltas and
+    // cache statistics.
+    const auto saved =
+        std::static_pointer_cast<const pipeline::SharedQuanta>(
+            t.annexGet(key));
+    const auto restored =
+        std::static_pointer_cast<const pipeline::SharedQuanta>(
+            loaded->annexGet(key));
+    ASSERT_NE(restored, nullptr);
+    EXPECT_TRUE(restored->q == saved->q);
+    EXPECT_FALSE(saved->misses.empty());
+    EXPECT_TRUE(restored->misses == saved->misses);
+    EXPECT_TRUE(restored->blockMissStart == saved->blockMissStart);
+    ASSERT_EQ(restored->blockDelta.size(), saved->blockDelta.size());
+    for (std::size_t b = 0; b < saved->blockDelta.size(); ++b) {
+        EXPECT_EQ(restored->blockDelta[b].fetch.compressed,
+                  saved->blockDelta[b].fetch.compressed);
+        EXPECT_EQ(restored->blockDelta[b].dcData.baseline,
+                  saved->blockDelta[b].dcData.baseline);
+    }
+    EXPECT_TRUE(restored->l1i == saved->l1i);
+    EXPECT_TRUE(restored->l1d == saved->l1d);
+    EXPECT_TRUE(restored->l2 == saved->l2);
+
     auto warm_pipe = pipeline::makePipeline(Design::ByteSerial,
                                             analysis::suiteConfig());
     const std::uint64_t recorders0 = quantaRecorders();
@@ -799,6 +825,66 @@ TEST_F(StoreTest, CorruptQuantaAnnexFailsSoft)
     const auto trace = cache.get("rawcaudio");
     EXPECT_EQ(cache.captures(), 1u);
     EXPECT_EQ(trace->size(), t.size());
+}
+
+TEST_F(StoreTest, QuantaAnnexWithMissListOutOfOrderFailsSoft)
+{
+    // Damage that the CRCs cannot see: a well-framed annex whose miss
+    // list repeats an index. The decoder's structural check must
+    // reject it (a consumer cursor would otherwise skip a miss).
+    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
+    publishQuanta(t);
+    const TraceStore ts(dir());
+    ASSERT_TRUE(
+        ts.save("rawcaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
+    std::vector<std::uint8_t> bytes =
+        readAll(ts.segmentPath("rawcaudio"));
+
+    // One annex: its directory follows the column payloads, its
+    // payload is the file tail.
+    std::size_t dir_start = 64 + 6 * 32 + 4;
+    for (unsigned c = 0; c < 6; ++c)
+        dir_start += static_cast<std::size_t>(
+            store::getU64(bytes.data() + 64 + 32 * c + 16));
+    ASSERT_EQ(store::getU32(bytes.data() + dir_start), 1u);
+    const std::uint32_t key_len =
+        store::getU32(bytes.data() + dir_start + 4);
+    const std::size_t entry = dir_start + 8 + key_len;
+    const std::size_t payload_len =
+        static_cast<std::size_t>(store::getU64(bytes.data() + entry + 8));
+    const std::size_t dir_crc_at = entry + 20;
+    const std::size_t payload = dir_crc_at + 4;
+    ASSERT_EQ(payload + payload_len, bytes.size());
+
+    // Payload: n, blocks, entry-plane length + stream, miss count,
+    // then 12-byte misses. Repeat the first miss's index.
+    const std::size_t plane_len = static_cast<std::size_t>(
+        store::getU64(bytes.data() + payload + 16));
+    const std::size_t misses_at = payload + 24 + plane_len;
+    ASSERT_GE(store::getU64(bytes.data() + misses_at), 2u);
+    std::memcpy(bytes.data() + misses_at + 8 + 12,
+                bytes.data() + misses_at + 8, 4);
+
+    // Re-seal: payload CRC, then the directory CRC that covers it.
+    auto put32 = [&](std::size_t at, std::uint32_t v) {
+        for (unsigned i = 0; i < 4; ++i)
+            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    put32(entry + 16, crc32(0, bytes.data() + payload, payload_len));
+    put32(dir_crc_at,
+          crc32(0, bytes.data() + dir_start, dir_crc_at - dir_start));
+    writeAll(ts.segmentPath("rawcaudio"), bytes);
+
+    std::string why;
+    EXPECT_FALSE(ts.verify("rawcaudio", &w.program, &why));
+    EXPECT_NE(why.find("miss index out of order"), std::string::npos)
+        << why;
+    EXPECT_EQ(ts.load("rawcaudio", w.program,
+                      cpu::TraceBuffer::defaultMaxInstrs, &why),
+              nullptr);
+    EXPECT_NE(why.find("miss index out of order"), std::string::npos)
+        << why;
 }
 
 TEST_F(StoreTest, SegmentTruncatedAtAnnexDirectoryCrcFailsSoft)
