@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/json.h"
@@ -470,13 +468,6 @@ parsePlanJson(std::string_view json, StudyPlan *out, PlanError *error)
 namespace
 {
 
-/** %.17g round-trips every finite IEEE-754 double through strtod. */
-void
-writeDouble(std::FILE *f, double v)
-{
-    std::fprintf(f, "%.17g", v);
-}
-
 bool
 serializeFail(PlanError *error, PlanErrorKind kind, std::string msg)
 {
@@ -563,64 +554,56 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
                              "deadline_ms exceeds the wire cap");
     }
 
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *f = open_memstream(&buf, &len);
-    SC_ASSERT(f != nullptr, "open_memstream failed");
-
-    std::fprintf(f, "{\n  \"schema\": \"%s\",\n", kSchemaId);
-    std::fprintf(f, "  \"workloads\": [");
-    for (std::size_t i = 0; i < plan.workloads_.size(); ++i) {
-        std::fprintf(f, "%s", i ? ", " : "");
-        json::writeString(f, plan.workloads_[i]);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "  \"evict_after_replay\": %s,\n",
-                 plan.evictAfterReplay_ ? "true" : "false");
-    if (plan.hasDeadline_) {
-        std::fprintf(f, "  \"deadline_ms\": %llu,\n",
-                     static_cast<unsigned long long>(plan.deadlineMs_));
-    }
-    std::fprintf(f, "  \"activity\": [");
+    using json::Exact;
+    using json::Quoted;
+    std::string &o = *out;
+    o.clear();
+    o.reserve(1024);
+    json::append(o, "{\n  \"schema\": \"", kSchemaId, "\",\n",
+                 "  \"workloads\": [");
+    for (std::size_t i = 0; i < plan.workloads_.size(); ++i)
+        json::append(o, i ? ", " : "", Quoted{plan.workloads_[i]});
+    json::append(o, "],\n", "  \"evict_after_replay\": ",
+                 plan.evictAfterReplay_ ? "true" : "false", ",\n");
+    if (plan.hasDeadline_)
+        json::append(o, "  \"deadline_ms\": ", plan.deadlineMs_, ",\n");
+    o += "  \"activity\": [";
     for (std::size_t i = 0; i < plan.activity_.size(); ++i) {
-        std::fprintf(f, "%s{\"encoding\": \"%s\"}", i ? ", " : "",
-                     sig::encodingName(plan.activity_[i]).c_str());
+        json::append(o, i ? ", " : "", "{\"encoding\": \"",
+                     sig::encodingName(plan.activity_[i]), "\"}");
     }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "  \"cpi\": [");
+    o += "],\n";
+    o += "  \"cpi\": [";
     for (std::size_t i = 0; i < plan.cpi_.size(); ++i) {
         const StudyPlan::CpiSpec &s = plan.cpi_[i];
-        std::fprintf(f, "%s\n    {\"designs\": [", i ? "," : "");
+        json::append(o, i ? "," : "", "\n    {\"designs\": [");
         for (std::size_t d = 0; d < s.designs.size(); ++d) {
-            std::fprintf(f, "%s\"%s\"", d ? ", " : "",
-                         pipeline::designName(s.designs[d]).c_str());
+            json::append(o, d ? ", " : "", "\"",
+                         pipeline::designName(s.designs[d]), "\"");
         }
-        std::fprintf(f,
-                     "],\n     \"config\": {\"encoding\": \"%s\", "
-                     "\"mult_cycles\": %u, \"div_cycles\": %u, "
-                     "\"predictor\": \"%s\", \"pht_entries\": %u, "
-                     "\"btb_entries\": %u, \"compressor_ranking\": [",
-                     sig::encodingName(s.config.encoding).c_str(),
-                     s.config.multCycles, s.config.divCycles,
-                     pipeline::predictorName(s.config.predictor).c_str(),
-                     s.config.phtEntries, s.config.btbEntries);
+        json::append(o, "],\n     \"config\": {\"encoding\": \"",
+                     sig::encodingName(s.config.encoding),
+                     "\", \"mult_cycles\": ", s.config.multCycles,
+                     ", \"div_cycles\": ", s.config.divCycles,
+                     ", \"predictor\": \"",
+                     pipeline::predictorName(s.config.predictor),
+                     "\", \"pht_entries\": ", s.config.phtEntries,
+                     ", \"btb_entries\": ", s.config.btbEntries,
+                     ", \"compressor_ranking\": [");
         const std::vector<std::uint8_t> &rank =
             s.config.compressor.ranking();
         for (std::size_t j = 0; j < rank.size(); ++j)
-            std::fprintf(f, "%s%u", j ? ", " : "", rank[j]);
-        std::fprintf(f, "]}}");
+            json::append(o, j ? ", " : "", rank[j]);
+        o += "]}}";
     }
-    std::fprintf(f, "%s],\n", plan.cpi_.empty() ? "" : "\n  ");
-    std::fprintf(f, "  \"energy\": [");
+    json::append(o, plan.cpi_.empty() ? "" : "\n  ", "],\n");
+    o += "  \"energy\": [";
     for (std::size_t i = 0; i < plan.energy_.size(); ++i) {
         const StudyPlan::EnergySpec &e = plan.energy_[i];
-        std::fprintf(f,
-                     "%s\n    {\"design\": \"%s\", \"encoding\": "
-                     "\"%s\",\n     \"tech\": {\"vdd\": ",
-                     i ? "," : "",
-                     pipeline::designName(e.design).c_str(),
-                     sig::encodingName(e.enc).c_str());
-        writeDouble(f, e.tech.vdd);
+        json::append(o, i ? "," : "", "\n    {\"design\": \"",
+                     pipeline::designName(e.design), "\", \"encoding\": \"",
+                     sig::encodingName(e.enc), "\",\n     \"tech\": {\"vdd\": ",
+                     Exact{e.tech.vdd});
         const struct
         {
             const char *name;
@@ -633,16 +616,11 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
             {"logic_ff_per_bit", e.tech.logicFfPerBit},
             {"clock_ff_per_bit", e.tech.clockFfPerBit},
         };
-        for (const auto &c : caps) {
-            std::fprintf(f, ", \"%s\": ", c.name);
-            writeDouble(f, c.v);
-        }
-        std::fprintf(f, "}}");
+        for (const auto &c : caps)
+            json::append(o, ", \"", c.name, "\": ", Exact{c.v});
+        o += "}}";
     }
-    std::fprintf(f, "%s]\n}\n", plan.energy_.empty() ? "" : "\n  ");
-    std::fclose(f);
-    out->assign(buf, len);
-    std::free(buf);
+    json::append(o, plan.energy_.empty() ? "" : "\n  ", "]\n}\n");
     return true;
 }
 
@@ -701,12 +679,17 @@ planFingerprint(const StudyPlan &plan, std::string *hex,
     SC_ASSERT(hex != nullptr, "planFingerprint needs an output string");
     // The token is a runtime handle, not plan content (planEquals
     // ignores it too) — drop it so a daemon-attached disconnect
-    // token does not change the fingerprint.
-    StudyPlan canonical = plan;
-    canonical.cancel_ = CancelToken{};
+    // token does not change the fingerprint. Only a plan that holds
+    // one pays for the copy.
     std::string json;
-    if (!writePlanJson(canonical, &json, error))
+    if (plan.cancel_.canStop()) {
+        StudyPlan canonical = plan;
+        canonical.cancel_ = CancelToken{};
+        if (!writePlanJson(canonical, &json, error))
+            return false;
+    } else if (!writePlanJson(plan, &json, error)) {
         return false;
+    }
     *hex = Sha256::hex(json);
     return true;
 }

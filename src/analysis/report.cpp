@@ -1,10 +1,8 @@
 #include "analysis/report.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/json.h"
-#include "common/logging.h"
 
 namespace sigcomp::analysis
 {
@@ -77,9 +75,12 @@ CpiStudyResult::columnName(std::size_t c) const
 namespace
 {
 
+using json::Fixed;
+using json::Quoted;
+
 void
-writeActivityTotalsJson(std::FILE *f, const pipeline::ActivityTotals &a,
-                        const char *indent)
+appendActivityTotalsJson(std::string &out, const pipeline::ActivityTotals &a,
+                         std::string_view indent)
 {
     const struct
     {
@@ -91,18 +92,15 @@ writeActivityTotalsJson(std::FILE *f, const pipeline::ActivityTotals &a,
         {"dc_data", a.dcData},  {"dc_tag", a.dcTag},
         {"pc_inc", a.pcInc},    {"latch", a.latch},
     };
-    std::fprintf(f, "{");
+    out += '{';
     for (std::size_t s = 0; s < 8; ++s) {
-        std::fprintf(f, "%s\n%s  \"%s\": {\"compressed\": %llu, "
-                        "\"baseline\": %llu, \"saving\": %.2f}",
-                     s ? "," : "", indent, stages[s].name,
-                     static_cast<unsigned long long>(
-                         stages[s].bp.compressed),
-                     static_cast<unsigned long long>(
-                         stages[s].bp.baseline),
-                     stages[s].bp.saving());
+        json::append(out, s ? "," : "", "\n", indent, "  \"",
+                     stages[s].name, "\": {\"compressed\": ",
+                     stages[s].bp.compressed, ", \"baseline\": ",
+                     stages[s].bp.baseline, ", \"saving\": ",
+                     Fixed{stages[s].bp.saving(), 2}, "}");
     }
-    std::fprintf(f, "\n%s}", indent);
+    json::append(out, "\n", indent, "}");
 }
 
 /**
@@ -116,183 +114,149 @@ writeActivityTotalsJson(std::FILE *f, const pipeline::ActivityTotals &a,
  * then differs from an enabled one only by the histograms it lacks.
  */
 void
-writeTelemetryJson(std::FILE *f, const telemetry::Snapshot &snap)
+appendTelemetryJson(std::string &out, const telemetry::Snapshot &snap)
 {
-    std::fprintf(f, "  \"telemetry\": {\"counters\": {");
+    out += "  \"telemetry\": {\"counters\": {";
     bool first = true;
     for (const telemetry::SnapshotMetric &m : snap.metrics) {
         if (m.kind != telemetry::Kind::Counter || m.value == 0 ||
             m.unit == telemetry::Unit::Nanos)
             continue;
-        std::fprintf(f, "%s", first ? "" : ", ");
-        json::writeString(f, m.name);
-        std::fprintf(f, ": %llu",
-                     static_cast<unsigned long long>(m.value));
+        json::append(out, first ? "" : ", ", Quoted{m.name}, ": ",
+                     m.value);
         first = false;
     }
-    std::fprintf(f, "}, \"histograms\": [");
+    out += "}, \"histograms\": [";
     first = true;
     for (const telemetry::SnapshotMetric &m : snap.metrics) {
         if (m.kind != telemetry::Kind::Histogram || m.count == 0 ||
             m.unit == telemetry::Unit::Nanos)
             continue;
-        std::fprintf(f, "%s{\"name\": ", first ? "" : ", ");
-        json::writeString(f, m.name);
-        std::fprintf(f,
-                     ", \"unit\": \"%s\", \"count\": %llu, "
-                     "\"sum\": %llu, \"buckets\": [",
-                     telemetry::unitName(m.unit),
-                     static_cast<unsigned long long>(m.count),
-                     static_cast<unsigned long long>(m.sum));
+        json::append(out, first ? "" : ", ", "{\"name\": ",
+                     Quoted{m.name}, ", \"unit\": \"",
+                     telemetry::unitName(m.unit), "\", \"count\": ",
+                     m.count, ", \"sum\": ", m.sum, ", \"buckets\": [");
         // Sparse [bit_width, samples] pairs of the non-empty buckets.
         bool bfirst = true;
         for (std::size_t b = 0; b < m.buckets.size(); ++b) {
             if (m.buckets[b] == 0)
                 continue;
-            std::fprintf(f, "%s[%zu, %llu]", bfirst ? "" : ", ", b,
-                         static_cast<unsigned long long>(m.buckets[b]));
+            json::append(out, bfirst ? "" : ", ", "[", b, ", ",
+                         m.buckets[b], "]");
             bfirst = false;
         }
-        std::fprintf(f, "]}");
+        out += "]}";
         first = false;
     }
-    std::fprintf(f, "]},\n");
+    out += "]},\n";
 }
 
 } // namespace
 
-void
-SuiteReport::writeJson(std::FILE *f) const
+std::string
+SuiteReport::toJson() const
 {
-    std::fprintf(f, "{\n  \"schema\": \"sigcomp-suite-report-v4\",\n");
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"workloads\": [");
+    std::string out;
+    out.reserve(8192);
+    json::append(out, "{\n  \"schema\": \"sigcomp-suite-report-v4\",\n",
+                 "  \"threads\": ", threads, ",\n", "  \"workloads\": [");
     for (std::size_t i = 0; i < workloads.size(); ++i)
-        std::fprintf(f, "%s\"%s\"", i ? ", " : "", workloads[i].c_str());
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "  \"instructions\": %llu,\n",
-                 static_cast<unsigned long long>(instructions));
-    std::fprintf(f,
-                 "  \"engine\": {\"replay_passes\": %llu, "
-                 "\"captures\": %llu, \"store_loads\": %llu, "
-                 "\"wall_ms\": %.3f},\n",
-                 static_cast<unsigned long long>(replayPasses),
-                 static_cast<unsigned long long>(captures),
-                 static_cast<unsigned long long>(storeLoads), wallMs);
+        json::append(out, i ? ", " : "", "\"", workloads[i], "\"");
+    json::append(out, "],\n", "  \"instructions\": ", instructions,
+                 ",\n", "  \"engine\": {\"replay_passes\": ",
+                 replayPasses, ", \"captures\": ", captures,
+                 ", \"store_loads\": ", storeLoads,
+                 ", \"wall_ms\": ", Fixed{wallMs, 3}, "},\n");
     // The health block stays on ONE line (degradations included):
     // the fault tests strip it line-wise to compare study bytes
     // across runs whose recovery work differs. v4 appends the
     // request-lifecycle outcome here — same line, same reason.
-    std::fprintf(f,
-                 "  \"health\": {\"store_load_failures\": %llu, "
-                 "\"quarantined_segments\": %llu, \"retries\": %llu, "
-                 "\"cancelled\": %s, \"deadline_exceeded\": %s, "
-                 "\"rejected\": %s, \"reject_reason\": ",
-                 static_cast<unsigned long long>(storeLoadFailures),
-                 static_cast<unsigned long long>(quarantinedSegments),
-                 static_cast<unsigned long long>(retries),
-                 cancelled ? "true" : "false",
+    json::append(out, "  \"health\": {\"store_load_failures\": ",
+                 storeLoadFailures, ", \"quarantined_segments\": ",
+                 quarantinedSegments, ", \"retries\": ", retries,
+                 ", \"cancelled\": ", cancelled ? "true" : "false",
+                 ", \"deadline_exceeded\": ",
                  deadlineExceeded ? "true" : "false",
-                 rejected ? "true" : "false");
-    json::writeString(f, rejectReason);
-    std::fprintf(f, ", \"degradations\": [");
-    for (std::size_t i = 0; i < degradations.size(); ++i) {
-        std::fprintf(f, "%s", i ? ", " : "");
-        json::writeString(f, degradations[i]);
-    }
-    std::fprintf(f, "]},\n");
-    writeTelemetryJson(f, telemetry);
+                 ", \"rejected\": ", rejected ? "true" : "false",
+                 ", \"reject_reason\": ", Quoted{rejectReason},
+                 ", \"degradations\": [");
+    for (std::size_t i = 0; i < degradations.size(); ++i)
+        json::append(out, i ? ", " : "", Quoted{degradations[i]});
+    out += "]},\n";
+    appendTelemetryJson(out, telemetry);
 
-    std::fprintf(f, "  \"activity\": [");
+    out += "  \"activity\": [";
     for (std::size_t s = 0; s < activity.size(); ++s) {
         const ActivityStudyResult &st = activity[s];
-        std::fprintf(f, "%s\n    {\"encoding\": \"%s\",\n"
-                        "     \"rows\": [",
-                     s ? "," : "", sig::encodingName(st.encoding).c_str());
+        json::append(out, s ? "," : "", "\n    {\"encoding\": \"",
+                     sig::encodingName(st.encoding),
+                     "\",\n     \"rows\": [");
         for (std::size_t w = 0; w < st.rows.size(); ++w) {
-            std::fprintf(f, "%s\n      {\"benchmark\": \"%s\", "
-                            "\"activity\": ",
-                         w ? "," : "", st.rows[w].benchmark.c_str());
-            writeActivityTotalsJson(f, st.rows[w].activity, "      ");
-            std::fprintf(f, "}");
+            json::append(out, w ? "," : "",
+                         "\n      {\"benchmark\": \"",
+                         st.rows[w].benchmark, "\", \"activity\": ");
+            appendActivityTotalsJson(out, st.rows[w].activity, "      ");
+            out += '}';
         }
-        std::fprintf(f, "\n     ],\n     \"total\": ");
-        writeActivityTotalsJson(f, st.total(), "     ");
-        std::fprintf(f, "}");
+        out += "\n     ],\n     \"total\": ";
+        appendActivityTotalsJson(out, st.total(), "     ");
+        out += '}';
     }
-    std::fprintf(f, "\n  ],\n");
+    out += "\n  ],\n";
 
-    std::fprintf(f, "  \"cpi\": [");
+    out += "  \"cpi\": [";
     for (std::size_t s = 0; s < cpi.size(); ++s) {
         const CpiStudyResult &st = cpi[s];
+        std::vector<std::string> columns(st.columns());
+        for (std::size_t d = 0; d < columns.size(); ++d)
+            columns[d] = st.columnName(d);
         // Width-point columns list under "designs" by their names.
-        std::fprintf(f, "%s\n    {\"designs\": [", s ? "," : "");
-        for (std::size_t d = 0; d < st.columns(); ++d)
-            std::fprintf(f, "%s\"%s\"", d ? ", " : "",
-                         st.columnName(d).c_str());
-        std::fprintf(f, "],\n     \"rows\": [");
+        json::append(out, s ? "," : "", "\n    {\"designs\": [");
+        for (std::size_t d = 0; d < columns.size(); ++d)
+            json::append(out, d ? ", " : "", "\"", columns[d], "\"");
+        out += "],\n     \"rows\": [";
         for (std::size_t w = 0; w < st.benchmarks.size(); ++w) {
-            std::fprintf(f, "%s\n      {\"benchmark\": \"%s\"",
-                         w ? "," : "", st.benchmarks[w].c_str());
-            for (std::size_t d = 0; d < st.columns(); ++d) {
+            json::append(out, w ? "," : "", "\n      {\"benchmark\": \"",
+                         st.benchmarks[w], "\"");
+            for (std::size_t d = 0; d < columns.size(); ++d) {
                 const pipeline::PipelineResult &r = st.results[w][d];
-                std::fprintf(f,
-                             ", \"%s\": {\"cpi\": %.6f, \"cycles\": "
-                             "%llu, \"stall_cycles\": %llu}",
-                             st.columnName(d).c_str(), r.cpi(),
-                             static_cast<unsigned long long>(r.cycles),
-                             static_cast<unsigned long long>(
-                                 r.stalls.total()));
+                json::append(out, ", \"", columns[d], "\": {\"cpi\": ",
+                             Fixed{r.cpi(), 6}, ", \"cycles\": ",
+                             r.cycles, ", \"stall_cycles\": ",
+                             r.stalls.total(), "}");
             }
-            std::fprintf(f, "}");
+            out += '}';
         }
-        std::fprintf(f, "\n     ],\n     \"geomean\": {");
-        for (std::size_t d = 0; d < st.columns(); ++d)
-            std::fprintf(f, "%s\"%s\": %.6f", d ? ", " : "",
-                         st.columnName(d).c_str(),
-                         st.columnGeomeanCpi(d));
-        std::fprintf(f, "}}");
+        out += "\n     ],\n     \"geomean\": {";
+        for (std::size_t d = 0; d < columns.size(); ++d)
+            json::append(out, d ? ", " : "", "\"", columns[d], "\": ",
+                         Fixed{st.columnGeomeanCpi(d), 6});
+        out += "}}";
     }
-    std::fprintf(f, "\n  ],\n");
+    out += "\n  ],\n";
 
-    std::fprintf(f, "  \"energy\": [");
+    out += "  \"energy\": [";
     for (std::size_t s = 0; s < energy.size(); ++s) {
         const EnergyStudyResult &st = energy[s];
-        std::fprintf(f,
-                     "%s\n    {\"design\": \"%s\", \"encoding\": "
-                     "\"%s\", \"vdd\": %.2f,\n     \"rows\": [",
-                     s ? "," : "",
-                     pipeline::designName(st.design).c_str(),
-                     sig::encodingName(st.encoding).c_str(),
-                     st.tech.vdd);
+        json::append(out, s ? "," : "", "\n    {\"design\": \"",
+                     pipeline::designName(st.design),
+                     "\", \"encoding\": \"",
+                     sig::encodingName(st.encoding), "\", \"vdd\": ",
+                     Fixed{st.tech.vdd, 2}, ",\n     \"rows\": [");
         for (std::size_t w = 0; w < st.rows.size(); ++w) {
             const EnergyRow &r = st.rows[w];
-            std::fprintf(f, "%s\n      {\"benchmark\": \"%s\", "
-                            "\"instructions\": %llu, ",
-                         w ? "," : "", r.benchmark.c_str(),
-                         static_cast<unsigned long long>(r.instructions));
-            power::writeEnergyReportJson(f, r.report);
-            std::fprintf(f, "}");
+            json::append(out, w ? "," : "", "\n      {\"benchmark\": \"",
+                         r.benchmark, "\", \"instructions\": ",
+                         r.instructions, ", ");
+            power::appendEnergyReportJson(out, r.report);
+            out += '}';
         }
-        std::fprintf(f, "\n     ],\n     \"total\": {");
-        power::writeEnergyReportJson(f, st.total);
-        std::fprintf(f, "}}");
+        out += "\n     ],\n     \"total\": {";
+        power::appendEnergyReportJson(out, st.total);
+        out += "}}";
     }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"profile_sinks\": %zu\n}\n", profileSinks);
-}
-
-std::string
-SuiteReport::toJson() const
-{
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *f = open_memstream(&buf, &len);
-    SC_ASSERT(f != nullptr, "open_memstream failed");
-    writeJson(f);
-    std::fclose(f);
-    std::string out(buf, len);
-    std::free(buf);
+    out += "\n  ],\n";
+    json::append(out, "  \"profile_sinks\": ", profileSinks, "\n}\n");
     return out;
 }
 

@@ -12,7 +12,6 @@
 #ifndef SIGCOMP_ANALYSIS_REPORT_H_
 #define SIGCOMP_ANALYSIS_REPORT_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -178,9 +177,6 @@ struct SuiteReport
      * "health"). Stable key order, no trailing newline variance —
      * diffable across runs.
      */
-    void writeJson(std::FILE *f) const;
-
-    /** writeJson() into a string. */
     std::string toJson() const;
 };
 

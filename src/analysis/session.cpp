@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -240,16 +241,14 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     const std::size_t degradations0 = cache_->degradations().size();
 
     /**
-     * Per-workload results of the fused pass, harvested in the same
-     * canonical order the pipelines are built in: every CPI study's
-     * columns (designs, then width points), then one pipeline per
-     * activity study, then one per energy study.
+     * One workload's results: one PipelineResult per plan column, in
+     * the canonical order the pipelines are built in (every CPI
+     * study's columns, designs then width points; then one per
+     * activity study; then one per energy study).
      */
     struct Harvest
     {
-        std::vector<std::vector<pipeline::PipelineResult>> cpi;
-        std::vector<pipeline::PipelineResult> activity;
-        std::vector<pipeline::PipelineResult> energy;
+        std::vector<pipeline::PipelineResult> results;
         DWord instructions = 0;
         std::uint64_t replayDelta = 0;
         /**
@@ -293,15 +292,32 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         return f;
     };
 
-    // Workload i's fused pass over @p trace, fetched here (loaded or
-    // captured) when null.
-    auto runOne = [&](std::size_t i, TraceCache::TracePtr trace,
-                      Fused pipes) {
+    // Workload i's results are complete: harvest them, persist newly
+    // recorded SharedQuanta into the workload's segment (so
+    // warm-store *processes* skip the quanta front half too) and
+    // evict when the plan asks.
+    auto finish = [&](std::size_t i, const cpu::TraceBuffer &trace,
+                      std::vector<pipeline::PipelineResult> results,
+                      std::uint64_t replay_delta) {
+        Harvest &h = harvest[i];
+        h.results = std::move(results);
+        h.instructions = trace.runResult().instructions;
+        h.replayDelta = replay_delta;
+        h.completed = true;
+        cache_->persistAnnexes(names[i], trace, cancel);
+        if (plan.evictAfterReplay_)
+            cache_->evict(names[i]);
+    };
+
+    // Workload i's fused pass, over its trace fetched here (loaded
+    // or captured).
+    auto runOne = [&](std::size_t i) {
         // One span per workload's fused pass; on a parallel plan
         // these land on the per-worker tracks.
         SIGCOMP_SPAN("session.replay");
         if (cancelRequested(cancel))
             return;
+        TraceCache::TracePtr trace;
         while (trace == nullptr) {
             try {
                 trace = cache_->get(names[i], cancel);
@@ -317,6 +333,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         }
         const std::uint64_t replays0 = trace->replayCount();
 
+        Fused pipes = buildPipelines();
         try {
             pipeline::replayPipelines(*trace, pipes.raw, plan.sinks_,
                                       cancel);
@@ -326,51 +343,59 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
             // report simply doesn't cover it.
             return;
         }
-
-        Harvest &h = harvest[i];
-        std::size_t cursor = 0;
-        h.cpi.resize(plan.cpi_.size());
-        for (std::size_t s = 0; s < plan.cpi_.size(); ++s)
-            for (std::size_t c = 0; c < plan.cpi_[s].columns(); ++c)
-                h.cpi[s].push_back(pipes.owned[cursor++]->result());
-        for (std::size_t s = 0; s < plan.activity_.size(); ++s)
-            h.activity.push_back(pipes.owned[cursor++]->result());
-        for (std::size_t s = 0; s < plan.energy_.size(); ++s)
-            h.energy.push_back(pipes.owned[cursor++]->result());
-        h.instructions = trace->runResult().instructions;
-        h.replayDelta = trace->replayCount() - replays0;
-        h.completed = true;
-
-        // Newly recorded SharedQuanta become part of the workload's
-        // segment so warm-store *processes* skip the quanta front
-        // half too.
-        cache_->persistAnnexes(names[i], *trace, cancel);
-        if (plan.evictAfterReplay_)
-            cache_->evict(names[i]);
+        std::vector<pipeline::PipelineResult> results;
+        results.reserve(pipes.owned.size());
+        for (const std::unique_ptr<InOrderPipeline> &p : pipes.owned)
+            results.push_back(p->result());
+        finish(i, *trace, std::move(results),
+               trace->replayCount() - replays0);
     };
 
-    // A workload whose trace is resident and whose every pipeline
-    // would adopt a `result:` memo needs no load and no replay, so it
-    // runs here on the calling thread: waking the executor for it
-    // would cost more than the answer. Profiler sinks always replay,
-    // so a plan with sinks never qualifies. Only the rest go to
-    // prewarm and the fan-out below.
+    // The plan's `result:` memo keys, one per column in harvest
+    // order, derived once from one fresh pipeline per column. Empty
+    // when the plan has profiler sinks (they always replay) or a
+    // column is not memo-eligible: then every workload replays.
+    std::vector<std::string> memoKeys;
+    if (plan.sinks_.empty()) {
+        const Fused columns = buildPipelines();
+        for (const std::unique_ptr<InOrderPipeline> &p : columns.owned) {
+            if (!pipeline::memoEligible(*p)) {
+                memoKeys.clear();
+                break;
+            }
+            memoKeys.push_back(pipeline::resultKey(*p));
+        }
+    }
+    // A resident trace that holds every column's memo answers its
+    // workload without a load or a replay: the memos are copied on
+    // the calling thread, since waking the executor would cost more
+    // than the answer.
+    auto answerFromMemos = [&](std::size_t i) {
+        const TraceCache::TracePtr trace = cache_->resident(names[i]);
+        if (trace == nullptr)
+            return false;
+        std::vector<pipeline::PipelineResult> results;
+        results.reserve(memoKeys.size());
+        for (const std::string &key : memoKeys) {
+            const auto memo =
+                std::static_pointer_cast<const pipeline::PipelineResult>(
+                    trace->annexGet(key));
+            if (memo == nullptr)
+                return false;
+            results.push_back(*memo);
+        }
+        finish(i, *trace, std::move(results), 0);
+        return true;
+    };
+    // Only the workloads the memos cannot answer go to prewarm and
+    // the fan-out below.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < names.size(); ++i) {
-        if (plan.sinks_.empty() && !cancelRequested(cancel)) {
-            if (TraceCache::TracePtr trace = cache_->resident(names[i])) {
-                Fused pipes = buildPipelines();
-                if (pipeline::resultsMemoised(*trace, pipes.raw)) {
-                    runOne(i, std::move(trace), std::move(pipes));
-                    continue;
-                }
-            }
-        }
-        pending.push_back(i);
+        if (memoKeys.empty() || cancelRequested(cancel) ||
+            !answerFromMemos(i))
+            pending.push_back(i);
     }
-    auto runPending = [&](std::size_t k) {
-        runOne(pending[k], nullptr, buildPipelines());
-    };
+    auto runPending = [&](std::size_t k) { runOne(pending[k]); };
 
     // Shared profiler sinks must observe the serial retirement
     // stream in workload order, so plans with profilers replay
@@ -413,6 +438,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     for (std::size_t w : done)
         done_names.push_back(names[w]);
 
+    // `column` walks the harvest order.
+    std::size_t column = 0;
     rep.cpi.resize(plan.cpi_.size());
     for (std::size_t s = 0; s < plan.cpi_.size(); ++s) {
         CpiStudyResult &st = rep.cpi[s];
@@ -420,21 +447,28 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         st.widths = plan.cpi_[s].widths;
         st.benchmarks = done_names;
         st.results.resize(done.size());
-        for (std::size_t r = 0; r < done.size(); ++r)
-            st.results[r] = std::move(harvest[done[r]].cpi[s]);
+        const auto first = static_cast<std::ptrdiff_t>(column);
+        column += st.columns();
+        for (std::size_t r = 0; r < done.size(); ++r) {
+            auto row = harvest[done[r]].results.begin();
+            st.results[r].assign(
+                std::make_move_iterator(row + first),
+                std::make_move_iterator(
+                    row + static_cast<std::ptrdiff_t>(column)));
+        }
     }
     rep.activity.resize(plan.activity_.size());
-    for (std::size_t s = 0; s < plan.activity_.size(); ++s) {
+    for (std::size_t s = 0; s < plan.activity_.size(); ++s, ++column) {
         ActivityStudyResult &st = rep.activity[s];
         st.encoding = plan.activity_[s];
         st.rows.resize(done.size());
         for (std::size_t r = 0; r < done.size(); ++r) {
             st.rows[r] = {done_names[r],
-                          harvest[done[r]].activity[s].activity};
+                          harvest[done[r]].results[column].activity};
         }
     }
     rep.energy.resize(plan.energy_.size());
-    for (std::size_t s = 0; s < plan.energy_.size(); ++s) {
+    for (std::size_t s = 0; s < plan.energy_.size(); ++s, ++column) {
         EnergyStudyResult &st = rep.energy[s];
         st.design = plan.energy_[s].design;
         st.encoding = plan.energy_[s].enc;
@@ -443,7 +477,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         pipeline::ActivityTotals sum;
         for (std::size_t r = 0; r < done.size(); ++r) {
             const pipeline::PipelineResult &pr =
-                harvest[done[r]].energy[s];
+                harvest[done[r]].results[column];
             st.rows[r] = {done_names[r], pr.instructions,
                           power::buildEnergyReport(pr.activity,
                                                    st.tech)};

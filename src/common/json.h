@@ -6,7 +6,11 @@
  * daemon replies, store tool output) escapes strings with
  * appendEscaped/writeString: quote and backslash are
  * backslash-escaped, control bytes below 0x20 become `\u00XX`
- * (lowercase hex), every other byte passes through.
+ * (lowercase hex), every other byte passes through. The string
+ * writers build their document with append(), which prints numbers
+ * in the exact bytes of printf's `%.Nf`, `%.17g` and `%llu`
+ * (std::to_chars, plus an exact integer path for report-sized
+ * `%.Nf`; tests/test_common.cpp compares them with snprintf).
  *
  * Reading: Reader is a strict streaming cursor for UNTRUSTED input
  * (plan documents, Chrome trace files). It builds no DOM: callers
@@ -30,6 +34,8 @@
 #define SIGCOMP_COMMON_JSON_H_
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +43,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sigcomp::json
@@ -70,6 +77,154 @@ writeString(std::FILE *f, std::string_view s)
     appendEscaped(out, s);
     out.push_back('"');
     std::fwrite(out.data(), 1, out.size(), f);
+}
+
+/** A double printed as printf's `%.<digits>f`, digits <= 20. */
+struct Fixed
+{
+    double v;
+    int digits;
+};
+
+/** A double printed as printf's `%.17g`: round-trips through strtod. */
+struct Exact
+{
+    double v;
+};
+
+/** A string printed quoted and escaped (see appendEscaped). */
+struct Quoted
+{
+    std::string_view s;
+};
+
+namespace detail
+{
+
+inline void
+appendOne(std::string &out, std::string_view s)
+{
+    out += s;
+}
+
+inline void
+appendOne(std::string &out, char c)
+{
+    out.push_back(c);
+}
+
+/** Integers print as decimal (`%u`, `%llu`, `%zu`); plain char and
+ * bool are excluded so neither prints as a number by accident. */
+template <class T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, char> &&
+             !std::is_same_v<T, bool>)
+void
+appendOne(std::string &out, T v)
+{
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+/** A bare double has no printf format: wrap it in Fixed or Exact. */
+void appendOne(std::string &out, double v) = delete;
+
+/**
+ * %.Nf for |v| * 10^N below 2^52 and N <= 9, the values reports
+ * print: the exact product of v's integer mantissa and 10^N, shifted
+ * down by v's binary exponent and rounded half to even on the exact
+ * remainder, as glibc rounds. False (nothing appended) otherwise.
+ */
+inline bool
+appendFixedExact(std::string &out, double v, int digits)
+{
+    static constexpr std::uint64_t kPow10[] = {
+        1,      10,      100,      1000,      10000,
+        100000, 1000000, 10000000, 100000000, 1000000000};
+    if (digits < 0 || digits > 9)
+        return false;
+    const std::uint64_t scale = kPow10[digits];
+    const double a = std::fabs(v);
+    if (!(a * static_cast<double>(scale) < 0x1p52))
+        return false; // large, infinite or NaN
+    // a == mant * 2^-shift exactly, and a < 2^52 makes shift >= 1.
+    const auto bits = std::bit_cast<std::uint64_t>(a);
+    const auto biased = static_cast<int>(bits >> 52);
+    const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t mant =
+        biased == 0 ? frac : frac | (std::uint64_t{1} << 52);
+    const int shift = 1075 - (biased == 0 ? 1 : biased);
+    std::uint64_t n = 0;
+    if (shift < 128) { // else a * 10^digits < 2^-74: rounds to 0
+        using U128 = unsigned __int128;
+        const U128 product = static_cast<U128>(mant) * scale;
+        const U128 rest = product & ((U128{1} << shift) - 1);
+        const U128 half = U128{1} << (shift - 1);
+        n = static_cast<std::uint64_t>(product >> shift);
+        if (rest > half || (rest == half && (n & 1) != 0))
+            ++n;
+    }
+    if (std::signbit(v))
+        out.push_back('-');
+    char buf[24];
+    std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, n / scale);
+    out.append(buf, r.ptr);
+    if (digits == 0)
+        return true;
+    out.push_back('.');
+    r = std::to_chars(buf, buf + sizeof buf, n % scale);
+    out.append(static_cast<std::size_t>(digits - (r.ptr - buf)), '0');
+    out.append(buf, r.ptr);
+    return true;
+}
+
+// to_chars formats as printf does in the C locale, with correct
+// rounding of the exact binary value: the same bytes as glibc's
+// "%.Nf" and "%.17g", including inf/nan and ties.
+inline void
+appendOne(std::string &out, Fixed f)
+{
+    if (appendFixedExact(out, f.v, f.digits))
+        return;
+    // %.Nf of DBL_MAX is 309 integer digits, sign, point and N more
+    // (the writers print N = 2, 3 or 6).
+    char buf[340];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, f.v, std::chars_format::fixed, f.digits);
+    out.append(buf, r.ptr);
+}
+
+inline void
+appendOne(std::string &out, Exact e)
+{
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, e.v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+inline void
+appendOne(std::string &out, Quoted q)
+{
+    out.push_back('"');
+    appendEscaped(out, q.s);
+    out.push_back('"');
+}
+
+} // namespace detail
+
+/**
+ * Append each argument to @p out: strings and chars verbatim,
+ * integers in decimal, Fixed/Exact doubles in their printf format,
+ * Quoted strings escaped. The string writers (reports, plan
+ * documents, energy blocks) print through this instead of fprintf.
+ */
+template <class... Args>
+void
+append(std::string &out, const Args &...args)
+{
+    (detail::appendOne(out, args), ...);
 }
 
 /**
@@ -271,6 +426,21 @@ class Reader
             return fail(ErrorKind::BadType, pos_, "expected a string");
         }
         ++pos_;
+        // Fast path: a plain string (no escape, control or non-ASCII
+        // byte) within the cap is one copy; anything else is decoded
+        // byte by byte below, from the same position.
+        for (std::size_t p = pos_; p < s_.size(); ++p) {
+            const auto u = static_cast<unsigned char>(s_[p]);
+            if (u == '"') {
+                if (p - pos_ > kMaxStringBytes)
+                    break;
+                out->assign(s_.data() + pos_, p - pos_);
+                pos_ = p + 1;
+                return true;
+            }
+            if (u == '\\' || u < 0x20 || u >= kAsciiLimit)
+                break;
+        }
         std::string v;
         for (;;) {
             if (pos_ >= s_.size()) {
@@ -377,7 +547,7 @@ class Reader
 
     /** The raw characters of one number token (JSON grammar-ish). */
     bool
-    numberToken(std::string *token, std::size_t *start)
+    numberToken(std::string_view *token, std::size_t *start)
     {
         skipWs();
         *start = pos_;
@@ -391,7 +561,7 @@ class Reader
         if (p == pos_) {
             return fail(ErrorKind::BadType, pos_, "expected a number");
         }
-        token->assign(s_.substr(pos_, p - pos_));
+        *token = s_.substr(pos_, p - pos_);
         pos_ = p;
         return true;
     }
@@ -400,11 +570,11 @@ class Reader
     bool
     parseU64(std::uint64_t *out, std::uint64_t max, const char *what)
     {
-        std::string tok;
+        std::string_view tok;
         std::size_t start = 0;
         if (!numberToken(&tok, &start))
             return false;
-        if (tok.find_first_of(".eE") != std::string::npos) {
+        if (tok.find_first_of(".eE") != std::string_view::npos) {
             return fail(ErrorKind::BadType, start,
                         std::string(what) + " must be an integer");
         }
@@ -413,7 +583,7 @@ class Reader
                         std::string(what) +
                             " must be a non-negative integer");
         }
-        if (tok.find_first_not_of("0123456789") != std::string::npos)
+        if (tok.find_first_not_of("0123456789") != std::string_view::npos)
             return fail(ErrorKind::Syntax, start, "malformed integer");
         if (!parseWholeNumber(tok, max, out)) {
             return fail(ErrorKind::OutOfRange, start,
@@ -426,13 +596,14 @@ class Reader
     bool
     parseDouble(double *out, const char *what)
     {
-        std::string tok;
+        std::string_view tok;
         std::size_t start = 0;
         if (!numberToken(&tok, &start))
             return false;
+        const std::string text(tok); // strtod needs a terminator
         char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size() || end == tok.c_str()) {
+        const double v = std::strtod(text.c_str(), &end);
+        if (end != text.c_str() + text.size() || end == text.c_str()) {
             return fail(ErrorKind::Syntax, start, "malformed number");
         }
         // Underflow to a subnormal is fine (strtod returns the
@@ -461,7 +632,10 @@ class Reader
             ++pos_;
             return true;
         }
-        std::vector<std::string> seen;
+        // This object's keys are seen_[first..]: nested objects push
+        // theirs above and drop them on the way out, so one buffer
+        // serves the whole document.
+        const std::size_t first = seen_.size();
         for (;;) {
             skipWs();
             const std::size_t key_off = pos_;
@@ -474,16 +648,17 @@ class Reader
                     error_->kind = ErrorKind::Syntax;
                 return false;
             }
-            if (std::find(seen.begin(), seen.end(), key) !=
-                seen.end()) {
+            if (std::find(seen_.begin() +
+                              static_cast<std::ptrdiff_t>(first),
+                          seen_.end(), key) != seen_.end()) {
                 return fail(ErrorKind::Syntax, key_off,
                             "duplicate key \"" + key + "\"");
             }
-            seen.push_back(key);
             if (!consume(':', "after an object key"))
                 return false;
             if (!field(key, key_off))
                 return false;
+            seen_.push_back(std::move(key));
             const char c = peek();
             if (c == ',') {
                 ++pos_;
@@ -491,6 +666,7 @@ class Reader
             }
             if (c == '}') {
                 ++pos_;
+                seen_.resize(first);
                 return true;
             }
             return fail(ErrorKind::Syntax, pos_,
@@ -578,6 +754,8 @@ class Reader
     Error *error_;
     std::size_t pos_ = 0;
     bool failed_ = false;
+    /** Keys of the objects being parsed, outermost first. */
+    std::vector<std::string> seen_;
 };
 
 } // namespace sigcomp::json

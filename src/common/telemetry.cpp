@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -64,9 +65,28 @@ setEnabled(bool on)
 // Registry
 // ---------------------------------------------------------------------------
 
-struct Registry::Slot {
-    Slot(Kind kind_in, Unit unit_in) : kind(kind_in), unit(unit_in) {}
+namespace
+{
 
+/** @p name's copy in the process-wide name table (see SnapshotMetric). */
+std::string_view
+internName(const std::string &name)
+{
+    static Mutex mu;
+    // Leaked like Registry::process(): snapshots may be read late.
+    static auto *names = new std::set<std::string, std::less<>>;
+    MutexLock lock(mu);
+    return *names->insert(name).first;
+}
+
+} // namespace
+
+struct Registry::Slot {
+    Slot(std::string_view name_in, Kind kind_in, Unit unit_in)
+        : name(name_in), kind(kind_in), unit(unit_in)
+    {}
+
+    const std::string_view name;
     const Kind kind;
     const Unit unit;
     Counter counter;
@@ -91,8 +111,12 @@ Registry::slot(const std::string &name, Kind kind, Unit unit)
 {
     MutexLock lock(mu_);
     auto it = slots_.find(name);
-    if (it == slots_.end())
-        it = slots_.emplace(name, std::make_unique<Slot>(kind, unit)).first;
+    if (it == slots_.end()) {
+        it = slots_
+                 .emplace(name, std::make_unique<Slot>(internName(name),
+                                                       kind, unit))
+                 .first;
+    }
     SC_ASSERT(it->second->kind == kind,
               "telemetry metric '", name, "' re-registered as a different kind");
     return *it->second;
@@ -126,7 +150,7 @@ Registry::snapshot() const
     // contract promises.
     for (const auto &[name, slot] : slots_) {
         SnapshotMetric m;
-        m.name = name;
+        m.name = slot->name;
         m.kind = slot->kind;
         m.unit = slot->unit;
         switch (slot->kind) {
@@ -139,12 +163,15 @@ Registry::snapshot() const
           case Kind::Histogram:
             m.count = slot->histogram.count();
             m.sum = slot->histogram.sum();
-            m.buckets.resize(Histogram::kBuckets);
-            for (unsigned i = 0; i < Histogram::kBuckets; ++i)
-                m.buckets[i] = slot->histogram.buckets_[i].load(
+            std::uint64_t buckets[Histogram::kBuckets];
+            std::size_t used = 0;
+            for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
+                buckets[i] = slot->histogram.buckets_[i].load(
                     std::memory_order_relaxed);
-            while (!m.buckets.empty() && m.buckets.back() == 0)
-                m.buckets.pop_back();
+                if (buckets[i] != 0)
+                    used = i + 1;
+            }
+            m.buckets.assign(buckets, buckets + used);
             break;
         }
         snap.metrics.push_back(std::move(m));
@@ -153,16 +180,15 @@ Registry::snapshot() const
 }
 
 Snapshot
-Snapshot::delta(const Snapshot &before, const Snapshot &after)
+Snapshot::delta(const Snapshot &before, Snapshot after)
 {
-    Snapshot out;
-    out.metrics.reserve(after.metrics.size());
+    // Differenced in place: a caller that hands over a fresh snapshot
+    // pays for no second copy of its bucket vectors.
     std::size_t bi = 0;
-    for (const SnapshotMetric &a : after.metrics) {
-        while (bi < before.metrics.size() && before.metrics[bi].name < a.name)
+    for (SnapshotMetric &d : after.metrics) {
+        while (bi < before.metrics.size() && before.metrics[bi].name < d.name)
             ++bi;
-        SnapshotMetric d = a;
-        if (bi < before.metrics.size() && before.metrics[bi].name == a.name) {
+        if (bi < before.metrics.size() && before.metrics[bi].name == d.name) {
             const SnapshotMetric &b = before.metrics[bi];
             // Counters and histogram totals are monotonic, so the
             // subtractions cannot underflow; gauges keep the
@@ -176,9 +202,8 @@ Snapshot::delta(const Snapshot &before, const Snapshot &after)
             while (!d.buckets.empty() && d.buckets.back() == 0)
                 d.buckets.pop_back();
         }
-        out.metrics.push_back(std::move(d));
     }
-    return out;
+    return after;
 }
 
 std::uint64_t

@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -192,7 +193,12 @@ class Histogram
 
 /** One metric's state at snapshot time. */
 struct SnapshotMetric {
-    std::string name;
+    /**
+     * Points into a process-wide table of every metric name ever
+     * registered (never freed), so a snapshot copies no strings and
+     * may outlive its registry.
+     */
+    std::string_view name;
     Kind kind = Kind::Counter;
     Unit unit = Unit::Count;
     /// Counter value (Kind::Counter only).
@@ -219,7 +225,7 @@ struct Snapshot {
      * @p before (registered mid-window) difference against zero;
      * gauges carry the after-value unchanged (levels, not totals).
      */
-    static Snapshot delta(const Snapshot &before, const Snapshot &after);
+    static Snapshot delta(const Snapshot &before, Snapshot after);
 
     /**
      * Counter value (or histogram sample count) for @p name; 0 when

@@ -44,19 +44,21 @@ streamedStage(TimingPlan &p, unsigned s, Cycle extra, unsigned chunks,
 
 } // namespace
 
-std::string
+const std::string &
 designName(Design d)
 {
-    switch (d) {
-      case Design::Baseline32:             return "baseline32";
-      case Design::ByteSerial:             return "byte-serial";
-      case Design::HalfwordSerial:         return "halfword-serial";
-      case Design::ByteSemiParallel:       return "byte-semi-parallel";
-      case Design::ByteParallelSkewed:     return "byte-parallel-skewed";
-      case Design::ByteParallelCompressed: return "byte-parallel-compressed";
-      case Design::SkewedBypass:           return "skewed-bypass";
-    }
-    return "?";
+    // Indexed by designIndex(); the last entry names an invalid value.
+    static const std::string names[numDesigns + 1] = {
+        "baseline32",
+        "byte-serial",
+        "halfword-serial",
+        "byte-semi-parallel",
+        "byte-parallel-skewed",
+        "byte-parallel-compressed",
+        "skewed-bypass",
+        "?",
+    };
+    return names[std::min(designIndex(d), numDesigns)];
 }
 
 std::vector<Design>

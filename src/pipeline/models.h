@@ -55,8 +55,11 @@ designIndex(Design d)
     return static_cast<std::size_t>(d);
 }
 
-/** Canonical short name ("baseline32", "byte-serial", ...). */
-std::string designName(Design d);
+/**
+ * Canonical short name ("baseline32", "byte-serial", ...), from a
+ * static table: naming a design never allocates.
+ */
+const std::string &designName(Design d);
 
 /** All designs in presentation order. */
 std::vector<Design> allDesigns();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 
@@ -182,8 +183,10 @@ InOrderPipeline::result()
 std::string
 InOrderPipeline::quantaKey() const
 {
-    std::string key = "quanta:" + sig::encodingName(config_.encoding);
-    auto num = [&](DWord v) { key += ':' + std::to_string(v); };
+    std::string key;
+    key.reserve(160);
+    json::append(key, "quanta:", sig::encodingName(config_.encoding));
+    auto num = [&](DWord v) { json::append(key, ':', v); };
     auto cache = [&](const mem::CacheParams &c) {
         num(c.sizeBytes);
         num(c.assoc);

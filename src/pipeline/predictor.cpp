@@ -1,19 +1,17 @@
 #include "pipeline/predictor.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace sigcomp::pipeline
 {
 
-std::string
+const std::string &
 predictorName(PredictorKind k)
 {
-    switch (k) {
-      case PredictorKind::None:     return "none";
-      case PredictorKind::NotTaken: return "not-taken";
-      case PredictorKind::Bimodal:  return "bimodal";
-    }
-    return "?";
+    static const std::string names[] = {"none", "not-taken", "bimodal",
+                                        "?"};
+    return names[std::min(static_cast<std::size_t>(k), std::size_t{3})];
 }
 
 BranchPredictor::BranchPredictor(PredictorKind kind, unsigned pht_entries,
@@ -23,8 +21,12 @@ BranchPredictor::BranchPredictor(PredictorKind kind, unsigned pht_entries,
     SC_ASSERT(std::has_single_bit(pht_entries) &&
                   std::has_single_bit(btb_entries),
               "predictor tables must be powers of two");
-    pht_.assign(pht_entries, 1); // weakly not-taken
-    btb_.assign(btb_entries, BtbEntry{});
+    // Only the tables the kind reads: None predicts nothing, and
+    // not-taken needs targets but no direction counters.
+    if (kind == PredictorKind::Bimodal)
+        pht_.assign(pht_entries, 1); // weakly not-taken
+    if (kind != PredictorKind::None)
+        btb_.assign(btb_entries, BtbEntry{});
 }
 
 unsigned

@@ -33,8 +33,8 @@ enum class PredictorKind
     Bimodal,  ///< per-PC 2-bit saturating counters + BTB
 };
 
-/** Human-readable predictor name. */
-std::string predictorName(PredictorKind k);
+/** Human-readable predictor name, from a static table. */
+const std::string &predictorName(PredictorKind k);
 
 /** Predictor accuracy statistics. */
 struct PredictorStats
@@ -100,8 +100,8 @@ class BranchPredictor
     unsigned btbIndex(Addr pc) const;
 
     PredictorKind kind_;
-    std::vector<std::uint8_t> pht_; ///< 2-bit counters
-    std::vector<BtbEntry> btb_;
+    std::vector<std::uint8_t> pht_; ///< 2-bit counters (bimodal only)
+    std::vector<BtbEntry> btb_;     ///< empty for PredictorKind::None
     PredictorStats stats_;
 };
 

@@ -1,7 +1,8 @@
 #include "pipeline/runner.h"
 
-#include <algorithm>
+#include <typeinfo>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 
@@ -10,26 +11,6 @@ namespace sigcomp::pipeline
 
 namespace
 {
-
-/**
- * Annex key of a pipeline's memoised full-trace PipelineResult.
- * quantaKey() covers only what the design-independent quanta depend
- * on, so everything else the *result* depends on is appended: the
- * concrete type (custom designs may reuse a name), the design name,
- * and the scheduling-side configuration (ALU occupancies, branch
- * prediction) that plan()/schedule() consume.
- */
-std::string
-resultKey(const InOrderPipeline &p)
-{
-    const PipelineConfig &c = p.config();
-    return "result:" + std::string(typeid(p).name()) + ":" + p.name() +
-           ":" + p.quantaKey() + ":" + std::to_string(c.multCycles) +
-           ":" + std::to_string(c.divCycles) + ":" +
-           std::to_string(static_cast<int>(c.predictor)) + ":" +
-           std::to_string(c.phtEntries) + ":" +
-           std::to_string(c.btbEntries);
-}
 
 /**
  * Feeds one same-quanta-key group of pipelines over a replay. When
@@ -120,24 +101,30 @@ class GroupReplaySink : public cpu::TraceSink
     std::size_t blockIndex_ = 0;
 };
 
-/** A pipeline whose full-trace result may come from a memo. */
+} // namespace
+
 bool
 memoEligible(const InOrderPipeline &p)
 {
     return p.planIsPure() && p.pristine() && !p.observed();
 }
 
-} // namespace
-
-bool
-resultsMemoised(const cpu::TraceBuffer &trace,
-                const std::vector<InOrderPipeline *> &pipes)
+// quantaKey() covers only what the design-independent quanta depend
+// on, so everything else the *result* depends on is appended: the
+// concrete type (custom designs may reuse a name), the design name,
+// and the scheduling-side configuration (ALU occupancies, branch
+// prediction) that plan()/schedule() consume.
+std::string
+resultKey(const InOrderPipeline &p)
 {
-    return std::all_of(pipes.begin(), pipes.end(),
-                       [&](const InOrderPipeline *p) {
-                           return memoEligible(*p) &&
-                                  trace.annexGet(resultKey(*p)) != nullptr;
-                       });
+    const PipelineConfig &c = p.config();
+    std::string key;
+    key.reserve(256);
+    json::append(key, "result:", typeid(p).name(), ':', p.name(), ':',
+                 p.quantaKey(), ':', c.multCycles, ':', c.divCycles, ':',
+                 static_cast<int>(c.predictor), ':', c.phtEntries, ':',
+                 c.btbEntries);
+    return key;
 }
 
 cpu::RunResult

@@ -10,6 +10,7 @@
 #ifndef SIGCOMP_PIPELINE_RUNNER_H_
 #define SIGCOMP_PIPELINE_RUNNER_H_
 
+#include <string>
 #include <vector>
 
 #include "cpu/functional_core.h"
@@ -41,15 +42,17 @@ replayPipelines(const cpu::TraceBuffer &trace,
                 const CancelToken *cancel = nullptr);
 
 /**
- * True when replayPipelines(@p trace, @p pipes) with no extra sinks
- * would replay nothing: every pipeline is fresh, unobserved and
- * pure, and its full-trace result is already memoised on the trace.
- * Such a call only adopts results, so it is cheap enough to run on
- * the calling thread.
+ * True when @p p's full-trace result may come from a memo: it is
+ * fresh, unobserved and pure (see InOrderPipeline::planIsPure).
  */
-bool
-resultsMemoised(const cpu::TraceBuffer &trace,
-                const std::vector<InOrderPipeline *> &pipes);
+bool memoEligible(const InOrderPipeline &p);
+
+/**
+ * Annex key under which replayPipelines() memoises a memo-eligible
+ * @p p's full-trace PipelineResult (a `const PipelineResult`). Equal
+ * keys mean bit-identical results on the same trace, names included.
+ */
+std::string resultKey(const InOrderPipeline &p);
 
 } // namespace sigcomp::pipeline
 

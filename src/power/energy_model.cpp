@@ -1,5 +1,7 @@
 #include "power/energy_model.h"
 
+#include "common/json.h"
+
 namespace sigcomp::power
 {
 
@@ -44,6 +46,7 @@ buildEnergyReport(const pipeline::ActivityTotals &activity,
                   const TechParams &tech)
 {
     EnergyReport rep;
+    rep.structures.reserve(8);
     auto add = [&](const std::string &name,
                    const pipeline::BitPair &bits, auto model) {
         StructureEnergy se;
@@ -68,23 +71,22 @@ buildEnergyReport(const pipeline::ActivityTotals &activity,
 }
 
 void
-writeEnergyReportJson(std::FILE *f, const EnergyReport &rep)
+appendEnergyReportJson(std::string &out, const EnergyReport &rep)
 {
-    std::fprintf(f,
-                 "\"compressed_pj\": %.2f, \"baseline_pj\": %.2f, "
-                 "\"saving_percent\": %.2f, \"structures\": [",
-                 rep.totalCompressedPj, rep.totalBaselinePj,
-                 rep.savingPercent());
+    using json::Fixed;
+    json::append(out, "\"compressed_pj\": ", Fixed{rep.totalCompressedPj, 2},
+                 ", \"baseline_pj\": ", Fixed{rep.totalBaselinePj, 2},
+                 ", \"saving_percent\": ", Fixed{rep.savingPercent(), 2},
+                 ", \"structures\": [");
     for (std::size_t s = 0; s < rep.structures.size(); ++s) {
         const StructureEnergy &se = rep.structures[s];
-        std::fprintf(f,
-                     "%s{\"structure\": \"%s\", \"compressed_pj\": "
-                     "%.2f, \"baseline_pj\": %.2f, "
-                     "\"saving_percent\": %.2f}",
-                     s ? ", " : "", se.structure.c_str(),
-                     se.compressedPj, se.baselinePj, se.savingPercent());
+        json::append(out, s ? ", " : "", "{\"structure\": \"",
+                     se.structure, "\", \"compressed_pj\": ",
+                     Fixed{se.compressedPj, 2}, ", \"baseline_pj\": ",
+                     Fixed{se.baselinePj, 2}, ", \"saving_percent\": ",
+                     Fixed{se.savingPercent(), 2}, "}");
     }
-    std::fprintf(f, "]");
+    out += ']';
 }
 
 double

@@ -19,7 +19,6 @@
 #ifndef SIGCOMP_POWER_ENERGY_MODEL_H_
 #define SIGCOMP_POWER_ENERGY_MODEL_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -94,12 +93,12 @@ EnergyReport buildEnergyReport(const pipeline::ActivityTotals &activity,
                                const TechParams &tech = TechParams());
 
 /**
- * Emit @p rep's fields as JSON — `"compressed_pj"`, `"baseline_pj"`,
+ * Append @p rep's fields as JSON — `"compressed_pj"`, `"baseline_pj"`,
  * `"saving_percent"`, and a `"structures"` array — WITHOUT the
  * enclosing braces, so callers can splice them into their own
  * objects (the SuiteReport energy rows do).
  */
-void writeEnergyReportJson(std::FILE *f, const EnergyReport &rep);
+void appendEnergyReportJson(std::string &out, const EnergyReport &rep);
 
 /**
  * Section 2.4 check: per-access energy of a register file split

@@ -25,6 +25,30 @@ constexpr unsigned kMaxIdleHandlers = 8;
 /** Disconnect-watcher poll interval. */
 constexpr std::chrono::milliseconds kWatchInterval{20};
 
+/**
+ * Adds the steady-clock time since construction (or since the last
+ * lap) to a Nanos counter: the /v1/run phase costs in /statsz.
+ */
+class PhaseClock
+{
+  public:
+    /** Charge the time since the last lap to @p phase. */
+    void
+    lap(telemetry::Counter &phase)
+    {
+        const Clock::time_point now = Clock::now();
+        phase.inc(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now -
+                                                                 last_)
+                .count()));
+        last_ = now;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point last_ = Clock::now();
+};
+
 /** Report-cache bounds: entries, and bytes of cached bodies. */
 constexpr std::size_t kReportCacheMaxEntries = 64;
 constexpr std::size_t kReportCacheMaxBytes = std::size_t{64} << 20;
@@ -77,7 +101,14 @@ Daemon::Daemon(DaemonConfig config)
       handlerSpawns_(registry_.counter("daemon.handler_spawns")),
       residentTraces_(registry_.gauge("daemon.resident_traces")),
       residentTraceBytes_(registry_.gauge("daemon.resident_trace_bytes",
-                                          telemetry::Unit::Bytes))
+                                          telemetry::Unit::Bytes)),
+      parseNs_(registry_.counter("daemon.parse_ns", telemetry::Unit::Nanos)),
+      fingerprintNs_(registry_.counter("daemon.fingerprint_ns",
+                                       telemetry::Unit::Nanos)),
+      runNs_(registry_.counter("daemon.run_ns", telemetry::Unit::Nanos)),
+      serializeNs_(registry_.counter("daemon.serialize_ns",
+                                     telemetry::Unit::Nanos)),
+      replyNs_(registry_.counter("daemon.reply_ns", telemetry::Unit::Nanos))
 {
     watcher_ = std::thread([this] { watchLoop(); });
 }
@@ -438,9 +469,13 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
         return;
     }
 
+    PhaseClock clock;
     analysis::StudyPlan plan;
     analysis::PlanError planError;
-    if (!analysis::parsePlanJson(request.body, &plan, &planError)) {
+    const bool parsed =
+        analysis::parsePlanJson(request.body, &plan, &planError);
+    clock.lap(parseNs_);
+    if (!parsed) {
         planErrors_.inc();
         respondError(conn, 400,
                      analysis::planErrorKindName(planError.kind),
@@ -448,7 +483,10 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
         return;
     }
     std::string fingerprint;
-    if (!analysis::planFingerprint(plan, &fingerprint, &planError)) {
+    const bool fingerprinted =
+        analysis::planFingerprint(plan, &fingerprint, &planError);
+    clock.lap(fingerprintNs_);
+    if (!fingerprinted) {
         planErrors_.inc();
         respondError(conn, 400,
                      analysis::planErrorKindName(planError.kind),
@@ -457,6 +495,7 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
     }
     if (std::string body; cache_.lookup(fingerprint, &body)) {
         respond(conn, 200, "application/json", body);
+        clock.lap(replyNs_);
         return;
     }
 
@@ -466,11 +505,14 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
     runs_.inc();
     const analysis::SuiteReport report = tenantSession(tenant).run(plan);
     unwatchConn(watchId);
+    clock.lap(runNs_);
 
     const std::string body = report.toJson();
     if (!(report.cancelled || report.deadlineExceeded || report.rejected))
         cache_.insert(fingerprint, body);
+    clock.lap(serializeNs_);
     respond(conn, report.rejected ? 503 : 200, "application/json", body);
+    clock.lap(replyNs_);
 }
 
 void

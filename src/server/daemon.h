@@ -247,6 +247,17 @@ class Daemon
      */
     telemetry::Gauge &residentTraces_;
     telemetry::Gauge &residentTraceBytes_;
+    /**
+     * Steady-clock time spent in each /v1/run phase. Parse,
+     * fingerprint and reply are charged per request that reaches
+     * them; run (admission included) and serialize (report-cache
+     * insert included) per run.
+     */
+    telemetry::Counter &parseNs_;
+    telemetry::Counter &fingerprintNs_;
+    telemetry::Counter &runNs_;
+    telemetry::Counter &serializeNs_;
+    telemetry::Counter &replyNs_;
 };
 
 } // namespace sigcomp::server

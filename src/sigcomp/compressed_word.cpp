@@ -1,17 +1,15 @@
 #include "sigcomp/compressed_word.h"
 
+#include <algorithm>
+
 namespace sigcomp::sig
 {
 
-std::string
+const std::string &
 encodingName(Encoding enc)
 {
-    switch (enc) {
-      case Encoding::Ext2:  return "ext2";
-      case Encoding::Ext3:  return "ext3";
-      case Encoding::Half1: return "half1";
-    }
-    return "?";
+    static const std::string names[] = {"ext2", "ext3", "half1", "?"};
+    return names[std::min(static_cast<std::size_t>(enc), std::size_t{3})];
 }
 
 } // namespace sigcomp::sig

@@ -24,8 +24,8 @@ enum class Encoding
     Half1,  ///< 1 bit: halfword granularity
 };
 
-/** Human-readable encoding name. */
-std::string encodingName(Encoding enc);
+/** Human-readable encoding name, from a static table. */
+const std::string &encodingName(Encoding enc);
 
 /** Number of extension (metadata) bits per 32-bit word. */
 constexpr unsigned

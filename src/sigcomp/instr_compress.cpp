@@ -61,7 +61,8 @@ InstrCompressor::InstrCompressor(const std::vector<std::uint8_t> &ranked)
 InstrCompressor
 InstrCompressor::withDefaultRanking()
 {
-    return InstrCompressor(std::vector<std::uint8_t>{
+    // Built once: every default PipelineConfig copies it.
+    static const InstrCompressor compressor(std::vector<std::uint8_t>{
         static_cast<std::uint8_t>(Funct::Addu),
         static_cast<std::uint8_t>(Funct::Sll),
         static_cast<std::uint8_t>(Funct::Slt),
@@ -71,6 +72,7 @@ InstrCompressor::withDefaultRanking()
         static_cast<std::uint8_t>(Funct::Or),
         static_cast<std::uint8_t>(Funct::Sra),
     });
+    return compressor;
 }
 
 InstrCompressor

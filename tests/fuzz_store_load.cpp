@@ -10,10 +10,12 @@
  * verifier must classify it — load to a sound trace, or fail soft
  * with a reason — and never crash, leak, or trip ASan.
  *
- * Seed corpus: a real segment, with one SharedQuanta annex, saved by
- * the harness itself on first call (plus the CI corpus cache), so
- * coverage starts from the valid format and mutates inward past the
- * CRCs. Run locally:
+ * Seed corpus: at start-up (LLVMFuzzerInitialize) the harness saves
+ * a real capped rawcaudio segment, with one SharedQuanta annex, and
+ * writes its bytes as `seed-rawcaudio.sctrace` into every corpus
+ * directory named on the command line, so coverage starts from the
+ * valid format and mutates inward past the CRCs. CI writes the seed
+ * with a `-runs=0` call before the timed run. Run locally:
  *
  *   cmake -B build-fuzz -S . -DCMAKE_CXX_COMPILER=clang++ \
  *         -DSIGCOMP_FUZZ=ON
@@ -25,7 +27,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "cpu/trace_buffer.h"
@@ -48,11 +52,11 @@ struct Harness
         workload = new sigcomp::workloads::Workload(
             sigcomp::workloads::Suite::build("rawcaudio"));
         store = new sigcomp::store::TraceStore(dir);
-        // Save one real segment so `corpus` dirs pick up a valid
-        // seed via -seed_inputs or a manual copy; it is immediately
-        // overwritten by the first fuzz input. A replay first
-        // publishes a SharedQuanta record, so the seed carries a
-        // "quanta:" annex and mutations reach the annex codec too.
+        // Save one real segment and keep its bytes as the corpus
+        // seed (the file itself is overwritten by every fuzz input).
+        // A replay first publishes a SharedQuanta record, so the seed
+        // carries a "quanta:" annex and mutations reach the annex
+        // codec too.
         const sigcomp::cpu::TraceBuffer t =
             sigcomp::cpu::TraceBuffer::capture(workload->program, 2000,
                                                true);
@@ -61,19 +65,48 @@ struct Harness
             sigcomp::pipeline::PipelineConfig{});
         sigcomp::pipeline::replayPipelines(t, {pipe.get()});
         (void)store->save("rawcaudio", t, 2000);
+        std::ifstream in(store->segmentPath("rawcaudio"), std::ios::binary);
+        seed.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
     }
 
     std::string dir;
     const sigcomp::workloads::Workload *workload = nullptr;
     const sigcomp::store::TraceStore *store = nullptr;
+    /** The saved segment's bytes. */
+    std::string seed;
 };
 
+Harness &
+harness()
+{
+    static Harness h;
+    return h;
+}
+
 } // namespace
+
+/** Writes the seed segment into each corpus directory argument. */
+extern "C" int
+LLVMFuzzerInitialize(int *argc, char ***argv)
+{
+    const Harness &h = harness();
+    for (int i = 1; i < *argc; ++i) {
+        const std::filesystem::path arg = (*argv)[i];
+        if (arg.string().starts_with("-") ||
+            !std::filesystem::is_directory(arg))
+            continue;
+        std::ofstream out(arg / "seed-rawcaudio.sctrace",
+                          std::ios::binary | std::ios::trunc);
+        out.write(h.seed.data(), static_cast<std::streamsize>(h.seed.size()));
+    }
+    return 0;
+}
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 {
-    static Harness h;
+    const Harness &h = harness();
     {
         std::ofstream out(h.store->segmentPath("rawcaudio"),
                           std::ios::binary | std::ios::trunc);

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
 
 #include "common/bitutil.h"
 #include "common/json.h"
@@ -252,6 +259,117 @@ TEST(Json, WriteStringQuotes)
     const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
     std::fclose(f);
     EXPECT_EQ(std::string(buf, n), "\"say \\\"hi\\\"\\u000d\"\"\"");
+}
+
+// ---- json::append: the string writers' number formats ---------------
+
+/** @p v through snprintf's @p fmt: the bytes append() must match. */
+std::string
+printed(const char *fmt, double v)
+{
+    char buf[400];
+    const int n = std::snprintf(buf, sizeof buf, fmt, v);
+    return std::string(buf, static_cast<std::size_t>(n));
+}
+
+/** The first format (if any) where append() and snprintf differ. */
+std::string
+formatMismatch(double v)
+{
+    static const struct
+    {
+        int digits; // 0: Exact
+        const char *fmt;
+    } formats[] = {{2, "%.2f"}, {3, "%.3f"}, {6, "%.6f"}, {0, "%.17g"}};
+    thread_local std::string got;
+    char want[400];
+    for (const auto &f : formats) {
+        got.clear();
+        if (f.digits == 0)
+            json::append(got, json::Exact{v});
+        else
+            json::append(got, json::Fixed{v, f.digits});
+        const int n = std::snprintf(want, sizeof want, f.fmt, v);
+        if (got != std::string_view(want, static_cast<std::size_t>(n)))
+            return std::string(f.fmt) + ": " + got;
+    }
+    return "";
+}
+
+TEST(JsonAppend, DoublesMatchPrintfOnEdgeCases)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double cases[] = {
+        // Decimal ties and near-ties at 2, 3 and 6 digits.
+        0.125, 2.675, 99.995, 0.5, 1.5, 2.5, 0.005, 0.0005, 1.0005,
+        0.0000005, 1.005, 12345.6785, -0.125, -2.675, -99.995,
+        // Signed zeros, subnormals, the normal range's ends.
+        0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), 1e300, -1e300,
+        // Where %.17g switches between fixed and exponent form.
+        1e-5, 1e-4, 0.1, 1e16, 1e17, 1e21, 123456789012345678.0,
+        0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0,
+        // Non-finite values.
+        inf, -inf, nan, -nan,
+    };
+    for (const double v : cases)
+        EXPECT_EQ(formatMismatch(v), "") << printed("%a", v);
+}
+
+TEST(JsonAppend, DoublesMatchPrintfOnRandomValues)
+{
+    // One value in 64 is an arbitrary bit pattern (every exponent,
+    // subnormals, NaN payloads; %.6f of a huge one is 300+ digits and
+    // slow to print, so they are kept few). The rest are where report
+    // numbers live: random mantissas at magnitudes 2^-40..2^60,
+    // decimals with three digits, and binary fractions, where printf
+    // ties live.
+    std::mt19937_64 rng(0x5eed);
+    constexpr std::size_t kValues = 1u << 20;
+    std::size_t mismatches = 0;
+    std::string first;
+    for (std::size_t i = 0; i < kValues; ++i) {
+        double v = 0.0;
+        const std::uint64_t bits = rng();
+        if (i % 64 == 0) {
+            std::memcpy(&v, &bits, sizeof v);
+        } else if (i % 3 == 0) {
+            v = std::ldexp(static_cast<double>(bits >> 11) * 0x1.0p-53,
+                           static_cast<int>(bits % 101) - 40);
+        } else if (i % 3 == 1) {
+            v = static_cast<double>(bits % 100000000) / 1000.0;
+        } else {
+            v = static_cast<double>(bits % (1u << 24)) / 64.0 -
+                static_cast<double>(1u << 17);
+        }
+        const std::string why = formatMismatch(v);
+        if (!why.empty() && mismatches++ == 0)
+            first = printed("%a", v) + " " + why;
+    }
+    EXPECT_EQ(mismatches, 0u) << "first: " << first;
+}
+
+TEST(JsonAppend, IntegersStringsAndChars)
+{
+    std::string out;
+    const std::uint8_t funct = 63;
+    json::append(out, "a", ' ', 0u, ',', UINT64_MAX, ',', funct, ',',
+                 std::size_t{42}, ',', -7, ',', std::string("s"), ',',
+                 json::Quoted{"q\"\n"});
+    EXPECT_EQ(out, "a 0,18446744073709551615,63,42,-7,s,\"q\\\"\\u000a\"");
+    char buf[32];
+    const unsigned long long values[] = {0, 9, 10, 4294967295, 4294967296,
+                                         ULLONG_MAX};
+    for (const unsigned long long v : values) {
+        std::string got;
+        json::append(got, v);
+        std::snprintf(buf, sizeof buf, "%llu", v);
+        EXPECT_EQ(got, buf);
+    }
 }
 
 /** Skip one value of @p doc; the failure (if any) lands in @p error. */

@@ -32,6 +32,7 @@
 #include "common/crc32.h"
 #include "common/net.h"
 #include "common/sha256.h"
+#include "common/simd.h"
 #include "cpu/trace_buffer.h"
 #include "isa/assembler.h"
 #include "server/daemon.h"
@@ -84,6 +85,34 @@ TEST(Sha256, ChunkingInvariant)
         h.update(std::string_view(msg).substr(split));
         EXPECT_EQ(h.hexDigest(), oneShot) << "split at " << split;
     }
+}
+
+TEST(Sha256, EverySimdLevelHashesAlike)
+{
+    // The SHA-extension compress (taken at any level above scalar on
+    // a CPU that has it) must match the scalar rounds on every length
+    // around the block and padding boundaries.
+    std::string msg;
+    for (std::size_t i = 0; i < 300; ++i)
+        msg.push_back(static_cast<char>((i * 131 + 7) & 0xff));
+    const simd::SimdLevel entry = simd::activeSimdLevel();
+    simd::setSimdLevel(simd::SimdLevel::Scalar);
+    std::vector<std::string> want;
+    for (std::size_t n = 0; n <= msg.size(); ++n)
+        want.push_back(Sha256::hex(std::string_view(msg).substr(0, n)));
+    for (const simd::SimdLevel level : simd::availableSimdLevels()) {
+        simd::setSimdLevel(level);
+        EXPECT_EQ(Sha256::hex("abc"),
+                  "ba7816bf8f01cfea414140de5dae2223"
+                  "b00361a396177a9cb410ff61f20015ad")
+            << simd::simdLevelName(level);
+        for (std::size_t n = 0; n <= msg.size(); ++n) {
+            ASSERT_EQ(Sha256::hex(std::string_view(msg).substr(0, n)),
+                      want[n])
+                << simd::simdLevelName(level) << " length " << n;
+        }
+    }
+    simd::setSimdLevel(entry);
 }
 
 // ---- HTTP parser -----------------------------------------------------
@@ -524,6 +553,40 @@ TEST(DaemonCache, SecondIdenticalPostIsAByteIdenticalFreeHit)
     EXPECT_EQ(
         metricValue(daemon.metrics(), "daemon.report_cache_hits"), 1u);
     EXPECT_EQ(metricValue(daemon.metrics(), "daemon.runs"), 1u);
+}
+
+TEST(DaemonCache, PhaseCountersChargeEachRunPhase)
+{
+    Daemon daemon(testConfig());
+    const std::string request = postPlanRequest(cpiPlan({"rawcaudio"}));
+    auto ns = [&](const char *name) {
+        return metricValue(daemon.metrics(), name);
+    };
+
+    std::string body;
+    ASSERT_EQ(exchange(daemon, request, &body), 200);
+    for (const char *phase :
+         {"daemon.parse_ns", "daemon.fingerprint_ns", "daemon.run_ns",
+          "daemon.serialize_ns", "daemon.reply_ns"})
+        EXPECT_GT(ns(phase), 0u) << phase;
+    for (const telemetry::SnapshotMetric &m :
+         daemon.metrics().snapshot().metrics) {
+        if (m.name.ends_with("_ns")) {
+            EXPECT_EQ(m.unit, telemetry::Unit::Nanos) << m.name;
+        }
+    }
+
+    // A report-cache hit parses, fingerprints and replies, but neither
+    // runs nor serializes.
+    const std::uint64_t parse0 = ns("daemon.parse_ns");
+    const std::uint64_t reply0 = ns("daemon.reply_ns");
+    const std::uint64_t run0 = ns("daemon.run_ns");
+    const std::uint64_t serialize0 = ns("daemon.serialize_ns");
+    ASSERT_EQ(exchange(daemon, request, &body), 200);
+    EXPECT_GT(ns("daemon.parse_ns"), parse0);
+    EXPECT_GT(ns("daemon.reply_ns"), reply0);
+    EXPECT_EQ(ns("daemon.run_ns"), run0);
+    EXPECT_EQ(ns("daemon.serialize_ns"), serialize0);
 }
 
 TEST(DaemonCache, DistinctPlansAndTenantsShareTheCache)

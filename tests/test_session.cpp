@@ -1043,6 +1043,107 @@ TEST_P(SessionMemo, MemoAnsweredPlanMatchesTheReplayingRun)
     }
 }
 
+/**
+ * Every study row of @p got equals @p want's field for field (the
+ * doubles of energy rows bit for bit), and so do their report bytes.
+ */
+void
+expectSameStudies(const SuiteReport &got, const SuiteReport &want)
+{
+    ASSERT_EQ(got.cpi.size(), want.cpi.size());
+    for (std::size_t s = 0; s < got.cpi.size(); ++s) {
+        const analysis::CpiStudyResult &g = got.cpi[s];
+        const analysis::CpiStudyResult &w = want.cpi[s];
+        ASSERT_EQ(g.results.size(), w.results.size());
+        for (std::size_t r = 0; r < g.results.size(); ++r) {
+            ASSERT_EQ(g.results[r].size(), w.results[r].size());
+            for (std::size_t c = 0; c < g.results[r].size(); ++c)
+                live::expectSameResult(g.results[r][c], w.results[r][c]);
+        }
+    }
+    ASSERT_EQ(got.activity.size(), want.activity.size());
+    for (std::size_t s = 0; s < got.activity.size(); ++s)
+        live::expectSameRows(got.activity[s].rows, want.activity[s].rows);
+    ASSERT_EQ(got.energy.size(), want.energy.size());
+    for (std::size_t s = 0; s < got.energy.size(); ++s) {
+        const analysis::EnergyStudyResult &g = got.energy[s];
+        const analysis::EnergyStudyResult &w = want.energy[s];
+        ASSERT_EQ(g.rows.size(), w.rows.size());
+        for (std::size_t r = 0; r < g.rows.size(); ++r) {
+            EXPECT_EQ(g.rows[r].instructions, w.rows[r].instructions);
+            EXPECT_EQ(g.rows[r].report.totalCompressedPj,
+                      w.rows[r].report.totalCompressedPj);
+            EXPECT_EQ(g.rows[r].report.totalBaselinePj,
+                      w.rows[r].report.totalBaselinePj);
+        }
+    }
+    EXPECT_EQ(lifecycleBytes(got), lifecycleBytes(want));
+}
+
+TEST_P(SessionMemo, MemoRowsEqualAReplayingSessionsRows)
+{
+    StudyPlan plan = lifecyclePlan();
+    plan.energy(power::TechParams{}, Design::SkewedBypass,
+                sig::Encoding::Ext2);
+    Session session(SessionConfig{.threads = GetParam()});
+    session.run(plan);
+    const SuiteReport memo = session.run(plan);
+
+    EXPECT_EQ(memo.replayPasses, 0u);
+    EXPECT_EQ(memo.captures, 0u);
+    EXPECT_EQ(memo.storeLoads, 0u);
+    for (const char *name : {"rawcaudio", "rawdaudio"}) {
+        EXPECT_EQ(session.trace(name)->replayCount(), 1u) << name;
+    }
+    Session replaying(SessionConfig{.threads = 1});
+    const SuiteReport want = replaying.run(plan);
+    EXPECT_EQ(want.replayPasses, 2u);
+    expectSameStudies(memo, want);
+}
+
+TEST_P(SessionMemo, DuplicateColumnsAreAnsweredFromOneMemo)
+{
+    // The CPI column, the activity study and the energy study are all
+    // byte-serial over the suite Ext3 configuration: one `result:`
+    // key, listed three times.
+    StudyPlan plan;
+    plan.workloads({"rawcaudio", "rawdaudio"})
+        .cpi({Design::ByteSerial}, analysis::suiteConfig())
+        .activity(sig::Encoding::Ext3)
+        .energy(power::TechParams{}, Design::ByteSerial,
+                sig::Encoding::Ext3);
+    Session session(SessionConfig{.threads = GetParam()});
+    const SuiteReport first = session.run(plan);
+    const SuiteReport memo = session.run(plan);
+
+    EXPECT_EQ(first.replayPasses, 2u);
+    EXPECT_EQ(memo.replayPasses, 0u);
+    Session replaying(SessionConfig{.threads = 1});
+    expectSameStudies(memo, replaying.run(plan));
+    expectSameStudies(first, memo);
+}
+
+TEST_P(SessionMemo, ProfilerPlanReplaysDespiteResidentMemos)
+{
+    // A profiler sink must see the retirement stream, so its plan is
+    // never memo-answered, even when every pipeline's memo is there.
+    Session session(SessionConfig{.threads = GetParam()});
+    session.run(lifecyclePlan());
+    analysis::PatternProfiler pat;
+    StudyPlan plan = lifecyclePlan();
+    plan.profile({&pat});
+    const SuiteReport rep = session.run(plan);
+
+    EXPECT_EQ(rep.replayPasses, 2u);
+    EXPECT_EQ(rep.captures, 0u);
+    Session replaying(SessionConfig{.threads = 1});
+    analysis::PatternProfiler want;
+    StudyPlan wantPlan = lifecyclePlan();
+    wantPlan.profile({&want});
+    expectSameStudies(rep, replaying.run(wantPlan));
+    EXPECT_EQ(pat.patterns().raw(), want.patterns().raw());
+}
+
 TEST_P(SessionMemo, MixedPlanReplaysOnlyTheUnmemoisedWorkload)
 {
     Session session(SessionConfig{.threads = GetParam()});
