@@ -33,8 +33,12 @@
  *                   studies run sequentially, within a 5% noise
  *                   margin, AND default-mode telemetry costs no
  *                   more than 2% over runtime-disabled telemetry
- *                   (the CI regression gates). Prints a FAIL line
- *                   for every failing gate, then exits 1.
+ *                   (the CI regression gates), AND every warm-store
+ *                   repetition captures nothing and loads each
+ *                   workload once, AND every fused repetition replays
+ *                   each workload once (engine counts, which cannot
+ *                   flap). Prints a FAIL line for every failing gate,
+ *                   then exits 1.
  */
 
 #include <algorithm>
@@ -106,6 +110,13 @@ struct Run
     bool fusedNotSlower = false;
     bool telemetryOverheadOk = true;
     bool hasStore = false;
+    /**
+     * Counter gates, over every repetition: a warm-store pass
+     * captures 0 and loads each workload once; a fused pass replays
+     * each workload once.
+     */
+    bool warmLoadCountsOk = true;
+    bool fusedPassCountOk = true;
 
     const Phase *
     find(const std::string &name) const
@@ -253,13 +264,13 @@ measureKernels()
 }
 
 /** The three characterisation profilers over the whole suite. */
-void
+analysis::SuiteReport
 runProfilers(Session &session)
 {
     analysis::PatternProfiler pat;
     analysis::InstrMixProfiler mix;
     analysis::PcProfiler pc;
-    session.run(StudyPlan().profile({&pat, &mix, &pc}));
+    return session.run(StudyPlan().profile({&pat, &mix, &pc}));
 }
 
 /**
@@ -343,7 +354,13 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
         run.phases.push_back(timePhase(
             "store_warm_load_replay", suite_instrs, kReps,
             [&] { store_session.cache().clear(); },
-            [&] { runProfilers(store_session); }));
+            [&] {
+                const analysis::SuiteReport r =
+                    runProfilers(store_session);
+                run.warmLoadCountsOk = run.warmLoadCountsOk &&
+                                       r.captures == 0 &&
+                                       r.storeLoads == names.size();
+            }));
     }
 
     // Phases 6/7: the same three studies (full-design-space CPI +
@@ -366,7 +383,9 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
             plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
                 .activity(sig::Encoding::Ext3)
                 .profile({&pat, &mix, &pc});
-            (void)session.run(plan);
+            run.fusedPassCountOk = run.fusedPassCountOk &&
+                                   session.run(plan).replayPasses ==
+                                       names.size();
         };
         // Interleaved repetitions (seq, fused, seq, fused, ...), min
         // of each: a host-noise burst then degrades both sides
@@ -687,6 +706,12 @@ main(int argc, char **argv)
                 !run.fusedNotSlower)
                 fail(run.threads, "fused StudyPlan pass is slower than "
                                   "sequential studies");
+            if (run.hasStore && !run.warmLoadCountsOk)
+                fail(run.threads, "warm-store replay captured, or did "
+                                  "not load each workload once");
+            if (!run.fusedPassCountOk)
+                fail(run.threads, "fused StudyPlan pass did not replay "
+                                  "each workload once");
             if (!run.telemetryOverheadOk) {
                 fail(run.threads,
                      "telemetry recording costs more than 2% over "

@@ -132,7 +132,7 @@ bool planEquals(const StudyPlan &a, const StudyPlan &b);
  * its canonical wire form (writePlanJson's exact bytes). Because the
  * wire form is canonical — stable key order, %.17g doubles — two
  * plans fingerprint equal iff they are planEquals-equal and
- * wire-expressible; the daemon keys its report cache on this. Like
+ * wire-expressible, so it names a plan's content. Like
  * planEquals, the cancellation token is ignored (a runtime handle,
  * not plan content). Returns false with @p error set when the plan
  * is not wire-expressible (sinks, custom hierarchy, width points);

@@ -1,17 +1,16 @@
 /**
  * @file
- * SHA-256 (FIPS 180-4), dependency-free: the digest behind the
- * daemon's content-addressed report cache and plan/store
- * fingerprints.
+ * SHA-256 (FIPS 180-4), dependency-free: the digest behind
+ * analysis::planFingerprint, a plan's content address.
  *
  * CRC-32 (common/crc32.h) guards bytes against *accidental* damage;
- * a content-addressed cache needs a digest whose collisions are not
- * a practical concern, because two distinct plans hashing to one key
- * would serve one plan's cached report for the other. Throughput is
- * irrelevant here — the inputs are kilobyte-scale canonical JSON
- * documents hashed once per request — so this is the plain portable
- * compression function, verified against the FIPS test vectors in
- * tests/test_server.cpp.
+ * a content address needs a digest whose collisions are not a
+ * practical concern, because two distinct plans hashing to one key
+ * would be taken for one plan. The inputs are kilobyte-scale
+ * canonical JSON documents; the portable compression function is the
+ * reference, and CPUs with the SHA extensions take a SHA-NI path
+ * that hashes alike. Both are verified against the FIPS test vectors
+ * in tests/test_server.cpp.
  */
 
 #ifndef SIGCOMP_COMMON_SHA256_H_

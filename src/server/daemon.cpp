@@ -7,8 +7,6 @@
 #include "analysis/plan_json.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/sha256.h"
-#include "store/trace_store.h"
 
 namespace sigcomp::server
 {
@@ -16,7 +14,7 @@ namespace sigcomp::server
 namespace
 {
 
-constexpr const char *kStatsSchemaId = "sigcomp-daemon-stats-v1";
+constexpr const char *kStatsSchemaId = "sigcomp-daemon-stats-v2";
 constexpr const char *kErrorSchemaId = "sigcomp-daemon-error-v1";
 
 /** Parked handler threads beyond this many exit instead. */
@@ -48,10 +46,6 @@ class PhaseClock
     using Clock = std::chrono::steady_clock;
     Clock::time_point last_ = Clock::now();
 };
-
-/** Report-cache bounds: entries, and bytes of cached bodies. */
-constexpr std::size_t kReportCacheMaxEntries = 64;
-constexpr std::size_t kReportCacheMaxBytes = std::size_t{64} << 20;
 
 bool
 validTenant(std::string_view tenant)
@@ -87,8 +81,6 @@ Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       traces_(std::make_shared<analysis::TraceCache>(
           analysis::traceCacheConfig(tenantConfig(config_)))),
-      cache_(kReportCacheMaxEntries, kReportCacheMaxBytes, &registry_),
-      storeFingerprint_(computeStoreFingerprint(config_)),
       requests_(registry_.counter("daemon.requests")),
       httpErrors_(registry_.counter("daemon.http_errors")),
       planErrors_(registry_.counter("daemon.plan_errors")),
@@ -103,8 +95,6 @@ Daemon::Daemon(DaemonConfig config)
       residentTraceBytes_(registry_.gauge("daemon.resident_trace_bytes",
                                           telemetry::Unit::Bytes)),
       parseNs_(registry_.counter("daemon.parse_ns", telemetry::Unit::Nanos)),
-      fingerprintNs_(registry_.counter("daemon.fingerprint_ns",
-                                       telemetry::Unit::Nanos)),
       runNs_(registry_.counter("daemon.run_ns", telemetry::Unit::Nanos)),
       serializeNs_(registry_.counter("daemon.serialize_ns",
                                      telemetry::Unit::Nanos)),
@@ -133,33 +123,6 @@ Daemon::stopRequested() const
 {
     MutexLock lock(watchMu_);
     return stop_;
-}
-
-std::string
-Daemon::computeStoreFingerprint(const DaemonConfig &config)
-{
-    if (config.session.storeDir.empty())
-        return "none";
-    store::StoreOptions options;
-    options.readOnly = true;
-    options.env = config.session.env;
-    const store::TraceStore store(config.session.storeDir, options);
-    Sha256 h;
-    for (const std::string &workload : store.list()) {
-        store::SegmentInfo info;
-        if (!store.info(workload, info))
-            continue; // unreadable segments don't identify content
-        // The header CRC covers every header field (instruction
-        // count, capture limit, exit state, ...), so segments that
-        // merely agree in size still fingerprint apart.
-        h.update(workload);
-        h.update(":");
-        h.update(std::to_string(info.headerCrc));
-        h.update(":");
-        h.update(std::to_string(info.programFingerprint));
-        h.update("\n");
-    }
-    return h.hexDigest();
 }
 
 analysis::Session &
@@ -482,22 +445,6 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
                      planError.render());
         return;
     }
-    std::string fingerprint;
-    const bool fingerprinted =
-        analysis::planFingerprint(plan, &fingerprint, &planError);
-    clock.lap(fingerprintNs_);
-    if (!fingerprinted) {
-        planErrors_.inc();
-        respondError(conn, 400,
-                     analysis::planErrorKindName(planError.kind),
-                     planError.render());
-        return;
-    }
-    if (std::string body; cache_.lookup(fingerprint, &body)) {
-        respond(conn, 200, "application/json", body);
-        clock.lap(replyNs_);
-        return;
-    }
 
     CancelSource cancel;
     plan.cancel(cancel.token());
@@ -508,8 +455,6 @@ Daemon::handleRun(const std::shared_ptr<net::Conn> &conn,
     clock.lap(runNs_);
 
     const std::string body = report.toJson();
-    if (!(report.cancelled || report.deadlineExceeded || report.rejected))
-        cache_.insert(fingerprint, body);
     clock.lap(serializeNs_);
     respond(conn, report.rejected ? 503 : 200, "application/json", body);
     clock.lap(replyNs_);
@@ -550,8 +495,6 @@ Daemon::statszJson() const
     std::string out;
     out += "{\n  \"schema\": \"";
     out += kStatsSchemaId;
-    out += "\",\n  \"store_fingerprint\": \"";
-    json::appendEscaped(out, storeFingerprint_);
     out += "\",\n  \"tenants\": ";
     {
         MutexLock lock(tenantsMu_);

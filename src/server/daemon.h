@@ -12,21 +12,19 @@
  *    store, so sharing them changes no row),
  *  - a per-tenant map of analysis::Session instances over that
  *    cache, each with its own executor and admission limits,
- *  - an LRU ReportCache keyed by the plan fingerprint (64 entries,
- *    64 MiB of bodies; fixed in daemon.cpp), so repeating an
- *    experiment is a lookup, not a replay
- *    (the engine is deterministic: the cached bytes are what a
- *    fresh run would produce, wall time aside),
  *  - a disconnect watcher thread cancelling a request's own
  *    CancelSource once its client hangs up — a dead client's plan
  *    stops at the next block boundary and frees its admission slot
  *    instead of burning the engine for nobody.
  *
- * A /v1/run request is parse, fingerprint, report-cache lookup,
- * Session::run, insert: each request owns its run and its cancel.
- * Identical plans racing each other each run the engine, but the
- * costly half of a cold plan (capture or store load) still happens
- * once, in the shared cache.
+ * A /v1/run request is parse, Session::run, toJson, reply: each
+ * request owns its run and its cancel. A repeated plan whose traces
+ * are still resident is answered from their result memos (no load,
+ * no replay) and reports its own wall_ms. Identical plans racing
+ * each other each run the engine, but the costly half of a cold plan
+ * (capture or store load) still happens once, in the shared cache.
+ * A store re-prewarmed under a live daemon is not noticed: restart
+ * it to drop its resident traces and memos.
  *
  * Protocol (HTTP/1.1, one request per connection, see server/http.h):
  *
@@ -35,10 +33,10 @@
  *                   with the same report shape when admission
  *                   rejected), errors: sigcomp-daemon-error-v1
  *   GET  /healthz   "ok" once serving
- *   GET  /statsz    sigcomp-daemon-stats-v1 JSON: store fingerprint,
- *                   tenant count, and every daemon.* metric (the
- *                   resident-trace gauges are read from the shared
- *                   cache when the body is rendered)
+ *   GET  /statsz    sigcomp-daemon-stats-v2 JSON: tenant count and
+ *                   every daemon.* metric (the resident-trace gauges
+ *                   are read from the shared cache when the body is
+ *                   rendered)
  *
  * The optional X-Sigcomp-Tenant header ([a-z0-9_-], <= 64 bytes,
  * default "default") selects the tenant session.
@@ -72,15 +70,13 @@
 #include "common/net.h"
 #include "common/telemetry.h"
 #include "server/http.h"
-#include "server/report_cache.h"
 
 namespace sigcomp::server
 {
 
 /**
  * Construction-time configuration of a Daemon: the tenant sessions'
- * settings. The report cache's bounds are constants, not settings,
- * and a plan carries its own deadline (deadline_ms).
+ * settings. A plan carries its own deadline (deadline_ms).
  */
 struct DaemonConfig
 {
@@ -138,26 +134,13 @@ class Daemon
     telemetry::Registry &metrics() { return registry_; }
 
     /**
-     * SHA-256 hex over the store's segment inventory (workload name,
-     * header CRC and program fingerprint per segment) — "none"
-     * without a store. Taken once at construction and shown in
-     * /statsz and the startup log; a live daemon keeps serving its
-     * resident traces and cached reports, so restart it after
-     * re-prewarming the store.
-     */
-    const std::string &storeFingerprint() const
-    {
-        return storeFingerprint_;
-    }
-
-    /**
      * The tenant's session, created on first use over the daemon's
      * shared TraceCache (so every tenant's cache() is the same one).
      */
     analysis::Session &tenantSession(const std::string &tenant)
         SIGCOMP_EXCLUDES(tenantsMu_);
 
-    /** The /statsz body (schema "sigcomp-daemon-stats-v1"). */
+    /** The /statsz body (schema "sigcomp-daemon-stats-v2"). */
     std::string statszJson() const;
 
   private:
@@ -183,10 +166,7 @@ class Daemon
     /** Dispatch one parsed request to its route. */
     void handleRequest(const std::shared_ptr<net::Conn> &conn,
                        const HttpRequest &request);
-    /**
-     * Parse, fingerprint, report-cache lookup, Session::run, insert:
-     * the request runs the plan itself unless the cache answers.
-     */
+    /** Parse, Session::run, toJson, reply: the request runs its plan. */
     void handleRun(const std::shared_ptr<net::Conn> &conn,
                    const HttpRequest &request);
     void respond(const std::shared_ptr<net::Conn> &conn, int status,
@@ -207,15 +187,10 @@ class Daemon
     /** Watcher thread body: poll peerClosed, cancel orphaned runs. */
     void watchLoop();
 
-    static std::string computeStoreFingerprint(
-        const DaemonConfig &config);
-
     const DaemonConfig config_;
     /** The RAM tier every tenant session serves from. */
     const std::shared_ptr<analysis::TraceCache> traces_;
     telemetry::Registry registry_;
-    ReportCache cache_;
-    std::string storeFingerprint_;
 
     mutable Mutex tenantsMu_;
     std::map<std::string, std::unique_ptr<analysis::Session>>
@@ -248,13 +223,11 @@ class Daemon
     telemetry::Gauge &residentTraces_;
     telemetry::Gauge &residentTraceBytes_;
     /**
-     * Steady-clock time spent in each /v1/run phase. Parse,
-     * fingerprint and reply are charged per request that reaches
-     * them; run (admission included) and serialize (report-cache
-     * insert included) per run.
+     * Steady-clock time spent in each /v1/run phase. Parse is charged
+     * per request that reaches it; run (admission included),
+     * serialize and reply per run.
      */
     telemetry::Counter &parseNs_;
-    telemetry::Counter &fingerprintNs_;
     telemetry::Counter &runNs_;
     telemetry::Counter &serializeNs_;
     telemetry::Counter &replyNs_;

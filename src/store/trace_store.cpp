@@ -1362,7 +1362,6 @@ TraceStore::info(const std::string &workload, SegmentInfo &out,
     out.fileBytes = file->size();
     out.captureLimit = seg.captureLimit;
     out.truncated = (seg.flags & kFlagTruncated) != 0;
-    out.headerCrc = seg.headerCrc;
     out.programFingerprint = seg.programCrc;
     for (const Segment::Column &col : seg.columns) {
         out.columns.push_back(

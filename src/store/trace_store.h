@@ -135,12 +135,6 @@ struct SegmentInfo
     std::uint64_t fileBytes = 0;
     std::uint64_t captureLimit = 0;
     bool truncated = false;
-    /**
-     * The header's CRC: covers every header field (counts, capture
-     * limit, program fingerprint, flags, exit state), so it names the
-     * captured run, not just its size.
-     */
-    std::uint32_t headerCrc = 0;
     /** TraceStore::programFingerprint of the captured program. */
     std::uint32_t programFingerprint = 0;
     std::vector<ColumnStat> columns;

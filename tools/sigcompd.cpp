@@ -138,10 +138,8 @@ main(int argc, char **argv)
         listener->stopListening();
     });
 
-    std::printf("sigcompd: store %s (fingerprint %.12s), serving on "
-                "%s:%u\n",
-                config.session.storeDir.c_str(),
-                daemon.storeFingerprint().c_str(), addr.c_str(),
+    std::printf("sigcompd: store %s, serving on %s:%u\n",
+                config.session.storeDir.c_str(), addr.c_str(),
                 static_cast<unsigned>(listener->port()));
     std::fflush(stdout);
 
