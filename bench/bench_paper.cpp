@@ -76,17 +76,18 @@ class ExceptionProfiler : public cpu::TraceSink
         const isa::DecodedInstr &dec = *di.dec;
         const sig::SerialAlu alu(sig::Encoding::Ext3);
         sig::AluReport r;
-        if (dec.isLoad || dec.isStore) {
-            r = alu.add(di.srcRs,
-                        static_cast<Word>(di.inst().simm16()));
-        } else if (dec.name == "addu" || dec.name == "add") {
+        switch (dec.aluOp) {
+          case isa::AluOp::MemAdd:
+          case isa::AluOp::AddImm:
+            r = alu.add(di.srcRs, static_cast<Word>(di.inst().simm16()));
+            break;
+          case isa::AluOp::AddRR:
             r = alu.add(di.srcRs, di.srcRt);
-        } else if (dec.name == "subu" || dec.name == "sub") {
+            break;
+          case isa::AluOp::SubRR:
             r = alu.sub(di.srcRs, di.srcRt);
-        } else if (dec.name == "addiu" || dec.name == "addi") {
-            r = alu.add(di.srcRs,
-                        static_cast<Word>(di.inst().simm16()));
-        } else {
+            break;
+          default:
             return;
         }
         ++adds;

@@ -222,15 +222,6 @@ measureKernels()
         {"classify_ext3_block",
          [&] { sig::classifyExt3Block(vs.data(), vs.size(),
                                       masks.data()); }},
-        {"classify_ext2_block",
-         [&] { sig::classifyExt2Block(vs.data(), vs.size(),
-                                      masks.data()); }},
-        {"classify_half_block",
-         [&] { sig::classifyHalfBlock(vs.data(), vs.size(),
-                                      masks.data()); }},
-        {"significant_bytes_block",
-         [&] { sig::significantBytesBlock(vs.data(), vs.size(),
-                                          masks.data()); }},
         {"pattern_tally_block",
          [&] {
              Count counts[16] = {};

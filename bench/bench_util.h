@@ -19,9 +19,9 @@ namespace sigcomp::bench
  * Operand stream with the paper's Table-1 significance mix (~60%
  * 1-byte, ~20% 2-byte, rest wide/pointers/negatives, interleaved
  * unpredictably) — the distribution the significance classifiers
- * actually see. The single source for bench_micro, the
- * bench_suite_timing kernel block, and the SIMD equivalence tests,
- * so every consumer measures/verifies the same stream.
+ * actually see. The single source for the bench_suite_timing kernel
+ * block and the SIMD equivalence tests, so every consumer
+ * measures/verifies the same stream.
  */
 inline std::vector<Word>
 operandMix(std::size_t n, std::uint64_t seed = 42)

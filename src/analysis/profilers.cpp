@@ -6,7 +6,7 @@
 namespace sigcomp::analysis
 {
 
-using isa::InstrClass;
+using isa::AluOp;
 
 void
 PatternProfiler::record(Word value)
@@ -137,13 +137,12 @@ InstrMixProfiler::computeFacts(const isa::DecodedInstr &dec) const
 
     // "additions/subtractions, memory instructions, and branches all
     // require an addition" (section 2.5).
-    f.addLike =
-        dec.isLoad || dec.isStore || dec.isCondBranch ||
-        (dec.cls == InstrClass::IntAlu &&
-         (dec.name == "addu" || dec.name == "add" || dec.name == "subu" ||
-          dec.name == "sub" || dec.name == "addiu" ||
-          dec.name == "addi" || dec.name == "slt" || dec.name == "sltu" ||
-          dec.name == "slti" || dec.name == "sltiu"));
+    // Among ALU ops: add/sub and the set-on-less-than compares.
+    f.addLike = dec.isLoad || dec.isStore || dec.isCondBranch ||
+                dec.aluOp == AluOp::AddRR || dec.aluOp == AluOp::SubRR ||
+                dec.aluOp == AluOp::AddImm || dec.aluOp == AluOp::SltRR ||
+                dec.aluOp == AluOp::SltuRR || dec.aluOp == AluOp::SltImm ||
+                dec.aluOp == AluOp::SltuImm;
     return f;
 }
 

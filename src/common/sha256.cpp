@@ -1,13 +1,7 @@
 #include "common/sha256.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "common/simd.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define SIGCOMP_X86_SHA 1
-#endif
 
 namespace sigcomp
 {
@@ -37,74 +31,6 @@ rotr(std::uint32_t x, unsigned n)
     return (x >> n) | (x << (32 - n));
 }
 
-#if SIGCOMP_X86_SHA
-
-/**
- * One block through the SHA extensions: the same rounds as the
- * scalar compress() (Intel's SHA-NI scheme: the state held as ABEF
- * and CDGH halves, message words four at a time through
- * sha256msg1/msg2). test_server checks it against the FIPS vectors
- * and the scalar path at every SIMD level.
- */
-__attribute__((target("sha,sse4.1"))) void
-compressShaNi(std::uint32_t state[8], const std::uint8_t block[64])
-{
-    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bll,
-                                         0x0405060700010203ll);
-    const __m128i cdab = _mm_shuffle_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state)), 0xB1);
-    const __m128i efgh = _mm_shuffle_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4)),
-        0x1B);
-    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
-    const __m128i abef0 = abef;
-    const __m128i cdgh0 = cdgh;
-
-    __m128i w[16];
-    for (unsigned i = 0; i < 16; ++i) {
-        if (i < 4) {
-            w[i] = _mm_shuffle_epi8(
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(block + 16 * i)),
-                bswap);
-        } else {
-            w[i] = _mm_sha256msg2_epu32(
-                _mm_add_epi32(_mm_sha256msg1_epu32(w[i - 4], w[i - 3]),
-                              _mm_alignr_epi8(w[i - 1], w[i - 2], 4)),
-                w[i - 1]);
-        }
-        const __m128i msg = _mm_add_epi32(
-            w[i],
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(kRound.data() + 4 * i)));
-        // Two rounds leave the new ABEF in cdgh, while abef already
-        // holds the new CDGH; two more rounds restore the roles.
-        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
-        abef = _mm_sha256rnds2_epu32(abef, cdgh,
-                                     _mm_shuffle_epi32(msg, 0x0E));
-    }
-    abef = _mm_add_epi32(abef, abef0);
-    cdgh = _mm_add_epi32(cdgh, cdgh0);
-
-    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
-    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(state),
-                     _mm_blend_epi16(feba, dchg, 0xF0));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4),
-                     _mm_alignr_epi8(dchg, feba, 8));
-}
-
-bool
-haveShaNi()
-{
-    static const bool have = __builtin_cpu_supports("sha") &&
-                             __builtin_cpu_supports("sse4.1");
-    return have;
-}
-
-#endif // SIGCOMP_X86_SHA
-
 } // namespace
 
 Sha256::Sha256()
@@ -115,15 +41,6 @@ Sha256::Sha256()
 void
 Sha256::compress(const std::uint8_t block[64])
 {
-#if SIGCOMP_X86_SHA
-    // The scalar pin (SIGCOMP_FORCE_SCALAR / setSimdLevel) covers the
-    // hash too, as it does the CRC, so both paths stay tested.
-    if (haveShaNi() &&
-        simd::activeSimdLevel() != simd::SimdLevel::Scalar) {
-        compressShaNi(state_.data(), block);
-        return;
-    }
-#endif
     std::uint32_t w[64];
     for (unsigned i = 0; i < 16; ++i) {
         w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |

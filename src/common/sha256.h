@@ -7,10 +7,9 @@
  * a content address needs a digest whose collisions are not a
  * practical concern, because two distinct plans hashing to one key
  * would be taken for one plan. The inputs are kilobyte-scale
- * canonical JSON documents; the portable compression function is the
- * reference, and CPUs with the SHA extensions take a SHA-NI path
- * that hashes alike. Both are verified against the FIPS test vectors
- * in tests/test_server.cpp.
+ * canonical JSON documents and no request path hashes one, so the
+ * portable compression function is the only one. It is verified
+ * against the FIPS test vectors in tests/test_server.cpp.
  */
 
 #ifndef SIGCOMP_COMMON_SHA256_H_

@@ -14,10 +14,6 @@ SimdLevel
 probe()
 {
 #if defined(__x86_64__) || defined(__i386__)
-    // __builtin_cpu_supports covers the OS-support (XGETBV) side of
-    // AVX2 as well as the CPUID feature bit.
-    if (__builtin_cpu_supports("avx2"))
-        return SimdLevel::Avx2;
     if (__builtin_cpu_supports("ssse3"))
         return SimdLevel::Ssse3;
     return SimdLevel::Scalar;
@@ -79,8 +75,8 @@ activeSimdLevel()
 void
 setSimdLevel(SimdLevel level)
 {
-    // Clamp to what this CPU can run; an unsupported level (AVX2 on a
-    // non-AVX2 part or a non-x86 build) degrades to Scalar.
+    // Clamp to what this CPU can run; an unsupported level (SSSE3 on
+    // a part without it or a non-x86 build) degrades to Scalar.
     SimdLevel want = SimdLevel::Scalar;
     for (const SimdLevel l : availableSimdLevels())
         if (l == level)
@@ -94,7 +90,6 @@ simdLevelName(SimdLevel level)
     switch (level) {
       case SimdLevel::Scalar: return "scalar";
       case SimdLevel::Ssse3: return "ssse3";
-      case SimdLevel::Avx2: return "avx2";
     }
     return "?";
 }
@@ -103,13 +98,8 @@ std::vector<SimdLevel>
 availableSimdLevels()
 {
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
-    const SimdLevel best = detected();
-#if defined(__x86_64__) || defined(__i386__)
-    if (best == SimdLevel::Ssse3 || best == SimdLevel::Avx2)
+    if (detected() == SimdLevel::Ssse3)
         levels.push_back(SimdLevel::Ssse3);
-    if (best == SimdLevel::Avx2)
-        levels.push_back(SimdLevel::Avx2);
-#endif
     return levels;
 }
 

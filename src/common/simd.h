@@ -1,25 +1,27 @@
 /**
  * @file
- * Runtime SIMD dispatch for the batch significance kernels.
+ * Runtime SIMD dispatch for the vector paths that a measured
+ * workload gains from: the SSSE3 SigPack codec (store/codec.cpp) and
+ * the PCLMUL CRC-32 (common/crc32.cpp).
  *
  * The library is built for a generic baseline (no -march flags), so
- * vectorised kernels cannot be selected at compile time: each x86
+ * vector code cannot be selected at compile time: each x86
  * implementation is compiled with a per-function target attribute and
  * chosen at runtime from CPUID. The active level is process-wide:
  *
  *  - detectedSimdLevel() — the best level this CPU supports, probed
- *    once (AVX2 > SSSE3 > scalar on x86; scalar elsewhere).
- *  - activeSimdLevel()   — the level the kernels actually dispatch
- *    on. Defaults to the detected level; the SIGCOMP_FORCE_SCALAR
- *    environment variable (any value but "0") pins it to Scalar
- *    before the first kernel call, and setSimdLevel() moves it
- *    anywhere up to the detected level (tests and benchmarks sweep
- *    every available level to pin bit-identity and measure each
- *    implementation).
+ *    once (SSSE3 > scalar on x86; scalar elsewhere).
+ *  - activeSimdLevel()   — the level the vector paths actually
+ *    dispatch on. Defaults to the detected level; the
+ *    SIGCOMP_FORCE_SCALAR environment variable (any value but "0")
+ *    pins it to Scalar before the first dispatch, and setSimdLevel()
+ *    moves it anywhere up to the detected level (tests and
+ *    benchmarks sweep every available level to pin bit-identity and
+ *    measure each implementation).
  *
- * Every kernel is bit-identical across levels — the scalar
- * implementation is the specification, vector levels are verified
- * against it exhaustively in test_simd.cpp — so dispatch is purely a
+ * Every vector path is bit-identical to its scalar one — the scalar
+ * implementation is the specification, and test_simd.cpp pins the
+ * vector paths against it at every level — so dispatch is purely a
  * throughput decision and never changes results.
  */
 
@@ -34,22 +36,21 @@ namespace sigcomp::simd
 
 /**
  * Dispatch levels in increasing preference order. Scalar is always
- * available; SSSE3/AVX2 apply to x86-64 builds.
+ * available; SSSE3 applies to x86-64 builds.
  */
 enum class SimdLevel : std::uint8_t
 {
     Scalar = 0,
     Ssse3 = 1,
-    Avx2 = 2,
 };
 
 /** Best level this CPU/build supports (probed once, cached). */
 SimdLevel detectedSimdLevel();
 
 /**
- * The level the kernels dispatch on right now. First call resolves
- * the SIGCOMP_FORCE_SCALAR override; thereafter only setSimdLevel()
- * changes it.
+ * The level the vector paths dispatch on right now. First call
+ * resolves the SIGCOMP_FORCE_SCALAR override; thereafter only
+ * setSimdLevel() changes it.
  */
 SimdLevel activeSimdLevel();
 
@@ -59,13 +60,13 @@ SimdLevel activeSimdLevel();
  * hook — prefer calling it from a single thread before fanning out
  * work. Concurrent use is data-race-free: the level is one atomic,
  * and a pin always sticks even against a racing first-dispatch
- * resolution of SIGCOMP_FORCE_SCALAR (kernels already in flight
+ * resolution of SIGCOMP_FORCE_SCALAR (calls already in flight
  * finish on the level they loaded; results are level-independent by
  * the bit-identity contract).
  */
 void setSimdLevel(SimdLevel level);
 
-/** Lower-case level name ("scalar", "ssse3", "avx2"). */
+/** Lower-case level name ("scalar", "ssse3"). */
 const char *simdLevelName(SimdLevel level);
 
 /**

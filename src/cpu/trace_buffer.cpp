@@ -195,9 +195,10 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
     const std::size_t n = b.size();
     std::vector<DynInstr> block(std::min(block_size, n));
 
-    // Older buffers (none today, but fail-soft) may lack sidecars;
-    // consumers treat sigTags == 0 as "classify it yourself".
-    const bool tags = b.sigRegs_.size() == n;
+    SC_ASSERT(b.sigRegs_.size() == n &&
+                  b.sigMem_.size() == b.memData_.size(),
+              "every replayed trace carries its significance sidecars "
+              "(capture and deserialize both fill them)");
     std::size_t mem_cursor = 0;
     for (std::size_t base = 0; base < n;) {
         // Cancellation granularity is the block: a token that fires
@@ -217,16 +218,14 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
             di.srcRs = b.srcRs_[i];
             di.srcRt = b.srcRt_[i];
             di.result = b.result_v_[i];
-            di.sigTags = tags ? b.sigRegs_[i] : 0;
+            di.sigTags = b.sigRegs_[i];
             if (di.dec->isLoad || di.dec->isStore) {
                 di.memAddr = b.memAddr_[mem_cursor];
                 di.memData = b.memData_[mem_cursor];
-                if (tags) {
-                    di.sigTags = static_cast<std::uint16_t>(
-                        di.sigTags |
-                        (static_cast<std::uint16_t>(b.sigMem_[mem_cursor])
-                         << 12));
-                }
+                di.sigTags = static_cast<std::uint16_t>(
+                    di.sigTags |
+                    (static_cast<std::uint16_t>(b.sigMem_[mem_cursor])
+                     << 12));
                 ++mem_cursor;
             } else {
                 di.memAddr = 0;

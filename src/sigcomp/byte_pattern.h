@@ -35,8 +35,8 @@ constexpr unsigned numBytePatterns = 8;
 /**
  * Scalar reference classifier for the 3-bit per-byte scheme (Ext3):
  * the specification the branchless classifyExt3() is verified
- * against (equivalence tests in test_sigcomp, side-by-side entries
- * in bench_micro). Walks the bytes exactly as section 2.1 describes.
+ * against (equivalence tests in test_sigcomp and test_simd). Walks
+ * the bytes exactly as section 2.1 describes.
  */
 constexpr ByteMask
 classifyExt3Reference(Word v)

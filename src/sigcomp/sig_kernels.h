@@ -8,20 +8,17 @@
  * to run on every operand *of a multi-million-instruction replay*:
  * the trace engine classifies whole capture columns (sidecar tags),
  * the store codec classifies whole codec blocks, and the pattern
- * profiler tallies whole replay blocks, 8-32 words per vector
- * iteration.
+ * profiler tallies whole replay blocks.
  *
- * Dispatch: every kernel picks its implementation from
- * simd::activeSimdLevel() per call (AVX2 / SSSE3 on x86-64, scalar
- * everywhere). The scalar path applies the per-word
- * functions of sigcomp/byte_pattern.h verbatim — it *is* the
- * specification — and every vector level is pinned bit-identical to
- * it by the exhaustive and randomized sweeps in test_simd.cpp, so
- * level selection can never change a result, only its cost.
+ * Every kernel is a loop over the per-word functions of
+ * sigcomp/byte_pattern.h, which are the specification; test_simd.cpp
+ * pins them against the byte-walking reference classifiers. There is
+ * no per-level dispatch here: vector bodies measured no faster than
+ * these loops, so only the store codec and the CRC keep SIMD paths
+ * (common/simd.h).
  *
  * All kernels accept arbitrary n (including 0) and unaligned
- * pointers; vector bodies process full groups and hand the tail to
- * the scalar path.
+ * pointers.
  */
 
 #ifndef SIGCOMP_SIGCOMP_SIG_KERNELS_H_
@@ -38,16 +35,6 @@ namespace sigcomp::sig
 
 /** out[i] = classifyExt3(v[i]) for i in [0, n). */
 void classifyExt3Block(const Word *v, std::size_t n, ByteMask *out);
-
-/** out[i] = classifyExt2(v[i]) for i in [0, n). */
-void classifyExt2Block(const Word *v, std::size_t n, ByteMask *out);
-
-/** out[i] = classifyHalf(v[i]) for i in [0, n). */
-void classifyHalfBlock(const Word *v, std::size_t n, HalfMask *out);
-
-/** out[i] = significantBytes(v[i]) (1..4) for i in [0, n). */
-void significantBytesBlock(const Word *v, std::size_t n,
-                           std::uint8_t *out);
 
 /**
  * Fused classify + histogram: counts[m] += |{i : classifyExt3(v[i])

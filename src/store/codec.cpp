@@ -337,8 +337,7 @@ sigPackEncode(const std::uint32_t *vals, const MaskBlock &masks,
 
     std::uint8_t *payload_out = p + plane;
 #if SIGCOMP_X86_CODEC
-    if (simd::activeSimdLevel() == simd::SimdLevel::Ssse3 ||
-        simd::activeSimdLevel() == simd::SimdLevel::Avx2) {
+    if (simd::activeSimdLevel() == simd::SimdLevel::Ssse3) {
         sigPackEncodeSsse3(vals, masks.data(), k, payload_out);
     } else {
         sigPackEncodeScalar(vals, masks.data(), k, payload_out);
@@ -352,7 +351,7 @@ sigPackEncode(const std::uint32_t *vals, const MaskBlock &masks,
 /**
  * SigPack decode. This is the store tier's hot loop (every operand
  * and result word of every replayed trace): warm-store load has to
- * beat functional recapture, so on SSSE3+ hosts whole groups of four
+ * beat functional recapture, so at SSSE3 dispatch whole groups of four
  * values decode through the shuffle tables above, and the rest of
  * the block (or the whole block at scalar dispatch) runs the
  * branchless two-per-tag-byte pair loop. An unpredictable branch per
@@ -373,8 +372,7 @@ sigPackDecode(const std::uint8_t *bytes, std::size_t len, std::size_t k,
     std::size_t off = 0;
     std::size_t i = 0;
 #if SIGCOMP_X86_CODEC
-    if (simd::activeSimdLevel() == simd::SimdLevel::Ssse3 ||
-        simd::activeSimdLevel() == simd::SimdLevel::Avx2) {
+    if (simd::activeSimdLevel() == simd::SimdLevel::Ssse3) {
         if (!sigPackDecodeSsse3(bytes, plane, data, payload, k, dst, i,
                                 off))
             return false;

@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 4, all integers little-endian) —
+ * Segment file format (version 5, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -139,9 +139,9 @@ struct SegmentInfo
     std::uint32_t programFingerprint = 0;
     std::vector<ColumnStat> columns;
     /**
-     * Persisted derived-record annexes (version >= 3), one entry per
-     * record, named by annex key. Excluded from rawBytes()/
-     * encodedBytes(): those report the trace columns proper.
+     * Persisted derived-record annexes, one entry per record, named
+     * by annex key. Excluded from rawBytes()/encodedBytes(): those
+     * report the trace columns proper.
      */
     std::vector<ColumnStat> annexes;
 

@@ -45,6 +45,7 @@
 #include "cpu/trace_buffer.h"
 #include "pipeline/runner.h"
 #include "store/trace_store.h"
+#include "tests/scratch_dir.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -72,8 +73,8 @@ class FaultTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::path(::testing::TempDir()) /
-               (std::string("sigcomp-fault-") + info->name());
+        dir_ = test::scratchDir(std::string("sigcomp-fault-") +
+                                info->name());
         fs::remove_all(dir_);
     }
 

@@ -20,6 +20,7 @@
 #include "sigcomp/serial_alu.h"
 #include "store/trace_store.h"
 #include "tests/live_oracle.h"
+#include "tests/scratch_dir.h"
 
 namespace sigcomp
 {
@@ -347,9 +348,8 @@ TEST_P(ProgramFuzz, StoreReplayMatchesLiveForEveryDesignAndEncoding)
     // capture -> store segment -> load -> batched replay, for every
     // design under every encoding.
     const Program p = randomProgram(GetParam() ^ 0x5eed, 250);
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) /
-        ("sigcomp-property-" + std::to_string(GetParam()));
+    const std::filesystem::path dir = test::scratchDir(
+        "sigcomp-property-" + std::to_string(GetParam()));
     std::filesystem::remove_all(dir);
     const store::TraceStore ts(dir.string());
     ASSERT_TRUE(ts.save(p.name(), cpu::TraceBuffer::capture(p),

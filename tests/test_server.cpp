@@ -30,11 +30,11 @@
 #include "analysis/session.h"
 #include "common/net.h"
 #include "common/sha256.h"
-#include "common/simd.h"
 #include "isa/assembler.h"
 #include "server/daemon.h"
 #include "server/http.h"
 #include "store/trace_store.h"
+#include "tests/scratch_dir.h"
 
 namespace sigcomp
 {
@@ -79,34 +79,6 @@ TEST(Sha256, ChunkingInvariant)
         h.update(std::string_view(msg).substr(split));
         EXPECT_EQ(h.hexDigest(), oneShot) << "split at " << split;
     }
-}
-
-TEST(Sha256, EverySimdLevelHashesAlike)
-{
-    // The SHA-extension compress (taken at any level above scalar on
-    // a CPU that has it) must match the scalar rounds on every length
-    // around the block and padding boundaries.
-    std::string msg;
-    for (std::size_t i = 0; i < 300; ++i)
-        msg.push_back(static_cast<char>((i * 131 + 7) & 0xff));
-    const simd::SimdLevel entry = simd::activeSimdLevel();
-    simd::setSimdLevel(simd::SimdLevel::Scalar);
-    std::vector<std::string> want;
-    for (std::size_t n = 0; n <= msg.size(); ++n)
-        want.push_back(Sha256::hex(std::string_view(msg).substr(0, n)));
-    for (const simd::SimdLevel level : simd::availableSimdLevels()) {
-        simd::setSimdLevel(level);
-        EXPECT_EQ(Sha256::hex("abc"),
-                  "ba7816bf8f01cfea414140de5dae2223"
-                  "b00361a396177a9cb410ff61f20015ad")
-            << simd::simdLevelName(level);
-        for (std::size_t n = 0; n <= msg.size(); ++n) {
-            ASSERT_EQ(Sha256::hex(std::string_view(msg).substr(0, n)),
-                      want[n])
-                << simd::simdLevelName(level) << " length " << n;
-        }
-    }
-    simd::setSimdLevel(entry);
 }
 
 // ---- HTTP parser -----------------------------------------------------
@@ -604,7 +576,7 @@ TEST(DaemonCache, DistinctPlansAndTenantsShareTheCache)
 // ---- the shared RAM tier: one resident copy per daemon ---------------
 
 /**
- * A fresh store under TempDir()/@p name holding @p workloads'
+ * A fresh store in @p name's scratch directory holding @p workloads'
  * segments at testConfig()'s capture limit, and a read-only daemon
  * config serving it.
  */
@@ -613,7 +585,7 @@ prewarmedStoreConfig(const std::string &name,
                      const std::vector<std::string> &workloads)
 {
     DaemonConfig config = testConfig();
-    const fs::path dir = fs::path(::testing::TempDir()) / name;
+    const fs::path dir = test::scratchDir(name);
     fs::remove_all(dir);
     config.session.storeDir = dir.string();
     analysis::Session seeder(analysis::SessionConfig{
@@ -950,8 +922,7 @@ TEST(DaemonDisconnect, HangupAfterTheReplyCancelsNothing)
 
 TEST(DaemonDisconnect, CancelledWriterLeavesStoreDoctorClean)
 {
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "sigcomp-daemon-store";
+    const fs::path dir = test::scratchDir("sigcomp-daemon-store");
     fs::remove_all(dir);
 
     DaemonConfig config = testConfig();

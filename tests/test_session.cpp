@@ -23,6 +23,7 @@
 #include "common/telemetry.h"
 #include "isa/assembler.h"
 #include "store/trace_store.h"
+#include "tests/scratch_dir.h"
 #include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
@@ -48,8 +49,8 @@ class SessionStoreTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::path(::testing::TempDir()) /
-               (std::string("sigcomp-session-") + info->name());
+        dir_ = test::scratchDir(std::string("sigcomp-session-") +
+                                info->name());
         fs::remove_all(dir_);
     }
 

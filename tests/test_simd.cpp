@@ -1,11 +1,12 @@
 /**
  * @file
- * SIMD kernel equivalence suite: every batch significance kernel,
- * the SigPack column codec, and the checksum must be bit-identical
- * to their scalar references at every dispatch level this host can
- * run — exhaustively over the 0..2^16 boundary range (placed in
- * every byte position) and over randomized word patterns, including
- * unaligned heads and ragged block lengths. CTest runs this binary
+ * SIMD and kernel equivalence suite: the SigPack column codec and
+ * the checksum must be bit-identical to their scalar references at
+ * every dispatch level this host can run, and the batch significance
+ * kernels must match the byte-walking reference classifiers —
+ * exhaustively over the 0..2^16 boundary range (placed in every byte
+ * position) and over randomized word patterns, including unaligned
+ * heads and ragged block lengths. CTest runs this binary
  * twice: once with native dispatch and once under
  * SIGCOMP_FORCE_SCALAR=1 (see tests/CMakeLists.txt), so the
  * environment override is exercised continuously.
@@ -62,7 +63,7 @@ kernelBattery()
     return vs;
 }
 
-/** Ragged lengths the kernels must get right (vector tails). */
+/** Ragged lengths the kernels must get right (block tails). */
 const std::size_t kLengths[] = {0, 1, 15, 16, 17, 33};
 
 TEST_F(SimdTest, LevelPlumbing)
@@ -93,32 +94,10 @@ TEST_F(SimdTest, ClassifyKernelsMatchScalarReferencesEverywhere)
 {
     const std::vector<Word> vs = kernelBattery();
     std::vector<sig::ByteMask> mask(vs.size());
-    std::vector<std::uint8_t> count(vs.size());
-
-    for (const SimdLevel level : simd::availableSimdLevels()) {
-        simd::setSimdLevel(level);
-        const std::string tag = simd::simdLevelName(level);
-
-        sig::classifyExt3Block(vs.data(), vs.size(), mask.data());
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            ASSERT_EQ(mask[i], sig::classifyExt3Reference(vs[i]))
-                << tag << " ext3 @" << i << " v=" << vs[i];
-        }
-        sig::classifyExt2Block(vs.data(), vs.size(), mask.data());
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            ASSERT_EQ(mask[i], sig::classifyExt2Reference(vs[i]))
-                << tag << " ext2 @" << i << " v=" << vs[i];
-        }
-        sig::classifyHalfBlock(vs.data(), vs.size(), mask.data());
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            ASSERT_EQ(mask[i], sig::classifyHalfReference(vs[i]))
-                << tag << " half @" << i << " v=" << vs[i];
-        }
-        sig::significantBytesBlock(vs.data(), vs.size(), count.data());
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            ASSERT_EQ(count[i], significantBytes(vs[i]))
-                << tag << " sigbytes @" << i << " v=" << vs[i];
-        }
+    sig::classifyExt3Block(vs.data(), vs.size(), mask.data());
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+        ASSERT_EQ(mask[i], sig::classifyExt3Reference(vs[i]))
+            << "ext3 @" << i << " v=" << vs[i];
     }
 }
 
@@ -129,21 +108,16 @@ TEST_F(SimdTest, KernelsHandleRaggedLengthsAndUnalignedHeads)
     for (Word &v : vs)
         v = rng.next32();
 
-    for (const SimdLevel level : simd::availableSimdLevels()) {
-        simd::setSimdLevel(level);
-        for (const std::size_t n : kLengths) {
-            for (const std::size_t off : {std::size_t{0}, std::size_t{1},
-                                          std::size_t{3}}) {
-                ASSERT_LE(off + n, vs.size());
-                std::vector<sig::ByteMask> out(n + 1, 0xEE);
-                sig::classifyExt3Block(vs.data() + off, n, out.data());
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(out[i],
-                              sig::classifyExt3Reference(vs[off + i]));
-                }
-                // The kernel must not write past n outputs.
-                EXPECT_EQ(out[n], 0xEE);
-            }
+    for (const std::size_t n : kLengths) {
+        for (const std::size_t off :
+             {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+            ASSERT_LE(off + n, vs.size());
+            std::vector<sig::ByteMask> out(n + 1, 0xEE);
+            sig::classifyExt3Block(vs.data() + off, n, out.data());
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(out[i], sig::classifyExt3Reference(vs[off + i]));
+            // The kernel must not write past n outputs.
+            EXPECT_EQ(out[n], 0xEE);
         }
     }
 }
@@ -151,28 +125,23 @@ TEST_F(SimdTest, KernelsHandleRaggedLengthsAndUnalignedHeads)
 TEST_F(SimdTest, PatternTallyMatchesPerWordHistogram)
 {
     const std::vector<Word> vs = kernelBattery();
-    for (const SimdLevel level : simd::availableSimdLevels()) {
-        simd::setSimdLevel(level);
-        for (const std::size_t n : kLengths) {
-            Count counts[16] = {};
-            sig::patternTallyBlock(vs.data(), n, counts);
-            Count ref[16] = {};
-            for (std::size_t i = 0; i < n; ++i)
-                ++ref[sig::classifyExt3Reference(vs[i])];
-            for (unsigned m = 0; m < 16; ++m)
-                ASSERT_EQ(counts[m], ref[m])
-                    << simd::simdLevelName(level) << " n=" << n
-                    << " m=" << m;
-        }
-        // And over the whole battery.
+    for (const std::size_t n : kLengths) {
         Count counts[16] = {};
-        sig::patternTallyBlock(vs.data(), vs.size(), counts);
+        sig::patternTallyBlock(vs.data(), n, counts);
         Count ref[16] = {};
-        for (const Word v : vs)
-            ++ref[sig::classifyExt3Reference(v)];
+        for (std::size_t i = 0; i < n; ++i)
+            ++ref[sig::classifyExt3Reference(vs[i])];
         for (unsigned m = 0; m < 16; ++m)
-            ASSERT_EQ(counts[m], ref[m]);
+            ASSERT_EQ(counts[m], ref[m]) << "n=" << n << " m=" << m;
     }
+    // And over the whole battery.
+    Count counts[16] = {};
+    sig::patternTallyBlock(vs.data(), vs.size(), counts);
+    Count ref[16] = {};
+    for (const Word v : vs)
+        ++ref[sig::classifyExt3Reference(v)];
+    for (unsigned m = 0; m < 16; ++m)
+        ASSERT_EQ(counts[m], ref[m]);
 }
 
 TEST_F(SimdTest, PackSigTagsMatchesScalarPacking)

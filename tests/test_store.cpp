@@ -26,6 +26,7 @@
 #include "pipeline/runner.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
+#include "tests/scratch_dir.h"
 #include "tests/live_oracle.h"
 #include "workloads/workload.h"
 
@@ -52,8 +53,8 @@ class StoreTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::path(::testing::TempDir()) /
-               (std::string("sigcomp-store-") + info->name());
+        dir_ = test::scratchDir(std::string("sigcomp-store-") +
+                                info->name());
         fs::remove_all(dir_);
     }
 
@@ -543,8 +544,7 @@ class StoreBitIdentity : public ::testing::TestWithParam<sig::Encoding>
         fs::remove_all(dir_);
     }
 
-    fs::path dir_ = fs::path(::testing::TempDir()) /
-                    "sigcomp-store-bit-identity";
+    fs::path dir_ = test::scratchDir("sigcomp-store-bit-identity");
 };
 
 TEST_P(StoreBitIdentity, ActivityCpiAndProfilersMatchLiveCapture)

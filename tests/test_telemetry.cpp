@@ -26,6 +26,7 @@
 #include "analysis/study_plan.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "tests/scratch_dir.h"
 
 namespace sigcomp
 {
@@ -50,8 +51,8 @@ class TelemetryFileTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::path(::testing::TempDir()) /
-               (std::string("sigcomp-telemetry-") + info->name());
+        dir_ = test::scratchDir(std::string("sigcomp-telemetry-") +
+                                info->name());
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

@@ -13,7 +13,7 @@
  *    shape) running overlapping plans while one of them evicts, so
  *    loads, quanta and result-memo publication and eviction of the
  *    same resident traces interleave;
- *  - setSimdLevel() repinned concurrently with kernel dispatch
+ *  - setSimdLevel() repinned concurrently with codec dispatch
  *    (regression for the lazy-resolution race fixed in
  *    common/simd.cpp: a pin racing the first dispatch must stick);
  *  - the TraceCache accounting counters read while gets and
@@ -32,9 +32,11 @@
 #include "analysis/session.h"
 #include "analysis/study_plan.h"
 #include "analysis/trace_cache.h"
+#include "bench/bench_util.h"
 #include "common/simd.h"
-#include "sigcomp/sig_kernels.h"
+#include "store/codec.h"
 #include "tests/live_oracle.h"
+#include "tests/scratch_dir.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -68,8 +70,8 @@ class TsanStressTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::path(::testing::TempDir()) /
-                (std::string("sigcomp-tsan-") + info->name()))
+        dir_ = test::scratchDir(std::string("sigcomp-tsan-") +
+                                info->name())
                    .string();
         fs::remove_all(dir_);
     }
@@ -211,27 +213,27 @@ TEST_F(TsanStressTest, SetSimdLevelSticksAgainstConcurrentDispatch)
     simd::setSimdLevel(simd::SimdLevel::Scalar);
     EXPECT_EQ(simd::activeSimdLevel(), simd::SimdLevel::Scalar);
 
-    // Probabilistic half, for TSan: hammer kernel dispatch from
+    // Probabilistic half, for TSan: hammer codec dispatch from
     // several threads while the main thread cycles the pin through
     // every available level. The bit-identity contract makes every
-    // interleaving observable as a wrong result: whatever level a
-    // kernel call lands on, its output must equal the scalar
-    // reference.
-    std::vector<Word> input(1024);
-    for (std::size_t i = 0; i < input.size(); ++i)
-        input[i] = static_cast<Word>(i * 2654435761u);
-    std::vector<sig::ByteMask> reference(input.size());
-    sig::classifyExt3Block(input.data(), input.size(), reference.data());
+    // interleaving observable as a wrong result: whatever level an
+    // encode lands on, its bytes must equal the scalar encoding.
+    const std::vector<Word> input = bench::operandMix(1024);
+    std::vector<std::uint8_t> reference;
+    store::encodeColumn32(input.data(), input.size(), reference);
+    // Only a SigPack block reaches the dispatched encoder.
+    ASSERT_EQ(reference.front(),
+              static_cast<std::uint8_t>(store::BlockMode::SigPack));
 
     std::atomic<bool> stop{false};
     std::atomic<int> mismatches{0};
     std::vector<std::thread> hammers;
     for (int t = 0; t < 4; ++t) {
         hammers.emplace_back([&] {
-            std::vector<sig::ByteMask> out(input.size());
+            std::vector<std::uint8_t> out;
             while (!stop.load(std::memory_order_relaxed)) {
-                sig::classifyExt3Block(input.data(), input.size(),
-                                       out.data());
+                out.clear();
+                store::encodeColumn32(input.data(), input.size(), out);
                 if (out != reference)
                     mismatches.fetch_add(1);
             }
