@@ -74,8 +74,10 @@ setStatus(EnvStatus *out, EnvStatus st)
 }
 
 /**
- * mmap-backed read view with a heap-read fallback (filesystems that
- * refuse MAP_PRIVATE); either way the view is plain (data, size).
+ * Private-copy view: the whole file is read into an anonymous mapping
+ * at open, so no later change to the file on disk can reach (or
+ * fault) its reader, and the copy's pages go back to the system the
+ * moment the view dies.
  */
 class PosixFileView : public Env::FileView
 {
@@ -94,23 +96,23 @@ class PosixFileView : public Env::FileView
             return;
         }
         size_ = static_cast<std::size_t>(file_stat.st_size);
-        if (size_ == 0) {
-            ::close(fd);
-            ok_ = true; // empty file: valid, zero-length view
-            return;
+        if (size_ > 0) {
+            // Populated up front: one kernel call instead of a page
+            // fault per page as read() fills the copy.
+            void *m = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE,
+                             -1, 0);
+            if (m == MAP_FAILED) {
+                st = errnoStatus("mmap", path, errno);
+                ::close(fd);
+                return;
+            }
+            copy_ = static_cast<std::uint8_t *>(m);
         }
-        void *m = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (m != MAP_FAILED) {
-            map_ = m;
-            ok_ = true;
-            ::close(fd);
-            return;
-        }
-        heap_.resize(size_);
         std::size_t got = 0;
+        errno = 0;
         while (got < size_) {
-            const ssize_t r =
-                ::read(fd, heap_.data() + got, size_ - got);
+            const ssize_t r = ::read(fd, copy_ + got, size_ - got);
             if (r < 0 && errno == EINTR)
                 continue;
             if (r <= 0)
@@ -125,25 +127,17 @@ class PosixFileView : public Env::FileView
 
     ~PosixFileView() override
     {
-        if (map_ != nullptr)
-            ::munmap(map_, size_);
+        if (copy_ != nullptr)
+            ::munmap(copy_, size_);
     }
 
     bool ok() const { return ok_; }
     std::size_t size() const override { return size_; }
-
-    const std::uint8_t *
-    data() const override
-    {
-        return map_ != nullptr
-                   ? static_cast<const std::uint8_t *>(map_)
-                   : heap_.data();
-    }
+    const std::uint8_t *data() const override { return copy_; }
 
   private:
-    void *map_ = nullptr;
+    std::uint8_t *copy_ = nullptr;
     std::size_t size_ = 0;
-    std::vector<std::uint8_t> heap_;
     bool ok_ = false;
 };
 

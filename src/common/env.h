@@ -3,13 +3,13 @@
  * The filesystem seam: every byte the trace store reads from or
  * writes to disk goes through a sigcomp::Env (the LevelDB Env idiom).
  *
- * Before this seam the store called open/mmap/fopen/rename directly,
+ * Before this seam the store called open/read/fopen/rename directly,
  * so its fail-soft claims could only be tested with hand-corrupted
  * files — never with faults injected at the syscall boundary, which
  * is where a long-running multi-tenant service actually meets
  * ENOSPC, EIO, torn writes and crashes mid-save. With the seam in
- * place, production code runs over the PosixEnv singleton (mmap
- * reads, fsync-guarded writes) and the robustness tests run the SAME
+ * place, production code runs over the PosixEnv singleton (whole-file
+ * private-copy reads, fsync-guarded writes) and the robustness tests run the SAME
  * store/session code over a deterministic FaultInjectingEnv
  * (common/fault_env.h) that injects every fault class on schedule.
  *
@@ -87,9 +87,10 @@ class Env
     static Env &posix();
 
     /**
-     * Read-only whole-file view. PosixEnv memory-maps the file (heap
-     * read fallback on exotic filesystems), so decoders stream out
-     * of the page cache without a read-then-decode copy.
+     * Read-only whole-file view. PosixEnv reads the file into a
+     * private anonymous mapping (returned to the system when the view
+     * dies), so a concurrent in-place truncation of the file cannot
+     * change or fault what the view's reader sees.
      */
     class FileView
     {

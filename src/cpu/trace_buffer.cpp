@@ -66,11 +66,29 @@ TraceBuffer::replayCount() const
     return annexes_->replays.load();
 }
 
+InstrFacts
+InstrFacts::of(const isa::DecodedInstr &d)
+{
+    return {static_cast<std::uint8_t>(d.readsRs ? d.inst.rs() : noOperand),
+            static_cast<std::uint8_t>(d.readsRt ? d.inst.rt() : noOperand),
+            static_cast<std::uint8_t>(
+                d.writesDest ? static_cast<unsigned>(d.dest) : noDest),
+            static_cast<std::uint8_t>((d.isLoad || d.isStore ? memOp : 0) |
+                                      (d.isControl ? control : 0))};
+}
+
 TraceBuffer
-TraceBuffer::makeForRebuild()
+TraceBuffer::makeFor(const isa::Program &program)
 {
     TraceBuffer buf;
     buf.annexes_ = std::make_shared<AnnexStore>();
+    buf.program_ = program;
+    buf.decoded_.reserve(program.text().size());
+    buf.facts_.reserve(program.text().size());
+    for (const isa::Instruction &inst : program.text()) {
+        buf.decoded_.push_back(isa::decode(inst));
+        buf.facts_.push_back(InstrFacts::of(buf.decoded_.back()));
+    }
     return buf;
 }
 
@@ -78,12 +96,7 @@ TraceBuffer
 TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
                      bool allow_truncation, const CancelToken *cancel)
 {
-    TraceBuffer buf;
-    buf.annexes_ = std::make_shared<AnnexStore>();
-    buf.program_ = program;
-    buf.decoded_.reserve(program.text().size());
-    for (const isa::Instruction &inst : program.text())
-        buf.decoded_.push_back(isa::decode(inst));
+    TraceBuffer buf = makeFor(program);
 
     // Local class: shares capture()'s access to the private arrays.
     struct Recorder : TraceSink
@@ -95,8 +108,6 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
         {
             b.decIdx_.push_back(
                 static_cast<std::uint32_t>((di.pc - isa::textBase) / 4));
-            b.srcRs_.push_back(di.srcRs);
-            b.srcRt_.push_back(di.srcRt);
             b.result_v_.push_back(di.result);
             if (di.dec->isLoad || di.dec->isStore) {
                 b.memAddr_.push_back(di.memAddr);
@@ -135,8 +146,6 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
               ") during trace capture");
 
     buf.decIdx_.shrink_to_fit();
-    buf.srcRs_.shrink_to_fit();
-    buf.srcRt_.shrink_to_fit();
     buf.result_v_.shrink_to_fit();
     buf.taken_.shrink_to_fit();
     buf.memAddr_.shrink_to_fit();
@@ -149,17 +158,23 @@ void
 TraceBuffer::fillSigSidecars()
 {
     const std::size_t n = decIdx_.size();
-    // Classify each value column in one batch pass, then pack the
-    // three per-instruction nibbles. Chunked so the scratch stays in
-    // L1 no matter how long the trace is.
+    // Classify each chunk's results in one batch pass, walk the
+    // register tags over them for the operand tags, then pack the
+    // per-instruction nibbles. Chunked so the scratch stays in L1 no
+    // matter how long the trace is.
     sigRegs_.resize(n);
     constexpr std::size_t chunk = 4096;
     sig::ByteMask rs[chunk], rt[chunk], res[chunk];
+    RegisterReplay<sig::ByteMask> tags = operandTagReplay();
     for (std::size_t base = 0; base < n; base += chunk) {
         const std::size_t k = std::min(chunk, n - base);
-        sig::classifyExt3Block(srcRs_.data() + base, k, rs);
-        sig::classifyExt3Block(srcRt_.data() + base, k, rt);
         sig::classifyExt3Block(result_v_.data() + base, k, res);
+        for (std::size_t j = 0; j < k; ++j) {
+            const InstrFacts f = facts_[decIdx_[base + j]];
+            rs[j] = tags.rs(f);
+            rt[j] = tags.rt(f);
+            tags.retire(f, res[j]);
+        }
         sig::packSigTagsBlock(rs, rt, res, k, sigRegs_.data() + base);
     }
     sigMem_.resize(memData_.size());
@@ -173,11 +188,11 @@ TraceBuffer::memoryBytes() const
     auto bytes = [](const auto &v) {
         return v.capacity() * sizeof(v[0]);
     };
-    std::size_t total = bytes(decIdx_) + bytes(srcRs_) + bytes(srcRt_) +
-                        bytes(result_v_) + bytes(taken_) +
-                        bytes(sigRegs_) + bytes(sigMem_) +
-                        bytes(memAddr_) + bytes(memData_) +
-                        bytes(decoded_);
+    std::size_t total = bytes(decIdx_) + bytes(result_v_) +
+                        bytes(taken_) + bytes(sigRegs_) +
+                        bytes(sigMem_) + bytes(memAddr_) +
+                        bytes(memData_) + bytes(decoded_) +
+                        bytes(facts_);
     MutexLock lock(annexes_->mu);
     for (const auto &[key, entry] : annexes_->entries)
         total += entry.second;
@@ -200,6 +215,9 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
               "every replayed trace carries its significance sidecars "
               "(capture and deserialize both fill them)");
     std::size_t mem_cursor = 0;
+    // One register file across all blocks: operands are rebuilt in
+    // stream order, never stored (each replay owns its own).
+    RegisterReplay<Word> regs = operandReplay();
     for (std::size_t base = 0; base < n;) {
         // Cancellation granularity is the block: a token that fires
         // during block k stops the replay before block k+1.
@@ -212,14 +230,16 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
         for (std::size_t j = 0; j < k; ++j) {
             const std::size_t i = base + j;
             const std::uint32_t idx = b.decIdx_[i];
+            const InstrFacts f = b.facts_[idx];
             DynInstr &di = block[j];
             di.pc = isa::textBase + static_cast<Addr>(4 * idx);
             di.dec = &b.decoded_[idx];
-            di.srcRs = b.srcRs_[i];
-            di.srcRt = b.srcRt_[i];
+            di.srcRs = regs.rs(f);
+            di.srcRt = regs.rt(f);
             di.result = b.result_v_[i];
+            regs.retire(f, di.result);
             di.sigTags = b.sigRegs_[i];
-            if (di.dec->isLoad || di.dec->isStore) {
+            if (f.flags & InstrFacts::memOp) {
                 di.memAddr = b.memAddr_[mem_cursor];
                 di.memData = b.memData_[mem_cursor];
                 di.sigTags = static_cast<std::uint16_t>(

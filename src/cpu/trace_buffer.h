@@ -15,6 +15,9 @@
  *  - the PC is not stored: a 32-bit decode index both names the
  *    pre-decoded static instruction and reconstructs pc/nextPc
  *    (nextPc of instruction i is the pc of instruction i+1);
+ *  - operand values are not stored: they are a pure function of the
+ *    result stream, so replay rebuilds srcRs/srcRt by carrying one
+ *    architectural register file across its blocks (RegisterReplay);
  *  - memory address/data are stored only for loads and stores, which
  *    appear in stream order, so replay walks them with a cursor;
  *  - branch outcomes are one bit each, packed 64 per word.
@@ -29,6 +32,7 @@
 #ifndef SIGCOMP_CPU_TRACE_BUFFER_H_
 #define SIGCOMP_CPU_TRACE_BUFFER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,6 +41,7 @@
 #include "cpu/functional_core.h"
 #include "cpu/trace.h"
 #include "isa/program.h"
+#include "sigcomp/byte_pattern.h"
 
 namespace sigcomp::store
 {
@@ -47,6 +52,88 @@ namespace sigcomp::cpu
 {
 
 class TraceView;
+
+/**
+ * What operand rebuild and replay read of one static instruction,
+ * packed into four bytes so the per-dynamic-instruction loops stream
+ * through one dense table instead of the (string-bearing)
+ * DecodedInstr records.
+ */
+struct InstrFacts
+{
+    /** Register read as srcRs, or noOperand. */
+    std::uint8_t rs;
+    /** Register read as srcRt, or noOperand. */
+    std::uint8_t rt;
+    /** Register written with the result, or noDest. */
+    std::uint8_t dest;
+    /** memOp | control. */
+    std::uint8_t flags;
+
+    /** Register-file slot that always reads 0 ("no operand"). */
+    static constexpr std::uint8_t noOperand = isa::numRegs;
+    /** Register-file slot that absorbs writes ("no destination"). */
+    static constexpr std::uint8_t noDest = isa::numRegs + 1;
+    /** Load or store: consumes one memAddr/memData entry. */
+    static constexpr std::uint8_t memOp = 1;
+    /** Control transfer: carries a taken bit in the store format. */
+    static constexpr std::uint8_t control = 2;
+
+    static InstrFacts of(const isa::DecodedInstr &d);
+};
+
+/**
+ * The architectural register file rebuilt from a result stream.
+ *
+ * Operand values are a pure function of the stream: registers start
+ * at reset state (zeros, $sp at stackTop), every retired instruction
+ * writes its result to its destination, and syscalls never write
+ * registers. So walking the stream in order and reading srcRs/srcRt
+ * before retiring each result reproduces the functional core's
+ * operands exactly (test_trace checks every suite workload against a
+ * live run).
+ *
+ * T is Word for the values themselves (every replay) or sig::ByteMask
+ * for their Ext3 tags (capture's sidecar pass and the store loader):
+ * a register's tag is the tag of the result last written to it, so
+ * result tags alone rebuild the srcRs/srcRt tags without a value or a
+ * classify pass. Each walk owns its instance.
+ */
+template <typename T>
+class RegisterReplay
+{
+  public:
+    /** Reset state: every register (and "no operand") reads @p zero,
+     *  $sp reads @p sp. */
+    RegisterReplay(T zero, T sp)
+    {
+        regs_.fill(zero);
+        regs_[isa::reg::sp] = sp;
+    }
+
+    T rs(InstrFacts f) const { return regs_[f.rs]; }
+    T rt(InstrFacts f) const { return regs_[f.rt]; }
+
+    /** Retire an instruction: its result reaches its destination. */
+    void retire(InstrFacts f, T result) { regs_[f.dest] = result; }
+
+  private:
+    std::array<T, isa::numRegs + 2> regs_;
+};
+
+/** Operand values at reset. */
+inline RegisterReplay<Word>
+operandReplay()
+{
+    return {0, isa::stackTop};
+}
+
+/** Ext3 tags of the operand values at reset. */
+inline RegisterReplay<sig::ByteMask>
+operandTagReplay()
+{
+    return {sig::classifyExt3(0), sig::classifyExt3(isa::stackTop)};
+}
 
 /** One workload's full retirement stream in structure-of-arrays form. */
 class TraceBuffer
@@ -149,28 +236,30 @@ class TraceBuffer
     TraceBuffer() = default;
 
     /**
-     * Empty buffer with an initialised annex store, ready for the
-     * store tier to fill in the recorded columns (AnnexStore is only
-     * defined in trace_buffer.cpp).
+     * Empty buffer bound to @p program (decode cache and facts table
+     * built) with an initialised annex store, ready for capture or
+     * the store tier to fill in the recorded columns (AnnexStore is
+     * only defined in trace_buffer.cpp).
      */
-    static TraceBuffer makeForRebuild();
+    static TraceBuffer makeFor(const isa::Program &program);
 
     /** Program copy: keeps decode cache and data segment alive. */
     isa::Program program_;
     /** Decode cache, indexed by text word offset. */
     std::vector<isa::DecodedInstr> decoded_;
+    /** InstrFacts::of each decode-cache entry, same indexing. */
+    std::vector<InstrFacts> facts_;
 
     /**
      * Fill the significance sidecar columns from the recorded value
-     * columns with the batch classify kernels (idempotent; called at
-     * the end of capture).
+     * columns: the result and memData columns through the batch
+     * classify kernel, the srcRs/srcRt tags by an operandTagReplay()
+     * walk over the result tags (called at the end of capture).
      */
     void fillSigSidecars();
 
     // -- per retired instruction (dense) ------------------------------
     std::vector<std::uint32_t> decIdx_;
-    std::vector<Word> srcRs_;
-    std::vector<Word> srcRt_;
     std::vector<Word> result_v_;
     /** Branch/jump outcome bits, 64 per word. */
     std::vector<std::uint64_t> taken_;

@@ -1,7 +1,6 @@
 #include "store/trace_store.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -565,8 +564,8 @@ class TraceSerializer
                 static_cast<std::uint8_t>((b.sigRegs_[i] >> 8) & 0xF);
 
         // Encode every payload first so the directory can record
-        // exact sizes and CRCs. srcRs_/srcRt_ are not written: the
-        // loader rebuilds them from the result column (see ColumnId).
+        // exact sizes and CRCs. There are no operand columns to
+        // write: replay rebuilds operands from the result column.
         std::vector<std::uint8_t> payloads[NumColumns];
         std::uint64_t raw_bytes[NumColumns];
         {
@@ -696,11 +695,7 @@ class TraceSerializer
         const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
 
         auto buf = std::make_shared<cpu::TraceBuffer>(
-            cpu::TraceBuffer::makeForRebuild());
-        buf->program_ = program;
-        buf->decoded_.reserve(program.text().size());
-        for (const isa::Instruction &inst : program.text())
-            buf->decoded_.push_back(isa::decode(inst));
+            cpu::TraceBuffer::makeFor(program));
 
         if (!decodeCol32(bytes, seg.columns[ColDecIdx], n, buf->decIdx_,
                          why) ||
@@ -713,46 +708,6 @@ class TraceSerializer
             return nullptr;
         }
 
-        // One fused pass over the stream does three jobs:
-        //  - bounds-check every decode index (replay gathers through
-        //    them unchecked, so a wrong segment must die here,
-        //    softly);
-        //  - verify the memory-op count replay's load/store cursor
-        //    will consume;
-        //  - rebuild the srcRs/srcRt operand columns, which the
-        //    format omits: replaying the result stream through an
-        //    architectural register file reproduces them exactly
-        //    (registers start at reset state — zeros, $sp at
-        //    stackTop — and syscalls never write registers; the
-        //    round-trip tests pin this bit-for-bit).
-        // The replay pass below touches four small facts per static
-        // instruction; gather them into a 4-byte side table first so
-        // the per-dynamic-instruction loop streams through one dense
-        // array instead of striding across the (string-bearing)
-        // DecodedInstr records.
-        const std::size_t text_size = buf->decoded_.size();
-        struct ReplayFacts
-        {
-            std::uint8_t rs, rt, dest;
-            /** bit 0 = load/store, bit 1 = control transfer. */
-            std::uint8_t flags;
-        };
-        std::vector<ReplayFacts> facts(text_size);
-        for (std::size_t t = 0; t < text_size; ++t) {
-            const isa::DecodedInstr &d = buf->decoded_[t];
-            facts[t] = {
-                static_cast<std::uint8_t>(d.readsRs ? d.inst.rs()
-                                                    : isa::numRegs),
-                static_cast<std::uint8_t>(d.readsRt ? d.inst.rt()
-                                                    : isa::numRegs),
-                static_cast<std::uint8_t>(
-                    d.writesDest ? static_cast<unsigned>(d.dest)
-                                 : isa::numRegs + 1),
-                static_cast<std::uint8_t>(
-                    (d.isLoad || d.isStore ? 1u : 0u) |
-                    (d.isControl ? 2u : 0u))};
-        }
-
         // Taken bits: the control-only plane re-scatters inside the
         // fused pass below (its decode indexes are bounds-checked
         // there first).
@@ -762,78 +717,91 @@ class TraceSerializer
             return nullptr;
         buf->taken_.assign((n + 63) / 64, 0);
 
-        buf->srcRs_.resize(n);
-        buf->srcRt_.resize(n);
-        // Registers plus a zero slot (reads of "no operand" land
-        // there) and a write sink (writes of "no destination").
-        std::array<Word, isa::numRegs + 2> regs{};
-        regs[isa::reg::sp] = isa::stackTop;
-        std::size_t seen_mem_ops = 0;
-        std::size_t ctl_cursor = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t idx = buf->decIdx_[i];
-            if (idx >= text_size) {
-                fail(why, "decode index out of range");
-                return nullptr;
-            }
-            const ReplayFacts f = facts[idx];
-            buf->srcRs_[i] = regs[f.rs];
-            buf->srcRt_[i] = regs[f.rt];
-            seen_mem_ops += f.flags & 1u;
-            if (f.flags & 2u) {
-                if (ctl_cursor >= ctl_nbits) {
-                    fail(why, "taken: fewer bits than control "
-                              "instructions");
-                    return nullptr;
-                }
-                buf->taken_[i / 64] |=
-                    ((ctl_bits[ctl_cursor / 64] >> (ctl_cursor % 64)) &
-                     1u)
-                    << (i % 64);
-                ++ctl_cursor;
-            }
-            regs[f.dest] = buf->result_v_[i];
-        }
-        if (seen_mem_ops != mem_ops) {
-            fail(why, "memory-op count inconsistent with program");
-            return nullptr;
-        }
-        if (ctl_cursor != ctl_nbits) {
-            fail(why, "taken: control-instruction count mismatch");
-            return nullptr;
-        }
-
         // Significance sidecars: the result and memData tag planes
         // are persisted (trusted: CRC-guarded and written straight
         // from the capture-time sidecars); the rs/rt tags rebuild
-        // from the replayed operand columns with the batch kernels.
+        // from the result tags in the fused pass below.
+        const Segment::Column &tags_col = seg.columns[ColSigTags];
+        const std::uint8_t *tags;
+        std::size_t tags_len;
+        if (!columnPayload(bytes, tags_col, tags, tags_len, why))
+            return nullptr;
+        if (tags_col.rawBytes != static_cast<std::uint64_t>(n) + mem_ops ||
+            tags_len != (n + 1) / 2 + (mem_ops + 1) / 2) {
+            fail(why, "sigTags: size mismatch");
+            return nullptr;
+        }
+        buf->sigMem_.resize(mem_ops);
+        if (!unpackNibbles(tags + (n + 1) / 2, mem_ops,
+                           buf->sigMem_.data(), why)) {
+            return nullptr;
+        }
+
+        // One fused pass over the stream, a fixed-size chunk at a
+        // time, does three jobs:
+        //  - bounds-check every decode index (replay gathers through
+        //    them unchecked, so a wrong segment must die here,
+        //    softly) and verify the memory-op and taken-bit counts
+        //    replay's cursors will consume;
+        //  - re-scatter the control-only taken bits;
+        //  - rebuild the srcRs/srcRt tag nibbles of the sidecar. The
+        //    format stores no operands and the buffer holds none
+        //    either, and none are needed here: walking the register
+        //    file's tags over the persisted result tags
+        //    (cpu::operandTagReplay) yields the operands' tags.
         {
-            const Segment::Column &col = seg.columns[ColSigTags];
-            const std::uint8_t *p;
-            std::size_t len;
-            if (!columnPayload(bytes, col, p, len, why))
-                return nullptr;
-            if (col.rawBytes !=
-                    static_cast<std::uint64_t>(n) + mem_ops ||
-                len != (n + 1) / 2 + (mem_ops + 1) / 2) {
-                fail(why, "sigTags: size mismatch");
-                return nullptr;
-            }
-            std::vector<std::uint8_t> res_tags(n);
-            if (!unpackNibbles(p, n, res_tags, why) ||
-                !unpackNibbles(p + (n + 1) / 2, mem_ops, buf->sigMem_,
-                               why)) {
-                return nullptr;
-            }
+            SIGCOMP_SPAN("store.rebuild_operands");
+            const std::vector<cpu::InstrFacts> &facts = buf->facts_;
+            const std::size_t text_size = facts.size();
             buf->sigRegs_.resize(n);
             constexpr std::size_t chunk = 4096;
-            sig::ByteMask rs[chunk], rt[chunk];
+            sig::ByteMask rs[chunk], rt[chunk], res[chunk];
+            cpu::RegisterReplay<sig::ByteMask> regs =
+                cpu::operandTagReplay();
+            std::size_t seen_mem_ops = 0;
+            std::size_t ctl_cursor = 0;
             for (std::size_t base = 0; base < n; base += chunk) {
                 const std::size_t k = std::min(chunk, n - base);
-                sig::classifyExt3Block(buf->srcRs_.data() + base, k, rs);
-                sig::classifyExt3Block(buf->srcRt_.data() + base, k, rt);
-                sig::packSigTagsBlock(rs, rt, res_tags.data() + base, k,
+                // base is a multiple of the (even) chunk, so the
+                // chunk's result tags start on a whole byte.
+                if (!unpackNibbles(tags + base / 2, k, res, why))
+                    return nullptr;
+                for (std::size_t j = 0; j < k; ++j) {
+                    const std::size_t i = base + j;
+                    const std::uint32_t idx = buf->decIdx_[i];
+                    if (idx >= text_size) {
+                        fail(why, "decode index out of range");
+                        return nullptr;
+                    }
+                    const cpu::InstrFacts f = facts[idx];
+                    rs[j] = regs.rs(f);
+                    rt[j] = regs.rt(f);
+                    seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
+                    if (f.flags & cpu::InstrFacts::control) {
+                        if (ctl_cursor >= ctl_nbits) {
+                            fail(why, "taken: fewer bits than control "
+                                      "instructions");
+                            return nullptr;
+                        }
+                        buf->taken_[i / 64] |=
+                            ((ctl_bits[ctl_cursor / 64] >>
+                              (ctl_cursor % 64)) &
+                             1u)
+                            << (i % 64);
+                        ++ctl_cursor;
+                    }
+                    regs.retire(f, res[j]);
+                }
+                sig::packSigTagsBlock(rs, rt, res, k,
                                       buf->sigRegs_.data() + base);
+            }
+            if (seen_mem_ops != mem_ops) {
+                fail(why, "memory-op count inconsistent with program");
+                return nullptr;
+            }
+            if (ctl_cursor != ctl_nbits) {
+                fail(why, "taken: control-instruction count mismatch");
+                return nullptr;
             }
         }
 
@@ -882,16 +850,14 @@ class TraceSerializer
     }
 
     /**
-     * Unpack @p n 4-bit tags from @p p, validating each is a legal
-     * Ext3 pattern (low bit set) — a malformed plane fails soft like
-     * any other codec damage.
+     * Unpack @p n 4-bit tags from @p p into @p dst, validating each
+     * is a legal Ext3 pattern (low bit set) — a malformed plane fails
+     * soft like any other codec damage.
      */
     static bool
-    unpackNibbles(const std::uint8_t *p, std::size_t n,
-                  std::vector<std::uint8_t> &out, std::string *why)
+    unpackNibbles(const std::uint8_t *p, std::size_t n, std::uint8_t *dst,
+                  std::string *why)
     {
-        out.resize(n);
-        std::uint8_t *dst = out.data();
         // Whole bytes carry two tags; legality (bit 0 of every legal
         // Ext3 pattern is set) folds into one accumulated mask check.
         std::uint8_t legal = 0x11;
@@ -1051,7 +1017,7 @@ TraceStore::backoff(unsigned attempt) const
 }
 
 std::unique_ptr<Env::FileView>
-TraceStore::mapSegment(const std::string &path, EnvStatus *status) const
+TraceStore::readSegment(const std::string &path, EnvStatus *status) const
 {
     EnvStatus st;
     for (unsigned attempt = 0;; ++attempt) {
@@ -1112,7 +1078,7 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
     };
     classify(LoadFailure::None);
     EnvStatus st;
-    const auto file = mapSegment(segmentPath(workload), &st);
+    const auto file = readSegment(segmentPath(workload), &st);
     if (file == nullptr) {
         if (st.fault == EnvFault::NotFound) {
             classify(LoadFailure::Missing);
@@ -1348,7 +1314,7 @@ bool
 TraceStore::info(const std::string &workload, SegmentInfo &out,
                  std::string *why) const
 {
-    const auto file = mapSegment(segmentPath(workload), nullptr);
+    const auto file = readSegment(segmentPath(workload), nullptr);
     if (file == nullptr)
         return fail(why, "no segment");
     Segment seg;
@@ -1381,7 +1347,7 @@ TraceStore::persistableAnnexKeys(const cpu::TraceBuffer &trace)
 std::vector<std::string>
 TraceStore::annexKeys(const std::string &workload) const
 {
-    const auto file = mapSegment(segmentPath(workload), nullptr);
+    const auto file = readSegment(segmentPath(workload), nullptr);
     if (file == nullptr)
         return {};
     Segment seg;
@@ -1398,7 +1364,7 @@ bool
 TraceStore::verify(const std::string &workload,
                    const isa::Program *program, std::string *why) const
 {
-    const auto file = mapSegment(segmentPath(workload), nullptr);
+    const auto file = readSegment(segmentPath(workload), nullptr);
     if (file == nullptr)
         return fail(why, "no segment");
     const std::uint8_t *bytes = file->data();

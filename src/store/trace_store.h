@@ -52,8 +52,10 @@
  *    (StoreOptions::durableSaves) and renames into place, so readers
  *    racing a writer only ever observe complete segments and a
  *    committed segment survives power loss.
- *  - reads decode straight out of a read-only mmap of the segment
- *    file; there is no read-then-decode copy of the payload bytes.
+ *  - a load reads the whole segment file into a private copy
+ *    and decodes from that, so a segment truncated or rewritten in
+ *    place while it is being decoded fails the load softly instead of
+ *    faulting on a vanished page.
  *
  * Fault handling (see README "Failure model"): every byte of store
  * I/O goes through a sigcomp::Env (common/env.h), so the same code
@@ -235,8 +237,8 @@ class TraceStore
      * parameters. Fail-soft: nullptr on any mismatch or corruption,
      * with the reason in @p why when non-null.
      *
-     * Segments are decoded straight out of a read-only mapping of
-     * the file (no read-then-decode copy).
+     * Segments are decoded from a private copy of the file, read
+     * once per load.
      *
      * @p failure, when non-null, classifies a nullptr return for the
      * caller's recovery policy (see LoadFailure).
@@ -348,7 +350,7 @@ class TraceStore
 
     /** Read a whole segment file, retrying transient faults. */
     std::unique_ptr<Env::FileView>
-    mapSegment(const std::string &path, EnvStatus *status) const;
+    readSegment(const std::string &path, EnvStatus *status) const;
 
     /** Sleep before transient retry @p attempt (doubling backoff). */
     void backoff(unsigned attempt) const;

@@ -23,6 +23,7 @@
 #include "analysis/session.h"
 #include "analysis/trace_cache.h"
 #include "common/crc32.h"
+#include "common/env.h"
 #include "pipeline/runner.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
@@ -273,6 +274,36 @@ TEST_F(StoreTest, TruncatedCapturesRoundTripWithTheirLimit)
                       cpu::TraceBuffer::defaultMaxInstrs, &why),
               nullptr);
     EXPECT_NE(why.find("capture-limit"), std::string::npos) << why;
+}
+
+TEST_F(StoreTest, SegmentViewSurvivesInPlaceTruncation)
+{
+    // A segment truncated in place by an outside writer while a load
+    // holds its view must not fault the reader: the view is a private
+    // copy taken at open, so every byte still reads as it was.
+    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    const TraceStore ts(dir());
+    ASSERT_TRUE(ts.save("rawcaudio",
+                        cpu::TraceBuffer::capture(w.program, 4000, true),
+                        4000));
+    const std::string path = ts.segmentPath("rawcaudio");
+    const std::vector<std::uint8_t> before = readAll(path);
+    ASSERT_GT(before.size(), 4096u);
+
+    EnvStatus st;
+    const auto view = Env::posix().loadFile(path, &st);
+    ASSERT_NE(view, nullptr) << st.message;
+    fs::resize_file(path, 0);
+    ASSERT_EQ(view->size(), before.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < view->size(); ++i)
+        differing += view->data()[i] != before[i];
+    EXPECT_EQ(differing, 0u);
+
+    // And a load after the truncation is an ordinary soft miss.
+    std::string why;
+    EXPECT_EQ(ts.load("rawcaudio", w.program, 4000, &why), nullptr);
+    EXPECT_FALSE(why.empty());
 }
 
 TEST_F(StoreTest, LoadFailsSoftOnEveryCorruptionMode)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +25,7 @@
 
 #include "analysis/session.h"
 #include "analysis/study_plan.h"
+#include "common/fault_env.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "tests/scratch_dir.h"
@@ -370,6 +372,41 @@ TEST_F(TelemetryFileTest, RuntimeDisableChangesOnlyTheTelemetryBlock)
     EXPECT_EQ(got, want);
 }
 
+/**
+ * Real-filesystem Env (a FaultInjectingEnv with no faults scheduled)
+ * whose first @p parties segment reads wait for each other: a capture
+ * task reads the store before it captures, so a plan of two workloads
+ * at threads=2 cannot finish until both tasks run at once, one of
+ * them on the pool's worker. Without it the submitting thread can
+ * drain both tasks before the worker wakes.
+ */
+class RendezvousEnv : public FaultInjectingEnv
+{
+  public:
+    explicit RendezvousEnv(int parties)
+        : FaultInjectingEnv(Env::posix()), parties_(parties)
+    {}
+
+    std::unique_ptr<FileView>
+    loadFile(const std::string &path, EnvStatus *status) override
+    {
+        if (arrived_.fetch_add(1) < parties_) {
+            // Bounded, so a scheduling bug fails the test's checks
+            // instead of hanging it.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (arrived_.load() < parties_ &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        return FaultInjectingEnv::loadFile(path, status);
+    }
+
+  private:
+    const int parties_;
+    std::atomic<int> arrived_{0};
+};
+
 TEST_F(TelemetryFileTest, ParallelStoreRunEmitsWorkerAndStoreSpans)
 {
     SessionConfig cfg;
@@ -378,9 +415,14 @@ TEST_F(TelemetryFileTest, ParallelStoreRunEmitsWorkerAndStoreSpans)
     cfg.storeDir = path("store");
 
     // Cold run populates the store (save/encode spans), warm run in a
-    // second session reads it back (load/decode spans).
+    // second session reads it back (load/decode spans). The cold
+    // run's two capture tasks meet in the store read, so one of them
+    // runs on the worker.
+    RendezvousEnv rendezvous(2);
     {
-        Session cold(cfg);
+        SessionConfig cold_cfg = cfg;
+        cold_cfg.env = &rendezvous;
+        Session cold(cold_cfg);
         runTraced(cold, smallPlan(), path("cold.json"));
     }
     {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +19,10 @@
 #include "cpu/functional_core.h"
 #include "cpu/trace_buffer.h"
 #include "pipeline/runner.h"
+#include "sigcomp/byte_pattern.h"
+#include "store/trace_store.h"
 #include "tests/live_oracle.h"
+#include "tests/scratch_dir.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -62,26 +67,123 @@ expectSameDynInstr(const cpu::DynInstr &a, const cpu::DynInstr &b,
     EXPECT_EQ(a.nextPc, b.nextPc) << "instr " << i;
 }
 
+/**
+ * Compares a replayed stream, as it arrives, with a live run's: every
+ * field, plus the sidecar tags against classifyExt3 of the live
+ * values. Keeps the first mismatch only, so a broken rule reports one
+ * line per trace instead of one per instruction.
+ */
+class LiveComparingSink : public cpu::TraceSink
+{
+  public:
+    explicit LiveComparingSink(const std::vector<cpu::DynInstr> &live)
+        : live_(live)
+    {}
+
+    void
+    retire(const cpu::DynInstr &di) override
+    {
+        const std::size_t i = seen_++;
+        if (!firstMismatch_.empty())
+            return;
+        if (i >= live_.size()) {
+            firstMismatch_ = "more instructions than the live run";
+            return;
+        }
+        const cpu::DynInstr &l = live_[i];
+        const auto tag = [](Word v) { return sig::classifyExt3(v); };
+        const unsigned want_mem =
+            l.dec->isLoad || l.dec->isStore ? tag(l.memData) : 0u;
+        const char *field =
+            di.pc != l.pc                           ? "pc"
+            : di.dec->inst.raw() != l.dec->inst.raw() ? "dec"
+            : di.srcRs != l.srcRs                   ? "srcRs"
+            : di.srcRt != l.srcRt                   ? "srcRt"
+            : di.result != l.result                 ? "result"
+            : di.memAddr != l.memAddr               ? "memAddr"
+            : di.memData != l.memData               ? "memData"
+            : di.taken != l.taken                   ? "taken"
+            : di.nextPc != l.nextPc                 ? "nextPc"
+            : di.sigRs() != tag(l.srcRs)            ? "sigRs"
+            : di.sigRt() != tag(l.srcRt)            ? "sigRt"
+            : di.sigRes() != tag(l.result)          ? "sigRes"
+            : di.sigMem() != want_mem               ? "sigMem"
+                                                    : nullptr;
+        if (field != nullptr) {
+            firstMismatch_ = std::string(field) + " differs at instr " +
+                             std::to_string(i) + " (" +
+                             l.dec->name + ")";
+        }
+    }
+
+    /** Empty when the whole live stream was matched exactly. */
+    std::string
+    verdict() const
+    {
+        if (!firstMismatch_.empty())
+            return firstMismatch_;
+        if (seen_ != live_.size())
+            return "replayed " + std::to_string(seen_) + " of " +
+                   std::to_string(live_.size()) + " instructions";
+        return "";
+    }
+
+  private:
+    const std::vector<cpu::DynInstr> &live_;
+    std::size_t seen_ = 0;
+    std::string firstMismatch_;
+};
+
 TEST(TraceBuffer, ReplayIsFieldExact)
 {
-    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    // The live-oracle check for replayed operands: traces hold no
+    // operand values, so replay (and the sidecar tags built at capture
+    // and at load) must rebuild every srcRs/srcRt exactly as the
+    // functional core read them — for a full capture, a capped one,
+    // and a store round trip of each suite workload.
+    constexpr DWord kCap = 4000;
+    const std::string dir = test::scratchDir("sigcomp-trace-field-exact");
+    std::filesystem::remove_all(dir);
+    const store::TraceStore ts(dir);
+    for (const std::string &name : workloads::Suite::names()) {
+        SCOPED_TRACE(name);
+        const workloads::Workload w = workloads::Suite::build(name);
 
-    // Keep the core alive while comparing: the collected DynInstrs
-    // point into its decode cache.
-    mem::MainMemory memory;
-    cpu::FunctionalCore core(w.program, memory);
-    CollectSink direct;
-    core.run(&direct);
+        // Keep the core alive while comparing: the collected DynInstrs
+        // point into its decode cache.
+        mem::MainMemory memory;
+        cpu::FunctionalCore core(w.program, memory);
+        CollectSink live;
+        core.run(&live);
+        ASSERT_GT(live.instrs.size(), kCap);
+        const std::vector<cpu::DynInstr> capped(
+            live.instrs.begin(), live.instrs.begin() + kCap);
 
-    const cpu::TraceBuffer trace = cpu::TraceBuffer::capture(w.program);
-    ASSERT_EQ(trace.size(), direct.instrs.size());
-    EXPECT_EQ(trace.runResult().instructions, direct.instrs.size());
+        const auto check = [](const cpu::TraceBuffer &trace,
+                              const std::vector<cpu::DynInstr> &want,
+                              const char *what) {
+            EXPECT_EQ(trace.size(), want.size()) << what;
+            EXPECT_EQ(trace.runResult().instructions, want.size()) << what;
+            LiveComparingSink cmp(want);
+            cpu::TraceView(trace).replay(cmp);
+            EXPECT_EQ(cmp.verdict(), "") << what;
+        };
 
-    CollectSink replayed;
-    cpu::TraceView(trace).replay(replayed);
-    ASSERT_EQ(replayed.instrs.size(), direct.instrs.size());
-    for (std::size_t i = 0; i < direct.instrs.size(); ++i)
-        expectSameDynInstr(replayed.instrs[i], direct.instrs[i], i);
+        const cpu::TraceBuffer full = cpu::TraceBuffer::capture(w.program);
+        check(full, live.instrs, "capture");
+        check(cpu::TraceBuffer::capture(w.program, kCap, true), capped,
+              "capped capture");
+
+        std::string why;
+        ASSERT_TRUE(ts.save(name, full, cpu::TraceBuffer::defaultMaxInstrs,
+                            &why))
+            << why;
+        const auto loaded = ts.load(
+            name, w.program, cpu::TraceBuffer::defaultMaxInstrs, &why);
+        ASSERT_NE(loaded, nullptr) << why;
+        check(*loaded, live.instrs, "store round trip");
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceBuffer, BlockSizeDoesNotChangeTheStream)
@@ -110,6 +212,28 @@ TEST(TraceBuffer, TruncatedCaptureReplaysThatManyInstructions)
     CollectSink sink;
     cpu::TraceView(trace).replay(sink);
     EXPECT_EQ(sink.instrs.size(), 1000u);
+}
+
+TEST(TraceBuffer, HoldsNoOperandColumns)
+{
+    // Operands are rebuilt at replay, never held: a trace with no
+    // annexes costs decIdx + result + packed tags (10 B) plus a taken
+    // bit per instruction, address + data + tag (9 B) per memory op,
+    // and the decode cache. A per-instruction operand column (4 B)
+    // would break the 11 B bound.
+    for (const char *name : {"rawcaudio", "cjpeg", "mpeg2"}) {
+        SCOPED_TRACE(name);
+        const workloads::Workload w = workloads::Suite::build(name);
+        const cpu::TraceBuffer trace = cpu::TraceBuffer::capture(w.program);
+        std::size_t mem_ops = 0;
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            mem_ops += trace.decodedAt(i).isLoad || trace.decodedAt(i).isStore;
+        const std::size_t decode_cache =
+            w.program.text().size() *
+            (sizeof(isa::DecodedInstr) + sizeof(cpu::InstrFacts));
+        EXPECT_LE(trace.memoryBytes(),
+                  11 * trace.size() + 9 * mem_ops + decode_cache);
+    }
 }
 
 TEST(TraceBuffer, SoAIsSmallerThanArrayOfStructs)
