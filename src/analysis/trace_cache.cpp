@@ -180,18 +180,42 @@ TraceCache::clear()
     entries_.clear();
 }
 
+namespace
+{
+
+/** Sum @p bytes over the ready traces of @p entries. */
+template <typename Entries, typename Bytes>
+std::size_t
+sumReady(const Entries &entries, Bytes bytes)
+{
+    std::size_t total = 0;
+    for (const auto &[name, future] : entries) {
+        if (future.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready) {
+            total += bytes(*future.get());
+        }
+    }
+    return total;
+}
+
+} // namespace
+
 std::size_t
 TraceCache::memoryBytes() const
 {
     MutexLock lock(mu_);
-    std::size_t total = 0;
-    for (const auto &[name, future] : entries_) {
-        if (future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            total += future.get()->memoryBytes();
-        }
-    }
-    return total;
+    return sumReady(entries_, [](const cpu::TraceBuffer &t) {
+        return t.memoryBytes();
+    });
+}
+
+std::size_t
+TraceCache::annexBytes() const
+{
+    MutexLock lock(mu_);
+    return sumReady(entries_, [](const cpu::TraceBuffer &t) {
+        return t.annexBytes();
+    });
 }
 
 std::size_t

@@ -222,6 +222,12 @@ class TraceCache
     /** Total heap footprint of the cached traces, in bytes. */
     std::size_t memoryBytes() const;
 
+    /**
+     * The annexes' share of memoryBytes(): derived records (quanta
+     * records, result memos) on the cached traces, in bytes.
+     */
+    std::size_t annexBytes() const;
+
     /** Traces in RAM and ready (those memoryBytes() counts). */
     std::size_t residentTraces() const;
 

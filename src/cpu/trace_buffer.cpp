@@ -193,6 +193,13 @@ TraceBuffer::memoryBytes() const
                         bytes(sigMem_) + bytes(memAddr_) +
                         bytes(memData_) + bytes(decoded_) +
                         bytes(facts_);
+    return total + annexBytes();
+}
+
+std::size_t
+TraceBuffer::annexBytes() const
+{
+    std::size_t total = 0;
     MutexLock lock(annexes_->mu);
     for (const auto &[key, entry] : annexes_->entries)
         total += entry.second;

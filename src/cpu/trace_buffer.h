@@ -176,8 +176,14 @@ class TraceBuffer
         return result_.reason == StopReason::InstrLimit;
     }
 
-    /** Approximate heap footprint of the recorded arrays, in bytes. */
+    /**
+     * Approximate heap footprint of the recorded arrays and the
+     * annexes, in bytes.
+     */
     std::size_t memoryBytes() const;
+
+    /** The annexes' share of memoryBytes(). Thread-safe. */
+    std::size_t annexBytes() const;
 
     /** PC of retired instruction @p i. */
     Addr

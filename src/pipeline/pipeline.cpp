@@ -46,20 +46,20 @@ QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
 
 void
 QuantaRecorder::recordBlock(std::span<const DynInstr> block,
-                            SharedQuanta &rec, std::vector<Count> &latch_base)
+                            SharedQuanta &rec,
+                            std::vector<SharedQuanta::Entry> &entries,
+                            std::vector<Count> &latch_base)
 {
     // The block's shared activity is what accumulates from zero.
     activity_ = ActivityTotals{};
     rec.blockMissStart.push_back(
         static_cast<std::uint32_t>(rec.misses.size()));
-    // Pre-size the record for the block so the hot loop writes
-    // through a bare pointer (capacity was reserved up front).
-    std::size_t index = rec.q.size();
+    std::size_t index = rec.size();
     SC_ASSERT(index + block.size() <= UINT32_MAX,
               "quanta record indices are 32-bit");
-    rec.q.resize(index + block.size());
+    entries.resize(block.size());
     latch_base.resize(block.size());
-    SharedQuanta::Entry *out = rec.q.data() + index;
+    SharedQuanta::Entry *out = entries.data();
     Count *latch = latch_base.data();
     for (const DynInstr &di : block) {
         const InstrQuanta q = compute(di, *latch++);
@@ -73,6 +73,7 @@ QuantaRecorder::recordBlock(std::span<const DynInstr> block,
         }
         ++index;
     }
+    coder_.append(rec, entries);
     rec.blockDelta.push_back(activity_);
 }
 
@@ -82,6 +83,7 @@ QuantaRecorder::finish(SharedQuanta &rec) const
     rec.l1i = hierarchy_.l1i().stats();
     rec.l1d = hierarchy_.l1d().stats();
     rec.l2 = hierarchy_.l2().stats();
+    rec.dict.shrink_to_fit();
     rec.misses.shrink_to_fit();
 }
 
@@ -111,19 +113,66 @@ SharedQuanta::panicFieldRange(unsigned f, unsigned v)
 }
 
 void
-SharedQuanta::latchBases(std::span<const DynInstr> block, std::size_t base,
-                         sig::Encoding enc, std::vector<Count> &out) const
+SharedQuanta::Coder::append(SharedQuanta &rec,
+                            std::span<const Entry> entries)
 {
-    SC_ASSERT(base + block.size() <= q.size(),
+    std::size_t index = rec.codes.size();
+    rec.codes.resize(index + entries.size());
+    std::uint8_t *code = rec.codes.data() + index;
+    for (const Entry e : entries) {
+        if (index % chunkSize == 0) {
+            // A new chunk: every slot of the old one reads as empty.
+            rec.chunkStart.push_back(
+                static_cast<std::uint32_t>(rec.dict.size()));
+            tag_ += std::uint64_t{1} << 32;
+        }
+        const std::uint64_t key = tag_ | e;
+        std::size_t s = (e * 0x9E3779B1u) >> (32 - 9);
+        static_assert(slots == 1u << 9);
+        while (key_[s] != key) {
+            if (key_[s] < tag_) {
+                // First use in this chunk: the entry joins its
+                // dictionary (at most chunkSize of them, so the
+                // code fits a byte).
+                key_[s] = key;
+                code_[s] = static_cast<std::uint8_t>(rec.dict.size() -
+                                                     rec.chunkStart.back());
+                rec.dict.push_back(e);
+                break;
+            }
+            s = (s + 1) % slots;
+        }
+        *code++ = code_[s];
+        ++index;
+    }
+}
+
+void
+SharedQuanta::expandBlock(std::span<const DynInstr> block, std::size_t base,
+                          sig::Encoding enc, std::vector<Entry> &entries,
+                          std::vector<Count> &latch) const
+{
+    SC_ASSERT(base + block.size() <= size(),
               "shared quanta record does not cover this block");
-    out.resize(block.size());
+    entries.resize(block.size());
+    latch.resize(block.size());
     const quanta_detail::EncodingParams ep(enc);
-    for (std::size_t j = 0; j < block.size(); ++j) {
-        const Entry e = q[base + j];
-        out[j] = quanta_detail::latchBaseBits(
-            *block[j].dec, field(e, FetchBytes), field(e, PcChangedBlocks),
-            field(e, MemChunks), quanta_detail::operandBytes(block[j], ep),
-            ep);
+    // One chunk's run of the block at a time, so each run reads one
+    // dictionary.
+    for (std::size_t j = 0; j < block.size();) {
+        const std::size_t i = base + j;
+        const std::size_t run =
+            std::min(block.size() - j, chunkSize - i % chunkSize);
+        const Entry *d = dict.data() + chunkStart[i / chunkSize];
+        const std::uint8_t *code = codes.data() + i;
+        for (const std::size_t end = j + run; j < end; ++j) {
+            const Entry e = d[*code++];
+            entries[j] = e;
+            latch[j] = quanta_detail::latchBaseBits(
+                *block[j].dec, field(e, FetchBytes),
+                field(e, PcChangedBlocks), field(e, MemChunks),
+                quanta_detail::operandBytes(block[j], ep), ep);
+        }
     }
 }
 

@@ -181,7 +181,7 @@ struct InstrQuanta
 /**
  * Per-instruction helpers of the quanta front half, shared by the
  * recorder (QuantaRecorder::compute) and the consumers of a cached
- * record (SharedQuanta::latchBases), so each formula exists once.
+ * record (SharedQuanta::expandBlock), so each formula exists once.
  */
 namespace quanta_detail
 {
@@ -327,24 +327,32 @@ latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
  * once, not seven times.
  *
  * The record holds no insignificant bytes (the paper's rule applied
- * to the simulator's own state), four bytes per instruction:
+ * to the simulator's own state), one byte per instruction:
  *  - the dense Entry bit-packs the dynamic fields (layout: Field);
+ *    a record holds a few dozen distinct entries, so each
+ *    instruction stores only the one-byte code of its entry in the
+ *    dictionary of its chunk (chunkSize instructions, hence at most
+ *    chunkSize distinct entries: a code always fits);
  *  - what the decoded instruction determines (numSrcRegs,
  *    memAccessBytes, usesAlu, isMult, isDiv) is not stored — the
  *    Cursor reads it from DynInstr::dec;
  *  - hierarchy latencies, almost always zero, live in the sparse
  *    index-sorted miss list, each block remembering where its misses
  *    start;
- *  - the pre-scaling latch bit count is not stored — latchBases()
+ *  - the pre-scaling latch bit count is not stored — expandBlock()
  *    recomputes it with the recorder's own formula
  *    (quanta_detail::latchBaseBits) from the operand significance,
- *    once per block for every pipeline of the quanta group.
+ *    once per block for every pipeline of the quanta group, while it
+ *    expands the block's codes into dense entries.
  */
 class SharedQuanta
 {
   public:
     /** Dense per-instruction entry: the dynamic quanta, bit-packed. */
     using Entry = std::uint32_t;
+
+    /** Instructions per dictionary chunk; a code is one byte. */
+    static constexpr std::size_t chunkSize = 256;
 
     /** Fields of an Entry, packed low bit first in this order. */
     enum Field : unsigned
@@ -409,17 +417,46 @@ class SharedQuanta
     };
 
     /**
+     * Appends dense entries to a record's codes and chunk
+     * dictionaries, chunk by chunk: an entry joins its chunk's
+     * dictionary on first use, so codes follow first appearance and
+     * equal entry streams give equal records. Holds only the open
+     * chunk's lookup table; one Coder writes one record.
+     */
+    class Coder
+    {
+      public:
+        /** Append @p entries, the next instructions of @p rec. */
+        void append(SharedQuanta &rec, std::span<const Entry> entries);
+
+      private:
+        static constexpr std::size_t slots = 2 * chunkSize;
+        /** Open-addressed table of the open chunk: the slot holds
+         * chunk_tag | entry; a smaller value (an earlier chunk's tag)
+         * is an empty slot. */
+        std::array<std::uint64_t, slots> key_{};
+        std::array<std::uint8_t, slots> code_{};
+        /** Tag of the open chunk (its ordinal + 1, shifted past the
+         * entry bits). */
+        std::uint64_t tag_ = 0;
+    };
+
+    /**
      * Rebuilds the InstrQuanta of one block's instructions, in stream
-     * order: the dense entry, the decoded instruction's static fields,
-     * and the miss list under a cursor.
+     * order: the block's dense entries (expandBlock(), or the
+     * recorder's), the decoded instruction's static fields, and the
+     * miss list under a cursor.
      */
     class Cursor
     {
       public:
-        /** Block @p block_index of @p rec, from record index @p base. */
+        /**
+         * Block @p block_index of @p rec, from record index @p base,
+         * whose dense entries are @p entries.
+         */
         Cursor(const SharedQuanta &rec, std::size_t base,
-               std::size_t block_index)
-            : q_(rec.q.data()), entry_(q_ + base),
+               std::size_t block_index, std::span<const Entry> entries)
+            : entry_(entries.data()), index_(base),
               miss_(rec.misses.data() + rec.blockMissStart[block_index]),
               missEnd_(rec.misses.data() + rec.misses.size()),
               missAt_(nextMissAt())
@@ -430,34 +467,44 @@ class SharedQuanta
         InstrQuanta next(const cpu::DynInstr &di);
 
       private:
-        /** Entry of the next miss; null once the list is exhausted. */
-        const Entry *
+        /** Record index of the next miss; SIZE_MAX once exhausted. */
+        std::size_t
         nextMissAt() const
         {
-            return miss_ != missEnd_ ? q_ + miss_->index : nullptr;
+            return miss_ != missEnd_ ? miss_->index : SIZE_MAX;
         }
 
-        const Entry *q_;
         const Entry *entry_;
+        /** Record index of the next instruction. */
+        std::size_t index_;
         const Miss *miss_;
         const Miss *missEnd_;
         /** nextMissAt(), kept so each instruction costs one compare. */
-        const Entry *missAt_;
+        std::size_t missAt_;
     };
 
     /**
-     * Pre-scaling latch bit count of each instruction of @p block,
-     * which starts at record index @p base, under the record's
-     * encoding @p enc, into @p out. A replay of a cached record runs
-     * this once per block per quanta group (a recording replay takes
-     * the recorder's values instead); every pipeline of the group then
-     * consumes the result (retireBlockShared).
+     * Expand @p block, which starts at record index @p base, into its
+     * dense entries @p entries and the pre-scaling latch bit count of
+     * each instruction under the record's encoding @p enc, @p latch.
+     * A replay of a cached record runs this once per block per quanta
+     * group (a recording replay takes the recorder's values instead);
+     * every pipeline of the group then consumes the result
+     * (retireBlockShared).
      */
-    void latchBases(std::span<const cpu::DynInstr> block, std::size_t base,
-                    sig::Encoding enc, std::vector<Count> &out) const;
+    void expandBlock(std::span<const cpu::DynInstr> block, std::size_t base,
+                     sig::Encoding enc, std::vector<Entry> &entries,
+                     std::vector<Count> &latch) const;
 
-    /** Per-instruction dense entries, in stream order. */
-    std::vector<Entry> q;
+    /** Instructions the record covers. */
+    std::size_t size() const { return codes.size(); }
+
+    /** Per instruction: its entry's index in its chunk's dictionary. */
+    std::vector<std::uint8_t> codes;
+    /** The distinct entries of each chunk, chunk after chunk. */
+    std::vector<Entry> dict;
+    /** Per chunk: index into dict of its first entry. */
+    std::vector<std::uint32_t> chunkStart;
     /** Instructions with a non-zero ifExtra or memExtra, by index. */
     std::vector<Miss> misses;
     /** Per replay block: index into misses of its first miss. */
@@ -475,7 +522,8 @@ class SharedQuanta
     std::size_t
     bytes() const
     {
-        return q.capacity() * sizeof(Entry) +
+        return codes.capacity() + dict.capacity() * sizeof(Entry) +
+               chunkStart.capacity() * sizeof(std::uint32_t) +
                misses.capacity() * sizeof(Miss) +
                blockMissStart.capacity() * sizeof(std::uint32_t) +
                blockDelta.capacity() * sizeof(ActivityTotals);
@@ -498,11 +546,11 @@ class SharedQuanta
  * Trace replay builds one recorder per quanta group, and only when
  * the trace caches no record for the group's key; it writes the
  * SharedQuanta record every pipeline of the group consumes — the
- * dense entries and the miss list, not the latch base, which it hands
- * to the group's pipelines per block and SharedQuanta::latchBases()
- * recomputes for a cached record. The live
- * path (InOrderPipeline::bind) gives each pipeline its own recorder
- * and feeds the unpacked quanta straight to the scheduler. The
+ * coded entries and the miss list, not the latch base, which it hands
+ * to the group's pipelines per block with the block's dense entries
+ * and SharedQuanta::expandBlock() recomputes for a cached record. The
+ * live path (InOrderPipeline::bind) gives each pipeline its own
+ * recorder and feeds the unpacked quanta straight to the scheduler. The
  * process registry's `pipeline.quanta_recorders` counter counts the
  * recorders built.
  */
@@ -530,19 +578,23 @@ class QuantaRecorder
     InstrQuanta compute(const cpu::DynInstr &di, Count &latch_base);
 
     /**
-     * Append @p block to @p rec: one dense entry per instruction, a
-     * miss-list entry per instruction with a hierarchy latency, and
-     * the block's miss-list start and shared activity delta. Each
-     * instruction's latch base goes to @p latch_base for the group's
-     * pipelines (the record keeps none; SharedQuanta::latchBases()
-     * recomputes the same values from it).
+     * Append @p block to @p rec: one code per instruction (its dense
+     * entry goes to @p entries, the group's block scratch, and joins
+     * its chunk's dictionary on first use), a miss-list entry per
+     * instruction with a hierarchy latency, and the block's miss-list
+     * start and shared activity delta. Each instruction's latch base
+     * goes to @p latch_base for the group's pipelines (the record
+     * keeps none; SharedQuanta::expandBlock() recomputes the same
+     * entries and latch bases from it).
      */
     void recordBlock(std::span<const cpu::DynInstr> block,
-                     SharedQuanta &rec, std::vector<Count> &latch_base);
+                     SharedQuanta &rec,
+                     std::vector<SharedQuanta::Entry> &entries,
+                     std::vector<Count> &latch_base);
 
     /**
      * Store the hierarchy's final statistics in @p rec and trim its
-     * miss list to size.
+     * dictionary and miss list to size.
      */
     void finish(SharedQuanta &rec) const;
 
@@ -594,6 +646,8 @@ class QuantaRecorder
     std::vector<std::uint8_t> fetchWidth_;
 
     ActivityTotals activity_;
+    /** Writes the record's codes and chunk dictionaries. */
+    SharedQuanta::Coder coder_;
 };
 
 /**
@@ -632,14 +686,18 @@ class InOrderPipeline : public cpu::TraceSink
      * Retire @p block from a SharedQuanta record of this pipeline's
      * quanta key over the same block structure. @p base is the
      * record index of block[0], @p block_index the block's delta
-     * index, @p latch_base the block's SharedQuanta::latchBases().
-     * Final state is bit-identical to live retirement.
+     * index; @p entries and @p latch_base are the block's dense
+     * entries and latch bases (SharedQuanta::expandBlock(), or the
+     * recorder's), expanded once per block for the whole quanta
+     * group, so every pipeline reads them from L1 rather than the
+     * record. Final state is bit-identical to live retirement.
      */
-    virtual void retireBlockShared(std::span<const cpu::DynInstr> block,
-                                   const SharedQuanta &rec,
-                                   std::size_t base,
-                                   std::size_t block_index,
-                                   std::span<const Count> latch_base) = 0;
+    virtual void
+    retireBlockShared(std::span<const cpu::DynInstr> block,
+                      const SharedQuanta &rec, std::size_t base,
+                      std::size_t block_index,
+                      std::span<const SharedQuanta::Entry> entries,
+                      std::span<const Count> latch_base) = 0;
 
     /**
      * Adopt the recording pass's hierarchy statistics so result()
@@ -720,19 +778,20 @@ class InOrderPipeline : public cpu::TraceSink
     }
 
     /**
-     * Check that @p rec and @p latch_base cover the @p size
-     * instructions from @p base and block @p block_index, and account
-     * the block's shared activity.
+     * Check that @p rec, @p entries and @p latch_base cover the
+     * @p size instructions from @p base and block @p block_index, and
+     * account the block's shared activity.
      */
     void
     beginSharedBlock(const SharedQuanta &rec, std::size_t base,
                      std::size_t size, std::size_t block_index,
+                     std::span<const SharedQuanta::Entry> entries,
                      std::span<const Count> latch_base)
     {
-        SC_ASSERT(base + size <= rec.q.size() &&
+        SC_ASSERT(base + size <= rec.size() &&
                       block_index < rec.blockDelta.size() &&
                       block_index < rec.blockMissStart.size() &&
-                      latch_base.size() == size,
+                      entries.size() == size && latch_base.size() == size,
                   "shared quanta record does not cover this block");
         activity_ += rec.blockDelta[block_index];
     }
@@ -920,10 +979,12 @@ class SharedReplayModel : public InOrderPipeline
     retireBlockShared(std::span<const cpu::DynInstr> block,
                       const SharedQuanta &rec, std::size_t base,
                       std::size_t block_index,
+                      std::span<const SharedQuanta::Entry> entries,
                       std::span<const Count> latch_base) override
     {
-        beginSharedBlock(rec, base, block.size(), block_index, latch_base);
-        SharedQuanta::Cursor cursor(rec, base, block_index);
+        beginSharedBlock(rec, base, block.size(), block_index, entries,
+                         latch_base);
+        SharedQuanta::Cursor cursor(rec, base, block_index, entries);
         for (std::size_t j = 0; j < block.size(); ++j)
             consume(block[j], cursor.next(block[j]), latch_base[j]);
     }
@@ -1188,8 +1249,7 @@ inline InstrQuanta
 SharedQuanta::Cursor::next(const cpu::DynInstr &di)
 {
     const isa::DecodedInstr &dec = *di.dec;
-    const Entry *at = entry_++;
-    const Entry e = *at;
+    const Entry e = *entry_++;
     InstrQuanta q;
     q.fetchBytes = field(e, FetchBytes);
     q.srcChunks = field(e, SrcChunks);
@@ -1206,7 +1266,7 @@ SharedQuanta::Cursor::next(const cpu::DynInstr &di)
     q.usesAlu = dec.aluOp != isa::AluOp::None;
     q.isMult = dec.aluOp == isa::AluOp::Mult;
     q.isDiv = dec.aluOp == isa::AluOp::Div;
-    if (at == missAt_) [[unlikely]] {
+    if (index_++ == missAt_) [[unlikely]] {
         q.ifExtra = miss_->ifExtra;
         q.memExtra = miss_->memExtra;
         ++miss_;

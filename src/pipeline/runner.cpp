@@ -18,9 +18,10 @@ namespace
  * QuantaRecorder writes one block by block ahead of the pipelines
  * and publishes it afterwards; otherwise the pipelines consume the
  * cached record. Either way every pipeline runs the same consume
- * body, over latch bases computed once per block for the group (by
- * the recorder, or from the cached record). See SharedQuanta in
- * pipeline.h.
+ * body, over the dense entries and latch bases of each block, made
+ * once per block for the group (by the recorder, or expanded from the
+ * cached record's codes) into a block-sized scratch that stays in L1.
+ * See SharedQuanta in pipeline.h.
  */
 class GroupReplaySink : public cpu::TraceSink
 {
@@ -35,7 +36,10 @@ class GroupReplaySink : public cpu::TraceSink
             recorder_ = std::make_unique<QuantaRecorder>(
                 pipes_.front()->config(), trace.program());
             recording_ = std::make_shared<SharedQuanta>();
-            recording_->q.reserve(trace.size());
+            recording_->codes.reserve(trace.size());
+            recording_->chunkStart.reserve(
+                (trace.size() + SharedQuanta::chunkSize - 1) /
+                SharedQuanta::chunkSize);
             const std::size_t blocks =
                 trace.size() / cpu::TraceView::defaultBlockSize + 2;
             recording_->blockMissStart.reserve(blocks);
@@ -55,14 +59,16 @@ class GroupReplaySink : public cpu::TraceSink
     {
         if (recorder_) {
             SIGCOMP_SPAN("quanta.compute");
-            recorder_->recordBlock(block, *recording_, latchBase_);
+            recorder_->recordBlock(block, *recording_, entries_,
+                                   latchBase_);
         } else {
-            rec_->latchBases(block, base_,
-                             pipes_.front()->config().encoding, latchBase_);
+            rec_->expandBlock(block, base_,
+                              pipes_.front()->config().encoding, entries_,
+                              latchBase_);
         }
         for (InOrderPipeline *p : pipes_)
             p->retireBlockShared(block, *rec_, base_, blockIndex_,
-                                 latchBase_);
+                                 entries_, latchBase_);
         base_ += block.size();
         ++blockIndex_;
     }
@@ -95,7 +101,9 @@ class GroupReplaySink : public cpu::TraceSink
     std::shared_ptr<const SharedQuanta> rec_;
     std::unique_ptr<QuantaRecorder> recorder_;
     std::shared_ptr<SharedQuanta> recording_;
-    /** The current block's latch bases, for every pipeline. */
+    /** The current block's dense entries and latch bases, for every
+     * pipeline. */
+    std::vector<SharedQuanta::Entry> entries_;
     std::vector<Count> latchBase_;
     std::size_t base_ = 0;
     std::size_t blockIndex_ = 0;

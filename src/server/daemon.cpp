@@ -94,6 +94,8 @@ Daemon::Daemon(DaemonConfig config)
       residentTraces_(registry_.gauge("daemon.resident_traces")),
       residentTraceBytes_(registry_.gauge("daemon.resident_trace_bytes",
                                           telemetry::Unit::Bytes)),
+      residentAnnexBytes_(registry_.gauge("daemon.resident_annex_bytes",
+                                          telemetry::Unit::Bytes)),
       parseNs_(registry_.counter("daemon.parse_ns", telemetry::Unit::Nanos)),
       runNs_(registry_.counter("daemon.run_ns", telemetry::Unit::Nanos)),
       serializeNs_(registry_.counter("daemon.serialize_ns",
@@ -505,6 +507,8 @@ Daemon::statszJson() const
         static_cast<std::int64_t>(traces_->residentTraces()));
     residentTraceBytes_.set(
         static_cast<std::int64_t>(traces_->memoryBytes()));
+    residentAnnexBytes_.set(
+        static_cast<std::int64_t>(traces_->annexBytes()));
     const telemetry::Snapshot snap = registry_.snapshot();
     bool first = true;
     for (const telemetry::SnapshotMetric &m : snap.metrics) {

@@ -217,11 +217,13 @@ class Daemon
     telemetry::Gauge &handlerThreads_;
     telemetry::Counter &handlerSpawns_;
     /**
-     * The shared cache's ready traces and their bytes, annexes
-     * included; set when /statsz is rendered.
+     * The shared cache's ready traces, their bytes (annexes
+     * included) and the annexes' share of those bytes; set when
+     * /statsz is rendered.
      */
     telemetry::Gauge &residentTraces_;
     telemetry::Gauge &residentTraceBytes_;
+    telemetry::Gauge &residentAnnexBytes_;
     /**
      * Steady-clock time spent in each /v1/run phase. Parse is charged
      * per request that reaches it; run (admission included),

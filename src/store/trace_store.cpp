@@ -371,7 +371,7 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
     for (const std::string &key : b.annexKeys("quanta:")) {
         const auto rec = std::static_pointer_cast<const SharedQuanta>(
             b.annexGet(key));
-        if (rec == nullptr || rec->q.size() != n ||
+        if (rec == nullptr || rec->size() != n ||
             rec->blockDelta.size() != canonicalBlocks(n) ||
             rec->blockMissStart.size() != rec->blockDelta.size())
             continue;
@@ -383,12 +383,19 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 }
 
 // sigcomp-lint: format-layout-begin
-// Layout of one "quanta:<key>" annex payload:
+// Layout of one "quanta:<key>" annex payload, the record's resident
+// arrays as they are (pipeline::SharedQuanta):
 //
 //   u64 instruction count n (must match the segment header)
 //   u64 block-delta count (must be ceil(n / TraceView block size))
-//   u64 encoded length + encodeColumn32 stream of the n dense
-//     SharedQuanta::Entry words (fields above entryBits must be zero)
+//   u64 chunk count (must be ceil(n / SharedQuanta::chunkSize))
+//   u64 dictionary length D
+//   per chunk one raw u32: index into the dictionary of its first
+//     entry (0 for the first chunk; every chunk's dictionary, the
+//     last one's running to D, holds 1 to chunkSize entries)
+//   D raw u32 SharedQuanta::Entry words (fields above entryBits must
+//     be zero)
+//   n raw u8 codes, each below its chunk's dictionary size
 //   u64 miss count, then per miss three raw u32: index, ifExtra,
 //     memExtra (indices strictly increasing and < n, latencies not
 //     both zero); the per-block miss starts are derived on load
@@ -396,16 +403,17 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 //     baseline}; the latch pair is zero by construction)
 //   three CacheStats (l1i, l1d, l2): 6 raw u64 each
 //
-// Decoding validates every count and index against the segment
+// Decoding validates every count, code and index against the segment
 // header, so a damaged annex fails the load softly like any other
 // column damage.
 constexpr std::size_t kMissBytes = 12;
 constexpr std::size_t kBlockDeltaBytes = 16 * 8;
 constexpr std::size_t kStatsBytes = 3 * 6 * 8;
 
-// The entry plane persists SharedQuanta::Entry words as they are, so
-// the entry layout (pipeline/pipeline.h) is part of this format: its
-// field offsets are pinned here, inside the format-pinned region.
+// The dictionary persists SharedQuanta::Entry words as they are, and
+// the codes index per-chunk dictionaries, so the entry layout and the
+// chunk size (pipeline/pipeline.h) are part of this format: they are
+// pinned here, inside the format-pinned region.
 static_assert(SharedQuanta::fieldShift[SharedQuanta::FetchBytes] == 0 &&
                   SharedQuanta::fieldShift[SharedQuanta::SrcChunks] == 3 &&
                   SharedQuanta::fieldShift[SharedQuanta::ExChunks] == 6 &&
@@ -417,21 +425,33 @@ static_assert(SharedQuanta::fieldShift[SharedQuanta::FetchBytes] == 0 &&
                   SharedQuanta::fieldShift[SharedQuanta::PcRippleExtra] ==
                       22 &&
                   SharedQuanta::fieldShift[SharedQuanta::Redirect] == 24 &&
-                  SharedQuanta::entryBits == 25,
-              "SharedQuanta::Entry layout changed: bump formatVersion");
+                  SharedQuanta::entryBits == 25 &&
+                  SharedQuanta::chunkSize == 256,
+              "SharedQuanta layout changed: bump formatVersion");
+
+std::size_t
+canonicalChunks(std::size_t n)
+{
+    return (n + SharedQuanta::chunkSize - 1) / SharedQuanta::chunkSize;
+}
 
 std::vector<std::uint8_t>
 encodeQuanta(const SharedQuanta &rec)
 {
-    const std::size_t n = rec.q.size();
+    const std::size_t n = rec.size();
     std::vector<std::uint8_t> out;
+    out.reserve(32 + 4 * (rec.chunkStart.size() + rec.dict.size()) + n +
+                8 + kMissBytes * rec.misses.size() +
+                kBlockDeltaBytes * rec.blockDelta.size() + kStatsBytes);
     putU64(out, n);
     putU64(out, rec.blockDelta.size());
-
-    std::vector<std::uint8_t> enc;
-    encodeColumn32(rec.q.data(), n, enc);
-    putU64(out, enc.size());
-    out.insert(out.end(), enc.begin(), enc.end());
+    putU64(out, rec.chunkStart.size());
+    putU64(out, rec.dict.size());
+    for (const std::uint32_t start : rec.chunkStart)
+        putU32(out, start);
+    for (const SharedQuanta::Entry e : rec.dict)
+        putU32(out, e);
+    out.insert(out.end(), rec.codes.begin(), rec.codes.end());
 
     putU64(out, rec.misses.size());
     for (const SharedQuanta::Miss &m : rec.misses) {
@@ -461,26 +481,62 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
              std::shared_ptr<SharedQuanta> &out, std::string *why)
 {
     std::size_t off = 0;
-    auto need = [&](std::size_t k) { return len - off >= k; };
-    if (!need(24))
+    auto need = [&](std::uint64_t k) { return len - off >= k; };
+    if (!need(32))
         return fail(why, "quanta annex: truncated header");
     if (getU64(bytes) != n)
         return fail(why, "quanta annex: instruction count mismatch");
     const std::uint64_t blocks = getU64(bytes + 8);
     if (blocks != canonicalBlocks(n))
         return fail(why, "quanta annex: non-canonical block count");
-    const std::uint64_t enc_len = getU64(bytes + 16);
-    off = 24;
+    const std::uint64_t chunks = getU64(bytes + 16);
+    if (chunks != canonicalChunks(n))
+        return fail(why, "quanta annex: chunk table does not cover the "
+                         "record");
+    const std::uint64_t dict_len = getU64(bytes + 24);
+    off = 32;
+    // Every chunk's dictionary holds 1 to chunkSize entries.
+    if (dict_len < chunks || dict_len > chunks * SharedQuanta::chunkSize)
+        return fail(why, "quanta annex: chunk dictionary size out of "
+                         "range");
+    if (!need(4 * (chunks + dict_len) + n))
+        return fail(why, "quanta annex: dictionary overruns payload");
 
     auto rec = std::make_shared<SharedQuanta>();
-    if (!need(enc_len))
-        return fail(why, "quanta annex: entry plane overruns payload");
-    if (!decodeColumn32(bytes + off, enc_len, n, rec->q))
-        return fail(why, "quanta annex: malformed entry plane");
-    off += enc_len;
-    for (const SharedQuanta::Entry e : rec->q) {
-        if ((e >> SharedQuanta::entryBits) != 0)
-            return fail(why, "quanta annex: entry plane garbage");
+    rec->chunkStart.resize(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        rec->chunkStart[c] = getU32(bytes + off);
+        off += 4;
+    }
+    rec->dict.resize(dict_len);
+    std::uint32_t garbage = 0;
+    for (std::size_t k = 0; k < dict_len; ++k) {
+        rec->dict[k] = getU32(bytes + off);
+        garbage |= rec->dict[k] >> SharedQuanta::entryBits;
+        off += 4;
+    }
+    if (garbage != 0)
+        return fail(why, "quanta annex: dictionary entry garbage");
+    rec->codes.assign(bytes + off, bytes + off + n);
+    off += n;
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::uint64_t start = rec->chunkStart[c];
+        const std::uint64_t end =
+            c + 1 < chunks ? rec->chunkStart[c + 1] : dict_len;
+        if ((c == 0 && start != 0) || end <= start ||
+            end - start > SharedQuanta::chunkSize)
+            return fail(why, "quanta annex: chunk dictionary size out of "
+                             "range");
+        // Codes index their own chunk's dictionary only.
+        const std::uint8_t *code =
+            rec->codes.data() + c * SharedQuanta::chunkSize;
+        const std::size_t k =
+            std::min(SharedQuanta::chunkSize,
+                     n - c * SharedQuanta::chunkSize);
+        const std::uint8_t top = *std::max_element(code, code + k);
+        if (top >= end - start)
+            return fail(why, "quanta annex: code past its chunk "
+                             "dictionary");
     }
 
     if (!need(8))
@@ -821,7 +877,9 @@ class TraceSerializer
         // annex keys, so the first replay of a matching configuration
         // runs every pipeline as a shared-quanta consumer instead of
         // recomputing the front half. Damage fails the whole load
-        // softly (recapture).
+        // softly (recapture). Codes and dictionaries are stored as
+        // they sit in RAM, so this is a checked copy.
+        SIGCOMP_SPAN("store.decode_annexes");
         for (const Segment::Annex &ax : seg.annexes) {
             const std::uint8_t *p = bytes + ax.payloadOffset;
             const std::size_t len =
@@ -1449,6 +1507,10 @@ aggregateStats(const TraceStore &store)
             stats.columns[c].name = info.columns[c].name;
             stats.columns[c].rawBytes += info.columns[c].rawBytes;
             stats.columns[c].encodedBytes += info.columns[c].encodedBytes;
+        }
+        for (const ColumnStat &ax : info.annexes) {
+            stats.quanta.rawBytes += ax.rawBytes;
+            stats.quanta.encodedBytes += ax.encodedBytes;
         }
     }
     return stats;

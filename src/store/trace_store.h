@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 5, all integers little-endian) —
+ * Segment file format (version 6, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -24,7 +24,8 @@
  *   annex section (CRC-guarded directory, possibly empty): the
  *     trace's derived SharedQuanta records keyed by quanta key, so
  *     warm loads skip the quanta front half (see formatVersion
- *     below).
+ *     below); each is stored in its resident form, one code byte
+ *     per instruction plus per-chunk entry dictionaries.
  *
  * Six columns are stored (decode index, result, taken bits, memory
  * address/data, significance sidecar): the operand columns are
@@ -108,7 +109,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 5;
+constexpr std::uint32_t formatVersion = 6;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */
@@ -381,6 +382,12 @@ struct StoreStats
     std::uint64_t fileBytes = 0;
     /** Per-column totals summed across all readable segments. */
     std::vector<ColumnStat> columns;
+    /**
+     * The quanta annexes summed likewise, outside the column totals:
+     * raw bytes are the records' resident form, encoded bytes their
+     * on-disk payloads.
+     */
+    ColumnStat quanta{"quanta"};
 
     std::uint64_t rawBytes() const;
     std::uint64_t encodedBytes() const;

@@ -571,9 +571,9 @@ TEST(SharedQuantaRecord, HierarchyOutcomesAreEqualAcrossEncodings)
 
 TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
 {
-    // Replays each record through the consumers' Cursor and
-    // latchBases() next to a fresh recorder: every instruction's
-    // quanta and latch base must match field for field.
+    // Replays each record through the consumers' expandBlock() and
+    // Cursor next to a fresh recorder: every instruction's quanta and
+    // latch base must match field for field.
     struct CompareSink : cpu::TraceSink
     {
         CompareSink(const SharedQuanta &rec, const PipelineConfig &cfg,
@@ -591,9 +591,10 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
         void
         retireBlock(std::span<const cpu::DynInstr> block) override
         {
-            SharedQuanta::Cursor cursor(rec, base, blockIndex);
+            std::vector<SharedQuanta::Entry> entries;
             std::vector<Count> latch;
-            rec.latchBases(block, base, enc, latch);
+            rec.expandBlock(block, base, enc, entries, latch);
+            SharedQuanta::Cursor cursor(rec, base, blockIndex, entries);
             for (std::size_t j = 0; j < block.size(); ++j) {
                 Count want_latch = 0;
                 const InstrQuanta want =
@@ -632,16 +633,19 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
     }
 }
 
-TEST(SharedQuantaRecord, FitsFourAndAQuarterBytesPerInstruction)
+TEST(SharedQuantaRecord, FitsOneAndThreeQuarterBytesPerInstruction)
 {
+    // One code byte per instruction plus the chunk dictionaries, the
+    // miss list and the block deltas; a four-byte dense entry per
+    // instruction cannot fit.
     for (const SuiteRecords &r : suiteRecords()) {
         for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
             SCOPED_TRACE(r.name + " " +
                          sig::encodingName(kRecordEncodings[e]));
             ASSERT_NE(r.rec[e], nullptr);
-            EXPECT_EQ(r.rec[e]->q.size(), r.trace->size());
+            EXPECT_EQ(r.rec[e]->size(), r.trace->size());
             EXPECT_LE(static_cast<double>(r.rec[e]->bytes()),
-                      4.25 * static_cast<double>(r.trace->size()));
+                      1.75 * static_cast<double>(r.trace->size()));
         }
     }
 }

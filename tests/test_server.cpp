@@ -631,6 +631,7 @@ TEST(DaemonSharedTier, TenantsServeFromOneResidentCopy)
     std::vector<std::string> bodies;
     std::size_t bytesAfterOne = 0;
     std::int64_t statszBytesAfterOne = 0;
+    std::int64_t statszAnnexBytesAfterOne = 0;
     for (const char *tenant : {"a", "b", "c"}) {
         bodies.push_back(
             postWithDeadline(daemon, names, tenant, 600000 + bodies.size()));
@@ -638,6 +639,8 @@ TEST(DaemonSharedTier, TenantsServeFromOneResidentCopy)
             bytesAfterOne = daemon.tenantSession("a").cache().memoryBytes();
             statszBytesAfterOne =
                 statszGauge(daemon, "daemon.resident_trace_bytes");
+            statszAnnexBytesAfterOne =
+                statszGauge(daemon, "daemon.resident_annex_bytes");
         }
     }
     EXPECT_EQ(metricValue(daemon.metrics(), "daemon.runs"), 3u);
@@ -666,6 +669,14 @@ TEST(DaemonSharedTier, TenantsServeFromOneResidentCopy)
               static_cast<std::int64_t>(bytesAfterOne));
     EXPECT_EQ(statszBytesAfterOne,
               static_cast<std::int64_t>(bytesAfterOne));
+    // ... and the annexes' share of it: the quanta records and result
+    // memos the plan left on the traces.
+    EXPECT_GT(statszAnnexBytesAfterOne, 0);
+    EXPECT_LT(statszAnnexBytesAfterOne, statszBytesAfterOne);
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_annex_bytes"),
+              static_cast<std::int64_t>(cache.annexBytes()));
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_annex_bytes"),
+              statszAnnexBytesAfterOne);
     fs::remove_all(config.session.storeDir);
 }
 
@@ -691,6 +702,7 @@ TEST(DaemonSharedTier, OneTenantsEvictionDropsTheTraceForEveryTenant)
     EXPECT_FALSE(daemon.tenantSession("a").cache().contains("rawcaudio"));
     EXPECT_EQ(statszGauge(daemon, "daemon.resident_traces"), 0);
     EXPECT_EQ(statszGauge(daemon, "daemon.resident_trace_bytes"), 0);
+    EXPECT_EQ(statszGauge(daemon, "daemon.resident_annex_bytes"), 0);
 
     // A third tenant's next miss reloads it and gets the same rows.
     const std::string reloaded =

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <thread>
 #include <vector>
@@ -752,9 +754,9 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
     EXPECT_EQ(loaded->annexKeys("quanta:"),
               std::vector<std::string>{key});
 
-    // The decoded record is the saved one: dense entries, miss list,
-    // the per-block miss starts derived on load, block deltas and
-    // cache statistics.
+    // The decoded record is the saved one: codes, chunk dictionaries,
+    // miss list, the per-block miss starts derived on load, block
+    // deltas and cache statistics.
     const auto saved =
         std::static_pointer_cast<const pipeline::SharedQuanta>(
             t.annexGet(key));
@@ -762,7 +764,9 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
         std::static_pointer_cast<const pipeline::SharedQuanta>(
             loaded->annexGet(key));
     ASSERT_NE(restored, nullptr);
-    EXPECT_TRUE(restored->q == saved->q);
+    EXPECT_TRUE(restored->codes == saved->codes);
+    EXPECT_TRUE(restored->dict == saved->dict);
+    EXPECT_TRUE(restored->chunkStart == saved->chunkStart);
     EXPECT_FALSE(saved->misses.empty());
     EXPECT_TRUE(restored->misses == saved->misses);
     EXPECT_TRUE(restored->blockMissStart == saved->blockMissStart);
@@ -858,6 +862,113 @@ TEST_F(StoreTest, CorruptQuantaAnnexFailsSoft)
     EXPECT_EQ(trace->size(), t.size());
 }
 
+/**
+ * The one quanta annex of a saved segment's bytes: where its payload
+ * and the payload's fields sit, so a test can damage it past the
+ * CRCs and re-seal it.
+ */
+struct OneAnnex
+{
+    explicit OneAnnex(std::vector<std::uint8_t> &b) : bytes(b)
+    {
+        // The annex directory follows the column payloads, its
+        // payload is the file tail.
+        dirStart = 64 + 6 * 32 + 4;
+        for (unsigned c = 0; c < 6; ++c)
+            dirStart += static_cast<std::size_t>(
+                store::getU64(bytes.data() + 64 + 32 * c + 16));
+        EXPECT_EQ(store::getU32(bytes.data() + dirStart), 1u);
+        entry = dirStart + 8 + store::getU32(bytes.data() + dirStart + 4);
+        len = static_cast<std::size_t>(
+            store::getU64(bytes.data() + entry + 8));
+        dirCrcAt = entry + 20;
+        payload = dirCrcAt + 4;
+        EXPECT_EQ(payload + len, bytes.size());
+        // Payload: n, blocks, chunks, dictionary length, chunk
+        // starts, dictionary, codes, miss count, 12-byte misses, ...
+        n = static_cast<std::size_t>(field(0));
+        chunks = static_cast<std::size_t>(field(16));
+        dictLen = static_cast<std::size_t>(field(24));
+    }
+
+    std::uint64_t field(std::size_t at) const
+    {
+        return store::getU64(bytes.data() + payload + at);
+    }
+
+    std::size_t chunkStartAt(std::size_t c) const
+    {
+        return payload + 32 + 4 * c;
+    }
+    std::size_t dictAt(std::size_t k) const
+    {
+        return chunkStartAt(chunks) + 4 * k;
+    }
+    std::size_t codesAt() const { return dictAt(dictLen); }
+    std::size_t missesAt() const { return codesAt() + n; }
+
+    void
+    put32(std::size_t at, std::uint32_t v)
+    {
+        for (unsigned i = 0; i < 4; ++i)
+            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** Payload CRC, then the directory CRC that covers it. */
+    void
+    reseal()
+    {
+        put32(entry + 16, crc32(0, bytes.data() + payload, len));
+        put32(dirCrcAt,
+              crc32(0, bytes.data() + dirStart, dirCrcAt - dirStart));
+    }
+
+    std::vector<std::uint8_t> &bytes;
+    std::size_t dirStart, entry, dirCrcAt, payload, len;
+    std::size_t n, chunks, dictLen;
+};
+
+/** Field-for-field equality of two quanta records. */
+void
+expectSameRecord(const pipeline::SharedQuanta &a,
+                 const pipeline::SharedQuanta &b)
+{
+    EXPECT_TRUE(a.codes == b.codes);
+    EXPECT_TRUE(a.dict == b.dict);
+    EXPECT_TRUE(a.chunkStart == b.chunkStart);
+    EXPECT_TRUE(a.misses == b.misses);
+    EXPECT_TRUE(a.blockMissStart == b.blockMissStart);
+    ASSERT_EQ(a.blockDelta.size(), b.blockDelta.size());
+    for (std::size_t k = 0; k < a.blockDelta.size(); ++k) {
+        const pipeline::ActivityTotals &x = a.blockDelta[k];
+        const pipeline::ActivityTotals &y = b.blockDelta[k];
+        const pipeline::BitPair pipeline::ActivityTotals::*stages[] = {
+            &pipeline::ActivityTotals::fetch,
+            &pipeline::ActivityTotals::rfRead,
+            &pipeline::ActivityTotals::rfWrite,
+            &pipeline::ActivityTotals::alu,
+            &pipeline::ActivityTotals::dcData,
+            &pipeline::ActivityTotals::dcTag,
+            &pipeline::ActivityTotals::pcInc,
+            &pipeline::ActivityTotals::latch};
+        for (const auto stage : stages) {
+            EXPECT_EQ((x.*stage).compressed, (y.*stage).compressed);
+            EXPECT_EQ((x.*stage).baseline, (y.*stage).baseline);
+        }
+    }
+    EXPECT_TRUE(a.l1i == b.l1i);
+    EXPECT_TRUE(a.l1d == b.l1d);
+    EXPECT_TRUE(a.l2 == b.l2);
+}
+
+/** The "quanta:" record published on @p t under @p key. */
+std::shared_ptr<const pipeline::SharedQuanta>
+recordOf(const cpu::TraceBuffer &t, const std::string &key)
+{
+    return std::static_pointer_cast<const pipeline::SharedQuanta>(
+        t.annexGet(key));
+}
+
 TEST_F(StoreTest, QuantaAnnexWithMissListOutOfOrderFailsSoft)
 {
     // Damage that the CRCs cannot see: a well-framed annex whose miss
@@ -872,39 +983,13 @@ TEST_F(StoreTest, QuantaAnnexWithMissListOutOfOrderFailsSoft)
     std::vector<std::uint8_t> bytes =
         readAll(ts.segmentPath("rawcaudio"));
 
-    // One annex: its directory follows the column payloads, its
-    // payload is the file tail.
-    std::size_t dir_start = 64 + 6 * 32 + 4;
-    for (unsigned c = 0; c < 6; ++c)
-        dir_start += static_cast<std::size_t>(
-            store::getU64(bytes.data() + 64 + 32 * c + 16));
-    ASSERT_EQ(store::getU32(bytes.data() + dir_start), 1u);
-    const std::uint32_t key_len =
-        store::getU32(bytes.data() + dir_start + 4);
-    const std::size_t entry = dir_start + 8 + key_len;
-    const std::size_t payload_len =
-        static_cast<std::size_t>(store::getU64(bytes.data() + entry + 8));
-    const std::size_t dir_crc_at = entry + 20;
-    const std::size_t payload = dir_crc_at + 4;
-    ASSERT_EQ(payload + payload_len, bytes.size());
-
-    // Payload: n, blocks, entry-plane length + stream, miss count,
-    // then 12-byte misses. Repeat the first miss's index.
-    const std::size_t plane_len = static_cast<std::size_t>(
-        store::getU64(bytes.data() + payload + 16));
-    const std::size_t misses_at = payload + 24 + plane_len;
+    // Repeat the first miss's index.
+    OneAnnex ax(bytes);
+    const std::size_t misses_at = ax.missesAt();
     ASSERT_GE(store::getU64(bytes.data() + misses_at), 2u);
     std::memcpy(bytes.data() + misses_at + 8 + 12,
                 bytes.data() + misses_at + 8, 4);
-
-    // Re-seal: payload CRC, then the directory CRC that covers it.
-    auto put32 = [&](std::size_t at, std::uint32_t v) {
-        for (unsigned i = 0; i < 4; ++i)
-            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    put32(entry + 16, crc32(0, bytes.data() + payload, payload_len));
-    put32(dir_crc_at,
-          crc32(0, bytes.data() + dir_start, dir_crc_at - dir_start));
+    ax.reseal();
     writeAll(ts.segmentPath("rawcaudio"), bytes);
 
     std::string why;
@@ -916,6 +1001,189 @@ TEST_F(StoreTest, QuantaAnnexWithMissListOutOfOrderFailsSoft)
               nullptr);
     EXPECT_NE(why.find("miss index out of order"), std::string::npos)
         << why;
+}
+
+TEST_F(StoreTest, DamagedQuantaCodesOrDictionariesFailSoft)
+{
+    // Damage to the codes and chunk dictionaries that the CRCs cannot
+    // see (each annex re-sealed): the load must reject the segment
+    // with a reason and never index past a dictionary; the cache then
+    // recaptures, so the loaded trace carries no damaged record, and
+    // the next replay records it afresh, bit-identical to the saved
+    // one.
+    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
+    const std::string key = publishQuanta(t);
+    const auto saved = recordOf(t, key);
+    ASSERT_NE(saved, nullptr);
+    ASSERT_GE(saved->chunkStart.size(), 2u);
+    const TraceStore ts(dir());
+    ASSERT_TRUE(
+        ts.save("rawcaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
+    const std::vector<std::uint8_t> good =
+        readAll(ts.segmentPath("rawcaudio"));
+
+    const struct
+    {
+        const char *what;
+        std::function<void(OneAnnex &)> damage;
+        const char *reason;
+    } cases[] = {
+        {"code at its chunk's dictionary size",
+         [](OneAnnex &ax) {
+             ax.bytes[ax.codesAt()] = static_cast<std::uint8_t>(
+                 store::getU32(ax.bytes.data() + ax.chunkStartAt(1)));
+         },
+         "code past its chunk dictionary"},
+        {"chunk dictionary with no entry",
+         [](OneAnnex &ax) { ax.put32(ax.chunkStartAt(1), 0); },
+         "chunk dictionary size out of range"},
+        {"chunk dictionary with 257 entries",
+         [](OneAnnex &ax) { ax.put32(ax.chunkStartAt(1), 257); },
+         "chunk dictionary size out of range"},
+        {"chunk table short of n",
+         [](OneAnnex &ax) {
+             ax.put32(ax.payload + 16,
+                      static_cast<std::uint32_t>(ax.chunks - 1));
+         },
+         "chunk table does not cover the record"},
+        {"dictionary entry above entryBits",
+         [](OneAnnex &ax) {
+             ax.put32(ax.dictAt(0),
+                      store::getU32(ax.bytes.data() + ax.dictAt(0)) |
+                          (1u << pipeline::SharedQuanta::entryBits));
+         },
+         "dictionary entry garbage"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        std::vector<std::uint8_t> bytes = good;
+        OneAnnex ax(bytes);
+        c.damage(ax);
+        ax.reseal();
+        writeAll(ts.segmentPath("rawcaudio"), bytes);
+
+        std::string why;
+        EXPECT_FALSE(ts.verify("rawcaudio", &w.program, &why));
+        EXPECT_NE(why.find(c.reason), std::string::npos) << why;
+        auto failure = store::LoadFailure::None;
+        EXPECT_EQ(ts.load("rawcaudio", w.program,
+                          cpu::TraceBuffer::defaultMaxInstrs, &why,
+                          &failure),
+                  nullptr);
+        EXPECT_EQ(failure, store::LoadFailure::Corrupt);
+        EXPECT_NE(why.find(c.reason), std::string::npos) << why;
+
+        TraceCache cache({.storeDir = dir()});
+        const auto trace = cache.get("rawcaudio");
+        EXPECT_EQ(cache.captures(), 1u);
+        EXPECT_TRUE(trace->annexKeys("quanta:").empty());
+        ASSERT_EQ(publishQuanta(*trace), key);
+        const auto again = recordOf(*trace, key);
+        ASSERT_NE(again, nullptr);
+        expectSameRecord(*again, *saved);
+    }
+}
+
+TEST_F(StoreTest, WorstCaseQuantaRecordsRoundTrip)
+{
+    // A capped trace whose length is a multiple of neither the chunk
+    // (256) nor the replay block (1024): record, save, load and
+    // replay as a consumer must give the recording's record and
+    // result.
+    constexpr DWord cap = 5000;
+    static_assert(cap % pipeline::SharedQuanta::chunkSize != 0 &&
+                  cap % cpu::TraceView::defaultBlockSize != 0);
+    const workloads::Workload w = workloads::Suite::build("cjpeg");
+    const cpu::TraceBuffer t =
+        cpu::TraceBuffer::capture(w.program, cap, true);
+    ASSERT_EQ(t.size(), cap);
+    auto rec_pipe = pipeline::makePipeline(Design::ByteSerial,
+                                           analysis::suiteConfig());
+    pipeline::replayPipelines(t, {rec_pipe.get()});
+    const pipeline::PipelineResult recorded = rec_pipe->result();
+    const std::string key = rec_pipe->quantaKey();
+    const auto saved = recordOf(t, key);
+    ASSERT_NE(saved, nullptr);
+
+    const TraceStore ts(dir());
+    ASSERT_TRUE(ts.save("cjpeg", t, cap));
+    std::string why;
+    const auto loaded = ts.load("cjpeg", w.program, cap, &why);
+    ASSERT_NE(loaded, nullptr) << why;
+    const auto restored = recordOf(*loaded, key);
+    ASSERT_NE(restored, nullptr);
+    expectSameRecord(*restored, *saved);
+
+    auto warm_pipe = pipeline::makePipeline(Design::ByteSerial,
+                                            analysis::suiteConfig());
+    const std::uint64_t recorders0 = quantaRecorders();
+    pipeline::replayPipelines(*loaded, {warm_pipe.get()});
+    EXPECT_EQ(quantaRecorders(), recorders0);
+    live::expectSameResult(warm_pipe->result(), recorded);
+
+    // The widest chunk a code can index: 256 distinct entries in one
+    // chunk (the second), next to chunks of one entry, over the same
+    // n. No recording reaches it (a suite record holds at most a few
+    // dozen distinct entries), so the Coder writes it directly; the
+    // record must survive save and load, and expand to the same
+    // entries.
+    using pipeline::SharedQuanta;
+    std::vector<SharedQuanta::Entry> stream(cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+        const bool wide = i / SharedQuanta::chunkSize == 1;
+        stream[i] = wide ? static_cast<SharedQuanta::Entry>(
+                               (i * 97) % SharedQuanta::chunkSize) << 17
+                         : 5;
+    }
+    auto wide = std::make_shared<SharedQuanta>(*saved);
+    wide->codes.clear();
+    wide->dict.clear();
+    wide->chunkStart.clear();
+    SharedQuanta::Coder coder;
+    // Appended in uneven pieces: a chunk stays open across calls.
+    for (std::size_t i = 0; i < cap; i += 1000)
+        coder.append(*wide, std::span(stream).subspan(
+                                i, std::min<std::size_t>(1000, cap - i)));
+    ASSERT_EQ(wide->chunkStart.size(), 20u);
+    EXPECT_EQ(wide->chunkStart[2] - wide->chunkStart[1],
+              SharedQuanta::chunkSize);
+    EXPECT_EQ(*std::max_element(wide->codes.begin(), wide->codes.end()),
+              255);
+    const std::string wide_key = key + ":wide";
+    t.annexStoreIfAbsent(wide_key, wide, wide->bytes());
+    ASSERT_TRUE(ts.save("cjpeg", t, cap));
+    const auto loaded2 = ts.load("cjpeg", w.program, cap, &why);
+    ASSERT_NE(loaded2, nullptr) << why;
+    const auto restored2 = recordOf(*loaded2, wide_key);
+    ASSERT_NE(restored2, nullptr);
+    expectSameRecord(*restored2, *wide);
+
+    // expandBlock() over the replay's blocks returns the stream.
+    std::vector<SharedQuanta::Entry> got;
+    struct ExpandSink : cpu::TraceSink
+    {
+        void
+        retire(const cpu::DynInstr &di) override
+        {
+            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+        }
+        void
+        retireBlock(std::span<const cpu::DynInstr> block) override
+        {
+            rec->expandBlock(block, out->size(), sig::Encoding::Ext3,
+                             entries, latch);
+            out->insert(out->end(), entries.begin(), entries.end());
+        }
+        const SharedQuanta *rec = nullptr;
+        std::vector<SharedQuanta::Entry> *out = nullptr;
+        std::vector<SharedQuanta::Entry> entries;
+        std::vector<Count> latch;
+    } sink;
+    sink.rec = restored2.get();
+    sink.out = &got;
+    cpu::TraceView(*loaded2).replay(sink);
+    EXPECT_TRUE(got == stream);
 }
 
 TEST_F(StoreTest, SegmentTruncatedAtAnnexDirectoryCrcFailsSoft)

@@ -15,7 +15,8 @@
  *   ls        One line per segment: instructions, file size,
  *             compression ratio, capture parameters.
  *   stats     Per-column compression ratios aggregated over the
- *             whole store (the codec's report card).
+ *             whole store (the codec's report card), plus a quanta
+ *             row: the annexes' resident-form vs on-disk bytes.
  *               --json PATH     also write machine-readable stats
  *   verify    Full integrity check of every segment (header,
  *             directory and payload CRCs, codec decode, program
@@ -225,6 +226,13 @@ cmdStats(const Options &opt)
         .cell(mb(stats.encodedBytes()), 2)
         .cell(stats.totalRatio(), 2)
         .endRow();
+    // Annexes: resident-form bytes against on-disk bytes.
+    t.beginRow()
+        .cell(stats.quanta.name)
+        .cell(mb(stats.quanta.rawBytes), 2)
+        .cell(mb(stats.quanta.encodedBytes), 2)
+        .cell(stats.quanta.ratio(), 2)
+        .endRow();
     std::printf("%s", t.toString().c_str());
 
     if (!opt.jsonPath.empty()) {
@@ -234,7 +242,7 @@ cmdStats(const Options &opt)
                          opt.jsonPath.c_str());
             return 1;
         }
-        std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-stats-v2\",\n");
+        std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-stats-v3\",\n");
         std::fprintf(f, "  \"dir\": \"%s\",\n", opt.dir.c_str());
         std::fprintf(f, "  \"format_version\": %u,\n",
                      store::formatVersion);
@@ -248,7 +256,9 @@ cmdStats(const Options &opt)
         std::fprintf(f, "  \"total_ratio\": %.3f,\n", stats.totalRatio());
         std::fprintf(f, "  \"columns\": [\n");
         store::writeColumnsJson(f, stats.columns, "    ");
-        std::fprintf(f, "  ]\n}\n");
+        std::fprintf(f, "  ],\n");
+        store::writeColumnsJson(f, {stats.quanta}, "  \"quanta\": ");
+        std::fprintf(f, "}\n");
         std::fclose(f);
         std::printf("\nwrote %s\n", opt.jsonPath.c_str());
     }
