@@ -8,7 +8,7 @@
  *
  * The paper gets every result from one execution of each benchmark,
  * and so does this program: all suite studies, the section-5 width
- * sweep and the profiler sinks ride one StudyPlan, so each suite
+ * sweep and the profilers ride one StudyPlan, so each suite
  * trace gets one fused replay. The only other engine work is the
  * held-out plan (robustness). Takes no arguments; SIGCOMP_THREADS
  * sets the thread count and never changes the output.
@@ -64,12 +64,26 @@ note(const std::string &text)
     std::printf("note: %s\n", text.c_str());
 }
 
-// ------------------------------------------------------------- sinks --
+// --------------------------------------------------------- profilers --
 
 /** Dynamic frequency of Table-4 exceptions in additive operations. */
-class ExceptionProfiler : public cpu::TraceSink
+class ExceptionProfiler : public Profiler
 {
   public:
+    std::unique_ptr<Profiler>
+    fork() const override
+    {
+        return std::make_unique<ExceptionProfiler>();
+    }
+
+    void
+    merge(const Profiler &other) override
+    {
+        const auto &o = dynamic_cast<const ExceptionProfiler &>(other);
+        adds += o.adds;
+        exceptions += o.exceptions;
+    }
+
     void
     retire(const cpu::DynInstr &di) override
     {
@@ -112,10 +126,10 @@ constexpr std::array<PredictorKind, 3> kPredictors = {
     PredictorKind::None, PredictorKind::NotTaken, PredictorKind::Bimodal};
 
 /**
- * Every profiler sink of the suite plan. Each section reads its own
- * sink after the one fused pass.
+ * Every profiler of the suite plan. Each section reads its own
+ * profiler after the one fused pass.
  */
-struct SuiteSinks
+struct SuiteProfilers
 {
     PatternProfiler patterns;
     PcProfiler pc;
@@ -127,10 +141,10 @@ struct SuiteSinks
  * The suite plan: one all-design CPI study per predictor (cpi[0] is
  * the paper's no-prediction machine, which every CPI, energy and
  * clock section reads), the width sweep (cpi[kPredictors.size()]),
- * one activity study per encoding, and every sink in @p sinks.
+ * one activity study per encoding, and every profiler in @p prof.
  */
 StudyPlan
-suitePlan(SuiteSinks &sinks)
+suitePlan(SuiteProfilers &prof)
 {
     StudyPlan plan;
     for (PredictorKind k : kPredictors) {
@@ -151,7 +165,7 @@ suitePlan(SuiteSinks &sinks)
     for (sig::Encoding enc : kEncodings)
         plan.activity(enc);
     plan.profile(
-        {&sinks.patterns, &sinks.pc, &sinks.mix, &sinks.exceptions});
+        {&prof.patterns, &prof.pc, &prof.mix, &prof.exceptions});
     return plan;
 }
 
@@ -814,15 +828,15 @@ int
 main()
 {
     Session session;
-    SuiteSinks sinks;
-    const SuiteReport suite = session.run(suitePlan(sinks));
+    SuiteProfilers prof;
+    const SuiteReport suite = session.run(suitePlan(prof));
     const CpiStudyResult &designs = suite.cpi.front();
     const std::vector<CpiRow> rows = designs.rows();
 
-    table1(sinks.patterns);
-    table2(sinks.pc);
-    table3(sinks.mix);
-    table4(sinks.exceptions);
+    table1(prof.patterns);
+    table2(prof.pc);
+    table3(prof.mix);
+    table4(prof.exceptions);
     cpiFigure(rows,
               "Fig 4: performance of the byte-serial implementation",
               "Canal/Gonzalez/Smith MICRO-33, Fig 4 (paper: "

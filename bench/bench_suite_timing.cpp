@@ -222,11 +222,6 @@ measureKernels()
         {"classify_ext3_block",
          [&] { sig::classifyExt3Block(vs.data(), vs.size(),
                                       masks.data()); }},
-        {"pattern_tally_block",
-         [&] {
-             Count counts[16] = {};
-             sig::patternTallyBlock(vs.data(), vs.size(), counts);
-         }},
         {"sigpack_encode_column",
          [&] {
              enc.clear();
@@ -307,7 +302,7 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
     // fanned out across the executor.
     run.phases.push_back(timePhase(
         "capture", suite_instrs, kReps, [&] { cache.clear(); },
-        [&] { cache.prewarm(names, exec); }));
+        [&] { session.prewarm(names); }));
 
     // Phase 2: cached replay — the suite's whole retirement stream
     // through the three characterisation profilers, no simulation.
@@ -364,7 +359,7 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
     {
         auto warm = [&] {
             cache.clear();
-            cache.prewarm(names, exec);
+            session.prewarm(names);
         };
         auto run_fused = [&] {
             analysis::PatternProfiler pat;
@@ -407,16 +402,14 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
         run.phases.push_back(seq);
         run.phases.push_back(fused);
         run.fusedSpeedup = seq.wallMs / fused.wallMs;
-        // Evaluated (and emitted, and gated) at threads=1 only: a
-        // fused plan with shared profiler sinks replays serially by
-        // design, while the one-study pipeline plans fan their
-        // studies across cores, so the comparison means nothing at
-        // higher thread counts. The 5% margin absorbs shared-host
-        // noise (the sequential plans ride cross-study result
-        // memos, so the structural fused win — one materialised
-        // pass — is only a few percent of wall clock); a real
-        // regression, like a duplicate design replaying as a full
-        // consumer, costs >10% and still trips.
+        // Evaluated (and emitted, and gated) at threads=1 only; at
+        // higher thread counts both sides fan whole workloads across
+        // the executor and the ratio is reported, not gated. The 5%
+        // margin absorbs shared-host noise (the sequential plans
+        // ride cross-study result memos, so the structural fused
+        // win — one materialised pass — is only a few percent of
+        // wall clock); a real regression, like a duplicate design
+        // replaying as a full consumer, costs >10% and still trips.
         run.fusedNotSlower = fused.wallMs <= seq.wallMs * 1.05;
         std::printf("\n  fused vs sequential studies: %.1f ms vs "
                     "%.1f ms (%.2fx, one replay pass per trace)\n",
@@ -432,7 +425,7 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
     // on the short capped smoke runs CI gates with.
     {
         cache.clear();
-        cache.prewarm(names, exec);
+        session.prewarm(names);
         const bool was_enabled = telemetry::enabled();
         Phase on;
         on.name = "replay_telemetry_on";

@@ -484,10 +484,10 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
     SC_ASSERT(out != nullptr, "writePlanJson needs an output string");
     // Process-local state the wire cannot express. Refusing here
     // is what makes the round-trip guarantee unconditional.
-    if (!plan.sinks_.empty()) {
+    if (!plan.profilers_.empty()) {
         return serializeFail(error, PlanErrorKind::Unsupported,
-                             "profiler sinks are process-local "
-                             "pointers and cannot be serialized");
+                             "profilers are process-local pointers "
+                             "and cannot be serialized");
     }
     if (plan.cancel_.canStop()) {
         return serializeFail(error, PlanErrorKind::Unsupported,
@@ -666,7 +666,7 @@ planEquals(const StudyPlan &a, const StudyPlan &b)
     }
     // The cancel token is deliberately NOT compared: it is a runtime
     // handle to live process state, not plan data.
-    return a.sinks_ == b.sinks_ && a.workloads_ == b.workloads_ &&
+    return a.profilers_ == b.profilers_ && a.workloads_ == b.workloads_ &&
            a.evictAfterReplay_ == b.evictAfterReplay_ &&
            a.deadlineMs_ == b.deadlineMs_ &&
            a.hasDeadline_ == b.hasDeadline_;

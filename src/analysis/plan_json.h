@@ -17,7 +17,7 @@
  * fuzz harness): for any plan P that writePlanJson accepts,
  * parsePlanJson(writePlanJson(P)) succeeds and the result satisfies
  * planEquals with P. Plans carrying process-local state — profiler
- * sink pointers, a live cancellation token — or what the schema does
+ * pointers, a live cancellation token — or what the schema does
  * not express — a non-default memory hierarchy, CPI width points —
  * are refused by the SERIALIZER with Unsupported, so nothing that
  * parses was lossy to write.
@@ -112,7 +112,7 @@ bool parsePlanJson(std::string_view json, StudyPlan *out,
 
 /**
  * Serialize @p plan. Returns false with Unsupported when the plan
- * carries state the wire cannot express (profiler sinks, a live
+ * carries state the wire cannot express (profilers, a live
  * cancel token, a non-default memory hierarchy, CPI width points);
  * @p out is untouched on failure.
  */

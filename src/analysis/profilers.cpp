@@ -1,7 +1,6 @@
 #include "analysis/profilers.h"
 
 #include "common/logging.h"
-#include "sigcomp/sig_kernels.h"
 
 namespace sigcomp::analysis
 {
@@ -38,59 +37,47 @@ PatternProfiler::retireBlock(std::span<const cpu::DynInstr> block)
     // what per-instruction record() calls produce.
     //
     // Replay blocks carry the capture-time significance sidecars
-    // (DynInstr::sigTags), so the whole per-operand classification
-    // collapses to a histogram merge of precomputed tags: slot 0
-    // absorbs the nibbles of non-participating operands (a filled
-    // tag is never 0) and is discarded at the merge. Blocks without
-    // tags (direct execution, hand-built tests) gather their operand
-    // values and classify them with the fused batch kernel instead.
-    Count counts[16] = {};
-    // One histogram per operand slot: repeated patterns are the norm
-    // (runs of small constants), and four disjoint count arrays keep
-    // the four increments per instruction off each other's
-    // store-to-load forwarding paths.
+    // (DynInstr::sigTags), so the per-operand classification
+    // collapses to a histogram of precomputed tags: slot 0 absorbs
+    // the nibbles of non-participating operands (a filled tag is
+    // never 0) and is discarded at the merge. One histogram per
+    // operand slot: repeated patterns are the norm (runs of small
+    // constants), and four disjoint count arrays keep the four
+    // increments per instruction off each other's store-to-load
+    // forwarding paths.
     Count c_rs[16] = {}, c_rt[16] = {}, c_res[16] = {}, c_mem[16] = {};
-    // Room for 4 operands per instruction of a default replay block.
-    Word pending[4096];
-    std::size_t npend = 0;
     for (const cpu::DynInstr &di : block) {
         const isa::DecodedInstr &dec = *di.dec;
         const unsigned t = di.sigTags;
-        if (t != 0) {
-            ++c_rs[dec.readsRs ? (t & 0xFu) : 0u];
-            ++c_rt[dec.readsRt ? ((t >> 4) & 0xFu) : 0u];
-            ++c_res[dec.writesDest && dec.dest != isa::reg::zero
-                        ? ((t >> 8) & 0xFu)
-                        : 0u];
-            ++c_mem[dec.isLoad || dec.isStore ? ((t >> 12) & 0xFu)
-                                              : 0u];
-        } else if (npend + 4 <= sizeof(pending) / sizeof(pending[0])) {
-            if (dec.readsRs)
-                pending[npend++] = di.srcRs;
-            if (dec.readsRt)
-                pending[npend++] = di.srcRt;
-            if (dec.writesDest && dec.dest != isa::reg::zero)
-                pending[npend++] = di.result;
-            if (dec.isLoad || dec.isStore)
-                pending[npend++] = di.memData;
-        } else {
-            // Oversized hand-built block: keep exact semantics.
+        if (t == 0) {
             retire(di);
+            continue;
         }
+        ++c_rs[dec.readsRs ? (t & 0xFu) : 0u];
+        ++c_rt[dec.readsRt ? ((t >> 4) & 0xFu) : 0u];
+        ++c_res[dec.writesDest && dec.dest != isa::reg::zero
+                    ? ((t >> 8) & 0xFu)
+                    : 0u];
+        ++c_mem[dec.isLoad || dec.isStore ? ((t >> 12) & 0xFu) : 0u];
     }
-    if (npend != 0)
-        sig::patternTallyBlock(pending, npend, counts);
-    for (unsigned m = 1; m < 16; ++m)
-        counts[m] += c_rs[m] + c_rt[m] + c_res[m] + c_mem[m];
     Count bytes = 0;
     for (sig::ByteMask m = 1; m < 16;
          m = static_cast<sig::ByteMask>(m + 2)) {
-        if (counts[m] != 0) {
-            patterns_.record(m, counts[m]);
-            bytes += counts[m] * sig::maskBytes(m);
+        const Count n = c_rs[m] + c_rt[m] + c_res[m] + c_mem[m];
+        if (n != 0) {
+            patterns_.record(m, n);
+            bytes += n * sig::maskBytes(m);
         }
     }
     totalBytes_ += bytes;
+}
+
+void
+PatternProfiler::merge(const Profiler &other)
+{
+    const auto &o = dynamic_cast<const PatternProfiler &>(other);
+    patterns_.merge(o.patterns_);
+    totalBytes_ += o.totalBytes_;
 }
 
 double
@@ -232,6 +219,21 @@ InstrMixProfiler::retireBlock(std::span<const cpu::DynInstr> block)
             functs_.record(static_cast<std::uint8_t>(code), functs[code]);
 }
 
+void
+InstrMixProfiler::merge(const Profiler &other)
+{
+    const auto &o = dynamic_cast<const InstrMixProfiler &>(other);
+    functs_.merge(o.functs_);
+    total_ += o.total_;
+    rFormat_ += o.rFormat_;
+    iFormat_ += o.iFormat_;
+    jFormat_ += o.jFormat_;
+    hasImm_ += o.hasImm_;
+    shortImm_ += o.shortImm_;
+    fetchBytes_ += o.fetchBytes_;
+    addLike_ += o.addLike_;
+}
+
 PcProfiler::PcProfiler()
     : accs_{sig::PcActivityAccumulator(1), sig::PcActivityAccumulator(2),
             sig::PcActivityAccumulator(3), sig::PcActivityAccumulator(4),
@@ -307,6 +309,18 @@ PcProfiler::retireBlock(std::span<const cpu::DynInstr> block)
     for (unsigned i = 0; i < 8; ++i) {
         accs_[i].applyUpdateBatch(block.size(), changed_sum[i],
                                   cycles_sum[i]);
+    }
+}
+
+void
+PcProfiler::merge(const Profiler &other)
+{
+    const auto &o = dynamic_cast<const PcProfiler &>(other);
+    for (std::size_t i = 0; i < accs_.size(); ++i) {
+        const sig::PcActivityAccumulator &a = o.accs_[i];
+        accs_[i].applyUpdateBatch(a.updates(),
+                                  a.activityBits() / a.blockBits(),
+                                  a.cycles());
     }
 }
 

@@ -11,6 +11,7 @@
 #define SIGCOMP_ANALYSIS_PROFILERS_H_
 
 #include <array>
+#include <memory>
 
 #include "common/stats.h"
 #include "cpu/trace.h"
@@ -22,17 +23,43 @@ namespace sigcomp::analysis
 {
 
 /**
+ * A trace sink whose state is a sum over the instructions it sees,
+ * so feeding a stream in pieces to separate forks and merging them
+ * leaves it exactly as feeding the whole stream to it would. A plan
+ * (StudyPlan::profile) feeds each workload to its own fork.
+ */
+class Profiler : public cpu::TraceSink
+{
+  public:
+    /** An empty profiler of the same kind and configuration. */
+    virtual std::unique_ptr<Profiler> fork() const = 0;
+
+    /** Add the tallies of @p other, a fork() of this profiler. */
+    virtual void merge(const Profiler &other) = 0;
+};
+
+/**
  * Table 1: distribution of the eight significant-byte patterns over
  * dynamic operand values (register sources, results, and memory
  * data).
  */
-class PatternProfiler : public cpu::TraceSink
+class PatternProfiler : public Profiler
 {
   public:
     void retire(const cpu::DynInstr &di) override;
 
-    /** Batched path: flat per-pattern tallies merged per block. */
+    /**
+     * Batched path: a histogram of the capture-time significance
+     * tags, merged per block; an untagged instruction takes retire().
+     */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    std::unique_ptr<Profiler>
+    fork() const override
+    {
+        return std::make_unique<PatternProfiler>();
+    }
+    void merge(const Profiler &other) override;
 
     const Distribution<sig::ByteMask> &patterns() const
     {
@@ -56,7 +83,7 @@ class PatternProfiler : public cpu::TraceSink
  * Table 3 + section 2.3: dynamic funct frequencies, format mix,
  * immediate sizes, and compressed fetch widths.
  */
-class InstrMixProfiler : public cpu::TraceSink
+class InstrMixProfiler : public Profiler
 {
   public:
     explicit InstrMixProfiler(
@@ -73,6 +100,14 @@ class InstrMixProfiler : public cpu::TraceSink
      * flat counters merged per block.
      */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    /** A fork profiles with the same compressor. */
+    std::unique_ptr<Profiler>
+    fork() const override
+    {
+        return std::make_unique<InstrMixProfiler>(compressor_);
+    }
+    void merge(const Profiler &other) override;
 
     const Distribution<std::uint8_t> &functFreq() const
     {
@@ -155,7 +190,7 @@ class InstrMixProfiler : public cpu::TraceSink
  * Table 2 (empirical side): PC-update activity and latency per
  * block size, fed with the real dynamic PC stream.
  */
-class PcProfiler : public cpu::TraceSink
+class PcProfiler : public Profiler
 {
   public:
     PcProfiler();
@@ -164,6 +199,13 @@ class PcProfiler : public cpu::TraceSink
 
     /** Batched path: monomorphic loop over the accumulators. */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    std::unique_ptr<Profiler>
+    fork() const override
+    {
+        return std::make_unique<PcProfiler>();
+    }
+    void merge(const Profiler &other) override;
 
     /** Accumulator for block size @p bits (1..8). */
     const sig::PcActivityAccumulator &forBlockBits(unsigned bits) const;

@@ -126,7 +126,7 @@ struct SuiteReport
     std::vector<ActivityStudyResult> activity;
     std::vector<CpiStudyResult> cpi;
     std::vector<EnergyStudyResult> energy;
-    /** Number of caller profiler sinks fed by the pass. */
+    /** Number of caller profilers the plan registered. */
     std::size_t profileSinks = 0;
 
     // -- engine accounting for this run (deltas, not totals) ---------

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "analysis/profilers.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "isa/opcodes.h"
@@ -86,7 +87,8 @@ Session::trace(const std::string &workload)
 void
 Session::prewarm(const std::vector<std::string> &names)
 {
-    cache_->prewarm(names, executor());
+    executor().parallelFor(names.size(),
+                           [&](std::size_t i) { cache_->get(names[i]); });
 }
 
 void
@@ -171,7 +173,7 @@ Session::run(const StudyPlan &plan)
         rep.workloads = plan.workloads_.empty()
                             ? workloads::Suite::names()
                             : plan.workloads_;
-        rep.profileSinks = plan.sinks_.size();
+        rep.profileSinks = plan.profilers_.size();
         rep.rejected = true;
         rep.rejectReason = why;
         SC_WARN("session: plan rejected: ", why);
@@ -223,7 +225,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         plan.workloads_.empty() ? workloads::Suite::names()
                                 : plan.workloads_;
     rep.workloads = names;
-    rep.profileSinks = plan.sinks_.size();
+    rep.profileSinks = plan.profilers_.size();
 
     ParallelExecutor &exec = executor();
     rep.threads = exec.threadCount();
@@ -251,6 +253,8 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         std::vector<pipeline::PipelineResult> results;
         DWord instructions = 0;
         std::uint64_t replayDelta = 0;
+        /** This workload's fork of each plan profiler, in plan order. */
+        std::vector<std::unique_ptr<Profiler>> forks;
         /**
          * True when this workload's whole fused pass ran. A stopped
          * run assembles rows ONLY from completed harvests — a
@@ -268,7 +272,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     };
     // Every study's pipelines over one trace. One replayPipelines
     // call replays the trace exactly once: same-key pipelines share
-    // a quanta group, every group and every profiler sink is fed
+    // a quanta group, every group and every profiler fork is fed
     // from the same materialised blocks.
     auto buildPipelines = [&plan] {
         Fused f;
@@ -298,11 +302,13 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // evict when the plan asks.
     auto finish = [&](std::size_t i, const cpu::TraceBuffer &trace,
                       std::vector<pipeline::PipelineResult> results,
-                      std::uint64_t replay_delta) {
+                      std::uint64_t replay_delta,
+                      std::vector<std::unique_ptr<Profiler>> forks) {
         Harvest &h = harvest[i];
         h.results = std::move(results);
         h.instructions = trace.runResult().instructions;
         h.replayDelta = replay_delta;
+        h.forks = std::move(forks);
         h.completed = true;
         cache_->persistAnnexes(names[i], trace, cancel);
         if (plan.evictAfterReplay_)
@@ -312,7 +318,7 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     // Workload i's fused pass, over its trace fetched here (loaded
     // or captured).
     auto runOne = [&](std::size_t i) {
-        // One span per workload's fused pass; on a parallel plan
+        // One span per workload's fused pass; on a parallel executor
         // these land on the per-worker tracks.
         SIGCOMP_SPAN("session.replay");
         if (cancelRequested(cancel))
@@ -334,9 +340,16 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         const std::uint64_t replays0 = trace->replayCount();
 
         Fused pipes = buildPipelines();
+        // The workload's own profilers: no two workloads share one,
+        // so they replay in parallel and merge later in suite order.
+        std::vector<std::unique_ptr<Profiler>> forks;
+        std::vector<cpu::TraceSink *> sinks;
+        for (const Profiler *p : plan.profilers_) {
+            forks.push_back(p->fork());
+            sinks.push_back(forks.back().get());
+        }
         try {
-            pipeline::replayPipelines(*trace, pipes.raw, plan.sinks_,
-                                      cancel);
+            pipeline::replayPipelines(*trace, pipes.raw, sinks, cancel);
         } catch (const CancelledError &) {
             // Aborted mid-replay: nothing was published on the trace
             // and nothing is harvested for this workload. The partial
@@ -348,15 +361,15 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         for (const std::unique_ptr<InOrderPipeline> &p : pipes.owned)
             results.push_back(p->result());
         finish(i, *trace, std::move(results),
-               trace->replayCount() - replays0);
+               trace->replayCount() - replays0, std::move(forks));
     };
 
     // The plan's `result:` memo keys, one per column in harvest
     // order, derived once from one fresh pipeline per column. Empty
-    // when the plan has profiler sinks (they always replay) or a
-    // column is not memo-eligible: then every workload replays.
+    // when the plan has profilers (they always replay) or a column
+    // is not memo-eligible: then every workload replays.
     std::vector<std::string> memoKeys;
-    if (plan.sinks_.empty()) {
+    if (plan.profilers_.empty()) {
         const Fused columns = buildPipelines();
         for (const std::unique_ptr<InOrderPipeline> &p : columns.owned) {
             if (!pipeline::memoEligible(*p)) {
@@ -384,44 +397,22 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
                 return false;
             results.push_back(*memo);
         }
-        finish(i, *trace, std::move(results), 0);
+        finish(i, *trace, std::move(results), 0, {});
         return true;
     };
-    // Only the workloads the memos cannot answer go to prewarm and
-    // the fan-out below.
+    // Only the workloads the memos cannot answer go to the fan-out,
+    // one task per workload: each fetches (loads or captures) its
+    // own trace, so an evicting plan holds at most one trace per
+    // thread.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (memoKeys.empty() || cancelRequested(cancel) ||
             !answerFromMemos(i))
             pending.push_back(i);
     }
-    auto runPending = [&](std::size_t k) { runOne(pending[k]); };
-
-    // Shared profiler sinks must observe the serial retirement
-    // stream in workload order, so plans with profilers replay
-    // sequentially (capture still fans out via prewarm); plans with
-    // pipelines only fan whole workloads across the executor. An
-    // evicting plan skips the prewarm: it would hold every pending
-    // trace at once, and runOne fetches its own.
-    const bool parallel_replay =
-        plan.sinks_.empty() && exec.threadCount() > 1;
-    if (exec.threadCount() > 1 && !plan.evictAfterReplay_ &&
-        !pending.empty() && !cancelRequested(cancel)) {
-        std::vector<std::string> pendingNames;
-        pendingNames.reserve(pending.size());
-        for (std::size_t i : pending)
-            pendingNames.push_back(names[i]);
-        cache_->prewarm(pendingNames, exec, cancel);
-    }
-    if (parallel_replay) {
-        exec.parallelFor(pending.size(), runPending, cancel);
-    } else {
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            if (cancelRequested(cancel))
-                break;
-            runPending(k);
-        }
-    }
+    exec.parallelFor(
+        pending.size(), [&](std::size_t k) { runOne(pending[k]); },
+        cancel);
 
     // ---- assemble the report in study registration order ----------
     // A stopped run covers the completed workloads only: every row
@@ -437,6 +428,12 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     done_names.reserve(done.size());
     for (std::size_t w : done)
         done_names.push_back(names[w]);
+    // Suite order, completed workloads only: the caller's profilers
+    // end up as one serial feed of the covered workloads leaves them.
+    for (std::size_t w : done) {
+        for (std::size_t p = 0; p < plan.profilers_.size(); ++p)
+            plan.profilers_[p]->merge(*harvest[w].forks[p]);
+    }
 
     // `column` walks the harvest order.
     std::size_t column = 0;

@@ -22,7 +22,7 @@
  *    off a single batched replay of each workload trace (the
  *    ZipLine-style touch-the-data-once discipline): each block is
  *    materialised once and fans out to every pipeline group and
- *    profiler sink through the existing retireBlock path. The
+ *    profiler fork through the existing retireBlock path. The
  *    per-workload replay counters assert exactly one pass; results
  *    are bit-identical to running the studies one at a time.
  *
@@ -151,7 +151,7 @@ class Session
     /** The workload's trace via this session's two-tier cache. */
     TraceCache::TracePtr trace(const std::string &workload);
 
-    /** Capture/load every listed workload, fanned out. */
+    /** Capture/load every listed workload not yet cached, fanned out. */
     void prewarm(const std::vector<std::string> &names);
 
     /**
@@ -165,10 +165,12 @@ class Session
      * Execute @p plan: one fused batched replay per workload feeding
      * every registered study, assembled into a SuiteReport. Rows and
      * totals are bit-identical to running the studies one plan at a
-     * time, and to live simulation, at any thread count. With
-     * profiler sinks registered the replays run sequentially in
-     * workload order (the sinks see the serial retirement stream);
-     * capture still fans out. After each pass the session
+     * time, and to live simulation, at any thread count. Workloads
+     * fan out across the executor, one task per workload fetching
+     * (loading or capturing) and replaying its own trace; each task
+     * feeds its own fork of every plan profiler, and the forks merge
+     * into the caller's profilers in suite order after the fan-out
+     * (see StudyPlan::profile). After each pass the session
      * write-backs newly derived SharedQuanta annexes to the attached
      * store, so warm-store processes skip the quanta front half as
      * well as capture.
@@ -184,7 +186,8 @@ class Session
      * (StudyPlan::deadlineMs) or a cancellation token
      * (StudyPlan::cancel) stops at the next block boundary once it
      * fires and returns a PARTIAL report — rows only for workloads
-     * whose fused pass completed, cancelled/deadlineExceeded set —
+     * whose fused pass completed, cancelled/deadlineExceeded set,
+     * profilers holding those workloads' tallies only —
      * with the trace store left consistent (saves are atomic and a
      * cancelled plan stops writing rather than writing less). With
      * admission limits configured (SessionConfig) a plan arriving

@@ -29,9 +29,10 @@ StudyPlan::cpi(std::vector<pipeline::StageWidths> points,
 }
 
 StudyPlan &
-StudyPlan::profile(std::vector<cpu::TraceSink *> sinks)
+StudyPlan::profile(std::vector<Profiler *> profilers)
 {
-    sinks_.insert(sinks_.end(), sinks.begin(), sinks.end());
+    profilers_.insert(profilers_.end(), profilers.begin(),
+                      profilers.end());
     return *this;
 }
 
@@ -76,7 +77,7 @@ bool
 StudyPlan::hasStudies() const
 {
     return !activity_.empty() || !cpi_.empty() || !energy_.empty() ||
-           !sinks_.empty();
+           !profilers_.empty();
 }
 
 } // namespace sigcomp::analysis

@@ -10,6 +10,8 @@
  * Session's SessionConfig, and tracing is SIGCOMP_TRACE /
  * telemetry::startTracing.
  *
+ *   analysis::PatternProfiler patterns;
+ *   analysis::InstrMixProfiler mix;
  *   StudyPlan plan;
  *   plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
  *       .activity(sig::Encoding::Ext3)
@@ -17,6 +19,7 @@
  *       .energy(power::TechParams{})
  *       .workloads({"rawcaudio", "cjpeg"});
  *   analysis::SuiteReport report = session.run(plan);
+ *   // patterns and mix now hold both workloads' tallies.
  */
 
 #ifndef SIGCOMP_ANALYSIS_STUDY_PLAN_H_
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "cpu/trace.h"
 #include "pipeline/models.h"
 #include "pipeline/pipeline.h"
 #include "power/energy_model.h"
@@ -41,6 +43,7 @@ struct Error;
 namespace sigcomp::analysis
 {
 
+class Profiler;
 class Session;
 
 class StudyPlan
@@ -79,14 +82,17 @@ class StudyPlan
                    pipeline::PipelineConfig config);
 
     /**
-     * Register caller-owned profiler sinks (paper Tables 1-3). The
-     * sinks are shared and need not be thread-safe: a plan with
-     * profilers replays workloads sequentially in suite order, so
-     * the sinks observe exactly the serial retirement stream — in
-     * the same single pass that feeds the pipeline studies.
-     * Repeatable (appends).
+     * Register caller-owned profilers (paper Tables 1-4). Each
+     * workload's fused pass feeds its own fork() of every profiler,
+     * so workloads replay in parallel and no profiler is touched by
+     * two threads; after the fan-out the forks are merge()d into the
+     * caller's profilers in suite order, which leaves them exactly
+     * as one serial feed of the suite would. A stopped (partial) run
+     * merges the forks of the workloads the report covers and no
+     * others. A plan with profilers is never answered from result
+     * memos: every workload replays. Repeatable (appends).
      */
-    StudyPlan &profile(std::vector<cpu::TraceSink *> sinks);
+    StudyPlan &profile(std::vector<Profiler *> profilers);
 
     /**
      * Register an energy study: per-workload Wattch-style energy of
@@ -129,7 +135,7 @@ class StudyPlan
      */
     StudyPlan &cancel(CancelToken token);
 
-    /** True when any study (or profiler sink) is registered. */
+    /** True when any study (or profiler) is registered. */
     bool hasStudies() const;
 
   private:
@@ -165,7 +171,7 @@ class StudyPlan
     std::vector<sig::Encoding> activity_;
     std::vector<CpiSpec> cpi_;
     std::vector<EnergySpec> energy_;
-    std::vector<cpu::TraceSink *> sinks_;
+    std::vector<Profiler *> profilers_;
     std::vector<std::string> workloads_;
     bool evictAfterReplay_ = false;
     std::uint64_t deadlineMs_ = 0;

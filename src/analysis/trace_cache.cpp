@@ -126,25 +126,6 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
     return future.get();
 }
 
-void
-TraceCache::prewarm(const std::vector<std::string> &names,
-                    ParallelExecutor &exec, const CancelToken *cancel)
-{
-    exec.parallelFor(
-        names.size(),
-        [&](std::size_t i) {
-            // Best-effort: a cancelled capture here is not an error —
-            // the caller is winding down to a partial report and each
-            // workload it still assembles re-gets (and re-checks the
-            // token) itself. Other exceptions propagate as usual.
-            try {
-                get(names[i], cancel);
-            } catch (const CancelledError &) {
-            }
-        },
-        cancel);
-}
-
 bool
 TraceCache::contains(const std::string &workload) const
 {
@@ -250,15 +231,16 @@ TraceCache::persistAnnexes(const std::string &workload,
     if (keys.empty())
         return;
     // Only rewrite the segment when it is actually missing a record;
-    // repeated runs of the same plan must not keep re-encoding it.
-    const std::vector<std::string> disk = store_->annexKeys(workload);
-    bool missing = false;
-    for (const std::string &key : keys) {
-        if (std::find(disk.begin(), disk.end(), key) == disk.end()) {
-            missing = true;
-            break;
-        }
-    }
+    // repeated runs of the same plan must not keep re-encoding it. A
+    // missing or unreadable segment has no annexes.
+    store::SegmentInfo disk;
+    (void)store_->info(workload, disk);
+    const bool missing =
+        std::any_of(keys.begin(), keys.end(), [&](const std::string &key) {
+            return std::none_of(
+                disk.annexes.begin(), disk.annexes.end(),
+                [&](const store::ColumnStat &ax) { return ax.name == key; });
+        });
     if (!missing)
         return;
     saveThrough(*store_, workload, trace, limit_, "persist annexes for",

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/thread_annotations.h"
 #include "cpu/trace_buffer.h"
@@ -111,17 +110,6 @@ class TraceCache
      */
     void registerProgram(const std::string &workload,
                          isa::Program program);
-
-    /**
-     * Capture every listed workload that is not already cached,
-     * fanned out across @p exec. Returns once all are available.
-     * With a fired @p cancel, remaining workloads are skipped and
-     * individual cancelled captures are swallowed (the caller is
-     * about to assemble a partial result; prewarm is best-effort).
-     */
-    void prewarm(const std::vector<std::string> &names,
-                 ParallelExecutor &exec,
-                 const CancelToken *cancel = nullptr);
 
     /** True when the workload's trace is cached (or being captured). */
     bool contains(const std::string &workload) const;

@@ -270,8 +270,8 @@ enum class ErrorKind : std::uint8_t
     OutOfRange,
     /**
      * Valid but not expressible: unknown schema version, non-ASCII
-     * text, or (on serialize) process-local plan state — profiler
-     * sinks, live cancel tokens, custom hierarchies.
+     * text, or (on serialize) process-local plan state — profilers,
+     * live cancel tokens, custom hierarchies.
      */
     Unsupported,
 };

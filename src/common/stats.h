@@ -75,6 +75,14 @@ class Distribution
         total_ += n;
     }
 
+    /** Add every count of @p other. */
+    void
+    merge(const Distribution &other)
+    {
+        for (const auto &[k, n] : other.counts_)
+            record(k, n);
+    }
+
     Count total() const { return total_; }
 
     Count
@@ -107,13 +115,6 @@ class Distribution
     }
 
     const std::map<Key, Count> &raw() const { return counts_; }
-
-    void
-    reset()
-    {
-        counts_.clear();
-        total_ = 0;
-    }
 
   private:
     std::map<Key, Count> counts_;

@@ -1,6 +1,5 @@
 #include "sigcomp/sig_kernels.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace sigcomp::sig
@@ -53,32 +52,6 @@ packSigTagsBlock(const ByteMask *rs, const ByteMask *rt,
         out[i] = static_cast<std::uint16_t>(rs[i] | (rt[i] << 4) |
                                             (res[i] << 8));
     }
-}
-
-void
-patternTallyBlock(const Word *v, std::size_t n, Count counts[16])
-{
-    // Classify a cache-resident chunk with the block kernel, then
-    // histogram the masks through two interleaved count arrays so
-    // consecutive equal patterns (very common: runs of small
-    // constants) don't serialise on one counter's store-to-load
-    // dependency.
-    ByteMask masks[512];
-    Count even[16] = {};
-    Count odd[16] = {};
-    for (std::size_t base = 0; base < n; base += sizeof(masks)) {
-        const std::size_t k = std::min(sizeof(masks), n - base);
-        classifyExt3Block(v + base, k, masks);
-        std::size_t i = 0;
-        for (; i + 2 <= k; i += 2) {
-            ++even[masks[i]];
-            ++odd[masks[i + 1]];
-        }
-        if (i < k)
-            ++even[masks[i]];
-    }
-    for (unsigned m = 0; m < 16; ++m)
-        counts[m] += even[m] + odd[m];
 }
 
 } // namespace sigcomp::sig

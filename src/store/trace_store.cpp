@@ -155,19 +155,40 @@ constexpr std::uint32_t kMaxAnnexKey = 4096;
 // sigcomp-lint: format-layout-end
 
 /**
- * Parse and CRC-check header + directory (not payload contents).
- * Fail-soft on every malformed input.
+ * Parse and CRC-check the header + directory (not payload contents)
+ * of a segment @p file, which is null when there is none to read,
+ * and with @p program check that the segment was captured from it.
+ * Fail-soft on every malformed input. @p failure, when non-null,
+ * classifies a false return: Missing without a file; Stale for a
+ * well-formed header of an older format version or another
+ * program's segment (not damage: recapture overwrites it); Corrupt
+ * for anything else. The one place a segment is judged stale or
+ * corrupt, for load(), info() and verify() alike.
  */
 bool
-parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
-             std::string *why)
+parseSegment(const Env::FileView *file, const isa::Program *program,
+             Segment &seg, std::string *why, LoadFailure *failure)
 {
+    if (failure != nullptr)
+        *failure = file == nullptr ? LoadFailure::Missing
+                                   : LoadFailure::Corrupt;
+    if (file == nullptr)
+        return fail(why, "no segment");
+    const std::uint8_t *bytes = file->data();
+    const std::size_t size = file->size();
     if (size < kHeaderBytes)
         return fail(why, "file shorter than header");
     const std::uint8_t *h = bytes;
     if (getU32(h) != kMagic)
         return fail(why, "bad magic");
     const std::uint32_t version = getU32(h + 4);
+    if (version < formatVersion && crc32(0, h, 60) == getU32(h + 60)) {
+        if (failure != nullptr)
+            *failure = LoadFailure::Stale;
+        return fail(why, "format version " + std::to_string(version) +
+                             " is older than " +
+                             std::to_string(formatVersion));
+    }
     if (version != formatVersion)
         return fail(why, "format version " + std::to_string(version) +
                              ", expected " +
@@ -255,6 +276,12 @@ parseSegment(const std::uint8_t *bytes, std::size_t size, Segment &seg,
     }
     if (offset != size)
         return fail(why, "trailing bytes after payloads");
+    if (program != nullptr &&
+        seg.programCrc != TraceStore::programFingerprint(*program)) {
+        if (failure != nullptr)
+            *failure = LoadFailure::Stale;
+        return fail(why, "program fingerprint mismatch (workload changed)");
+    }
     return true;
 }
 
@@ -1137,37 +1164,16 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
     classify(LoadFailure::None);
     EnvStatus st;
     const auto file = readSegment(segmentPath(workload), &st);
-    if (file == nullptr) {
-        if (st.fault == EnvFault::NotFound) {
-            classify(LoadFailure::Missing);
-            fail(why, "no segment");
-        } else {
-            classify(LoadFailure::Io);
-            fail(why, "read failed: " + st.message);
-        }
+    if (file != nullptr) {
+        loadBytes_.record(file->size());
+    } else if (st.fault != EnvFault::NotFound) {
+        classify(LoadFailure::Io);
+        fail(why, "read failed: " + st.message);
         return nullptr;
     }
-    loadBytes_.record(file->size());
-    // A well-formed header from an older format version is stale,
-    // not damage: recapture overwrites it.
-    if (file->size() >= kHeaderBytes && getU32(file->data()) == kMagic &&
-        getU32(file->data() + 4) < formatVersion &&
-        crc32(0, file->data(), 60) == getU32(file->data() + 60)) {
-        classify(LoadFailure::Stale);
-        fail(why, "format version " +
-                      std::to_string(getU32(file->data() + 4)) +
-                      " is older than " + std::to_string(formatVersion));
-        return nullptr;
-    }
-    classify(LoadFailure::Corrupt); // until proven otherwise below
     Segment seg;
-    if (!parseSegment(file->data(), file->size(), seg, why))
+    if (!parseSegment(file.get(), &program, seg, why, failure))
         return nullptr;
-    if (seg.programCrc != programFingerprint(program)) {
-        classify(LoadFailure::Stale);
-        fail(why, "program fingerprint mismatch (workload changed)");
-        return nullptr;
-    }
     if (seg.captureLimit != capture_limit) {
         classify(LoadFailure::Stale);
         fail(why, "capture-limit mismatch");
@@ -1175,8 +1181,7 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
     }
     auto buf = TraceSerializer::deserialize(file->data(), seg, program,
                                             why);
-    if (buf != nullptr)
-        classify(LoadFailure::None);
+    classify(buf != nullptr ? LoadFailure::None : LoadFailure::Corrupt);
     return buf;
 }
 
@@ -1341,12 +1346,6 @@ TraceStore::cleanOrphanTemps() const
 }
 
 bool
-TraceStore::contains(const std::string &workload) const
-{
-    return env_->fileExists(segmentPath(workload));
-}
-
-bool
 TraceStore::remove(const std::string &workload) const
 {
     return env_->removeFile(segmentPath(workload)).ok();
@@ -1370,13 +1369,11 @@ TraceStore::list() const
 
 bool
 TraceStore::info(const std::string &workload, SegmentInfo &out,
-                 std::string *why) const
+                 std::string *why, LoadFailure *failure) const
 {
     const auto file = readSegment(segmentPath(workload), nullptr);
-    if (file == nullptr)
-        return fail(why, "no segment");
     Segment seg;
-    if (!parseSegment(file->data(), file->size(), seg, why))
+    if (!parseSegment(file.get(), nullptr, seg, why, failure))
         return false;
 
     out = SegmentInfo();
@@ -1402,36 +1399,17 @@ TraceStore::persistableAnnexKeys(const cpu::TraceBuffer &trace)
     return eligibleQuantaKeys(trace);
 }
 
-std::vector<std::string>
-TraceStore::annexKeys(const std::string &workload) const
-{
-    const auto file = readSegment(segmentPath(workload), nullptr);
-    if (file == nullptr)
-        return {};
-    Segment seg;
-    if (!parseSegment(file->data(), file->size(), seg, nullptr))
-        return {};
-    std::vector<std::string> keys;
-    keys.reserve(seg.annexes.size());
-    for (const Segment::Annex &ax : seg.annexes)
-        keys.push_back(ax.key);
-    return keys;
-}
-
 bool
 TraceStore::verify(const std::string &workload,
-                   const isa::Program *program, std::string *why) const
+                   const isa::Program *program, std::string *why,
+                   LoadFailure *failure) const
 {
     const auto file = readSegment(segmentPath(workload), nullptr);
-    if (file == nullptr)
-        return fail(why, "no segment");
-    const std::uint8_t *bytes = file->data();
     Segment seg;
-    if (!parseSegment(bytes, file->size(), seg, why))
+    if (!parseSegment(file.get(), program, seg, why, failure))
         return false;
+    const std::uint8_t *bytes = file->data();
     if (program != nullptr) {
-        if (seg.programCrc != programFingerprint(*program))
-            return fail(why, "program fingerprint mismatch");
         return TraceSerializer::deserialize(bytes, seg, *program, why) !=
                nullptr;
     }

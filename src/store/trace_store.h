@@ -184,8 +184,8 @@ enum class LoadFailure : std::uint8_t
     /** No segment on disk: the ordinary cold-store miss. */
     Missing,
     /**
-     * A valid segment for different capture parameters or program
-     * (fingerprint/capture-limit mismatch): not damage, the next
+     * A valid segment of an older format version, or for different
+     * capture parameters or program: not damage, the next
      * write-through save simply replaces it.
      */
     Stale,
@@ -291,9 +291,6 @@ class TraceStore
      */
     std::size_t cleanOrphanTemps() const;
 
-    /** True when a segment file for @p workload exists. */
-    bool contains(const std::string &workload) const;
-
     /** Delete @p workload's segment. @return true when removed. */
     bool remove(const std::string &workload) const;
 
@@ -301,34 +298,34 @@ class TraceStore
     std::vector<std::string> list() const;
 
     /**
-     * Read a segment's header and column directory (CRC-checked, no
-     * payload decode). @return false on any corruption.
+     * Read a segment's header, column and annex directories
+     * (CRC-checked, no payload decode). @return false when the
+     * segment is missing or unreadable; @p failure, when non-null,
+     * classifies a false return as load() would (Missing, Stale for
+     * an older format version, else Corrupt).
      */
     bool info(const std::string &workload, SegmentInfo &out,
-              std::string *why = nullptr) const;
+              std::string *why = nullptr,
+              LoadFailure *failure = nullptr) const;
 
     /**
      * Full integrity check: header, directory and payload CRCs plus
-     * codec decode; with @p program also the fingerprint.
+     * codec decode; with @p program also the fingerprint. @p failure
+     * classifies a false return as load() would: Missing; Stale for
+     * an older format version or another program's fingerprint;
+     * else Corrupt.
      */
     bool verify(const std::string &workload,
                 const isa::Program *program = nullptr,
-                std::string *why = nullptr) const;
-
-    /**
-     * Annex keys stored in @p workload's segment (empty for missing,
-     * damaged, or pre-annex segments). Cheap: header + directories
-     * only, no payload decode. TraceCache::persistAnnexes uses this
-     * to decide whether a re-save would add anything.
-     */
-    std::vector<std::string> annexKeys(const std::string &workload) const;
+                std::string *why = nullptr,
+                LoadFailure *failure = nullptr) const;
 
     /**
      * The "quanta:" annex keys of @p trace that save() would
      * actually persist — canonical records only, capped at the
      * format's per-segment annex limit. persistAnnexes compares
-     * THESE against annexKeys(), so an ineligible record can never
-     * cause endless no-op re-saves.
+     * THESE against the segment's info() annexes, so an ineligible
+     * record can never cause endless no-op re-saves.
      */
     static std::vector<std::string>
     persistableAnnexKeys(const cpu::TraceBuffer &trace);

@@ -125,6 +125,5 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     sigcomp::store::SegmentInfo info;
     (void)h.store->info("rawcaudio", info, &why);
     (void)h.store->verify("rawcaudio", &h.workload->program, &why);
-    (void)h.store->annexKeys("rawcaudio");
     return 0;
 }

@@ -58,9 +58,9 @@ runPlan(const StudyPlan &plan, Session &session = suiteSession())
 }
 
 void
-profileSuite(std::vector<cpu::TraceSink *> sinks)
+profileSuite(std::vector<analysis::Profiler *> profilers)
 {
-    runPlan(StudyPlan().profile(std::move(sinks)));
+    runPlan(StudyPlan().profile(std::move(profilers)));
 }
 
 std::vector<ActivityRow>

@@ -23,11 +23,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/plan_json.h"
+#include "analysis/profilers.h"
 #include "analysis/study_plan.h"
 #include "common/cancel.h"
 
@@ -350,9 +352,15 @@ TEST(PlanJsonErrors, UnsupportedBranch)
         EXPECT_EQ(out, "sentinel") << "failed write must not touch out";
     };
     {
-        class NullSink : public cpu::TraceSink
+        class NullSink : public analysis::Profiler
         {
             void retire(const cpu::DynInstr &) override {}
+            std::unique_ptr<Profiler>
+            fork() const override
+            {
+                return std::make_unique<NullSink>();
+            }
+            void merge(const Profiler &) override {}
         };
         static NullSink sink;
         StudyPlan plan;

@@ -14,6 +14,8 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -71,6 +73,75 @@ class SessionStoreTest : public ::testing::Test
     fs::path dir_;
 };
 
+/** The paper's three profilers, registered and compared together. */
+struct Profilers
+{
+    analysis::PatternProfiler pat;
+    analysis::InstrMixProfiler mix;
+    analysis::PcProfiler pc;
+
+    std::vector<analysis::Profiler *> all() { return {&pat, &mix, &pc}; }
+
+    /** One serial feed of @p names' traces, in order, on this thread. */
+    void
+    feed(Session &session, const std::vector<std::string> &names)
+    {
+        for (const std::string &name : names) {
+            cpu::TraceView(*session.trace(name))
+                .replay(std::vector<cpu::TraceSink *>{&pat, &mix, &pc});
+        }
+    }
+};
+
+/** Every tally of @p got equals @p want's, bit for bit. */
+void
+expectSameTallies(const Profilers &got, const Profilers &want)
+{
+    EXPECT_EQ(got.pat.patterns().raw(), want.pat.patterns().raw());
+    EXPECT_EQ(got.pat.meanSignificantBytes(),
+              want.pat.meanSignificantBytes());
+    EXPECT_EQ(got.mix.functFreq().raw(), want.mix.functFreq().raw());
+    EXPECT_EQ(got.mix.total(), want.mix.total());
+    EXPECT_EQ(got.mix.rFormatFraction(), want.mix.rFormatFraction());
+    EXPECT_EQ(got.mix.iFormatFraction(), want.mix.iFormatFraction());
+    EXPECT_EQ(got.mix.shortImmediateFraction(),
+              want.mix.shortImmediateFraction());
+    EXPECT_EQ(got.mix.meanFetchBytes(), want.mix.meanFetchBytes());
+    EXPECT_EQ(got.mix.additionFraction(), want.mix.additionFraction());
+    for (unsigned b = 1; b <= 8; ++b) {
+        const sig::PcActivityAccumulator &g = got.pc.forBlockBits(b);
+        const sig::PcActivityAccumulator &w = want.pc.forBlockBits(b);
+        EXPECT_EQ(g.updates(), w.updates()) << b;
+        EXPECT_EQ(g.activityBits(), w.activityBits()) << b;
+        EXPECT_EQ(g.cycles(), w.cycles()) << b;
+    }
+}
+
+/**
+ * A probe profiler whose forks share its state (Derived holds it by
+ * shared pointer and is copyable), so a test sees every workload's
+ * stream through the one object it registered. Merging adds nothing.
+ */
+template <typename Derived>
+class SharedProbe : public analysis::Profiler
+{
+  public:
+    void
+    retire(const cpu::DynInstr &) override
+    {}
+
+    std::unique_ptr<analysis::Profiler>
+    fork() const override
+    {
+        return std::make_unique<Derived>(
+            static_cast<const Derived &>(*this));
+    }
+
+    void
+    merge(const analysis::Profiler &) override
+    {}
+};
+
 // ---- the fused-pass acceptance property ------------------------------
 
 TEST(SessionFused, OneReplayPassFeedsEveryStudy)
@@ -79,13 +150,11 @@ TEST(SessionFused, OneReplayPassFeedsEveryStudy)
     // all registered on one plan: each workload must be captured
     // once and replayed exactly once.
     Session session;
-    analysis::PatternProfiler pat;
-    analysis::InstrMixProfiler mix;
-    analysis::PcProfiler pc;
+    Profilers prof;
     StudyPlan plan;
     plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
         .activity(sig::Encoding::Ext3)
-        .profile({&pat, &mix, &pc});
+        .profile(prof.all());
     const SuiteReport rep = session.run(plan);
 
     const std::size_t n = workloads::Suite::names().size();
@@ -104,24 +173,14 @@ TEST(SessionFused, OneReplayPassFeedsEveryStudy)
     const auto one_cpi = ref.run(StudyPlan().cpi(pipeline::allDesigns(),
                                                  analysis::suiteConfig()))
                              .cpi;
-    analysis::PatternProfiler lpat;
-    analysis::InstrMixProfiler lmix;
-    analysis::PcProfiler lpc;
-    ref.run(StudyPlan().profile({&lpat, &lmix, &lpc}));
+    Profilers one_prof;
+    ref.run(StudyPlan().profile(one_prof.all()));
 
     ASSERT_EQ(rep.activity.size(), 1u);
     live::expectSameRows(rep.activity[0].rows, one_act.front().rows);
     ASSERT_EQ(rep.cpi.size(), 1u);
     live::expectSameRows(rep.cpi[0].rows(), one_cpi.front().rows());
-    EXPECT_EQ(pat.patterns().raw(), lpat.patterns().raw());
-    EXPECT_EQ(mix.functFreq().raw(), lmix.functFreq().raw());
-    EXPECT_EQ(mix.meanFetchBytes(), lmix.meanFetchBytes());
-    for (unsigned b = 1; b <= 8; ++b) {
-        EXPECT_EQ(pc.forBlockBits(b).activityBits(),
-                  lpc.forBlockBits(b).activityBits());
-        EXPECT_EQ(pc.forBlockBits(b).cycles(),
-                  lpc.forBlockBits(b).cycles());
-    }
+    expectSameTallies(prof, one_prof);
 }
 
 class SessionThreads : public ::testing::TestWithParam<unsigned>
@@ -130,10 +189,10 @@ class SessionThreads : public ::testing::TestWithParam<unsigned>
 
 TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
 {
-    // A pipelines-only plan fans whole workloads across the
-    // executor; a plan with profilers replays serially after a
-    // parallel prewarm. Either way every row must be bit-identical
-    // to the serial reference.
+    // Every plan fans whole workloads across the executor, and each
+    // workload feeds its own forks of the plan's profilers. Every
+    // row must be bit-identical to the serial reference, and every
+    // profiler tally to one serial feed of the suite.
     const unsigned threads = GetParam();
     static const SuiteReport reference = [] {
         Session s(SessionConfig{.threads = 1});
@@ -144,26 +203,34 @@ TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
             .activity(sig::Encoding::Ext2);
         return s.run(plan);
     }();
+    static Profilers fed;
+    static const bool feeding = [] {
+        Session s(SessionConfig{.threads = 1});
+        fed.feed(s, workloads::Suite::names());
+        return true;
+    }();
+    ASSERT_TRUE(feeding);
 
     Session session(SessionConfig{.threads = threads});
-    analysis::PatternProfiler pat;
+    Profilers prof;
     StudyPlan plan;
     plan.cpi({Design::Baseline32, Design::ByteSerial,
               Design::SkewedBypass},
              analysis::suiteConfig())
         .activity(sig::Encoding::Ext2)
-        .profile({&pat});
+        .profile(prof.all());
     const SuiteReport rep = session.run(plan);
 
     EXPECT_EQ(rep.replayPasses, rep.workloads.size());
     SCOPED_TRACE(threads);
     live::expectSameRows(rep.cpi[0].rows(), reference.cpi[0].rows());
     live::expectSameRows(rep.activity[0].rows, reference.activity[0].rows);
-    EXPECT_GT(pat.patterns().total(), 0u);
+    EXPECT_GT(prof.pat.patterns().total(), 0u);
+    expectSameTallies(prof, fed);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionThreads,
-                         ::testing::Values(1u, 4u, 8u),
+                         ::testing::Values(1u, 2u, 4u, 8u),
                          [](const auto &info) {
                              std::string name = "t";
                              name += std::to_string(info.param);
@@ -606,34 +673,38 @@ TEST(SessionLifecycle, PreFiredTokenYieldsCancelledEmptyPartial)
  * the replay loop polls the token at block boundaries, so the count
  * after the trigger bounds the stop latency in blocks.
  */
-class CancellingSink : public cpu::TraceSink
+class CancellingSink : public SharedProbe<CancellingSink>
 {
   public:
     CancellingSink(CancelSource *source, std::size_t cancelAt)
-        : source_(source), cancelAt_(cancelAt)
-    {}
-
-    void
-    retire(const cpu::DynInstr &) override
+        : state_(std::make_shared<State>(source, cancelAt))
     {}
 
     void
     retireBlock(std::span<const cpu::DynInstr>) override
     {
-        ++blocks_;
-        if (blocks_ == cancelAt_)
-            source_->cancel();
-        else if (blocks_ > cancelAt_)
-            ++blocksAfterCancel_;
+        const std::size_t blocks = ++state_->blocks;
+        if (blocks == state_->cancelAt)
+            state_->source->cancel();
+        else if (blocks > state_->cancelAt)
+            ++state_->blocksAfterCancel;
     }
 
-    std::size_t blocksAfterCancel() const { return blocksAfterCancel_; }
+    std::size_t
+    blocksAfterCancel() const
+    {
+        return state_->blocksAfterCancel;
+    }
 
   private:
-    CancelSource *source_;
-    std::size_t cancelAt_;
-    std::size_t blocks_ = 0;
-    std::size_t blocksAfterCancel_ = 0;
+    struct State
+    {
+        CancelSource *source;
+        std::size_t cancelAt;
+        std::atomic<std::size_t> blocks{0};
+        std::atomic<std::size_t> blocksAfterCancel{0};
+    };
+    std::shared_ptr<State> state_;
 };
 
 TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
@@ -659,11 +730,13 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
     Session session(cfg);
     CancelSource source;
     CancellingSink sink(&source, /*cancelAt=*/4); // wl0: 3 blocks
+    Profilers prof;
     StudyPlan plan;
     plan.workloads(names)
         .cpi({Design::Baseline32, Design::ByteSerial},
              analysis::suiteConfig())
         .profile({&sink})
+        .profile(prof.all())
         .cancel(source.token());
     const SuiteReport rep = session.run(plan);
 
@@ -685,6 +758,11 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
     // started.
     EXPECT_EQ(rep.captures, 2u);
     EXPECT_EQ(rep.replayPasses, 1u);
+    // The profilers hold exactly the covered workload: the stopped
+    // second pass merged nothing.
+    Profilers fed;
+    fed.feed(reference_session, {"rawcaudio"});
+    expectSameTallies(prof, fed);
 }
 
 TEST_F(SessionStoreTest, CancelledRunLeavesStoreClean)
@@ -753,79 +831,93 @@ TEST_F(SessionStoreTest, MidRunDeadlineLeavesStoreClean)
 }
 
 /** Blocks inside its first retireBlock() until released. */
-class BlockingSink : public cpu::TraceSink
+class BlockingSink : public SharedProbe<BlockingSink>
 {
   public:
     void
-    retire(const cpu::DynInstr &) override
-    {}
-
-    void
     retireBlock(std::span<const cpu::DynInstr>) override
     {
-        if (!entered_.exchange(true)) {
-            started_.set_value();
-            release_.get_future().wait();
+        if (!state_->entered.exchange(true)) {
+            state_->started.set_value();
+            state_->release.get_future().wait();
         }
     }
 
     /** Resolves once the owning plan is replaying (slot held). */
-    void waitUntilRunning() { started_.get_future().wait(); }
+    void waitUntilRunning() { state_->started.get_future().wait(); }
 
-    void release() { release_.set_value(); }
+    void release() { state_->release.set_value(); }
 
   private:
-    std::atomic<bool> entered_{false};
-    std::promise<void> started_;
-    std::promise<void> release_;
+    struct State
+    {
+        std::atomic<bool> entered{false};
+        std::promise<void> started;
+        std::promise<void> release;
+    };
+    std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
-/** Records, at its first block, whether @p workload is cached. */
-class ResidencyProbe : public cpu::TraceSink
+/**
+ * Counts, at each workload's first block (a fork sees one workload),
+ * how many of @p names are cached, and keeps the largest count.
+ */
+class ResidencyProbe : public SharedProbe<ResidencyProbe>
 {
   public:
-    ResidencyProbe(const analysis::TraceCache &cache, std::string workload)
-        : cache_(cache), workload_(std::move(workload))
-    {}
-
-    void
-    retire(const cpu::DynInstr &) override
+    ResidencyProbe(const analysis::TraceCache &cache,
+                   std::vector<std::string> names)
+        : state_(std::make_shared<State>(cache, std::move(names)))
     {}
 
     void
     retireBlock(std::span<const cpu::DynInstr>) override
     {
-        if (!probed_) {
-            probed_ = true;
-            cachedAtFirstBlock_ = cache_.contains(workload_);
+        if (probed_)
+            return;
+        probed_ = true;
+        std::size_t cached = 0;
+        for (const std::string &name : state_->names)
+            cached += state_->cache.contains(name) ? 1 : 0;
+        std::size_t most = state_->mostCached;
+        while (cached > most &&
+               !state_->mostCached.compare_exchange_weak(most, cached)) {
         }
+        ++state_->probes;
     }
 
-    bool probed() const { return probed_; }
-    bool cachedAtFirstBlock() const { return cachedAtFirstBlock_; }
+    std::size_t probes() const { return state_->probes; }
+    std::size_t mostCached() const { return state_->mostCached; }
 
   private:
-    const analysis::TraceCache &cache_;
-    std::string workload_;
+    struct State
+    {
+        const analysis::TraceCache &cache;
+        std::vector<std::string> names;
+        std::atomic<std::size_t> probes{0};
+        std::atomic<std::size_t> mostCached{0};
+    };
+    std::shared_ptr<State> state_;
     bool probed_ = false;
-    bool cachedAtFirstBlock_ = false;
 };
 
 TEST(SessionEvict, EvictingPlanFetchesEachTraceOnlyWhenItReplays)
 {
-    // With a profiler sink the plan replays serially in workload
-    // order, so while the first workload replays an evicting plan
-    // must not have loaded the last one yet.
+    // Each task fetches the trace it replays and evicts it right
+    // after, and nothing fetches ahead of the tasks: at no point are
+    // more traces cached than the two threads are replaying. A
+    // fetch-everything-first plan would show all three.
     Session session(SessionConfig{.threads = 2, .captureLimit = 3000});
     const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
                                             "epic"};
-    ResidencyProbe probe(session.cache(), names.back());
+    ResidencyProbe probe(session.cache(), names);
     StudyPlan plan;
     plan.profile({&probe}).workloads(names).evictAfterReplay();
     session.run(plan);
-    ASSERT_TRUE(probe.probed());
-    EXPECT_FALSE(probe.cachedAtFirstBlock())
-        << "an evicting plan must not prewarm every trace";
+    EXPECT_EQ(probe.probes(), names.size());
+    EXPECT_GE(probe.mostCached(), 1u);
+    EXPECT_LE(probe.mostCached(), 2u)
+        << "an evicting plan must not fetch traces ahead of replay";
     EXPECT_EQ(session.cache().memoryBytes(), 0u);
 }
 

@@ -122,28 +122,6 @@ TEST_F(SimdTest, KernelsHandleRaggedLengthsAndUnalignedHeads)
     }
 }
 
-TEST_F(SimdTest, PatternTallyMatchesPerWordHistogram)
-{
-    const std::vector<Word> vs = kernelBattery();
-    for (const std::size_t n : kLengths) {
-        Count counts[16] = {};
-        sig::patternTallyBlock(vs.data(), n, counts);
-        Count ref[16] = {};
-        for (std::size_t i = 0; i < n; ++i)
-            ++ref[sig::classifyExt3Reference(vs[i])];
-        for (unsigned m = 0; m < 16; ++m)
-            ASSERT_EQ(counts[m], ref[m]) << "n=" << n << " m=" << m;
-    }
-    // And over the whole battery.
-    Count counts[16] = {};
-    sig::patternTallyBlock(vs.data(), vs.size(), counts);
-    Count ref[16] = {};
-    for (const Word v : vs)
-        ++ref[sig::classifyExt3Reference(v)];
-    for (unsigned m = 0; m < 16; ++m)
-        ASSERT_EQ(counts[m], ref[m]);
-}
-
 TEST_F(SimdTest, PackSigTagsMatchesScalarPacking)
 {
     Rng rng(11);

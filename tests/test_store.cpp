@@ -207,7 +207,7 @@ TEST_F(StoreTest, SegmentRoundTripIsFieldExact)
     ASSERT_TRUE(ts.save("rawcaudio", *captured,
                         cpu::TraceBuffer::defaultMaxInstrs, &why))
         << why;
-    ASSERT_TRUE(ts.contains("rawcaudio"));
+    ASSERT_EQ(ts.list(), std::vector<std::string>{"rawcaudio"});
 
     const auto loaded = ts.load(
         "rawcaudio", w.program, cpu::TraceBuffer::defaultMaxInstrs, &why);
@@ -664,6 +664,44 @@ TEST_F(StoreTest, OlderFormatVersionLoadsAsStaleAndIsRecaptured)
               store::formatVersion);
 }
 
+TEST_F(StoreTest, OlderFormatVersionIsStaleNotCorruptEverywhere)
+{
+    // info(), verify() and load() judge the format version in one
+    // place, so a re-stamped older segment is stale for all three.
+    const workloads::Workload w = workloads::Suite::build("rawdaudio");
+    const TraceStore ts(dir());
+    ASSERT_TRUE(ts.save("rawdaudio", cpu::TraceBuffer::capture(w.program),
+                        cpu::TraceBuffer::defaultMaxInstrs));
+    const std::string path = ts.segmentPath("rawdaudio");
+    std::vector<std::uint8_t> bytes = readAll(path);
+    bytes[4] = static_cast<std::uint8_t>(store::formatVersion - 1);
+    const std::uint32_t crc = crc32(0, bytes.data(), 60);
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[60 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    writeAll(path, bytes);
+
+    std::string why;
+    auto failure = store::LoadFailure::None;
+    store::SegmentInfo info;
+    EXPECT_FALSE(ts.info("rawdaudio", info, &why, &failure));
+    EXPECT_EQ(failure, store::LoadFailure::Stale) << why;
+    EXPECT_NE(why.find("older"), std::string::npos) << why;
+    const isa::Program *programs[] = {&w.program, nullptr};
+    for (const isa::Program *program : programs) {
+        failure = store::LoadFailure::None;
+        EXPECT_FALSE(ts.verify("rawdaudio", program, &why, &failure));
+        EXPECT_EQ(failure, store::LoadFailure::Stale) << why;
+    }
+
+    // A damaged header of the same version is corrupt, not stale.
+    bytes[60] ^= 0x01;
+    writeAll(path, bytes);
+    EXPECT_FALSE(ts.verify("rawdaudio", &w.program, &why, &failure));
+    EXPECT_EQ(failure, store::LoadFailure::Corrupt) << why;
+    EXPECT_FALSE(ts.info("rawdaudio", info, &why, &failure));
+    EXPECT_EQ(failure, store::LoadFailure::Corrupt) << why;
+}
+
 TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
 {
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
@@ -733,8 +771,6 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
     const std::vector<std::uint8_t> bytes =
         readAll(ts.segmentPath("rawdaudio"));
     EXPECT_EQ(store::getU32(bytes.data() + 4), store::formatVersion);
-    EXPECT_EQ(ts.annexKeys("rawdaudio"),
-              std::vector<std::string>{key});
     EXPECT_TRUE(ts.verify("rawdaudio", &w.program));
     store::SegmentInfo info;
     ASSERT_TRUE(ts.info("rawdaudio", info));
@@ -1226,17 +1262,25 @@ TEST_F(StoreTest, PersistAnnexesUpgradesSegmentOnce)
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
     const TraceStore ts(dir());
 
+    const auto diskAnnexes = [&] {
+        store::SegmentInfo info;
+        EXPECT_TRUE(ts.info("rawdaudio", info));
+        std::vector<std::string> keys;
+        for (const store::ColumnStat &ax : info.annexes)
+            keys.push_back(ax.name);
+        return keys;
+    };
+
     TraceCache cache({.storeDir = dir()});
     const auto trace = cache.get("rawdaudio");
     // Write-through at capture has nothing derived yet.
-    EXPECT_TRUE(ts.annexKeys("rawdaudio").empty());
+    EXPECT_TRUE(diskAnnexes().empty());
 
     const std::string key = publishQuanta(*trace);
     const std::uint64_t saves = cache.storeSaves();
     cache.persistAnnexes("rawdaudio", *trace);
     EXPECT_EQ(cache.storeSaves(), saves + 1);
-    EXPECT_EQ(ts.annexKeys("rawdaudio"),
-              std::vector<std::string>{key});
+    EXPECT_EQ(diskAnnexes(), std::vector<std::string>{key});
 
     // Idempotent: nothing new to add, no rewrite.
     cache.persistAnnexes("rawdaudio", *trace);

@@ -13,23 +13,27 @@
  *               --max-instrs N  capped captures (CI smoke segments)
  *               --force         recapture even over valid segments
  *   ls        One line per segment: instructions, file size,
- *             compression ratio, capture parameters.
+ *             compression ratio, capture parameters (or why the
+ *             segment is stale or corrupt).
  *   stats     Per-column compression ratios aggregated over the
  *             whole store (the codec's report card), plus a quanta
  *             row: the annexes' resident-form vs on-disk bytes.
  *               --json PATH     also write machine-readable stats
  *   verify    Full integrity check of every segment (header,
  *             directory and payload CRCs, codec decode, program
- *             fingerprint). Exit 1 if anything fails.
+ *             fingerprint). Exit 1 if anything fails; a stale
+ *             segment (older format version, or a program that
+ *             changed) fails as STALE, with the reason.
  *   gc        Delete segments that can no longer replay: corrupt
  *             files, foreign format versions, fingerprints that no
  *             longer match the workload registry, unknown workloads,
  *             and orphaned temp files.
  *   doctor    Heal the store in place: verify every segment,
- *             quarantine (rename aside) the damaged ones so the next
- *             run recaptures them, sweep orphaned temp files, and
+ *             quarantine (rename aside) the corrupt ones so the next
+ *             run recaptures them (stale ones are left for the next
+ *             load to recapture), sweep orphaned temp files, and
  *             emit a machine-readable report
- *             (schema "sigcomp-store-doctor-v1", --json PATH or
+ *             (schema "sigcomp-store-doctor-v2", --json PATH or
  *             stdout). Exit 1 only when a repair action itself
  *             failed — found-and-quarantined damage is a success.
  *
@@ -101,6 +105,21 @@ isSuiteWorkload(const std::string &name)
     return false;
 }
 
+/**
+ * Verify @p name against its suite program when it is a suite
+ * workload, else its integrity only. @p failure classifies a false
+ * return (see TraceStore::verify).
+ */
+bool
+verifySegment(const TraceStore &ts, const std::string &name,
+              std::string *why, store::LoadFailure *failure = nullptr)
+{
+    if (!isSuiteWorkload(name))
+        return ts.verify(name, nullptr, why, failure);
+    const workloads::Workload w = workloads::Suite::build(name);
+    return ts.verify(name, &w.program, why, failure);
+}
+
 double
 mb(std::uint64_t bytes)
 {
@@ -121,22 +140,15 @@ cmdPrewarm(const Options &opt)
     // recapturing.
     std::vector<std::string> work;
     for (const std::string &name : names) {
-        if (opt.force)
+        if (opt.force) {
             ts.remove(name);
-        if (!opt.force && ts.contains(name)) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            std::string why;
-            // A segment only counts as warm when it would actually
-            // replay for these capture parameters.
-            store::SegmentInfo seg;
-            if (ts.verify(name, &w.program, &why) &&
-                ts.info(name, seg, nullptr) &&
-                seg.captureLimit == limit) {
-                std::printf("  %-12s warm (%llu instrs)\n", name.c_str(),
-                            static_cast<unsigned long long>(
-                                seg.instructions));
-                continue;
-            }
+        } else if (const auto trace = ts.load(
+                       name, workloads::Suite::build(name).program, limit)) {
+            // Warm: the segment loads for these capture parameters.
+            std::printf("  %-12s warm (%llu instrs)\n", name.c_str(),
+                        static_cast<unsigned long long>(
+                            trace->runResult().instructions));
+            continue;
         }
         work.push_back(name);
     }
@@ -174,8 +186,12 @@ cmdLs(const Options &opt)
     for (const std::string &name : names) {
         store::SegmentInfo info;
         std::string why;
-        if (!ts.info(name, info, &why)) {
-            t.beginRow().cell(name).cell("corrupt: " + why).cell("").cell(
+        auto failure = store::LoadFailure::None;
+        if (!ts.info(name, info, &why, &failure)) {
+            why.insert(0, failure == store::LoadFailure::Stale
+                              ? "stale: "
+                              : "corrupt: ");
+            t.beginRow().cell(name).cell(why).cell("").cell(
                  "").cell("").cell("").cell("").endRow();
             continue;
         }
@@ -274,16 +290,13 @@ cmdVerify(const Options &opt)
     int failures = 0;
     for (const std::string &name : names) {
         std::string why;
-        bool ok;
-        if (isSuiteWorkload(name)) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            ok = ts.verify(name, &w.program, &why);
-        } else {
-            ok = ts.verify(name, nullptr, &why);
-            if (ok)
-                why = "integrity only (unknown workload)";
-        }
-        std::printf("  %-12s %s%s%s\n", name.c_str(), ok ? "OK" : "FAIL",
+        auto failure = store::LoadFailure::None;
+        const bool ok = verifySegment(ts, name, &why, &failure);
+        if (ok && !isSuiteWorkload(name))
+            why = "integrity only (unknown workload)";
+        const bool is_stale = !ok && failure == store::LoadFailure::Stale;
+        std::printf("  %-12s %s%s%s\n", name.c_str(),
+                    ok ? "OK" : is_stale ? "STALE" : "FAIL",
                     why.empty() ? "" : " — ", why.c_str());
         failures += ok ? 0 : 1;
     }
@@ -304,11 +317,8 @@ cmdGc(const Options &opt)
     // Unverifiable or unreplayable segments.
     for (const std::string &name : ts.list()) {
         std::string why;
-        bool keep;
-        if (isSuiteWorkload(name)) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            keep = ts.verify(name, &w.program, &why);
-        } else {
+        bool keep = verifySegment(ts, name, &why);
+        if (keep && !isSuiteWorkload(name)) {
             keep = false;
             why = "not a suite workload";
         }
@@ -342,24 +352,26 @@ cmdDoctor(const Options &opt)
     };
     std::vector<Finding> findings;
     std::size_t healthy = 0;
+    std::size_t stale = 0;
     std::size_t failed_actions = 0;
 
-    // 1. Verify every segment; quarantine what cannot replay. Unlike
+    // 1. Verify every segment; quarantine the corrupt ones. Unlike
     // gc this never deletes: the damaged bytes stay on disk for
-    // post-mortems while the store heals through recapture.
+    // post-mortems while the store heals through recapture. A stale
+    // segment is not damage: the next load recaptures over it.
     const std::vector<std::string> names = ts.list();
     for (const std::string &name : names) {
         std::string why;
-        bool ok;
-        if (isSuiteWorkload(name)) {
-            const workloads::Workload w = workloads::Suite::build(name);
-            ok = ts.verify(name, &w.program, &why);
-        } else {
-            ok = ts.verify(name, nullptr, &why);
-        }
-        if (ok) {
+        auto failure = store::LoadFailure::None;
+        if (verifySegment(ts, name, &why, &failure)) {
             std::printf("  %-12s OK\n", name.c_str());
             ++healthy;
+            continue;
+        }
+        if (failure == store::LoadFailure::Stale) {
+            std::printf("  %-12s stale, left for recapture (%s)\n",
+                        name.c_str(), why.c_str());
+            ++stale;
             continue;
         }
         Finding f{name, why, {}};
@@ -377,9 +389,10 @@ cmdDoctor(const Options &opt)
     // 2. Sweep temp files orphaned by writers that died mid-save.
     const std::size_t temps = ts.cleanOrphanTemps();
     const std::size_t quar_files = ts.quarantined().size();
-    std::printf("doctor: %zu healthy, %zu quarantined, %zu orphaned "
-                "temp(s) removed, %zu quarantine file(s) on disk\n",
-                healthy, findings.size() - failed_actions, temps,
+    std::printf("doctor: %zu healthy, %zu stale, %zu quarantined, %zu "
+                "orphaned temp(s) removed, %zu quarantine file(s) on "
+                "disk\n",
+                healthy, stale, findings.size() - failed_actions, temps,
                 quar_files);
 
     // 3. The report: machine-readable outcome of every action.
@@ -391,11 +404,12 @@ cmdDoctor(const Options &opt)
             return 1;
         }
     }
-    std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-doctor-v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-doctor-v2\",\n");
     std::fprintf(f, "  \"dir\": ");
     json::writeString(f, opt.dir);
     std::fprintf(f, ",\n  \"segments\": %zu,\n", names.size());
     std::fprintf(f, "  \"healthy\": %zu,\n", healthy);
+    std::fprintf(f, "  \"stale\": %zu,\n", stale);
     std::fprintf(f, "  \"quarantined\": [");
     for (std::size_t i = 0; i < findings.size(); ++i) {
         std::fprintf(f, "%s\n    {\"workload\": ", i ? "," : "");
@@ -443,8 +457,10 @@ main(int argc, char **argv)
         else if (arg == "--threads") {
             if (!ParallelExecutor::parseThreadCount(next(), &opt.threads))
                 return usage();
-        } else if (arg == "--max-instrs")
-            opt.maxInstrs = static_cast<DWord>(std::atoll(next()));
+        } else if (arg == "--max-instrs") {
+            if (!json::parseWholeNumber(next(), UINT64_MAX, &opt.maxInstrs))
+                return usage();
+        }
         else if (arg == "--json")
             opt.jsonPath = next();
         else if (arg == "--force")
