@@ -36,9 +36,9 @@ PatternProfiler::retireBlock(std::span<const cpu::DynInstr> block)
     // the final counts — and therefore every accessor — are exactly
     // what per-instruction record() calls produce.
     //
-    // Replay blocks carry the capture-time significance sidecars
+    // Replay blocks carry the tags TraceView::replay derives
     // (DynInstr::sigTags), so the per-operand classification
-    // collapses to a histogram of precomputed tags: slot 0 absorbs
+    // collapses to a histogram of those tags: slot 0 absorbs
     // the nibbles of non-participating operands (a filled tag is
     // never 0) and is discarded at the merge. One histogram per
     // operand slot: repeated patterns are the norm (runs of small

@@ -49,8 +49,9 @@ class PatternProfiler : public Profiler
     void retire(const cpu::DynInstr &di) override;
 
     /**
-     * Batched path: a histogram of the capture-time significance
-     * tags, merged per block; an untagged instruction takes retire().
+     * Batched path: a histogram of the significance tags replay
+     * fills in (DynInstr::sigTags), merged per block; an untagged
+     * instruction takes retire().
      */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
 

@@ -1,5 +1,6 @@
 #include "analysis/report.h"
 
+#include <cctype>
 #include <cmath>
 
 #include "common/json.h"
@@ -152,6 +153,32 @@ appendTelemetryJson(std::string &out, const telemetry::Snapshot &snap)
 }
 
 } // namespace
+
+std::string
+zeroWallMs(const std::string &json)
+{
+    static const std::string kKey = "\"wall_ms\": ";
+    std::string out;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t at = json.find(kKey, pos);
+        if (at == std::string::npos) {
+            out.append(json, pos, std::string::npos);
+            return out;
+        }
+        std::size_t end = at + kKey.size();
+        while (end < json.size() &&
+               (std::isdigit(static_cast<unsigned char>(json[end])) !=
+                    0 ||
+                json[end] == '.' || json[end] == '-' ||
+                json[end] == 'e' || json[end] == '+')) {
+            ++end;
+        }
+        out.append(json, pos, at + kKey.size() - pos);
+        out += "0.000";
+        pos = end;
+    }
+}
 
 std::string
 SuiteReport::toJson() const

@@ -180,6 +180,14 @@ struct SuiteReport
     std::string toJson() const;
 };
 
+/**
+ * @p json with every `"wall_ms": <number>` value rewritten to 0.000.
+ * Wall times are the only run-dependent numbers in a report, so two
+ * zeroed reports of one plan compare byte for byte
+ * (`sigcomp_client --zero-wall`, the daemon golden test).
+ */
+std::string zeroWallMs(const std::string &json);
+
 } // namespace sigcomp::analysis
 
 #endif // SIGCOMP_ANALYSIS_REPORT_H_

@@ -49,14 +49,17 @@ struct DynInstr
 
     /**
      * Packed Ext3 significance tags of the operand values, one nibble
-     * each: srcRs | srcRt<<4 | result<<8 | memData<<12. Filled by
-     * trace replay from the capture-time sidecar columns (every legal
-     * tag has its low bit set, so a filled field is never 0 and 0
-     * means "not precomputed" — live simulation leaves it so, and
-     * consumers fall back to classifying the value). Tags are always
-     * exactly classifyExt3() of the corresponding value; consumers
-     * using them produce bit-identical results either way, just
-     * without the per-word classification.
+     * each: srcRs | srcRt<<4 | result<<8 | memData<<12 (memData only
+     * for loads/stores). Filled by TraceView::replay, the one place
+     * tags are derived: it classifies each result and memData as it
+     * materialises the instruction and carries the operand tags in a
+     * register walk beside the values. Every legal tag has its low
+     * bit set, so a filled field is never 0 and 0 means "no tags" —
+     * live simulation leaves it so, and consumers fall back to
+     * classifying the value. Tags are always exactly classifyExt3()
+     * of the corresponding value; consumers using them produce
+     * bit-identical results either way, just without classifying the
+     * same word once per consumer.
      */
     std::uint16_t sigTags = 0;
 

@@ -1,5 +1,6 @@
 #include "cpu/trace_buffer.h"
 
+#include <array>
 #include <atomic>
 #include <map>
 
@@ -8,10 +9,54 @@
 #include "common/telemetry.h"
 #include "common/thread_annotations.h"
 #include "mem/main_memory.h"
-#include "sigcomp/sig_kernels.h"
+#include "sigcomp/byte_pattern.h"
 
 namespace sigcomp::cpu
 {
+
+namespace
+{
+
+/**
+ * The architectural register file rebuilt from a result stream.
+ *
+ * Operand values are a pure function of the stream: registers start
+ * at reset state (zeros, $sp at stackTop), every retired instruction
+ * writes its result to its destination, and syscalls never write
+ * registers. So walking the stream in order and reading srcRs/srcRt
+ * before retiring each result reproduces the functional core's
+ * operands exactly (test_trace checks every suite workload against a
+ * live run).
+ *
+ * T is Word for the values themselves or sig::ByteMask for their Ext3
+ * tags: a register's tag is the tag of the result last written to it,
+ * so replay walks the result tags it classifies beside the values and
+ * gets the srcRs/srcRt tags without classifying the operands. Each
+ * walk owns its instance.
+ */
+template <typename T>
+class RegisterReplay
+{
+  public:
+    /** Reset state: every register (and "no operand") reads @p zero,
+     *  $sp reads @p sp. */
+    RegisterReplay(T zero, T sp)
+    {
+        regs_.fill(zero);
+        regs_[isa::reg::sp] = sp;
+    }
+
+    T rs(InstrFacts f) const { return regs_[f.rs]; }
+    T rt(InstrFacts f) const { return regs_[f.rt]; }
+
+    /** Retire an instruction: its result reaches its destination. */
+    void retire(InstrFacts f, T result) { regs_[f.dest] = result; }
+
+  private:
+    std::array<T, isa::numRegs + 2> regs_;
+};
+
+} // namespace
 
 /** Keyed type-erased annexes with their reported heap sizes. */
 struct TraceBuffer::AnnexStore
@@ -150,36 +195,7 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
     buf.taken_.shrink_to_fit();
     buf.memAddr_.shrink_to_fit();
     buf.memData_.shrink_to_fit();
-    buf.fillSigSidecars();
     return buf;
-}
-
-void
-TraceBuffer::fillSigSidecars()
-{
-    const std::size_t n = decIdx_.size();
-    // Classify each chunk's results in one batch pass, walk the
-    // register tags over them for the operand tags, then pack the
-    // per-instruction nibbles. Chunked so the scratch stays in L1 no
-    // matter how long the trace is.
-    sigRegs_.resize(n);
-    constexpr std::size_t chunk = 4096;
-    sig::ByteMask rs[chunk], rt[chunk], res[chunk];
-    RegisterReplay<sig::ByteMask> tags = operandTagReplay();
-    for (std::size_t base = 0; base < n; base += chunk) {
-        const std::size_t k = std::min(chunk, n - base);
-        sig::classifyExt3Block(result_v_.data() + base, k, res);
-        for (std::size_t j = 0; j < k; ++j) {
-            const InstrFacts f = facts_[decIdx_[base + j]];
-            rs[j] = tags.rs(f);
-            rt[j] = tags.rt(f);
-            tags.retire(f, res[j]);
-        }
-        sig::packSigTagsBlock(rs, rt, res, k, sigRegs_.data() + base);
-    }
-    sigMem_.resize(memData_.size());
-    sig::classifyExt3Block(memData_.data(), memData_.size(),
-                           sigMem_.data());
 }
 
 std::size_t
@@ -189,8 +205,7 @@ TraceBuffer::memoryBytes() const
         return v.capacity() * sizeof(v[0]);
     };
     std::size_t total = bytes(decIdx_) + bytes(result_v_) +
-                        bytes(taken_) + bytes(sigRegs_) +
-                        bytes(sigMem_) + bytes(memAddr_) +
+                        bytes(taken_) + bytes(memAddr_) +
                         bytes(memData_) + bytes(decoded_) +
                         bytes(facts_);
     return total + annexBytes();
@@ -217,14 +232,15 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
     const std::size_t n = b.size();
     std::vector<DynInstr> block(std::min(block_size, n));
 
-    SC_ASSERT(b.sigRegs_.size() == n &&
-                  b.sigMem_.size() == b.memData_.size(),
-              "every replayed trace carries its significance sidecars "
-              "(capture and deserialize both fill them)");
     std::size_t mem_cursor = 0;
     // One register file across all blocks: operands are rebuilt in
-    // stream order, never stored (each replay owns its own).
-    RegisterReplay<Word> regs = operandReplay();
+    // stream order, never stored (each replay owns its own). The
+    // second carries their Ext3 tags, so each instruction classifies
+    // only the values it produces (result, memData) and reads its
+    // operands' tags from the walk.
+    RegisterReplay<Word> regs(0, isa::stackTop);
+    RegisterReplay<sig::ByteMask> tags(sig::classifyExt3(0),
+                                       sig::classifyExt3(isa::stackTop));
     for (std::size_t base = 0; base < n;) {
         // Cancellation granularity is the block: a token that fires
         // during block k stops the replay before block k+1.
@@ -245,19 +261,19 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
             di.srcRt = regs.rt(f);
             di.result = b.result_v_[i];
             regs.retire(f, di.result);
-            di.sigTags = b.sigRegs_[i];
+            const sig::ByteMask res = sig::classifyExt3(di.result);
+            unsigned packed = tags.rs(f) | (tags.rt(f) << 4) | (res << 8);
+            tags.retire(f, res);
             if (f.flags & InstrFacts::memOp) {
                 di.memAddr = b.memAddr_[mem_cursor];
                 di.memData = b.memData_[mem_cursor];
-                di.sigTags = static_cast<std::uint16_t>(
-                    di.sigTags |
-                    (static_cast<std::uint16_t>(b.sigMem_[mem_cursor])
-                     << 12));
+                packed |= sig::classifyExt3(di.memData) << 12;
                 ++mem_cursor;
             } else {
                 di.memAddr = 0;
                 di.memData = 0;
             }
+            di.sigTags = static_cast<std::uint16_t>(packed);
             di.taken = (b.taken_[i / 64] >> (i % 64)) & 1;
             di.nextPc =
                 (i + 1 < n)

@@ -17,7 +17,11 @@
  *    (nextPc of instruction i is the pc of instruction i+1);
  *  - operand values are not stored: they are a pure function of the
  *    result stream, so replay rebuilds srcRs/srcRt by carrying one
- *    architectural register file across its blocks (RegisterReplay);
+ *    architectural register file across its blocks;
+ *  - significance tags are not stored either: replay classifies each
+ *    result and memData as it materialises a block and carries the
+ *    operands' tags in a second register file beside the values
+ *    (DynInstr::sigTags), so a tag exists only where its value does;
  *  - memory address/data are stored only for loads and stores, which
  *    appear in stream order, so replay walks them with a cursor;
  *  - branch outcomes are one bit each, packed 64 per word.
@@ -32,7 +36,6 @@
 #ifndef SIGCOMP_CPU_TRACE_BUFFER_H_
 #define SIGCOMP_CPU_TRACE_BUFFER_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,7 +44,6 @@
 #include "cpu/functional_core.h"
 #include "cpu/trace.h"
 #include "isa/program.h"
-#include "sigcomp/byte_pattern.h"
 
 namespace sigcomp::store
 {
@@ -54,10 +56,10 @@ namespace sigcomp::cpu
 class TraceView;
 
 /**
- * What operand rebuild and replay read of one static instruction,
- * packed into four bytes so the per-dynamic-instruction loops stream
- * through one dense table instead of the (string-bearing)
- * DecodedInstr records.
+ * What replay and the store loader's stream check read of one static
+ * instruction, packed into four bytes so the per-dynamic-instruction
+ * loops stream through one dense table instead of the
+ * (string-bearing) DecodedInstr records.
  */
 struct InstrFacts
 {
@@ -81,59 +83,6 @@ struct InstrFacts
 
     static InstrFacts of(const isa::DecodedInstr &d);
 };
-
-/**
- * The architectural register file rebuilt from a result stream.
- *
- * Operand values are a pure function of the stream: registers start
- * at reset state (zeros, $sp at stackTop), every retired instruction
- * writes its result to its destination, and syscalls never write
- * registers. So walking the stream in order and reading srcRs/srcRt
- * before retiring each result reproduces the functional core's
- * operands exactly (test_trace checks every suite workload against a
- * live run).
- *
- * T is Word for the values themselves (every replay) or sig::ByteMask
- * for their Ext3 tags (capture's sidecar pass and the store loader):
- * a register's tag is the tag of the result last written to it, so
- * result tags alone rebuild the srcRs/srcRt tags without a value or a
- * classify pass. Each walk owns its instance.
- */
-template <typename T>
-class RegisterReplay
-{
-  public:
-    /** Reset state: every register (and "no operand") reads @p zero,
-     *  $sp reads @p sp. */
-    RegisterReplay(T zero, T sp)
-    {
-        regs_.fill(zero);
-        regs_[isa::reg::sp] = sp;
-    }
-
-    T rs(InstrFacts f) const { return regs_[f.rs]; }
-    T rt(InstrFacts f) const { return regs_[f.rt]; }
-
-    /** Retire an instruction: its result reaches its destination. */
-    void retire(InstrFacts f, T result) { regs_[f.dest] = result; }
-
-  private:
-    std::array<T, isa::numRegs + 2> regs_;
-};
-
-/** Operand values at reset. */
-inline RegisterReplay<Word>
-operandReplay()
-{
-    return {0, isa::stackTop};
-}
-
-/** Ext3 tags of the operand values at reset. */
-inline RegisterReplay<sig::ByteMask>
-operandTagReplay()
-{
-    return {sig::classifyExt3(0), sig::classifyExt3(isa::stackTop)};
-}
 
 /** One workload's full retirement stream in structure-of-arrays form. */
 class TraceBuffer
@@ -256,33 +205,11 @@ class TraceBuffer
     /** InstrFacts::of each decode-cache entry, same indexing. */
     std::vector<InstrFacts> facts_;
 
-    /**
-     * Fill the significance sidecar columns from the recorded value
-     * columns: the result and memData columns through the batch
-     * classify kernel, the srcRs/srcRt tags by an operandTagReplay()
-     * walk over the result tags (called at the end of capture).
-     */
-    void fillSigSidecars();
-
     // -- per retired instruction (dense) ------------------------------
     std::vector<std::uint32_t> decIdx_;
     std::vector<Word> result_v_;
     /** Branch/jump outcome bits, 64 per word. */
     std::vector<std::uint64_t> taken_;
-
-    // -- capture-time significance sidecars ---------------------------
-    //
-    // Ext3 tags of the value columns, classified once per capture by
-    // the batch kernels (sigcomp/sig_kernels.h) and carried into
-    // every DynInstr at replay (DynInstr::sigTags), so replay
-    // consumers — the pattern profiler, the activity accounting, the
-    // store codec's SigPack encoder — merge precomputed tags instead
-    // of re-classifying the same words on every replay.
-
-    /** Packed per-instruction tags: srcRs | srcRt<<4 | result<<8. */
-    std::vector<std::uint16_t> sigRegs_;
-    /** memData tags, parallel to memAddr_/memData_. */
-    std::vector<std::uint8_t> sigMem_;
 
     // -- loads/stores only, in stream order (sparse) ------------------
     std::vector<Addr> memAddr_;

@@ -210,12 +210,12 @@ memChunksOf(Word v, unsigned bytes, sig::Encoding enc)
 }
 
 /**
- * Significant bytes under @p enc per Ext3 sidecar tag
- * (DynInstr::sigTags nibbles). The Ext3 pattern of a word determines
- * every encoding's count exactly: Ext3 keeps the tagged bytes
- * (popcount), Ext2 keeps the low-order run up to the highest tagged
- * byte (bit_width), and Half1 keeps the upper halfword exactly when
- * either of its bytes is tagged. Entry 0 (no tag) is never consulted
+ * Significant bytes under @p enc per Ext3 tag (DynInstr::sigTags
+ * nibbles). The Ext3 pattern of a word determines every encoding's
+ * count exactly: Ext3 keeps the tagged bytes (popcount), Ext2 keeps
+ * the low-order run up to the highest tagged byte (bit_width), and
+ * Half1 keeps the upper halfword exactly when either of its bytes is
+ * tagged. Entry 0 (no tag) is never consulted
  * — untagged operands classify on the spot.
  */
 constexpr std::array<std::uint8_t, 16>
@@ -267,9 +267,9 @@ struct OperandBytes
 
 /**
  * Significance counts of @p di's register-file values under the
- * encoding: via the capture-time sidecar tags when the replay carries
- * them (the tag table is exact) and per-word classification when it
- * doesn't (live simulation) — bit-identical either way.
+ * encoding: via the tags replay fills in (the tag table is exact) and
+ * per-word classification when there are none (live simulation) —
+ * bit-identical either way.
  */
 inline OperandBytes
 operandBytes(const cpu::DynInstr &di, const EncodingParams &ep)
@@ -610,8 +610,8 @@ class QuantaRecorder
     /**
      * Account every activity category except latches. @p ob holds
      * the operand values' significance counts under the encoding,
-     * computed once by compute() (from the sidecar tags when
-     * available).
+     * computed once by compute() (from DynInstr::sigTags when
+     * replay filled them).
      */
     void accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
                          const sig::AluReport &alu,

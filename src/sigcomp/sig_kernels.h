@@ -1,13 +1,12 @@
 /**
  * @file
- * Batch significance kernels: classify and pack whole columns of
- * 32-bit words per call instead of one word at a time.
+ * Batch significance kernels: classify whole columns of 32-bit words
+ * per call instead of one word at a time.
  *
- * The paper's premise is that significance classification is cheap
- * enough to run on every operand; these kernels make it cheap enough
- * to run on every operand *of a multi-million-instruction replay*:
- * the trace engine classifies whole capture columns (sidecar tags),
- * and the store codec classifies whole codec blocks.
+ * The store codec classifies each codec block with these before it
+ * sizes the block's SigPack encoding. (Trace replay classifies word
+ * by word as it materialises each instruction: a tag lives beside
+ * its value, never as a column of its own.)
  *
  * Every kernel is a loop over the per-word functions of
  * sigcomp/byte_pattern.h, which are the specification; test_simd.cpp
@@ -34,14 +33,6 @@ namespace sigcomp::sig
 
 /** out[i] = classifyExt3(v[i]) for i in [0, n). */
 void classifyExt3Block(const Word *v, std::size_t n, ByteMask *out);
-
-/**
- * Pack three parallel tag columns into the trace sidecar layout:
- * out[i] = rs[i] | rt[i]<<4 | res[i]<<8.
- */
-void packSigTagsBlock(const ByteMask *rs, const ByteMask *rt,
-                      const ByteMask *res, std::size_t n,
-                      std::uint16_t *out);
 
 } // namespace sigcomp::sig
 

@@ -411,18 +411,14 @@ sigPackDecode(const std::uint8_t *bytes, std::size_t len, std::size_t k,
 
 void
 encodeColumn32(const std::uint32_t *vals, std::size_t n,
-               std::vector<std::uint8_t> &out, const std::uint8_t *tags)
+               std::vector<std::uint8_t> &out)
 {
     std::uint32_t prev = 0;
     MaskBlock masks;
     for (std::size_t base = 0; base < n; base += codecBlockValues) {
         const std::size_t k = std::min(codecBlockValues, n - base);
         const std::uint32_t *block = vals + base;
-        if (tags != nullptr) {
-            std::memcpy(masks.data(), tags + base, k);
-        } else {
-            sig::classifyExt3Block(block, k, masks.data());
-        }
+        sig::classifyExt3Block(block, k, masks.data());
 
         const std::size_t raw_size = 4 * k;
         const std::size_t sig_size = sigPackSize(masks, k);

@@ -30,8 +30,8 @@
  * SigPack encode and decode are SIMD-dispatched (common/simd.h): on
  * SSSE3+ hosts whole groups of four values move through PSHUFB
  * shuffle tables (tag nibble -> byte-scatter/gather pattern), the
- * encoder classifies blocks with the batch kernels (or takes the
- * capture-time sidecar tags), and runs of single-byte varint deltas
+ * encoder classifies each block with the batch kernel
+ * (sigcomp/sig_kernels.h), and runs of single-byte varint deltas
  * decode eight at a time. Every path is bit-identical to the scalar
  * reference at every level — encoded streams are byte-for-byte equal
  * regardless of dispatch — pinned by test_simd.cpp.
@@ -98,16 +98,9 @@ getU64(const std::uint8_t *p)
  * Encode @p n 32-bit values, appending the block stream to @p out.
  * Works for any input; worst case is raw size plus one 5-byte header
  * per block.
- *
- * @p tags, when non-null, is the column's precomputed per-value Ext3
- * significance tags (the capture-time sidecar): the SigPack sizing
- * and encoding passes then skip classification entirely. Must equal
- * sig::classifyExt3() of each value — the encoded bytes are
- * identical either way, tags only remove the classify cost.
  */
 void encodeColumn32(const std::uint32_t *vals, std::size_t n,
-                    std::vector<std::uint8_t> &out,
-                    const std::uint8_t *tags = nullptr);
+                    std::vector<std::uint8_t> &out);
 
 /**
  * Decode exactly @p n values from the @p len-byte block stream.

@@ -13,7 +13,6 @@
 #include "common/logging.h"
 #include "cpu/trace_buffer.h"
 #include "pipeline/pipeline.h"
-#include "sigcomp/sig_kernels.h"
 #include "store/codec.h"
 
 namespace sigcomp::store
@@ -37,15 +36,12 @@ constexpr std::uint32_t kFlagTruncated = 1u << 0;
  * Column ids, fixed by the format (order = payload order). The
  * operand columns (srcRs/srcRt) are deliberately NOT stored: the
  * architectural register file is a pure function of the result
- * stream and the decoded read/write flags, so load-time
- * reconstruction (one register-replay pass) costs less than
- * decoding two more significance-packed columns and shrinks the
- * segments by ~40%.
- *
- * The significance sidecar column holds the packed 4-bit Ext3 tags
- * of the result and memData values (the capture-time sidecars of
- * cpu/trace_buffer.h); the taken column holds control-instruction-only
- * bits.
+ * stream and the decoded read/write flags, so rebuilding them (one
+ * register walk per replay) costs less than decoding two more
+ * significance-packed columns and shrinks the segments by ~40%.
+ * Significance tags are not stored either: replay classifies the
+ * values it materialises (cpu/trace_buffer.h). The taken column
+ * holds control-instruction-only bits.
  */
 enum ColumnId : std::uint32_t
 {
@@ -54,8 +50,7 @@ enum ColumnId : std::uint32_t
     ColTaken = 2,
     ColMemAddr = 3,
     ColMemData = 4,
-    ColSigTags = 5,
-    NumColumns = 6,
+    NumColumns = 5,
 };
 // sigcomp-lint: format-layout-end
 
@@ -68,7 +63,6 @@ columnName(std::uint32_t id)
     case ColTaken: return "taken";
     case ColMemAddr: return "memAddr";
     case ColMemData: return "memData";
-    case ColSigTags: return "sigTags";
     default: return "?";
     }
 }
@@ -634,18 +628,6 @@ class TraceSerializer
     {
         const std::size_t n = b.decIdx_.size();
 
-        // Capture-time sidecar tags of the stored value columns: the
-        // SigPack encoder consumes them directly (no classify pass)
-        // and they persist as the sigTags column.
-        SC_ASSERT(b.sigRegs_.size() == n &&
-                      b.sigMem_.size() == b.memData_.size(),
-                  "every saved trace carries its significance sidecars "
-                  "(capture and deserialize both fill them)");
-        std::vector<std::uint8_t> res_tags(n);
-        for (std::size_t i = 0; i < n; ++i)
-            res_tags[i] =
-                static_cast<std::uint8_t>((b.sigRegs_[i] >> 8) & 0xF);
-
         // Encode every payload first so the directory can record
         // exact sizes and CRCs. There are no operand columns to
         // write: replay rebuilds operands from the result column.
@@ -658,8 +640,7 @@ class TraceSerializer
         }
         {
             SIGCOMP_SPAN("codec.encode_column");
-            encodeColumn32(b.result_v_.data(), n, payloads[ColResult],
-                           res_tags.data());
+            encodeColumn32(b.result_v_.data(), n, payloads[ColResult]);
         }
         raw_bytes[ColResult] = 4 * static_cast<std::uint64_t>(n);
         {
@@ -675,16 +656,10 @@ class TraceSerializer
         {
             SIGCOMP_SPAN("codec.encode_column");
             encodeColumn32(b.memData_.data(), b.memData_.size(),
-                           payloads[ColMemData], b.sigMem_.data());
+                           payloads[ColMemData]);
         }
         raw_bytes[ColMemData] =
             4 * static_cast<std::uint64_t>(b.memData_.size());
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            packNibbles(res_tags, payloads[ColSigTags]);
-            packNibbles(b.sigMem_, payloads[ColSigTags]);
-        }
-        raw_bytes[ColSigTags] = n + b.sigMem_.size();
 
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
@@ -792,7 +767,7 @@ class TraceSerializer
         }
 
         // Taken bits: the control-only plane re-scatters inside the
-        // fused pass below (its decode indexes are bounds-checked
+        // stream check below (its decode indexes are bounds-checked
         // there first).
         std::vector<std::uint64_t> ctl_bits;
         std::uint32_t ctl_nbits = 0;
@@ -800,83 +775,37 @@ class TraceSerializer
             return nullptr;
         buf->taken_.assign((n + 63) / 64, 0);
 
-        // Significance sidecars: the result and memData tag planes
-        // are persisted (trusted: CRC-guarded and written straight
-        // from the capture-time sidecars); the rs/rt tags rebuild
-        // from the result tags in the fused pass below.
-        const Segment::Column &tags_col = seg.columns[ColSigTags];
-        const std::uint8_t *tags;
-        std::size_t tags_len;
-        if (!columnPayload(bytes, tags_col, tags, tags_len, why))
-            return nullptr;
-        if (tags_col.rawBytes != static_cast<std::uint64_t>(n) + mem_ops ||
-            tags_len != (n + 1) / 2 + (mem_ops + 1) / 2) {
-            fail(why, "sigTags: size mismatch");
-            return nullptr;
-        }
-        buf->sigMem_.resize(mem_ops);
-        if (!unpackNibbles(tags + (n + 1) / 2, mem_ops,
-                           buf->sigMem_.data(), why)) {
-            return nullptr;
-        }
-
-        // One fused pass over the stream, a fixed-size chunk at a
-        // time, does three jobs:
-        //  - bounds-check every decode index (replay gathers through
-        //    them unchecked, so a wrong segment must die here,
-        //    softly) and verify the memory-op and taken-bit counts
-        //    replay's cursors will consume;
-        //  - re-scatter the control-only taken bits;
-        //  - rebuild the srcRs/srcRt tag nibbles of the sidecar. The
-        //    format stores no operands and the buffer holds none
-        //    either, and none are needed here: walking the register
-        //    file's tags over the persisted result tags
-        //    (cpu::operandTagReplay) yields the operands' tags.
+        // One pass over the stream bounds-checks every decode index
+        // (replay gathers through them unchecked, so a wrong segment
+        // must die here, softly), verifies the memory-op and
+        // taken-bit counts replay's cursors will consume, and
+        // re-scatters the control-only taken bits.
         {
-            SIGCOMP_SPAN("store.rebuild_operands");
+            SIGCOMP_SPAN("store.check_stream");
             const std::vector<cpu::InstrFacts> &facts = buf->facts_;
             const std::size_t text_size = facts.size();
-            buf->sigRegs_.resize(n);
-            constexpr std::size_t chunk = 4096;
-            sig::ByteMask rs[chunk], rt[chunk], res[chunk];
-            cpu::RegisterReplay<sig::ByteMask> regs =
-                cpu::operandTagReplay();
             std::size_t seen_mem_ops = 0;
             std::size_t ctl_cursor = 0;
-            for (std::size_t base = 0; base < n; base += chunk) {
-                const std::size_t k = std::min(chunk, n - base);
-                // base is a multiple of the (even) chunk, so the
-                // chunk's result tags start on a whole byte.
-                if (!unpackNibbles(tags + base / 2, k, res, why))
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint32_t idx = buf->decIdx_[i];
+                if (idx >= text_size) {
+                    fail(why, "decode index out of range");
                     return nullptr;
-                for (std::size_t j = 0; j < k; ++j) {
-                    const std::size_t i = base + j;
-                    const std::uint32_t idx = buf->decIdx_[i];
-                    if (idx >= text_size) {
-                        fail(why, "decode index out of range");
+                }
+                const cpu::InstrFacts f = facts[idx];
+                seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
+                if (f.flags & cpu::InstrFacts::control) {
+                    if (ctl_cursor >= ctl_nbits) {
+                        fail(why, "taken: fewer bits than control "
+                                  "instructions");
                         return nullptr;
                     }
-                    const cpu::InstrFacts f = facts[idx];
-                    rs[j] = regs.rs(f);
-                    rt[j] = regs.rt(f);
-                    seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
-                    if (f.flags & cpu::InstrFacts::control) {
-                        if (ctl_cursor >= ctl_nbits) {
-                            fail(why, "taken: fewer bits than control "
-                                      "instructions");
-                            return nullptr;
-                        }
-                        buf->taken_[i / 64] |=
-                            ((ctl_bits[ctl_cursor / 64] >>
-                              (ctl_cursor % 64)) &
-                             1u)
-                            << (i % 64);
-                        ++ctl_cursor;
-                    }
-                    regs.retire(f, res[j]);
+                    buf->taken_[i / 64] |=
+                        ((ctl_bits[ctl_cursor / 64] >> (ctl_cursor % 64)) &
+                         1u)
+                        << (i % 64);
+                    ++ctl_cursor;
                 }
-                sig::packSigTagsBlock(rs, rt, res, k,
-                                      buf->sigRegs_.data() + base);
             }
             if (seen_mem_ops != mem_ops) {
                 fail(why, "memory-op count inconsistent with program");
@@ -935,41 +864,9 @@ class TraceSerializer
     }
 
     /**
-     * Unpack @p n 4-bit tags from @p p into @p dst, validating each
-     * is a legal Ext3 pattern (low bit set) — a malformed plane fails
-     * soft like any other codec damage.
-     */
-    static bool
-    unpackNibbles(const std::uint8_t *p, std::size_t n, std::uint8_t *dst,
-                  std::string *why)
-    {
-        // Whole bytes carry two tags; legality (bit 0 of every legal
-        // Ext3 pattern is set) folds into one accumulated mask check.
-        std::uint8_t legal = 0x11;
-        std::size_t i = 0;
-        for (; i + 2 <= n; i += 2) {
-            const std::uint8_t b = p[i >> 1];
-            legal &= b;
-            dst[i] = b & 0xF;
-            dst[i + 1] = b >> 4;
-        }
-        if (legal != 0x11)
-            return fail(why, "sigTags: illegal pattern");
-        if (i < n) {
-            // Odd count: low nibble is the last tag, high must be 0.
-            const std::uint8_t b = p[i >> 1];
-            if ((b & 0x1) == 0 || (b >> 4) != 0)
-                return fail(why, "sigTags: trailing nibble garbage");
-            dst[i] = b & 0xF;
-        }
-        return true;
-    }
-
-    /**
      * Decode the taken column's control-only bits into
      * @p ctl_bits/@p ctl_nbits without walking the stream; the caller
-     * re-scatters them inside its fused (bounds-checked) decode-index
-     * pass.
+     * re-scatters them inside its (bounds-checked) decode-index pass.
      */
     static bool
     prepareTaken(const std::uint8_t *bytes, const Segment &seg,
@@ -992,21 +889,6 @@ class TraceSerializer
             return fail(why, "taken: malformed bit plane");
         }
         return true;
-    }
-
-    /** Append @p tags packed two per byte (value i low nibble, even i). */
-    static void
-    packNibbles(const std::vector<std::uint8_t> &tags,
-                std::vector<std::uint8_t> &out)
-    {
-        const std::size_t n = tags.size();
-        out.reserve(out.size() + (n + 1) / 2);
-        std::size_t i = 0;
-        for (; i + 2 <= n; i += 2)
-            out.push_back(static_cast<std::uint8_t>(tags[i] |
-                                                    (tags[i + 1] << 4)));
-        if (i < n)
-            out.push_back(tags[i]);
     }
 
     /**
@@ -1414,8 +1296,8 @@ TraceStore::verify(const std::string &workload,
                nullptr;
     }
     // No program: still decode every payload so CRC and codec damage
-    // is caught. The taken and sigTags columns need the program to
-    // expand, so they get CRC plus structural framing checks here.
+    // is caught. The taken column needs the program to expand, so it
+    // gets CRC plus structural framing checks here.
     const std::size_t n = static_cast<std::size_t>(seg.instructions);
     const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
     std::vector<std::uint32_t> v32;
@@ -1431,10 +1313,6 @@ TraceStore::verify(const std::string &workload,
     if (!columnPayload(bytes, seg.columns[ColTaken], p, len, why) ||
         !checkTakenPayload(p, len, seg.instructions, why))
         return false;
-    if (!columnPayload(bytes, seg.columns[ColSigTags], p, len, why))
-        return false;
-    if (len != (n + 1) / 2 + (mem_ops + 1) / 2)
-        return fail(why, "sigTags: size mismatch");
     // Annex payloads decode without a program: full CRC + structural
     // check, same strictness as the columns.
     for (const Segment::Annex &ax : seg.annexes) {

@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 6, all integers little-endian) —
+ * Segment file format (version 7, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -27,16 +27,15 @@
  *     below); each is stored in its resident form, one code byte
  *     per instruction plus per-chunk entry dictionaries.
  *
- * Six columns are stored (decode index, result, taken bits, memory
- * address/data, significance sidecar): the operand columns are
- * rebuilt at load time by replaying the result stream through an
- * architectural register file, which is cheaper than decoding them
- * and shrinks segments by another ~40%. The taken column holds one
- * bit per *control* instruction (re-scattered along the decode-index
- * stream at load), and the capture-time Ext3 tag planes of the
- * result/memData columns are persisted as the sigTags sidecar
- * column, so warm loads rebuild TraceBuffer's significance sidecars
- * without re-classifying stored values.
+ * Five columns are stored (decode index, result, taken bits, memory
+ * address/data), exactly what a resident TraceBuffer holds: operand
+ * values and significance tags are stored nowhere, because
+ * cpu::TraceView::replay rebuilds the operands by replaying the
+ * result stream through an architectural register file and
+ * classifies the values it materialises. The taken column holds one
+ * bit per *control* instruction, re-scattered along the decode-index
+ * stream at load by the same pass that bounds-checks every decode
+ * index.
  *
  * Integrity and versioning rules:
  *  - load() is *fail-soft*: any mismatch — bad magic, unacceptable
@@ -109,7 +108,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 6;
+constexpr std::uint32_t formatVersion = 7;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */

@@ -10,8 +10,10 @@
  * and never firing after the reply, thread-count bit-identity of the
  * served report rows, tenants serving from one shared RAM tier (and
  * one tenant's eviction dropping the trace for all), the accept loop
- * reaping finished handler threads, and sequential connections
- * reusing one parked handler.
+ * reaping finished handler threads, sequential connections reusing
+ * one parked handler, and the cold reply to the golden plan over
+ * loopback TCP (tests/golden/daemon_response.json, CI's daemon job
+ * in process).
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +23,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "analysis/plan_json.h"
+#include "analysis/report.h"
 #include "analysis/session.h"
 #include "common/net.h"
 #include "common/sha256.h"
@@ -35,6 +40,7 @@
 #include "server/http.h"
 #include "store/trace_store.h"
 #include "tests/scratch_dir.h"
+#include "workloads/workload.h"
 
 namespace sigcomp
 {
@@ -966,6 +972,99 @@ TEST(DaemonDisconnect, CancelledWriterLeavesStoreDoctorClean)
     for (const std::string &name : ts.list())
         EXPECT_TRUE(ts.verify(name, nullptr)) << name;
     fs::remove_all(dir);
+}
+
+// ---- the golden reply over loopback TCP ----------------------------
+
+TEST(DaemonGolden, ColdReplyOverTcpMatchesTheGolden)
+{
+    // CI's daemon job, in process: a fresh store prewarmed at
+    // `sigcomp_store prewarm --max-instrs 200000`, a `--threads 4`
+    // daemon on an ephemeral loopback port, the golden plan POSTed
+    // once and its wall times zeroed as `sigcomp_client --zero-wall`
+    // does. The reply's store.load_bytes histogram sums the file
+    // sizes of the two segments the plan loads, so a change to the
+    // segment bytes fails here, not only in CI.
+    std::string plan;
+    {
+        std::ifstream in(std::string(SIGCOMP_TEST_DATA_DIR) +
+                         "/golden/study_plan.json");
+        plan.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // The plan's 2.5 s deadline goes: it changes no byte of a complete
+    // reply, and a sanitizer build can run longer than that, which
+    // would turn the reply into a partial report. CI's daemon job
+    // serves the plan with it.
+    const std::string deadline = "  \"deadline_ms\": 2500,\n";
+    const std::size_t deadline_at = plan.find(deadline);
+    ASSERT_NE(deadline_at, std::string::npos);
+    plan.erase(deadline_at, deadline.size());
+    const std::string request =
+        "POST /v1/run HTTP/1.1\r\nHost: sigcompd\r\nContent-Length: " +
+        std::to_string(plan.size()) + "\r\n\r\n" + plan;
+
+    const fs::path dir = test::scratchDir("sigcomp-daemon-golden");
+    fs::remove_all(dir);
+    constexpr DWord kCaptureLimit = 200000;
+    {
+        analysis::SessionConfig prewarm;
+        prewarm.storeDir = dir.string();
+        prewarm.captureLimit = kCaptureLimit;
+        analysis::Session(prewarm).prewarm(workloads::Suite::names());
+    }
+
+    DaemonConfig config;
+    config.session.storeDir = dir.string();
+    config.session.captureLimit = kCaptureLimit;
+    config.session.threads = 4;
+    Daemon daemon(config);
+    std::string why;
+    const std::unique_ptr<net::Listener> listener =
+        net::listenTcp("127.0.0.1", 0, &why);
+    ASSERT_NE(listener, nullptr) << why;
+    std::string response;
+    std::thread serving([&] { daemon.serve(*listener); });
+    // No ASSERT until serving is joined.
+    if (const std::unique_ptr<net::Conn> conn =
+            net::connectTcp("127.0.0.1", listener->port(), &why)) {
+        EXPECT_TRUE(conn->writeAll(request.data(), request.size()).ok());
+        char buf[4096];
+        for (;;) {
+            std::size_t got = 0;
+            if (!conn->read(buf, sizeof(buf), &got).ok() || got == 0)
+                break;
+            response.append(buf, got);
+        }
+    } else {
+        ADD_FAILURE() << why;
+    }
+    daemon.requestStop();
+    listener->stopListening();
+    serving.join();
+    fs::remove_all(dir);
+
+    ASSERT_EQ(response.compare(0, 13, "HTTP/1.1 200 "), 0) << response;
+    const std::size_t blank = response.find("\r\n\r\n");
+    ASSERT_NE(blank, std::string::npos);
+    const std::string body =
+        analysis::zeroWallMs(response.substr(blank + 4));
+
+    std::ifstream in(std::string(SIGCOMP_TEST_DATA_DIR) +
+                     "/golden/daemon_response.json");
+    const std::string golden(std::istreambuf_iterator<char>(in), {});
+    // Report the first differing line, not two whole reports.
+    std::istringstream got_lines(body), want_lines(golden);
+    std::string got, want;
+    for (unsigned line = 1;; ++line) {
+        const bool more_got = !!std::getline(got_lines, got);
+        const bool more_want = !!std::getline(want_lines, want);
+        if (!more_got && !more_want)
+            break;
+        ASSERT_EQ(got, want)
+            << "tests/golden/daemon_response.json line " << line
+            << " differs (a deliberate change to segment bytes re-pins "
+               "the store.load_bytes histogram)";
+    }
 }
 
 /**

@@ -122,26 +122,6 @@ TEST_F(SimdTest, KernelsHandleRaggedLengthsAndUnalignedHeads)
     }
 }
 
-TEST_F(SimdTest, PackSigTagsMatchesScalarPacking)
-{
-    Rng rng(11);
-    std::vector<sig::ByteMask> rs(100), rt(100), res(100);
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-        rs[i] = static_cast<sig::ByteMask>((rng.next32() & 0xE) | 1);
-        rt[i] = static_cast<sig::ByteMask>((rng.next32() & 0xE) | 1);
-        res[i] = static_cast<sig::ByteMask>((rng.next32() & 0xE) | 1);
-    }
-    for (const std::size_t n : kLengths) {
-        std::vector<std::uint16_t> out(n);
-        sig::packSigTagsBlock(rs.data(), rt.data(), res.data(), n,
-                              out.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(out[i], static_cast<std::uint16_t>(
-                                  rs[i] | (rt[i] << 4) | (res[i] << 8)));
-        }
-    }
-}
-
 /** The shared Table-1 operand mix (bench/bench_util.h). */
 std::vector<Word>
 operandMix(std::size_t n)
@@ -180,18 +160,6 @@ TEST_F(SimdTest, SigPackCodecIsIdenticalAcrossLevels)
                 << simd::simdLevelName(level) << " n=" << n;
         }
     }
-}
-
-TEST_F(SimdTest, SigPackEncoderUsesPrecomputedTagsIdentically)
-{
-    const std::vector<Word> vs = operandMix(3 * 4096 + 17);
-    std::vector<std::uint8_t> tags(vs.size());
-    sig::classifyExt3Block(vs.data(), vs.size(), tags.data());
-
-    std::vector<std::uint8_t> plain, tagged;
-    store::encodeColumn32(vs.data(), vs.size(), plain);
-    store::encodeColumn32(vs.data(), vs.size(), tagged, tags.data());
-    EXPECT_EQ(plain, tagged);
 }
 
 TEST_F(SimdTest, Crc32MatchesBitwiseReferenceAtEveryLevel)

@@ -246,6 +246,7 @@ TEST_F(StoreTest, SegmentRoundTripIsFieldExact)
         ASSERT_EQ(x.memData, y.memData) << i;
         ASSERT_EQ(x.taken, y.taken) << i;
         ASSERT_EQ(x.nextPc, y.nextPc) << i;
+        ASSERT_EQ(x.sigTags, y.sigTags) << i;
     }
 
     // The on-disk codec must actually compress the columns.
@@ -712,20 +713,13 @@ TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
 
     store::SegmentInfo info;
     ASSERT_TRUE(ts.info("rawdaudio", info));
-    ASSERT_EQ(info.columns.size(), 6u);
+    ASSERT_EQ(info.columns.size(), 5u);
     EXPECT_EQ(info.columns[2].name, "taken");
-    EXPECT_EQ(info.columns[5].name, "sigTags");
     // One bit per *control* instruction beats the already-packed
     // one-bit-per-instruction plane by the control-mix factor.
     EXPECT_LT(info.columns[2].encodedBytes,
               info.columns[2].rawBytes / 4);
     EXPECT_GT(info.columns[2].ratio(), 4.0);
-    // Sidecar tags: two per byte against the one-per-byte raw count
-    // (each of the two planes may round up by one byte).
-    EXPECT_GE(2 * info.columns[5].encodedBytes,
-              info.columns[5].rawBytes);
-    EXPECT_LE(2 * info.columns[5].encodedBytes,
-              info.columns[5].rawBytes + 2);
 }
 
 // ---- SharedQuanta annexes -------------------------------------------
@@ -903,16 +897,29 @@ TEST_F(StoreTest, CorruptQuantaAnnexFailsSoft)
  * and the payload's fields sit, so a test can damage it past the
  * CRCs and re-seal it.
  */
+/**
+ * Offset of a segment's annex directory: after the 64-byte header,
+ * the column directory (32 bytes per column, as many as the header's
+ * column count, plus its CRC) and the column payloads.
+ */
+std::size_t
+annexDirStart(const std::vector<std::uint8_t> &bytes)
+{
+    const std::uint32_t columns = store::getU32(bytes.data() + 52);
+    std::size_t off = 64 + 32 * std::size_t{columns} + 4;
+    for (unsigned c = 0; c < columns; ++c)
+        off += static_cast<std::size_t>(
+            store::getU64(bytes.data() + 64 + 32 * c + 16));
+    return off;
+}
+
 struct OneAnnex
 {
     explicit OneAnnex(std::vector<std::uint8_t> &b) : bytes(b)
     {
         // The annex directory follows the column payloads, its
         // payload is the file tail.
-        dirStart = 64 + 6 * 32 + 4;
-        for (unsigned c = 0; c < 6; ++c)
-            dirStart += static_cast<std::size_t>(
-                store::getU64(bytes.data() + 64 + 32 * c + 16));
+        dirStart = annexDirStart(bytes);
         EXPECT_EQ(store::getU32(bytes.data() + dirStart), 1u);
         entry = dirStart + 8 + store::getU32(bytes.data() + dirStart + 4);
         len = static_cast<std::size_t>(
@@ -1238,10 +1245,7 @@ TEST_F(StoreTest, SegmentTruncatedAtAnnexDirectoryCrcFailsSoft)
     // truncation, not read past the end of the mapping.
     std::vector<std::uint8_t> bytes =
         readAll(ts.segmentPath("rawdaudio"));
-    std::size_t off = 64 + 6 * 32 + 4;
-    for (unsigned c = 0; c < 6; ++c)
-        off += static_cast<std::size_t>(
-            store::getU64(bytes.data() + 64 + 32 * c + 16));
+    const std::size_t off = annexDirStart(bytes);
     const std::uint32_t key_len = store::getU32(bytes.data() + off + 4);
     const std::size_t dir_end = off + 4 + 4 + key_len + 20;
     ASSERT_LT(dir_end, bytes.size());

@@ -216,11 +216,11 @@ TEST(TraceBuffer, TruncatedCaptureReplaysThatManyInstructions)
 
 TEST(TraceBuffer, HoldsNoOperandColumns)
 {
-    // Operands are rebuilt at replay, never held: a trace with no
-    // annexes costs decIdx + result + packed tags (10 B) plus a taken
-    // bit per instruction, address + data + tag (9 B) per memory op,
-    // and the decode cache. A per-instruction operand column (4 B)
-    // would break the 11 B bound.
+    // Operands and significance tags are derived at replay, never
+    // held: a trace with no annexes costs decIdx + result (8 B) plus
+    // a taken bit per instruction, address + data (8 B) per memory
+    // op, and the decode cache. Any per-instruction sidecar (an
+    // operand column, a tag column) would break the 9 B bound.
     for (const char *name : {"rawcaudio", "cjpeg", "mpeg2"}) {
         SCOPED_TRACE(name);
         const workloads::Workload w = workloads::Suite::build(name);
@@ -232,7 +232,7 @@ TEST(TraceBuffer, HoldsNoOperandColumns)
             w.program.text().size() *
             (sizeof(isa::DecodedInstr) + sizeof(cpu::InstrFacts));
         EXPECT_LE(trace.memoryBytes(),
-                  11 * trace.size() + 9 * mem_ops + decode_cache);
+                  9 * trace.size() + 8 * mem_ops + decode_cache);
     }
 }
 

@@ -23,7 +23,6 @@
  * way (an error body is sigcomp-daemon-error-v1 JSON).
  */
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include <string>
 #include <thread>
 
+#include "analysis/report.h"
 #include "common/net.h"
 
 namespace
@@ -63,33 +63,6 @@ readFile(const std::string &path, std::string *out)
     const bool ok = std::ferror(f) == 0;
     std::fclose(f);
     return ok;
-}
-
-/** Replace every `"wall_ms": <number>` value with 0.000. */
-std::string
-zeroWallMs(const std::string &body)
-{
-    static const std::string kKey = "\"wall_ms\": ";
-    std::string out;
-    std::size_t pos = 0;
-    for (;;) {
-        const std::size_t at = body.find(kKey, pos);
-        if (at == std::string::npos) {
-            out.append(body, pos, std::string::npos);
-            return out;
-        }
-        std::size_t end = at + kKey.size();
-        while (end < body.size() &&
-               (std::isdigit(static_cast<unsigned char>(body[end])) !=
-                    0 ||
-                body[end] == '.' || body[end] == '-' ||
-                body[end] == 'e' || body[end] == '+')) {
-            ++end;
-        }
-        out.append(body, pos, at + kKey.size() - pos);
-        out += "0.000";
-        pos = end;
-    }
 }
 
 /**
@@ -224,7 +197,7 @@ main(int argc, char **argv)
     }
 
     if (zeroWall)
-        body = zeroWallMs(body);
+        body = analysis::zeroWallMs(body);
 
     if (outPath.empty()) {
         std::fwrite(body.data(), 1, body.size(), stdout);
