@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,7 @@
 #include "common/telemetry.h"
 #include "common/simd.h"
 #include "common/table.h"
+#include "cpu/trace_buffer.h"
 #include "sigcomp/sig_kernels.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
@@ -86,8 +88,34 @@ nowSeconds()
 struct Phase
 {
     std::string name;
-    double wallMs = 0.0;
+    /** Minimum over the repetitions. */
+    double wallMs = 1e300;
     DWord instructions = 0;
+    /** Every repetition's wall time, in order. */
+    std::vector<double> samples;
+
+    void
+    add(double ms)
+    {
+        samples.push_back(ms);
+        wallMs = std::min(wallMs, ms);
+    }
+
+    /** Quantile @p q of the samples, interpolated between ranks. */
+    double
+    quantile(double q) const
+    {
+        std::vector<double> s = samples;
+        std::sort(s.begin(), s.end());
+        const double rank = q * static_cast<double>(s.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, s.size() - 1);
+        return s[lo] + (s[hi] - s[lo]) * (rank - static_cast<double>(lo));
+    }
+
+    double medianMs() const { return quantile(0.5); }
+    /** Interquartile range: the spread of the middle half. */
+    double iqrMs() const { return quantile(0.75) - quantile(0.25); }
 
     double
     mips() const
@@ -142,35 +170,43 @@ suiteInstructions(const SessionConfig &config)
 
 /** Print one phase's line of the console report. */
 void
-printPhase(const Phase &p, int reps)
+printPhase(const Phase &p)
 {
-    std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of %d)\n",
-                p.name.c_str(), p.wallMs, p.mips(), reps);
+    std::printf("  %-28s %8.1f ms  %8.1f Minstr/s  (min of %zu; "
+                "median %.1f, IQR %.1f)\n",
+                p.name.c_str(), p.wallMs, p.mips(), p.samples.size(),
+                p.medianMs(), p.iqrMs());
+}
+
+/** A phase with no samples yet, over the whole suite. */
+Phase
+suitePhase(const std::string &name, DWord instructions)
+{
+    Phase p;
+    p.name = name;
+    p.instructions = instructions;
+    return p;
 }
 
 /**
- * Wall-clock of @p fn: minimum over @p reps repetitions (noise
- * rejection on shared hosts), with @p setup re-run untimed before
- * each repetition so every repetition measures the same cold/warm
- * state.
+ * Wall-clock of @p fn over @p reps repetitions (the minimum rejects
+ * noise on shared hosts; median and IQR are kept beside it), with
+ * @p setup re-run untimed before each repetition so every repetition
+ * measures the same cold/warm state.
  */
 template <typename Setup, typename Fn>
 Phase
 timePhase(const std::string &name, DWord instructions, int reps,
           Setup &&setup, Fn &&fn)
 {
-    double best = 1e300;
+    Phase p = suitePhase(name, instructions);
     for (int r = 0; r < reps; ++r) {
         setup();
         const double t0 = nowSeconds();
         fn();
-        best = std::min(best, (nowSeconds() - t0) * 1e3);
+        p.add((nowSeconds() - t0) * 1e3);
     }
-    Phase p;
-    p.name = name;
-    p.wallMs = best;
-    p.instructions = instructions;
-    printPhase(p, reps);
+    printPhase(p);
     return p;
 }
 
@@ -249,6 +285,24 @@ measureKernels()
     return out;
 }
 
+/** Consumes nothing: replay into it costs materialisation alone. */
+struct NoopSink : cpu::TraceSink
+{
+    void retire(const cpu::DynInstr &) override {}
+    void retireBlock(std::span<const cpu::DynInstr>) override {}
+};
+
+/** Replay every resident suite trace into a no-op sink. */
+void
+runNoopReplay(Session &session)
+{
+    const std::vector<std::string> &names = workloads::Suite::names();
+    session.executor().parallelFor(names.size(), [&](std::size_t i) {
+        NoopSink sink;
+        cpu::TraceView(*session.trace(names[i])).replay(sink);
+    });
+}
+
 /** The three characterisation profilers over the whole suite. */
 analysis::SuiteReport
 runProfilers(Session &session)
@@ -304,23 +358,29 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
         "capture", suite_instrs, kReps, [&] { cache.clear(); },
         [&] { session.prewarm(names); }));
 
-    // Phase 2: cached replay — the suite's whole retirement stream
+    // Phase 2: no-op replay — materialising the suite's blocks
+    // (column decode, operand and tag rebuild) with no consumer.
+    run.phases.push_back(timePhase("replay_noop", suite_instrs, kReps,
+                                   [] {}, [&] { runNoopReplay(session); }));
+
+    // Phase 3: cached replay — the suite's whole retirement stream
     // through the three characterisation profilers, no simulation.
     run.phases.push_back(timePhase(
         "cached_replay_profilers", suite_instrs, kReps, [] {},
         [&] { runProfilers(session); }));
 
-    // Phase 3: recapture — what the same profiling pass costs when
+    // Phase 4: recapture — what the same profiling pass costs when
     // the trace has to be captured again (cache cold).
     run.phases.push_back(timePhase(
         "recapture_profilers", suite_instrs, kReps,
         [&] { cache.clear(); },
         [&] { runProfilers(session); }));
 
-    // Phases 4/5: the persistent store tier. Cold store = capture
-    // plus significance-compressed write-through; warm store = a
+    // Phases 5-7: the persistent store tier. Cold store = capture
+    // plus the write-through of its encoded columns; warm store = a
     // cold *process* riding the segments (RAM tier dropped, every
-    // trace streamed back off disk, zero functional simulation).
+    // trace loaded back off disk, zero functional simulation), timed
+    // bare and with the profiler replay.
     if (!store_dir.empty()) {
         run.hasStore = true;
         SessionConfig stored = config;
@@ -337,6 +397,13 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
             },
             [&] { runProfilers(store_session); }));
 
+        // The bare load is the number to hold against `capture`
+        // (ROADMAP item 10); more repetitions, since it is short.
+        run.phases.push_back(timePhase(
+            "store_warm_load", suite_instrs, 3 * kReps,
+            [&] { store_session.cache().clear(); },
+            [&] { store_session.prewarm(names); }));
+
         run.phases.push_back(timePhase(
             "store_warm_load_replay", suite_instrs, kReps,
             [&] { store_session.cache().clear(); },
@@ -349,7 +416,7 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
             }));
     }
 
-    // Phases 6/7: the same three studies (full-design-space CPI +
+    // Phases 8/9: the same three studies (full-design-space CPI +
     // activity + three-profiler pass) run as one plan each vs fused
     // through one Session::run(StudyPlan), both over a prewarmed
     // cache. The
@@ -377,28 +444,20 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
         // of each: a host-noise burst then degrades both sides
         // instead of biasing whichever phase owned that window —
         // this pair is a CI gate, not just a report.
-        Phase seq;
-        seq.name = "multi_study_sequential";
-        seq.instructions = suite_instrs;
-        seq.wallMs = 1e300;
-        Phase fused;
-        fused.name = "multi_study_fused";
-        fused.instructions = suite_instrs;
-        fused.wallMs = 1e300;
+        Phase seq = suitePhase("multi_study_sequential", suite_instrs);
+        Phase fused = suitePhase("multi_study_fused", suite_instrs);
         for (int r = 0; r < 5; ++r) {
             warm();
             double t0 = nowSeconds();
             runSequential(session);
-            seq.wallMs =
-                std::min(seq.wallMs, (nowSeconds() - t0) * 1e3);
+            seq.add((nowSeconds() - t0) * 1e3);
             warm();
             t0 = nowSeconds();
             run_fused();
-            fused.wallMs =
-                std::min(fused.wallMs, (nowSeconds() - t0) * 1e3);
+            fused.add((nowSeconds() - t0) * 1e3);
         }
-        printPhase(seq, 5);
-        printPhase(fused, 5);
+        printPhase(seq);
+        printPhase(fused);
         run.phases.push_back(seq);
         run.phases.push_back(fused);
         run.fusedSpeedup = seq.wallMs / fused.wallMs;
@@ -416,7 +475,7 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
                     fused.wallMs, seq.wallMs, run.fusedSpeedup);
     }
 
-    // Phase 8: telemetry overhead — the default mode (counter,
+    // Phase 10: telemetry overhead — the default mode (counter,
     // gauge and histogram recording all live; tracing inactive, as
     // every normal run is) vs runtime-disabled recording, over the
     // cached replay pass. Interleaved repetitions with min-of-each
@@ -427,27 +486,21 @@ runAtThreads(const SessionConfig &config, DWord suite_instrs,
         cache.clear();
         session.prewarm(names);
         const bool was_enabled = telemetry::enabled();
-        Phase on;
-        on.name = "replay_telemetry_on";
-        on.instructions = suite_instrs;
-        on.wallMs = 1e300;
-        Phase off;
-        off.name = "replay_telemetry_off";
-        off.instructions = suite_instrs;
-        off.wallMs = 1e300;
+        Phase on = suitePhase("replay_telemetry_on", suite_instrs);
+        Phase off = suitePhase("replay_telemetry_off", suite_instrs);
         for (int r = 0; r < 5; ++r) {
             telemetry::setEnabled(true);
             double t0 = nowSeconds();
             runProfilers(session);
-            on.wallMs = std::min(on.wallMs, (nowSeconds() - t0) * 1e3);
+            on.add((nowSeconds() - t0) * 1e3);
             telemetry::setEnabled(false);
             t0 = nowSeconds();
             runProfilers(session);
-            off.wallMs = std::min(off.wallMs, (nowSeconds() - t0) * 1e3);
+            off.add((nowSeconds() - t0) * 1e3);
         }
         telemetry::setEnabled(was_enabled);
-        printPhase(on, 5);
-        printPhase(off, 5);
+        printPhase(on);
+        printPhase(off);
         run.phases.push_back(on);
         run.phases.push_back(off);
         run.telemetryOverhead = on.wallMs / off.wallMs;
@@ -486,7 +539,7 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
         std::exit(1);
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v7\",\n");
+    std::fprintf(f, "  \"schema\": \"sigcomp-suite-bench-v8\",\n");
     std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                  simd::simdLevelName(simd::activeSimdLevel()));
     std::fprintf(f, "  \"max_instrs\": %llu,\n",
@@ -535,9 +588,11 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
             const Phase &p = run.phases[i];
             std::fprintf(f,
                          "        {\"name\": \"%s\", \"wall_ms\": %.3f, "
-                         "\"instructions\": %llu, "
+                         "\"median_ms\": %.3f, \"iqr_ms\": %.3f, "
+                         "\"reps\": %zu, \"instructions\": %llu, "
                          "\"instr_per_sec\": %.0f}%s\n",
-                         p.name.c_str(), p.wallMs,
+                         p.name.c_str(), p.wallMs, p.medianMs(),
+                         p.iqrMs(), p.samples.size(),
                          static_cast<unsigned long long>(p.instructions),
                          p.mips() * 1e6,
                          i + 1 < run.phases.size() ? "," : "");

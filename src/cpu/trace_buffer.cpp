@@ -56,6 +56,44 @@ class RegisterReplay
     std::array<T, isa::numRegs + 2> regs_;
 };
 
+/**
+ * One encoded column's replay cursor: its values in stream order,
+ * decoded one codec block at a time into scratch the replay owns, so
+ * concurrent replays of one buffer share nothing.
+ */
+class ColumnCursor
+{
+  public:
+    explicit ColumnCursor(const store::Column32 &col) : reader_(col) {}
+
+    std::uint32_t
+    next()
+    {
+        if (i_ == k_)
+            refill();
+        return vals_[i_++];
+    }
+
+  private:
+    [[gnu::noinline]] void
+    refill()
+    {
+        SIGCOMP_SPAN("replay.decode");
+        // Capture wrote the stream, or the loader decoded all of it
+        // before adopting it, so a failure here is a bug.
+        SC_ASSERT(reader_.nextBlock(),
+                  "resident trace column does not decode");
+        vals_ = reader_.values();
+        k_ = reader_.blockSize();
+        i_ = 0;
+    }
+
+    store::ColumnReader reader_;
+    const std::uint32_t *vals_ = nullptr;
+    std::size_t i_ = 0;
+    std::size_t k_ = 0;
+};
+
 } // namespace
 
 /** Keyed type-erased annexes with their reported heap sizes. */
@@ -143,35 +181,38 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
 {
     TraceBuffer buf = makeFor(program);
 
-    // Local class: shares capture()'s access to the private arrays.
+    // Local class: shares capture()'s access to the private columns.
+    // Each value is encoded once, as it retires.
     struct Recorder : TraceSink
     {
-        explicit Recorder(TraceBuffer &b) : b(b) {}
-
         void
         retire(const DynInstr &di) override
         {
-            b.decIdx_.push_back(
+            decIdx.push(
                 static_cast<std::uint32_t>((di.pc - isa::textBase) / 4));
-            b.result_v_.push_back(di.result);
+            result.push(di.result);
             if (di.dec->isLoad || di.dec->isStore) {
-                b.memAddr_.push_back(di.memAddr);
-                b.memData_.push_back(di.memData);
+                memAddr.push(di.memAddr);
+                memData.push(di.memData);
             }
-            const std::size_t i = b.decIdx_.size() - 1;
-            if (i % 64 == 0)
-                b.taken_.push_back(0);
-            if (di.taken)
-                b.taken_.back() |= std::uint64_t{1} << (i % 64);
-            b.lastNextPc_ = di.nextPc;
+            // Only a control instruction can be taken, so only those
+            // carry a bit; a taken bit anywhere else is a core bug.
+            if (di.dec->isControl)
+                taken.push(di.taken);
+            else
+                SC_ASSERT(!di.taken, "taken bit set on non-control "
+                                     "instruction at pc ", di.pc);
+            lastNextPc = di.nextPc;
         }
 
-        TraceBuffer &b;
+        store::ColumnWriter decIdx, result, memAddr, memData;
+        store::BitPlaneWriter taken;
+        Addr lastNextPc = 0;
     };
 
     mem::MainMemory memory;
     FunctionalCore core(program, memory);
-    Recorder recorder(buf);
+    Recorder recorder;
     buf.result_ = core.run(&recorder, max_instrs, cancel);
 
     // A cancelled capture has recorded a prefix, not a trace: throw
@@ -190,11 +231,12 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
               "' hit the instruction limit (", max_instrs,
               ") during trace capture");
 
-    buf.decIdx_.shrink_to_fit();
-    buf.result_v_.shrink_to_fit();
-    buf.taken_.shrink_to_fit();
-    buf.memAddr_.shrink_to_fit();
-    buf.memData_.shrink_to_fit();
+    buf.decIdx_ = recorder.decIdx.finish();
+    buf.result_v_ = recorder.result.finish();
+    buf.taken_ = recorder.taken.finish();
+    buf.memAddr_ = recorder.memAddr.finish();
+    buf.memData_ = recorder.memData.finish();
+    buf.lastNextPc_ = recorder.lastNextPc;
     return buf;
 }
 
@@ -204,9 +246,9 @@ TraceBuffer::memoryBytes() const
     auto bytes = [](const auto &v) {
         return v.capacity() * sizeof(v[0]);
     };
-    std::size_t total = bytes(decIdx_) + bytes(result_v_) +
-                        bytes(taken_) + bytes(memAddr_) +
-                        bytes(memData_) + bytes(decoded_) +
+    std::size_t total = bytes(decIdx_.stream) + bytes(result_v_.stream) +
+                        bytes(taken_) + bytes(memAddr_.stream) +
+                        bytes(memData_.stream) + bytes(decoded_) +
                         bytes(facts_);
     return total + annexBytes();
 }
@@ -232,7 +274,18 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
     const std::size_t n = b.size();
     std::vector<DynInstr> block(std::min(block_size, n));
 
-    std::size_t mem_cursor = 0;
+    // Every column is read in stream order, one codec block at a time
+    // into this replay's own scratch: the dense ones advance per
+    // instruction, the memory ones per load/store, the taken plane
+    // per control instruction.
+    ColumnCursor dec_idx(b.decIdx_);
+    ColumnCursor results(b.result_v_);
+    ColumnCursor mem_addr(b.memAddr_);
+    ColumnCursor mem_data(b.memData_);
+    std::size_t ctl_cursor = 0;
+    // The decode index is read one ahead: instruction i's nextPc is
+    // the pc of instruction i + 1.
+    std::uint32_t idx = n > 0 ? dec_idx.next() : 0;
     // One register file across all blocks: operands are rebuilt in
     // stream order, never stored (each replay owns its own). The
     // second carries their Ext3 tags, so each instruction classifies
@@ -252,33 +305,34 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
         const std::size_t k = std::min(block.size(), n - base);
         for (std::size_t j = 0; j < k; ++j) {
             const std::size_t i = base + j;
-            const std::uint32_t idx = b.decIdx_[i];
             const InstrFacts f = b.facts_[idx];
             DynInstr &di = block[j];
             di.pc = isa::textBase + static_cast<Addr>(4 * idx);
             di.dec = &b.decoded_[idx];
             di.srcRs = regs.rs(f);
             di.srcRt = regs.rt(f);
-            di.result = b.result_v_[i];
+            di.result = results.next();
             regs.retire(f, di.result);
             const sig::ByteMask res = sig::classifyExt3(di.result);
             unsigned packed = tags.rs(f) | (tags.rt(f) << 4) | (res << 8);
             tags.retire(f, res);
             if (f.flags & InstrFacts::memOp) {
-                di.memAddr = b.memAddr_[mem_cursor];
-                di.memData = b.memData_[mem_cursor];
+                di.memAddr = mem_addr.next();
+                di.memData = mem_data.next();
                 packed |= sig::classifyExt3(di.memData) << 12;
-                ++mem_cursor;
             } else {
                 di.memAddr = 0;
                 di.memData = 0;
             }
             di.sigTags = static_cast<std::uint16_t>(packed);
-            di.taken = (b.taken_[i / 64] >> (i % 64)) & 1;
-            di.nextPc =
-                (i + 1 < n)
-                    ? isa::textBase + static_cast<Addr>(4 * b.decIdx_[i + 1])
-                    : b.lastNextPc_;
+            di.taken = (f.flags & InstrFacts::control) &&
+                       store::bitPlaneAt(b.taken_.data(), ctl_cursor++);
+            if (i + 1 < n) {
+                idx = dec_idx.next();
+                di.nextPc = isa::textBase + static_cast<Addr>(4 * idx);
+            } else {
+                di.nextPc = b.lastNextPc_;
+            }
         }
         const std::span<const DynInstr> span(block.data(), k);
         for (TraceSink *s : sinks)

@@ -10,8 +10,9 @@
  * times — in cache-friendly blocks through the batched
  * TraceSink::retireBlock() interface.
  *
- * Compactness comes from the static structure of the stream rather
- * than general-purpose compression:
+ * Compactness comes from the static structure of the stream and
+ * from the paper's own rule, applied to the trace itself: store only
+ * a word's significant bytes.
  *  - the PC is not stored: a 32-bit decode index both names the
  *    pre-decoded static instruction and reconstructs pc/nextPc
  *    (nextPc of instruction i is the pc of instruction i+1);
@@ -24,7 +25,14 @@
  *    (DynInstr::sigTags), so a tag exists only where its value does;
  *  - memory address/data are stored only for loads and stores, which
  *    appear in stream order, so replay walks them with a cursor;
- *  - branch outcomes are one bit each, packed 64 per word.
+ *  - branch outcomes are one bit per control instruction (the only
+ *    ones that can be taken), packed 64 per word and read by cursor;
+ *  - the decode index, result, address and data columns are held
+ *    only as their store/codec.h streams (SigPack significant bytes,
+ *    DeltaVarint or Raw per 4096-value block), exactly the bytes a
+ *    segment file holds: capture encodes each value once as it
+ *    retires, a save copies the streams, a load adopts them, and
+ *    replay decodes one codec block at a time into its own scratch.
  *
  * Replay is bit-exact: the DynInstr records a TraceView materialises
  * are field-for-field identical to the ones the functional core
@@ -44,6 +52,7 @@
 #include "cpu/functional_core.h"
 #include "cpu/trace.h"
 #include "isa/program.h"
+#include "store/codec.h"
 
 namespace sigcomp::store
 {
@@ -126,27 +135,13 @@ class TraceBuffer
     }
 
     /**
-     * Approximate heap footprint of the recorded arrays and the
-     * annexes, in bytes.
+     * Approximate heap footprint of the encoded columns, the decode
+     * cache and the annexes, in bytes.
      */
     std::size_t memoryBytes() const;
 
     /** The annexes' share of memoryBytes(). Thread-safe. */
     std::size_t annexBytes() const;
-
-    /** PC of retired instruction @p i. */
-    Addr
-    pcAt(std::size_t i) const
-    {
-        return isa::textBase + static_cast<Addr>(4 * decIdx_[i]);
-    }
-
-    /** Pre-decoded static instruction of retired instruction @p i. */
-    const isa::DecodedInstr &
-    decodedAt(std::size_t i) const
-    {
-        return decoded_[decIdx_[i]];
-    }
 
     // ---- consumer annexes ------------------------------------------
     //
@@ -185,7 +180,7 @@ class TraceBuffer
 
   private:
     friend class TraceView;
-    /** Store-tier codec: serializes/rebuilds the private columns. */
+    /** Store tier: saves and adopts the encoded columns. */
     friend class store::TraceSerializer;
 
     TraceBuffer() = default;
@@ -205,15 +200,15 @@ class TraceBuffer
     /** InstrFacts::of each decode-cache entry, same indexing. */
     std::vector<InstrFacts> facts_;
 
-    // -- per retired instruction (dense) ------------------------------
-    std::vector<std::uint32_t> decIdx_;
-    std::vector<Word> result_v_;
-    /** Branch/jump outcome bits, 64 per word. */
-    std::vector<std::uint64_t> taken_;
+    // -- per retired instruction (dense), encoded --------------------
+    store::Column32 decIdx_;
+    store::Column32 result_v_;
+    /** Taken bit per control instruction: a store::BitPlaneWriter plane. */
+    std::vector<std::uint8_t> taken_;
 
-    // -- loads/stores only, in stream order (sparse) ------------------
-    std::vector<Addr> memAddr_;
-    std::vector<Word> memData_;
+    // -- loads/stores only, in stream order (sparse), encoded ---------
+    store::Column32 memAddr_;
+    store::Column32 memData_;
 
     /** nextPc of the final instruction (others derive from decIdx_). */
     Addr lastNextPc_ = 0;

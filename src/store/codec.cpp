@@ -3,8 +3,11 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 #include "common/simd.h"
+#include "common/telemetry.h"
 #include "sigcomp/byte_pattern.h"
 #include "sigcomp/sig_kernels.h"
 
@@ -35,21 +38,37 @@ unzigzag(std::uint32_t prev, std::uint32_t z)
     return prev + d;
 }
 
-/** LEB128 length of @p z: ceil(significant bits / 7), min 1. */
+/**
+ * LEB128 length of @p z: ceil(significant bits / 7), min 1. Written
+ * as compares, not a bit scan, so the sizing loop vectorises.
+ */
 inline unsigned
 varintLen(std::uint32_t z)
 {
-    return (static_cast<unsigned>(std::bit_width(z | 1u)) + 6u) / 7u;
+    return 1u + (z >= (1u << 7)) + (z >= (1u << 14)) + (z >= (1u << 21)) +
+           (z >= (1u << 28));
 }
 
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint32_t z)
+/** Write @p z's LEB128 bytes at @p d; @return the position after. */
+inline std::uint8_t *
+writeVarint(std::uint8_t *d, std::uint32_t z)
 {
     while (z >= 0x80u) {
-        out.push_back(static_cast<std::uint8_t>(z) | 0x80u);
+        *d++ = static_cast<std::uint8_t>(z) | 0x80u;
         z >>= 7;
     }
-    out.push_back(static_cast<std::uint8_t>(z));
+    *d++ = static_cast<std::uint8_t>(z);
+    return d;
+}
+
+/** Store @p v little-endian at @p p. */
+inline void
+storeU32(std::uint8_t *p, std::uint32_t v)
+{
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 /** @return false on overrun or an over-long (>5 byte) varint. */
@@ -77,13 +96,19 @@ using MaskBlock = std::array<sig::ByteMask, codecBlockValues>;
 constexpr std::uint8_t kNeed[16] = {0, 1, 0, 2, 0, 2, 0, 3,
                                     0, 2, 0, 3, 0, 3, 0, 4};
 
-/** Exact SigPack payload size for a block: tag plane + packed bytes. */
+/**
+ * Exact SigPack payload size for a block: tag plane + packed bytes.
+ * A value stores one byte per set bit of its (legal) pattern, kNeed
+ * as a bit count the sizing loop can vectorise.
+ */
 std::size_t
 sigPackSize(const MaskBlock &masks, std::size_t k)
 {
     std::size_t bytes = (k + 1) / 2;
-    for (std::size_t i = 0; i < k; ++i)
-        bytes += kNeed[masks[i]];
+    for (std::size_t i = 0; i < k; ++i) {
+        const unsigned m = masks[i];
+        bytes += (m & 1u) + ((m >> 1) & 1u) + ((m >> 2) & 1u) + (m >> 3);
+    }
     return bytes;
 }
 
@@ -314,21 +339,17 @@ sigPackDecodeSsse3(const std::uint8_t *bytes, std::size_t plane_k,
 
 #endif // SIGCOMP_X86_CODEC
 
+/**
+ * Write a block's SigPack payload at @p p: the tag plane, two 4-bit
+ * Ext3 patterns per byte (value i in the low nibble for even i), then
+ * the significant bytes. The caller leaves 16 bytes of slack past
+ * the payload so the vector path can store whole registers.
+ */
 void
 sigPackEncode(const std::uint32_t *vals, const MaskBlock &masks,
-              std::size_t k, std::vector<std::uint8_t> &out)
+              std::size_t k, std::uint8_t *p)
 {
-    // Tag plane first: two 4-bit Ext3 patterns per byte, value i in
-    // the low nibble for even i.
     const std::size_t plane = (k + 1) / 2;
-    std::size_t payload = 0;
-    for (std::size_t i = 0; i < k; ++i)
-        payload += kNeed[masks[i]];
-
-    const std::size_t base = out.size();
-    // 16 bytes of slack lets the vector path store whole registers.
-    out.resize(base + plane + payload + 16);
-    std::uint8_t *p = out.data() + base;
     for (std::size_t i = 0; i + 2 <= k; i += 2)
         p[i >> 1] = static_cast<std::uint8_t>(masks[i] |
                                               (masks[i + 1] << 4));
@@ -345,7 +366,6 @@ sigPackEncode(const std::uint32_t *vals, const MaskBlock &masks,
 #else
     sigPackEncodeScalar(vals, masks.data(), k, payload_out);
 #endif
-    out.resize(base + plane + payload);
 }
 
 /**
@@ -407,64 +427,147 @@ sigPackDecode(const std::uint8_t *bytes, std::size_t len, std::size_t k,
     return off == payload;
 }
 
+/**
+ * Append one block of @p k values to @p out: the smallest of Raw,
+ * SigPack and DeltaVarint (deltas against @p prev, the value before
+ * the block), ties going to the earlier mode in that order. The
+ * sizing passes read the values only; the chosen payload is then
+ * written once, in place, into room reserved for it.
+ */
+void
+encodeBlock(const std::uint32_t *block, std::size_t k, std::uint32_t prev,
+            MaskBlock &masks, std::vector<std::uint8_t> &out)
+{
+    SIGCOMP_SPAN("codec.encode_column");
+    sig::classifyExt3Block(block, k, masks.data());
+    const std::size_t raw_size = 4 * k;
+    const std::size_t sig_size = sigPackSize(masks, k);
+    std::size_t delta_size = 0;
+    {
+        std::uint32_t p = prev;
+        for (std::size_t i = 0; i < k; ++i) {
+            delta_size += varintLen(zigzag(p, block[i]));
+            p = block[i];
+        }
+    }
+
+    BlockMode mode = BlockMode::Raw;
+    std::size_t best = raw_size;
+    if (sig_size < best) {
+        mode = BlockMode::SigPack;
+        best = sig_size;
+    }
+    if (delta_size < best) {
+        mode = BlockMode::DeltaVarint;
+        best = delta_size;
+    }
+
+    // 16 bytes of slack: the SigPack vector path stores whole
+    // registers.
+    const std::size_t base = out.size();
+    out.resize(base + 5 + best + 16);
+    std::uint8_t *p = out.data() + base;
+    p[0] = static_cast<std::uint8_t>(mode);
+    storeU32(p + 1, static_cast<std::uint32_t>(best));
+    p += 5;
+    switch (mode) {
+    case BlockMode::Raw:
+        for (std::size_t i = 0; i < k; ++i)
+            storeU32(p + 4 * i, block[i]);
+        break;
+    case BlockMode::SigPack:
+        sigPackEncode(block, masks, k, p);
+        break;
+    case BlockMode::DeltaVarint:
+        for (std::size_t i = 0; i < k; ++i) {
+            p = writeVarint(p, zigzag(prev, block[i]));
+            prev = block[i];
+        }
+        break;
+    }
+    out.resize(base + 5 + best);
+}
+
+/**
+ * Decode the @p k-value block at @p pos of the @p len-byte stream
+ * into @p dst and step @p pos past it; @p prev is the value before
+ * the block. @return false on any malformed input.
+ */
+bool
+decodeBlock(const std::uint8_t *bytes, std::size_t len, std::size_t &pos,
+            std::size_t k, std::uint32_t prev, std::uint32_t *dst)
+{
+    if (pos + 5 > len)
+        return false;
+    const std::uint8_t mode = bytes[pos];
+    const std::size_t payload = getU32(bytes + pos + 1);
+    pos += 5;
+    if (payload > len - pos)
+        return false;
+    const std::uint8_t *p = bytes + pos;
+    pos += payload;
+
+    switch (static_cast<BlockMode>(mode)) {
+    case BlockMode::Raw:
+        if (payload != 4 * k)
+            return false;
+        for (std::size_t i = 0; i < k; ++i)
+            dst[i] = getU32(p + 4 * i);
+        return true;
+    case BlockMode::SigPack:
+        return sigPackDecode(p, payload, k, dst);
+    case BlockMode::DeltaVarint: {
+        std::size_t vpos = 0;
+        std::size_t i = 0;
+        // Fast path: local deltas are almost always one byte, so
+        // whole groups of eight continuation-free varint bytes
+        // decode without any per-byte branching (checked with one
+        // mask over the group).
+        while (i + 8 <= k && vpos + 8 <= payload) {
+            std::uint64_t g;
+            std::memcpy(&g, p + vpos, 8);
+            if ((g & 0x8080808080808080ull) != 0)
+                break;
+            for (unsigned j = 0; j < 8; ++j) {
+                prev = unzigzag(
+                    prev,
+                    static_cast<std::uint32_t>((g >> (8 * j)) & 0x7Fu));
+                dst[i + j] = prev;
+            }
+            vpos += 8;
+            i += 8;
+        }
+        for (; i < k; ++i) {
+            std::uint32_t z;
+            // One-byte fast path for stragglers.
+            if (vpos < payload && p[vpos] < 0x80u) {
+                z = p[vpos++];
+            } else if (!getVarint(p, payload, vpos, z)) {
+                return false;
+            }
+            prev = unzigzag(prev, z);
+            dst[i] = prev;
+        }
+        return vpos == payload;
+    }
+    }
+    return false;
+}
+
 } // namespace
 
 void
 encodeColumn32(const std::uint32_t *vals, std::size_t n,
                std::vector<std::uint8_t> &out)
 {
-    std::uint32_t prev = 0;
+    // Zero-length columns encode to zero bytes.
     MaskBlock masks;
+    std::uint32_t prev = 0;
     for (std::size_t base = 0; base < n; base += codecBlockValues) {
         const std::size_t k = std::min(codecBlockValues, n - base);
-        const std::uint32_t *block = vals + base;
-        sig::classifyExt3Block(block, k, masks.data());
-
-        const std::size_t raw_size = 4 * k;
-        const std::size_t sig_size = sigPackSize(masks, k);
-        std::size_t delta_size = 0;
-        {
-            std::uint32_t p = prev;
-            for (std::size_t i = 0; i < k; ++i) {
-                delta_size += varintLen(zigzag(p, block[i]));
-                p = block[i];
-            }
-        }
-
-        BlockMode mode = BlockMode::Raw;
-        std::size_t best = raw_size;
-        if (sig_size < best) {
-            mode = BlockMode::SigPack;
-            best = sig_size;
-        }
-        if (delta_size < best) {
-            mode = BlockMode::DeltaVarint;
-            best = delta_size;
-        }
-
-        out.push_back(static_cast<std::uint8_t>(mode));
-        putU32(out, static_cast<std::uint32_t>(best));
-        switch (mode) {
-        case BlockMode::Raw:
-            for (std::size_t i = 0; i < k; ++i)
-                putU32(out, block[i]);
-            break;
-        case BlockMode::SigPack:
-            sigPackEncode(block, masks, k, out);
-            break;
-        case BlockMode::DeltaVarint: {
-            std::uint32_t p = prev;
-            for (std::size_t i = 0; i < k; ++i) {
-                putVarint(out, zigzag(p, block[i]));
-                p = block[i];
-            }
-            break;
-        }
-        }
-        prev = block[k - 1];
+        encodeBlock(vals + base, k, prev, masks, out);
+        prev = vals[base + k - 1];
     }
-
-    // Zero-length columns encode to zero bytes; nothing to do.
 }
 
 bool
@@ -472,99 +575,87 @@ decodeColumn32(const std::uint8_t *bytes, std::size_t len, std::size_t n,
                std::vector<std::uint32_t> &out)
 {
     out.resize(n);
-    std::uint32_t *dst = out.data();
     std::uint32_t prev = 0;
-    std::size_t produced = 0;
     std::size_t pos = 0;
-    while (produced < n) {
-        const std::size_t k = std::min(codecBlockValues, n - produced);
-        if (pos + 5 > len)
+    for (std::size_t base = 0; base < n; base += codecBlockValues) {
+        const std::size_t k = std::min(codecBlockValues, n - base);
+        if (!decodeBlock(bytes, len, pos, k, prev, out.data() + base))
             return false;
-        const std::uint8_t mode = bytes[pos];
-        const std::size_t payload = getU32(bytes + pos + 1);
-        pos += 5;
-        if (payload > len - pos)
-            return false;
-        const std::uint8_t *p = bytes + pos;
-
-        switch (static_cast<BlockMode>(mode)) {
-        case BlockMode::Raw:
-            if (payload != 4 * k)
-                return false;
-            for (std::size_t i = 0; i < k; ++i)
-                dst[produced + i] = getU32(p + 4 * i);
-            break;
-        case BlockMode::SigPack:
-            if (!sigPackDecode(p, payload, k, dst + produced))
-                return false;
-            break;
-        case BlockMode::DeltaVarint: {
-            std::size_t vpos = 0;
-            std::size_t i = 0;
-            // Fast path: local deltas are almost always one byte, so
-            // whole groups of eight continuation-free varint bytes
-            // decode without any per-byte branching (checked with
-            // one mask over the group).
-            while (i + 8 <= k && vpos + 8 <= payload) {
-                std::uint64_t g;
-                std::memcpy(&g, p + vpos, 8);
-                if ((g & 0x8080808080808080ull) != 0)
-                    break;
-                for (unsigned j = 0; j < 8; ++j) {
-                    prev = unzigzag(
-                        prev,
-                        static_cast<std::uint32_t>((g >> (8 * j)) &
-                                                   0x7Fu));
-                    dst[produced + i + j] = prev;
-                }
-                vpos += 8;
-                i += 8;
-            }
-            for (; i < k; ++i) {
-                std::uint32_t z;
-                // One-byte fast path for stragglers.
-                if (vpos < payload && p[vpos] < 0x80u) {
-                    z = p[vpos++];
-                } else if (!getVarint(p, payload, vpos, z)) {
-                    return false;
-                }
-                prev = unzigzag(prev, z);
-                dst[produced + i] = prev;
-            }
-            if (vpos != payload)
-                return false;
-            break;
-        }
-        default:
-            return false;
-        }
-        pos += payload;
-        produced += k;
-        prev = dst[produced - 1];
+        prev = out[base + k - 1];
     }
     return pos == len;
 }
 
-void
-encodeColumn64Raw(const std::uint64_t *vals, std::size_t n,
-                  std::vector<std::uint8_t> &out)
+bool
+validColumn32(const std::uint8_t *bytes, std::size_t len, std::size_t n)
 {
-    out.reserve(out.size() + 8 * n);
-    for (std::size_t i = 0; i < n; ++i)
-        putU64(out, vals[i]);
+    ColumnReader reader(bytes, len, n);
+    while (reader.nextBlock()) {
+    }
+    return reader.done();
 }
 
-bool
-decodeColumn64Raw(const std::uint8_t *bytes, std::size_t len,
-                  std::size_t n, std::vector<std::uint64_t> &out)
+struct ColumnWriter::Scratch
 {
-    if (len != 8 * n)
+    MaskBlock masks;
+    std::array<std::uint32_t, codecBlockValues> block;
+};
+
+ColumnWriter::ColumnWriter()
+    : scratch_(std::make_unique<Scratch>()), block_(scratch_->block.data())
+{}
+
+ColumnWriter::~ColumnWriter() = default;
+
+void
+ColumnWriter::flush()
+{
+    encodeBlock(block_, k_, prev_, scratch_->masks, out_.stream);
+    prev_ = block_[k_ - 1];
+    out_.count += k_;
+    k_ = 0;
+}
+
+Column32
+ColumnWriter::finish()
+{
+    if (k_ > 0)
+        flush();
+    out_.stream.shrink_to_fit();
+    prev_ = 0;
+    return std::exchange(out_, Column32{});
+}
+
+ColumnReader::ColumnReader(const std::uint8_t *bytes, std::size_t len,
+                           std::size_t n)
+    : bytes_(bytes), len_(len), n_(n),
+      buf_(std::min(n, codecBlockValues))
+{}
+
+bool
+ColumnReader::nextBlock()
+{
+    k_ = 0;
+    if (produced_ == n_)
         return false;
-    out.clear();
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(getU64(bytes + 8 * i));
+    const std::size_t k = std::min(codecBlockValues, n_ - produced_);
+    if (!decodeBlock(bytes_, len_, pos_, k, prev_, buf_.data()))
+        return false;
+    prev_ = buf_[k - 1];
+    produced_ += k;
+    k_ = k;
     return true;
+}
+
+std::vector<std::uint8_t>
+BitPlaneWriter::finish()
+{
+    if (count_ % 64 != 0)
+        putU64(out_, word_);
+    for (unsigned b = 0; b < 4; ++b)
+        out_[b] = static_cast<std::uint8_t>(count_ >> (8 * b));
+    out_.shrink_to_fit();
+    return std::move(out_);
 }
 
 } // namespace sigcomp::store

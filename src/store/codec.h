@@ -22,6 +22,11 @@
  * Block framing: u8 mode, u32 payload length, payload. The delta
  * base carries across blocks (first block deltas against 0).
  *
+ * These streams are the trace's only form of its 32-bit columns, in
+ * RAM as on disk: capture writes them through a ColumnWriter, replay
+ * reads them back one block at a time through a ColumnReader, and
+ * the store saves and loads the same bytes.
+ *
  * Decoders are fail-soft: every read is bounds-checked and any
  * malformed stream returns false instead of crashing or returning
  * short data — the store treats that as segment corruption and falls
@@ -42,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -111,13 +117,136 @@ void encodeColumn32(const std::uint32_t *vals, std::size_t n,
 bool decodeColumn32(const std::uint8_t *bytes, std::size_t len,
                     std::size_t n, std::vector<std::uint32_t> &out);
 
-/** Encode @p n 64-bit words raw (bit-packed columns are already dense). */
-void encodeColumn64Raw(const std::uint64_t *vals, std::size_t n,
-                       std::vector<std::uint8_t> &out);
+/**
+ * True when the @p len-byte stream decodes to exactly @p n values
+ * (decodeColumn32's checks, one block of scratch instead of a column).
+ */
+bool validColumn32(const std::uint8_t *bytes, std::size_t len,
+                   std::size_t n);
 
-/** Decode @p n raw 64-bit words; false when @p len != 8n. */
-bool decodeColumn64Raw(const std::uint8_t *bytes, std::size_t len,
-                       std::size_t n, std::vector<std::uint64_t> &out);
+/** A 32-bit column in its stored form: the encodeColumn32 stream. */
+struct Column32
+{
+    std::vector<std::uint8_t> stream;
+    /** Values the stream decodes to. */
+    std::size_t count = 0;
+
+    std::size_t size() const { return count; }
+};
+
+/**
+ * Streaming encodeColumn32: values arrive one at a time and every
+ * codecBlockValues of them encode as one block, so the raw column
+ * never exists. The stream is byte-identical to encodeColumn32 over
+ * the same values.
+ */
+class ColumnWriter
+{
+  public:
+    ColumnWriter();
+    ~ColumnWriter();
+    ColumnWriter(const ColumnWriter &) = delete;
+    ColumnWriter &operator=(const ColumnWriter &) = delete;
+
+    void
+    push(std::uint32_t v)
+    {
+        block_[k_++] = v;
+        if (k_ == codecBlockValues)
+            flush();
+    }
+
+    /**
+     * Encode the last, partial block and hand over the column, its
+     * capacity trimmed to its size. The writer is empty afterwards.
+     */
+    Column32 finish();
+
+  private:
+    void flush();
+
+    struct Scratch;
+    std::unique_ptr<Scratch> scratch_;
+    /** The block being filled (codecBlockValues slots). */
+    std::uint32_t *block_;
+    std::size_t k_ = 0;
+    /** The value before the block: the DeltaVarint base. */
+    std::uint32_t prev_ = 0;
+    Column32 out_;
+};
+
+/**
+ * Sequential decoder of an encodeColumn32 stream: one block at a
+ * time into scratch the reader owns, so a column is never expanded
+ * whole. Readers over one stream share nothing.
+ */
+class ColumnReader
+{
+  public:
+    ColumnReader(const std::uint8_t *bytes, std::size_t len,
+                 std::size_t n);
+    explicit ColumnReader(const Column32 &col)
+        : ColumnReader(col.stream.data(), col.stream.size(), col.size())
+    {}
+
+    /**
+     * Decode the next block into values(). @return false on malformed
+     * input, or once all n values have been decoded.
+     */
+    bool nextBlock();
+
+    /** The block nextBlock() decoded last. */
+    const std::uint32_t *values() const { return buf_.data(); }
+    std::size_t blockSize() const { return k_; }
+
+    /** True when all n values decoded and the stream ended there. */
+    bool done() const { return produced_ == n_ && pos_ == len_; }
+
+  private:
+    const std::uint8_t *bytes_;
+    std::size_t len_;
+    std::size_t n_;
+    std::size_t pos_ = 0;
+    std::size_t produced_ = 0;
+    std::size_t k_ = 0;
+    std::uint32_t prev_ = 0;
+    std::vector<std::uint32_t> buf_;
+};
+
+/**
+ * A bit plane in its stored form: a u32 bit count, then the bits
+ * packed 64 per little-endian u64 word (bit i in word i / 64 at
+ * position i % 64), so bit i is bit i % 8 of byte 4 + i / 8. The
+ * trace's taken column (one bit per control instruction) is one.
+ */
+class BitPlaneWriter
+{
+  public:
+    void
+    push(bool bit)
+    {
+        word_ |= std::uint64_t{bit} << (count_ % 64);
+        if (++count_ % 64 == 0) {
+            putU64(out_, word_);
+            word_ = 0;
+        }
+    }
+
+    /** The finished plane, capacity trimmed; the writer is spent. */
+    std::vector<std::uint8_t> finish();
+
+  private:
+    std::vector<std::uint8_t> out_ = std::vector<std::uint8_t>(4, 0);
+    std::uint64_t word_ = 0;
+    std::uint32_t count_ = 0;
+};
+
+/** Bit @p i of stored bit plane @p plane (i below its count). */
+inline bool
+bitPlaneAt(const std::uint8_t *plane, std::size_t i)
+{
+    return (plane[4 + i / 8] >> (i % 8)) & 1u;
+}
 
 } // namespace sigcomp::store
 

@@ -1,10 +1,12 @@
 #include "store/trace_store.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <unistd.h>
 
@@ -279,55 +281,76 @@ parseSegment(const Env::FileView *file, const isa::Program *program,
     return true;
 }
 
-/** CRC-check and decode one 32-bit column. */
+/**
+ * CRC-check a column against its directory entry, check that its raw
+ * size is @p raw_bytes, and return its payload view.
+ */
 bool
-decodeCol32(const std::uint8_t *bytes, const Segment::Column &col,
-            std::size_t n, std::vector<std::uint32_t> &out,
-            std::string *why)
+columnPayload(const std::uint8_t *bytes, const Segment::Column &col,
+              std::uint64_t raw_bytes, const std::uint8_t *&p,
+              std::size_t &len, std::string *why)
 {
-    SIGCOMP_SPAN("codec.decode_column");
-    const std::uint8_t *p = bytes + col.payloadOffset;
-    const std::size_t len = static_cast<std::size_t>(col.encBytes);
-    if (col.rawBytes != 4 * static_cast<std::uint64_t>(n))
+    p = bytes + col.payloadOffset;
+    len = static_cast<std::size_t>(col.encBytes);
+    if (col.rawBytes != raw_bytes)
         return fail(why, std::string(columnName(col.id)) +
                              ": raw size mismatch");
     if (crc32(0, p, len) != col.payloadCrc)
         return fail(why,
                     std::string(columnName(col.id)) + ": payload CRC");
-    if (!decodeColumn32(p, len, n, out))
-        return fail(why, std::string(columnName(col.id)) +
-                             ": malformed codec stream");
     return true;
 }
 
-/** CRC-check a column and return its payload view. */
-bool
-columnPayload(const std::uint8_t *bytes, const Segment::Column &col,
-              const std::uint8_t *&p, std::size_t &len, std::string *why)
+/** Raw (decoded) bytes of each column of a trace, by column id. */
+std::array<std::uint64_t, NumColumns>
+rawColumnBytes(std::uint64_t instructions, std::uint64_t mem_ops)
 {
-    p = bytes + col.payloadOffset;
-    len = static_cast<std::size_t>(col.encBytes);
-    if (crc32(0, p, len) != col.payloadCrc)
-        return fail(why,
-                    std::string(columnName(col.id)) + ": payload CRC");
-    return true;
+    return {4 * instructions, 4 * instructions,
+            8 * ((instructions + 63) / 64), 4 * mem_ops, 4 * mem_ops};
 }
 
 /**
- * Structural check of a taken payload (u32 control-bit count, then
- * the bit plane) without expanding it (used by program-less verify).
+ * The checks every column passes before a trace adopts it, short of
+ * what needs the program: CRC and raw size per column, a full
+ * decode of each 32-bit stream, and the taken plane's framing (a u32
+ * control-bit count, then the bit words, no bit set past the count).
+ * The decode-index stream is decoded by the caller's stream check;
+ * @p payloads and @p lens receive every column's view.
  */
 bool
-checkTakenPayload(const std::uint8_t *p, std::size_t len,
-                  std::uint64_t instructions, std::string *why)
+checkColumns(const std::uint8_t *bytes, const Segment &seg,
+             const std::uint8_t *(&payloads)[NumColumns],
+             std::size_t (&lens)[NumColumns], std::string *why)
 {
+    const auto raw = rawColumnBytes(seg.instructions, seg.memOps);
+    for (std::uint32_t c = 0; c < NumColumns; ++c) {
+        if (!columnPayload(bytes, seg.columns[c], raw[c], payloads[c],
+                           lens[c], why))
+            return false;
+    }
+    {
+        SIGCOMP_SPAN("codec.decode_column");
+        const std::size_t n = static_cast<std::size_t>(seg.instructions);
+        const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
+        for (const auto &[c, count] :
+             {std::pair{ColResult, n}, std::pair{ColMemAddr, mem_ops},
+              std::pair{ColMemData, mem_ops}}) {
+            if (!validColumn32(payloads[c], lens[c], count))
+                return fail(why, std::string(columnName(c)) +
+                                     ": malformed codec stream");
+        }
+    }
+    const std::uint8_t *p = payloads[ColTaken];
+    const std::size_t len = lens[ColTaken];
     if (len < 4)
         return fail(why, "taken: truncated header");
     const std::uint32_t nbits = getU32(p);
-    if (nbits > instructions)
+    if (nbits > seg.instructions)
         return fail(why, "taken: more bits than instructions");
     if (len != 4 + 8 * ((static_cast<std::size_t>(nbits) + 63) / 64))
         return fail(why, "taken: length mismatch");
+    if (nbits % 64 != 0 && getU64(p + len - 8) >> (nbits % 64) != 0)
+        return fail(why, "taken: bit set past the count");
     return true;
 }
 
@@ -628,38 +651,14 @@ class TraceSerializer
     {
         const std::size_t n = b.decIdx_.size();
 
-        // Encode every payload first so the directory can record
-        // exact sizes and CRCs. There are no operand columns to
-        // write: replay rebuilds operands from the result column.
-        std::vector<std::uint8_t> payloads[NumColumns];
-        std::uint64_t raw_bytes[NumColumns];
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            encode32(b.decIdx_, payloads[ColDecIdx],
-                     raw_bytes[ColDecIdx]);
-        }
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            encodeColumn32(b.result_v_.data(), n, payloads[ColResult]);
-        }
-        raw_bytes[ColResult] = 4 * static_cast<std::uint64_t>(n);
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            encodeTaken(b, payloads[ColTaken]);
-        }
-        raw_bytes[ColTaken] = 8 * b.taken_.size();
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            encode32(b.memAddr_, payloads[ColMemAddr],
-                     raw_bytes[ColMemAddr]);
-        }
-        {
-            SIGCOMP_SPAN("codec.encode_column");
-            encodeColumn32(b.memData_.data(), b.memData_.size(),
-                           payloads[ColMemData]);
-        }
-        raw_bytes[ColMemData] =
-            4 * static_cast<std::uint64_t>(b.memData_.size());
+        // The resident columns already are the segment payloads
+        // (capture encoded them, or a load adopted them), so a save
+        // copies them. There are no operand columns to write: replay
+        // rebuilds operands from the result column.
+        const std::span<const std::uint8_t> payloads[NumColumns] = {
+            b.decIdx_.stream, b.result_v_.stream, b.taken_,
+            b.memAddr_.stream, b.memData_.stream};
+        const auto raw_bytes = rawColumnBytes(n, b.memAddr_.size());
 
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
@@ -741,9 +740,9 @@ class TraceSerializer
     }
 
     /**
-     * Rebuild a TraceBuffer from parsed segment @p seg backed by the
-     * mapped file @p bytes, binding it to @p program. Fail-soft:
-     * nullptr + reason on any inconsistency.
+     * Check parsed segment @p seg in the file copy @p bytes and
+     * build a TraceBuffer bound to @p program that adopts its column
+     * payloads. Fail-soft: nullptr + reason on any inconsistency.
      */
     static std::shared_ptr<cpu::TraceBuffer>
     deserialize(const std::uint8_t *bytes, const Segment &seg,
@@ -752,70 +751,58 @@ class TraceSerializer
         const std::size_t n = static_cast<std::size_t>(seg.instructions);
         const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
 
+        const std::uint8_t *payloads[NumColumns];
+        std::size_t lens[NumColumns];
+        if (!checkColumns(bytes, seg, payloads, lens, why))
+            return nullptr;
+
         auto buf = std::make_shared<cpu::TraceBuffer>(
             cpu::TraceBuffer::makeFor(program));
 
-        if (!decodeCol32(bytes, seg.columns[ColDecIdx], n, buf->decIdx_,
-                         why) ||
-            !decodeCol32(bytes, seg.columns[ColResult], n,
-                         buf->result_v_, why) ||
-            !decodeCol32(bytes, seg.columns[ColMemAddr], mem_ops,
-                         buf->memAddr_, why) ||
-            !decodeCol32(bytes, seg.columns[ColMemData], mem_ops,
-                         buf->memData_, why)) {
-            return nullptr;
-        }
-
-        // Taken bits: the control-only plane re-scatters inside the
-        // stream check below (its decode indexes are bounds-checked
-        // there first).
-        std::vector<std::uint64_t> ctl_bits;
-        std::uint32_t ctl_nbits = 0;
-        if (!prepareTaken(bytes, seg, ctl_bits, ctl_nbits, why))
-            return nullptr;
-        buf->taken_.assign((n + 63) / 64, 0);
-
-        // One pass over the stream bounds-checks every decode index
-        // (replay gathers through them unchecked, so a wrong segment
-        // must die here, softly), verifies the memory-op and
-        // taken-bit counts replay's cursors will consume, and
-        // re-scatters the control-only taken bits.
+        // One pass decodes the decode-index stream block by block and
+        // bounds-checks every index (replay gathers through them
+        // unchecked, so a wrong segment must die here, softly), and
+        // verifies the memory-op and control-instruction counts
+        // replay's cursors will consume.
         {
             SIGCOMP_SPAN("store.check_stream");
             const std::vector<cpu::InstrFacts> &facts = buf->facts_;
             const std::size_t text_size = facts.size();
             std::size_t seen_mem_ops = 0;
-            std::size_t ctl_cursor = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint32_t idx = buf->decIdx_[i];
-                if (idx >= text_size) {
-                    fail(why, "decode index out of range");
-                    return nullptr;
-                }
-                const cpu::InstrFacts f = facts[idx];
-                seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
-                if (f.flags & cpu::InstrFacts::control) {
-                    if (ctl_cursor >= ctl_nbits) {
-                        fail(why, "taken: fewer bits than control "
-                                  "instructions");
-                        return nullptr;
-                    }
-                    buf->taken_[i / 64] |=
-                        ((ctl_bits[ctl_cursor / 64] >> (ctl_cursor % 64)) &
-                         1u)
-                        << (i % 64);
-                    ++ctl_cursor;
+            std::size_t seen_controls = 0;
+            ColumnReader dec_idx(payloads[ColDecIdx], lens[ColDecIdx], n);
+            while (dec_idx.nextBlock()) {
+                const std::uint32_t *idx = dec_idx.values();
+                for (std::size_t j = 0; j < dec_idx.blockSize(); ++j) {
+                    if (idx[j] >= text_size)
+                        return failed(why, "decode index out of range");
+                    const cpu::InstrFacts f = facts[idx[j]];
+                    seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
+                    seen_controls +=
+                        (f.flags & cpu::InstrFacts::control) != 0;
                 }
             }
-            if (seen_mem_ops != mem_ops) {
-                fail(why, "memory-op count inconsistent with program");
-                return nullptr;
-            }
-            if (ctl_cursor != ctl_nbits) {
-                fail(why, "taken: control-instruction count mismatch");
-                return nullptr;
-            }
+            if (!dec_idx.done())
+                return failed(why, "decIdx: malformed codec stream");
+            if (seen_mem_ops != mem_ops)
+                return failed(why,
+                              "memory-op count inconsistent with program");
+            if (seen_controls != getU32(payloads[ColTaken]))
+                return failed(why,
+                              "taken: control-instruction count mismatch");
         }
+
+        // Every stream checked: the buffer adopts the payloads as they
+        // are, with no expansion.
+        const auto adopt = [&](ColumnId c) {
+            return std::vector<std::uint8_t>(payloads[c],
+                                             payloads[c] + lens[c]);
+        };
+        buf->decIdx_ = {adopt(ColDecIdx), n};
+        buf->result_v_ = {adopt(ColResult), n};
+        buf->taken_ = adopt(ColTaken);
+        buf->memAddr_ = {adopt(ColMemAddr), mem_ops};
+        buf->memData_ = {adopt(ColMemData), mem_ops};
 
         buf->lastNextPc_ = seg.lastNextPc;
         buf->result_.reason =
@@ -823,10 +810,8 @@ class TraceSerializer
         buf->result_.exitCode = seg.exitCode;
         buf->result_.instructions = seg.instructions;
         if (buf->result_.reason != cpu::StopReason::Exited &&
-            buf->result_.reason != cpu::StopReason::InstrLimit) {
-            fail(why, "segment records a failed capture");
-            return nullptr;
-        }
+            buf->result_.reason != cpu::StopReason::InstrLimit)
+            return failed(why, "segment records a failed capture");
 
         // Persisted SharedQuanta records: validated like any column —
         // CRC plus full structural decode — and attached under their
@@ -840,10 +825,8 @@ class TraceSerializer
             const std::uint8_t *p = bytes + ax.payloadOffset;
             const std::size_t len =
                 static_cast<std::size_t>(ax.encBytes);
-            if (crc32(0, p, len) != ax.payloadCrc) {
-                fail(why, "annex '" + ax.key + "': payload CRC");
-                return nullptr;
-            }
+            if (crc32(0, p, len) != ax.payloadCrc)
+                return failed(why, "annex '" + ax.key + "': payload CRC");
             std::shared_ptr<SharedQuanta> rec;
             if (!decodeQuanta(p, len, n, rec, why))
                 return nullptr;
@@ -855,69 +838,12 @@ class TraceSerializer
     }
 
   private:
-    static void
-    encode32(const std::vector<std::uint32_t> &v,
-             std::vector<std::uint8_t> &out, std::uint64_t &raw_bytes)
+    /** fail() for a loader returning a trace: nullptr. */
+    static std::shared_ptr<cpu::TraceBuffer>
+    failed(std::string *why, const std::string &reason)
     {
-        raw_bytes = 4 * static_cast<std::uint64_t>(v.size());
-        encodeColumn32(v.data(), v.size(), out);
-    }
-
-    /**
-     * Decode the taken column's control-only bits into
-     * @p ctl_bits/@p ctl_nbits without walking the stream; the caller
-     * re-scatters them inside its (bounds-checked) decode-index pass.
-     */
-    static bool
-    prepareTaken(const std::uint8_t *bytes, const Segment &seg,
-                 std::vector<std::uint64_t> &ctl_bits,
-                 std::uint32_t &ctl_nbits, std::string *why)
-    {
-        const std::size_t n = static_cast<std::size_t>(seg.instructions);
-        const Segment::Column &col = seg.columns[ColTaken];
-        if (col.rawBytes != 8 * static_cast<std::uint64_t>((n + 63) / 64))
-            return fail(why, "taken: raw size mismatch");
-        const std::uint8_t *p;
-        std::size_t len;
-        if (!columnPayload(bytes, col, p, len, why))
-            return false;
-        if (!checkTakenPayload(p, len, seg.instructions, why))
-            return false;
-        ctl_nbits = getU32(p);
-        if (!decodeColumn64Raw(p + 4, len - 4, (ctl_nbits + 63) / 64,
-                               ctl_bits)) {
-            return fail(why, "taken: malformed bit plane");
-        }
-        return true;
-    }
-
-    /**
-     * Taken column: branch/jump outcome bits exist only at control
-     * instructions, so store one bit per *control* instruction
-     * (~6.7x smaller than the already-packed full plane) and let the
-     * loader re-scatter them along the decode-index stream. The
-     * functional core never sets a non-control taken bit; a trace
-     * that does is a capture bug, caught here.
-     */
-    static void
-    encodeTaken(const cpu::TraceBuffer &b, std::vector<std::uint8_t> &out)
-    {
-        const std::size_t n = b.decIdx_.size();
-        std::vector<std::uint64_t> bits((n + 63) / 64 + 1, 0);
-        std::size_t nbits = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const bool taken = (b.taken_[i / 64] >> (i % 64)) & 1;
-            if (b.decoded_[b.decIdx_[i]].isControl) {
-                if (taken)
-                    bits[nbits / 64] |= std::uint64_t{1} << (nbits % 64);
-                ++nbits;
-            } else {
-                SC_ASSERT(!taken, "taken bit set on non-control "
-                                  "instruction ", i);
-            }
-        }
-        putU32(out, static_cast<std::uint32_t>(nbits));
-        encodeColumn64Raw(bits.data(), (nbits + 63) / 64, out);
+        fail(why, reason);
+        return nullptr;
     }
 };
 
@@ -1296,23 +1222,15 @@ TraceStore::verify(const std::string &workload,
                nullptr;
     }
     // No program: still decode every payload so CRC and codec damage
-    // is caught. The taken column needs the program to expand, so it
-    // gets CRC plus structural framing checks here.
+    // is caught. The decode indexes need the program for their bounds
+    // and counts, so that stream gets a plain full decode here.
+    const std::uint8_t *payloads[NumColumns];
+    std::size_t lens[NumColumns];
+    if (!checkColumns(bytes, seg, payloads, lens, why))
+        return false;
     const std::size_t n = static_cast<std::size_t>(seg.instructions);
-    const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
-    std::vector<std::uint32_t> v32;
-    std::vector<std::uint64_t> v64;
-    if (!decodeCol32(bytes, seg.columns[ColDecIdx], n, v32, why) ||
-        !decodeCol32(bytes, seg.columns[ColResult], n, v32, why) ||
-        !decodeCol32(bytes, seg.columns[ColMemAddr], mem_ops, v32,
-                     why) ||
-        !decodeCol32(bytes, seg.columns[ColMemData], mem_ops, v32, why))
-        return false;
-    const std::uint8_t *p;
-    std::size_t len;
-    if (!columnPayload(bytes, seg.columns[ColTaken], p, len, why) ||
-        !checkTakenPayload(p, len, seg.instructions, why))
-        return false;
+    if (!validColumn32(payloads[ColDecIdx], lens[ColDecIdx], n))
+        return fail(why, "decIdx: malformed codec stream");
     // Annex payloads decode without a program: full CRC + structural
     // check, same strictness as the columns.
     for (const Segment::Annex &ax : seg.annexes) {

@@ -28,14 +28,14 @@
  *     per instruction plus per-chunk entry dictionaries.
  *
  * Five columns are stored (decode index, result, taken bits, memory
- * address/data), exactly what a resident TraceBuffer holds: operand
- * values and significance tags are stored nowhere, because
+ * address/data), exactly what a resident TraceBuffer holds and in
+ * the same bytes: the buffer keeps each column in its segment
+ * encoding, so save() copies the payloads and load() adopts them.
+ * Operand values and significance tags are stored nowhere, because
  * cpu::TraceView::replay rebuilds the operands by replaying the
  * result stream through an architectural register file and
  * classifies the values it materialises. The taken column holds one
- * bit per *control* instruction, re-scattered along the decode-index
- * stream at load by the same pass that bounds-checks every decode
- * index.
+ * bit per *control* instruction, which replay reads with a cursor.
  *
  * Integrity and versioning rules:
  *  - load() is *fail-soft*: any mismatch — bad magic, unacceptable
@@ -237,8 +237,13 @@ class TraceStore
      * parameters. Fail-soft: nullptr on any mismatch or corruption,
      * with the reason in @p why when non-null.
      *
-     * Segments are decoded from a private copy of the file, read
-     * once per load.
+     * Segments are checked in a private copy of the file, read once
+     * per load: each column's CRC, a full validating decode of every
+     * stream (one codec block of scratch at a time), the decode-index
+     * bounds and the memory-op and control-instruction counts. Only
+     * then does the trace adopt the column payloads, as they are: it
+     * holds them encoded and replay decodes them, so nothing is
+     * expanded here.
      *
      * @p failure, when non-null, classifies a nullptr return for the
      * caller's recovery policy (see LoadFailure).

@@ -8,7 +8,10 @@
  * Each input becomes the full byte contents of a published segment
  * file; the loader, the header/directory reader, and the full
  * verifier must classify it — load to a sound trace, or fail soft
- * with a reason — and never crash, leak, or trip ASan.
+ * with a reason — and never crash, leak, or trip ASan. A trace the
+ * loader accepts is then replayed in full: resident traces keep the
+ * segment's encoded columns and replay decodes them, so a stream the
+ * loader let through but replay cannot decode aborts here.
  *
  * Seed corpus: at start-up (LLVMFuzzerInitialize) the harness saves
  * a real capped rawcaudio segment, with one SharedQuanta annex, and
@@ -30,6 +33,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 
 #include "cpu/trace_buffer.h"
@@ -40,6 +44,13 @@
 
 namespace
 {
+
+/** Consumes nothing: the replay's own decode is what is exercised. */
+struct NoopSink : sigcomp::cpu::TraceSink
+{
+    void retire(const sigcomp::cpu::DynInstr &) override {}
+    void retireBlock(std::span<const sigcomp::cpu::DynInstr>) override {}
+};
 
 /** One store directory + reference program for the whole run. */
 struct Harness
@@ -121,6 +132,10 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     if (trace == nullptr &&
         failure == sigcomp::store::LoadFailure::None)
         __builtin_trap(); // every refusal must be classified
+    if (trace != nullptr) {
+        NoopSink sink;
+        sigcomp::cpu::TraceView(*trace).replay(sink);
+    }
 
     sigcomp::store::SegmentInfo info;
     (void)h.store->info("rawcaudio", info, &why);

@@ -720,6 +720,37 @@ TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
     EXPECT_LT(info.columns[2].encodedBytes,
               info.columns[2].rawBytes / 4);
     EXPECT_GT(info.columns[2].ratio(), 4.0);
+
+    // The plane is the resident form as it is, so a bit past its count
+    // (possible only in a crafted segment: the CRCs are resealed here)
+    // must fail the load instead of riding along into later saves.
+    std::vector<std::uint8_t> bytes =
+        readAll(ts.segmentPath("rawdaudio"));
+    const auto put32 = [&](std::size_t at, std::uint32_t v) {
+        for (unsigned i = 0; i < 4; ++i)
+            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    const std::size_t dir = 64;
+    std::size_t taken = dir + 5 * 32 + 4;
+    for (unsigned c = 0; c < 2; ++c)
+        taken += static_cast<std::size_t>(
+            store::getU64(bytes.data() + dir + 32 * c + 16));
+    const std::size_t len = static_cast<std::size_t>(
+        store::getU64(bytes.data() + dir + 32 * 2 + 16));
+    const std::uint32_t nbits = store::getU32(bytes.data() + taken);
+    ASSERT_NE(nbits % 64, 0u) << "no padding bit to set";
+    bytes[taken + 4 + nbits / 8] |=
+        static_cast<std::uint8_t>(1u << (nbits % 8));
+    put32(dir + 32 * 2 + 24, crc32(0, bytes.data() + taken, len));
+    put32(dir + 5 * 32, crc32(0, bytes.data() + dir, 5 * 32));
+    writeAll(ts.segmentPath("rawdaudio"), bytes);
+    std::string why;
+    EXPECT_EQ(ts.load("rawdaudio", w.program,
+                      cpu::TraceBuffer::defaultMaxInstrs, &why),
+              nullptr);
+    EXPECT_NE(why.find("taken"), std::string::npos) << why;
+    EXPECT_FALSE(ts.verify("rawdaudio", &w.program));
+    EXPECT_FALSE(ts.verify("rawdaudio"));
 }
 
 // ---- SharedQuanta annexes -------------------------------------------

@@ -216,24 +216,34 @@ TEST(TraceBuffer, TruncatedCaptureReplaysThatManyInstructions)
 
 TEST(TraceBuffer, HoldsNoOperandColumns)
 {
-    // Operands and significance tags are derived at replay, never
-    // held: a trace with no annexes costs decIdx + result (8 B) plus
-    // a taken bit per instruction, address + data (8 B) per memory
-    // op, and the decode cache. Any per-instruction sidecar (an
-    // operand column, a tag column) would break the 9 B bound.
+    // A resident trace holds its columns only in their segment
+    // encoding: with no annexes it costs exactly the column payloads
+    // a save writes for it, plus the decode cache. A raw column, an
+    // operand column or a tag sidecar would all break the equality.
+    const std::string dir = test::scratchDir("sigcomp-trace-columns");
+    std::filesystem::remove_all(dir);
+    const store::TraceStore ts(dir);
     for (const char *name : {"rawcaudio", "cjpeg", "mpeg2"}) {
         SCOPED_TRACE(name);
         const workloads::Workload w = workloads::Suite::build(name);
         const cpu::TraceBuffer trace = cpu::TraceBuffer::capture(w.program);
-        std::size_t mem_ops = 0;
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            mem_ops += trace.decodedAt(i).isLoad || trace.decodedAt(i).isStore;
+        std::string why;
+        ASSERT_TRUE(ts.save(name, trace,
+                            cpu::TraceBuffer::defaultMaxInstrs, &why))
+            << why;
+        store::SegmentInfo info;
+        ASSERT_TRUE(ts.info(name, info, &why)) << why;
         const std::size_t decode_cache =
             w.program.text().size() *
             (sizeof(isa::DecodedInstr) + sizeof(cpu::InstrFacts));
-        EXPECT_LE(trace.memoryBytes(),
-                  9 * trace.size() + 8 * mem_ops + decode_cache);
+        EXPECT_EQ(trace.memoryBytes(), info.encodedBytes() + decode_cache);
+        // The same holds for the trace a load adopts.
+        const auto loaded = ts.load(
+            name, w.program, cpu::TraceBuffer::defaultMaxInstrs, &why);
+        ASSERT_NE(loaded, nullptr) << why;
+        EXPECT_EQ(loaded->memoryBytes(), trace.memoryBytes());
     }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceBuffer, SoAIsSmallerThanArrayOfStructs)

@@ -18,13 +18,18 @@
  *    common/simd.cpp: a pin racing the first dispatch must stick);
  *  - the TraceCache accounting counters read while gets and
  *    evictions run (they are documented lock-free atomics;
- *    trace_cache.h).
+ *    trace_cache.h);
+ *  - one resident trace replayed from several threads at once, at
+ *    different block sizes (each replay decodes the encoded columns
+ *    into its own scratch).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +39,7 @@
 #include "analysis/trace_cache.h"
 #include "bench/bench_util.h"
 #include "common/simd.h"
+#include "cpu/trace_buffer.h"
 #include "store/codec.h"
 #include "tests/live_oracle.h"
 #include "tests/scratch_dir.h"
@@ -249,6 +255,61 @@ TEST_F(TsanStressTest, SetSimdLevelSticksAgainstConcurrentDispatch)
     EXPECT_EQ(mismatches.load(), 0);
 
     simd::setSimdLevel(before); // leave dispatch as we found it
+}
+
+/** Folds every field of every replayed instruction into one digest. */
+class DigestSink : public cpu::TraceSink
+{
+  public:
+    void
+    retire(const cpu::DynInstr &di) override
+    {
+        for (const std::uint64_t v :
+             {std::uint64_t{di.pc}, std::uint64_t{di.srcRs},
+              std::uint64_t{di.srcRt}, std::uint64_t{di.result},
+              std::uint64_t{di.memAddr}, std::uint64_t{di.memData},
+              std::uint64_t{di.taken}, std::uint64_t{di.nextPc},
+              std::uint64_t{di.sigTags}})
+            digest = (digest ^ v) * 0x100000001B3ull;
+        ++count;
+    }
+
+    std::uint64_t digest = 0xCBF29CE484222325ull;
+    std::size_t count = 0;
+};
+
+TEST_F(TsanStressTest, ReplaysOfOneSharedBufferShareNothing)
+{
+    // Resident traces hold encoded columns and every replay decodes
+    // them into its own scratch: concurrent replays of one buffer, at
+    // block sizes that cut the 4096-value codec blocks differently,
+    // must each see the whole stream unchanged.
+    const workloads::Workload w = workloads::Suite::build("cjpeg");
+    const auto trace = std::make_shared<const cpu::TraceBuffer>(
+        cpu::TraceBuffer::capture(w.program, 5 * store::codecBlockValues,
+                                  true));
+    DigestSink reference;
+    cpu::TraceView(*trace).replay(reference);
+    ASSERT_EQ(reference.count, trace->size());
+
+    const std::size_t block_sizes[] = {1, 7, 1000, 4096, 5000, 1u << 20};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> replayers;
+    for (const std::size_t block_size : block_sizes) {
+        replayers.emplace_back([&, block_size] {
+            for (int round = 0; round < 3; ++round) {
+                DigestSink sink;
+                cpu::TraceView(*trace).replay(sink, block_size);
+                if (sink.digest != reference.digest ||
+                    sink.count != reference.count)
+                    mismatches.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : replayers)
+        t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(trace->replayCount(), 1u + 3u * std::size(block_sizes));
 }
 
 TEST_F(TsanStressTest, AccountingCountersAreReadableDuringChurn)
