@@ -231,11 +231,17 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
               "' hit the instruction limit (", max_instrs,
               ") during trace capture");
 
-    buf.decIdx_ = recorder.decIdx.finish();
-    buf.result_v_ = recorder.result.finish();
+    // Resident columns keep no growth slack.
+    const auto finish = [](store::ColumnWriter &w) {
+        store::Column32 col = w.finish();
+        col.stream.shrink_to_fit();
+        return col;
+    };
+    buf.decIdx_ = finish(recorder.decIdx);
+    buf.result_v_ = finish(recorder.result);
     buf.taken_ = recorder.taken.finish();
-    buf.memAddr_ = recorder.memAddr.finish();
-    buf.memData_ = recorder.memData.finish();
+    buf.memAddr_ = finish(recorder.memAddr);
+    buf.memData_ = finish(recorder.memData);
     buf.lastNextPc_ = recorder.lastNextPc;
     return buf;
 }

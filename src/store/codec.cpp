@@ -1,5 +1,6 @@
 #include "store/codec.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -39,14 +40,15 @@ unzigzag(std::uint32_t prev, std::uint32_t z)
 }
 
 /**
- * LEB128 length of @p z: ceil(significant bits / 7), min 1. Written
- * as compares, not a bit scan, so the sizing loop vectorises.
+ * LEB128 length of @p z: ceil(significant bits / 7), min 1, which is
+ * (9 * bits + 64) / 64 for 1..32 bits. Branch-free; a chain of
+ * compares here compiles to branches, which mispredict on irregular
+ * deltas.
  */
 inline unsigned
 varintLen(std::uint32_t z)
 {
-    return 1u + (z >= (1u << 7)) + (z >= (1u << 14)) + (z >= (1u << 21)) +
-           (z >= (1u << 28));
+    return (static_cast<unsigned>(std::bit_width(z | 1u)) * 9u + 64u) >> 6;
 }
 
 /** Write @p z's LEB128 bytes at @p d; @return the position after. */
@@ -561,29 +563,22 @@ encodeColumn32(const std::uint32_t *vals, std::size_t n,
                std::vector<std::uint8_t> &out)
 {
     // Zero-length columns encode to zero bytes.
-    MaskBlock masks;
-    std::uint32_t prev = 0;
-    for (std::size_t base = 0; base < n; base += codecBlockValues) {
-        const std::size_t k = std::min(codecBlockValues, n - base);
-        encodeBlock(vals + base, k, prev, masks, out);
-        prev = vals[base + k - 1];
-    }
+    ColumnWriter writer(std::move(out));
+    writer.append(vals, n);
+    out = writer.finish().stream;
 }
 
 bool
 decodeColumn32(const std::uint8_t *bytes, std::size_t len, std::size_t n,
                std::vector<std::uint32_t> &out)
 {
-    out.resize(n);
-    std::uint32_t prev = 0;
-    std::size_t pos = 0;
-    for (std::size_t base = 0; base < n; base += codecBlockValues) {
-        const std::size_t k = std::min(codecBlockValues, n - base);
-        if (!decodeBlock(bytes, len, pos, k, prev, out.data() + base))
-            return false;
-        prev = out[base + k - 1];
-    }
-    return pos == len;
+    out.clear();
+    out.reserve(n);
+    ColumnReader reader(bytes, len, n);
+    while (reader.nextBlock())
+        out.insert(out.end(), reader.values(),
+                   reader.values() + reader.blockSize());
+    return reader.done();
 }
 
 bool
@@ -601,9 +596,11 @@ struct ColumnWriter::Scratch
     std::array<std::uint32_t, codecBlockValues> block;
 };
 
-ColumnWriter::ColumnWriter()
+ColumnWriter::ColumnWriter(std::vector<std::uint8_t> out)
     : scratch_(std::make_unique<Scratch>()), block_(scratch_->block.data())
-{}
+{
+    out_.stream = std::move(out);
+}
 
 ColumnWriter::~ColumnWriter() = default;
 
@@ -616,12 +613,25 @@ ColumnWriter::flush()
     k_ = 0;
 }
 
+void
+ColumnWriter::append(const std::uint32_t *vals, std::size_t n)
+{
+    while (n > 0) {
+        const std::size_t take = std::min(n, codecBlockValues - k_);
+        std::copy_n(vals, take, block_ + k_);
+        k_ += take;
+        vals += take;
+        n -= take;
+        if (k_ == codecBlockValues)
+            flush();
+    }
+}
+
 Column32
 ColumnWriter::finish()
 {
     if (k_ > 0)
         flush();
-    out_.stream.shrink_to_fit();
     prev_ = 0;
     return std::exchange(out_, Column32{});
 }

@@ -101,18 +101,18 @@ getU64(const std::uint8_t *p)
 }
 
 /**
- * Encode @p n 32-bit values, appending the block stream to @p out.
- * Works for any input; worst case is raw size plus one 5-byte header
- * per block.
+ * Encode @p n 32-bit values through a ColumnWriter, appending its
+ * block stream to @p out. Works for any input; worst case is raw size
+ * plus one 5-byte header per block.
  */
 void encodeColumn32(const std::uint32_t *vals, std::size_t n,
                     std::vector<std::uint8_t> &out);
 
 /**
- * Decode exactly @p n values from the @p len-byte block stream.
- * @return false (leaving @p out unspecified) on any malformed input:
- * unknown mode, payload overrun, or a stream that does not decode to
- * exactly @p n values.
+ * Decode exactly @p n values from the @p len-byte block stream
+ * through a ColumnReader. @return false (leaving @p out unspecified)
+ * on any malformed input: unknown mode, payload overrun, or a stream
+ * that does not decode to exactly @p n values.
  */
 bool decodeColumn32(const std::uint8_t *bytes, std::size_t len,
                     std::size_t n, std::vector<std::uint32_t> &out);
@@ -124,7 +124,7 @@ bool decodeColumn32(const std::uint8_t *bytes, std::size_t len,
 bool validColumn32(const std::uint8_t *bytes, std::size_t len,
                    std::size_t n);
 
-/** A 32-bit column in its stored form: the encodeColumn32 stream. */
+/** A 32-bit column in its stored form: a ColumnWriter stream. */
 struct Column32
 {
     std::vector<std::uint8_t> stream;
@@ -135,15 +135,16 @@ struct Column32
 };
 
 /**
- * Streaming encodeColumn32: values arrive one at a time and every
+ * The column encoder: values arrive one at a time and every
  * codecBlockValues of them encode as one block, so the raw column
- * never exists. The stream is byte-identical to encodeColumn32 over
- * the same values.
+ * never exists. Capture pushes into it; encodeColumn32 appends an
+ * array to it.
  */
 class ColumnWriter
 {
   public:
-    ColumnWriter();
+    /** Append the stream to @p out's bytes (none by default). */
+    explicit ColumnWriter(std::vector<std::uint8_t> out = {});
     ~ColumnWriter();
     ColumnWriter(const ColumnWriter &) = delete;
     ColumnWriter &operator=(const ColumnWriter &) = delete;
@@ -156,9 +157,12 @@ class ColumnWriter
             flush();
     }
 
+    /** push() each of @p n values, a block's worth at a time. */
+    void append(const std::uint32_t *vals, std::size_t n);
+
     /**
      * Encode the last, partial block and hand over the column, its
-     * capacity trimmed to its size. The writer is empty afterwards.
+     * capacity untrimmed. The writer is empty afterwards.
      */
     Column32 finish();
 
@@ -176,9 +180,10 @@ class ColumnWriter
 };
 
 /**
- * Sequential decoder of an encodeColumn32 stream: one block at a
- * time into scratch the reader owns, so a column is never expanded
- * whole. Readers over one stream share nothing.
+ * The column decoder: one block at a time into scratch the reader
+ * owns, so a column is never expanded whole. Replay and load use it
+ * directly; decodeColumn32 and validColumn32 are loops over it.
+ * Readers over one stream share nothing.
  */
 class ColumnReader
 {
