@@ -377,7 +377,7 @@ table4(const ExceptionProfiler &prof)
  * the suite's all-design study) plus mean uplift vs the baseline.
  */
 void
-cpiFigure(const std::vector<CpiRow> &rows, const std::string &title,
+cpiFigure(const CpiStudyResult &study, const std::string &title,
           const std::string &paper_ref, const std::vector<Design> &designs,
           const std::string &closing_note)
 {
@@ -387,24 +387,24 @@ cpiFigure(const std::vector<CpiRow> &rows, const std::string &title,
     for (Design d : designs)
         headers.push_back(designName(d));
     TextTable t(headers);
-    for (const CpiRow &row : rows) {
-        t.beginRow().cell(row.benchmark);
+    for (std::size_t w = 0; w < study.benchmarks.size(); ++w) {
+        t.beginRow().cell(study.benchmarks[w]);
         for (Design d : designs)
-            t.cell(row.cpi.at(d), 3);
+            t.cell(study.results[w][study.column(d)].cpi(), 3);
         t.endRow();
     }
     t.beginRow().cell("GEOMEAN");
     for (Design d : designs)
-        t.cell(meanCpi(rows, d), 3);
+        t.cell(study.geomeanCpi(d), 3);
     t.endRow();
     printTable("CPI per benchmark", t);
 
-    const double base = meanCpi(rows, Design::Baseline32);
+    const double base = study.geomeanCpi(Design::Baseline32);
     std::printf("\nmean CPI uplift vs 32-bit baseline:\n");
     for (Design d : designs) {
         if (d == Design::Baseline32)
             continue;
-        const double up = meanCpi(rows, d) / base - 1.0;
+        const double up = study.geomeanCpi(d) / base - 1.0;
         std::printf("  %-26s %+5.1f%%\n", designName(d).c_str(),
                     100.0 * up);
     }
@@ -509,7 +509,7 @@ energy(const CpiStudyResult &study)
  * 2-byte RF+ALU / 1-byte D$ is the balanced point.
  */
 void
-balance(const std::vector<CpiRow> &rows, const CpiStudyResult &sweep)
+balance(const CpiStudyResult &study, const CpiStudyResult &sweep)
 {
     banner("Section 5 ablation: byte-serial bottlenecks and "
            "bandwidth balance",
@@ -519,8 +519,9 @@ balance(const std::vector<CpiRow> &rows, const CpiStudyResult &sweep)
 
     // Part 1: stall attribution of the byte-serial design.
     Count control = 0, hazard = 0, structural = 0, imiss = 0, dmiss = 0;
-    for (const auto &row : rows) {
-        const StallBreakdown &st = row.stalls.at(Design::ByteSerial);
+    const std::size_t serial = study.column(Design::ByteSerial);
+    for (const auto &row : study.results) {
+        const StallBreakdown &st = row[serial].stalls;
         control += st.controlCycles;
         hazard += st.dataHazardCycles;
         structural += st.structuralCycles;
@@ -551,7 +552,7 @@ balance(const std::vector<CpiRow> &rows, const CpiStudyResult &sweep)
     // Part 2: width sweep around the balanced point.
     TextTable bandwidth({"if width", "rf width", "alu width", "d$ width",
                   "geomean CPI", "vs baseline %"});
-    const double base = meanCpi(rows, Design::Baseline32);
+    const double base = study.geomeanCpi(Design::Baseline32);
     for (std::size_t i = 0; i < sweep.widths.size(); ++i) {
         const StageWidths &w = sweep.widths[i];
         const double cpi = sweep.columnGeomeanCpi(i);
@@ -682,7 +683,7 @@ clockScaling(const CpiStudyResult &study)
     double base_energy = 0.0;
     for (std::size_t i = 0; i < study.designs.size(); ++i) {
         const Design d = study.designs[i];
-        const double cpi = study.geomeanCpi(d);
+        const double cpi = study.columnGeomeanCpi(i);
         const double period = clockPeriod(d);
         const double time = cpi * period;
         const power::EnergyReport rep =
@@ -831,13 +832,12 @@ main()
     SuiteProfilers prof;
     const SuiteReport suite = session.run(suitePlan(prof));
     const CpiStudyResult &designs = suite.cpi.front();
-    const std::vector<CpiRow> rows = designs.rows();
 
     table1(prof.patterns);
     table2(prof.pc);
     table3(prof.mix);
     table4(prof.exceptions);
-    cpiFigure(rows,
+    cpiFigure(designs,
               "Fig 4: performance of the byte-serial implementation",
               "Canal/Gonzalez/Smith MICRO-33, Fig 4 (paper: "
               "byte-serial CPI +79% avg; halfword-serial avg 1.96)",
@@ -846,7 +846,7 @@ main()
               "expected shape: byte-serial is the slowest design "
               "everywhere; widening to 16 bits recovers most of "
               "the loss (paper: CPI 1.96).");
-    cpiFigure(rows,
+    cpiFigure(designs,
               "Fig 6: performance of the byte semi-parallel "
               "implementation",
               "Canal/Gonzalez/Smith MICRO-33, Fig 6 (paper: CPI "
@@ -856,7 +856,7 @@ main()
               "expected shape: semi-parallel sits well below "
               "byte-serial and ~quarter above the baseline, "
               "validating the 3/2/2/1 bandwidth balance.");
-    cpiFigure(rows,
+    cpiFigure(designs,
               "Fig 8: performance of the byte-parallel skewed "
               "microarchitecture",
               "Canal/Gonzalez/Smith MICRO-33, Fig 8 (paper: CPI "
@@ -890,7 +890,7 @@ main()
                   "savings are uniformly smaller than Table 5, as in "
                   "the paper: halfword granularity trades compression "
                   "for implementation simplicity and speed.");
-    cpiFigure(rows,
+    cpiFigure(designs,
               "Fig 10: performance of the byte-parallel compressed "
               "and skewed+bypasses microarchitectures",
               "Canal/Gonzalez/Smith MICRO-33, Fig 10 (paper: "
@@ -901,7 +901,7 @@ main()
               "compressed design; the compressed 5-stage pipe "
               "trades a small throughput loss for minimal length.");
     energy(designs);
-    balance(rows, suite.cpi[kPredictors.size()]);
+    balance(designs, suite.cpi[kPredictors.size()]);
     encoding(suite.activity);
     clockScaling(designs);
     branchpred(suite.cpi);

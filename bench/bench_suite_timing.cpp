@@ -57,6 +57,7 @@
 #include "analysis/trace_cache.h"
 #include "bench/bench_util.h"
 #include "common/crc32.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
@@ -568,8 +569,9 @@ writeJson(const std::string &path, DWord max_instrs, DWord suite_instrs,
         const store::StoreStats stats = store::aggregateStats(
             store::TraceStore(store_dir, /*read_only=*/true));
         std::fprintf(f, "  \"store\": {\n");
-        std::fprintf(f, "    \"dir\": \"%s\",\n", store_dir.c_str());
-        std::fprintf(f, "    \"segments\": %zu,\n", stats.segments);
+        std::fprintf(f, "    \"dir\": ");
+        json::writeString(f, store_dir);
+        std::fprintf(f, ",\n    \"segments\": %zu,\n", stats.segments);
         std::fprintf(f, "    \"file_bytes\": %llu,\n",
                      static_cast<unsigned long long>(stats.fileBytes));
         std::fprintf(f, "    \"total_ratio\": %.3f,\n",

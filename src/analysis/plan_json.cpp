@@ -116,34 +116,6 @@ rankingInRange(const std::vector<std::uint8_t> &ranking)
     return true;
 }
 
-bool
-cacheParamsEqual(const mem::CacheParams &a, const mem::CacheParams &b)
-{
-    return a.name == b.name && a.sizeBytes == b.sizeBytes &&
-           a.assoc == b.assoc && a.lineBytes == b.lineBytes &&
-           a.hitLatency == b.hitLatency;
-}
-
-bool
-tlbParamsEqual(const mem::TlbParams &a, const mem::TlbParams &b)
-{
-    return a.name == b.name && a.entries == b.entries &&
-           a.assoc == b.assoc && a.pageBits == b.pageBits &&
-           a.missPenalty == b.missPenalty;
-}
-
-bool
-hierarchyEqual(const mem::HierarchyParams &a,
-               const mem::HierarchyParams &b)
-{
-    return cacheParamsEqual(a.l1i, b.l1i) &&
-           cacheParamsEqual(a.l1d, b.l1d) &&
-           cacheParamsEqual(a.l2, b.l2) &&
-           a.memoryPenalty == b.memoryPenalty &&
-           tlbParamsEqual(a.itlb, b.itlb) &&
-           tlbParamsEqual(a.dtlb, b.dtlb);
-}
-
 using json::Reader;
 
 // ---- schema-specific parsers ----------------------------------------
@@ -502,7 +474,7 @@ writePlanJson(const StudyPlan &plan, std::string *out, PlanError *error)
                                      std::string(kSchemaId) +
                                      " carries named designs");
         }
-        if (!hierarchyEqual(s.config.memory, mem::HierarchyParams{})) {
+        if (s.config.memory != mem::HierarchyParams{}) {
             return serializeFail(error, PlanErrorKind::Unsupported,
                                  "custom memory hierarchies are not "
                                  "expressible in " +
@@ -630,7 +602,7 @@ planEquals(const StudyPlan &a, const StudyPlan &b)
     auto configEqual = [](const pipeline::PipelineConfig &x,
                           const pipeline::PipelineConfig &y) {
         return x.encoding == y.encoding &&
-               hierarchyEqual(x.memory, y.memory) &&
+               x.memory == y.memory &&
                x.multCycles == y.multCycles &&
                x.divCycles == y.divCycles &&
                x.compressor.ranking() == y.compressor.ranking() &&
@@ -653,15 +625,7 @@ planEquals(const StudyPlan &a, const StudyPlan &b)
     for (std::size_t i = 0; i < a.energy_.size(); ++i) {
         const StudyPlan::EnergySpec &x = a.energy_[i];
         const StudyPlan::EnergySpec &y = b.energy_[i];
-        const bool tech_equal =
-            x.tech.vdd == y.tech.vdd &&
-            x.tech.bitLineFf == y.tech.bitLineFf &&
-            x.tech.wordLineFfPerBit == y.tech.wordLineFfPerBit &&
-            x.tech.senseAmpFf == y.tech.senseAmpFf &&
-            x.tech.latchFfPerBit == y.tech.latchFfPerBit &&
-            x.tech.logicFfPerBit == y.tech.logicFfPerBit &&
-            x.tech.clockFfPerBit == y.tech.clockFfPerBit;
-        if (!tech_equal || x.design != y.design || x.enc != y.enc)
+        if (x.tech != y.tech || x.design != y.design || x.enc != y.enc)
             return false;
     }
     // The cancel token is deliberately NOT compared: it is a runtime

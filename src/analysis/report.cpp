@@ -1,9 +1,11 @@
 #include "analysis/report.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 
 #include "common/json.h"
+#include "common/logging.h"
 
 namespace sigcomp::analysis
 {
@@ -19,37 +21,19 @@ sumActivity(const std::vector<ActivityRow> &rows)
     return total;
 }
 
-double
-meanCpi(const std::vector<CpiRow> &rows, Design d)
+std::size_t
+CpiStudyResult::column(Design d) const
 {
-    if (rows.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (const CpiRow &r : rows) {
-        // DesignTable::at() fatals with context when d is absent.
-        log_sum += std::log(r.cpi.at(d));
-    }
-    return std::exp(log_sum / static_cast<double>(rows.size()));
-}
-
-std::vector<CpiRow>
-CpiStudyResult::rows() const
-{
-    std::vector<CpiRow> out(benchmarks.size());
-    for (std::size_t w = 0; w < benchmarks.size(); ++w) {
-        out[w].benchmark = benchmarks[w];
-        for (std::size_t d = 0; d < designs.size(); ++d) {
-            out[w].cpi[designs[d]] = results[w][d].cpi();
-            out[w].stalls[designs[d]] = results[w][d].stalls;
-        }
-    }
-    return out;
+    const auto it = std::find(designs.begin(), designs.end(), d);
+    SC_ASSERT(it != designs.end(), "design '", pipeline::designName(d),
+              "' missing from CPI study");
+    return static_cast<std::size_t>(it - designs.begin());
 }
 
 double
 CpiStudyResult::geomeanCpi(Design d) const
 {
-    return meanCpi(rows(), d);
+    return columnGeomeanCpi(column(d));
 }
 
 double
@@ -57,8 +41,6 @@ CpiStudyResult::columnGeomeanCpi(std::size_t c) const
 {
     if (results.empty())
         return 0.0;
-    // Same accumulation order as meanCpi(), so a design column's
-    // value is bit-identical to geomeanCpi(design).
     double log_sum = 0.0;
     for (const std::vector<pipeline::PipelineResult> &row : results)
         log_sum += std::log(row[c].cpi());

@@ -4,9 +4,9 @@
  * types, the aggregate SuiteReport, and its uniform JSON
  * serialization.
  *
- * The per-benchmark row types (ActivityRow, CpiRow) are also what
- * the tests' live-simulation oracle returns, so the bit-identity
- * tests compare engine and oracle rows directly.
+ * ActivityRow and PipelineResult are also what the tests'
+ * live-simulation oracle returns, so the bit-identity tests compare
+ * engine and oracle results directly.
  */
 
 #ifndef SIGCOMP_ANALYSIS_REPORT_H_
@@ -33,20 +33,6 @@ struct ActivityRow
 
 /** Summed activity across rows (the tables' AVG line). */
 pipeline::ActivityTotals sumActivity(const std::vector<ActivityRow> &rows);
-
-/**
- * One per-benchmark row of a CPI study (Figs 4/6/8/10). Dense
- * array-indexed per-design storage (pipeline::DesignTable).
- */
-struct CpiRow
-{
-    std::string benchmark;
-    pipeline::DesignTable<double> cpi;
-    pipeline::DesignTable<pipeline::StallBreakdown> stalls;
-};
-
-/** Geometric-mean CPI of one design over a study. */
-double meanCpi(const std::vector<CpiRow> &rows, pipeline::Design d);
 
 /** Results of one registered activity study (one encoding). */
 struct ActivityStudyResult
@@ -76,8 +62,8 @@ struct CpiStudyResult
      */
     std::vector<std::vector<pipeline::PipelineResult>> results;
 
-    /** Per-benchmark CPI/stall rows of the design columns. */
-    std::vector<CpiRow> rows() const;
+    /** Column of design @p d; fatal when the study lacks it. */
+    std::size_t column(pipeline::Design d) const;
 
     /** Geometric-mean CPI of @p d across the benchmarks. */
     double geomeanCpi(pipeline::Design d) const;

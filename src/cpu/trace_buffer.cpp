@@ -305,8 +305,8 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
         // during block k stops the replay before block k+1.
         if (cancel != nullptr && cancel->stopRequested())
             return false;
-        // One span per materialized block batch: the unit the fused
-        // replay loop will eventually pipeline (ROADMAP item 3).
+        // One span per materialized block batch, the unit every
+        // sink of the fused replay pass receives.
         SIGCOMP_SPAN("replay.block");
         const std::size_t k = std::min(block.size(), n - base);
         for (std::size_t j = 0; j < k; ++j) {

@@ -31,6 +31,8 @@ struct CacheParams
     unsigned assoc = 1;
     unsigned lineBytes = 32;
     Cycle hitLatency = 1;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Outcome of a single cache access. */

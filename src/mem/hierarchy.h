@@ -28,6 +28,8 @@ struct HierarchyParams
     Cycle memoryPenalty = 30;
     TlbParams itlb{"itlb", 16, 4, 12, 30};
     TlbParams dtlb{"dtlb", 32, 4, 12, 30};
+
+    bool operator==(const HierarchyParams &) const = default;
 };
 
 /** Result of one hierarchy access. */

@@ -25,6 +25,8 @@ struct TlbParams
     unsigned assoc = 4;
     unsigned pageBits = 12;
     Cycle missPenalty = 30;
+
+    bool operator==(const TlbParams &) const = default;
 };
 
 /** TLB statistics. */

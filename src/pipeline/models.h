@@ -21,13 +21,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "pipeline/pipeline.h"
 
 namespace sigcomp::pipeline
@@ -45,7 +43,7 @@ enum class Design
     SkewedBypass,
 };
 
-/** Number of modelled designs (dense index domain of DesignTable). */
+/** Number of modelled designs (dense index domain of designIndex()). */
 constexpr std::size_t numDesigns = 7;
 
 /** Dense array index of a design. */
@@ -63,75 +61,6 @@ const std::string &designName(Design d);
 
 /** All designs in presentation order. */
 std::vector<Design> allDesigns();
-
-/**
- * Dense Design-indexed map: a fixed array plus a presence bitmask.
- * Replaces std::map<Design, T> in the per-benchmark study rows —
- * indexing is O(1) array arithmetic instead of a red-black-tree
- * walk, and a row is one contiguous allocation. Only entries marked
- * present (by operator[]) participate in at()/size()/equality, so
- * value semantics match the map it replaces.
- */
-template <typename T>
-class DesignTable
-{
-  public:
-    /** Entry for @p d, marking it present. */
-    T &
-    operator[](Design d)
-    {
-        present_ |= bit(d);
-        return v_[designIndex(d)];
-    }
-
-    /** Entry for @p d; fatal when absent (parallels map::at). */
-    const T &
-    at(Design d) const
-    {
-        SC_ASSERT(contains(d), "design '", designName(d),
-                  "' missing from study row");
-        return v_[designIndex(d)];
-    }
-
-    bool
-    contains(Design d) const
-    {
-        return (present_ & bit(d)) != 0;
-    }
-
-    /** Number of present entries. */
-    std::size_t
-    size() const
-    {
-        return static_cast<std::size_t>(std::popcount(present_));
-    }
-
-    bool empty() const { return present_ == 0; }
-
-    friend bool
-    operator==(const DesignTable &a, const DesignTable &b)
-    {
-        if (a.present_ != b.present_)
-            return false;
-        for (std::size_t i = 0; i < numDesigns; ++i) {
-            if ((a.present_ >> i) & 1) {
-                if (!(a.v_[i] == b.v_[i]))
-                    return false;
-            }
-        }
-        return true;
-    }
-
-  private:
-    static constexpr std::uint8_t
-    bit(Design d)
-    {
-        return static_cast<std::uint8_t>(1u << designIndex(d));
-    }
-
-    std::array<T, numDesigns> v_{};
-    std::uint8_t present_ = 0;
-};
 
 /**
  * Per-stage datapath widths of the streamed serial pipeline, in

@@ -160,13 +160,10 @@ struct InstrQuanta
 {
     unsigned fetchBytes = 4;   ///< compressed instruction bytes (3/4)
     unsigned srcChunks = 0;    ///< max significant chunks over sources
-    unsigned numSrcRegs = 0;
     unsigned exChunks = 0;     ///< ALU work chunks (0 = no ALU use)
     unsigned exWorkBytes = 0;  ///< ALU activity bytes
     unsigned memChunks = 0;    ///< data chunks moved by a load/store
-    unsigned memAccessBytes = 0; ///< architectural access size
     unsigned resChunks = 0;    ///< significant chunks of the result
-    bool usesAlu = false;
     bool isMult = false;
     bool isDiv = false;
     Cycle ifExtra = 0;         ///< I-side miss/TLB extra cycles
@@ -333,9 +330,8 @@ latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
  *    instruction stores only the one-byte code of its entry in the
  *    dictionary of its chunk (chunkSize instructions, hence at most
  *    chunkSize distinct entries: a code always fits);
- *  - what the decoded instruction determines (numSrcRegs,
- *    memAccessBytes, usesAlu, isMult, isDiv) is not stored — the
- *    Cursor reads it from DynInstr::dec;
+ *  - what the decoded instruction determines (isMult, isDiv) is
+ *    not stored — the Cursor reads it from DynInstr::dec;
  *  - hierarchy latencies, almost always zero, live in the sparse
  *    index-sorted miss list, each block remembering where its misses
  *    start;
@@ -1039,20 +1035,16 @@ QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
     }
 
     // ---- register sources -----------------------------------------------
-    if (dec.readsRs) {
-        ++q.numSrcRegs;
+    if (dec.readsRs)
         q.srcChunks = std::max(q.srcChunks, ob.rs / chunk_bytes);
-    }
-    if (dec.readsRt) {
-        ++q.numSrcRegs;
+    if (dec.readsRt)
         q.srcChunks = std::max(q.srcChunks, ob.rt / chunk_bytes);
-    }
 
     // ---- ALU work ---------------------------------------------------------
     // One flat dispatch on the decode-time AluOp memo instead of the
     // class/format/funct/opcode cascade (same cases, same order of
     // evaluation — aluOpOf() in isa/instruction.cpp is the mapping).
-    q.usesAlu = true;
+    bool uses_alu = true;
     sig::AluReport alu;
     switch (dec.aluOp) {
       case isa::AluOp::AddRR:
@@ -1134,10 +1126,10 @@ QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
       case isa::AluOp::None:
         alu.workMask = 0;
         alu.workBytes = 0;
-        q.usesAlu = false;
+        uses_alu = false;
         break;
     }
-    q.exChunks = q.usesAlu ? std::max(1u, alu.workChunks()) : 0;
+    q.exChunks = uses_alu ? std::max(1u, alu.workChunks()) : 0;
     q.exWorkBytes = alu.workBytes;
 
     // ---- memory ------------------------------------------------------------
@@ -1145,7 +1137,6 @@ QuantaRecorder::compute(const cpu::DynInstr &di, Count &latch_base)
         const mem::MemOutcome dout =
             hierarchy_.dataAccess(di.memAddr, dec.isStore);
         q.memExtra = dout.extraLatency;
-        q.memAccessBytes = dec.memBytes;
         q.memChunks =
             quanta_detail::memChunksOf(di.memData, dec.memBytes, enc);
         accountActivity(di, q, alu, ifo, dout, true, ob);
@@ -1199,8 +1190,8 @@ QuantaRecorder::accountActivity(const cpu::DynInstr &di, const InstrQuanta &q,
     if (dec.writesDest && dec.dest != isa::reg::zero)
         activity_.rfWrite.add(8 * ob.res + eb, 32);
 
-    // ALU datapath.
-    if (q.usesAlu)
+    // ALU datapath (exChunks is 0 exactly when the ALU is unused).
+    if (q.exChunks != 0)
         activity_.alu.add(8 * alu.workBytes, 32);
 
     // Data cache.
@@ -1261,9 +1252,6 @@ SharedQuanta::Cursor::next(const cpu::DynInstr &di)
     q.pcRippleExtra = field(e, PcRippleExtra);
     q.redirect = field(e, Redirect) != 0;
     // What compute() derives from the decoded instruction alone.
-    q.numSrcRegs = (dec.readsRs ? 1u : 0u) + (dec.readsRt ? 1u : 0u);
-    q.memAccessBytes = (dec.isLoad || dec.isStore) ? dec.memBytes : 0;
-    q.usesAlu = dec.aluOp != isa::AluOp::None;
     q.isMult = dec.aluOp == isa::AluOp::Mult;
     q.isDiv = dec.aluOp == isa::AluOp::Div;
     if (index_++ == missAt_) [[unlikely]] {

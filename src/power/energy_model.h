@@ -38,6 +38,8 @@ struct TechParams
     double latchFfPerBit = 9.0;  ///< fF per latch bit toggled
     double logicFfPerBit = 14.0; ///< fF per datapath bit operated
     double clockFfPerBit = 4.0;  ///< fF of clock load per gated bit
+
+    bool operator==(const TechParams &) const = default;
 };
 
 /**

@@ -118,25 +118,21 @@ activityStudy(sig::Encoding enc)
     return rows;
 }
 
-/** Live counterpart of a StudyPlan::cpi study over the suite. */
-inline std::vector<analysis::CpiRow>
+/**
+ * Live counterpart of a StudyPlan::cpi study over the suite: the
+ * CpiStudyResult::results grid, [workload][design].
+ */
+inline std::vector<std::vector<pipeline::PipelineResult>>
 cpiStudy(const std::vector<pipeline::Design> &designs,
          const pipeline::PipelineConfig &config)
 {
-    std::vector<analysis::CpiRow> rows;
+    std::vector<std::vector<pipeline::PipelineResult>> results;
     for (const std::string &name : workloads::Suite::names()) {
-        const workloads::Workload w = workloads::Suite::build(name);
-        const std::vector<pipeline::PipelineResult> rs =
-            runDesigns(w.program, designs, config);
-        analysis::CpiRow row;
-        row.benchmark = name;
-        for (std::size_t d = 0; d < designs.size(); ++d) {
-            row.cpi[designs[d]] = rs[d].cpi();
-            row.stalls[designs[d]] = rs[d].stalls;
-        }
-        rows.push_back(std::move(row));
+        results.push_back(
+            runDesigns(workloads::Suite::build(name).program, designs,
+                       config));
     }
-    return rows;
+    return results;
 }
 
 /** Feed the whole suite's live retirement stream, in suite order. */
@@ -180,19 +176,6 @@ expectSameRows(const std::vector<analysis::ActivityRow> &a,
     }
 }
 
-/** Exact comparison of two CPI studies' rows (CPI bits and stalls). */
-inline void
-expectSameRows(const std::vector<analysis::CpiRow> &a,
-               const std::vector<analysis::CpiRow> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].benchmark, b[i].benchmark);
-        EXPECT_TRUE(a[i].cpi == b[i].cpi) << b[i].benchmark;
-        EXPECT_TRUE(a[i].stalls == b[i].stalls) << b[i].benchmark;
-    }
-}
-
 /** Field-exact comparison of two full pipeline results. */
 inline void
 expectSameResult(const pipeline::PipelineResult &a,
@@ -213,6 +196,30 @@ expectSameResult(const pipeline::PipelineResult &a,
         EXPECT_EQ(x->fills, y->fills) << b.name;
         EXPECT_EQ(x->writebacks, y->writebacks) << b.name;
     }
+}
+
+/** Field-exact comparison of two CPI studies' results grids. */
+inline void
+expectSameResults(
+    const std::vector<std::vector<pipeline::PipelineResult>> &a,
+    const std::vector<std::vector<pipeline::PipelineResult>> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t w = 0; w < a.size(); ++w) {
+        SCOPED_TRACE("workload " + std::to_string(w));
+        ASSERT_EQ(a[w].size(), b[w].size());
+        for (std::size_t c = 0; c < a[w].size(); ++c)
+            expectSameResult(a[w][c], b[w][c]);
+    }
+}
+
+/** Field-exact comparison of two CPI studies, benchmarks included. */
+inline void
+expectSameResults(const analysis::CpiStudyResult &a,
+                  const analysis::CpiStudyResult &b)
+{
+    EXPECT_EQ(a.benchmarks, b.benchmarks);
+    expectSameResults(a.results, b.results);
 }
 
 } // namespace sigcomp::live

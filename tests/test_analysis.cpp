@@ -71,14 +71,12 @@ runActivityStudy(sig::Encoding enc, Session &session = suiteSession())
         .rows;
 }
 
-std::vector<CpiRow>
+CpiStudyResult
 runCpiStudy(const std::vector<Design> &designs,
             const pipeline::PipelineConfig &cfg,
             Session &session = suiteSession())
 {
-    return runPlan(StudyPlan().cpi(designs, cfg), session)
-        .cpi.front()
-        .rows();
+    return runPlan(StudyPlan().cpi(designs, cfg), session).cpi.front();
 }
 
 /** "cache.capture" spans in the process trace so far. */
@@ -271,16 +269,16 @@ TEST(ActivityStudy, HalfwordSavingsSmallerButSubstantial)
 TEST(CpiStudy, PaperOrderingAcrossSuite)
 {
     const auto designs = pipeline::allDesigns();
-    const auto rows = runCpiStudy(designs, suiteConfig());
-    ASSERT_EQ(rows.size(), workloads::Suite::names().size());
+    const auto study = runCpiStudy(designs, suiteConfig());
+    ASSERT_EQ(study.benchmarks, workloads::Suite::names());
 
-    const double base = meanCpi(rows, Design::Baseline32);
-    const double serial = meanCpi(rows, Design::ByteSerial);
-    const double half = meanCpi(rows, Design::HalfwordSerial);
-    const double semi = meanCpi(rows, Design::ByteSemiParallel);
-    const double skew = meanCpi(rows, Design::ByteParallelSkewed);
-    const double comp = meanCpi(rows, Design::ByteParallelCompressed);
-    const double byp = meanCpi(rows, Design::SkewedBypass);
+    const double base = study.geomeanCpi(Design::Baseline32);
+    const double serial = study.geomeanCpi(Design::ByteSerial);
+    const double half = study.geomeanCpi(Design::HalfwordSerial);
+    const double semi = study.geomeanCpi(Design::ByteSemiParallel);
+    const double skew = study.geomeanCpi(Design::ByteParallelSkewed);
+    const double comp = study.geomeanCpi(Design::ByteParallelCompressed);
+    const double byp = study.geomeanCpi(Design::SkewedBypass);
 
     // Paper: baseline < {skewed family, compressed} < semi < half
     // < serial; byte-serial ~ +79%, semi ~ +24%, parallel within
@@ -358,7 +356,8 @@ TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
 
     // Exact double equality: identical inputs through identical
     // per-workload arithmetic must produce identical bits.
-    live::expectSameRows(parallel, serial);
+    EXPECT_EQ(parallel.benchmarks, workloads::Suite::names());
+    live::expectSameResults(parallel.results, serial);
 }
 
 TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
@@ -388,11 +387,10 @@ TEST(CpiStudy, ExStructuralStallsDominateByteSerial)
 {
     // Section 5's bottleneck study: most byte-serial stalls are EX
     // structural hazards, motivating the 3/2/2/1 bandwidth split.
-    const auto rows =
-        runCpiStudy({Design::ByteSerial}, suiteConfig());
+    const auto study = runCpiStudy({Design::ByteSerial}, suiteConfig());
     Count structural = 0, total = 0;
-    for (const auto &row : rows) {
-        const auto &st = row.stalls.at(Design::ByteSerial);
+    for (const auto &row : study.results) {
+        const auto &st = row.front().stalls;
         structural += st.structuralCycles;
         total += st.total();
     }

@@ -179,7 +179,7 @@ TEST(SessionFused, OneReplayPassFeedsEveryStudy)
     ASSERT_EQ(rep.activity.size(), 1u);
     live::expectSameRows(rep.activity[0].rows, one_act.front().rows);
     ASSERT_EQ(rep.cpi.size(), 1u);
-    live::expectSameRows(rep.cpi[0].rows(), one_cpi.front().rows());
+    live::expectSameResults(rep.cpi[0], one_cpi.front());
     expectSameTallies(prof, one_prof);
 }
 
@@ -223,7 +223,7 @@ TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
 
     EXPECT_EQ(rep.replayPasses, rep.workloads.size());
     SCOPED_TRACE(threads);
-    live::expectSameRows(rep.cpi[0].rows(), reference.cpi[0].rows());
+    live::expectSameResults(rep.cpi[0], reference.cpi[0]);
     live::expectSameRows(rep.activity[0].rows, reference.activity[0].rows);
     EXPECT_GT(prof.pat.patterns().total(), 0u);
     expectSameTallies(prof, fed);
@@ -747,13 +747,9 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
     ASSERT_EQ(rep.cpi[0].benchmarks,
               std::vector<std::string>{"rawcaudio"});
     // The surviving row is the exact full-pass result.
-    const auto got = rep.cpi[0].rows();
-    const auto want = full.cpi[0].rows();
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0].benchmark, "rawcaudio");
-    EXPECT_EQ(want[0].benchmark, "rawcaudio");
-    EXPECT_TRUE(got[0].cpi == want[0].cpi);
-    EXPECT_TRUE(got[0].stalls == want[0].stalls);
+    EXPECT_EQ(full.cpi[0].benchmarks[0], "rawcaudio");
+    live::expectSameResults(rep.cpi[0].results,
+                            {full.cpi[0].results.front()});
     // Only the second workload's capture was wasted; the third never
     // started.
     EXPECT_EQ(rep.captures, 2u);
@@ -1144,16 +1140,8 @@ void
 expectSameStudies(const SuiteReport &got, const SuiteReport &want)
 {
     ASSERT_EQ(got.cpi.size(), want.cpi.size());
-    for (std::size_t s = 0; s < got.cpi.size(); ++s) {
-        const analysis::CpiStudyResult &g = got.cpi[s];
-        const analysis::CpiStudyResult &w = want.cpi[s];
-        ASSERT_EQ(g.results.size(), w.results.size());
-        for (std::size_t r = 0; r < g.results.size(); ++r) {
-            ASSERT_EQ(g.results[r].size(), w.results[r].size());
-            for (std::size_t c = 0; c < g.results[r].size(); ++c)
-                live::expectSameResult(g.results[r][c], w.results[r][c]);
-        }
-    }
+    for (std::size_t s = 0; s < got.cpi.size(); ++s)
+        live::expectSameResults(got.cpi[s], want.cpi[s]);
     ASSERT_EQ(got.activity.size(), want.activity.size());
     for (std::size_t s = 0; s < got.activity.size(); ++s)
         live::expectSameRows(got.activity[s].rows, want.activity[s].rows);

@@ -259,8 +259,9 @@ cmdStats(const Options &opt)
             return 1;
         }
         std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-stats-v3\",\n");
-        std::fprintf(f, "  \"dir\": \"%s\",\n", opt.dir.c_str());
-        std::fprintf(f, "  \"format_version\": %u,\n",
+        std::fprintf(f, "  \"dir\": ");
+        json::writeString(f, opt.dir);
+        std::fprintf(f, ",\n  \"format_version\": %u,\n",
                      store::formatVersion);
         std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                      simd::simdLevelName(simd::activeSimdLevel()));
