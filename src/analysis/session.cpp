@@ -32,23 +32,10 @@ nowMs()
 
 } // namespace
 
-TraceCacheConfig
-traceCacheConfig(const SessionConfig &config)
-{
-    return {.storeDir = config.storeDir,
-            .readOnly = config.readOnly,
-            .durableSaves = config.durableSaves,
-            .env = config.env,
-            .captureLimit = config.captureLimit};
-}
-
-Session::Session(SessionConfig config)
-    : Session(config, std::make_shared<TraceCache>(traceCacheConfig(config)))
-{
-}
-
 Session::Session(SessionConfig config, std::shared_ptr<TraceCache> cache)
-    : config_(std::move(config)), cache_(std::move(cache))
+    : config_(std::move(config)),
+      cache_(cache != nullptr ? std::move(cache)
+                              : std::make_shared<TraceCache>(config_))
 {
     SC_ASSERT(!(config_.readOnly && config_.storeDir.empty()),
               "SessionConfig.readOnly requires storeDir: a read-only "

@@ -63,72 +63,17 @@
 namespace sigcomp::analysis
 {
 
-/**
- * Construction-time configuration of a Session: the one place an
- * execution setting is chosen. Nothing here changes after
- * construction; a different setting means a different Session.
- */
-struct SessionConfig
-{
-    /**
-     * Workload-level parallelism: 0 = the shared process pool
-     * (bounded, recommended), otherwise a dedicated executor of this
-     * size (1 = serial reference).
-     */
-    unsigned threads = 0;
-    /** Persistent trace store directory; empty = RAM tiers only. */
-    std::string storeDir = {};
-    /**
-     * Never write segments. Only meaningful with storeDir — setting
-     * it without one is a configuration error and fatal.
-     */
-    bool readOnly = false;
-    /** Per-workload capture cap (see TraceCacheConfig::captureLimit). */
-    DWord captureLimit = cpu::TraceBuffer::defaultMaxInstrs;
-    /** fsync-guard published segments (store::StoreOptions). */
-    bool durableSaves = true;
-    /**
-     * I/O seam handed to the store (nullptr = real filesystem). The
-     * fault-injection tests run whole sessions over a hostile Env;
-     * only the health counters may differ from a fault-free run.
-     */
-    Env *env = nullptr;
-
-    // ---- admission control (serving mode; two limits) ---------------
-    /**
-     * Plans executing concurrently on this Session. A plan arriving
-     * at capacity waits in the bounded queue below (or is rejected
-     * when the queue is full too). 0 = unlimited (library mode), and
-     * then nothing is ever queued or rejected.
-     */
-    unsigned maxConcurrentPlans = 0;
-    /**
-     * Plans allowed to wait for a slot when at capacity; one past
-     * the queue is rejected-with-reason immediately. Meaningful only
-     * with maxConcurrentPlans set. 0 = no queue (reject at capacity).
-     */
-    unsigned maxQueuedPlans = 0;
-};
-
-/**
- * The TraceCache a Session over @p config builds: its store binding
- * (storeDir, readOnly, durableSaves, env) and capture limit. The one
- * place a SessionConfig maps onto a TraceCacheConfig.
- */
-TraceCacheConfig traceCacheConfig(const SessionConfig &config);
-
 class Session
 {
   public:
-    Session() : Session(SessionConfig{}) {}
-    /** A Session over its own cache, built from traceCacheConfig(). */
-    explicit Session(SessionConfig config);
     /**
      * A Session serving from @p cache, which other Sessions may
-     * share (see Isolation above). The cache's store binding and
-     * capture limit must be what traceCacheConfig(config) asks for.
+     * share (see Isolation above); without one it builds its own
+     * from @p config. A shared cache's store binding and capture
+     * limit must be the ones @p config names.
      */
-    Session(SessionConfig config, std::shared_ptr<TraceCache> cache);
+    explicit Session(SessionConfig config = {},
+                     std::shared_ptr<TraceCache> cache = nullptr);
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;

@@ -10,7 +10,7 @@
 namespace sigcomp::analysis
 {
 
-TraceCache::TraceCache(TraceCacheConfig config)
+TraceCache::TraceCache(const SessionConfig &config)
     : store_(config.storeDir.empty()
                  ? nullptr
                  : std::make_shared<store::TraceStore>(

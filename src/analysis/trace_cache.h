@@ -15,15 +15,15 @@
  * each trace and its annexes once, however many Sessions use it.
  *
  * Two tiers: the RAM map is the hot tier; an optional
- * store::TraceStore directory (TraceCacheConfig::storeDir) is the
+ * store::TraceStore directory (SessionConfig::storeDir) is the
  * persistent cold tier. With a store attached, a miss first tries to
  * load the workload's significance-compressed segment from disk — a
  * cold *process* then skips functional capture entirely — and fresh
  * captures are written through so the next process benefits. A trace
  * stays in RAM until evict() or clear() drops it; the plan decides
  * that (StudyPlan::evictAfterReplay). The store binding and capture
- * limit are fixed at construction (Session maps its SessionConfig
- * onto them); a different setting is a different cache.
+ * limit are fixed at construction from the SessionConfig the cache
+ * is built from; a different setting is a different cache.
  *
  * Thread-safety: get() performs exactly one capture per workload no
  * matter how many threads race on the first touch (later callers
@@ -53,17 +53,29 @@
 namespace sigcomp::analysis
 {
 
-/** Construction-time configuration of a TraceCache. */
-struct TraceCacheConfig
+/**
+ * Construction-time configuration of a Session and of any TraceCache
+ * built from it: the one place an execution setting is chosen. A
+ * cache reads the store binding (storeDir, readOnly, durableSaves,
+ * env) and captureLimit; the Session reads the rest. Nothing here
+ * changes after construction; a different setting means a different
+ * Session.
+ */
+struct SessionConfig
 {
-    /** Store directory; empty = RAM tier only. */
+    /**
+     * Workload-level parallelism: 0 = the shared process pool
+     * (bounded, recommended), otherwise a dedicated executor of this
+     * size (1 = serial reference).
+     */
+    unsigned threads = 0;
+    /** Persistent trace store directory; empty = RAM tiers only. */
     std::string storeDir = {};
-    /** Never write segments (CI replay of a shared/cached store). */
+    /**
+     * Never write segments. Only meaningful with storeDir — setting
+     * it without one is a configuration error and fatal.
+     */
     bool readOnly = false;
-    /** fsync-guard published segments (store::StoreOptions). */
-    bool durableSaves = true;
-    /** I/O seam handed to the store; nullptr = real filesystem. */
-    Env *env = nullptr;
     /**
      * Per-workload capture cap. The default (TraceBuffer's
      * defaultMaxInstrs) treats hitting the limit as fatal; any other
@@ -72,6 +84,29 @@ struct TraceCacheConfig
      * under a different cap never replays.
      */
     DWord captureLimit = cpu::TraceBuffer::defaultMaxInstrs;
+    /** fsync-guard published segments (store::StoreOptions). */
+    bool durableSaves = true;
+    /**
+     * I/O seam handed to the store (nullptr = real filesystem). The
+     * fault-injection tests run whole sessions over a hostile Env;
+     * only the health counters may differ from a fault-free run.
+     */
+    Env *env = nullptr;
+
+    // ---- admission control (serving mode; two limits) ---------------
+    /**
+     * Plans executing concurrently on this Session. A plan arriving
+     * at capacity waits in the bounded queue below (or is rejected
+     * when the queue is full too). 0 = unlimited (library mode), and
+     * then nothing is ever queued or rejected.
+     */
+    unsigned maxConcurrentPlans = 0;
+    /**
+     * Plans allowed to wait for a slot when at capacity; one past
+     * the queue is rejected-with-reason immediately. Meaningful only
+     * with maxConcurrentPlans set. 0 = no queue (reject at capacity).
+     */
+    unsigned maxQueuedPlans = 0;
 };
 
 class TraceCache
@@ -79,7 +114,11 @@ class TraceCache
   public:
     using TracePtr = std::shared_ptr<const cpu::TraceBuffer>;
 
-    explicit TraceCache(TraceCacheConfig config = {});
+    /**
+     * A cache with @p config's store binding and capture limit (its
+     * other settings are the Session's).
+     */
+    explicit TraceCache(const SessionConfig &config = {});
     TraceCache(const TraceCache &) = delete;
     TraceCache &operator=(const TraceCache &) = delete;
 
@@ -219,7 +258,7 @@ class TraceCache
     /** Traces in RAM and ready (those memoryBytes() counts). */
     std::size_t residentTraces() const;
 
-    /** Per-workload capture cap (TraceCacheConfig::captureLimit). */
+    /** Per-workload capture cap (SessionConfig::captureLimit). */
     DWord captureLimit() const { return limit_; }
 
   private:

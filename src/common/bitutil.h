@@ -28,13 +28,6 @@ setWordByte(Word w, unsigned i, Byte b)
     return (w & ~mask) | (Word{b} << (8 * i));
 }
 
-/** Extract halfword @p i (0 = least significant) of @p w. */
-constexpr Half
-wordHalf(Word w, unsigned i)
-{
-    return static_cast<Half>(w >> (16 * i));
-}
-
 /** The most significant bit of a byte. */
 constexpr bool
 byteMsb(Byte b)
@@ -70,13 +63,6 @@ setBitField(Word v, unsigned lo, unsigned len, Word field)
 {
     const Word mask = ((len >= 32) ? ~Word{0} : ((Word{1} << len) - 1)) << lo;
     return (v & ~mask) | ((field << lo) & mask);
-}
-
-/** Population count of differing bits between two words. */
-constexpr unsigned
-hammingDistance(Word a, Word b)
-{
-    return static_cast<unsigned>(std::popcount(a ^ b));
 }
 
 /**

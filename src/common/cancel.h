@@ -99,9 +99,6 @@ class CancelToken
         return t;
     }
 
-    /** This token's absolute deadline in steady-clock nanos. */
-    std::int64_t deadlineNanos() const { return deadlineNanos_; }
-
     /** No deadline sentinel. */
     static constexpr std::int64_t kNoDeadline =
         std::numeric_limits<std::int64_t>::max();

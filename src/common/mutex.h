@@ -44,12 +44,6 @@ class SIGCOMP_CAPABILITY("mutex") Mutex
         mu_.unlock();
     }
 
-    bool
-    tryLock() SIGCOMP_TRY_ACQUIRE(true)
-    {
-        return mu_.try_lock();
-    }
-
   private:
     friend class UniqueLock;
     std::mutex mu_;

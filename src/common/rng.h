@@ -59,19 +59,6 @@ class Rng
         return static_cast<double>(next64() >> 11) * 0x1.0p-53;
     }
 
-    /**
-     * A rough normal deviate (sum of uniforms); adequate for shaping
-     * synthetic audio/pixel data.
-     */
-    double
-    gaussian()
-    {
-        double acc = 0.0;
-        for (int i = 0; i < 12; ++i)
-            acc += uniform();
-        return acc - 6.0;
-    }
-
   private:
     DWord state;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Light-weight statistics primitives: scalar counters, ratios,
- * frequency distributions, and running averages.
+ * Light-weight statistics primitives: frequency distributions and
+ * percentage savings.
  */
 
 #ifndef SIGCOMP_COMMON_STATS_H_
@@ -9,56 +9,12 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/types.h"
 
 namespace sigcomp
 {
-
-/** A named monotonically increasing counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(Count n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
-    Count value() const { return value_; }
-
-  private:
-    Count value_ = 0;
-};
-
-/**
- * Running scalar average over samples.
- */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++n_;
-    }
-
-    double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-    Count samples() const { return n_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        n_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    Count n_ = 0;
-};
 
 /**
  * Frequency distribution over a small key domain (e.g. the eight

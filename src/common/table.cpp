@@ -100,37 +100,6 @@ TextTable::toString() const
     return os.str();
 }
 
-std::string
-TextTable::toCsv() const
-{
-    auto emit = [](std::ostringstream &os,
-                   const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            bool quote = row[c].find_first_of(",\"\n") != std::string::npos;
-            if (!quote) {
-                os << row[c];
-            } else {
-                os << '"';
-                for (char ch : row[c]) {
-                    if (ch == '"')
-                        os << '"';
-                    os << ch;
-                }
-                os << '"';
-            }
-        }
-        os << '\n';
-    };
-
-    std::ostringstream os;
-    emit(os, headers_);
-    for (const auto &row : rows_)
-        emit(os, row);
-    return os.str();
-}
-
 void
 TextTable::print(std::ostream &os) const
 {

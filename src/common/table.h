@@ -45,9 +45,6 @@ class TextTable
     /** Render with aligned columns and a separator under the header. */
     std::string toString() const;
 
-    /** Render as CSV. */
-    std::string toCsv() const;
-
     /** Convenience: print toString() to @p os. */
     void print(std::ostream &os) const;
 

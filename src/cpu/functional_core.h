@@ -79,7 +79,6 @@ class FunctionalCore
     Word reg(isa::Reg r) const { return regs_[r]; }
     void setReg(isa::Reg r, Word v);
     Addr pc() const { return pc_; }
-    void setPc(Addr pc) { pc_ = pc; }
     Word hi() const { return hi_; }
     Word lo() const { return lo_; }
 

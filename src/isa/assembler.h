@@ -141,9 +141,6 @@ class Assembler
     /** Current data cursor address. */
     Addr dataCursor() const;
 
-    /** Number of instructions emitted so far. */
-    std::size_t textSize() const { return text_.size(); }
-
     /**
      * Resolve fixups and produce the linked program.
      * Fatal on undefined or duplicate labels and on out-of-range

@@ -14,12 +14,6 @@ Program::symbol(const std::string &label) const
     return it->second;
 }
 
-bool
-Program::hasSymbol(const std::string &label) const
-{
-    return symbols_.count(label) != 0;
-}
-
 Instruction
 Program::fetch(Addr addr) const
 {

@@ -72,9 +72,6 @@ class Program
     /** Look up a label; fatal if missing. */
     Addr symbol(const std::string &label) const;
 
-    /** True when the label exists. */
-    bool hasSymbol(const std::string &label) const;
-
     /** Instruction at @p addr; fatal when outside the text segment. */
     Instruction fetch(Addr addr) const;
 

@@ -79,8 +79,7 @@ tenantConfig(const DaemonConfig &config)
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
-      traces_(std::make_shared<analysis::TraceCache>(
-          analysis::traceCacheConfig(tenantConfig(config_)))),
+      traces_(std::make_shared<analysis::TraceCache>(tenantConfig(config_))),
       requests_(registry_.counter("daemon.requests")),
       httpErrors_(registry_.counter("daemon.http_errors")),
       planErrors_(registry_.counter("daemon.plan_errors")),
@@ -327,8 +326,7 @@ Daemon::serve(net::Listener &listener)
             listener.acceptConn(&status);
         if (accepted == nullptr) {
             if (!status.ok())
-                SC_WARN("sigcompd: accept failed: %s",
-                        status.message.c_str());
+                SC_WARN("sigcompd: accept failed: ", status.message);
             break;
         }
         if (stopRequested())

@@ -82,7 +82,7 @@ struct DaemonConfig
 {
     /**
      * Every tenant session's configuration, and the daemon's one
-     * shared TraceCache's (analysis::traceCacheConfig): the store
+     * shared TraceCache's, which is built from it: the store
      * binding and capture limit are daemon-wide, the executor and
      * admission limits are per tenant. Serving defaults: the store
      * opens read-only (nobody mutates segments; tests flip it to

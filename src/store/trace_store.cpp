@@ -633,6 +633,42 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
 }
 // sigcomp-lint: format-layout-end
 
+/**
+ * CRC-check and decode every quanta annex of @p seg in the file copy
+ * @p bytes, handing each record to @p use(key, record). Fail-soft:
+ * false + reason at the first damaged annex.
+ */
+template <typename Use>
+bool
+decodeAnnexes(const std::uint8_t *bytes, const Segment &seg,
+              std::string *why, const Use &use)
+{
+    SIGCOMP_SPAN("store.decode_annexes");
+    const std::size_t n = static_cast<std::size_t>(seg.instructions);
+    for (const Segment::Annex &ax : seg.annexes) {
+        const std::uint8_t *p = bytes + ax.payloadOffset;
+        const std::size_t len = static_cast<std::size_t>(ax.encBytes);
+        if (crc32(0, p, len) != ax.payloadCrc)
+            return fail(why, "annex '" + ax.key + "': payload CRC");
+        std::shared_ptr<SharedQuanta> rec;
+        if (!decodeQuanta(p, len, n, rec, why))
+            return false;
+        use(ax.key, rec);
+    }
+    return true;
+}
+
+/** Sum of one byte count over @p columns. */
+std::uint64_t
+columnTotal(const std::vector<ColumnStat> &columns,
+            std::uint64_t ColumnStat::*bytes)
+{
+    std::uint64_t total = 0;
+    for (const ColumnStat &c : columns)
+        total += c.*bytes;
+    return total;
+}
+
 } // namespace
 
 } // namespace
@@ -820,21 +856,14 @@ class TraceSerializer
         // recomputing the front half. Damage fails the whole load
         // softly (recapture). Codes and dictionaries are stored as
         // they sit in RAM, so this is a checked copy.
-        SIGCOMP_SPAN("store.decode_annexes");
-        for (const Segment::Annex &ax : seg.annexes) {
-            const std::uint8_t *p = bytes + ax.payloadOffset;
-            const std::size_t len =
-                static_cast<std::size_t>(ax.encBytes);
-            if (crc32(0, p, len) != ax.payloadCrc)
-                return failed(why, "annex '" + ax.key + "': payload CRC");
-            std::shared_ptr<SharedQuanta> rec;
-            if (!decodeQuanta(p, len, n, rec, why))
-                return nullptr;
-            buf->annexStoreIfAbsent(
-                ax.key, std::static_pointer_cast<void>(rec),
-                rec->bytes());
-        }
-        return buf;
+        const bool annexes_ok = decodeAnnexes(
+            bytes, seg, why,
+            [&](const std::string &key,
+                const std::shared_ptr<SharedQuanta> &rec) {
+                buf->annexStoreIfAbsent(
+                    key, std::static_pointer_cast<void>(rec), rec->bytes());
+            });
+        return annexes_ok ? buf : nullptr;
     }
 
   private:
@@ -850,19 +879,36 @@ class TraceSerializer
 std::uint64_t
 SegmentInfo::rawBytes() const
 {
-    std::uint64_t total = 0;
-    for (const ColumnStat &c : columns)
-        total += c.rawBytes;
-    return total;
+    return columnTotal(columns, &ColumnStat::rawBytes);
 }
 
 std::uint64_t
 SegmentInfo::encodedBytes() const
 {
-    std::uint64_t total = 0;
-    for (const ColumnStat &c : columns)
-        total += c.encodedBytes;
-    return total;
+    return columnTotal(columns, &ColumnStat::encodedBytes);
+}
+
+template <typename Attempt>
+EnvStatus
+TraceStore::retryTransient(const Attempt &attempt,
+                           const CancelToken *cancel, bool *cancelled) const
+{
+    for (unsigned retry = 0;; ++retry) {
+        EnvStatus st = attempt();
+        if (!st.transient() || retry == kTransientRetries)
+            return st;
+        if (cancelRequested(cancel)) {
+            *cancelled = true;
+            return st;
+        }
+        retriesMetric_.inc();
+        // Waiting out a transient fault is invisible to a wall-clock
+        // profile without this span — retry storms look like slow I/O.
+        SIGCOMP_SPAN("store.retry_wait");
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(std::uint64_t{kRetryBackoffMs}
+                                      << std::min(retry, 10u)));
+    }
 }
 
 TraceStore::TraceStore(std::string dir, const StoreOptions &options)
@@ -880,15 +926,8 @@ TraceStore::TraceStore(std::string dir, const StoreOptions &options)
 {
     if (readOnly_)
         return;
-    EnvStatus st;
-    for (unsigned attempt = 0;; ++attempt) {
-        st = env_->createDirs(dir_);
-        if (st.ok() || !st.transient() || attempt == kTransientRetries)
-            break;
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        retriesMetric_.inc();
-        backoff(attempt);
-    }
+    const EnvStatus st =
+        retryTransient([&] { return env_->createDirs(dir_); });
     if (!st.ok()) {
         // Fail-soft: the store opens empty and unwritable rather than
         // killing the process — sessions degrade to capture-only.
@@ -898,37 +937,18 @@ TraceStore::TraceStore(std::string dir, const StoreOptions &options)
     }
 }
 
-void
-TraceStore::backoff(unsigned attempt) const
-{
-    // Waiting out a transient fault is invisible to a wall-clock
-    // profile without this span — retry storms look like slow I/O.
-    SIGCOMP_SPAN("store.retry_wait");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::uint64_t{kRetryBackoffMs}
-                                  << std::min(attempt, 10u)));
-}
-
 std::unique_ptr<Env::FileView>
 TraceStore::readSegment(const std::string &path, EnvStatus *status) const
 {
-    EnvStatus st;
-    for (unsigned attempt = 0;; ++attempt) {
-        auto view = env_->loadFile(path, &st);
-        if (view != nullptr) {
-            if (status != nullptr)
-                *status = EnvStatus::good();
-            return view;
-        }
-        if (!st.transient() || attempt == kTransientRetries)
-            break;
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        retriesMetric_.inc();
-        backoff(attempt);
-    }
+    std::unique_ptr<Env::FileView> view;
+    const EnvStatus st = retryTransient([&] {
+        EnvStatus load_st;
+        view = env_->loadFile(path, &load_st);
+        return view != nullptr ? EnvStatus::good() : load_st;
+    });
     if (status != nullptr)
         *status = st;
-    return nullptr;
+    return view;
 }
 
 std::string
@@ -993,10 +1013,9 @@ TraceStore::load(const std::string &workload, const isa::Program &program,
     return buf;
 }
 
-EnvFault
+EnvStatus
 TraceStore::saveOnce(const std::string &path,
-                     const std::vector<std::uint8_t> &bytes,
-                     std::string *why) const
+                     const std::vector<std::uint8_t> &bytes) const
 {
     // Unique per save, not just per process: two threads saving the
     // same workload (global + local cache, prewarm races) must not
@@ -1008,10 +1027,8 @@ TraceStore::saveOnce(const std::string &path,
         std::to_string(save_seq.fetch_add(1));
     EnvStatus st;
     auto file = env_->createFile(tmp, &st);
-    if (file == nullptr) {
-        fail(why, st.message);
-        return st.fault;
-    }
+    if (file == nullptr)
+        return st;
     st = file->append(bytes.data(), bytes.size());
     // Durable saves fsync the temp file BEFORE the rename: without
     // it, power loss can reorder the rename ahead of the data blocks
@@ -1023,15 +1040,13 @@ TraceStore::saveOnce(const std::string &path,
         st = closed;
     if (!st.ok()) {
         env_->removeFile(tmp); // best effort; gc sweeps orphans
-        fail(why, st.message);
-        return st.fault;
+        return st;
     }
     // Atomic publish: readers never observe a partial segment.
     st = env_->renameFile(tmp, path);
     if (!st.ok()) {
         env_->removeFile(tmp);
-        fail(why, "rename failed: " + st.message);
-        return st.fault;
+        return EnvStatus::error(st.fault, "rename failed: " + st.message);
     }
     if (durableSaves_) {
         // The rename is already visible; a failed directory fsync
@@ -1042,7 +1057,7 @@ TraceStore::saveOnce(const std::string &path,
             SC_WARN("trace store: directory fsync failed (",
                     dir_st.message, ")");
     }
-    return EnvFault::None;
+    return EnvStatus::good();
 }
 
 bool
@@ -1070,29 +1085,21 @@ TraceStore::save(const std::string &workload,
     saveBytes_.record(bytes.size());
 
     const std::string path = segmentPath(workload);
-    std::string reason;
-    EnvFault f = EnvFault::None;
-    for (unsigned attempt = 0;; ++attempt) {
-        f = saveOnce(path, bytes, &reason);
-        if (f == EnvFault::None)
-            return true;
-        if (f != EnvFault::Transient || attempt == kTransientRetries)
-            break;
-        // A cancel arriving while a transient fault is being retried
-        // abandons the save: each attempt was atomic (complete
-        // rename or ignorable temp), so the previously published
-        // segment — if any — is still bit-identical on disk.
-        if (cancelRequested(cancel)) {
-            reason = "save cancelled after transient fault: " + reason;
-            break;
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        retriesMetric_.inc();
-        backoff(attempt);
-    }
+    // A cancel arriving while a transient fault is being retried
+    // abandons the save: each attempt was atomic (complete rename or
+    // ignorable temp), so the previously published segment — if any
+    // — is still bit-identical on disk.
+    bool cancelled = false;
+    const EnvStatus st = retryTransient(
+        [&] { return saveOnce(path, bytes); }, cancel, &cancelled);
+    if (st.ok())
+        return true;
     if (fault != nullptr)
-        *fault = f;
-    return fail(why, reason);
+        *fault = st.fault;
+    return fail(why, cancelled
+                         ? "save cancelled after transient fault: " +
+                               st.message
+                         : st.message);
 }
 
 bool
@@ -1111,16 +1118,7 @@ TraceStore::quarantine(const std::string &workload,
         path + ".quar." +
         std::to_string(static_cast<unsigned long>(::getpid())) + "." +
         std::to_string(quar_seq.fetch_add(1));
-    EnvStatus st;
-    for (unsigned attempt = 0;; ++attempt) {
-        st = env_->renameFile(path, dest);
-        if (st.ok() || !st.transient() || attempt == kTransientRetries)
-            break;
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        retriesMetric_.inc();
-        backoff(attempt);
-    }
-    if (!st.ok())
+    if (!retryTransient([&] { return env_->renameFile(path, dest); }).ok())
         return false;
     if (quarantined_path != nullptr)
         *quarantined_path = dest;
@@ -1233,34 +1231,19 @@ TraceStore::verify(const std::string &workload,
         return fail(why, "decIdx: malformed codec stream");
     // Annex payloads decode without a program: full CRC + structural
     // check, same strictness as the columns.
-    for (const Segment::Annex &ax : seg.annexes) {
-        const std::uint8_t *ap = bytes + ax.payloadOffset;
-        const std::size_t alen = static_cast<std::size_t>(ax.encBytes);
-        if (crc32(0, ap, alen) != ax.payloadCrc)
-            return fail(why, "annex '" + ax.key + "': payload CRC");
-        std::shared_ptr<pipeline::SharedQuanta> rec;
-        if (!decodeQuanta(ap, alen, n, rec, why))
-            return false;
-    }
-    return true;
+    return decodeAnnexes(bytes, seg, why, [](const auto &, const auto &) {});
 }
 
 std::uint64_t
 StoreStats::rawBytes() const
 {
-    std::uint64_t total = 0;
-    for (const ColumnStat &c : columns)
-        total += c.rawBytes;
-    return total;
+    return columnTotal(columns, &ColumnStat::rawBytes);
 }
 
 std::uint64_t
 StoreStats::encodedBytes() const
 {
-    std::uint64_t total = 0;
-    for (const ColumnStat &c : columns)
-        total += c.encodedBytes;
-    return total;
+    return columnTotal(columns, &ColumnStat::encodedBytes);
 }
 
 StoreStats

@@ -76,7 +76,6 @@
 #ifndef SIGCOMP_STORE_TRACE_STORE_H_
 #define SIGCOMP_STORE_TRACE_STORE_H_
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -223,12 +222,6 @@ class TraceStore
     /** The I/O seam this store runs over (never null). */
     Env &env() const { return *env_; }
 
-    /** Transient-fault retries performed over this handle's lifetime. */
-    std::uint64_t retries() const
-    {
-        return retries_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Load @p workload's trace, rebuilt against @p program (the store
      * persists only the dynamic columns; static program state is
@@ -345,17 +338,27 @@ class TraceStore
     static std::uint32_t programFingerprint(const isa::Program &program);
 
   private:
-    /** One save attempt; returns the fault class (None on success). */
-    EnvFault saveOnce(const std::string &path,
-                      const std::vector<std::uint8_t> &bytes,
-                      std::string *why) const;
+    /** One save attempt; its status (good on success). */
+    EnvStatus saveOnce(const std::string &path,
+                       const std::vector<std::uint8_t> &bytes) const;
 
     /** Read a whole segment file, retrying transient faults. */
     std::unique_ptr<Env::FileView>
     readSegment(const std::string &path, EnvStatus *status) const;
 
-    /** Sleep before transient retry @p attempt (doubling backoff). */
-    void backoff(unsigned attempt) const;
+    /**
+     * Run @p attempt (one try of an operation, returning its status)
+     * under the transient-fault policy: a Transient fault is retried
+     * up to kTransientRetries times, each retry counted in
+     * store.retries and preceded by a doubling backoff (span
+     * store.retry_wait). A fired @p cancel, polled before each retry,
+     * stops the retries and sets @p *cancelled. @return the last
+     * try's status.
+     */
+    template <typename Attempt>
+    EnvStatus retryTransient(const Attempt &attempt,
+                             const CancelToken *cancel = nullptr,
+                             bool *cancelled = nullptr) const;
 
     std::string dir_;
     bool readOnly_;
@@ -363,12 +366,7 @@ class TraceStore
     Env *env_;
     /** Set when the writable store's directory could not be created. */
     bool dirFailed_ = false;
-    mutable std::atomic<std::uint64_t> retries_{0};
-    /**
-     * Telemetry handles (StoreOptions::registry). retriesMetric_
-     * mirrors retries_ — the atomic stays the per-handle accessor
-     * retries() reads; the counter feeds the registry snapshot.
-     */
+    /** Telemetry handles (StoreOptions::registry). */
     telemetry::Registry &metrics_;
     telemetry::Counter &retriesMetric_;
     telemetry::Histogram &loadBytes_;

@@ -44,12 +44,6 @@ TEST(BitUtil, SetWordByte)
     EXPECT_EQ(w, 0x003456aau);
 }
 
-TEST(BitUtil, WordHalf)
-{
-    EXPECT_EQ(wordHalf(0xdeadbeef, 0), 0xbeef);
-    EXPECT_EQ(wordHalf(0xdeadbeef, 1), 0xdead);
-}
-
 TEST(BitUtil, SignFill)
 {
     EXPECT_EQ(signFill(0x7f), 0x00);
@@ -98,41 +92,12 @@ TEST(BitUtil, SignificantHalves)
     EXPECT_EQ(significantHalves(0x12340000), 2u);
 }
 
-TEST(BitUtil, HammingDistance)
-{
-    EXPECT_EQ(hammingDistance(0, 0), 0u);
-    EXPECT_EQ(hammingDistance(0xff, 0), 8u);
-    EXPECT_EQ(hammingDistance(0b1010, 0b0101), 4u);
-}
-
 TEST(BitUtil, DivCeil)
 {
     EXPECT_EQ(divCeil(0, 4), 0u);
     EXPECT_EQ(divCeil(1, 4), 1u);
     EXPECT_EQ(divCeil(4, 4), 1u);
     EXPECT_EQ(divCeil(5, 4), 2u);
-}
-
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AverageBasics)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0);
-    a.sample(2.0);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_EQ(a.samples(), 3u);
 }
 
 TEST(Stats, DistributionRankingAndFractions)
@@ -198,16 +163,6 @@ TEST(Table, AlignedRendering)
     EXPECT_NE(s.find("name"), std::string::npos);
     EXPECT_NE(s.find("33.3"), std::string::npos);
     EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Table, CsvEscaping)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"plain", "has,comma"});
-    t.addRow({"quote\"inside", "x"});
-    const std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-    EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
 }
 
 TEST(Table, FormatFixed)

@@ -42,6 +42,7 @@
 #include "analysis/trace_cache.h"
 #include "common/cancel.h"
 #include "common/fault_env.h"
+#include "common/telemetry.h"
 #include "cpu/trace_buffer.h"
 #include "pipeline/runner.h"
 #include "store/trace_store.h"
@@ -317,14 +318,15 @@ TEST_F(FaultTest, TransientFaultsAreRetriedAndCounted)
         cpu::TraceBuffer::capture(w.program, 2000, true);
 
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), {.env = &env});
+    telemetry::Registry registry;
+    const TraceStore ts(dir(), {.env = &env, .registry = &registry});
     // The first attempt faults EIO mid-write; the whole-save retry
     // succeeds.
     env.addFault({env.opCount() + 1, FaultKind::Eio, 0});
     std::string why;
     EnvFault fault = EnvFault::None;
     EXPECT_TRUE(ts.save("rawcaudio", t, 2000, &why, &fault)) << why;
-    EXPECT_GE(ts.retries(), 1u);
+    EXPECT_GE(registry.counter("store.retries").value(), 1u);
 
     // A transient fault on the read path retries inside load.
     env.addFault({env.opCount(), FaultKind::Eio, 0});
@@ -342,14 +344,42 @@ TEST_F(FaultTest, ExhaustedTransientRetriesFailSoftAsIo)
         ASSERT_TRUE(seed.save("rawcaudio", t, 2000));
     }
     FaultInjectingEnv env(Env::posix());
-    const TraceStore ts(dir(), {.env = &env});
+    telemetry::Registry registry;
+    const TraceStore ts(dir(), {.env = &env, .registry = &registry});
     failOps(env, env.opCount(), 8, FaultKind::Eio);
     std::string why;
     auto failure = LoadFailure::None;
     EXPECT_EQ(ts.load("rawcaudio", w.program, 2000, &why, &failure),
               nullptr);
     EXPECT_EQ(failure, LoadFailure::Io) << why;
-    EXPECT_GE(ts.retries(), 1u);
+    EXPECT_GE(registry.counter("store.retries").value(), 1u);
+}
+
+TEST_F(FaultTest, DirectoryCreationAndQuarantineRetryTransientFaults)
+{
+    // An EIO on the store's mkdirs (its first op) is retried: the
+    // store opens writable and saves.
+    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    const cpu::TraceBuffer t =
+        cpu::TraceBuffer::capture(w.program, 2000, true);
+    FaultInjectingEnv env(Env::posix());
+    telemetry::Registry registry;
+    env.addFault({0, FaultKind::Eio, 0});
+    const TraceStore ts(dir(), {.env = &env, .registry = &registry});
+    EXPECT_EQ(env.faultsInjected(), 1u);
+    EXPECT_EQ(registry.counter("store.retries").value(), 1u);
+    std::string why;
+    ASSERT_TRUE(ts.save("rawcaudio", t, 2000, &why)) << why;
+
+    // An EIO on quarantine's rename (its one counted op) is retried:
+    // the segment still moves aside.
+    env.addFault({env.opCount(), FaultKind::Eio, 0});
+    std::string moved;
+    EXPECT_TRUE(ts.quarantine("rawcaudio", &moved));
+    EXPECT_EQ(env.faultsInjected(), 2u);
+    EXPECT_EQ(registry.counter("store.retries").value(), 2u);
+    EXPECT_TRUE(fs::exists(moved));
+    EXPECT_TRUE(ts.list().empty());
 }
 
 // ---- quarantine + self-healing ---------------------------------------
@@ -436,7 +466,7 @@ TEST_F(FaultTest, UnreadableStoreDirectoryFallsBackToCapture)
     // The store directory cannot even be created (EROFS).
     failOps(env, 0, 4, FaultKind::Erofs);
     TraceCache cache(
-        {.storeDir = dir(), .env = &env, .captureLimit = 2000});
+        {.storeDir = dir(), .captureLimit = 2000, .env = &env});
 
     const TraceCache::TracePtr trace = cache.get("rawcaudio");
     ASSERT_NE(trace, nullptr) << "capture fallback must still work";
@@ -450,7 +480,7 @@ TEST_F(FaultTest, MidRunEnospcDisablesWrites)
 {
     FaultInjectingEnv env(Env::posix());
     TraceCache cache(
-        {.storeDir = dir(), .env = &env, .captureLimit = 2000});
+        {.storeDir = dir(), .captureLimit = 2000, .env = &env});
 
     // First workload saves fine.
     cache.get("rawcaudio");
@@ -479,7 +509,7 @@ TEST_F(FaultTest, PersistAnnexesFailureLeavesSegmentBitIdentical)
 {
     FaultInjectingEnv env(Env::posix());
     TraceCache cache(
-        {.storeDir = dir(), .env = &env, .captureLimit = 20'000});
+        {.storeDir = dir(), .captureLimit = 20'000, .env = &env});
 
     // Warm path: capture + write-through.
     const TraceCache::TracePtr trace = cache.get("rawcaudio");
@@ -516,7 +546,7 @@ TEST_F(FaultTest, PersistAnnexesFailureLeavesSegmentBitIdentical)
     fs::remove_all(dir());
     FaultInjectingEnv env2(Env::posix());
     TraceCache cache2(
-        {.storeDir = dir(), .env = &env2, .captureLimit = 20'000});
+        {.storeDir = dir(), .captureLimit = 20'000, .env = &env2});
     const TraceCache::TracePtr trace2 = cache2.get("rawcaudio");
     ASSERT_EQ(cache2.storeSaves(), 1u);
     const std::vector<std::uint8_t> before2 = readAll(path);

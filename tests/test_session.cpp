@@ -1041,8 +1041,7 @@ TEST(SessionAdmission, SessionsOnOneCacheSumTheirAdmissionTelemetry)
     cfg.captureLimit = 2000;
     cfg.maxConcurrentPlans = 1;
     cfg.maxQueuedPlans = 4;
-    auto cache = std::make_shared<analysis::TraceCache>(
-        analysis::traceCacheConfig(cfg));
+    auto cache = std::make_shared<analysis::TraceCache>(cfg);
     Session first(cfg, cache);
     Session second(cfg, cache);
     ASSERT_EQ(&first.cache(), &second.cache());

@@ -183,8 +183,7 @@ TEST_F(TsanStressTest, SessionsSharingOneCacheOverlapWhileOneEvicts)
         reference.push_back(Session(serial).run(planFor(t)));
     }
 
-    auto cache = std::make_shared<analysis::TraceCache>(
-        analysis::traceCacheConfig(tenantConfig));
+    auto cache = std::make_shared<analysis::TraceCache>(tenantConfig);
     constexpr int kRounds = 4;
     std::vector<std::vector<SuiteReport>> served(kTenants);
     std::vector<std::thread> tenants;
