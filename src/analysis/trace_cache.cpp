@@ -51,13 +51,13 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
         auto it = entries_.find(workload);
         if (it == entries_.end()) {
             future = promise.get_future().share();
-            entries_.emplace(workload, future);
+            entries_.emplace(workload, Entry{.trace = future});
             capture_here = true;
             auto pit = programs_.find(workload);
             if (pit != programs_.end())
                 registered = workloads::Workload{workload, pit->second};
         } else {
-            future = it->second;
+            future = it->second.trace;
         }
     }
 
@@ -93,6 +93,9 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
             }
             if (trace != nullptr) {
                 storeLoads_.inc();
+                noteSegmentKeys(workload, *trace,
+                                store::TraceStore::persistableAnnexKeys(
+                                    *trace));
             } else {
                 {
                     SIGCOMP_SPAN("cache.capture");
@@ -105,9 +108,10 @@ TraceCache::get(const std::string &workload, const CancelToken *cancel)
                 // Write-through so the *next* process skips capture.
                 // A failed save (full disk, races) costs nothing but
                 // a later recapture.
-                if (store != nullptr && !store->readOnly())
-                    saveThrough(*store, workload, *trace, limit,
-                                "save", cancel);
+                if (store != nullptr && !store->readOnly() &&
+                    saveThrough(*store, workload, *trace, limit, "save",
+                                cancel))
+                    noteSegmentKeys(workload, *trace, {});
             }
         } catch (...) {
             // Don't poison the slot with a broken future: drop the
@@ -139,10 +143,10 @@ TraceCache::resident(const std::string &workload)
     MutexLock lock(mu_);
     const auto it = entries_.find(workload);
     if (it == entries_.end() ||
-        it->second.wait_for(std::chrono::seconds(0)) !=
+        it->second.trace.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready)
         return nullptr;
-    return it->second.get();
+    return it->second.trace.get();
 }
 
 void
@@ -170,10 +174,10 @@ std::size_t
 sumReady(const Entries &entries, Bytes bytes)
 {
     std::size_t total = 0;
-    for (const auto &[name, future] : entries) {
-        if (future.wait_for(std::chrono::seconds(0)) ==
+    for (const auto &[name, entry] : entries) {
+        if (entry.trace.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
-            total += bytes(*future.get());
+            total += bytes(*entry.trace.get());
         }
     }
     return total;
@@ -205,7 +209,7 @@ TraceCache::residentTraces() const
     MutexLock lock(mu_);
     return static_cast<std::size_t>(std::count_if(
         entries_.begin(), entries_.end(), [](const auto &entry) {
-            return entry.second.wait_for(std::chrono::seconds(0)) ==
+            return entry.second.trace.wait_for(std::chrono::seconds(0)) ==
                    std::future_status::ready;
         }));
 }
@@ -218,33 +222,56 @@ TraceCache::persistAnnexes(const std::string &workload,
     if (cancelRequested(cancel) || store_ == nullptr ||
         store_->readOnly())
         return;
-    {
-        MutexLock lock(mu_);
-        // Session-local registered programs never persist (see get()).
-        if (programs_.find(workload) != programs_.end())
-            return;
-    }
     // Compare exactly what a save would persist (canonical records,
     // capped), so an ineligible record can't force no-op re-saves.
     const std::vector<std::string> keys =
         store::TraceStore::persistableAnnexKeys(trace);
     if (keys.empty())
         return;
+    std::vector<std::string> held;
+    bool known = false;
+    {
+        MutexLock lock(mu_);
+        // Session-local registered programs never persist (see get()).
+        if (programs_.find(workload) != programs_.end())
+            return;
+        const auto it = entries_.find(workload);
+        if (it != entries_.end() && it->second.segmentTrace == &trace) {
+            held = it->second.segmentKeys;
+            known = true;
+        }
+    }
+    if (!known) {
+        // A trace this cache neither loaded nor saved (its slot was
+        // evicted or replaced meanwhile): ask the segment. A missing
+        // or unreadable segment has no annexes.
+        store::SegmentInfo disk;
+        (void)store_->info(workload, disk);
+        for (const store::ColumnStat &ax : disk.annexes)
+            held.push_back(ax.name);
+    }
     // Only rewrite the segment when it is actually missing a record;
-    // repeated runs of the same plan must not keep re-encoding it. A
-    // missing or unreadable segment has no annexes.
-    store::SegmentInfo disk;
-    (void)store_->info(workload, disk);
+    // repeated runs of the same plan must not keep re-encoding it.
     const bool missing =
         std::any_of(keys.begin(), keys.end(), [&](const std::string &key) {
-            return std::none_of(
-                disk.annexes.begin(), disk.annexes.end(),
-                [&](const store::ColumnStat &ax) { return ax.name == key; });
+            return std::find(held.begin(), held.end(), key) == held.end();
         });
-    if (!missing)
+    if (missing && saveThrough(*store_, workload, trace, limit_,
+                               "persist annexes for", cancel))
+        noteSegmentKeys(workload, trace, keys);
+}
+
+void
+TraceCache::noteSegmentKeys(const std::string &workload,
+                            const cpu::TraceBuffer &trace,
+                            std::vector<std::string> keys)
+{
+    MutexLock lock(mu_);
+    const auto it = entries_.find(workload);
+    if (it == entries_.end())
         return;
-    saveThrough(*store_, workload, trace, limit_, "persist annexes for",
-                cancel);
+    it->second.segmentTrace = &trace;
+    it->second.segmentKeys = std::move(keys);
 }
 
 std::vector<std::string>

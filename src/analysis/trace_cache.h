@@ -238,7 +238,9 @@ class TraceCache
      * attached store by re-saving its segment in the annex-bearing
      * format, so later *processes* skip the quanta front half. No-op
      * without a writable store or when the segment already carries
-     * every record. Session::run calls this after each fused pass.
+     * every record; which records it carries is remembered from the
+     * trace's load and this cache's saves of it, so a rerun reads no
+     * segment. Session::run calls this after each fused pass.
      * A fired @p cancel skips the save entirely (a cancelled plan
      * must stop writing, not start a fresh segment rewrite).
      */
@@ -280,6 +282,15 @@ class TraceCache
                      const CancelToken *cancel = nullptr)
         SIGCOMP_EXCLUDES(mu_);
 
+    /**
+     * Remember that @p workload's segment holds @p trace's annexes
+     * @p keys (a no-op once the workload's slot is gone).
+     */
+    void noteSegmentKeys(const std::string &workload,
+                         const cpu::TraceBuffer &trace,
+                         std::vector<std::string> keys)
+        SIGCOMP_EXCLUDES(mu_);
+
     /** Record a degradation event (capped at kMaxDegradations). */
     void recordDegradation(std::string event) SIGCOMP_EXCLUDES(mu_);
 
@@ -300,8 +311,22 @@ class TraceCache
      * (memoryBytes -> TraceBuffer::memoryBytes); never the reverse.
      */
     mutable Mutex mu_;
-    std::map<std::string, std::shared_future<TracePtr>> entries_
-        SIGCOMP_GUARDED_BY(mu_);
+
+    /** One workload's slot. */
+    struct Entry
+    {
+        std::shared_future<TracePtr> trace;
+        /**
+         * The trace whose segment segmentKeys describes: set when
+         * the trace loads and each time this cache saves it, so
+         * persistAnnexes compares against it without reading the
+         * segment back.
+         */
+        const cpu::TraceBuffer *segmentTrace = nullptr;
+        /** The "quanta:" annex keys that segment holds. */
+        std::vector<std::string> segmentKeys = {};
+    };
+    std::map<std::string, Entry> entries_ SIGCOMP_GUARDED_BY(mu_);
     std::map<std::string, isa::Program> programs_ SIGCOMP_GUARDED_BY(mu_);
     /**
      * The cache's metric namespace. Declared before the handle

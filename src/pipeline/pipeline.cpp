@@ -17,7 +17,8 @@ QuantaRecorder::QuantaRecorder(const PipelineConfig &config,
                                const isa::Program &program,
                                const mem::MainMemory *memory)
     : params_(config.encoding), alu_(config.encoding),
-      hierarchy_(config.memory), program_(program), memory_(memory)
+      hierarchy_(config.memory), program_(program), memory_(memory),
+      encoder_(program)
 {
     static telemetry::Counter &recorders =
         telemetry::Registry::process().counter("pipeline.quanta_recorders");
@@ -73,17 +74,17 @@ QuantaRecorder::recordBlock(std::span<const DynInstr> block,
         }
         ++index;
     }
-    coder_.append(rec, entries);
+    encoder_.append(rec, block, entries);
     rec.blockDelta.push_back(activity_);
 }
 
 void
-QuantaRecorder::finish(SharedQuanta &rec) const
+QuantaRecorder::finish(SharedQuanta &rec)
 {
+    encoder_.finish(rec);
     rec.l1i = hierarchy_.l1i().stats();
     rec.l1d = hierarchy_.l1d().stats();
     rec.l2 = hierarchy_.l2().stats();
-    rec.dict.shrink_to_fit();
     rec.misses.shrink_to_fit();
 }
 
@@ -112,68 +113,134 @@ SharedQuanta::panicFieldRange(unsigned f, unsigned v)
              fieldBits[f], " bits");
 }
 
-void
-SharedQuanta::Coder::append(SharedQuanta &rec,
-                            std::span<const Entry> entries)
+namespace
 {
-    std::size_t index = rec.codes.size();
-    rec.codes.resize(index + entries.size());
-    std::uint8_t *code = rec.codes.data() + index;
-    for (const Entry e : entries) {
-        if (index % chunkSize == 0) {
-            // A new chunk: every slot of the old one reads as empty.
-            rec.chunkStart.push_back(
-                static_cast<std::uint32_t>(rec.dict.size()));
-            tag_ += std::uint64_t{1} << 32;
+
+/** Static-instruction index of @p pc in a text segment at @p start. */
+inline std::size_t
+staticIndex(Addr pc, Addr start)
+{
+    return (pc - start) / wordBytes;
+}
+
+} // namespace
+
+SharedQuanta::Encoder::Encoder(const isa::Program &program)
+    : textStart_(program.textStart()), last_(program.text().size(), 0)
+{
+}
+
+void
+SharedQuanta::Encoder::append(SharedQuanta &rec,
+                              std::span<const DynInstr> block,
+                              std::span<const Entry> entries)
+{
+    std::size_t i = rec.instructions;
+    rec.instructions += block.size();
+    rec.hits.resize((rec.instructions + 63) / 64);
+    for (std::size_t j = 0; j < block.size(); ++j, ++i) {
+        const Entry e = entries[j];
+        Entry &last = last_[staticIndex(block[j].pc, textStart_)];
+        if (e == last) {
+            rec.hits[i / 64] |= std::uint64_t{1} << (i % 64);
+            continue;
         }
-        const std::uint64_t key = tag_ | e;
-        std::size_t s = (e * 0x9E3779B1u) >> (32 - 9);
-        static_assert(slots == 1u << 9);
-        while (key_[s] != key) {
-            if (key_[s] < tag_) {
-                // First use in this chunk: the entry joins its
-                // dictionary (at most chunkSize of them, so the
-                // code fits a byte).
-                key_[s] = key;
-                code_[s] = static_cast<std::uint8_t>(rec.dict.size() -
-                                                     rec.chunkStart.back());
-                rec.dict.push_back(e);
-                break;
-            }
-            s = (s + 1) % slots;
-        }
-        *code++ = code_[s];
-        ++index;
+        last = e;
+        // A new entry joins the dictionary on first use (a record
+        // holds a few dozen, so a scan finds it).
+        const auto at = std::find(rec.dict.begin(), rec.dict.end(), e);
+        escapes_.push_back(static_cast<std::uint32_t>(at - rec.dict.begin()));
+        if (at == rec.dict.end())
+            rec.dict.push_back(e);
     }
 }
 
 void
-SharedQuanta::expandBlock(std::span<const DynInstr> block, std::size_t base,
-                          sig::Encoding enc, std::vector<Entry> &entries,
-                          std::vector<Count> &latch) const
+SharedQuanta::Encoder::finish(SharedQuanta &rec)
 {
-    SC_ASSERT(base + block.size() <= size(),
+    const unsigned width = rec.escapeBits();
+    rec.escapes.assign((escapes_.size() * width + 63) / 64, 0);
+    std::size_t at = 0;
+    for (const std::uint32_t x : escapes_) {
+        rec.escapes[at / 64] |= std::uint64_t{x} << (at % 64);
+        if (at % 64 + width > 64)
+            rec.escapes[at / 64 + 1] |= std::uint64_t{x} >> (64 - at % 64);
+        at += width;
+    }
+    escapes_ = {};
+    rec.hits.shrink_to_fit();
+    rec.dict.shrink_to_fit();
+}
+
+SharedQuanta::Decoder::Decoder(const SharedQuanta &rec,
+                               const isa::Program &program,
+                               sig::Encoding enc)
+    : rec_(rec), params_(enc), textStart_(program.textStart())
+{
+    // Before its first instance a static instruction predicts the
+    // all-zero entry.
+    last_.reserve(program.text().size());
+    for (const isa::Instruction inst : program.text()) {
+        last_.push_back({0, static_cast<std::uint32_t>(
+                                quanta_detail::latchQuantaBits(
+                                    isa::decode(inst), 0, 0, 0, params_))});
+    }
+}
+
+void
+SharedQuanta::Decoder::expandBlock(std::span<const DynInstr> block,
+                                   std::vector<Entry> &entries,
+                                   std::vector<Count> &latch)
+{
+    SC_ASSERT(index_ + block.size() <= rec_.size(),
               "shared quanta record does not cover this block");
     entries.resize(block.size());
     latch.resize(block.size());
-    const quanta_detail::EncodingParams ep(enc);
-    // One chunk's run of the block at a time, so each run reads one
-    // dictionary.
+    // Locals, so the stores below cannot make the loop reload them.
+    const quanta_detail::EncodingParams ep = params_;
+    const Addr text_start = textStart_;
+    Last *const last = last_.data();
+    const std::uint64_t *const escapes = rec_.escapes.data();
+    const Entry *const dict = rec_.dict.data();
+    const unsigned width = rec_.escapeBits();
+    const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+    std::size_t at = escapeAt_;
+    // One hit word's instructions at a time, its bits shifted down as
+    // the loop consumes them.
     for (std::size_t j = 0; j < block.size();) {
-        const std::size_t i = base + j;
-        const std::size_t run =
-            std::min(block.size() - j, chunkSize - i % chunkSize);
-        const Entry *d = dict.data() + chunkStart[i / chunkSize];
-        const std::uint8_t *code = codes.data() + i;
-        for (const std::size_t end = j + run; j < end; ++j) {
-            const Entry e = d[*code++];
-            entries[j] = e;
-            latch[j] = quanta_detail::latchBaseBits(
-                *block[j].dec, field(e, FetchBytes),
-                field(e, PcChangedBlocks), field(e, MemChunks),
-                quanta_detail::operandBytes(block[j], ep), ep);
+        const std::size_t i = index_ + j;
+        std::uint64_t hits = rec_.hits[i / 64] >> (i % 64);
+        const std::size_t end = j + std::min(64 - i % 64, block.size() - j);
+        for (; j < end; ++j, hits >>= 1) {
+            const DynInstr &di = block[j];
+            Last &l = last[staticIndex(di.pc, text_start)];
+            if ((hits & 1) == 0) [[unlikely]] {
+                // An escape: the entry's dictionary index, which may
+                // straddle two words.
+                std::uint64_t x = 0;
+                if (width != 0) {
+                    x = escapes[at / 64] >> (at % 64);
+                    if (at % 64 + width > 64)
+                        x |= escapes[at / 64 + 1] << (64 - at % 64);
+                }
+                at += width;
+                const Entry e = dict[x & mask];
+                l = {e, static_cast<std::uint32_t>(
+                            quanta_detail::latchQuantaBits(
+                                *di.dec, field(e, FetchBytes),
+                                field(e, PcChangedBlocks),
+                                field(e, MemChunks), ep))};
+            }
+            entries[j] = l.entry;
+            // A hit's quanta part of the latch bits is its last
+            // instance's.
+            latch[j] = l.latchBits +
+                       quanta_detail::latchOperandBits(
+                           *di.dec, quanta_detail::operandBytes(di, ep), ep);
         }
     }
+    escapeAt_ = at;
+    index_ += block.size();
 }
 
 // ---- InOrderPipeline ---------------------------------------------------

@@ -178,7 +178,7 @@ struct InstrQuanta
 /**
  * Per-instruction helpers of the quanta front half, shared by the
  * recorder (QuantaRecorder::compute) and the consumers of a cached
- * record (SharedQuanta::expandBlock), so each formula exists once.
+ * record (SharedQuanta::Decoder), so each formula exists once.
  */
 namespace quanta_detail
 {
@@ -282,29 +282,54 @@ operandBytes(const cpu::DynInstr &di, const EncodingParams &ep)
 }
 
 /**
- * Latch bits of one instruction before the design's boundary scaling
- * (addLatch, the only design-dependent piece of the activity
- * accounting): instruction + PC, operands, result/store data, and
- * the write-back value. Of the quanta it reads only fetchBytes,
- * pcChangedBlocks and memChunks.
+ * The latch bits of one instruction that its quanta decide:
+ * instruction + PC, and store data. Of the quanta it reads only
+ * fetchBytes, pcChangedBlocks and memChunks.
  */
 inline Count
-latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
-              unsigned pc_changed_blocks, unsigned mem_chunks,
-              const OperandBytes &ob, const EncodingParams &ep)
+latchQuantaBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
+                unsigned pc_changed_blocks, unsigned mem_chunks,
+                const EncodingParams &ep)
 {
-    const unsigned eb = ep.extBits;
     const unsigned cb = ep.chunkBytes;
     Count latch_c = 8 * fetch_bytes + 1 + pc_changed_blocks * 8 * cb;
+    if (dec.isStore)
+        latch_c += 8 * mem_chunks * cb + ep.extBits;
+    return latch_c;
+}
+
+/**
+ * The latch bits of one instruction's register-file values: its
+ * operands, and its result twice (executed and written back).
+ */
+inline Count
+latchOperandBits(const isa::DecodedInstr &dec, const OperandBytes &ob,
+                 const EncodingParams &ep)
+{
+    const unsigned eb = ep.extBits;
+    Count latch_c = 0;
     if (dec.readsRs)
         latch_c += 8 * ob.rs + eb;
     if (dec.readsRt)
         latch_c += 8 * ob.rt + eb;
     if (dec.writesDest && dec.dest != isa::reg::zero)
         latch_c += 2 * (8 * ob.res + (ob.res ? eb : 0));
-    if (dec.isStore)
-        latch_c += 8 * mem_chunks * cb + eb;
     return latch_c;
+}
+
+/**
+ * Latch bits of one instruction before the design's boundary scaling
+ * (addLatch, the only design-dependent piece of the activity
+ * accounting): the quanta's part and the operands' part.
+ */
+inline Count
+latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
+              unsigned pc_changed_blocks, unsigned mem_chunks,
+              const OperandBytes &ob, const EncodingParams &ep)
+{
+    return latchQuantaBits(dec, fetch_bytes, pc_changed_blocks, mem_chunks,
+                           ep) +
+           latchOperandBits(dec, ob, ep);
 }
 
 } // namespace quanta_detail
@@ -323,32 +348,40 @@ latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
  * schedule() only. A seven-design CPI study does the quanta work
  * once, not seven times.
  *
- * The record holds no insignificant bytes (the paper's rule applied
- * to the simulator's own state), one byte per instruction:
+ * The record holds no insignificant bits (the paper's rule applied
+ * to the simulator's own state). A static instruction almost always
+ * gets the same entry on every dynamic instance, so the record keeps
+ * only what the static instruction cannot predict:
  *  - the dense Entry bit-packs the dynamic fields (layout: Field);
- *    a record holds a few dozen distinct entries, so each
- *    instruction stores only the one-byte code of its entry in the
- *    dictionary of its chunk (chunkSize instructions, hence at most
- *    chunkSize distinct entries: a code always fits);
+ *    the record's few dozen distinct entries form one dictionary,
+ *    in order of first use, so equal entry streams give equal
+ *    records;
+ *  - per instruction, one hit bit: set when its entry equals the
+ *    entry of the previous dynamic instance of the same static
+ *    instruction (before its first instance a static instruction
+ *    predicts the all-zero entry); 95.6% of the suite's instructions
+ *    hit;
+ *  - per miss-predicted instruction, an escape: its entry's
+ *    dictionary index, escapeBits() wide, packed low bit first;
  *  - what the decoded instruction determines (isMult, isDiv) is
  *    not stored — the Cursor reads it from DynInstr::dec;
  *  - hierarchy latencies, almost always zero, live in the sparse
  *    index-sorted miss list, each block remembering where its misses
  *    start;
- *  - the pre-scaling latch bit count is not stored — expandBlock()
+ *  - the pre-scaling latch bit count is not stored — the Decoder
  *    recomputes it with the recorder's own formula
  *    (quanta_detail::latchBaseBits) from the operand significance,
  *    once per block for every pipeline of the quanta group, while it
- *    expands the block's codes into dense entries.
+ *    decodes the block's dense entries (a hit reuses its last
+ *    instance's quanta part, quanta_detail::latchQuantaBits).
+ * Decoding is sequential: the per-static-instruction predictions are
+ * state a Decoder carries from block to block.
  */
 class SharedQuanta
 {
   public:
     /** Dense per-instruction entry: the dynamic quanta, bit-packed. */
     using Entry = std::uint32_t;
-
-    /** Instructions per dictionary chunk; a code is one byte. */
-    static constexpr std::size_t chunkSize = 256;
 
     /** Fields of an Entry, packed low bit first in this order. */
     enum Field : unsigned
@@ -413,33 +446,84 @@ class SharedQuanta
     };
 
     /**
-     * Appends dense entries to a record's codes and chunk
-     * dictionaries, chunk by chunk: an entry joins its chunk's
-     * dictionary on first use, so codes follow first appearance and
-     * equal entry streams give equal records. Holds only the open
-     * chunk's lookup table; one Coder writes one record.
+     * Writes a record's hit bits, dictionary and escapes from its
+     * dense entries, block by block. Holds the per-static-instruction
+     * predictions and, until finish(), the escapes unpacked (their
+     * width is known only once the dictionary is complete). One
+     * Encoder writes one record.
      */
-    class Coder
+    class Encoder
     {
       public:
-        /** Append @p entries, the next instructions of @p rec. */
-        void append(SharedQuanta &rec, std::span<const Entry> entries);
+        /** An encoder over @p program's static instructions. */
+        explicit Encoder(const isa::Program &program);
+
+        /**
+         * Append @p block, the next instructions of @p rec, whose
+         * dense entries are @p entries.
+         */
+        void append(SharedQuanta &rec, std::span<const cpu::DynInstr> block,
+                    std::span<const Entry> entries);
+
+        /** Pack the escapes into @p rec: the stream is complete. */
+        void finish(SharedQuanta &rec);
 
       private:
-        static constexpr std::size_t slots = 2 * chunkSize;
-        /** Open-addressed table of the open chunk: the slot holds
-         * chunk_tag | entry; a smaller value (an earlier chunk's tag)
-         * is an empty slot. */
-        std::array<std::uint64_t, slots> key_{};
-        std::array<std::uint8_t, slots> code_{};
-        /** Tag of the open chunk (its ordinal + 1, shifted past the
-         * entry bits). */
-        std::uint64_t tag_ = 0;
+        Addr textStart_;
+        /** Per static instruction: the entry of its last instance. */
+        std::vector<Entry> last_;
+        std::vector<std::uint32_t> escapes_;
+    };
+
+    /**
+     * Decodes a record block after block, from its first instruction
+     * on: rebuilds each block's dense entries and the pre-scaling
+     * latch bit count of each instruction. A replay of a cached record
+     * runs it once per block per quanta group (a recording replay
+     * takes the recorder's values instead); every pipeline of the
+     * group then consumes the result (retireBlockShared).
+     */
+    class Decoder
+    {
+      public:
+        /**
+         * A decoder of @p rec, recorded over @p program, under the
+         * record's encoding @p enc. @p rec must outlive it.
+         */
+        Decoder(const SharedQuanta &rec, const isa::Program &program,
+                sig::Encoding enc);
+
+        /**
+         * Decode @p block, the next instructions of the record, into
+         * @p entries and @p latch.
+         */
+        void expandBlock(std::span<const cpu::DynInstr> block,
+                         std::vector<Entry> &entries,
+                         std::vector<Count> &latch);
+
+      private:
+        /** What a static instruction's last instance decoded to. */
+        struct Last
+        {
+            Entry entry;
+            /** quanta_detail::latchQuantaBits() of the entry. */
+            std::uint32_t latchBits;
+        };
+
+        const SharedQuanta &rec_;
+        quanta_detail::EncodingParams params_;
+        Addr textStart_;
+        /** Per static instruction: its last instance's entry. */
+        std::vector<Last> last_;
+        /** Record index of the next instruction. */
+        std::size_t index_ = 0;
+        /** Bit offset of the next escape. */
+        std::size_t escapeAt_ = 0;
     };
 
     /**
      * Rebuilds the InstrQuanta of one block's instructions, in stream
-     * order: the block's dense entries (expandBlock(), or the
+     * order: the block's dense entries (the Decoder's, or the
      * recorder's), the decoded instruction's static fields, and the
      * miss list under a cursor.
      */
@@ -479,28 +563,28 @@ class SharedQuanta
         std::size_t missAt_;
     };
 
-    /**
-     * Expand @p block, which starts at record index @p base, into its
-     * dense entries @p entries and the pre-scaling latch bit count of
-     * each instruction under the record's encoding @p enc, @p latch.
-     * A replay of a cached record runs this once per block per quanta
-     * group (a recording replay takes the recorder's values instead);
-     * every pipeline of the group then consumes the result
-     * (retireBlockShared).
-     */
-    void expandBlock(std::span<const cpu::DynInstr> block, std::size_t base,
-                     sig::Encoding enc, std::vector<Entry> &entries,
-                     std::vector<Count> &latch) const;
+    /** Instructions the record covers. */
+    std::size_t size() const { return instructions; }
+
+    /** Width of one escape: enough bits for any dictionary index. */
+    unsigned
+    escapeBits() const
+    {
+        return dict.size() > 1 ? static_cast<unsigned>(std::bit_width(
+                                     dict.size() - 1))
+                               : 0;
+    }
 
     /** Instructions the record covers. */
-    std::size_t size() const { return codes.size(); }
-
-    /** Per instruction: its entry's index in its chunk's dictionary. */
-    std::vector<std::uint8_t> codes;
-    /** The distinct entries of each chunk, chunk after chunk. */
+    std::size_t instructions = 0;
+    /** Per instruction, low bit first: its entry repeats the last
+     * instance's. */
+    std::vector<std::uint64_t> hits;
+    /** The distinct entries, in order of first use. */
     std::vector<Entry> dict;
-    /** Per chunk: index into dict of its first entry. */
-    std::vector<std::uint32_t> chunkStart;
+    /** Per miss-predicted instruction, low bit first: the dictionary
+     * index of its entry, escapeBits() wide. */
+    std::vector<std::uint64_t> escapes;
     /** Instructions with a non-zero ifExtra or memExtra, by index. */
     std::vector<Miss> misses;
     /** Per replay block: index into misses of its first miss. */
@@ -518,8 +602,9 @@ class SharedQuanta
     std::size_t
     bytes() const
     {
-        return codes.capacity() + dict.capacity() * sizeof(Entry) +
-               chunkStart.capacity() * sizeof(std::uint32_t) +
+        return hits.capacity() * sizeof(std::uint64_t) +
+               dict.capacity() * sizeof(Entry) +
+               escapes.capacity() * sizeof(std::uint64_t) +
                misses.capacity() * sizeof(Miss) +
                blockMissStart.capacity() * sizeof(std::uint32_t) +
                blockDelta.capacity() * sizeof(ActivityTotals);
@@ -542,9 +627,9 @@ class SharedQuanta
  * Trace replay builds one recorder per quanta group, and only when
  * the trace caches no record for the group's key; it writes the
  * SharedQuanta record every pipeline of the group consumes — the
- * coded entries and the miss list, not the latch base, which it hands
- * to the group's pipelines per block with the block's dense entries
- * and SharedQuanta::expandBlock() recomputes for a cached record. The
+ * predicted entry stream and the miss list, not the latch base, which
+ * it hands to the group's pipelines per block with the block's dense
+ * entries and SharedQuanta::Decoder recomputes for a cached record. The
  * live path (InOrderPipeline::bind) gives each pipeline its own
  * recorder and feeds the unpacked quanta straight to the scheduler. The
  * process registry's `pipeline.quanta_recorders` counter counts the
@@ -574,13 +659,13 @@ class QuantaRecorder
     InstrQuanta compute(const cpu::DynInstr &di, Count &latch_base);
 
     /**
-     * Append @p block to @p rec: one code per instruction (its dense
-     * entry goes to @p entries, the group's block scratch, and joins
-     * its chunk's dictionary on first use), a miss-list entry per
-     * instruction with a hierarchy latency, and the block's miss-list
-     * start and shared activity delta. Each instruction's latch base
-     * goes to @p latch_base for the group's pipelines (the record
-     * keeps none; SharedQuanta::expandBlock() recomputes the same
+     * Append @p block to @p rec: each instruction's dense entry goes
+     * to @p entries, the group's block scratch, and through the
+     * record's Encoder into its hit bits and escapes; a miss-list
+     * entry per instruction with a hierarchy latency, and the block's
+     * miss-list start and shared activity delta. Each instruction's
+     * latch base goes to @p latch_base for the group's pipelines (the
+     * record keeps none; SharedQuanta::Decoder recomputes the same
      * entries and latch bases from it).
      */
     void recordBlock(std::span<const cpu::DynInstr> block,
@@ -589,10 +674,10 @@ class QuantaRecorder
                      std::vector<Count> &latch_base);
 
     /**
-     * Store the hierarchy's final statistics in @p rec and trim its
-     * dictionary and miss list to size.
+     * Complete @p rec: pack its escapes, store the hierarchy's final
+     * statistics and trim its arrays to size.
      */
-    void finish(SharedQuanta &rec) const;
+    void finish(SharedQuanta &rec);
 
     /**
      * Non-latch activity: of the last recordBlock(), or since
@@ -642,8 +727,8 @@ class QuantaRecorder
     std::vector<std::uint8_t> fetchWidth_;
 
     ActivityTotals activity_;
-    /** Writes the record's codes and chunk dictionaries. */
-    SharedQuanta::Coder coder_;
+    /** Writes the record's hit bits, dictionary and escapes. */
+    SharedQuanta::Encoder encoder_;
 };
 
 /**
@@ -683,7 +768,7 @@ class InOrderPipeline : public cpu::TraceSink
      * quanta key over the same block structure. @p base is the
      * record index of block[0], @p block_index the block's delta
      * index; @p entries and @p latch_base are the block's dense
-     * entries and latch bases (SharedQuanta::expandBlock(), or the
+     * entries and latch bases (SharedQuanta::Decoder, or the
      * recorder's), expanded once per block for the whole quanta
      * group, so every pipeline reads them from L1 rather than the
      * record. Final state is bit-identical to live retirement.

@@ -1,5 +1,6 @@
 #include "pipeline/runner.h"
 
+#include <optional>
 #include <typeinfo>
 
 #include "common/json.h"
@@ -19,9 +20,10 @@ namespace
  * and publishes it afterwards; otherwise the pipelines consume the
  * cached record. Either way every pipeline runs the same consume
  * body, over the dense entries and latch bases of each block, made
- * once per block for the group (by the recorder, or expanded from the
- * cached record's codes) into a block-sized scratch that stays in L1.
- * See SharedQuanta in pipeline.h.
+ * once per block for the group (by the recorder, or by a
+ * SharedQuanta::Decoder that carries the record's per-instruction
+ * predictions from block to block) into a block-sized scratch that
+ * stays in L1. See SharedQuanta in pipeline.h.
  */
 class GroupReplaySink : public cpu::TraceSink
 {
@@ -32,14 +34,14 @@ class GroupReplaySink : public cpu::TraceSink
           rec_(std::static_pointer_cast<const SharedQuanta>(
               trace.annexGet(key_)))
     {
-        if (!rec_) {
+        if (rec_) {
+            decoder_.emplace(*rec_, trace.program(),
+                             pipes_.front()->config().encoding);
+        } else {
             recorder_ = std::make_unique<QuantaRecorder>(
                 pipes_.front()->config(), trace.program());
             recording_ = std::make_shared<SharedQuanta>();
-            recording_->codes.reserve(trace.size());
-            recording_->chunkStart.reserve(
-                (trace.size() + SharedQuanta::chunkSize - 1) /
-                SharedQuanta::chunkSize);
+            recording_->hits.reserve((trace.size() + 63) / 64);
             const std::size_t blocks =
                 trace.size() / cpu::TraceView::defaultBlockSize + 2;
             recording_->blockMissStart.reserve(blocks);
@@ -62,9 +64,7 @@ class GroupReplaySink : public cpu::TraceSink
             recorder_->recordBlock(block, *recording_, entries_,
                                    latchBase_);
         } else {
-            rec_->expandBlock(block, base_,
-                              pipes_.front()->config().encoding, entries_,
-                              latchBase_);
+            decoder_->expandBlock(block, entries_, latchBase_);
         }
         for (InOrderPipeline *p : pipes_)
             p->retireBlockShared(block, *rec_, base_, blockIndex_,
@@ -101,6 +101,8 @@ class GroupReplaySink : public cpu::TraceSink
     std::shared_ptr<const SharedQuanta> rec_;
     std::unique_ptr<QuantaRecorder> recorder_;
     std::shared_ptr<SharedQuanta> recording_;
+    /** Decodes a cached rec_ (absent while recording). */
+    std::optional<SharedQuanta::Decoder> decoder_;
     /** The current block's dense entries and latch bases, for every
      * pipeline. */
     std::vector<SharedQuanta::Entry> entries_;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <thread>
 #include <unistd.h>
@@ -432,14 +434,16 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 //
 //   u64 instruction count n (must match the segment header)
 //   u64 block-delta count (must be ceil(n / TraceView block size))
-//   u64 chunk count (must be ceil(n / SharedQuanta::chunkSize))
-//   u64 dictionary length D
-//   per chunk one raw u32: index into the dictionary of its first
-//     entry (0 for the first chunk; every chunk's dictionary, the
-//     last one's running to D, holds 1 to chunkSize entries)
-//   D raw u32 SharedQuanta::Entry words (fields above entryBits must
-//     be zero)
-//   n raw u8 codes, each below its chunk's dictionary size
+//   u64 dictionary length G
+//   u64 escape count E (the instructions whose hit bit is clear)
+//   G raw u32 SharedQuanta::Entry words, in order of first use
+//     (fields above entryBits must be zero)
+//   ceil(n / 64) raw u64 hit words, instruction i at bit i % 64 of
+//     word i / 64 (bits past n must be zero)
+//   ceil(E * w / 64) raw u64 escape words, w = bit_width(G - 1) (0
+//     when G <= 1): E dictionary indices packed low bit first, each
+//     below G and at most one past the largest before it, the last
+//     escape naming entry G - 1 (bits past E * w must be zero)
 //   u64 miss count, then per miss three raw u32: index, ifExtra,
 //     memExtra (indices strictly increasing and < n, latencies not
 //     both zero); the per-block miss starts are derived on load
@@ -447,17 +451,16 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 //     baseline}; the latch pair is zero by construction)
 //   three CacheStats (l1i, l1d, l2): 6 raw u64 each
 //
-// Decoding validates every count, code and index against the segment
-// header, so a damaged annex fails the load softly like any other
-// column damage.
+// Decoding validates every count, escape and index against the
+// segment header, so a damaged annex fails the load softly like any
+// other column damage.
 constexpr std::size_t kMissBytes = 12;
 constexpr std::size_t kBlockDeltaBytes = 16 * 8;
 constexpr std::size_t kStatsBytes = 3 * 6 * 8;
 
-// The dictionary persists SharedQuanta::Entry words as they are, and
-// the codes index per-chunk dictionaries, so the entry layout and the
-// chunk size (pipeline/pipeline.h) are part of this format: they are
-// pinned here, inside the format-pinned region.
+// The dictionary persists SharedQuanta::Entry words as they are, so
+// the entry layout (pipeline/pipeline.h) is part of this format: it
+// is pinned here, inside the format-pinned region.
 static_assert(SharedQuanta::fieldShift[SharedQuanta::FetchBytes] == 0 &&
                   SharedQuanta::fieldShift[SharedQuanta::SrcChunks] == 3 &&
                   SharedQuanta::fieldShift[SharedQuanta::ExChunks] == 6 &&
@@ -469,33 +472,40 @@ static_assert(SharedQuanta::fieldShift[SharedQuanta::FetchBytes] == 0 &&
                   SharedQuanta::fieldShift[SharedQuanta::PcRippleExtra] ==
                       22 &&
                   SharedQuanta::fieldShift[SharedQuanta::Redirect] == 24 &&
-                  SharedQuanta::entryBits == 25 &&
-                  SharedQuanta::chunkSize == 256,
+                  SharedQuanta::entryBits == 25,
               "SharedQuanta layout changed: bump formatVersion");
 
 std::size_t
-canonicalChunks(std::size_t n)
+wordsFor(std::uint64_t bits)
 {
-    return (n + SharedQuanta::chunkSize - 1) / SharedQuanta::chunkSize;
+    return static_cast<std::size_t>((bits + 63) / 64);
 }
 
 std::vector<std::uint8_t>
 encodeQuanta(const SharedQuanta &rec)
 {
     const std::size_t n = rec.size();
+    const std::size_t escapes =
+        n - static_cast<std::size_t>(std::accumulate(
+                rec.hits.begin(), rec.hits.end(), std::size_t{0},
+                [](std::size_t sum, std::uint64_t w) {
+                    return sum + static_cast<std::size_t>(std::popcount(w));
+                }));
     std::vector<std::uint8_t> out;
-    out.reserve(32 + 4 * (rec.chunkStart.size() + rec.dict.size()) + n +
-                8 + kMissBytes * rec.misses.size() +
+    out.reserve(32 + 4 * rec.dict.size() +
+                8 * (rec.hits.size() + rec.escapes.size()) + 8 +
+                kMissBytes * rec.misses.size() +
                 kBlockDeltaBytes * rec.blockDelta.size() + kStatsBytes);
     putU64(out, n);
     putU64(out, rec.blockDelta.size());
-    putU64(out, rec.chunkStart.size());
     putU64(out, rec.dict.size());
-    for (const std::uint32_t start : rec.chunkStart)
-        putU32(out, start);
+    putU64(out, escapes);
     for (const SharedQuanta::Entry e : rec.dict)
         putU32(out, e);
-    out.insert(out.end(), rec.codes.begin(), rec.codes.end());
+    for (const std::uint64_t w : rec.hits)
+        putU64(out, w);
+    for (const std::uint64_t w : rec.escapes)
+        putU64(out, w);
 
     putU64(out, rec.misses.size());
     for (const SharedQuanta::Miss &m : rec.misses) {
@@ -520,6 +530,16 @@ encodeQuanta(const SharedQuanta &rec)
     return out;
 }
 
+/** @p count raw u64 words from @p p. */
+std::vector<std::uint64_t>
+getWords(const std::uint8_t *p, std::size_t count)
+{
+    std::vector<std::uint64_t> words(count);
+    for (std::size_t k = 0; k < count; ++k)
+        words[k] = getU64(p + 8 * k);
+    return words;
+}
+
 bool
 decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
              std::shared_ptr<SharedQuanta> &out, std::string *why)
@@ -533,25 +553,20 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
     const std::uint64_t blocks = getU64(bytes + 8);
     if (blocks != canonicalBlocks(n))
         return fail(why, "quanta annex: non-canonical block count");
-    const std::uint64_t chunks = getU64(bytes + 16);
-    if (chunks != canonicalChunks(n))
-        return fail(why, "quanta annex: chunk table does not cover the "
-                         "record");
-    const std::uint64_t dict_len = getU64(bytes + 24);
+    const std::uint64_t dict_len = getU64(bytes + 16);
+    const std::uint64_t escapes = getU64(bytes + 24);
     off = 32;
-    // Every chunk's dictionary holds 1 to chunkSize entries.
-    if (dict_len < chunks || dict_len > chunks * SharedQuanta::chunkSize)
-        return fail(why, "quanta annex: chunk dictionary size out of "
+    // Every escape names a dictionary entry and every entry is named
+    // by one (first use), so 0 < G <= E <= n unless n is 0.
+    if (escapes > n || dict_len > escapes ||
+        (escapes != 0) != (dict_len != 0))
+        return fail(why, "quanta annex: dictionary or escape count out of "
                          "range");
-    if (!need(4 * (chunks + dict_len) + n))
-        return fail(why, "quanta annex: dictionary overruns payload");
 
     auto rec = std::make_shared<SharedQuanta>();
-    rec->chunkStart.resize(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        rec->chunkStart[c] = getU32(bytes + off);
-        off += 4;
-    }
+    rec->instructions = n;
+    if (!need(4 * dict_len))
+        return fail(why, "quanta annex: dictionary overruns payload");
     rec->dict.resize(dict_len);
     std::uint32_t garbage = 0;
     for (std::size_t k = 0; k < dict_len; ++k) {
@@ -561,27 +576,48 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
     }
     if (garbage != 0)
         return fail(why, "quanta annex: dictionary entry garbage");
-    rec->codes.assign(bytes + off, bytes + off + n);
-    off += n;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::uint64_t start = rec->chunkStart[c];
-        const std::uint64_t end =
-            c + 1 < chunks ? rec->chunkStart[c + 1] : dict_len;
-        if ((c == 0 && start != 0) || end <= start ||
-            end - start > SharedQuanta::chunkSize)
-            return fail(why, "quanta annex: chunk dictionary size out of "
-                             "range");
-        // Codes index their own chunk's dictionary only.
-        const std::uint8_t *code =
-            rec->codes.data() + c * SharedQuanta::chunkSize;
-        const std::size_t k =
-            std::min(SharedQuanta::chunkSize,
-                     n - c * SharedQuanta::chunkSize);
-        const std::uint8_t top = *std::max_element(code, code + k);
-        if (top >= end - start)
-            return fail(why, "quanta annex: code past its chunk "
-                             "dictionary");
+
+    // Hit bits: exactly one clear bit per escape, none past n.
+    const std::size_t hit_words = wordsFor(n);
+    if (!need(8 * std::uint64_t{hit_words}))
+        return fail(why, "quanta annex: truncated hit bits");
+    rec->hits = getWords(bytes + off, hit_words);
+    off += 8 * hit_words;
+    std::size_t hits = 0;
+    for (const std::uint64_t w : rec->hits)
+        hits += static_cast<std::size_t>(std::popcount(w));
+    if (n % 64 != 0 && rec->hits.back() >> (n % 64) != 0)
+        return fail(why, "quanta annex: hit bit past the count");
+    if (n - hits != escapes)
+        return fail(why, "quanta annex: hit bits disagree with the escape "
+                         "count");
+
+    // Escapes: each a dictionary index, in order of first use.
+    const unsigned width = rec->escapeBits();
+    const std::uint64_t escape_bits = escapes * width;
+    const std::size_t escape_words = wordsFor(escape_bits);
+    if (!need(8 * std::uint64_t{escape_words}))
+        return fail(why, "quanta annex: truncated escapes");
+    rec->escapes = getWords(bytes + off, escape_words);
+    off += 8 * escape_words;
+    if (escape_bits % 64 != 0 &&
+        rec->escapes.back() >> (escape_bits % 64) != 0)
+        return fail(why, "quanta annex: escape bit past the count");
+    std::uint64_t named = 0;
+    for (std::uint64_t at = 0; at < escape_bits; at += width) {
+        std::uint64_t x = rec->escapes[at / 64] >> (at % 64);
+        if (at % 64 + width > 64)
+            x |= rec->escapes[at / 64 + 1] << (64 - at % 64);
+        x &= (std::uint64_t{1} << width) - 1;
+        if (x >= dict_len)
+            return fail(why, "quanta annex: escape past the dictionary");
+        if (x > named)
+            return fail(why, "quanta annex: dictionary out of first-use "
+                             "order");
+        named += x == named;
     }
+    if (named != dict_len)
+        return fail(why, "quanta annex: dictionary out of first-use order");
 
     if (!need(8))
         return fail(why, "quanta annex: truncated miss list");
@@ -854,8 +890,8 @@ class TraceSerializer
         // annex keys, so the first replay of a matching configuration
         // runs every pipeline as a shared-quanta consumer instead of
         // recomputing the front half. Damage fails the whole load
-        // softly (recapture). Codes and dictionaries are stored as
-        // they sit in RAM, so this is a checked copy.
+        // softly (recapture). Hit bits, dictionary and escapes are
+        // stored as they sit in RAM, so this is a checked copy.
         const bool annexes_ok = decodeAnnexes(
             bytes, seg, why,
             [&](const std::string &key,

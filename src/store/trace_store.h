@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 7, all integers little-endian) —
+ * Segment file format (version 8, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -24,8 +24,10 @@
  *   annex section (CRC-guarded directory, possibly empty): the
  *     trace's derived SharedQuanta records keyed by quanta key, so
  *     warm loads skip the quanta front half (see formatVersion
- *     below); each is stored in its resident form, one code byte
- *     per instruction plus per-chunk entry dictionaries.
+ *     below); each is stored in its resident form: one hit bit per
+ *     instruction, a record-wide entry dictionary and a packed
+ *     escape per instruction whose entry its static instruction's
+ *     previous instance does not predict.
  *
  * Five columns are stored (decode index, result, taken bits, memory
  * address/data), exactly what a resident TraceBuffer holds and in
@@ -107,7 +109,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 7;
+constexpr std::uint32_t formatVersion = 8;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */

@@ -560,6 +560,56 @@ TEST_F(FaultTest, PersistAnnexesFailureLeavesSegmentBitIdentical)
     EXPECT_EQ(readAll(path), before2);
 }
 
+TEST_F(FaultTest, MemoAnsweredRerunReadsNoSegment)
+{
+    // The annex write-back of a writable store knows which quanta
+    // records each resident trace's segment holds (from its load, or
+    // from this cache's saves of it), so a rerun of the same plan,
+    // answered from result memos, reads no segment back.
+    const auto loads = [](const FaultInjectingEnv &env) {
+        std::size_t n = 0;
+        for (const std::string &entry : env.opLog())
+            n += entry.substr(0, entry.find(' ')) == "load";
+        return n;
+    };
+    StudyPlan plan;
+    plan.workloads({"rawcaudio", "rawdaudio"})
+        .cpi({Design::Baseline32, Design::ByteSerial},
+             pipeline::PipelineConfig{});
+
+    // Cold store: capture, save, record the quanta and persist them.
+    {
+        FaultInjectingEnv env(Env::posix());
+        Session session({.threads = 1,
+                         .storeDir = dir(),
+                         .captureLimit = 20'000,
+                         .env = &env});
+        const SuiteReport first = session.run(plan);
+        EXPECT_EQ(first.captures, 2u);
+        EXPECT_EQ(session.cache().storeSaves(), 4u)
+            << "one capture save and one annex save per workload";
+        const std::size_t cold_loads = loads(env);
+        const SuiteReport again = session.run(plan);
+        EXPECT_EQ(again.replayPasses, 0u);
+        EXPECT_EQ(loads(env), cold_loads);
+        EXPECT_EQ(session.cache().storeSaves(), 4u);
+    }
+
+    // Warm store: each segment is read once, when its trace loads.
+    FaultInjectingEnv env(Env::posix());
+    Session session({.threads = 1,
+                     .storeDir = dir(),
+                     .captureLimit = 20'000,
+                     .env = &env});
+    const SuiteReport warm = session.run(plan);
+    EXPECT_EQ(warm.storeLoads, 2u);
+    EXPECT_EQ(loads(env), 2u);
+    const SuiteReport again = session.run(plan);
+    EXPECT_EQ(again.replayPasses, 0u);
+    EXPECT_EQ(loads(env), 2u);
+    EXPECT_EQ(session.cache().storeSaves(), 0u);
+}
+
 // ---- acceptance: StudyPlan bit identity under hostile I/O ------------
 
 /**

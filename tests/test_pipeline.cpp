@@ -571,14 +571,15 @@ TEST(SharedQuantaRecord, HierarchyOutcomesAreEqualAcrossEncodings)
 
 TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
 {
-    // Replays each record through the consumers' expandBlock() and
-    // Cursor next to a fresh recorder: every instruction's quanta and
-    // latch base must match field for field.
+    // Replays each record through the consumers' Decoder and Cursor
+    // next to a fresh recorder: every instruction's quanta and latch
+    // base must match field for field.
     struct CompareSink : cpu::TraceSink
     {
         CompareSink(const SharedQuanta &rec, const PipelineConfig &cfg,
                     const isa::Program &program)
-            : rec(rec), enc(cfg.encoding), recorder(cfg, program)
+            : rec(rec), decoder(rec, program, cfg.encoding),
+              recorder(cfg, program)
         {
         }
 
@@ -593,7 +594,7 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
         {
             std::vector<SharedQuanta::Entry> entries;
             std::vector<Count> latch;
-            rec.expandBlock(block, base, enc, entries, latch);
+            decoder.expandBlock(block, entries, latch);
             SharedQuanta::Cursor cursor(rec, base, blockIndex, entries);
             for (std::size_t j = 0; j < block.size(); ++j) {
                 Count want_latch = 0;
@@ -610,7 +611,7 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
         }
 
         const SharedQuanta &rec;
-        sig::Encoding enc;
+        SharedQuanta::Decoder decoder;
         QuantaRecorder recorder;
         std::size_t base = 0;
         std::size_t blockIndex = 0;
@@ -633,11 +634,12 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
     }
 }
 
-TEST(SharedQuantaRecord, FitsOneAndThreeQuarterBytesPerInstruction)
+TEST(SharedQuantaRecord, FitsPointThreeFiveBytesPerInstruction)
 {
-    // One code byte per instruction plus the chunk dictionaries, the
-    // miss list and the block deltas; a four-byte dense entry per
-    // instruction cannot fit.
+    // One hit bit per instruction plus the escapes, the dictionary,
+    // the miss list and the block deltas (about 0.13 B per
+    // instruction of the 0.35); a one-byte code per instruction
+    // cannot fit.
     for (const SuiteRecords &r : suiteRecords()) {
         for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
             SCOPED_TRACE(r.name + " " +
@@ -645,7 +647,7 @@ TEST(SharedQuantaRecord, FitsOneAndThreeQuarterBytesPerInstruction)
             ASSERT_NE(r.rec[e], nullptr);
             EXPECT_EQ(r.rec[e]->size(), r.trace->size());
             EXPECT_LE(static_cast<double>(r.rec[e]->bytes()),
-                      1.75 * static_cast<double>(r.trace->size()));
+                      0.35 * static_cast<double>(r.trace->size()));
         }
     }
 }

@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -815,9 +817,9 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
     EXPECT_EQ(loaded->annexKeys("quanta:"),
               std::vector<std::string>{key});
 
-    // The decoded record is the saved one: codes, chunk dictionaries,
-    // miss list, the per-block miss starts derived on load, block
-    // deltas and cache statistics.
+    // The decoded record is the saved one: hit bits, dictionary,
+    // escapes, miss list, the per-block miss starts derived on load,
+    // block deltas and cache statistics.
     const auto saved =
         std::static_pointer_cast<const pipeline::SharedQuanta>(
             t.annexGet(key));
@@ -825,9 +827,10 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
         std::static_pointer_cast<const pipeline::SharedQuanta>(
             loaded->annexGet(key));
     ASSERT_NE(restored, nullptr);
-    EXPECT_TRUE(restored->codes == saved->codes);
+    EXPECT_EQ(restored->size(), saved->size());
+    EXPECT_TRUE(restored->hits == saved->hits);
     EXPECT_TRUE(restored->dict == saved->dict);
-    EXPECT_TRUE(restored->chunkStart == saved->chunkStart);
+    EXPECT_TRUE(restored->escapes == saved->escapes);
     EXPECT_FALSE(saved->misses.empty());
     EXPECT_TRUE(restored->misses == saved->misses);
     EXPECT_TRUE(restored->blockMissStart == saved->blockMissStart);
@@ -958,11 +961,15 @@ struct OneAnnex
         dirCrcAt = entry + 20;
         payload = dirCrcAt + 4;
         EXPECT_EQ(payload + len, bytes.size());
-        // Payload: n, blocks, chunks, dictionary length, chunk
-        // starts, dictionary, codes, miss count, 12-byte misses, ...
+        // Payload: n, blocks, dictionary length G, escape count E,
+        // dictionary, hit words, escape words, miss count, 12-byte
+        // misses, ...
         n = static_cast<std::size_t>(field(0));
-        chunks = static_cast<std::size_t>(field(16));
-        dictLen = static_cast<std::size_t>(field(24));
+        dictLen = static_cast<std::size_t>(field(16));
+        escapes = static_cast<std::size_t>(field(24));
+        width = dictLen > 1 ? static_cast<unsigned>(
+                                  std::bit_width(dictLen - 1))
+                            : 0;
     }
 
     std::uint64_t field(std::size_t at) const
@@ -970,22 +977,37 @@ struct OneAnnex
         return store::getU64(bytes.data() + payload + at);
     }
 
-    std::size_t chunkStartAt(std::size_t c) const
+    std::size_t dictAt(std::size_t k) const { return payload + 32 + 4 * k; }
+    std::size_t hitsAt() const { return dictAt(dictLen); }
+    std::size_t escapesAt() const { return hitsAt() + 8 * ((n + 63) / 64); }
+    std::size_t
+    missesAt() const
     {
-        return payload + 32 + 4 * c;
+        return escapesAt() + 8 * ((escapes * width + 63) / 64);
     }
-    std::size_t dictAt(std::size_t k) const
+
+    /** Flip bit @p bit of the bytes from @p at on. */
+    void flip(std::size_t at, std::size_t bit)
     {
-        return chunkStartAt(chunks) + 4 * k;
+        bytes[at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
-    std::size_t codesAt() const { return dictAt(dictLen); }
-    std::size_t missesAt() const { return codesAt() + n; }
 
     void
     put32(std::size_t at, std::uint32_t v)
     {
         for (unsigned i = 0; i < 4; ++i)
             bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** Cut the payload (the file tail) at file offset @p at. */
+    void
+    truncate(std::size_t at)
+    {
+        bytes.resize(at);
+        len = at - payload;
+        for (unsigned i = 0; i < 8; ++i)
+            bytes[entry + 8 + i] =
+                static_cast<std::uint8_t>(std::uint64_t{len} >> (8 * i));
     }
 
     /** Payload CRC, then the directory CRC that covers it. */
@@ -999,7 +1021,8 @@ struct OneAnnex
 
     std::vector<std::uint8_t> &bytes;
     std::size_t dirStart, entry, dirCrcAt, payload, len;
-    std::size_t n, chunks, dictLen;
+    std::size_t n, dictLen, escapes;
+    unsigned width;
 };
 
 /** Field-for-field equality of two quanta records. */
@@ -1007,9 +1030,10 @@ void
 expectSameRecord(const pipeline::SharedQuanta &a,
                  const pipeline::SharedQuanta &b)
 {
-    EXPECT_TRUE(a.codes == b.codes);
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a.hits == b.hits);
     EXPECT_TRUE(a.dict == b.dict);
-    EXPECT_TRUE(a.chunkStart == b.chunkStart);
+    EXPECT_TRUE(a.escapes == b.escapes);
     EXPECT_TRUE(a.misses == b.misses);
     EXPECT_TRUE(a.blockMissStart == b.blockMissStart);
     ASSERT_EQ(a.blockDelta.size(), b.blockDelta.size());
@@ -1077,50 +1101,89 @@ TEST_F(StoreTest, QuantaAnnexWithMissListOutOfOrderFailsSoft)
         << why;
 }
 
-TEST_F(StoreTest, DamagedQuantaCodesOrDictionariesFailSoft)
+TEST_F(StoreTest, DamagedQuantaStreamFailsSoft)
 {
-    // Damage to the codes and chunk dictionaries that the CRCs cannot
-    // see (each annex re-sealed): the load must reject the segment
-    // with a reason and never index past a dictionary; the cache then
-    // recaptures, so the loaded trace carries no damaged record, and
-    // the next replay records it afresh, bit-identical to the saved
-    // one.
-    const workloads::Workload w = workloads::Suite::build("rawcaudio");
+    // Damage to the hit bits, escapes and dictionary that the CRCs
+    // cannot see (each annex re-sealed): the load must reject the
+    // segment with a reason and never index past the dictionary; the
+    // cache then recaptures, so the loaded trace carries no damaged
+    // record, and the next replay records it afresh, bit-identical to
+    // the saved one.
+    const workloads::Workload w = workloads::Suite::build("rawdaudio");
     const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
     const std::string key = publishQuanta(t);
     const auto saved = recordOf(t, key);
     ASSERT_NE(saved, nullptr);
-    ASSERT_GE(saved->chunkStart.size(), 2u);
+    // An escape can name an index past the dictionary only when its
+    // size is not a power of two, and a hit or escape bit can sit
+    // past its count only in a partial last word.
+    ASSERT_NE(std::popcount(saved->dict.size()), 1);
+    ASSERT_NE(saved->size() % 64, 0u);
+    const std::size_t escape_bits =
+        (saved->size() - static_cast<std::size_t>(std::accumulate(
+                             saved->hits.begin(), saved->hits.end(), 0,
+                             [](int sum, std::uint64_t w) {
+                                 return sum + std::popcount(w);
+                             }))) *
+        saved->escapeBits();
+    ASSERT_NE(escape_bits % 64, 0u);
+    ASSERT_GE(saved->escapes.size(), 2u);
     const TraceStore ts(dir());
     ASSERT_TRUE(
-        ts.save("rawcaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
+        ts.save("rawdaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
     const std::vector<std::uint8_t> good =
-        readAll(ts.segmentPath("rawcaudio"));
+        readAll(ts.segmentPath("rawdaudio"));
 
+    // Overwrite the first escape (instruction 0's, naming entry 0).
+    const auto put_first_escape = [](OneAnnex &ax, std::uint32_t v) {
+        for (unsigned k = 0; k < ax.width; ++k) {
+            if (((ax.bytes[ax.escapesAt() + k / 8] >> (k % 8)) & 1u) !=
+                ((v >> k) & 1u))
+                ax.flip(ax.escapesAt(), k);
+        }
+    };
     const struct
     {
         const char *what;
         std::function<void(OneAnnex &)> damage;
         const char *reason;
     } cases[] = {
-        {"code at its chunk's dictionary size",
-         [](OneAnnex &ax) {
-             ax.bytes[ax.codesAt()] = static_cast<std::uint8_t>(
-                 store::getU32(ax.bytes.data() + ax.chunkStartAt(1)));
+        {"escape index at the dictionary size",
+         [&](OneAnnex &ax) {
+             put_first_escape(ax, static_cast<std::uint32_t>(ax.dictLen));
          },
-         "code past its chunk dictionary"},
-        {"chunk dictionary with no entry",
-         [](OneAnnex &ax) { ax.put32(ax.chunkStartAt(1), 0); },
-         "chunk dictionary size out of range"},
-        {"chunk dictionary with 257 entries",
-         [](OneAnnex &ax) { ax.put32(ax.chunkStartAt(1), 257); },
-         "chunk dictionary size out of range"},
-        {"chunk table short of n",
+         "escape past the dictionary"},
+        {"escape ahead of the first use",
+         [&](OneAnnex &ax) { put_first_escape(ax, 1); },
+         "dictionary out of first-use order"},
+        {"hit bit cleared without an escape",
+         [](OneAnnex &ax) {
+             std::size_t i = 0;
+             while (((ax.bytes[ax.hitsAt() + i / 8] >> (i % 8)) & 1u) == 0)
+                 ++i;
+             ax.flip(ax.hitsAt(), i);
+         },
+         "hit bits disagree with the escape count"},
+        {"hit bit past the count",
+         [](OneAnnex &ax) { ax.flip(ax.hitsAt(), ax.n); },
+         "hit bit past the count"},
+        {"escape bit past the count",
+         [](OneAnnex &ax) {
+             ax.flip(ax.escapesAt(), ax.escapes * ax.width);
+         },
+         "escape bit past the count"},
+        {"dictionary larger than the escapes",
          [](OneAnnex &ax) {
              ax.put32(ax.payload + 16,
-                      static_cast<std::uint32_t>(ax.chunks - 1));
+                      static_cast<std::uint32_t>(ax.escapes + 1));
          },
-         "chunk table does not cover the record"},
+         "dictionary or escape count out of range"},
+        {"stream truncated in the hit bits",
+         [](OneAnnex &ax) { ax.truncate(ax.hitsAt() + 8); },
+         "truncated hit bits"},
+        {"stream truncated in the escapes",
+         [](OneAnnex &ax) { ax.truncate(ax.escapesAt() + 8); },
+         "truncated escapes"},
         {"dictionary entry above entryBits",
          [](OneAnnex &ax) {
              ax.put32(ax.dictAt(0),
@@ -1135,13 +1198,13 @@ TEST_F(StoreTest, DamagedQuantaCodesOrDictionariesFailSoft)
         OneAnnex ax(bytes);
         c.damage(ax);
         ax.reseal();
-        writeAll(ts.segmentPath("rawcaudio"), bytes);
+        writeAll(ts.segmentPath("rawdaudio"), bytes);
 
         std::string why;
-        EXPECT_FALSE(ts.verify("rawcaudio", &w.program, &why));
+        EXPECT_FALSE(ts.verify("rawdaudio", &w.program, &why));
         EXPECT_NE(why.find(c.reason), std::string::npos) << why;
         auto failure = store::LoadFailure::None;
-        EXPECT_EQ(ts.load("rawcaudio", w.program,
+        EXPECT_EQ(ts.load("rawdaudio", w.program,
                           cpu::TraceBuffer::defaultMaxInstrs, &why,
                           &failure),
                   nullptr);
@@ -1149,7 +1212,7 @@ TEST_F(StoreTest, DamagedQuantaCodesOrDictionariesFailSoft)
         EXPECT_NE(why.find(c.reason), std::string::npos) << why;
 
         TraceCache cache({.storeDir = dir()});
-        const auto trace = cache.get("rawcaudio");
+        const auto trace = cache.get("rawdaudio");
         EXPECT_EQ(cache.captures(), 1u);
         EXPECT_TRUE(trace->annexKeys("quanta:").empty());
         ASSERT_EQ(publishQuanta(*trace), key);
@@ -1159,14 +1222,53 @@ TEST_F(StoreTest, DamagedQuantaCodesOrDictionariesFailSoft)
     }
 }
 
+/** What a Decoder rebuilds from a record over its trace's replay. */
+struct Decoded
+{
+    std::vector<pipeline::SharedQuanta::Entry> entries;
+    std::vector<Count> latch;
+};
+
+Decoded
+decodeOver(const cpu::TraceBuffer &trace,
+           const pipeline::SharedQuanta &rec, sig::Encoding enc)
+{
+    struct DecodeSink : cpu::TraceSink
+    {
+        DecodeSink(const pipeline::SharedQuanta &rec,
+                   const isa::Program &program, sig::Encoding enc)
+            : decoder(rec, program, enc)
+        {
+        }
+        void
+        retire(const cpu::DynInstr &di) override
+        {
+            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+        }
+        void
+        retireBlock(std::span<const cpu::DynInstr> block) override
+        {
+            decoder.expandBlock(block, entries, latch);
+            out.entries.insert(out.entries.end(), entries.begin(),
+                               entries.end());
+            out.latch.insert(out.latch.end(), latch.begin(), latch.end());
+        }
+        pipeline::SharedQuanta::Decoder decoder;
+        std::vector<pipeline::SharedQuanta::Entry> entries;
+        std::vector<Count> latch;
+        Decoded out;
+    } sink(rec, trace.program(), enc);
+    EXPECT_TRUE(cpu::TraceView(trace).replay(sink));
+    return std::move(sink.out);
+}
+
 TEST_F(StoreTest, WorstCaseQuantaRecordsRoundTrip)
 {
-    // A capped trace whose length is a multiple of neither the chunk
-    // (256) nor the replay block (1024): record, save, load and
-    // replay as a consumer must give the recording's record and
-    // result.
+    // A capped trace whose length is a multiple of neither a hit word
+    // (64) nor the replay block (1024): record, save, load and replay
+    // as a consumer must give the recording's record and result.
     constexpr DWord cap = 5000;
-    static_assert(cap % pipeline::SharedQuanta::chunkSize != 0 &&
+    static_assert(cap % 64 != 0 &&
                   cap % cpu::TraceView::defaultBlockSize != 0);
     const workloads::Workload w = workloads::Suite::build("cjpeg");
     const cpu::TraceBuffer t =
@@ -1196,34 +1298,58 @@ TEST_F(StoreTest, WorstCaseQuantaRecordsRoundTrip)
     EXPECT_EQ(quantaRecorders(), recorders0);
     live::expectSameResult(warm_pipe->result(), recorded);
 
-    // The widest chunk a code can index: 256 distinct entries in one
-    // chunk (the second), next to chunks of one entry, over the same
-    // n. No recording reaches it (a suite record holds at most a few
-    // dozen distinct entries), so the Coder writes it directly; the
-    // record must survive save and load, and expand to the same
-    // entries.
+    // Escapes wider than any recording needs (a suite record holds
+    // at most a few dozen distinct entries): 300 distinct entries in
+    // the second and fourth thousand instructions, one entry
+    // elsewhere, so 9-bit escapes straddle words next to long runs of
+    // hits. The Encoder writes the stream directly over the trace's
+    // instructions, in replay blocks of 700 (a block boundary is no
+    // stream boundary); the record must survive save and load, and
+    // decode to the same entries.
     using pipeline::SharedQuanta;
     std::vector<SharedQuanta::Entry> stream(cap);
     for (std::size_t i = 0; i < cap; ++i) {
-        const bool wide = i / SharedQuanta::chunkSize == 1;
+        const bool wide = (i / 1000) % 2 == 1;
         stream[i] = wide ? static_cast<SharedQuanta::Entry>(
-                               (i * 97) % SharedQuanta::chunkSize) << 17
+                               (i * 97) % 300 + 1) << 8
                          : 5;
     }
+    struct EncodeSink : cpu::TraceSink
+    {
+        EncodeSink(SharedQuanta &rec, const isa::Program &program,
+                   std::span<const SharedQuanta::Entry> stream)
+            : rec(rec), encoder(program), stream(stream)
+        {
+        }
+        void
+        retire(const cpu::DynInstr &di) override
+        {
+            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+        }
+        void
+        retireBlock(std::span<const cpu::DynInstr> block) override
+        {
+            encoder.append(rec, block,
+                           stream.subspan(rec.size(), block.size()));
+        }
+        SharedQuanta &rec;
+        SharedQuanta::Encoder encoder;
+        std::span<const SharedQuanta::Entry> stream;
+    };
+    // The recording's misses, block deltas and statistics, this
+    // stream's entries.
     auto wide = std::make_shared<SharedQuanta>(*saved);
-    wide->codes.clear();
+    wide->instructions = 0;
+    wide->hits.clear();
     wide->dict.clear();
-    wide->chunkStart.clear();
-    SharedQuanta::Coder coder;
-    // Appended in uneven pieces: a chunk stays open across calls.
-    for (std::size_t i = 0; i < cap; i += 1000)
-        coder.append(*wide, std::span(stream).subspan(
-                                i, std::min<std::size_t>(1000, cap - i)));
-    ASSERT_EQ(wide->chunkStart.size(), 20u);
-    EXPECT_EQ(wide->chunkStart[2] - wide->chunkStart[1],
-              SharedQuanta::chunkSize);
-    EXPECT_EQ(*std::max_element(wide->codes.begin(), wide->codes.end()),
-              255);
+    wide->escapes.clear();
+    EncodeSink encode(*wide, t.program(), stream);
+    std::vector<cpu::TraceSink *> encode_sinks = {&encode};
+    ASSERT_TRUE(cpu::TraceView(t).replay(encode_sinks, 700));
+    encode.encoder.finish(*wide);
+    ASSERT_EQ(wide->size(), std::size_t{cap});
+    ASSERT_EQ(wide->dict.size(), 301u);
+    EXPECT_EQ(wide->escapeBits(), 9u);
     const std::string wide_key = key + ":wide";
     t.annexStoreIfAbsent(wide_key, wide, wide->bytes());
     ASSERT_TRUE(ts.save("cjpeg", t, cap));
@@ -1233,31 +1359,52 @@ TEST_F(StoreTest, WorstCaseQuantaRecordsRoundTrip)
     ASSERT_NE(restored2, nullptr);
     expectSameRecord(*restored2, *wide);
 
-    // expandBlock() over the replay's blocks returns the stream.
-    std::vector<SharedQuanta::Entry> got;
-    struct ExpandSink : cpu::TraceSink
-    {
-        void
-        retire(const cpu::DynInstr &di) override
-        {
-            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+    // A Decoder over the replay's blocks returns the stream.
+    EXPECT_TRUE(decodeOver(*loaded2, *restored2, sig::Encoding::Ext3)
+                    .entries == stream);
+}
+
+TEST_F(StoreTest, StoreLoadedRecordsDecodeLikeTheRecordedOnes)
+{
+    // Every suite trace at the three suite encodings: the recorded
+    // record, decoded over the captured trace, and its store-loaded
+    // copy, decoded over the loaded trace, give the same entries and
+    // latch bases block for block.
+    const TraceStore ts(dir());
+    constexpr sig::Encoding encodings[] = {
+        sig::Encoding::Ext3, sig::Encoding::Ext2, sig::Encoding::Half1};
+    for (const std::string &name : workloads::Suite::names()) {
+        SCOPED_TRACE(name);
+        const workloads::Workload w = workloads::Suite::build(name);
+        const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
+        std::vector<std::string> keys;
+        for (const sig::Encoding enc : encodings) {
+            auto pipe = pipeline::makePipeline(
+                enc == sig::Encoding::Half1 ? Design::HalfwordSerial
+                                            : Design::ByteSerial,
+                analysis::suiteConfig(enc));
+            pipeline::replayPipelines(t, {pipe.get()});
+            keys.push_back(pipe->quantaKey());
         }
-        void
-        retireBlock(std::span<const cpu::DynInstr> block) override
-        {
-            rec->expandBlock(block, out->size(), sig::Encoding::Ext3,
-                             entries, latch);
-            out->insert(out->end(), entries.begin(), entries.end());
+        ASSERT_TRUE(ts.save(name, t, cpu::TraceBuffer::defaultMaxInstrs));
+        std::string why;
+        const auto loaded = ts.load(name, w.program,
+                                    cpu::TraceBuffer::defaultMaxInstrs, &why);
+        ASSERT_NE(loaded, nullptr) << why;
+        for (std::size_t e = 0; e < keys.size(); ++e) {
+            SCOPED_TRACE(sig::encodingName(encodings[e]));
+            const auto recorded = recordOf(t, keys[e]);
+            const auto restored = recordOf(*loaded, keys[e]);
+            ASSERT_NE(recorded, nullptr);
+            ASSERT_NE(restored, nullptr);
+            const Decoded want = decodeOver(t, *recorded, encodings[e]);
+            const Decoded got =
+                decodeOver(*loaded, *restored, encodings[e]);
+            ASSERT_EQ(want.entries.size(), t.size());
+            EXPECT_TRUE(got.entries == want.entries);
+            EXPECT_TRUE(got.latch == want.latch);
         }
-        const SharedQuanta *rec = nullptr;
-        std::vector<SharedQuanta::Entry> *out = nullptr;
-        std::vector<SharedQuanta::Entry> entries;
-        std::vector<Count> latch;
-    } sink;
-    sink.rec = restored2.get();
-    sink.out = &got;
-    cpu::TraceView(*loaded2).replay(sink);
-    EXPECT_TRUE(got == stream);
+    }
 }
 
 TEST_F(StoreTest, SegmentTruncatedAtAnnexDirectoryCrcFailsSoft)

@@ -6,12 +6,16 @@
  * Usage: sigcomp_store <command> [--dir DIR] [options] [workload...]
  *
  *   prewarm   Capture and persist every suite workload (or only the
- *             named ones) whose segment is missing or stale, so the
- *             next simulator/bench/CI process starts warm.
- *               --threads N     capture parallelism (0 = all cores,
- *                               at most 1024)
- *               --max-instrs N  capped captures (CI smoke segments)
- *               --force         recapture even over valid segments
+ *             named ones) whose segment is missing or stale, then
+ *             record the quanta annexes of suiteConfig() at Ext3,
+ *             Ext2 and Half1 into every segment that lacks them, so
+ *             the next simulator/bench/CI process starts warm and
+ *             replays those configurations as a quanta consumer.
+ *               --threads N      capture parallelism (0 = all cores,
+ *                                at most 1024)
+ *               --max-instrs N   capped captures (CI smoke segments)
+ *               --force          recapture even over valid segments
+ *               --captures-only  record no quanta annexes
  *   ls        One line per segment: instructions, file size,
  *             compression ratio, capture parameters (or why the
  *             segment is stale or corrupt).
@@ -48,6 +52,7 @@
 #include <vector>
 
 #include "analysis/session.h"
+#include "analysis/study_plan.h"
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -70,6 +75,7 @@ struct Options
     unsigned threads = 0;
     DWord maxInstrs = 0; // 0 = uncapped
     bool force = false;
+    bool capturesOnly = false;
     std::vector<std::string> workloads;
 };
 
@@ -80,7 +86,8 @@ usage()
         stderr,
         "usage: sigcomp_store <prewarm|ls|stats|verify|gc|doctor>\n"
         "                     [--dir DIR] [--threads N] [--max-instrs N]\n"
-        "                     [--force] [--json PATH] [workload...]\n");
+        "                     [--force] [--captures-only] [--json PATH]\n"
+        "                     [workload...]\n");
     return 2;
 }
 
@@ -169,6 +176,27 @@ cmdPrewarm(const Options &opt)
     std::printf("prewarm: %zu captured, %zu already warm, store %s\n",
                 work.size(), names.size() - work.size(),
                 opt.dir.c_str());
+    if (opt.capturesOnly)
+        return 0;
+
+    // The activity studies at Ext3, Ext2 and Half1 run suiteConfig()
+    // at each encoding, so one ordinary run records those three
+    // quanta keys and persists every record a segment lacks.
+    analysis::StudyPlan plan;
+    plan.activity(sig::Encoding::Ext3)
+        .activity(sig::Encoding::Ext2)
+        .activity(sig::Encoding::Half1)
+        .workloads(names)
+        .evictAfterReplay();
+    session.run(plan);
+    std::size_t records = 0;
+    for (const std::string &name : names) {
+        store::SegmentInfo info;
+        if (ts.info(name, info))
+            records += info.annexes.size();
+    }
+    std::printf("prewarm: %zu quanta annexes in %zu segments\n", records,
+                names.size());
     return 0;
 }
 
@@ -466,6 +494,8 @@ main(int argc, char **argv)
             opt.jsonPath = next();
         else if (arg == "--force")
             opt.force = true;
+        else if (arg == "--captures-only")
+            opt.capturesOnly = true;
         else if (!arg.empty() && arg[0] == '-')
             return usage();
         else
