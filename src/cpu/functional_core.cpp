@@ -9,13 +9,104 @@ using isa::Funct;
 using isa::Opcode;
 using isa::InstrClass;
 
+ExecOp
+execOpOf(const isa::DecodedInstr &d)
+{
+    const isa::Instruction inst = d.inst;
+    switch (d.cls) {
+      case InstrClass::Nop:
+        return d.name == "unknown" ? ExecOp::Unknown : ExecOp::Nop;
+      case InstrClass::Syscall:
+        return ExecOp::Syscall;
+      case InstrClass::Shift:
+        switch (inst.funct()) {
+          case Funct::Sll: return ExecOp::Sll;
+          case Funct::Srl: return ExecOp::Srl;
+          case Funct::Sra: return ExecOp::Sra;
+          case Funct::Sllv: return ExecOp::Sllv;
+          case Funct::Srlv: return ExecOp::Srlv;
+          default: return ExecOp::Srav;
+        }
+      case InstrClass::IntAlu:
+        if (d.format == isa::Format::R) {
+            switch (inst.funct()) {
+              case Funct::Add:
+              case Funct::Addu: return ExecOp::Add;
+              case Funct::Sub:
+              case Funct::Subu: return ExecOp::Sub;
+              case Funct::And: return ExecOp::And;
+              case Funct::Or: return ExecOp::Or;
+              case Funct::Xor: return ExecOp::Xor;
+              case Funct::Nor: return ExecOp::Nor;
+              case Funct::Slt: return ExecOp::Slt;
+              case Funct::Sltu: return ExecOp::Sltu;
+              case Funct::Mfhi: return ExecOp::Mfhi;
+              case Funct::Mflo: return ExecOp::Mflo;
+              case Funct::Mthi: return ExecOp::Mthi;
+              case Funct::Mtlo: return ExecOp::Mtlo;
+              default: SC_PANIC("unhandled R-format IntAlu funct");
+            }
+        }
+        switch (inst.opcode()) {
+          case Opcode::Addi:
+          case Opcode::Addiu: return ExecOp::AddImm;
+          case Opcode::Slti: return ExecOp::SltImm;
+          case Opcode::Sltiu: return ExecOp::SltuImm;
+          case Opcode::Andi: return ExecOp::AndImm;
+          case Opcode::Ori: return ExecOp::OrImm;
+          case Opcode::Xori: return ExecOp::XorImm;
+          case Opcode::Lui: return ExecOp::Lui;
+          default: SC_PANIC("unhandled I-format IntAlu opcode");
+        }
+      case InstrClass::Mult:
+        return inst.funct() == Funct::Mult ? ExecOp::Mult : ExecOp::Multu;
+      case InstrClass::Div:
+        return inst.funct() == Funct::Div ? ExecOp::Div : ExecOp::Divu;
+      case InstrClass::Load:
+        switch (inst.opcode()) {
+          case Opcode::Lb: return ExecOp::Lb;
+          case Opcode::Lbu: return ExecOp::Lbu;
+          case Opcode::Lh: return ExecOp::Lh;
+          case Opcode::Lhu: return ExecOp::Lhu;
+          default: return ExecOp::Lw;
+        }
+      case InstrClass::Store:
+        switch (inst.opcode()) {
+          case Opcode::Sb: return ExecOp::Sb;
+          case Opcode::Sh: return ExecOp::Sh;
+          default: return ExecOp::Sw;
+        }
+      case InstrClass::Branch:
+        switch (inst.opcode()) {
+          case Opcode::Beq: return ExecOp::Beq;
+          case Opcode::Bne: return ExecOp::Bne;
+          case Opcode::Blez: return ExecOp::Blez;
+          case Opcode::Bgtz: return ExecOp::Bgtz;
+          case Opcode::RegImm:
+            return static_cast<isa::RegImmRt>(inst.rt()) ==
+                           isa::RegImmRt::Bgez
+                       ? ExecOp::Bgez
+                       : ExecOp::Bltz;
+          default: SC_PANIC("unhandled branch opcode");
+        }
+      case InstrClass::Jump:
+        return inst.opcode() == Opcode::Jal ? ExecOp::Jal : ExecOp::J;
+      case InstrClass::JumpReg:
+        return inst.funct() == Funct::Jalr ? ExecOp::Jalr : ExecOp::Jr;
+    }
+    SC_PANIC("unhandled instruction class");
+}
+
 FunctionalCore::FunctionalCore(const isa::Program &program,
                                mem::MainMemory &memory)
     : program_(program), memory_(memory), pc_(program.entry())
 {
     decoded_.reserve(program.text().size());
-    for (const isa::Instruction &inst : program.text())
+    ops_.reserve(program.text().size());
+    for (const isa::Instruction &inst : program.text()) {
         decoded_.push_back(isa::decode(inst));
+        ops_.push_back(execOpOf(decoded_.back()));
+    }
 
     const isa::DataSegment &data = program.data();
     if (!data.bytes.empty())
@@ -73,6 +164,10 @@ FunctionalCore::step(DynInstr &out)
     const std::size_t index = (pc_ - isa::textBase) / wordBytes;
     const isa::DecodedInstr &dec = decoded_[index];
     const isa::Instruction inst = dec.inst;
+    const ExecOp op = ops_[index];
+    if (op == ExecOp::Unknown)
+        SC_FATAL("executed unknown instruction 0x", std::hex, inst.raw(),
+                 " at pc=0x", pc_);
 
     out = DynInstr();
     out.pc = pc_;
@@ -85,262 +180,43 @@ FunctionalCore::step(DynInstr &out)
     if (dec.readsRt)
         out.srcRt = rt_v;
 
-    Addr next_pc = pc_ + 4;
-    Word result = 0;
-    bool stop = false;
+    /** execute()'s memory: the live image, at the access width. */
+    struct LiveMemory
+    {
+        mem::MainMemory &image;
 
-    switch (dec.cls) {
-      case InstrClass::Nop:
-        if (dec.name == "unknown")
-            SC_FATAL("executed unknown instruction 0x", std::hex,
-                     inst.raw(), " at pc=0x", pc_);
-        break;
-
-      case InstrClass::Shift: {
-        const unsigned amount =
-            (inst.funct() == Funct::Sll || inst.funct() == Funct::Srl ||
-             inst.funct() == Funct::Sra)
-                ? inst.shamt()
-                : (rs_v & 31);
-        switch (inst.funct()) {
-          case Funct::Sll:
-          case Funct::Sllv:
-            result = rt_v << amount;
-            break;
-          case Funct::Srl:
-          case Funct::Srlv:
-            result = rt_v >> amount;
-            break;
-          default:
-            result = static_cast<Word>(static_cast<SWord>(rt_v) >>
-                                       amount);
-            break;
+        Word
+        load(Addr ea, unsigned bytes) const
+        {
+            return bytes == 1   ? image.readByte(ea)
+                   : bytes == 2 ? image.readHalf(ea)
+                                : image.readWord(ea);
         }
-        break;
-      }
 
-      case InstrClass::IntAlu:
-        if (dec.format == isa::Format::R) {
-            switch (inst.funct()) {
-              case Funct::Add:
-              case Funct::Addu:
-                result = rs_v + rt_v;
-                break;
-              case Funct::Sub:
-              case Funct::Subu:
-                result = rs_v - rt_v;
-                break;
-              case Funct::And:
-                result = rs_v & rt_v;
-                break;
-              case Funct::Or:
-                result = rs_v | rt_v;
-                break;
-              case Funct::Xor:
-                result = rs_v ^ rt_v;
-                break;
-              case Funct::Nor:
-                result = ~(rs_v | rt_v);
-                break;
-              case Funct::Slt:
-                result = static_cast<SWord>(rs_v) <
-                                 static_cast<SWord>(rt_v)
-                             ? 1 : 0;
-                break;
-              case Funct::Sltu:
-                result = rs_v < rt_v ? 1 : 0;
-                break;
-              case Funct::Mfhi:
-                result = hi_;
-                break;
-              case Funct::Mflo:
-                result = lo_;
-                break;
-              case Funct::Mthi:
-                hi_ = rs_v;
-                break;
-              case Funct::Mtlo:
-                lo_ = rs_v;
-                break;
-              default:
-                SC_PANIC("unhandled R-format IntAlu funct");
-            }
-        } else {
-            switch (inst.opcode()) {
-              case Opcode::Addi:
-              case Opcode::Addiu:
-                result = rs_v + static_cast<Word>(inst.simm16());
-                break;
-              case Opcode::Slti:
-                result = static_cast<SWord>(rs_v) < inst.simm16() ? 1 : 0;
-                break;
-              case Opcode::Sltiu:
-                result = rs_v < static_cast<Word>(inst.simm16()) ? 1 : 0;
-                break;
-              case Opcode::Andi:
-                result = rs_v & inst.imm16();
-                break;
-              case Opcode::Ori:
-                result = rs_v | inst.imm16();
-                break;
-              case Opcode::Xori:
-                result = rs_v ^ inst.imm16();
-                break;
-              case Opcode::Lui:
-                result = Word{inst.imm16()} << 16;
-                break;
-              default:
-                SC_PANIC("unhandled I-format IntAlu opcode");
-            }
+        void
+        store(Addr ea, Word datum, unsigned bytes) const
+        {
+            if (bytes == 1)
+                image.writeByte(ea, static_cast<Byte>(datum));
+            else if (bytes == 2)
+                image.writeHalf(ea, static_cast<Half>(datum));
+            else
+                image.writeWord(ea, datum);
         }
-        break;
+    } memory{memory_};
+    const Outcome o = execute(op, inst, pc_, rs_v, rt_v, hilo_, memory);
+    const bool stop = op == ExecOp::Syscall && doSyscall();
 
-      case InstrClass::Mult: {
-        if (inst.funct() == Funct::Mult) {
-            const std::int64_t p =
-                static_cast<std::int64_t>(static_cast<SWord>(rs_v)) *
-                static_cast<std::int64_t>(static_cast<SWord>(rt_v));
-            lo_ = static_cast<Word>(p);
-            hi_ = static_cast<Word>(static_cast<std::uint64_t>(p) >> 32);
-        } else {
-            const std::uint64_t p =
-                static_cast<std::uint64_t>(rs_v) * rt_v;
-            lo_ = static_cast<Word>(p);
-            hi_ = static_cast<Word>(p >> 32);
-        }
-        break;
-      }
-
-      case InstrClass::Div:
-        if (inst.funct() == Funct::Div) {
-            const SWord a = static_cast<SWord>(rs_v);
-            const SWord b = static_cast<SWord>(rt_v);
-            if (b == 0) {
-                lo_ = 0;
-                hi_ = 0;
-            } else if (a == INT32_MIN && b == -1) {
-                lo_ = static_cast<Word>(INT32_MIN);
-                hi_ = 0;
-            } else {
-                lo_ = static_cast<Word>(a / b);
-                hi_ = static_cast<Word>(a % b);
-            }
-        } else {
-            if (rt_v == 0) {
-                lo_ = 0;
-                hi_ = 0;
-            } else {
-                lo_ = rs_v / rt_v;
-                hi_ = rs_v % rt_v;
-            }
-        }
-        break;
-
-      case InstrClass::Load: {
-        const Addr ea = rs_v + static_cast<Word>(inst.simm16());
-        out.memAddr = ea;
-        switch (inst.opcode()) {
-          case Opcode::Lb:
-            out.memData = memory_.readByte(ea);
-            result = signExtend(out.memData, 8);
-            break;
-          case Opcode::Lbu:
-            out.memData = memory_.readByte(ea);
-            result = out.memData;
-            break;
-          case Opcode::Lh:
-            out.memData = memory_.readHalf(ea);
-            result = signExtend(out.memData, 16);
-            break;
-          case Opcode::Lhu:
-            out.memData = memory_.readHalf(ea);
-            result = out.memData;
-            break;
-          default:
-            out.memData = memory_.readWord(ea);
-            result = out.memData;
-            break;
-        }
-        break;
-      }
-
-      case InstrClass::Store: {
-        const Addr ea = rs_v + static_cast<Word>(inst.simm16());
-        out.memAddr = ea;
-        switch (inst.opcode()) {
-          case Opcode::Sb:
-            out.memData = rt_v & 0xff;
-            memory_.writeByte(ea, static_cast<Byte>(rt_v));
-            break;
-          case Opcode::Sh:
-            out.memData = rt_v & 0xffff;
-            memory_.writeHalf(ea, static_cast<Half>(rt_v));
-            break;
-          default:
-            out.memData = rt_v;
-            memory_.writeWord(ea, rt_v);
-            break;
-        }
-        break;
-      }
-
-      case InstrClass::Branch: {
-        bool taken = false;
-        switch (inst.opcode()) {
-          case Opcode::Beq:
-            taken = rs_v == rt_v;
-            break;
-          case Opcode::Bne:
-            taken = rs_v != rt_v;
-            break;
-          case Opcode::Blez:
-            taken = static_cast<SWord>(rs_v) <= 0;
-            break;
-          case Opcode::Bgtz:
-            taken = static_cast<SWord>(rs_v) > 0;
-            break;
-          case Opcode::RegImm:
-            taken = (static_cast<isa::RegImmRt>(inst.rt()) ==
-                     isa::RegImmRt::Bgez)
-                        ? static_cast<SWord>(rs_v) >= 0
-                        : static_cast<SWord>(rs_v) < 0;
-            break;
-          default:
-            SC_PANIC("unhandled branch opcode");
-        }
-        out.taken = taken;
-        if (taken)
-            next_pc = pc_ + 4 +
-                      (static_cast<Word>(inst.simm16()) << 2);
-        break;
-      }
-
-      case InstrClass::Jump:
-        next_pc = (pc_ & 0xf0000000) | (inst.target26() << 2);
-        if (inst.opcode() == Opcode::Jal)
-            result = pc_ + 4; // link address
-        out.taken = true;
-        break;
-
-      case InstrClass::JumpReg:
-        next_pc = rs_v;
-        if (inst.funct() == Funct::Jalr)
-            result = pc_ + 4;
-        out.taken = true;
-        break;
-
-      case InstrClass::Syscall:
-        stop = doSyscall();
-        break;
-    }
-
+    out.memAddr = o.memAddr;
+    out.memData = o.memData;
+    out.taken = o.taken;
     if (dec.writesDest) {
-        setReg(dec.dest, result);
-        out.result = (dec.dest == isa::reg::zero) ? 0 : result;
+        setReg(dec.dest, o.result);
+        out.result = (dec.dest == isa::reg::zero) ? 0 : o.result;
     }
 
-    out.nextPc = next_pc;
-    pc_ = next_pc;
+    out.nextPc = o.nextPc;
+    pc_ = o.nextPc;
     if (stop)
         stopped_ = true;
     return !stop;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "cpu/execute.h"
 #include "cpu/trace.h"
 #include "isa/program.h"
 #include "mem/main_memory.h"
@@ -45,9 +46,10 @@ struct RunResult
  * Executes a Program against a MainMemory, optionally reporting every
  * retired instruction to a TraceSink.
  *
- * Arithmetic notes: add/addi/sub use wrap-around semantics (no
- * overflow traps); divide-by-zero leaves HI/LO at zero. These
- * simplifications match what -O3 compiled media code exercises.
+ * Values come from execute() (cpu/execute.h), which replay shares:
+ * add/addi/sub use wrap-around semantics (no overflow traps);
+ * divide-by-zero leaves HI/LO at zero. These simplifications match
+ * what -O3 compiled media code exercises.
  */
 class FunctionalCore
 {
@@ -79,8 +81,8 @@ class FunctionalCore
     Word reg(isa::Reg r) const { return regs_[r]; }
     void setReg(isa::Reg r, Word v);
     Addr pc() const { return pc_; }
-    Word hi() const { return hi_; }
-    Word lo() const { return lo_; }
+    Word hi() const { return hilo_.hi; }
+    Word lo() const { return hilo_.lo; }
 
     /** Integers printed via the PrintInt syscall. */
     const std::vector<SWord> &printedInts() const { return printed_; }
@@ -99,10 +101,11 @@ class FunctionalCore
 
     /** Decoded text segment, indexed by word offset. */
     std::vector<isa::DecodedInstr> decoded_;
+    /** execOpOf each decoded_ entry, same indexing. */
+    std::vector<ExecOp> ops_;
 
     std::array<Word, isa::numRegs> regs_{};
-    Word hi_ = 0;
-    Word lo_ = 0;
+    HiLo hilo_;
     Addr pc_;
 
     std::vector<SWord> printed_;

@@ -38,7 +38,9 @@ struct DynInstr
     /**
      * Raw datum moved to/from memory (zero-extended to 32 bits):
      * the stored value for stores, the unconverted loaded bytes for
-     * loads. Width is dec->memBytes.
+     * loads. Width is dec->memBytes. A load's bytes are the only
+     * values a trace keeps (its loadData column); replay derives
+     * everything else, a store's datum included, with execute().
      */
     Word memData = 0;
 

@@ -18,15 +18,16 @@ namespace
 {
 
 /**
- * The architectural register file rebuilt from a result stream.
+ * The architectural register file rebuilt from the load log.
  *
- * Operand values are a pure function of the stream: registers start
- * at reset state (zeros, $sp at stackTop), every retired instruction
- * writes its result to its destination, and syscalls never write
- * registers. So walking the stream in order and reading srcRs/srcRt
- * before retiring each result reproduces the functional core's
- * operands exactly (test_trace checks every suite workload against a
- * live run).
+ * Operand values are a pure function of the load log: registers
+ * start at reset state (zeros, $sp at stackTop), every retired
+ * instruction writes its result to its destination, each result is
+ * execute() of its operands (and, for a load, of the bytes it read),
+ * and syscalls never write registers. So walking the stream in order,
+ * reading srcRs/srcRt before retiring each result, reproduces the
+ * functional core's operands exactly (test_trace checks every suite
+ * workload against a live run).
  *
  * T is Word for the values themselves or sig::ByteMask for their Ext3
  * tags: a register's tag is the tag of the result last written to it,
@@ -94,6 +95,18 @@ class ColumnCursor
     std::size_t k_ = 0;
 };
 
+/**
+ * execute()'s memory in replay: a load returns the next bytes of the
+ * trace's load log; stores change nothing replay reads.
+ */
+struct LoadLog
+{
+    ColumnCursor data;
+
+    Word load(Addr, unsigned) { return data.next(); }
+    void store(Addr, Word, unsigned) {}
+};
+
 } // namespace
 
 /** Keyed type-erased annexes with their reported heap sizes. */
@@ -152,12 +165,15 @@ TraceBuffer::replayCount() const
 InstrFacts
 InstrFacts::of(const isa::DecodedInstr &d)
 {
+    // A write to $zero is no write: it reads 0 and retires 0.
     return {static_cast<std::uint8_t>(d.readsRs ? d.inst.rs() : noOperand),
             static_cast<std::uint8_t>(d.readsRt ? d.inst.rt() : noOperand),
-            static_cast<std::uint8_t>(
-                d.writesDest ? static_cast<unsigned>(d.dest) : noDest),
-            static_cast<std::uint8_t>((d.isLoad || d.isStore ? memOp : 0) |
-                                      (d.isControl ? control : 0))};
+            static_cast<std::uint8_t>(d.writesDest && d.dest != isa::reg::zero
+                                          ? static_cast<unsigned>(d.dest)
+                                          : noDest),
+            static_cast<std::uint8_t>((d.isLoad ? load : 0) |
+                                      (d.isStore ? store : 0)),
+            execOpOf(d)};
 }
 
 TraceBuffer
@@ -182,7 +198,9 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
     TraceBuffer buf = makeFor(program);
 
     // Local class: shares capture()'s access to the private columns.
-    // Each value is encoded once, as it retires.
+    // Each value is encoded once, as it retires; what replay derives
+    // (every value but the decode index and the loaded bytes) is not
+    // recorded at all.
     struct Recorder : TraceSink
     {
         void
@@ -190,23 +208,12 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
         {
             decIdx.push(
                 static_cast<std::uint32_t>((di.pc - isa::textBase) / 4));
-            result.push(di.result);
-            if (di.dec->isLoad || di.dec->isStore) {
-                memAddr.push(di.memAddr);
-                memData.push(di.memData);
-            }
-            // Only a control instruction can be taken, so only those
-            // carry a bit; a taken bit anywhere else is a core bug.
-            if (di.dec->isControl)
-                taken.push(di.taken);
-            else
-                SC_ASSERT(!di.taken, "taken bit set on non-control "
-                                     "instruction at pc ", di.pc);
+            if (di.dec->isLoad)
+                loadData.push(di.memData);
             lastNextPc = di.nextPc;
         }
 
-        store::ColumnWriter decIdx, result, memAddr, memData;
-        store::BitPlaneWriter taken;
+        store::ColumnWriter decIdx, loadData;
         Addr lastNextPc = 0;
     };
 
@@ -238,10 +245,7 @@ TraceBuffer::capture(const isa::Program &program, DWord max_instrs,
         return col;
     };
     buf.decIdx_ = finish(recorder.decIdx);
-    buf.result_v_ = finish(recorder.result);
-    buf.taken_ = recorder.taken.finish();
-    buf.memAddr_ = finish(recorder.memAddr);
-    buf.memData_ = finish(recorder.memData);
+    buf.loadData_ = finish(recorder.loadData);
     buf.lastNextPc_ = recorder.lastNextPc;
     return buf;
 }
@@ -252,10 +256,8 @@ TraceBuffer::memoryBytes() const
     auto bytes = [](const auto &v) {
         return v.capacity() * sizeof(v[0]);
     };
-    std::size_t total = bytes(decIdx_.stream) + bytes(result_v_.stream) +
-                        bytes(taken_) + bytes(memAddr_.stream) +
-                        bytes(memData_.stream) + bytes(decoded_) +
-                        bytes(facts_);
+    std::size_t total = bytes(decIdx_.stream) + bytes(loadData_.stream) +
+                        bytes(decoded_) + bytes(facts_);
     return total + annexBytes();
 }
 
@@ -280,24 +282,21 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
     const std::size_t n = b.size();
     std::vector<DynInstr> block(std::min(block_size, n));
 
-    // Every column is read in stream order, one codec block at a time
-    // into this replay's own scratch: the dense ones advance per
-    // instruction, the memory ones per load/store, the taken plane
-    // per control instruction.
+    // Both columns are read in stream order, one codec block at a
+    // time into this replay's own scratch: the decode index advances
+    // per instruction, the load log per load.
     ColumnCursor dec_idx(b.decIdx_);
-    ColumnCursor results(b.result_v_);
-    ColumnCursor mem_addr(b.memAddr_);
-    ColumnCursor mem_data(b.memData_);
-    std::size_t ctl_cursor = 0;
+    LoadLog loads{ColumnCursor(b.loadData_)};
     // The decode index is read one ahead: instruction i's nextPc is
     // the pc of instruction i + 1.
     std::uint32_t idx = n > 0 ? dec_idx.next() : 0;
-    // One register file across all blocks: operands are rebuilt in
-    // stream order, never stored (each replay owns its own). The
-    // second carries their Ext3 tags, so each instruction classifies
-    // only the values it produces (result, memData) and reads its
-    // operands' tags from the walk.
+    // One register file (and HI/LO) across all blocks: operands are
+    // rebuilt in stream order, never stored (each replay owns its
+    // own). The second carries their Ext3 tags, so each instruction
+    // classifies only the values it produces (result, memData) and
+    // reads its operands' tags from the walk.
     RegisterReplay<Word> regs(0, isa::stackTop);
+    HiLo hilo;
     RegisterReplay<sig::ByteMask> tags(sig::classifyExt3(0),
                                        sig::classifyExt3(isa::stackTop));
     for (std::size_t base = 0; base < n;) {
@@ -312,27 +311,25 @@ TraceView::replay(const std::vector<TraceSink *> &sinks,
         for (std::size_t j = 0; j < k; ++j) {
             const std::size_t i = base + j;
             const InstrFacts f = b.facts_[idx];
+            const isa::DecodedInstr &dec = b.decoded_[idx];
             DynInstr &di = block[j];
             di.pc = isa::textBase + static_cast<Addr>(4 * idx);
-            di.dec = &b.decoded_[idx];
+            di.dec = &dec;
             di.srcRs = regs.rs(f);
             di.srcRt = regs.rt(f);
-            di.result = results.next();
+            const Outcome o = execute(f.op, dec.inst, di.pc, di.srcRs,
+                                      di.srcRt, hilo, loads);
+            di.result = f.dest == InstrFacts::noDest ? 0 : o.result;
             regs.retire(f, di.result);
+            di.memAddr = o.memAddr;
+            di.memData = o.memData;
+            di.taken = o.taken;
             const sig::ByteMask res = sig::classifyExt3(di.result);
             unsigned packed = tags.rs(f) | (tags.rt(f) << 4) | (res << 8);
             tags.retire(f, res);
-            if (f.flags & InstrFacts::memOp) {
-                di.memAddr = mem_addr.next();
-                di.memData = mem_data.next();
+            if (f.flags & InstrFacts::memOp)
                 packed |= sig::classifyExt3(di.memData) << 12;
-            } else {
-                di.memAddr = 0;
-                di.memData = 0;
-            }
             di.sigTags = static_cast<std::uint16_t>(packed);
-            di.taken = (f.flags & InstrFacts::control) &&
-                       store::bitPlaneAt(b.taken_.data(), ctl_cursor++);
             if (i + 1 < n) {
                 idx = dec_idx.next();
                 di.nextPc = isa::textBase + static_cast<Addr>(4 * idx);

@@ -12,27 +12,30 @@
  *
  * Compactness comes from the static structure of the stream and
  * from the paper's own rule, applied to the trace itself: store only
- * a word's significant bytes.
+ * the bits that carry information. A trace keeps two columns, the
+ * decode index of every instruction and the loaded bytes of every
+ * load; everything else replay re-executes.
  *  - the PC is not stored: a 32-bit decode index both names the
  *    pre-decoded static instruction and reconstructs pc/nextPc
  *    (nextPc of instruction i is the pc of instruction i+1);
  *  - operand values are not stored: they are a pure function of the
- *    result stream, so replay rebuilds srcRs/srcRt by carrying one
- *    architectural register file across its blocks;
- *  - significance tags are not stored either: replay classifies each
+ *    load log, so replay rebuilds srcRs/srcRt by carrying one
+ *    architectural register file (plus HI/LO) across its blocks;
+ *  - results, effective addresses, store data and branch outcomes
+ *    are not stored either: replay runs each instruction through
+ *    execute() (cpu/execute.h), the functional core's own semantics,
+ *    on the operands it rebuilt and, for a load, the bytes the load
+ *    read (loadData, in stream order, read by cursor);
+ *  - significance tags are not stored: replay classifies each
  *    result and memData as it materialises a block and carries the
  *    operands' tags in a second register file beside the values
  *    (DynInstr::sigTags), so a tag exists only where its value does;
- *  - memory address/data are stored only for loads and stores, which
- *    appear in stream order, so replay walks them with a cursor;
- *  - branch outcomes are one bit per control instruction (the only
- *    ones that can be taken), packed 64 per word and read by cursor;
- *  - the decode index, result, address and data columns are held
- *    only as their store/codec.h streams (SigPack significant bytes,
- *    DeltaVarint or Raw per 4096-value block), exactly the bytes a
- *    segment file holds: capture encodes each value once as it
- *    retires, a save copies the streams, a load adopts them, and
- *    replay decodes one codec block at a time into its own scratch.
+ *  - both columns are held only as their store/codec.h streams
+ *    (SigPack significant bytes, DeltaVarint or Raw per 4096-value
+ *    block), exactly the bytes a segment file holds: capture encodes
+ *    each value once as it retires, a save copies the streams, a
+ *    load adopts them, and replay decodes one codec block at a time
+ *    into its own scratch.
  *
  * Replay is bit-exact: the DynInstr records a TraceView materialises
  * are field-for-field identical to the ones the functional core
@@ -49,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/execute.h"
 #include "cpu/functional_core.h"
 #include "cpu/trace.h"
 #include "isa/program.h"
@@ -66,7 +70,7 @@ class TraceView;
 
 /**
  * What replay and the store loader's stream check read of one static
- * instruction, packed into four bytes so the per-dynamic-instruction
+ * instruction, packed into five bytes so the per-dynamic-instruction
  * loops stream through one dense table instead of the
  * (string-bearing) DecodedInstr records.
  */
@@ -76,19 +80,23 @@ struct InstrFacts
     std::uint8_t rs;
     /** Register read as srcRt, or noOperand. */
     std::uint8_t rt;
-    /** Register written with the result, or noDest. */
+    /** Register written with a result, or noDest (also for $zero). */
     std::uint8_t dest;
-    /** memOp | control. */
+    /** load | store. */
     std::uint8_t flags;
+    /** What execute() does. */
+    ExecOp op;
 
     /** Register-file slot that always reads 0 ("no operand"). */
     static constexpr std::uint8_t noOperand = isa::numRegs;
     /** Register-file slot that absorbs writes ("no destination"). */
     static constexpr std::uint8_t noDest = isa::numRegs + 1;
-    /** Load or store: consumes one memAddr/memData entry. */
-    static constexpr std::uint8_t memOp = 1;
-    /** Control transfer: carries a taken bit in the store format. */
-    static constexpr std::uint8_t control = 2;
+    /** Load: consumes one loadData entry. */
+    static constexpr std::uint8_t load = 1;
+    /** Store. */
+    static constexpr std::uint8_t store = 2;
+    /** Load or store: carries a memData tag. */
+    static constexpr std::uint8_t memOp = load | store;
 
     static InstrFacts of(const isa::DecodedInstr &d);
 };
@@ -202,13 +210,10 @@ class TraceBuffer
 
     // -- per retired instruction (dense), encoded --------------------
     store::Column32 decIdx_;
-    store::Column32 result_v_;
-    /** Taken bit per control instruction: a store::BitPlaneWriter plane. */
-    std::vector<std::uint8_t> taken_;
 
-    // -- loads/stores only, in stream order (sparse), encoded ---------
-    store::Column32 memAddr_;
-    store::Column32 memData_;
+    // -- loads only, in stream order (sparse), encoded ----------------
+    /** The raw loaded bytes (DynInstr::memData of each load). */
+    store::Column32 loadData_;
 
     /** nextPc of the final instruction (others derive from decIdx_). */
     Addr lastNextPc_ = 0;

@@ -657,15 +657,4 @@ ColumnReader::nextBlock()
     return true;
 }
 
-std::vector<std::uint8_t>
-BitPlaneWriter::finish()
-{
-    if (count_ % 64 != 0)
-        putU64(out_, word_);
-    for (unsigned b = 0; b < 4; ++b)
-        out_[b] = static_cast<std::uint8_t>(count_ >> (8 * b));
-    out_.shrink_to_fit();
-    return std::move(out_);
-}
-
 } // namespace sigcomp::store

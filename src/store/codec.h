@@ -9,12 +9,12 @@
  *  - SigPack: the store dogfoods the paper's own idea. Every value is
  *    classified with sig::classifyExt3() and only its significant
  *    bytes are stored, preceded by a packed plane of 4-bit byte
- *    patterns (two tags per byte). Operand/result columns are
- *    dominated by small and sign-extended values (paper Table 1), so
- *    this usually stores 1-2 bytes per 4-byte word.
+ *    patterns (two tags per byte). Value columns such as the loaded
+ *    bytes are dominated by small and sign-extended values (paper
+ *    Table 1), so this usually stores 1-2 bytes per 4-byte word.
  *  - DeltaVarint: zigzag LEB128 of successive deltas. Decode-index
- *    and memory-address streams are locally sequential (the +1 fall
- *    through, the stride walk), so deltas are tiny.
+ *    streams are locally sequential (the +1 fall through), so deltas
+ *    are tiny.
  *  - Raw: 4 bytes per value, little-endian. The guaranteed fallback:
  *    a block never expands beyond raw + the 5-byte block header, so
  *    the worst case is bounded.
@@ -217,41 +217,6 @@ class ColumnReader
     std::uint32_t prev_ = 0;
     std::vector<std::uint32_t> buf_;
 };
-
-/**
- * A bit plane in its stored form: a u32 bit count, then the bits
- * packed 64 per little-endian u64 word (bit i in word i / 64 at
- * position i % 64), so bit i is bit i % 8 of byte 4 + i / 8. The
- * trace's taken column (one bit per control instruction) is one.
- */
-class BitPlaneWriter
-{
-  public:
-    void
-    push(bool bit)
-    {
-        word_ |= std::uint64_t{bit} << (count_ % 64);
-        if (++count_ % 64 == 0) {
-            putU64(out_, word_);
-            word_ = 0;
-        }
-    }
-
-    /** The finished plane, capacity trimmed; the writer is spent. */
-    std::vector<std::uint8_t> finish();
-
-  private:
-    std::vector<std::uint8_t> out_ = std::vector<std::uint8_t>(4, 0);
-    std::uint64_t word_ = 0;
-    std::uint32_t count_ = 0;
-};
-
-/** Bit @p i of stored bit plane @p plane (i below its count). */
-inline bool
-bitPlaneAt(const std::uint8_t *plane, std::size_t i)
-{
-    return (plane[4 + i / 8] >> (i % 8)) & 1u;
-}
 
 } // namespace sigcomp::store
 

@@ -37,24 +37,20 @@ constexpr std::size_t kDirEntryBytes = 32;
 constexpr std::uint32_t kFlagTruncated = 1u << 0;
 
 /**
- * Column ids, fixed by the format (order = payload order). The
- * operand columns (srcRs/srcRt) are deliberately NOT stored: the
- * architectural register file is a pure function of the result
- * stream and the decoded read/write flags, so rebuilding them (one
- * register walk per replay) costs less than decoding two more
- * significance-packed columns and shrinks the segments by ~40%.
- * Significance tags are not stored either: replay classifies the
- * values it materialises (cpu/trace_buffer.h). The taken column
- * holds control-instruction-only bits.
+ * Column ids, fixed by the format (order = payload order). A segment
+ * stores what replay cannot derive: the decode index of every
+ * instruction (the control-flow skeleton the loader checks) and the
+ * raw bytes of every load. Operands, results, effective addresses,
+ * store data and branch outcomes are NOT stored: replay re-executes
+ * each instruction (cpu/execute.h) on the register file it rebuilds
+ * and the loaded bytes. Significance tags are not stored either:
+ * replay classifies the values it materialises (cpu/trace_buffer.h).
  */
 enum ColumnId : std::uint32_t
 {
     ColDecIdx = 0,
-    ColResult = 1,
-    ColTaken = 2,
-    ColMemAddr = 3,
-    ColMemData = 4,
-    NumColumns = 5,
+    ColLoadData = 1,
+    NumColumns = 2,
 };
 // sigcomp-lint: format-layout-end
 
@@ -63,10 +59,7 @@ columnName(std::uint32_t id)
 {
     switch (id) {
     case ColDecIdx: return "decIdx";
-    case ColResult: return "result";
-    case ColTaken: return "taken";
-    case ColMemAddr: return "memAddr";
-    case ColMemData: return "memData";
+    case ColLoadData: return "loadData";
     default: return "?";
     }
 }
@@ -112,7 +105,7 @@ sanitize(const std::string &name)
 struct Segment
 {
     std::uint64_t instructions = 0;
-    std::uint64_t memOps = 0;
+    std::uint64_t loads = 0;
     std::uint64_t captureLimit = 0;
     std::uint32_t headerCrc = 0;
     std::uint32_t programCrc = 0;
@@ -151,6 +144,13 @@ constexpr std::uint32_t kMaxAnnexes = 256;
 /** Sanity cap on one annex key's length. */
 constexpr std::uint32_t kMaxAnnexKey = 4096;
 // sigcomp-lint: format-layout-end
+
+/** Raw (decoded) bytes of each column of a trace, by column id. */
+std::array<std::uint64_t, NumColumns>
+rawColumnBytes(std::uint64_t instructions, std::uint64_t loads)
+{
+    return {4 * instructions, 4 * loads};
+}
 
 /**
  * Parse and CRC-check the header + directory (not payload contents)
@@ -196,7 +196,7 @@ parseSegment(const Env::FileView *file, const isa::Program *program,
         return fail(why, "header CRC mismatch");
 
     seg.instructions = getU64(h + 8);
-    seg.memOps = getU64(h + 16);
+    seg.loads = getU64(h + 16);
     seg.captureLimit = getU64(h + 24);
     seg.programCrc = getU32(h + 32);
     seg.flags = getU32(h + 36);
@@ -215,6 +215,7 @@ parseSegment(const Env::FileView *file, const isa::Program *program,
         return fail(why, "directory CRC mismatch");
 
     std::size_t offset = kHeaderBytes + dir_bytes + 4;
+    const auto raw = rawColumnBytes(seg.instructions, seg.loads);
     seg.columns.resize(column_count);
     for (std::uint32_t c = 0; c < column_count; ++c) {
         const std::uint8_t *e = dir + c * kDirEntryBytes;
@@ -226,6 +227,9 @@ parseSegment(const Env::FileView *file, const isa::Program *program,
         col.payloadOffset = offset;
         if (col.id != c)
             return fail(why, "column directory out of order");
+        if (col.rawBytes != raw[c])
+            return fail(why, std::string(columnName(c)) +
+                                 ": raw size mismatch");
         if (col.encBytes > size - offset)
             return fail(why, "column payload overruns file");
         offset += col.encBytes;
@@ -283,76 +287,40 @@ parseSegment(const Env::FileView *file, const isa::Program *program,
     return true;
 }
 
-/**
- * CRC-check a column against its directory entry, check that its raw
- * size is @p raw_bytes, and return its payload view.
- */
+/** CRC-check a column against its directory entry; its payload view. */
 bool
 columnPayload(const std::uint8_t *bytes, const Segment::Column &col,
-              std::uint64_t raw_bytes, const std::uint8_t *&p,
-              std::size_t &len, std::string *why)
+              const std::uint8_t *&p, std::size_t &len, std::string *why)
 {
     p = bytes + col.payloadOffset;
     len = static_cast<std::size_t>(col.encBytes);
-    if (col.rawBytes != raw_bytes)
-        return fail(why, std::string(columnName(col.id)) +
-                             ": raw size mismatch");
     if (crc32(0, p, len) != col.payloadCrc)
         return fail(why,
                     std::string(columnName(col.id)) + ": payload CRC");
     return true;
 }
 
-/** Raw (decoded) bytes of each column of a trace, by column id. */
-std::array<std::uint64_t, NumColumns>
-rawColumnBytes(std::uint64_t instructions, std::uint64_t mem_ops)
-{
-    return {4 * instructions, 4 * instructions,
-            8 * ((instructions + 63) / 64), 4 * mem_ops, 4 * mem_ops};
-}
-
 /**
  * The checks every column passes before a trace adopts it, short of
- * what needs the program: CRC and raw size per column, a full
- * decode of each 32-bit stream, and the taken plane's framing (a u32
- * control-bit count, then the bit words, no bit set past the count).
- * The decode-index stream is decoded by the caller's stream check;
- * @p payloads and @p lens receive every column's view.
+ * what needs the program: CRC per column (parseSegment checked the
+ * raw sizes) and a full decode of the load stream. The decode-index
+ * stream is decoded by the caller's stream check; @p payloads and
+ * @p lens receive every column's view.
  */
 bool
 checkColumns(const std::uint8_t *bytes, const Segment &seg,
              const std::uint8_t *(&payloads)[NumColumns],
              std::size_t (&lens)[NumColumns], std::string *why)
 {
-    const auto raw = rawColumnBytes(seg.instructions, seg.memOps);
     for (std::uint32_t c = 0; c < NumColumns; ++c) {
-        if (!columnPayload(bytes, seg.columns[c], raw[c], payloads[c],
-                           lens[c], why))
+        if (!columnPayload(bytes, seg.columns[c], payloads[c], lens[c],
+                           why))
             return false;
     }
-    {
-        SIGCOMP_SPAN("codec.decode_column");
-        const std::size_t n = static_cast<std::size_t>(seg.instructions);
-        const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
-        for (const auto &[c, count] :
-             {std::pair{ColResult, n}, std::pair{ColMemAddr, mem_ops},
-              std::pair{ColMemData, mem_ops}}) {
-            if (!validColumn32(payloads[c], lens[c], count))
-                return fail(why, std::string(columnName(c)) +
-                                     ": malformed codec stream");
-        }
-    }
-    const std::uint8_t *p = payloads[ColTaken];
-    const std::size_t len = lens[ColTaken];
-    if (len < 4)
-        return fail(why, "taken: truncated header");
-    const std::uint32_t nbits = getU32(p);
-    if (nbits > seg.instructions)
-        return fail(why, "taken: more bits than instructions");
-    if (len != 4 + 8 * ((static_cast<std::size_t>(nbits) + 63) / 64))
-        return fail(why, "taken: length mismatch");
-    if (nbits % 64 != 0 && getU64(p + len - 8) >> (nbits % 64) != 0)
-        return fail(why, "taken: bit set past the count");
+    SIGCOMP_SPAN("codec.decode_column");
+    if (!validColumn32(payloads[ColLoadData], lens[ColLoadData],
+                       static_cast<std::size_t>(seg.loads)))
+        return fail(why, "loadData: malformed codec stream");
     return true;
 }
 
@@ -725,12 +693,12 @@ class TraceSerializer
 
         // The resident columns already are the segment payloads
         // (capture encoded them, or a load adopted them), so a save
-        // copies them. There are no operand columns to write: replay
-        // rebuilds operands from the result column.
+        // copies them. Nothing replay derives is written: it
+        // re-executes the stream from the decode indexes and the
+        // loaded bytes.
         const std::span<const std::uint8_t> payloads[NumColumns] = {
-            b.decIdx_.stream, b.result_v_.stream, b.taken_,
-            b.memAddr_.stream, b.memData_.stream};
-        const auto raw_bytes = rawColumnBytes(n, b.memAddr_.size());
+            b.decIdx_.stream, b.loadData_.stream};
+        const auto raw_bytes = rawColumnBytes(n, b.loadData_.size());
 
         // Derived SharedQuanta records published on the buffer by
         // replays: persist every canonical one, so warm-store
@@ -763,7 +731,7 @@ class TraceSerializer
         putU32(out, kMagic);
         putU32(out, formatVersion);
         putU64(out, n);
-        putU64(out, b.memAddr_.size());
+        putU64(out, b.loadData_.size());
         putU64(out, capture_limit);
         putU32(out, program_crc);
         putU32(out, b.truncated() ? kFlagTruncated : 0);
@@ -821,7 +789,7 @@ class TraceSerializer
                 const isa::Program &program, std::string *why)
     {
         const std::size_t n = static_cast<std::size_t>(seg.instructions);
-        const std::size_t mem_ops = static_cast<std::size_t>(seg.memOps);
+        const std::size_t loads = static_cast<std::size_t>(seg.loads);
 
         const std::uint8_t *payloads[NumColumns];
         std::size_t lens[NumColumns];
@@ -834,34 +802,27 @@ class TraceSerializer
         // One pass decodes the decode-index stream block by block and
         // bounds-checks every index (replay gathers through them
         // unchecked, so a wrong segment must die here, softly), and
-        // verifies the memory-op and control-instruction counts
-        // replay's cursors will consume.
+        // verifies the load count replay's load cursor will consume.
         {
             SIGCOMP_SPAN("store.check_stream");
             const std::vector<cpu::InstrFacts> &facts = buf->facts_;
             const std::size_t text_size = facts.size();
-            std::size_t seen_mem_ops = 0;
-            std::size_t seen_controls = 0;
+            std::size_t seen_loads = 0;
             ColumnReader dec_idx(payloads[ColDecIdx], lens[ColDecIdx], n);
             while (dec_idx.nextBlock()) {
                 const std::uint32_t *idx = dec_idx.values();
                 for (std::size_t j = 0; j < dec_idx.blockSize(); ++j) {
                     if (idx[j] >= text_size)
                         return failed(why, "decode index out of range");
-                    const cpu::InstrFacts f = facts[idx[j]];
-                    seen_mem_ops += f.flags & cpu::InstrFacts::memOp;
-                    seen_controls +=
-                        (f.flags & cpu::InstrFacts::control) != 0;
+                    seen_loads +=
+                        facts[idx[j]].flags & cpu::InstrFacts::load;
                 }
             }
             if (!dec_idx.done())
                 return failed(why, "decIdx: malformed codec stream");
-            if (seen_mem_ops != mem_ops)
-                return failed(why,
-                              "memory-op count inconsistent with program");
-            if (seen_controls != getU32(payloads[ColTaken]))
-                return failed(why,
-                              "taken: control-instruction count mismatch");
+            if (seen_loads != loads)
+                return failed(why, "loadData: load count inconsistent "
+                                   "with program");
         }
 
         // Every stream checked: the buffer adopts the payloads as they
@@ -871,10 +832,7 @@ class TraceSerializer
                                              payloads[c] + lens[c]);
         };
         buf->decIdx_ = {adopt(ColDecIdx), n};
-        buf->result_v_ = {adopt(ColResult), n};
-        buf->taken_ = adopt(ColTaken);
-        buf->memAddr_ = {adopt(ColMemAddr), mem_ops};
-        buf->memData_ = {adopt(ColMemData), mem_ops};
+        buf->loadData_ = {adopt(ColLoadData), loads};
 
         buf->lastNextPc_ = seg.lastNextPc;
         buf->result_.reason =

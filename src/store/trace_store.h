@@ -10,12 +10,12 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 8, all integers little-endian) —
+ * Segment file format (version 9, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
- *     magic 'SCTR', format version, instruction count, memory-op
- *     count, capture limit, program fingerprint (CRC over text,
+ *     magic 'SCTR', format version, instruction count, load count,
+ *     capture limit, program fingerprint (CRC over text,
  *     data segment and entry point), flags (truncated), stop
  *     reason/exit code, lastNextPc, column count, header CRC;
  *   column directory (one 32-byte entry per column + CRC):
@@ -29,15 +29,17 @@
  *     escape per instruction whose entry its static instruction's
  *     previous instance does not predict.
  *
- * Five columns are stored (decode index, result, taken bits, memory
- * address/data), exactly what a resident TraceBuffer holds and in
- * the same bytes: the buffer keeps each column in its segment
- * encoding, so save() copies the payloads and load() adopts them.
- * Operand values and significance tags are stored nowhere, because
- * cpu::TraceView::replay rebuilds the operands by replaying the
- * result stream through an architectural register file and
- * classifies the values it materialises. The taken column holds one
- * bit per *control* instruction, which replay reads with a cursor.
+ * Two columns are stored (the decode index of every instruction and
+ * the loaded bytes of every load), exactly what a resident
+ * TraceBuffer holds and in the same bytes: the buffer keeps each
+ * column in its segment encoding, so save() copies the payloads and
+ * load() adopts them. Operands, results, effective addresses, store
+ * data, branch outcomes and significance tags are stored nowhere:
+ * cpu::TraceView::replay re-executes each instruction (cpu/execute.h)
+ * on the registers it rebuilds and the loaded bytes, and classifies
+ * the values it materialises. The decode index stays because it is
+ * what the loader can check without re-executing: every index in
+ * bounds, and as many loads as the load column holds.
  *
  * Integrity and versioning rules:
  *  - load() is *fail-soft*: any mismatch — bad magic, unacceptable
@@ -109,7 +111,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 8;
+constexpr std::uint32_t formatVersion = 9;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */
@@ -235,7 +237,7 @@ class TraceStore
      * Segments are checked in a private copy of the file, read once
      * per load: each column's CRC, a full validating decode of every
      * stream (one codec block of scratch at a time), the decode-index
-     * bounds and the memory-op and control-instruction counts. Only
+     * bounds and the load count. Only
      * then does the trace adopt the column payloads, as they are: it
      * holds them encoded and replay decodes them, so nothing is
      * expanded here.

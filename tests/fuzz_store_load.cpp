@@ -11,7 +11,10 @@
  * with a reason — and never crash, leak, or trip ASan. A trace the
  * loader accepts is then replayed in full: resident traces keep the
  * segment's encoded columns and replay decodes them, so a stream the
- * loader let through but replay cannot decode aborts here.
+ * loader let through but replay cannot decode aborts here, and replay
+ * re-executes every instruction (cpu/execute.h) on whatever loaded
+ * bytes the input carries, so the derivation runs on arbitrary
+ * values too.
  *
  * Seed corpus: at start-up (LLVMFuzzerInitialize) the harness saves
  * a real capped rawcaudio segment, with one SharedQuanta annex, and

@@ -152,6 +152,34 @@ TEST(FunctionalCore, DivideByZeroIsSafe)
     EXPECT_EQ(core.reg(reg::t2), 0u);
 }
 
+TEST(FunctionalCore, DivideCornerCases)
+{
+    const Program p = asmProgram([](Assembler &a) {
+        a.li(reg::t0, INT32_MIN);
+        a.li(reg::t1, -1);
+        a.div(reg::t0, reg::t1); // overflows: LO = INT32_MIN, HI = 0
+        a.mflo(reg::s0);
+        a.mfhi(reg::s1);
+        a.li(reg::t2, 0);
+        a.mthi(reg::t1);
+        a.divu(reg::t0, reg::t2); // by zero: HI = LO = 0
+        a.mflo(reg::s2);
+        a.mfhi(reg::s3);
+        a.divu(reg::t1, reg::t0); // 0xffffffff / 0x80000000
+        a.mflo(reg::s4);
+        a.mfhi(reg::s5);
+    });
+    mem::MainMemory m;
+    FunctionalCore core(p, m);
+    EXPECT_EQ(core.run().reason, StopReason::Exited);
+    EXPECT_EQ(core.reg(reg::s0), 0x80000000u);
+    EXPECT_EQ(core.reg(reg::s1), 0u);
+    EXPECT_EQ(core.reg(reg::s2), 0u);
+    EXPECT_EQ(core.reg(reg::s3), 0u);
+    EXPECT_EQ(core.reg(reg::s4), 1u);
+    EXPECT_EQ(core.reg(reg::s5), 0x7fffffffu);
+}
+
 TEST(FunctionalCore, LoadStoreAllWidths)
 {
     Assembler a;

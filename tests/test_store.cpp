@@ -640,7 +640,9 @@ TEST_F(StoreTest, OlderFormatVersionLoadsAsStaleAndIsRecaptured)
     const TraceStore ts(dir());
     const std::string path = ts.segmentPath("rawdaudio");
 
-    // Re-stamp the segment as the previous version, header CRC intact.
+    // Re-stamp the segment as the previous version (format 8, whose
+    // segments still stored results, addresses and taken bits),
+    // header CRC intact.
     std::vector<std::uint8_t> bytes = readAll(path);
     bytes[4] = static_cast<std::uint8_t>(store::formatVersion - 1);
     const std::uint32_t crc = crc32(0, bytes.data(), 60);
@@ -705,54 +707,136 @@ TEST_F(StoreTest, OlderFormatVersionIsStaleNotCorruptEverywhere)
     EXPECT_EQ(failure, store::LoadFailure::Corrupt) << why;
 }
 
-TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)
+TEST_F(StoreTest, LoadDataStreamOffByOneFailsSoft)
 {
+    // The loaded bytes are the only values a segment stores, and
+    // replay's load cursor trusts their count. A load stream one value
+    // short or one long, resealed past the CRCs, must fail the load
+    // softly as Corrupt with the reason, and the cache must recapture.
     const workloads::Workload w = workloads::Suite::build("rawdaudio");
-    const cpu::TraceBuffer t = cpu::TraceBuffer::capture(w.program);
     const TraceStore ts(dir());
-    ASSERT_TRUE(
-        ts.save("rawdaudio", t, cpu::TraceBuffer::defaultMaxInstrs));
+    ASSERT_TRUE(ts.save("rawdaudio", cpu::TraceBuffer::capture(w.program),
+                        cpu::TraceBuffer::defaultMaxInstrs));
+    const std::string path = ts.segmentPath("rawdaudio");
+    const std::vector<std::uint8_t> good = readAll(path);
 
-    store::SegmentInfo info;
-    ASSERT_TRUE(ts.info("rawdaudio", info));
-    ASSERT_EQ(info.columns.size(), 5u);
-    EXPECT_EQ(info.columns[2].name, "taken");
-    // One bit per *control* instruction beats the already-packed
-    // one-bit-per-instruction plane by the control-mix factor.
-    EXPECT_LT(info.columns[2].encodedBytes,
-              info.columns[2].rawBytes / 4);
-    EXPECT_GT(info.columns[2].ratio(), 4.0);
+    // Layout: 64-byte header (load count at byte 16, CRC at 60), two
+    // 32-byte directory entries (raw size at +8, encoded size at +16,
+    // payload CRC at +24) and their CRC, the decIdx payload, the
+    // loadData payload, then the annex section.
+    constexpr std::size_t kDir = 64;
+    constexpr std::size_t kEntry = 32;
+    const std::uint64_t loads = store::getU64(good.data() + 16);
+    ASSERT_GT(loads, 0u);
+    const std::size_t load_at = kDir + 2 * kEntry + 4 +
+                                store::getU64(good.data() + kDir + 16);
+    const std::size_t load_len =
+        store::getU64(good.data() + kDir + kEntry + 16);
+    std::vector<std::uint32_t> values;
+    ASSERT_TRUE(store::decodeColumn32(good.data() + load_at, load_len,
+                                      loads, values));
 
-    // The plane is the resident form as it is, so a bit past its count
-    // (possible only in a crafted segment: the CRCs are resealed here)
-    // must fail the load instead of riding along into later saves.
-    std::vector<std::uint8_t> bytes =
-        readAll(ts.segmentPath("rawdaudio"));
-    const auto put32 = [&](std::size_t at, std::uint32_t v) {
-        for (unsigned i = 0; i < 4; ++i)
-            bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    // The segment with @p stream as its load column, every CRC
+    // resealed; the directory claims @p dir_loads values and the
+    // header @p header_loads.
+    const auto reseal = [&](const std::vector<std::uint32_t> &stream,
+                            std::uint64_t dir_loads,
+                            std::uint64_t header_loads) {
+        std::vector<std::uint8_t> enc;
+        store::encodeColumn32(stream.data(), stream.size(), enc);
+        std::vector<std::uint8_t> bytes(good.begin(),
+                                        good.begin() +
+                                            static_cast<long>(load_at));
+        bytes.insert(bytes.end(), enc.begin(), enc.end());
+        bytes.insert(bytes.end(),
+                     good.begin() + static_cast<long>(load_at + load_len),
+                     good.end());
+        const auto put = [&](std::size_t at, std::uint64_t v,
+                             unsigned width) {
+            for (unsigned i = 0; i < width; ++i)
+                bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        };
+        put(16, header_loads, 8);
+        put(60, crc32(0, bytes.data(), 60), 4);
+        put(kDir + kEntry + 8, 4 * dir_loads, 8);
+        put(kDir + kEntry + 16, enc.size(), 8);
+        put(kDir + kEntry + 24, crc32(0, enc.data(), enc.size()), 4);
+        put(kDir + 2 * kEntry, crc32(0, bytes.data() + kDir, 2 * kEntry),
+            4);
+        return bytes;
     };
-    const std::size_t dir = 64;
-    std::size_t taken = dir + 5 * 32 + 4;
-    for (unsigned c = 0; c < 2; ++c)
-        taken += static_cast<std::size_t>(
-            store::getU64(bytes.data() + dir + 32 * c + 16));
-    const std::size_t len = static_cast<std::size_t>(
-        store::getU64(bytes.data() + dir + 32 * 2 + 16));
-    const std::uint32_t nbits = store::getU32(bytes.data() + taken);
-    ASSERT_NE(nbits % 64, 0u) << "no padding bit to set";
-    bytes[taken + 4 + nbits / 8] |=
-        static_cast<std::uint8_t>(1u << (nbits % 8));
-    put32(dir + 32 * 2 + 24, crc32(0, bytes.data() + taken, len));
-    put32(dir + 5 * 32, crc32(0, bytes.data() + dir, 5 * 32));
-    writeAll(ts.segmentPath("rawdaudio"), bytes);
-    std::string why;
-    EXPECT_EQ(ts.load("rawdaudio", w.program,
-                      cpu::TraceBuffer::defaultMaxInstrs, &why),
-              nullptr);
-    EXPECT_NE(why.find("taken"), std::string::npos) << why;
-    EXPECT_FALSE(ts.verify("rawdaudio", &w.program));
-    EXPECT_FALSE(ts.verify("rawdaudio"));
+
+    std::vector<std::uint32_t> shorter = values;
+    shorter.pop_back();
+    std::vector<std::uint32_t> longer = values;
+    longer.push_back(0x7f);
+    for (const auto &[what, stream] :
+         {std::pair{"one value short", shorter},
+          std::pair{"one value long", longer}}) {
+        SCOPED_TRACE(what);
+        const struct
+        {
+            const char *form;
+            std::uint64_t dirLoads, headerLoads;
+            const char *reason;
+            /** Also judged by info(), which reads no payload. */
+            bool byInfo;
+            /** Also judged by the program-less verify(). */
+            bool withoutProgram;
+        } forms[] = {
+            // The directory disagrees with the header: every reader
+            // sees it in the directory alone.
+            {"directory resealed", stream.size(), loads,
+             "loadData: raw size mismatch", true, true},
+            // The directory agrees with the header but the stream
+            // decodes to another count.
+            {"stream resealed", loads, loads,
+             "loadData: malformed codec stream", false, true},
+            // Header, directory and stream agree with each other;
+            // only the program's decode indexes can tell the count
+            // is wrong.
+            {"header resealed", stream.size(), stream.size(),
+             "loadData: load count inconsistent with program", false,
+             false},
+        };
+        for (const auto &f : forms) {
+            SCOPED_TRACE(f.form);
+            writeAll(path, reseal(stream, f.dirLoads, f.headerLoads));
+            // why and failure by reference: read after the call fills
+            // them, whatever the argument evaluation order.
+            const auto expect_corrupt = [&](bool ok, const std::string &why,
+                                            const store::LoadFailure &failure) {
+                EXPECT_FALSE(ok);
+                EXPECT_EQ(failure, store::LoadFailure::Corrupt);
+                EXPECT_NE(why.find(f.reason), std::string::npos) << why;
+            };
+            std::string why;
+            auto failure = store::LoadFailure::None;
+            expect_corrupt(ts.load("rawdaudio", w.program,
+                                   cpu::TraceBuffer::defaultMaxInstrs, &why,
+                                   &failure) != nullptr,
+                           why, failure);
+            failure = store::LoadFailure::None;
+            expect_corrupt(ts.verify("rawdaudio", &w.program, &why, &failure),
+                           why, failure);
+            if (f.withoutProgram) {
+                failure = store::LoadFailure::None;
+                expect_corrupt(ts.verify("rawdaudio", nullptr, &why, &failure),
+                               why, failure);
+            }
+            if (f.byInfo) {
+                store::SegmentInfo info;
+                failure = store::LoadFailure::None;
+                expect_corrupt(ts.info("rawdaudio", info, &why, &failure), why,
+                               failure);
+            }
+
+            TraceCache cache({.storeDir = dir()});
+            cache.get("rawdaudio");
+            EXPECT_EQ(cache.captures(), 1u);
+            EXPECT_EQ(cache.storeLoads(), 0u);
+        }
+    }
 }
 
 // ---- SharedQuanta annexes -------------------------------------------

@@ -18,6 +18,7 @@
 #include "analysis/trace_cache.h"
 #include "cpu/functional_core.h"
 #include "cpu/trace_buffer.h"
+#include "isa/assembler.h"
 #include "pipeline/runner.h"
 #include "sigcomp/byte_pattern.h"
 #include "store/trace_store.h"
@@ -183,6 +184,128 @@ TEST(TraceBuffer, ReplayIsFieldExact)
         ASSERT_NE(loaded, nullptr) << why;
         check(*loaded, live.instrs, "store round trip");
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceBuffer, ReplayDerivesEveryOperationLikeTheCore)
+{
+    // The suite need not reach every operation or corner that
+    // execute() defines, so one program runs each of them (divide by
+    // zero, INT32_MIN / -1, HI/LO moves, writes to $zero, every load
+    // and store width, taken and untaken branches, links): its
+    // capture and store round trip replay field for field like the
+    // live run.
+    isa::Assembler a;
+    a.dataLabel("buf");
+    a.dataSpace(16);
+    a.label("main");
+    a.li(isa::reg::t0, INT32_MIN);
+    a.li(isa::reg::t1, -1);
+    a.li(isa::reg::t2, 0);
+    a.li(isa::reg::t3, 37);
+    const auto hilo = [&] {
+        a.mfhi(isa::reg::s0);
+        a.mflo(isa::reg::s1);
+    };
+    a.div(isa::reg::t0, isa::reg::t1);
+    hilo();
+    a.div(isa::reg::t3, isa::reg::t2);
+    hilo();
+    a.divu(isa::reg::t3, isa::reg::t2);
+    hilo();
+    a.div(isa::reg::t1, isa::reg::t3);
+    hilo();
+    a.divu(isa::reg::t1, isa::reg::t3);
+    hilo();
+    a.mult(isa::reg::t0, isa::reg::t1);
+    hilo();
+    a.multu(isa::reg::t0, isa::reg::t1);
+    hilo();
+    a.mthi(isa::reg::t3);
+    a.mtlo(isa::reg::t1);
+    hilo();
+    a.sll(isa::reg::s2, isa::reg::t1, 31);
+    a.srl(isa::reg::s2, isa::reg::t0, 3);
+    a.sra(isa::reg::s2, isa::reg::t0, 3);
+    a.sllv(isa::reg::s2, isa::reg::t3, isa::reg::t3);
+    a.srlv(isa::reg::s2, isa::reg::t1, isa::reg::t3);
+    a.srav(isa::reg::s2, isa::reg::t0, isa::reg::t3);
+    a.add(isa::reg::s3, isa::reg::t0, isa::reg::t1);
+    a.addu(isa::reg::s3, isa::reg::t0, isa::reg::t3);
+    a.sub(isa::reg::s3, isa::reg::t0, isa::reg::t3);
+    a.subu(isa::reg::s3, isa::reg::t2, isa::reg::t3);
+    a.and_(isa::reg::s3, isa::reg::t1, isa::reg::t3);
+    a.or_(isa::reg::s3, isa::reg::t0, isa::reg::t3);
+    a.xor_(isa::reg::s3, isa::reg::t1, isa::reg::t3);
+    a.nor(isa::reg::s3, isa::reg::t2, isa::reg::t3);
+    a.slt(isa::reg::s3, isa::reg::t0, isa::reg::t3);
+    a.sltu(isa::reg::s3, isa::reg::t0, isa::reg::t3);
+    a.addi(isa::reg::s4, isa::reg::t0, -5);
+    a.addiu(isa::reg::s4, isa::reg::t3, 32767);
+    a.slti(isa::reg::s4, isa::reg::t1, 0);
+    a.sltiu(isa::reg::s4, isa::reg::t3, -1);
+    a.andi(isa::reg::s4, isa::reg::t1, 0x8001);
+    a.ori(isa::reg::s4, isa::reg::t0, 0xffff);
+    a.xori(isa::reg::s4, isa::reg::t1, 0x00f0);
+    a.lui(isa::reg::s4, 0x8000);
+    a.la(isa::reg::s5, "buf");
+    a.sw(isa::reg::t0, 0, isa::reg::s5);
+    a.sh(isa::reg::t1, 4, isa::reg::s5);
+    a.sb(isa::reg::t1, 8, isa::reg::s5);
+    a.lw(isa::reg::s6, 0, isa::reg::s5);
+    a.lh(isa::reg::s6, 4, isa::reg::s5);
+    a.lhu(isa::reg::s6, 4, isa::reg::s5);
+    a.lb(isa::reg::s6, 8, isa::reg::s5);
+    a.lbu(isa::reg::s6, 8, isa::reg::s5);
+    // Writes to $zero compute a value that must not land anywhere.
+    a.addu(isa::reg::zero, isa::reg::t0, isa::reg::t3);
+    a.lw(isa::reg::zero, 0, isa::reg::s5);
+    a.addu(isa::reg::s7, isa::reg::zero, isa::reg::zero);
+    a.beq(isa::reg::t0, isa::reg::t1, "main"); // not taken
+    a.bne(isa::reg::t0, isa::reg::t1, "b1");
+    a.label("b1");
+    a.blez(isa::reg::t3, "main"); // not taken
+    a.bgtz(isa::reg::t3, "b2");
+    a.label("b2");
+    a.bltz(isa::reg::t3, "main"); // not taken
+    a.bgez(isa::reg::t2, "b3");
+    a.label("b3");
+    a.jal("leaf");
+    a.la(isa::reg::t4, "leaf2");
+    a.jalr(isa::reg::s7, isa::reg::t4);
+    a.j("out");
+    a.label("leaf");
+    a.jr(isa::reg::ra);
+    a.label("leaf2");
+    a.jr(isa::reg::s7);
+    a.label("out");
+    a.exitProgram();
+    const isa::Program program = a.finish("every-op");
+
+    mem::MainMemory memory;
+    cpu::FunctionalCore core(program, memory);
+    CollectSink live;
+    ASSERT_EQ(core.run(&live).reason, cpu::StopReason::Exited);
+    ASSERT_EQ(core.reg(isa::reg::zero), 0u);
+
+    const auto check = [&](const cpu::TraceBuffer &trace, const char *what) {
+        LiveComparingSink cmp(live.instrs);
+        cpu::TraceView(trace).replay(cmp);
+        EXPECT_EQ(cmp.verdict(), "") << what;
+    };
+    const cpu::TraceBuffer captured = cpu::TraceBuffer::capture(program);
+    check(captured, "capture");
+    const std::string dir = test::scratchDir("sigcomp-trace-every-op");
+    std::filesystem::remove_all(dir);
+    const store::TraceStore ts(dir);
+    std::string why;
+    ASSERT_TRUE(ts.save("every-op", captured,
+                        cpu::TraceBuffer::defaultMaxInstrs, &why))
+        << why;
+    const auto loaded = ts.load("every-op", program,
+                                cpu::TraceBuffer::defaultMaxInstrs, &why);
+    ASSERT_NE(loaded, nullptr) << why;
+    check(*loaded, "store round trip");
     std::filesystem::remove_all(dir);
 }
 

@@ -286,7 +286,7 @@ cmdStats(const Options &opt)
                          opt.jsonPath.c_str());
             return 1;
         }
-        std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-stats-v3\",\n");
+        std::fprintf(f, "{\n  \"schema\": \"sigcomp-store-stats-v4\",\n");
         std::fprintf(f, "  \"dir\": ");
         json::writeString(f, opt.dir);
         std::fprintf(f, ",\n  \"format_version\": %u,\n",
