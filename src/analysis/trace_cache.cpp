@@ -222,7 +222,7 @@ TraceCache::persistAnnexes(const std::string &workload,
     if (cancelRequested(cancel) || store_ == nullptr ||
         store_->readOnly())
         return;
-    // Compare exactly what a save would persist (canonical records,
+    // Compare exactly what a save would persist (whole-trace records,
     // capped), so an ineligible record can't force no-op re-saves.
     const std::vector<std::string> keys =
         store::TraceStore::persistableAnnexKeys(trace);

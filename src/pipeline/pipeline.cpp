@@ -51,10 +51,6 @@ QuantaRecorder::recordBlock(std::span<const DynInstr> block,
                             std::vector<SharedQuanta::Entry> &entries,
                             std::vector<Count> &latch_base)
 {
-    // The block's shared activity is what accumulates from zero.
-    activity_ = ActivityTotals{};
-    rec.blockMissStart.push_back(
-        static_cast<std::uint32_t>(rec.misses.size()));
     std::size_t index = rec.size();
     SC_ASSERT(index + block.size() <= UINT32_MAX,
               "quanta record indices are 32-bit");
@@ -75,13 +71,13 @@ QuantaRecorder::recordBlock(std::span<const DynInstr> block,
         ++index;
     }
     encoder_.append(rec, block, entries);
-    rec.blockDelta.push_back(activity_);
 }
 
 void
 QuantaRecorder::finish(SharedQuanta &rec)
 {
     encoder_.finish(rec);
+    rec.activity = activity_;
     rec.l1i = hierarchy_.l1i().stats();
     rec.l1d = hierarchy_.l1d().stats();
     rec.l2 = hierarchy_.l2().stats();
@@ -330,6 +326,7 @@ InOrderPipeline::quantaKey() const
 void
 InOrderPipeline::adoptSharedStats(const SharedQuanta &rec)
 {
+    activity_ += rec.activity;
     l1i_ = rec.l1i;
     l1d_ = rec.l1d;
     l2_ = rec.l2;

@@ -366,8 +366,9 @@ latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
  *  - what the decoded instruction determines (isMult, isDiv) is
  *    not stored — the Cursor reads it from DynInstr::dec;
  *  - hierarchy latencies, almost always zero, live in the sparse
- *    index-sorted miss list, each block remembering where its misses
- *    start;
+ *    index-sorted miss list, which a replay walks in order;
+ *  - the shared (non-latch) activity is one total for the whole
+ *    record, since consumers only ever add it up;
  *  - the pre-scaling latch bit count is not stored — the Decoder
  *    recomputes it with the recorder's own formula
  *    (quanta_detail::latchBaseBits) from the operand significance,
@@ -375,7 +376,9 @@ latchBaseBits(const isa::DecodedInstr &dec, unsigned fetch_bytes,
  *    decodes the block's dense entries (a hit reuses its last
  *    instance's quanta part, quanta_detail::latchQuantaBits).
  * Decoding is sequential: the per-static-instruction predictions are
- * state a Decoder carries from block to block.
+ * state a Decoder carries from block to block, as the miss-list
+ * position is state its replay carries. Nothing in a record depends
+ * on the replay's block size.
  */
 class SharedQuanta
 {
@@ -531,14 +534,14 @@ class SharedQuanta
     {
       public:
         /**
-         * Block @p block_index of @p rec, from record index @p base,
-         * whose dense entries are @p entries.
+         * The instructions from record index @p base on, whose dense
+         * entries are @p entries; @p misses is the record's miss list
+         * from the first miss at or after @p base on.
          */
-        Cursor(const SharedQuanta &rec, std::size_t base,
-               std::size_t block_index, std::span<const Entry> entries)
-            : entry_(entries.data()), index_(base),
-              miss_(rec.misses.data() + rec.blockMissStart[block_index]),
-              missEnd_(rec.misses.data() + rec.misses.size()),
+        Cursor(std::size_t base, std::span<const Entry> entries,
+               std::span<const Miss> misses)
+            : entry_(entries.data()), index_(base), miss_(misses.data()),
+              missEnd_(misses.data() + misses.size()),
               missAt_(nextMissAt())
         {
         }
@@ -587,27 +590,23 @@ class SharedQuanta
     std::vector<std::uint64_t> escapes;
     /** Instructions with a non-zero ifExtra or memExtra, by index. */
     std::vector<Miss> misses;
-    /** Per replay block: index into misses of its first miss. */
-    std::vector<std::uint32_t> blockMissStart;
     /**
-     * Shared (non-latch) activity delta per replay block; the latch
-     * category stays zero — it is design-dependent and consumers
-     * compute it per instruction.
+     * Shared (non-latch) activity of the whole recording pass; the
+     * latch category stays zero — it is design-dependent and
+     * consumers compute it per instruction.
      */
-    std::vector<ActivityTotals> blockDelta;
+    ActivityTotals activity;
     /** Final hierarchy statistics of the recording pass. */
     mem::CacheStats l1i, l1d, l2;
 
-    /** Approximate heap footprint in bytes. */
+    /** Approximate heap footprint of the arrays in bytes. */
     std::size_t
     bytes() const
     {
         return hits.capacity() * sizeof(std::uint64_t) +
                dict.capacity() * sizeof(Entry) +
                escapes.capacity() * sizeof(std::uint64_t) +
-               misses.capacity() * sizeof(Miss) +
-               blockMissStart.capacity() * sizeof(std::uint32_t) +
-               blockDelta.capacity() * sizeof(ActivityTotals);
+               misses.capacity() * sizeof(Miss);
     }
 
   private:
@@ -661,12 +660,11 @@ class QuantaRecorder
     /**
      * Append @p block to @p rec: each instruction's dense entry goes
      * to @p entries, the group's block scratch, and through the
-     * record's Encoder into its hit bits and escapes; a miss-list
-     * entry per instruction with a hierarchy latency, and the block's
-     * miss-list start and shared activity delta. Each instruction's
-     * latch base goes to @p latch_base for the group's pipelines (the
-     * record keeps none; SharedQuanta::Decoder recomputes the same
-     * entries and latch bases from it).
+     * record's Encoder into its hit bits and escapes, and a miss-list
+     * entry per instruction with a hierarchy latency. Each
+     * instruction's latch base goes to @p latch_base for the group's
+     * pipelines (the record keeps none; SharedQuanta::Decoder
+     * recomputes the same entries and latch bases from it).
      */
     void recordBlock(std::span<const cpu::DynInstr> block,
                      SharedQuanta &rec,
@@ -674,15 +672,13 @@ class QuantaRecorder
                      std::vector<Count> &latch_base);
 
     /**
-     * Complete @p rec: pack its escapes, store the hierarchy's final
-     * statistics and trim its arrays to size.
+     * Complete @p rec: pack its escapes, store the shared activity
+     * and the hierarchy's final statistics, and trim its arrays to
+     * size.
      */
     void finish(SharedQuanta &rec);
 
-    /**
-     * Non-latch activity: of the last recordBlock(), or since
-     * construction on the live path (compute() only).
-     */
+    /** Non-latch activity since construction. */
     const ActivityTotals &activity() const { return activity_; }
 
     const mem::MemoryHierarchy &hierarchy() const { return hierarchy_; }
@@ -765,25 +761,27 @@ class InOrderPipeline : public cpu::TraceSink
 
     /**
      * Retire @p block from a SharedQuanta record of this pipeline's
-     * quanta key over the same block structure. @p base is the
-     * record index of block[0], @p block_index the block's delta
-     * index; @p entries and @p latch_base are the block's dense
-     * entries and latch bases (SharedQuanta::Decoder, or the
-     * recorder's), expanded once per block for the whole quanta
-     * group, so every pipeline reads them from L1 rather than the
-     * record. Final state is bit-identical to live retirement.
+     * quanta key. @p base is the record index of block[0];
+     * @p entries and @p latch_base are the block's dense entries and
+     * latch bases (SharedQuanta::Decoder, or the recorder's),
+     * expanded once per block for the whole quanta group, so every
+     * pipeline reads them from L1 rather than the record; @p misses
+     * is the record's miss list from the block's first miss on.
+     * After the last block, adoptSharedStats() completes the result,
+     * bit-identical to live retirement.
      */
     virtual void
     retireBlockShared(std::span<const cpu::DynInstr> block,
-                      const SharedQuanta &rec, std::size_t base,
-                      std::size_t block_index,
+                      std::size_t base,
                       std::span<const SharedQuanta::Entry> entries,
-                      std::span<const Count> latch_base) = 0;
+                      std::span<const Count> latch_base,
+                      std::span<const SharedQuanta::Miss> misses) = 0;
 
     /**
-     * Adopt the recording pass's hierarchy statistics so result()
-     * reports real cache behaviour (a replaying pipeline drives no
-     * hierarchy of its own).
+     * Add the record's shared activity and adopt the recording pass's
+     * hierarchy statistics, once the pipeline has consumed the whole
+     * record, so result() reports real cache behaviour (a replaying
+     * pipeline drives no hierarchy of its own).
      */
     void adoptSharedStats(const SharedQuanta &rec);
 
@@ -856,25 +854,6 @@ class InOrderPipeline : public cpu::TraceSink
         SC_ASSERT(live_ != nullptr,
                   "pipeline '", name_, "' not bound to a program");
         return *live_;
-    }
-
-    /**
-     * Check that @p rec, @p entries and @p latch_base cover the
-     * @p size instructions from @p base and block @p block_index, and
-     * account the block's shared activity.
-     */
-    void
-    beginSharedBlock(const SharedQuanta &rec, std::size_t base,
-                     std::size_t size, std::size_t block_index,
-                     std::span<const SharedQuanta::Entry> entries,
-                     std::span<const Count> latch_base)
-    {
-        SC_ASSERT(base + size <= rec.size() &&
-                      block_index < rec.blockDelta.size() &&
-                      block_index < rec.blockMissStart.size() &&
-                      entries.size() == size && latch_base.size() == size,
-                  "shared quanta record does not cover this block");
-        activity_ += rec.blockDelta[block_index];
     }
 
     /** Scale and account the latch activity of one instruction. */
@@ -1025,7 +1004,7 @@ class InOrderPipeline : public cpu::TraceSink
 
     DWord instructions_ = 0;
     StallBreakdown stalls_;
-    /** Latch activity, plus the shared deltas of consumed blocks. */
+    /** Latch activity, plus an adopted record's shared activity. */
     ActivityTotals activity_;
 
     // Hierarchy stats adopted from a SharedQuanta record.
@@ -1058,14 +1037,16 @@ class SharedReplayModel : public InOrderPipeline
 
     void
     retireBlockShared(std::span<const cpu::DynInstr> block,
-                      const SharedQuanta &rec, std::size_t base,
-                      std::size_t block_index,
+                      std::size_t base,
                       std::span<const SharedQuanta::Entry> entries,
-                      std::span<const Count> latch_base) override
+                      std::span<const Count> latch_base,
+                      std::span<const SharedQuanta::Miss> misses) override
     {
-        beginSharedBlock(rec, base, block.size(), block_index, entries,
-                         latch_base);
-        SharedQuanta::Cursor cursor(rec, base, block_index, entries);
+        SC_ASSERT(entries.size() == block.size() &&
+                      latch_base.size() == block.size() &&
+                      (misses.empty() || misses.front().index >= base),
+                  "shared quanta do not line up with this block");
+        SharedQuanta::Cursor cursor(base, entries, misses);
         for (std::size_t j = 0; j < block.size(); ++j)
             consume(block[j], cursor.next(block[j]), latch_base[j]);
     }

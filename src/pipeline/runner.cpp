@@ -23,7 +23,8 @@ namespace
  * once per block for the group (by the recorder, or by a
  * SharedQuanta::Decoder that carries the record's per-instruction
  * predictions from block to block) into a block-sized scratch that
- * stays in L1. See SharedQuanta in pipeline.h.
+ * stays in L1, and the miss list from the position the sink carries
+ * from block to block. See SharedQuanta in pipeline.h.
  */
 class GroupReplaySink : public cpu::TraceSink
 {
@@ -42,10 +43,6 @@ class GroupReplaySink : public cpu::TraceSink
                 pipes_.front()->config(), trace.program());
             recording_ = std::make_shared<SharedQuanta>();
             recording_->hits.reserve((trace.size() + 63) / 64);
-            const std::size_t blocks =
-                trace.size() / cpu::TraceView::defaultBlockSize + 2;
-            recording_->blockMissStart.reserve(blocks);
-            recording_->blockDelta.reserve(blocks);
             rec_ = recording_;
         }
     }
@@ -66,26 +63,30 @@ class GroupReplaySink : public cpu::TraceSink
         } else {
             decoder_->expandBlock(block, entries_, latchBase_);
         }
+        const std::span<const SharedQuanta::Miss> misses =
+            std::span(rec_->misses).subspan(missAt_);
         for (InOrderPipeline *p : pipes_)
-            p->retireBlockShared(block, *rec_, base_, blockIndex_,
-                                 entries_, latchBase_);
+            p->retireBlockShared(block, base_, entries_, latchBase_,
+                                 misses);
         base_ += block.size();
-        ++blockIndex_;
+        while (missAt_ < rec_->misses.size() &&
+               rec_->misses[missAt_].index < base_)
+            ++missAt_;
     }
 
     /**
-     * After the replay: complete a fresh record with the final
-     * hierarchy stats and publish it on the trace (first writer
-     * wins), then hand every pipeline its cache statistics.
+     * After the replay: complete a fresh record with the shared
+     * activity and the final hierarchy stats and publish it on the
+     * trace (first writer wins), then hand every pipeline both.
      */
     void
     finish(const cpu::TraceBuffer &trace)
     {
         if (recorder_) {
             recorder_->finish(*recording_);
-            // A racing recording is identical by determinism. Every
-            // replay runs in TraceView::defaultBlockSize blocks, so
-            // the block deltas line up with any later replay's.
+            // A racing recording is identical by determinism, and a
+            // record is one stream, so any later replay consumes it
+            // whatever its block size.
             trace.annexStoreIfAbsent(
                 key_, std::static_pointer_cast<void>(recording_),
                 recording_->bytes());
@@ -107,8 +108,10 @@ class GroupReplaySink : public cpu::TraceSink
      * pipeline. */
     std::vector<SharedQuanta::Entry> entries_;
     std::vector<Count> latchBase_;
+    /** Record index of the next block's first instruction. */
     std::size_t base_ = 0;
-    std::size_t blockIndex_ = 0;
+    /** Index into the record's misses of the next block's first. */
+    std::size_t missAt_ = 0;
 };
 
 } // namespace

@@ -338,15 +338,6 @@ namespace
 
 using pipeline::SharedQuanta;
 
-/** Block-delta count a canonical record must have for @p n instrs. */
-std::size_t
-canonicalBlocks(std::size_t n)
-{
-    return n == 0 ? 0
-                  : (n + cpu::TraceView::defaultBlockSize - 1) /
-                        cpu::TraceView::defaultBlockSize;
-}
-
 void
 putStats(std::vector<std::uint8_t> &out, const mem::CacheStats &s)
 {
@@ -371,11 +362,11 @@ getStats(const std::uint8_t *p, mem::CacheStats &s)
 
 /**
  * The "quanta:" annex keys of @p b that a save would persist:
- * canonical records only (per-instruction coverage and TraceView
- * block structure), capped at kMaxAnnexes. The single source of
- * truth shared by serialize() and persistableAnnexKeys(), so the
- * cache's should-I-re-save comparison can never disagree with what
- * a save would actually write.
+ * whole-trace records only (one per instruction of the trace),
+ * capped at kMaxAnnexes. The single source of truth shared by
+ * serialize() and persistableAnnexKeys(), so the cache's
+ * should-I-re-save comparison can never disagree with what a save
+ * would actually write.
  */
 std::vector<std::string>
 eligibleQuantaKeys(const cpu::TraceBuffer &b)
@@ -385,9 +376,7 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
     for (const std::string &key : b.annexKeys("quanta:")) {
         const auto rec = std::static_pointer_cast<const SharedQuanta>(
             b.annexGet(key));
-        if (rec == nullptr || rec->size() != n ||
-            rec->blockDelta.size() != canonicalBlocks(n) ||
-            rec->blockMissStart.size() != rec->blockDelta.size())
+        if (rec == nullptr || rec->size() != n)
             continue;
         keys.push_back(key);
         if (keys.size() == kMaxAnnexes)
@@ -401,7 +390,6 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 // arrays as they are (pipeline::SharedQuanta):
 //
 //   u64 instruction count n (must match the segment header)
-//   u64 block-delta count (must be ceil(n / TraceView block size))
 //   u64 dictionary length G
 //   u64 escape count E (the instructions whose hit bit is clear)
 //   G raw u32 SharedQuanta::Entry words, in order of first use
@@ -414,17 +402,25 @@ eligibleQuantaKeys(const cpu::TraceBuffer &b)
 //     escape naming entry G - 1 (bits past E * w must be zero)
 //   u64 miss count, then per miss three raw u32: index, ifExtra,
 //     memExtra (indices strictly increasing and < n, latencies not
-//     both zero); the per-block miss starts are derived on load
-//   per block delta: 16 raw u64 (8 activity stages x {compressed,
-//     baseline}; the latch pair is zero by construction)
+//     both zero)
+//   the shared activity total: 16 raw u64 (8 activity stages x
+//     {compressed, baseline}; the latch pair must be zero, the
+//     recorder never writes it)
 //   three CacheStats (l1i, l1d, l2): 6 raw u64 each
 //
 // Decoding validates every count, escape and index against the
 // segment header, so a damaged annex fails the load softly like any
 // other column damage.
 constexpr std::size_t kMissBytes = 12;
-constexpr std::size_t kBlockDeltaBytes = 16 * 8;
+constexpr std::size_t kActivityBytes = 16 * 8;
 constexpr std::size_t kStatsBytes = 3 * 6 * 8;
+
+/** The activity stages of a record's total, in payload order. */
+constexpr pipeline::BitPair pipeline::ActivityTotals::*kActivityStages[] = {
+    &pipeline::ActivityTotals::fetch,  &pipeline::ActivityTotals::rfRead,
+    &pipeline::ActivityTotals::rfWrite, &pipeline::ActivityTotals::alu,
+    &pipeline::ActivityTotals::dcData, &pipeline::ActivityTotals::dcTag,
+    &pipeline::ActivityTotals::pcInc,  &pipeline::ActivityTotals::latch};
 
 // The dictionary persists SharedQuanta::Entry words as they are, so
 // the entry layout (pipeline/pipeline.h) is part of this format: it
@@ -460,12 +456,11 @@ encodeQuanta(const SharedQuanta &rec)
                     return sum + static_cast<std::size_t>(std::popcount(w));
                 }));
     std::vector<std::uint8_t> out;
-    out.reserve(32 + 4 * rec.dict.size() +
+    out.reserve(24 + 4 * rec.dict.size() +
                 8 * (rec.hits.size() + rec.escapes.size()) + 8 +
-                kMissBytes * rec.misses.size() +
-                kBlockDeltaBytes * rec.blockDelta.size() + kStatsBytes);
+                kMissBytes * rec.misses.size() + kActivityBytes +
+                kStatsBytes);
     putU64(out, n);
-    putU64(out, rec.blockDelta.size());
     putU64(out, rec.dict.size());
     putU64(out, escapes);
     for (const SharedQuanta::Entry e : rec.dict)
@@ -482,15 +477,9 @@ encodeQuanta(const SharedQuanta &rec)
         putU32(out, m.memExtra);
     }
 
-    for (const pipeline::ActivityTotals &a : rec.blockDelta) {
-        const pipeline::BitPair *pairs[] = {&a.fetch,  &a.rfRead,
-                                            &a.rfWrite, &a.alu,
-                                            &a.dcData, &a.dcTag,
-                                            &a.pcInc,  &a.latch};
-        for (const pipeline::BitPair *bp : pairs) {
-            putU64(out, bp->compressed);
-            putU64(out, bp->baseline);
-        }
+    for (const auto stage : kActivityStages) {
+        putU64(out, (rec.activity.*stage).compressed);
+        putU64(out, (rec.activity.*stage).baseline);
     }
     putStats(out, rec.l1i);
     putStats(out, rec.l1d);
@@ -514,16 +503,13 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
 {
     std::size_t off = 0;
     auto need = [&](std::uint64_t k) { return len - off >= k; };
-    if (!need(32))
+    if (!need(24))
         return fail(why, "quanta annex: truncated header");
     if (getU64(bytes) != n)
         return fail(why, "quanta annex: instruction count mismatch");
-    const std::uint64_t blocks = getU64(bytes + 8);
-    if (blocks != canonicalBlocks(n))
-        return fail(why, "quanta annex: non-canonical block count");
-    const std::uint64_t dict_len = getU64(bytes + 16);
-    const std::uint64_t escapes = getU64(bytes + 24);
-    off = 32;
+    const std::uint64_t dict_len = getU64(bytes + 8);
+    const std::uint64_t escapes = getU64(bytes + 16);
+    off = 24;
     // Every escape names a dictionary entry and every entry is named
     // by one (first use), so 0 < G <= E <= n unless n is 0.
     if (escapes > n || dict_len > escapes ||
@@ -606,29 +592,18 @@ decodeQuanta(const std::uint8_t *bytes, std::size_t len, std::size_t n,
         if ((m.ifExtra | m.memExtra) == 0)
             return fail(why, "quanta annex: miss without latency");
     }
-    rec->blockMissStart.resize(blocks);
-    std::size_t first = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        while (first < misses && rec->misses[first].index <
-                                     b * cpu::TraceView::defaultBlockSize)
-            ++first;
-        rec->blockMissStart[b] = static_cast<std::uint32_t>(first);
+    if (!need(kActivityBytes))
+        return fail(why, "quanta annex: truncated activity total");
+    for (const auto stage : kActivityStages) {
+        (rec->activity.*stage).compressed = getU64(bytes + off);
+        (rec->activity.*stage).baseline = getU64(bytes + off + 8);
+        off += 16;
     }
-
-    if (len - off != blocks * kBlockDeltaBytes + kStatsBytes)
+    if (rec->activity.latch.compressed != 0 ||
+        rec->activity.latch.baseline != 0)
+        return fail(why, "quanta annex: latch activity in the total");
+    if (len - off != kStatsBytes)
         return fail(why, "quanta annex: size mismatch");
-    rec->blockDelta.resize(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        pipeline::ActivityTotals &a = rec->blockDelta[b];
-        pipeline::BitPair *pairs[] = {&a.fetch,  &a.rfRead, &a.rfWrite,
-                                      &a.alu,    &a.dcData, &a.dcTag,
-                                      &a.pcInc,  &a.latch};
-        for (pipeline::BitPair *bp : pairs) {
-            bp->compressed = getU64(bytes + off);
-            bp->baseline = getU64(bytes + off + 8);
-            off += 16;
-        }
-    }
     getStats(bytes + off, rec->l1i);
     getStats(bytes + off + 48, rec->l1d);
     getStats(bytes + off + 96, rec->l2);
@@ -701,7 +676,7 @@ class TraceSerializer
         const auto raw_bytes = rawColumnBytes(n, b.loadData_.size());
 
         // Derived SharedQuanta records published on the buffer by
-        // replays: persist every canonical one, so warm-store
+        // replays: persist every whole-trace one, so warm-store
         // processes skip the quanta front half. A buffer with none (the
         // capture-time write-through) writes an empty annex section.
         struct AnnexPayload

@@ -10,7 +10,7 @@
  * store/codec.h, so a cold process loads and replays instead of
  * recapturing.
  *
- * Segment file format (version 9, all integers little-endian) —
+ * Segment file format (version 10, all integers little-endian) —
  * see README "Persistent trace store" for the full layout:
  *
  *   header (64 bytes, CRC-guarded):
@@ -25,9 +25,10 @@
  *     trace's derived SharedQuanta records keyed by quanta key, so
  *     warm loads skip the quanta front half (see formatVersion
  *     below); each is stored in its resident form: one hit bit per
- *     instruction, a record-wide entry dictionary and a packed
+ *     instruction, a record-wide entry dictionary, a packed
  *     escape per instruction whose entry its static instruction's
- *     previous instance does not predict.
+ *     previous instance does not predict, the miss list and one
+ *     activity total.
  *
  * Two columns are stored (the decode index of every instruction and
  * the loaded bytes of every load), exactly what a resident
@@ -111,7 +112,7 @@ namespace sigcomp::store
 // Any change to the marked format-layout regions (here and in
 // trace_store.cpp) must bump formatVersion and refresh the pin:
 // `tools/sigcomp_lint --update-format-pin` (checked in CI).
-constexpr std::uint32_t formatVersion = 9;
+constexpr std::uint32_t formatVersion = 10;
 // sigcomp-lint: format-layout-end
 
 /** Per-column size accounting for stats/compression-ratio reports. */
@@ -323,7 +324,7 @@ class TraceStore
 
     /**
      * The "quanta:" annex keys of @p trace that save() would
-     * actually persist — canonical records only, capped at the
+     * actually persist — whole-trace records, capped at the
      * format's per-segment annex limit. persistAnnexes compares
      * THESE against the segment's info() annexes, so an ineligible
      * record can never cause endless no-op re-saves.

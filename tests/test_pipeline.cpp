@@ -504,13 +504,26 @@ TEST(Result, EmptyPipelineIsSane)
 const std::array<sig::Encoding, 3> kRecordEncodings = {
     sig::Encoding::Ext3, sig::Encoding::Ext2, sig::Encoding::Half1};
 
-/** One suite workload's trace and its SharedQuanta record per encoding. */
+/**
+ * One suite workload's trace, and per encoding its SharedQuanta
+ * record and the result of the pipeline that recorded it.
+ */
 struct SuiteRecords
 {
     std::string name;
     std::shared_ptr<cpu::TraceBuffer> trace;
     std::array<std::shared_ptr<const SharedQuanta>, 3> rec;
+    std::array<PipelineResult, 3> recorded;
 };
+
+/** The activity-study design of encoding @p enc's quanta group. */
+std::unique_ptr<InOrderPipeline>
+recordingPipeline(sig::Encoding enc)
+{
+    return makePipeline(enc == sig::Encoding::Half1 ? Design::HalfwordSerial
+                                                    : Design::ByteSerial,
+                        analysis::suiteConfig(enc));
+}
 
 /**
  * Every suite workload captured once and replayed through one
@@ -530,14 +543,11 @@ suiteRecords()
                 cpu::TraceBuffer::capture(
                     workloads::Suite::build(name).program));
             for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
-                const sig::Encoding enc = kRecordEncodings[e];
-                auto pipe = makePipeline(enc == sig::Encoding::Half1
-                                             ? Design::HalfwordSerial
-                                             : Design::ByteSerial,
-                                         analysis::suiteConfig(enc));
+                auto pipe = recordingPipeline(kRecordEncodings[e]);
                 replayPipelines(*r.trace, {pipe.get()});
                 r.rec[e] = std::static_pointer_cast<const SharedQuanta>(
                     r.trace->annexGet(pipe->quantaKey()));
+                r.recorded[e] = pipe->result();
             }
             out.push_back(std::move(r));
         }
@@ -561,7 +571,6 @@ TEST(SharedQuantaRecord, HierarchyOutcomesAreEqualAcrossEncodings)
             SCOPED_TRACE(sig::encodingName(kRecordEncodings[e]));
             const SharedQuanta &other = *r.rec[e];
             EXPECT_TRUE(other.misses == ext3.misses);
-            EXPECT_TRUE(other.blockMissStart == ext3.blockMissStart);
             EXPECT_TRUE(other.l1i == ext3.l1i);
             EXPECT_TRUE(other.l1d == ext3.l1d);
             EXPECT_TRUE(other.l2 == ext3.l2);
@@ -569,11 +578,26 @@ TEST(SharedQuantaRecord, HierarchyOutcomesAreEqualAcrossEncodings)
     }
 }
 
+/**
+ * Advance @p at, an index into @p rec's misses, past the misses before
+ * record index @p base: what a replay carries from block to block.
+ */
+void
+skipMissesBefore(const SharedQuanta &rec, std::size_t base, std::size_t &at)
+{
+    while (at < rec.misses.size() && rec.misses[at].index < base)
+        ++at;
+}
+
+/** The replay block sizes a record must decode the same under. */
+constexpr std::size_t kBlockSizes[] = {1, 7, 1000, 1024, 4096};
+
 TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
 {
     // Replays each record through the consumers' Decoder and Cursor
-    // next to a fresh recorder: every instruction's quanta and latch
-    // base must match field for field.
+    // next to a fresh recorder, at every block size: every
+    // instruction's quanta and latch base must match field for field
+    // (a record is one stream, whatever block size recorded it).
     struct CompareSink : cpu::TraceSink
     {
         CompareSink(const SharedQuanta &rec, const PipelineConfig &cfg,
@@ -595,7 +619,8 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
             std::vector<SharedQuanta::Entry> entries;
             std::vector<Count> latch;
             decoder.expandBlock(block, entries, latch);
-            SharedQuanta::Cursor cursor(rec, base, blockIndex, entries);
+            SharedQuanta::Cursor cursor(
+                base, entries, std::span(rec.misses).subspan(missAt));
             for (std::size_t j = 0; j < block.size(); ++j) {
                 Count want_latch = 0;
                 const InstrQuanta want =
@@ -607,16 +632,76 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
                 }
                 ++base;
             }
-            ++blockIndex;
+            skipMissesBefore(rec, base, missAt);
         }
 
         const SharedQuanta &rec;
         SharedQuanta::Decoder decoder;
         QuantaRecorder recorder;
         std::size_t base = 0;
-        std::size_t blockIndex = 0;
+        std::size_t missAt = 0;
         std::size_t mismatches = 0;
         std::size_t firstMismatch = 0;
+    };
+
+    for (const SuiteRecords &r : suiteRecords()) {
+        for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
+            ASSERT_NE(r.rec[e], nullptr);
+            PipelineConfig cfg = analysis::suiteConfig(kRecordEncodings[e]);
+            for (const std::size_t block_size : kBlockSizes) {
+                SCOPED_TRACE(r.name + " " +
+                             sig::encodingName(kRecordEncodings[e]) +
+                             " block size " + std::to_string(block_size));
+                CompareSink sink(*r.rec[e], cfg, r.trace->program());
+                EXPECT_TRUE(
+                    cpu::TraceView(*r.trace).replay(sink, block_size));
+                EXPECT_EQ(sink.base, r.trace->size());
+                EXPECT_EQ(sink.mismatches, 0u)
+                    << "first at record index " << sink.firstMismatch;
+            }
+        }
+    }
+}
+
+TEST(SharedQuantaRecord, ConsumerAtAnotherBlockSizeGetsTheRecordedResult)
+{
+    // A fresh pipeline consumes each cached record in replay blocks of
+    // 700 (the recording ran in TraceView::defaultBlockSize blocks)
+    // through retireBlockShared and the adopt step: its result —
+    // activity, cache statistics and cycles — is the recording
+    // pipeline's.
+    struct ConsumeSink : cpu::TraceSink
+    {
+        ConsumeSink(const SharedQuanta &rec, InOrderPipeline &pipe,
+                    const isa::Program &program)
+            : rec(rec), pipe(pipe),
+              decoder(rec, program, pipe.config().encoding)
+        {
+        }
+
+        void
+        retire(const cpu::DynInstr &di) override
+        {
+            retireBlock(std::span<const cpu::DynInstr>(&di, 1));
+        }
+
+        void
+        retireBlock(std::span<const cpu::DynInstr> block) override
+        {
+            decoder.expandBlock(block, entries, latch);
+            pipe.retireBlockShared(block, base, entries, latch,
+                                   std::span(rec.misses).subspan(missAt));
+            base += block.size();
+            skipMissesBefore(rec, base, missAt);
+        }
+
+        const SharedQuanta &rec;
+        InOrderPipeline &pipe;
+        SharedQuanta::Decoder decoder;
+        std::vector<SharedQuanta::Entry> entries;
+        std::vector<Count> latch;
+        std::size_t base = 0;
+        std::size_t missAt = 0;
     };
 
     for (const SuiteRecords &r : suiteRecords()) {
@@ -624,22 +709,20 @@ TEST(SharedQuantaRecord, CursorRebuildsWhatTheRecorderComputes)
             SCOPED_TRACE(r.name + " " +
                          sig::encodingName(kRecordEncodings[e]));
             ASSERT_NE(r.rec[e], nullptr);
-            PipelineConfig cfg = analysis::suiteConfig(kRecordEncodings[e]);
-            CompareSink sink(*r.rec[e], cfg, r.trace->program());
-            cpu::TraceView(*r.trace).replay(sink);
-            EXPECT_EQ(sink.base, r.trace->size());
-            EXPECT_EQ(sink.mismatches, 0u)
-                << "first at record index " << sink.firstMismatch;
+            auto pipe = recordingPipeline(kRecordEncodings[e]);
+            ConsumeSink sink(*r.rec[e], *pipe, r.trace->program());
+            EXPECT_TRUE(cpu::TraceView(*r.trace).replay(sink, 700));
+            pipe->adoptSharedStats(*r.rec[e]);
+            live::expectSameResult(pipe->result(), r.recorded[e]);
         }
     }
 }
 
-TEST(SharedQuantaRecord, FitsPointThreeFiveBytesPerInstruction)
+TEST(SharedQuantaRecord, FitsPointTwoTwoBytesPerInstruction)
 {
-    // One hit bit per instruction plus the escapes, the dictionary,
-    // the miss list and the block deltas (about 0.13 B per
-    // instruction of the 0.35); a one-byte code per instruction
-    // cannot fit.
+    // One hit bit per instruction (0.125 B) plus the escapes, the
+    // dictionary and the miss list; the worst record measures 0.206
+    // B per instruction. A one-byte code per instruction cannot fit.
     for (const SuiteRecords &r : suiteRecords()) {
         for (std::size_t e = 0; e < kRecordEncodings.size(); ++e) {
             SCOPED_TRACE(r.name + " " +
@@ -647,7 +730,7 @@ TEST(SharedQuantaRecord, FitsPointThreeFiveBytesPerInstruction)
             ASSERT_NE(r.rec[e], nullptr);
             EXPECT_EQ(r.rec[e]->size(), r.trace->size());
             EXPECT_LE(static_cast<double>(r.rec[e]->bytes()),
-                      0.35 * static_cast<double>(r.trace->size()));
+                      0.22 * static_cast<double>(r.trace->size()));
         }
     }
 }

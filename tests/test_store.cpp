@@ -640,9 +640,9 @@ TEST_F(StoreTest, OlderFormatVersionLoadsAsStaleAndIsRecaptured)
     const TraceStore ts(dir());
     const std::string path = ts.segmentPath("rawdaudio");
 
-    // Re-stamp the segment as the previous version (format 8, whose
-    // segments still stored results, addresses and taken bits),
-    // header CRC intact.
+    // Re-stamp the segment as the previous version (format 9, whose
+    // quanta annexes still stored per-block activity deltas), header
+    // CRC intact.
     std::vector<std::uint8_t> bytes = readAll(path);
     bytes[4] = static_cast<std::uint8_t>(store::formatVersion - 1);
     const std::uint32_t crc = crc32(0, bytes.data(), 60);
@@ -902,8 +902,7 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
               std::vector<std::string>{key});
 
     // The decoded record is the saved one: hit bits, dictionary,
-    // escapes, miss list, the per-block miss starts derived on load,
-    // block deltas and cache statistics.
+    // escapes, miss list, activity total and cache statistics.
     const auto saved =
         std::static_pointer_cast<const pipeline::SharedQuanta>(
             t.annexGet(key));
@@ -917,14 +916,8 @@ TEST_F(StoreTest, QuantaAnnexRoundTripsAndSkipsTheFrontHalf)
     EXPECT_TRUE(restored->escapes == saved->escapes);
     EXPECT_FALSE(saved->misses.empty());
     EXPECT_TRUE(restored->misses == saved->misses);
-    EXPECT_TRUE(restored->blockMissStart == saved->blockMissStart);
-    ASSERT_EQ(restored->blockDelta.size(), saved->blockDelta.size());
-    for (std::size_t b = 0; b < saved->blockDelta.size(); ++b) {
-        EXPECT_EQ(restored->blockDelta[b].fetch.compressed,
-                  saved->blockDelta[b].fetch.compressed);
-        EXPECT_EQ(restored->blockDelta[b].dcData.baseline,
-                  saved->blockDelta[b].dcData.baseline);
-    }
+    EXPECT_GT(saved->activity.fetch.compressed, 0u);
+    live::expectSameActivity(restored->activity, saved->activity, key);
     EXPECT_TRUE(restored->l1i == saved->l1i);
     EXPECT_TRUE(restored->l1d == saved->l1d);
     EXPECT_TRUE(restored->l2 == saved->l2);
@@ -1045,12 +1038,12 @@ struct OneAnnex
         dirCrcAt = entry + 20;
         payload = dirCrcAt + 4;
         EXPECT_EQ(payload + len, bytes.size());
-        // Payload: n, blocks, dictionary length G, escape count E,
+        // Payload: n, dictionary length G, escape count E,
         // dictionary, hit words, escape words, miss count, 12-byte
-        // misses, ...
+        // misses, the activity total, the cache statistics.
         n = static_cast<std::size_t>(field(0));
-        dictLen = static_cast<std::size_t>(field(16));
-        escapes = static_cast<std::size_t>(field(24));
+        dictLen = static_cast<std::size_t>(field(8));
+        escapes = static_cast<std::size_t>(field(16));
         width = dictLen > 1 ? static_cast<unsigned>(
                                   std::bit_width(dictLen - 1))
                             : 0;
@@ -1061,13 +1054,20 @@ struct OneAnnex
         return store::getU64(bytes.data() + payload + at);
     }
 
-    std::size_t dictAt(std::size_t k) const { return payload + 32 + 4 * k; }
+    std::size_t dictAt(std::size_t k) const { return payload + 24 + 4 * k; }
     std::size_t hitsAt() const { return dictAt(dictLen); }
     std::size_t escapesAt() const { return hitsAt() + 8 * ((n + 63) / 64); }
     std::size_t
     missesAt() const
     {
         return escapesAt() + 8 * ((escapes * width + 63) / 64);
+    }
+    std::size_t
+    activityAt() const
+    {
+        return missesAt() + 8 +
+               12 * static_cast<std::size_t>(
+                        store::getU64(bytes.data() + missesAt()));
     }
 
     /** Flip bit @p bit of the bytes from @p at on. */
@@ -1119,25 +1119,7 @@ expectSameRecord(const pipeline::SharedQuanta &a,
     EXPECT_TRUE(a.dict == b.dict);
     EXPECT_TRUE(a.escapes == b.escapes);
     EXPECT_TRUE(a.misses == b.misses);
-    EXPECT_TRUE(a.blockMissStart == b.blockMissStart);
-    ASSERT_EQ(a.blockDelta.size(), b.blockDelta.size());
-    for (std::size_t k = 0; k < a.blockDelta.size(); ++k) {
-        const pipeline::ActivityTotals &x = a.blockDelta[k];
-        const pipeline::ActivityTotals &y = b.blockDelta[k];
-        const pipeline::BitPair pipeline::ActivityTotals::*stages[] = {
-            &pipeline::ActivityTotals::fetch,
-            &pipeline::ActivityTotals::rfRead,
-            &pipeline::ActivityTotals::rfWrite,
-            &pipeline::ActivityTotals::alu,
-            &pipeline::ActivityTotals::dcData,
-            &pipeline::ActivityTotals::dcTag,
-            &pipeline::ActivityTotals::pcInc,
-            &pipeline::ActivityTotals::latch};
-        for (const auto stage : stages) {
-            EXPECT_EQ((x.*stage).compressed, (y.*stage).compressed);
-            EXPECT_EQ((x.*stage).baseline, (y.*stage).baseline);
-        }
-    }
+    live::expectSameActivity(a.activity, b.activity, "quanta record");
     EXPECT_TRUE(a.l1i == b.l1i);
     EXPECT_TRUE(a.l1d == b.l1d);
     EXPECT_TRUE(a.l2 == b.l2);
@@ -1258,7 +1240,7 @@ TEST_F(StoreTest, DamagedQuantaStreamFailsSoft)
          "escape bit past the count"},
         {"dictionary larger than the escapes",
          [](OneAnnex &ax) {
-             ax.put32(ax.payload + 16,
+             ax.put32(ax.payload + 8,
                       static_cast<std::uint32_t>(ax.escapes + 1));
          },
          "dictionary or escape count out of range"},
@@ -1268,6 +1250,13 @@ TEST_F(StoreTest, DamagedQuantaStreamFailsSoft)
         {"stream truncated in the escapes",
          [](OneAnnex &ax) { ax.truncate(ax.escapesAt() + 8); },
          "truncated escapes"},
+        {"stream truncated in the activity total",
+         [](OneAnnex &ax) { ax.truncate(ax.activityAt() + 64); },
+         "truncated activity total"},
+        {"latch activity in the total",
+         // The latch pair is the total's last: u64 14 of 16.
+         [](OneAnnex &ax) { ax.put32(ax.activityAt() + 8 * 14, 1); },
+         "latch activity in the total"},
         {"dictionary entry above entryBits",
          [](OneAnnex &ax) {
              ax.put32(ax.dictAt(0),
@@ -1420,7 +1409,7 @@ TEST_F(StoreTest, WorstCaseQuantaRecordsRoundTrip)
         SharedQuanta::Encoder encoder;
         std::span<const SharedQuanta::Entry> stream;
     };
-    // The recording's misses, block deltas and statistics, this
+    // The recording's misses, activity total and statistics, this
     // stream's entries.
     auto wide = std::make_shared<SharedQuanta>(*saved);
     wide->instructions = 0;
